@@ -6,14 +6,16 @@
 //! counters printed at the end show exactly what batching saved.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eqjoin_bench::{selectivity_query, SELECTIVITY_LABELS};
-use eqjoin_db::{EqjoinServer, JoinQuery, QueryInput, Session, SessionConfig, TableConfig};
+use eqjoin_bench::{selectivity_query, spawn_loopback, SELECTIVITY_LABELS};
+use eqjoin_db::{JoinQuery, QueryInput, Session, SessionConfig, TableConfig};
 use eqjoin_pairing::MockEngine;
 use eqjoin_tpch::{generate_customers, generate_orders, TpchConfig};
+use eqjoind_net::NetHandle;
 
-/// An encrypted TPC-H session over its own loopback `eqjoind`.
-fn remote_session() -> Session<MockEngine> {
-    let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().expect("spawn eqjoind");
+/// An encrypted TPC-H session over its own loopback `eqjoind` (the
+/// handle keeps the server up while the session is in use).
+fn remote_session() -> (Session<MockEngine>, NetHandle) {
+    let (addr, server) = spawn_loopback::<MockEngine>();
     let mut session = Session::remote(
         SessionConfig::new(2, 3)
             .seed(0x5e55 ^ 0xbe9c)
@@ -40,7 +42,7 @@ fn remote_session() -> Session<MockEngine> {
             },
         )
         .expect("encrypt orders");
-    session
+    (session, server)
 }
 
 /// One dashboard refresh: the four selectivity queries of Figures 3/4.
@@ -54,8 +56,8 @@ fn refresh_queries() -> Vec<JoinQuery> {
 fn bench_remote_batching(c: &mut Criterion) {
     let queries = refresh_queries();
     let inputs: Vec<QueryInput> = queries.iter().map(QueryInput::from).collect();
-    let mut one_at_a_time = remote_session();
-    let mut batched = remote_session();
+    let (mut one_at_a_time, _server_one) = remote_session();
+    let (mut batched, _server_batched) = remote_session();
 
     let mut group = c.benchmark_group("remote_series");
     group.sample_size(30);

@@ -22,20 +22,20 @@
 //! ```sh
 //! cargo run --release -p eqjoin-bench --bin session_series -- bls 0.0004 5
 //! cargo run --release -p eqjoin-bench --bin session_series -- mock 0.002 10
-//! cargo run --release -p eqjoin-bench --bin session_series -- mock 0.002 10 --backend sharded
+//! cargo run --release -p eqjoin-bench --bin session_series -- mock 0.002 10 --backend remote
 //! cargo run --release -p eqjoin-bench --bin session_series -- bls 0.0004 5 --threads 4
 //! cargo run --release -p eqjoin-bench --bin session_series -- mock 0.002 5 --plan multiway
 //! ```
 //!
 //! Positional arguments: `engine [scale rounds]`, plus
-//! `--backend {local,remote,sharded}` (default `local`), `--threads N`
+//! `--backend {local,remote}` (default `local`), `--threads N`
 //! (decrypt workers; 0 = auto, one per core), `--plan
 //! {pairwise,multiway}` (multiway runs 3-table
 //! `Orders ⋈ Customers ⋈ Profiles` chains with a projection — the JSON
 //! then carries per-stage op counts), `--sessions N` (run an extra
-//! phase with N concurrent tenant sessions against one shared server,
-//! thread-per-connection vs the epoll reactor, reporting
-//! queries/second for each in the JSON's `concurrent` section),
+//! phase with N concurrent tenant sessions against one shared loopback
+//! server, reporting queries/second in the JSON's `concurrent`
+//! section),
 //! `--ingest` (run ONLY the production-scale ingest phase — the CI
 //! bulk-load smoke gate: batched fixed-base-mul counters, parallel
 //! vs. single-threaded byte-identity, O(delta) persistence of the
@@ -46,12 +46,13 @@
 //!
 //! [`Session`]: eqjoin_db::Session
 
-use eqjoin_bench::{secs, selectivity_query, setup_tpch, SELECTIVITY_LABELS};
+use eqjoin_bench::{secs, selectivity_query, setup_tpch, spawn_loopback, SELECTIVITY_LABELS};
 use eqjoin_db::{
-    DbServer, EncryptedStore, EqjoinServer, JoinOptions, QueryInput, QueryPlan, Schema,
-    ServerStats, Session, SessionConfig, Table, TableConfig, Value,
+    DbServer, EncryptedStore, JoinOptions, QueryInput, QueryPlan, Schema, ServerStats, Session,
+    SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin_pairing::{ops, Bls12, Engine, MockEngine, OpCounts};
+use eqjoind_net::NetHandle;
 use std::time::Instant;
 
 /// Which workload shape each round executes.
@@ -93,7 +94,6 @@ impl PlanMode {
 enum Backend {
     Local,
     Remote,
-    Sharded,
 }
 
 impl Backend {
@@ -101,8 +101,7 @@ impl Backend {
         match s {
             "local" => Backend::Local,
             "remote" => Backend::Remote,
-            "sharded" => Backend::Sharded,
-            other => panic!("unknown backend {other:?} (use local, remote or sharded)"),
+            other => panic!("unknown backend {other:?} (use local or remote)"),
         }
     }
 
@@ -110,23 +109,20 @@ impl Backend {
         match self {
             Backend::Local => "local",
             Backend::Remote => "remote",
-            Backend::Sharded => "sharded",
         }
     }
 
-    /// A fresh session over this transport (remote spawns its own
-    /// loopback `eqjoind`; sharded uses 4 in-process shards).
-    fn session<E: Engine>(self, config: SessionConfig) -> Session<E> {
+    /// A fresh session over this transport. Remote spawns its own
+    /// loopback `eqjoind`, whose handle the caller keeps alive for as
+    /// long as the session is in use.
+    fn session<E: Engine>(self, config: SessionConfig) -> (Session<E>, Option<NetHandle>) {
         match self {
-            Backend::Local => Session::local(config),
+            Backend::Local => (Session::local(config), None),
             Backend::Remote => {
-                let (addr, handle) = EqjoinServer::spawn_local::<E>().expect("spawn eqjoind");
-                // The session outlives this scope; leak the server on
-                // purpose so its accept loop keeps running.
-                handle.detach();
-                Session::remote(config, addr).expect("connect to loopback eqjoind")
+                let (addr, server) = spawn_loopback::<E>();
+                let session = Session::remote(config, addr).expect("connect to loopback eqjoind");
+                (session, Some(server))
             }
-            Backend::Sharded => Session::sharded(config, 4),
         }
     }
 }
@@ -225,17 +221,18 @@ fn upload_tables<E: Engine>(
     rows
 }
 
-/// Encrypted TPC-H session with the cache toggled as requested.
+/// Encrypted TPC-H session with the cache toggled as requested (plus
+/// the loopback server it runs over, if remote).
 fn build_session<E: Engine>(
     scale: f64,
     token_cache: bool,
     backend: Backend,
     threads: usize,
     plan: PlanMode,
-) -> (Session<E>, (usize, usize)) {
-    let mut session = backend.session::<E>(session_config(token_cache, threads));
+) -> (Session<E>, (usize, usize), Option<NetHandle>) {
+    let (mut session, server) = backend.session::<E>(session_config(token_cache, threads));
     let rows = upload_tables(&mut session, scale, plan);
-    (session, rows)
+    (session, rows, server)
 }
 
 /// What one measured series produced.
@@ -685,18 +682,20 @@ fn measure_ingest<E: Engine>(cfg: &RunConfig) -> IngestMeasurement {
     }
 }
 
-/// One connection layer's side of the N-concurrent-sessions phase.
-struct LayerThroughput {
+/// Throughput of the N-concurrent-sessions phase.
+struct Throughput {
     wall_s: f64,
     queries: u64,
     qps: f64,
 }
 
-/// Drive N concurrent tenant sessions against one shared server at
-/// `addr`: every session uploads its own tables (untimed), then all
-/// sessions release from a barrier together and run the full series.
-/// The measured wall clock covers only the query phase.
-fn drive_sessions<E: Engine>(cfg: &RunConfig, addr: std::net::SocketAddr) -> LayerThroughput {
+/// The N-concurrent-sessions phase: N tenant sessions against one
+/// shared loopback server. Every session uploads its own tables
+/// (untimed), then all sessions release from a barrier together and
+/// run the full series; the measured wall clock covers only the query
+/// phase.
+fn measure_concurrent<E: Engine>(cfg: &RunConfig) -> Throughput {
+    let (addr, server) = spawn_loopback::<E>();
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(cfg.sessions + 1));
     let mut clients = Vec::new();
     for i in 0..cfg.sessions {
@@ -726,53 +725,14 @@ fn drive_sessions<E: Engine>(cfg: &RunConfig, addr: std::net::SocketAddr) -> Lay
         .map(|c| c.join().expect("concurrent client"))
         .sum();
     let wall_s = t0.elapsed().as_secs_f64();
-    LayerThroughput {
+    server.stop().expect("drain the loopback server");
+    // CI smoke gate: the server must actually move queries.
+    assert!(queries > 0, "qps smoke gate");
+    Throughput {
         wall_s,
         queries,
         qps: queries as f64 / wall_s.max(1e-9),
     }
-}
-
-/// The N-concurrent-sessions phase: the SAME multi-tenant workload
-/// against the thread-per-connection baseline and the epoll reactor,
-/// one shared server per layer, reporting queries/second for each.
-struct ConcurrentMeasurement {
-    threaded: LayerThroughput,
-    epoll: LayerThroughput,
-}
-
-fn measure_concurrent<E: Engine>(cfg: &RunConfig) -> ConcurrentMeasurement {
-    use eqjoin_db::{RemoteBackend, Request, Response, ServerApi};
-    use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
-    use std::sync::Arc;
-
-    // Thread-per-connection baseline over a tenant registry.
-    let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
-    let (addr, handle) = EqjoinServer::bind("127.0.0.1:0")
-        .expect("bind threaded server")
-        .spawn(registry as Arc<dyn ServerApi<E>>)
-        .expect("spawn threaded server");
-    let threaded = drive_sessions::<E>(cfg, addr);
-    handle.stop().expect("stop threaded server");
-
-    // Epoll reactor + worker pool over its own registry.
-    let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
-    let server = NetServer::bind("127.0.0.1:0").expect("bind epoll server");
-    let addr = server.local_addr().expect("epoll addr");
-    let backend = registry as Arc<dyn ServerApi<E>>;
-    let reactor = std::thread::spawn(move || server.serve(backend, NetConfig::default()));
-    let epoll = drive_sessions::<E>(cfg, addr);
-    let drainer = RemoteBackend::connect(addr).expect("connect drainer");
-    assert!(matches!(
-        ServerApi::<E>::handle(&drainer, Request::Drain),
-        Response::Pong
-    ));
-    drop(drainer);
-    reactor.join().expect("reactor thread").expect("drain");
-
-    // CI smoke gate: both layers must actually move queries.
-    assert!(threaded.qps > 0.0 && epoll.qps > 0.0, "qps smoke gate");
-    ConcurrentMeasurement { threaded, epoll }
 }
 
 struct RunConfig {
@@ -887,9 +847,10 @@ fn series<E: Engine>(cfg: &RunConfig) {
         return;
     }
     let t_setup = Instant::now();
-    let (mut uncached, rows) =
+    let (mut uncached, rows, _uncached_server) =
         build_session::<E>(cfg.scale, false, cfg.backend, cfg.threads, cfg.plan);
-    let (mut cached, _) = build_session::<E>(cfg.scale, true, cfg.backend, cfg.threads, cfg.plan);
+    let (mut cached, _, _cached_server) =
+        build_session::<E>(cfg.scale, true, cfg.backend, cfg.threads, cfg.plan);
     let setup_s = t_setup.elapsed().as_secs_f64();
     println!(
         "session series — {} rounds × {} {} queries, {} customers + {} orders, engine = {}, \
@@ -1008,33 +969,18 @@ fn series<E: Engine>(cfg: &RunConfig) {
         ops_json(&ingest.encrypt_ops),
     );
 
-    // N concurrent tenant sessions, threaded vs epoll, on one shared
-    // server per layer (--sessions N; skipped when N = 0).
+    // N concurrent tenant sessions on one shared loopback server
+    // (--sessions N; skipped when N = 0).
     let concurrent_json = if cfg.sessions > 0 {
         let concurrent = measure_concurrent::<E>(cfg);
         println!(
-            "concurrent phase ({} sessions): threaded {:.1} q/s ({} queries in {:.3} s) | \
-             epoll {:.1} q/s ({} queries in {:.3} s)",
-            cfg.sessions,
-            concurrent.threaded.qps,
-            concurrent.threaded.queries,
-            concurrent.threaded.wall_s,
-            concurrent.epoll.qps,
-            concurrent.epoll.queries,
-            concurrent.epoll.wall_s,
+            "concurrent phase ({} sessions): {:.1} q/s ({} queries in {:.3} s)",
+            cfg.sessions, concurrent.qps, concurrent.queries, concurrent.wall_s,
         );
-        let layer = |l: &LayerThroughput| {
-            format!(
-                "{{\"wall_s\": {:.6}, \"queries\": {}, \"qps\": {:.3}}}",
-                l.wall_s, l.queries, l.qps
-            )
-        };
         format!(
-            "{{\"sessions\": {}, \"rounds\": {}, \"threaded\": {}, \"epoll\": {}}}",
-            cfg.sessions,
-            cfg.rounds,
-            layer(&concurrent.threaded),
-            layer(&concurrent.epoll),
+            "{{\"sessions\": {}, \"rounds\": {}, \"qps\": {:.3}, \"queries\": {}, \
+             \"wall_s\": {:.6}}}",
+            cfg.sessions, cfg.rounds, concurrent.qps, concurrent.queries, concurrent.wall_s,
         )
     } else {
         "null".to_owned()

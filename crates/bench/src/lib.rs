@@ -19,7 +19,18 @@ use eqjoin_db::{
 };
 use eqjoin_pairing::Engine;
 use eqjoin_tpch::{generate_customers, generate_orders, TpchConfig};
+use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A loopback server as `eqjoind` runs it: the reactor over a fresh
+/// in-memory tenant registry, on an ephemeral port. Dropping the handle
+/// drains it, so hold it as long as any session is connected.
+pub fn spawn_loopback<E: Engine>() -> (SocketAddr, NetHandle) {
+    let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
+    NetServer::spawn(registry, NetConfig::default()).expect("spawn loopback eqjoind")
+}
 
 /// The four selectivity labels of Figures 3/4 in the paper's plotting
 /// order (least to most selective work).

@@ -1,6 +1,6 @@
 //! The in-process backend: a [`DbServer`] behind the protocol, with
-//! interior synchronization so one instance can serve many sessions,
-//! connection threads or shards concurrently — optionally **persistent**:
+//! interior synchronization so one instance can serve many sessions
+//! and server worker threads concurrently — optionally **persistent**:
 //! give it a snapshot path and every state change (table uploads,
 //! incremental row updates, fresh decrypt-cache entries) is flushed to
 //! disk, so a restarted server resumes the series warm.

@@ -4,8 +4,7 @@
 //! ```text
 //!   Session ──▶ ServerApi (protocol messages)
 //!                 ├── LocalBackend    in-process DbServer behind RwLock
-//!                 ├── RemoteBackend   length-framed TCP to an eqjoind server
-//!                 └── ShardedBackend  fan-out across N inner backends
+//!                 └── RemoteBackend   length-framed TCP to an eqjoind server
 //! ```
 //!
 //! All backends are `Send + Sync` and synchronize internally, so one
@@ -15,10 +14,8 @@
 
 mod local;
 mod remote;
-mod sharded;
 mod transport;
 
 pub use local::LocalBackend;
-pub use remote::{EqjoinServer, RemoteBackend, RemoteConfig, RetryPolicy, ServerHandle};
-pub use sharded::ShardedBackend;
+pub use remote::{RemoteBackend, RemoteConfig, RetryPolicy};
 pub use transport::{read_frame, write_frame, TransportCounters, TransportStats, MAX_FRAME_BYTES};

@@ -1,6 +1,6 @@
 //! The networked transport: [`RemoteBackend`] speaks the wire codec
-//! over TCP to an [`EqjoinServer`] — the engine behind the standalone
-//! `eqjoind` binary, also embeddable in-process for loopback tests.
+//! over TCP to an `eqjoind` server (the `eqjoind-net` reactor, which
+//! tests and benches also embed in-process for loopback runs).
 //!
 //! One protocol message per length-prefixed frame
 //! ([`write_frame`](super::write_frame) /
@@ -30,10 +30,8 @@ use crate::error::DbError;
 use crate::protocol::{Request, Response, ServerApi};
 use eqjoin_pairing::Engine;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Retry policy for transport failures on **idempotent** requests.
@@ -110,12 +108,6 @@ impl RemoteConfig {
     }
 }
 
-/// May `request` be silently re-sent after a transport failure whose
-/// point of no return is unknown? Reads and joins: yes — replaying
-/// them changes nothing but server work. Mutations: no — an
-/// `InsertRows` whose response was lost may well have been applied, and
-/// replaying it would double-apply (or spuriously fail) server-side.
-/// Envelopes classify as their contents.
 /// Deterministic pre-send rejection of requests too large for one
 /// frame. Never worth retrying — the payload will not shrink.
 fn check_frame_cap(payload: &[u8]) -> Result<(), DbError> {
@@ -129,6 +121,12 @@ fn check_frame_cap(payload: &[u8]) -> Result<(), DbError> {
     Ok(())
 }
 
+/// May `request` be silently re-sent after a transport failure whose
+/// point of no return is unknown? Reads and joins: yes — replaying
+/// them changes nothing but server work. Mutations: no — an
+/// `InsertRows` whose response was lost may well have been applied, and
+/// replaying it would double-apply (or spuriously fail) server-side.
+/// Envelopes classify as their contents.
 fn is_idempotent<E: Engine>(request: &Request<E>) -> bool {
     match request {
         Request::Ping | Request::ExecuteJoin { .. } | Request::Drain | Request::Stats => true,
@@ -350,256 +348,44 @@ impl<E: Engine> ServerApi<E> for RemoteBackend {
     }
 }
 
-/// The accept loop behind the `eqjoind` binary: serves any
-/// [`ServerApi`] backend over TCP, one thread per connection, all
-/// connections sharing the backend through `Arc` — the concurrency the
-/// `handle(&self)` redesign buys.
-pub struct EqjoinServer {
-    listener: TcpListener,
-    io_timeout: Option<Duration>,
-}
-
-impl EqjoinServer {
-    /// Default per-connection idle deadline: a client that goes silent
-    /// for this long between requests has its connection closed, so a
-    /// stalled peer cannot pin a handler thread forever.
-    pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
-
-    /// Bind the listening socket (`"127.0.0.1:0"` picks an ephemeral
-    /// port — ask [`EqjoinServer::local_addr`] what was chosen).
-    pub fn bind<A: ToSocketAddrs + ToString>(addr: A) -> Result<Self, DbError> {
-        let listener = TcpListener::bind(&addr)
-            .map_err(|e| DbError::Transport(format!("bind {}: {e}", addr.to_string())))?;
-        Ok(EqjoinServer {
-            listener,
-            io_timeout: Some(Self::DEFAULT_IO_TIMEOUT),
-        })
-    }
-
-    /// Override the per-connection idle deadline (builder style).
-    /// `None` restores the unbounded pre-deadline behavior. The
-    /// deadline applies to reading a request and writing its response —
-    /// not to backend compute between the two, so a long join is safe
-    /// behind a short idle timeout.
-    pub fn io_timeout(mut self, io_timeout: Option<Duration>) -> Self {
-        self.io_timeout = io_timeout;
-        self
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> Result<SocketAddr, DbError> {
-        self.listener
-            .local_addr()
-            .map_err(|e| DbError::Transport(format!("local_addr: {e}")))
-    }
-
-    /// Accept connections forever, spawning one handler thread per
-    /// connection. Returns only if the listener itself fails
-    /// persistently (transient failures retry with capped exponential
-    /// backoff — a bad FD state must not spin a core).
-    pub fn serve<E: Engine>(self, backend: Arc<dyn ServerApi<E>>) -> Result<(), DbError> {
-        self.serve_until(backend, &AtomicBool::new(false))
-    }
-
-    /// [`EqjoinServer::serve`], stopping cleanly (joinable, listener
-    /// closed) once `shutdown` is set. The flag is checked before each
-    /// accepted connection; [`ServerHandle::stop`] sets it and dials
-    /// the listener once to unblock a pending `accept`.
-    fn serve_until<E: Engine>(
-        self,
-        backend: Arc<dyn ServerApi<E>>,
-        shutdown: &AtomicBool,
-    ) -> Result<(), DbError> {
-        // Capped exponential backoff for transient accept failures:
-        // 1 ms doubling to 256 ms, reset by any successful accept.
-        const BACKOFF_START: Duration = Duration::from_millis(1);
-        const BACKOFF_CAP: Duration = Duration::from_millis(256);
-        let mut backoff = BACKOFF_START;
-        for connection in self.listener.incoming() {
-            match connection {
-                Ok(stream) => {
-                    // Serve before consulting the shutdown flag: this
-                    // connection finished its TCP handshake, so the
-                    // client believes it is established — dropping it
-                    // here would race connect-then-stop callers into a
-                    // broken pipe. The stop-path wakeup dial lands here
-                    // too; its handler reads an immediate EOF and
-                    // exits.
-                    backoff = BACKOFF_START;
-                    let backend = Arc::clone(&backend);
-                    let io_timeout = self.io_timeout;
-                    std::thread::spawn(move || serve_connection::<E>(stream, backend, io_timeout));
-                    if shutdown.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => {
-                    // Transient accept failures (per-connection resets,
-                    // FD exhaustion) must not take the server down —
-                    // but retrying instantly on an error that repeats
-                    // would busy-spin, so sleep before the next accept.
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionAborted
-                            | io::ErrorKind::ConnectionReset
-                            | io::ErrorKind::Interrupted
-                            | io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                    ) {
-                        if shutdown.load(Ordering::Acquire) {
-                            return Ok(());
-                        }
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_CAP);
-                        continue;
-                    }
-                    return Err(DbError::Transport(format!("accept: {e}")));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the accept loop on a background thread and return the bound
-    /// address plus a [`ServerHandle`] that stops the loop and joins
-    /// the thread — the one-liner for loopback tests and embedded
-    /// servers, without leaking a detached thread and its listener.
-    pub fn spawn<E: Engine>(
-        self,
-        backend: Arc<dyn ServerApi<E>>,
-    ) -> Result<(SocketAddr, ServerHandle), DbError> {
-        let addr = self.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let thread = std::thread::spawn(move || self.serve_until(backend, &flag));
-        Ok((
-            addr,
-            ServerHandle {
-                addr,
-                shutdown,
-                thread: Some(thread),
-            },
-        ))
-    }
-
-    /// Spawn a loopback `eqjoind` on an ephemeral port over a fresh
-    /// [`LocalBackend`](super::LocalBackend): bind `127.0.0.1:0`,
-    /// start the accept loop, return the address to connect to. The
-    /// standard setup for integration tests and benches; dropping the
-    /// handle stops the server.
-    pub fn spawn_local<E: Engine>() -> Result<(SocketAddr, ServerHandle), DbError> {
-        let backend = Arc::new(super::LocalBackend::<E>::new()) as Arc<dyn ServerApi<E>>;
-        Self::bind("127.0.0.1:0")?.spawn(backend)
-    }
-}
-
-/// Shutdown handle for a spawned [`EqjoinServer`] accept loop:
-/// [`ServerHandle::stop`] (or drop) stops accepting and joins the
-/// thread, so tests and embedders do not rely on process teardown to
-/// reclaim the listener. Connections already being served run to
-/// completion on their own threads.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<Result<(), DbError>>>,
-}
-
-impl ServerHandle {
-    /// The address the accept loop is bound to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop the accept loop and join its thread, returning the loop's
-    /// exit result.
-    pub fn stop(mut self) -> Result<(), DbError> {
-        self.shutdown_and_join()
-            .unwrap_or_else(|| Err(DbError::Transport("accept loop panicked".into())))
-    }
-
-    /// Let the accept loop run detached for the rest of the process
-    /// (the pre-handle behavior): the thread is deliberately leaked and
-    /// nothing stops it. For long-lived benches and examples whose
-    /// server must outlive every scope; tests should hold the handle
-    /// and let it stop the server instead.
-    pub fn detach(mut self) {
-        self.thread = None;
-    }
-
-    fn shutdown_and_join(&mut self) -> Option<Result<(), DbError>> {
-        let thread = self.thread.take()?;
-        self.shutdown.store(true, Ordering::Release);
-        // A pending blocking accept only observes the flag on its next
-        // wakeup; dial the listener once to force that wakeup. The
-        // handler thread this spawns (if the race admits one) sees an
-        // immediately-closed stream and exits.
-        let _ = TcpStream::connect(self.addr).map(drop);
-        Some(
-            thread
-                .join()
-                .unwrap_or_else(|_| Err(DbError::Transport("accept loop panicked".into()))),
-        )
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        let _ = self.shutdown_and_join();
-    }
-}
-
-/// Frame loop for one client connection: read a request frame, let the
-/// backend answer it, write the response frame. Undecodable requests
-/// get an error response, and a response too large for one frame
-/// degrades to an in-band transport error telling the client to split
-/// the series — in both cases framing stays intact and the connection
-/// survives. Only a real I/O failure ends the connection.
-fn serve_connection<E: Engine>(
-    mut stream: TcpStream,
-    backend: Arc<dyn ServerApi<E>>,
-    io_timeout: Option<Duration>,
-) {
-    let _ = stream.set_nodelay(true);
-    // Idle deadline: a silent client releases this thread instead of
-    // pinning it forever. Compute time between read and write is not
-    // under the deadline.
-    let _ = stream.set_read_timeout(io_timeout);
-    let _ = stream.set_write_timeout(io_timeout);
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return,
-        };
-        let response = match Request::<E>::from_bytes(&frame) {
-            Ok(request) => backend.handle(request),
-            Err(e) => Response::Error(e),
-        };
-        let mut bytes = response.to_bytes();
-        if bytes.len() > super::MAX_FRAME_BYTES {
-            // The joins *were* executed server-side; tell the client
-            // in-band (it will account them as unobserved) rather than
-            // dropping the connection with an opaque EOF.
-            bytes = Response::Error(DbError::Transport(format!(
-                "response of {} bytes exceeds the {} byte frame cap (split the series)",
-                bytes.len(),
-                super::MAX_FRAME_BYTES,
-            )))
-            .to_bytes();
-        }
-        if write_frame(&mut stream, &bytes).is_err() {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::LocalBackend;
     use eqjoin_pairing::MockEngine;
+    use std::net::{SocketAddr, TcpListener};
+
+    /// A live peer for these tests: a listener that (optionally after
+    /// dropping its first accepted connection) serves ONE connection
+    /// with a blocking frame loop over a fresh [`LocalBackend`] — read
+    /// a request frame, answer it, write the response frame — until the
+    /// client hangs up. The real server is the `eqjoind-net` reactor,
+    /// which depends on this crate and so cannot be used here.
+    fn one_connection_server(drop_first: bool) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            if drop_first {
+                drop(listener.accept().unwrap());
+            }
+            let (mut stream, _) = listener.accept().unwrap();
+            let backend = LocalBackend::<MockEngine>::new();
+            while let Ok(Some(frame)) = read_frame(&mut stream) {
+                let response = match Request::<MockEngine>::from_bytes(&frame) {
+                    Ok(request) => backend.handle(request),
+                    Err(e) => Response::Error(e),
+                };
+                if write_frame(&mut stream, &response.to_bytes()).is_err() {
+                    return;
+                }
+            }
+        });
+        (addr, server)
+    }
 
     #[test]
     fn ping_over_loopback_tcp() {
-        let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
+        let (addr, server) = one_connection_server(false);
         let remote = RemoteBackend::connect(addr).unwrap();
         assert!(matches!(
             ServerApi::<MockEngine>::handle(&remote, Request::Ping),
@@ -609,11 +395,13 @@ mod tests {
         assert_eq!(stats.round_trips, 1);
         assert!(stats.bytes_sent >= 5, "frame header + 1-byte ping");
         assert!(stats.bytes_received >= 5);
+        drop(remote);
+        server.join().unwrap();
     }
 
     #[test]
     fn oversized_request_fails_without_poisoning_the_connection() {
-        let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
+        let (addr, server) = one_connection_server(false);
         let remote = RemoteBackend::connect(addr).unwrap();
         let huge = vec![0u8; crate::backend::MAX_FRAME_BYTES + 1];
         match remote.round_trip(&huge) {
@@ -625,6 +413,8 @@ mod tests {
             ServerApi::<MockEngine>::handle(&remote, Request::Ping),
             Response::Pong
         ));
+        drop(remote);
+        server.join().unwrap();
     }
 
     #[test]
@@ -641,29 +431,13 @@ mod tests {
         }
     }
 
-    /// A listener that drops its first accepted connection, then serves
-    /// normally on the second.
-    fn flaky_listener() -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (first, _) = listener.accept().unwrap();
-            drop(first);
-            let (second, _) = listener.accept().unwrap();
-            let backend =
-                Arc::new(super::super::LocalBackend::<MockEngine>::new()) as Arc<dyn ServerApi<_>>;
-            serve_connection::<MockEngine>(second, backend, None);
-        });
-        (addr, server)
-    }
-
     #[test]
     fn idempotent_request_retries_across_a_dropped_connection() {
         // Request 1 lands on the dropped stream; the retry policy
         // reconnects and replays it (a Ping is idempotent), so the
         // caller sees success — with the retry and the reconnect on
         // the books.
-        let (addr, server) = flaky_listener();
+        let (addr, server) = one_connection_server(true);
         let remote = RemoteBackend::connect(addr).unwrap();
         assert!(matches!(
             ServerApi::<MockEngine>::handle(&remote, Request::Ping),
@@ -685,7 +459,7 @@ mod tests {
         // surface the transport error immediately — no retry, no
         // reconnect for *this* request. The next (idempotent) request
         // reconnects and succeeds.
-        let (addr, server) = flaky_listener();
+        let (addr, server) = one_connection_server(true);
         let remote = RemoteBackend::connect(addr).unwrap();
         let insert = Request::<MockEngine>::InsertRows {
             table: "orders".into(),
@@ -739,20 +513,6 @@ mod tests {
         assert_eq!(stats.gave_up, 1);
         drop(hold_tx);
         server.join().unwrap();
-    }
-
-    #[test]
-    fn stop_joins_the_accept_loop() {
-        let (addr, handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
-        assert_eq!(handle.addr(), addr);
-        handle.stop().unwrap();
-        // The listener is gone: a fresh connect must fail (connection
-        // refused), not hang on a leaked accept loop.
-        match RemoteBackend::connect(addr) {
-            Err(DbError::Transport(_)) => {}
-            Ok(_) => panic!("listener must be closed after stop()"),
-            Err(other) => panic!("expected a transport error, got {other:?}"),
-        }
     }
 
     #[test]

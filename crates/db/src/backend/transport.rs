@@ -15,12 +15,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Upper bound on one frame's payload (256 MiB).
 pub const MAX_FRAME_BYTES: usize = 1 << 28;
 
+/// Payload bytes [`write_frame`] copies next to the length so that a
+/// frame up to this size leaves in one write (the rest goes uncopied).
+const FIRST_WRITE_BYTES: usize = 64 << 10;
+
 /// Snapshot of a backend's cumulative transport counters.
 ///
 /// `round_trips` counts request/response exchanges: TCP frames for
 /// [`RemoteBackend`](super::RemoteBackend), top-level `handle` calls
-/// for [`LocalBackend`](super::LocalBackend), shard dispatches for
-/// [`ShardedBackend`](super::ShardedBackend). `requests` counts leaf
+/// for [`LocalBackend`](super::LocalBackend). `requests` counts leaf
 /// protocol requests carried (batch contents individually), so
 /// `requests − round_trips` is exactly what batching saved. Byte
 /// counters are zero for in-process backends.
@@ -66,25 +69,12 @@ impl TransportCounters {
     /// Count one dispatched request: a round trip, its leaf-request
     /// count, and whether it was a batch.
     pub fn record_request<E: Engine>(&self, request: &Request<E>) {
-        self.add_round_trips(1);
-        self.record_logical(request);
-    }
-
-    /// Count a request's leaf-request count and batch-ness *without* a
-    /// round trip — sharded routing counts its dispatches separately
-    /// via [`TransportCounters::add_round_trips`].
-    pub fn record_logical<E: Engine>(&self, request: &Request<E>) {
+        self.round_trips.fetch_add(1, Ordering::Relaxed);
         self.requests
             .fetch_add(request.request_count(), Ordering::Relaxed);
         if matches!(request, Request::Batch(_)) {
             self.batches.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Count `n` extra round trips (sharded fan-out contacts several
-    /// backends per logical request).
-    pub fn add_round_trips(&self, n: u64) {
-        self.round_trips.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count bytes written to the wire.
@@ -183,8 +173,14 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
         ));
     }
     let start = std::time::Instant::now();
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
+    // One write for the length and the head of the payload: on a
+    // TCP_NODELAY socket a 4-byte write is a segment of its own, and
+    // the peer's reactor then wakes once or twice for the frame
+    // depending on how fast it wakes, not on the request.
+    let (head, tail) = payload.split_at(payload.len().min(FIRST_WRITE_BYTES));
+    let length = (payload.len() as u32).to_le_bytes();
+    stream.write_all(&[length.as_slice(), head].concat())?;
+    stream.write_all(tail)?;
     stream.flush()?;
     eqjoin_obs::histogram!("eqjoin_frame_write_seconds").record(start.elapsed());
     eqjoin_obs::counter!("eqjoin_frames_sent_total").inc();
@@ -254,6 +250,29 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Records the size of every `write` it is handed.
+    struct Segments(Vec<usize>);
+
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_with_its_length() {
+        let mut wire = Segments(Vec::new());
+        write_frame(&mut wire, &[7u8; 5_000]).unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        let sent = write_frame(&mut wire, &vec![7u8; FIRST_WRITE_BYTES + 10]).unwrap();
+        assert_eq!(wire.0, vec![5_004, 4, FIRST_WRITE_BYTES + 4, 10]);
+        assert_eq!(sent, FIRST_WRITE_BYTES as u64 + 14);
     }
 
     #[test]

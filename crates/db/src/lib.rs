@@ -43,8 +43,8 @@
 //!   [`Request`]/[`Response`] message enums (including batched series
 //!   and payload projections) with their wire codec.
 //! * [`backend`] — the transports: in-process [`LocalBackend`],
-//!   networked [`RemoteBackend`] (+ [`EqjoinServer`], the engine behind
-//!   the `eqjoind` binary), shard-routing [`ShardedBackend`], and
+//!   networked [`RemoteBackend`] (the client half of the `eqjoind`
+//!   server, whose connection layer is the `eqjoind-net` crate), and
 //!   [`TransportStats`]. Backends only ever see pairwise
 //!   `ExecuteJoin`s — plans reach them as ordinary batches.
 //!
@@ -87,10 +87,7 @@ pub mod server;
 pub mod session;
 pub mod store;
 
-pub use backend::{
-    EqjoinServer, LocalBackend, RemoteBackend, RemoteConfig, RetryPolicy, ServerHandle,
-    ShardedBackend, TransportStats,
-};
+pub use backend::{LocalBackend, RemoteBackend, RemoteConfig, RetryPolicy, TransportStats};
 pub use client::{ClientConfig, ClientStats, DbClient, JoinedRow, TableConfig};
 pub use data::{Row, Schema, Table, Value};
 pub use encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens};

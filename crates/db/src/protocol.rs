@@ -14,7 +14,7 @@
 //!
 //! [`ServerApi`] is a real transport trait: `handle` takes `&self` and
 //! implementations synchronize internally, so one backend instance can
-//! serve many sessions, connections or shard workers concurrently. A
+//! serve many sessions and server worker threads concurrently. A
 //! whole query series travels as one [`Request::Batch`] — over TCP
 //! ([`RemoteBackend`](crate::backend::RemoteBackend)) that is a single
 //! round trip for the entire series.
@@ -27,8 +27,6 @@
 //!   messages ([`Request::to_bytes`] / [`Response::from_bytes`] define
 //!   the wire format) length-framed over a TCP socket to an `eqjoind`
 //!   server.
-//! * [`ShardedBackend`](crate::backend::ShardedBackend) — fans requests
-//!   out across N inner backends by table placement.
 //!
 //! The wire codec is deliberately dependency-free: length-prefixed
 //! fields, group elements via the engine's canonical (validated)
@@ -297,11 +295,10 @@ pub enum Response {
 /// This is a *transport* trait: `handle` takes `&self` and
 /// implementations synchronize internally (`RwLock` around storage,
 /// `Mutex` around a socket, …), so a single backend instance can be
-/// shared — behind an `Arc` across server connection threads, or as a
-/// shard inside [`ShardedBackend`](crate::backend::ShardedBackend)
-/// fanning a batch out with scoped threads. The message-enum shape
-/// (rather than one trait method per operation) is what lets a remote
-/// or sharded backend forward requests byte-for-byte.
+/// shared behind an `Arc` across the server's worker threads. The
+/// message-enum shape (rather than one trait method per operation) is
+/// what lets a remote backend or a tenant router forward requests
+/// byte-for-byte.
 pub trait ServerApi<E: Engine>: Send + Sync {
     /// Handle one request (which may be a [`Request::Batch`]).
     /// Implementations must map internal failures to

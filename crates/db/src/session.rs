@@ -10,7 +10,7 @@
 //!   PreparedQuery ─ execute ─▶ per-stage token cache ─▶ query_tokens
 //!        │   (pairwise stages)      │ hit: reuse stage bundle
 //!        │                          ▼
-//!        │                ServerApi backend (local / remote / sharded)
+//!        │                ServerApi backend (local / remote)
 //!        │                — a chain ships as one Request::Batch of
 //!        │                  pairwise ExecuteJoins, one round trip —
 //!        ▼                          │
@@ -52,7 +52,7 @@
 //! connects them. [`Session::leakage_report`] therefore stays the
 //! paper's bound, now over `Σ stages` instead of `Σ queries`.
 
-use crate::backend::{LocalBackend, RemoteBackend, ShardedBackend, TransportStats};
+use crate::backend::{LocalBackend, RemoteBackend, TransportStats};
 use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
 use crate::data::{Row, Table, Value};
 use crate::encrypted::QueryTokens;
@@ -85,14 +85,6 @@ pub struct SessionConfig {
     /// or the call fails with [`DbError::Timeout`]. `None` (the
     /// default) blocks indefinitely; in-process backends ignore it.
     pub deadline: Option<Duration>,
-    /// O(delta) persistence for sessions served by a persistent
-    /// [`LocalBackend`]: journal bytes past which the backend compacts
-    /// the mutation journal into a full snapshot. `0` (the default)
-    /// rewrites the snapshot after every mutation. Construct the
-    /// backend with
-    /// [`LocalBackend::with_persistence`](crate::backend::LocalBackend::with_persistence)
-    /// passing this value; in-memory backends ignore it.
-    pub compaction_threshold: u64,
 }
 
 impl SessionConfig {
@@ -105,16 +97,7 @@ impl SessionConfig {
             options: JoinOptions::default(),
             token_cache: true,
             deadline: None,
-            compaction_threshold: 0,
         }
-    }
-
-    /// Arm O(delta) persistence for persistent backends serving this
-    /// session: compact the mutation journal into a full snapshot only
-    /// past `bytes` of journal (`0` = rewrite after every mutation).
-    pub fn compaction_threshold(mut self, bytes: u64) -> Self {
-        self.compaction_threshold = bytes;
-        self
     }
 
     /// Bound every socket read/write of a remote round trip; an elapsed
@@ -506,14 +489,8 @@ impl<E: Engine> Session<E> {
         Ok(Self::with_backend(config, Box::new(remote)))
     }
 
-    /// Session over a [`ShardedBackend`] of `shards` in-process shards
-    /// (`shards` is clamped to at least 1).
-    pub fn sharded(config: SessionConfig, shards: usize) -> Self {
-        Self::with_backend(config, Box::new(ShardedBackend::local(shards)))
-    }
-
-    /// Session over an arbitrary backend (remote/sharded backends plug
-    /// in here).
+    /// Session over an arbitrary backend (a multi-tenant registry, a
+    /// pre-configured [`RemoteBackend`], a test double).
     pub fn with_backend(config: SessionConfig, backend: Box<dyn ServerApi<E>>) -> Self {
         Session {
             client: DbClient::with_config(config.client),
@@ -1059,8 +1036,8 @@ impl<E: Engine> Session<E> {
     /// Degraded-mode variant of [`execute_all`](Self::execute_all):
     /// every query gets its **own** outcome instead of the first
     /// failure poisoning the batch. A query whose stages all came back
-    /// yields `Ok(ResultSet)` even when its neighbors hit a lost shard,
-    /// a timeout, or a per-element server error; only failures that
+    /// yields `Ok(ResultSet)` even when its neighbors hit a timeout or
+    /// a per-element server error; only failures that
     /// predate the fan-out (planning, token generation, or a
     /// whole-batch transport loss) reach every slot. Leakage
     /// accounting is identical to `execute_all` — every join the
@@ -1213,9 +1190,8 @@ impl<E: Engine> Session<E> {
                 }
                 Response::Error(e) => {
                     // Per-element transport errors reach here when the
-                    // connection died mid-exchange, a remote *shard*
-                    // failed mid-batch, or a response outgrew the frame
-                    // cap after the joins ran.
+                    // connection died mid-exchange or a response
+                    // outgrew the frame cap after the joins ran.
                     if matches!(e, DbError::Transport(_)) && dispatched {
                         self.stats.queries_unaccounted += 1;
                     }

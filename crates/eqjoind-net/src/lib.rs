@@ -1,10 +1,6 @@
-//! `eqjoind-net` — the event-driven, multi-tenant connection layer for
-//! the `eqjoind` server.
-//!
-//! The original server (`eqjoin_db::EqjoinServer`) is
-//! thread-per-connection: simple, correct, and kept as the
-//! differential baseline (`eqjoind --net threads`). This crate adds
-//! the production-shaped alternative (`eqjoind --net epoll`):
+//! `eqjoind-net` — the event-driven, multi-tenant connection layer of
+//! the `eqjoind` server, and the one server tests, benches and the
+//! benchmark embed in-process ([`NetServer::spawn`]):
 //!
 //! * [`NetServer`] — an epoll reactor owning every socket
 //!   (non-blocking accept/read/write of the u32-length-framed wire
@@ -41,5 +37,5 @@ pub mod sys;
 pub mod tenant;
 
 pub use admission::{Admission, AdmitTicket};
-pub use reactor::{NetConfig, NetServer};
+pub use reactor::{NetConfig, NetHandle, NetServer};
 pub use tenant::TenantRegistry;

@@ -38,7 +38,7 @@
 
 use crate::admission::{Admission, AdmitTicket};
 use crate::sys;
-use eqjoin_db::backend::MAX_FRAME_BYTES;
+use eqjoin_db::backend::{read_frame, write_frame, MAX_FRAME_BYTES};
 use eqjoin_db::{peek_envelope, DbError, Request, RequestEnvelope, Response, ServerApi};
 use eqjoin_failpoint::{failpoint, Action};
 use eqjoin_pairing::Engine;
@@ -47,6 +47,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`NetServer::serve`].
@@ -232,6 +233,27 @@ impl NetServer {
             .map_err(|e| DbError::Transport(format!("local_addr: {e}")))
     }
 
+    /// Serve `backend` on an ephemeral loopback port from a background
+    /// thread: the in-process server for tests, benches and examples.
+    /// Returns the address to connect to and the handle that stops it.
+    pub fn spawn<E: Engine, B: ServerApi<E> + 'static>(
+        backend: Arc<B>,
+        config: NetConfig,
+    ) -> Result<(SocketAddr, NetHandle), DbError> {
+        let server = Self::bind("127.0.0.1:0")?;
+        let addr = server.local_addr()?;
+        let drain_frame = Request::<E>::Drain.to_bytes();
+        let thread = std::thread::spawn(move || server.serve(backend, config));
+        Ok((
+            addr,
+            NetHandle {
+                addr,
+                drain_frame,
+                thread: Some(thread),
+            },
+        ))
+    }
+
     /// Run the reactor on the calling thread until a drain (SIGTERM if
     /// enabled, or a client's `Request::Drain`) completes: listener
     /// closed, admitted jobs finished, responses flushed, snapshots
@@ -307,6 +329,47 @@ impl NetServer {
     }
 }
 
+/// Stop handle for a reactor started with [`NetServer::spawn`]:
+/// [`NetHandle::stop`] (or drop) drains the server and joins its
+/// thread, so tests and embedders never leak a listener or a detached
+/// reactor.
+pub struct NetHandle {
+    addr: SocketAddr,
+    drain_frame: Vec<u8>,
+    thread: Option<JoinHandle<Result<(), DbError>>>,
+}
+
+impl NetHandle {
+    /// Send `Request::Drain`, wait for the reactor to finish admitted
+    /// work and flush, and return its exit result.
+    pub fn stop(mut self) -> Result<(), DbError> {
+        self.drain_and_join().unwrap_or(Ok(()))
+    }
+
+    fn drain_and_join(&mut self) -> Option<Result<(), DbError>> {
+        let thread = self.thread.take()?;
+        // A refused connect means the listener is already gone — some
+        // client drained the server first — and the join below returns
+        // at once.
+        if let Ok(mut stream) = TcpStream::connect(self.addr) {
+            if write_frame(&mut stream, &self.drain_frame).is_ok() {
+                let _ = read_frame(&mut stream);
+            }
+        }
+        Some(
+            thread
+                .join()
+                .unwrap_or_else(|_| Err(DbError::Transport("reactor thread panicked".into()))),
+        )
+    }
+}
+
+impl Drop for NetHandle {
+    fn drop(&mut self) {
+        let _ = self.drain_and_join();
+    }
+}
+
 /// Decode and execute one frame on a worker; returns the serialized
 /// response and whether the frame was a drain request.
 fn execute<E: Engine>(backend: &dyn ServerApi<E>, payload: &[u8]) -> (Vec<u8>, bool) {
@@ -319,8 +382,9 @@ fn execute<E: Engine>(backend: &dyn ServerApi<E>, payload: &[u8]) -> (Vec<u8>, b
     };
     let mut bytes = response.to_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
-        // Same in-band degrade as the threaded server: the work WAS
-        // done; tell the client to split the series.
+        // In-band degrade: the work WAS done (the client accounts
+        // the joins as unobserved); tell it to split the series
+        // rather than dropping the connection with an opaque EOF.
         bytes = Response::Error(DbError::Transport(format!(
             "response of {} bytes exceeds the {} byte frame cap (split the series)",
             bytes.len(),

@@ -5,8 +5,9 @@
 //!
 //! Only the x86-64 Linux ABI is implemented (the target this repo
 //! builds and benches on). On other targets every entry point returns
-//! `ErrorKind::Unsupported`, so the crate still compiles and the
-//! thread-per-connection server remains available.
+//! `ErrorKind::Unsupported`: the crate still compiles, but the server
+//! cannot run there (clients — `RemoteBackend`, sessions — are
+//! portable `std`).
 //!
 //! Safety model: every wrapper passes pointers derived from live Rust
 //! references (or `null`), with lengths matching the pointee, and maps
@@ -233,8 +234,8 @@ mod imp {
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the epoll connection layer is only implemented for x86-64 Linux \
-             (use the thread-per-connection server)",
+            "the eqjoind server is only implemented for x86-64 Linux \
+             (clients are portable; run the daemon on a supported host)",
         ))
     }
 

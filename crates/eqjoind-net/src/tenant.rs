@@ -16,8 +16,9 @@
 //! `<data-dir>/store.snap`, exactly where the single-tenant server
 //! kept it — a warm restart predating tenants keeps working.
 //!
-//! The registry is itself a [`ServerApi`], so BOTH connection layers
-//! (thread-per-connection and epoll) get multi-tenancy for free.
+//! The registry is itself a [`ServerApi`]: the reactor serves it like
+//! any other backend, and tests drive it in-process through
+//! `Session::with_backend` as the reference for the TCP path.
 
 use eqjoin_db::TransportStats;
 use eqjoin_db::{

@@ -9,11 +9,10 @@ use eqjoin_db::{
     TableConfig, Value,
 };
 use eqjoin_pairing::MockEngine;
-use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
+use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// A session with the SQL front-end installed (what `eqjoin::session*`
 /// does in the facade crate).
@@ -21,31 +20,12 @@ fn with_sql(session: Session<MockEngine>) -> Session<MockEngine> {
     session.with_planner(Box::new(eqjoin_sql::SqlFrontend))
 }
 
-type Served = (
-    SocketAddr,
-    Arc<TenantRegistry<MockEngine>>,
-    JoinHandle<Result<(), DbError>>,
-);
-
-/// An epoll server over a fresh in-memory tenant registry, reactor on
-/// its own thread. Drain it (`drain`) before joining the handle.
-fn spawn_epoll(config: NetConfig) -> Served {
-    let server = NetServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
+/// A reactor over a fresh in-memory tenant registry; the handle drains
+/// it on `stop()` or drop.
+fn spawn_reactor(config: NetConfig) -> (SocketAddr, Arc<TenantRegistry<MockEngine>>, NetHandle) {
     let registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
-    let backend = Arc::clone(&registry) as Arc<dyn ServerApi<MockEngine>>;
-    let thread = std::thread::spawn(move || server.serve(backend, config));
-    (addr, registry, thread)
-}
-
-/// Ask the server to drain and wait for the reactor to exit.
-fn drain(addr: SocketAddr, thread: JoinHandle<Result<(), DbError>>) {
-    let client = RemoteBackend::connect(addr).unwrap();
-    match ServerApi::<MockEngine>::handle(&client, Request::Drain) {
-        Response::Pong => {}
-        other => panic!("expected drain ack, got {other:?}"),
-    }
-    thread.join().unwrap().unwrap();
+    let (addr, handle) = NetServer::spawn(Arc::clone(&registry), config).unwrap();
+    (addr, registry, handle)
 }
 
 /// Two joinable tables: `L(k, name)` and `R(fk, val)` with a few
@@ -86,7 +66,7 @@ const QUERY: &str = "SELECT * FROM R JOIN L ON fk = k WHERE name = 'n1'";
 
 #[test]
 fn session_series_over_epoll_matches_local() {
-    let (addr, _registry, thread) = spawn_epoll(NetConfig::default());
+    let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
     let config = SessionConfig::new(1, 2).seed(99);
     let mut local = with_sql(Session::<MockEngine>::local(config));
     let mut remote = with_sql(Session::<MockEngine>::remote(config, addr).unwrap());
@@ -101,12 +81,12 @@ fn session_series_over_epoll_matches_local() {
     }
     assert_eq!(local.leakage_report(), remote.leakage_report());
     drop(remote);
-    drain(addr, thread);
+    handle.stop().unwrap();
 }
 
 #[test]
 fn tenants_are_isolated_and_match_single_tenant_runs() {
-    let (addr, registry, thread) = spawn_epoll(NetConfig::default());
+    let (addr, registry, handle) = spawn_reactor(NetConfig::default());
     let config = SessionConfig::new(1, 2).seed(4242);
 
     // Reference: a single-tenant local run of the same series.
@@ -162,12 +142,12 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
     assert_eq!(registry.tenant_stats(None).unwrap().round_trips, 0);
 
     drop((alpha, beta));
-    drain(addr, thread);
+    handle.stop().unwrap();
 }
 
 #[test]
 fn cross_tenant_tables_are_invisible() {
-    let (addr, _registry, thread) = spawn_epoll(NetConfig::default());
+    let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
     let config = SessionConfig::new(1, 2).seed(7);
     let mut alpha = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
         .with_tenant("alpha")
@@ -199,7 +179,7 @@ fn cross_tenant_tables_are_invisible() {
         .err();
     assert!(err.is_none(), "ghost's own namespace is empty and writable");
     drop((alpha, intruder, ghost));
-    drain(addr, thread);
+    handle.stop().unwrap();
 }
 
 /// Serialize a request for the raw-frame tests.
@@ -221,7 +201,7 @@ fn overload_rejects_in_order_without_dropping_admitted_responses() {
     // Global queue depth of ONE: a burst of 5 pipelined pings in a
     // single TCP segment admits exactly the first and rejects the
     // other four — and all five responses come back, in order.
-    let (addr, _registry, thread) = spawn_epoll(NetConfig {
+    let (addr, _registry, handle) = spawn_reactor(NetConfig {
         workers: 2,
         max_inflight: 0,
         queue_depth: 1,
@@ -269,7 +249,7 @@ fn overload_rejects_in_order_without_dropping_admitted_responses() {
     stream.write_all(&frame(&Request::Ping)).unwrap();
     assert!(matches!(read_response(&mut stream), Response::Pong));
     drop(stream);
-    drain(addr, thread);
+    handle.stop().unwrap();
 }
 
 #[test]
@@ -277,7 +257,7 @@ fn per_tenant_admission_does_not_starve_other_tenants() {
     // Per-tenant cap of ONE, no global cap: a burst holding three
     // frames for tenant `a` and one for tenant `b` admits a's first,
     // rejects a's other two NAMING the tenant, and still admits b's.
-    let (addr, _registry, thread) = spawn_epoll(NetConfig {
+    let (addr, _registry, handle) = spawn_reactor(NetConfig {
         workers: 2,
         max_inflight: 1,
         queue_depth: 0,
@@ -329,12 +309,12 @@ fn per_tenant_admission_does_not_starve_other_tenants() {
         "the saturated tenant's rejections are attributed to it"
     );
     drop(stream);
-    drain(addr, thread);
+    handle.stop().unwrap();
 }
 
 #[test]
 fn drain_finishes_inflight_work_before_exiting() {
-    let (addr, _registry, thread) = spawn_epoll(NetConfig::default());
+    let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
     // One connection uploads state and queries; a second one drains.
     let config = SessionConfig::new(1, 2).seed(1);
     let mut session = with_sql(Session::<MockEngine>::remote(config, addr).unwrap());
@@ -342,9 +322,31 @@ fn drain_finishes_inflight_work_before_exiting() {
     let result = session.execute(QUERY).unwrap();
     assert!(!result.rows.is_empty());
     drop(session);
-    drain(addr, thread);
-    // After the drain the listener is gone.
+    let drainer = RemoteBackend::connect(addr).unwrap();
+    match ServerApi::<MockEngine>::handle(&drainer, Request::Drain) {
+        Response::Pong => {}
+        other => panic!("expected drain ack, got {other:?}"),
+    }
+    // The client drained the server first: `stop` finds the listener
+    // gone and only joins.
+    handle.stop().unwrap();
     assert!(TcpStream::connect(addr).is_err());
+}
+
+#[test]
+fn stop_drains_and_joins_the_reactor() {
+    let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
+    // A client still connected (and idle) must not hold the drain up.
+    let idle = RemoteBackend::connect(addr).unwrap();
+    handle.stop().unwrap();
+    // The listener is gone: a fresh connect must fail (connection
+    // refused), not hang on a leaked reactor.
+    match RemoteBackend::connect(addr) {
+        Err(DbError::Transport(_)) => {}
+        Ok(_) => panic!("listener must be closed after stop()"),
+        Err(other) => panic!("expected a transport error, got {other:?}"),
+    }
+    drop(idle);
 }
 
 #[test]
@@ -352,7 +354,7 @@ fn idle_connections_are_reaped_but_active_ones_survive() {
     // A 150ms idle deadline: a connection that goes quiet is closed by
     // the reactor, while one that keeps talking stays up well past the
     // deadline.
-    let (addr, _registry, thread) = spawn_epoll(NetConfig {
+    let (addr, _registry, handle) = spawn_reactor(NetConfig {
         io_timeout: Some(std::time::Duration::from_millis(150)),
         ..NetConfig::default()
     });
@@ -388,5 +390,5 @@ fn idle_connections_are_reaped_but_active_ones_survive() {
     active.write_all(&frame(&Request::Ping)).unwrap();
     assert!(matches!(read_response(&mut active), Response::Pong));
     drop(active);
-    drain(addr, thread);
+    handle.stop().unwrap();
 }

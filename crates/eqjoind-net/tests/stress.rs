@@ -1,17 +1,14 @@
-//! Differential stress gate across the two connection layers: the
-//! SAME N-thread × M-session multi-tenant workload runs against the
-//! thread-per-connection baseline and the epoll reactor, and must
-//! produce byte-identical result sets, identical leakage reports, and
-//! zero cross-tenant decrypt-cache hits on both.
+//! Differential stress gate for the serving path: the SAME N-thread ×
+//! M-session multi-tenant workload runs over TCP through the reactor
+//! and in-process against an identically configured `TenantRegistry`
+//! (the reference), and must produce byte-identical result sets,
+//! identical leakage reports, and zero cross-tenant decrypt-cache hits
+//! on both.
 
 use eqjoin_db::data::Schema;
-use eqjoin_db::{
-    DbError, EqjoinServer, RemoteBackend, Request, Response, ServerApi, Session, SessionConfig,
-    Table, TableConfig, Value,
-};
+use eqjoin_db::{Request, Response, ServerApi, Session, SessionConfig, Table, TableConfig, Value};
 use eqjoin_pairing::MockEngine;
 use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
-use std::net::SocketAddr;
 use std::sync::Arc;
 
 const THREADS: usize = 4;
@@ -49,8 +46,8 @@ fn populate(session: &mut Session<MockEngine>) {
         .unwrap();
 }
 
-/// One session's observable outcome, rendered for comparison across
-/// connection layers.
+/// One session's observable outcome, rendered for comparison between
+/// the TCP path and the in-process reference.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     tenant: String,
@@ -59,21 +56,32 @@ struct Outcome {
     leakage: String,
 }
 
+/// The in-process reference: a session's handle on a registry shared
+/// with every other session of the workload.
+struct InProcess(Arc<TenantRegistry<MockEngine>>);
+
+impl ServerApi<MockEngine> for InProcess {
+    fn handle(&self, request: Request<MockEngine>) -> Response {
+        self.0.handle(request)
+    }
+}
+
 /// N concurrent threads × M sequential sessions each, every session in
 /// its own tenant namespace. All tenants run the SAME series from the
 /// SAME seed (identical ciphertexts server-side), so any shared state
 /// between namespaces would surface as a warm first run.
-fn workload(addr: SocketAddr) -> Vec<Outcome> {
+fn workload(
+    connect: impl Fn(SessionConfig) -> Session<MockEngine> + Send + Clone + 'static,
+) -> Vec<Outcome> {
     let mut handles = Vec::new();
     for t in 0..THREADS {
+        let connect = connect.clone();
         handles.push(std::thread::spawn(move || {
             let mut outcomes = Vec::new();
             for s in 0..SESSIONS {
                 let tenant = format!("t{t}s{s}");
                 let config = SessionConfig::new(1, 2).seed(0x5eed);
-                let mut session = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
-                    .with_tenant(&tenant)
-                    .unwrap();
+                let mut session = with_sql(connect(config)).with_tenant(&tenant).unwrap();
                 populate(&mut session);
                 let first = session.execute(QUERY).unwrap();
                 assert_eq!(
@@ -109,54 +117,37 @@ fn workload(addr: SocketAddr) -> Vec<Outcome> {
 }
 
 #[test]
-fn threaded_and_epoll_layers_agree_under_concurrent_multi_tenant_load() {
-    // Thread-per-connection baseline over a tenant registry.
-    let threaded_registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
-    let (threaded_addr, threaded_handle) = EqjoinServer::bind("127.0.0.1:0")
-        .unwrap()
-        .spawn(Arc::clone(&threaded_registry) as Arc<dyn ServerApi<MockEngine>>)
-        .unwrap();
+fn reactor_and_in_process_registry_agree_under_concurrent_multi_tenant_load() {
+    // The reference: the registry driven in-process.
+    let local_registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
+    let shared = Arc::clone(&local_registry);
+    let local =
+        workload(move |config| Session::with_backend(config, Box::new(InProcess(shared.clone()))));
 
-    // Epoll reactor over an identically configured registry.
-    let epoll_registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
-    let epoll_server = NetServer::bind("127.0.0.1:0").unwrap();
-    let epoll_addr = epoll_server.local_addr().unwrap();
-    let epoll_backend = Arc::clone(&epoll_registry) as Arc<dyn ServerApi<MockEngine>>;
-    let epoll_thread =
-        std::thread::spawn(move || epoll_server.serve(epoll_backend, NetConfig::default()));
+    // The reactor over an identically configured registry.
+    let served_registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
+    let (addr, handle) =
+        NetServer::spawn(Arc::clone(&served_registry), NetConfig::default()).unwrap();
+    let served = workload(move |config| Session::remote(config, addr).unwrap());
 
-    let threaded = workload(threaded_addr);
-    let epoll = workload(epoll_addr);
-
-    assert_eq!(threaded.len(), THREADS * SESSIONS);
+    assert_eq!(local.len(), THREADS * SESSIONS);
     assert_eq!(
-        threaded, epoll,
-        "the two connection layers must be observationally identical: \
-         same rows, same leakage, per tenant"
+        local, served,
+        "the TCP path must be observationally identical to the in-process \
+         registry: same rows, same leakage, per tenant"
     );
-    // Both layers materialized the same namespaces, server-side too.
+    // Both registries materialized the same namespaces, server-side too.
     assert_eq!(
-        threaded_registry.tenant_names(),
-        epoll_registry.tenant_names()
+        local_registry.tenant_names(),
+        served_registry.tenant_names()
     );
-    for tenant in threaded_registry.tenant_names() {
-        let t = threaded_registry.tenant_stats(Some(&tenant)).unwrap();
-        let e = epoll_registry.tenant_stats(Some(&tenant)).unwrap();
+    for tenant in local_registry.tenant_names() {
+        let l = local_registry.tenant_stats(Some(&tenant)).unwrap();
+        let s = served_registry.tenant_stats(Some(&tenant)).unwrap();
         assert_eq!(
-            t.round_trips, e.round_trips,
-            "{tenant}: same per-tenant request count on both layers"
+            l.round_trips, s.round_trips,
+            "{tenant}: same per-tenant request count on both paths"
         );
     }
-
-    threaded_handle.stop().unwrap();
-    let drainer = RemoteBackend::connect(epoll_addr).unwrap();
-    match ServerApi::<MockEngine>::handle(&drainer, Request::Drain) {
-        Response::Pong => {}
-        other => panic!("expected drain ack, got {other:?}"),
-    }
-    drop(drainer);
-    match epoll_thread.join().unwrap() {
-        Ok(()) | Err(DbError::Transport(_)) => {}
-        Err(e) => panic!("reactor exited with {e}"),
-    }
+    handle.stop().unwrap();
 }

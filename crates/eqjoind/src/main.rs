@@ -6,23 +6,19 @@
 //! join series — the server only ever sees ciphertexts, tokens, and
 //! the equality pattern the paper proves is the unavoidable leakage.
 //!
-//! Two connection layers (`--net`):
-//!
-//! * `threads` (default) — one thread per client connection; the
-//!   simple baseline.
-//! * `epoll` — an event-driven reactor plus a fixed worker pool
-//!   (`eqjoind-net`): non-blocking I/O for every socket, per-tenant
-//!   admission control with typed overload errors, and graceful drain
-//!   on SIGTERM (stop accepting, finish in-flight requests, flush
-//!   snapshots, exit 0).
+//! One connection layer (`eqjoind-net`): an event-driven epoll reactor
+//! plus a fixed worker pool — non-blocking I/O for every socket,
+//! per-tenant isolated stores, admission control with typed overload
+//! errors, and graceful drain on SIGTERM (stop accepting, finish
+//! in-flight requests, flush snapshots, exit 0). The daemon runs on
+//! x86-64 Linux; clients are portable.
 //!
 //! ```sh
 //! eqjoind                                  # BLS12-381 on 127.0.0.1:4747
-//! eqjoind --listen 0.0.0.0:4747 --shards 4 # sharded execution pool
+//! eqjoind --listen 0.0.0.0:4747 --workers 8
 //! eqjoind --engine mock                    # mock engine (tests/benches)
 //! eqjoind --data-dir /var/lib/eqjoin       # persistent: restart warm
-//! eqjoind --net epoll --workers 8          # event-driven reactor
-//! eqjoind --net epoll --tenants a,b        # allow-listed tenants
+//! eqjoind --tenants a,b                    # allow-listed tenants
 //! eqjoind --metrics-addr 127.0.0.1:9100    # Prometheus scrape surface
 //! eqjoind --log-level info                 # JSONL lifecycle events
 //! ```
@@ -41,7 +37,7 @@
 
 #![forbid(unsafe_code)]
 
-use eqjoin_db::{EqjoinServer, ServerApi, ShardedBackend};
+use eqjoin_db::ServerApi;
 use eqjoin_pairing::{Bls12, Engine, MockEngine};
 use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
 use std::process::ExitCode;
@@ -50,8 +46,6 @@ use std::sync::Arc;
 struct Options {
     listen: String,
     engine: String,
-    net: String,
-    shards: usize,
     threads: usize,
     workers: usize,
     max_inflight: usize,
@@ -65,56 +59,54 @@ struct Options {
     log_level: eqjoin_obs::Level,
 }
 
+const USAGE: &str = "\
+usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
+               [--max-inflight N] [--queue-depth N] [--io-timeout SECS]
+               [--tenants A,B,..] [--data-dir DIR] [--decrypt-cache-cap N]
+               [--compaction-threshold BYTES]
+               [--metrics-addr ADDR] [--log-level off|info|debug]
+
+--listen ADDR           bind address (default 127.0.0.1:4747; port 0 picks one)
+--engine NAME           pairing engine, must match clients (default bls)
+--threads T             decrypt workers per join when a request asks for
+                        auto threads (default: one per available core)
+--workers W             request-executing worker threads behind the
+                        reactor (default: one per available core)
+--max-inflight N        per-tenant cap on admitted requests (0 = unlimited;
+                        default 64); beyond it requests are refused with a
+                        typed 'overloaded' error
+--queue-depth N         global cap on admitted requests (0 = unlimited;
+                        default 256)
+--io-timeout SECS       close a connection idle for SECS seconds (0 = never;
+                        default 30); in-flight joins are never cut short
+--tenants A,B,..        allow-list of tenant namespaces (default: any
+                        well-formed tenant name materializes on first use)
+--data-dir DIR          persist the store (tables + prepared pairing state +
+                        decrypt cache) under DIR and restart warm from it;
+                        tenants snapshot under DIR/tenants/<name>/
+--decrypt-cache-cap N   decrypt-cache entries kept per store (default 64,
+                        LRU eviction; requests may pin their own cap)
+--compaction-threshold BYTES
+                        O(delta) persistence: keep appending to the
+                        fsynced mutation journal and rewrite the full
+                        snapshot only once the journal exceeds BYTES
+                        (0 = rewrite after every mutation, the default;
+                        drain always compacts)
+--metrics-addr ADDR     also serve a read-only Prometheus text exposition
+                        on ADDR (port 0 picks one) — latency histograms,
+                        throughput counters, the leakage ledger summary,
+                        build/uptime info
+--log-level LEVEL       JSONL log events to stderr: 'off' (default), 'info'
+                        (connections, admission rejections, drain,
+                        snapshot flushes), or 'debug' (adds one trace
+                        event per completed span)
+
+SIGTERM (or a client's Drain request) drains: stop accepting, finish
+admitted requests, flush snapshots, exit 0.";
+
+/// A bad command line: usage on stderr, exit 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: eqjoind [--listen ADDR] [--engine bls|mock] [--net threads|epoll]\n\
-         \x20              [--shards N] [--threads T] [--workers W] [--max-inflight N]\n\
-         \x20              [--queue-depth N] [--io-timeout SECS] [--tenants A,B,..]\n\
-         \x20              [--data-dir DIR] [--decrypt-cache-cap N]\n\
-         \x20              [--compaction-threshold BYTES]\n\
-         \x20              [--metrics-addr ADDR] [--log-level off|info|debug]\n\
-         \n\
-         --listen ADDR           bind address (default 127.0.0.1:4747; port 0 picks one)\n\
-         --engine NAME           pairing engine, must match clients (default bls)\n\
-         --net LAYER             connection layer: 'threads' (one thread per client,\n\
-         \x20                       the baseline) or 'epoll' (event-driven reactor +\n\
-         \x20                       worker pool, admission control, SIGTERM drain)\n\
-         --shards N              execute joins over N internal shards (default 1;\n\
-         \x20                       threads layer only)\n\
-         --threads T             decrypt workers per shard when a request asks for\n\
-         \x20                       auto threads (default: one per available core)\n\
-         --workers W             epoll layer: request-executing worker threads\n\
-         \x20                       (default: one per available core)\n\
-         --max-inflight N        epoll layer: per-tenant cap on admitted requests\n\
-         \x20                       (0 = unlimited; default 64); beyond it requests\n\
-         \x20                       are refused with a typed 'overloaded' error\n\
-         --queue-depth N         epoll layer: global cap on admitted requests\n\
-         \x20                       (0 = unlimited; default 256)\n\
-         --io-timeout SECS       close a connection idle for SECS seconds — both\n\
-         \x20                       layers (0 = never; default 30); in-flight joins\n\
-         \x20                       are never cut short\n\
-         --tenants A,B,..        allow-list of tenant namespaces (default: any\n\
-         \x20                       well-formed tenant name materializes on first use)\n\
-         --data-dir DIR          persist the store (tables + prepared pairing state +\n\
-         \x20                       decrypt cache) under DIR and restart warm from it;\n\
-         \x20                       tenants snapshot under DIR/tenants/<name>/\n\
-         --decrypt-cache-cap N   decrypt-cache entries kept per store (default 64,\n\
-         \x20                       LRU eviction; requests may pin their own cap)\n\
-         --compaction-threshold BYTES\n\
-         \x20                       O(delta) persistence: keep appending to the\n\
-         \x20                       fsynced mutation journal and rewrite the full\n\
-         \x20                       snapshot only once the journal exceeds BYTES\n\
-         \x20                       (0 = rewrite after every mutation, the default;\n\
-         \x20                       drain always compacts)\n\
-         --metrics-addr ADDR     also serve a read-only Prometheus text exposition\n\
-         \x20                       on ADDR (port 0 picks one) — latency histograms,\n\
-         \x20                       throughput counters, the leakage ledger summary,\n\
-         \x20                       build/uptime info\n\
-         --log-level LEVEL       JSONL log events to stderr: 'off' (default), 'info'\n\
-         \x20                       (connections, admission rejections, drain,\n\
-         \x20                       snapshot flushes), or 'debug' (adds one trace\n\
-         \x20                       event per completed span)"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -122,8 +114,6 @@ fn parse_options() -> Options {
     let mut options = Options {
         listen: "127.0.0.1:4747".to_owned(),
         engine: "bls".to_owned(),
-        net: "threads".to_owned(),
-        shards: 1,
         threads: 0,
         workers: 0,
         max_inflight: 64,
@@ -142,12 +132,6 @@ fn parse_options() -> Options {
         match flag.as_str() {
             "--listen" => options.listen = value("--listen"),
             "--engine" => options.engine = value("--engine"),
-            "--net" => options.net = value("--net"),
-            "--shards" => {
-                options.shards = value("--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage_for("--shards"))
-            }
             "--threads" => {
                 options.threads = value("--threads")
                     .parse()
@@ -201,7 +185,10 @@ fn parse_options() -> Options {
                         .unwrap_or_else(|_| usage_for("--decrypt-cache-cap")),
                 )
             }
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
             _ => usage(),
         }
     }
@@ -218,7 +205,7 @@ fn bad_value(flag: &str, why: &str) -> ! {
     usage()
 }
 
-/// The multi-tenant backend both connection layers serve: per-tenant
+/// The multi-tenant backend the reactor serves: per-tenant
 /// isolated stores (persistent under `data_dir/tenants/<name>/` when
 /// `--data-dir` is set), tenantless requests in the default namespace
 /// at the pre-tenant snapshot path.
@@ -242,10 +229,7 @@ fn tenant_registry<E: Engine>(options: &Options) -> Result<TenantRegistry<E>, eq
 
 fn banner(addr: std::net::SocketAddr, engine: &str, options: &Options) {
     eprintln!(
-        "eqjoind: listening on {addr} (engine {engine}, net {}, {} shard{}{}{})",
-        options.net,
-        options.shards,
-        if options.shards == 1 { "" } else { "s" },
+        "eqjoind: listening on {addr} (engine {engine}{}{})",
         match &options.data_dir {
             Some(dir) => format!(", persistent in {dir}"),
             None => String::new(),
@@ -255,12 +239,6 @@ fn banner(addr: std::net::SocketAddr, engine: &str, options: &Options) {
             None => String::new(),
         },
     );
-}
-
-/// `--io-timeout` as both layers consume it: `0` disables the idle
-/// deadline entirely.
-fn io_timeout(options: &Options) -> Option<std::time::Duration> {
-    (options.io_timeout > 0).then(|| std::time::Duration::from_secs(options.io_timeout))
 }
 
 /// Start the `--metrics-addr` scrape listener (if asked for) and wire
@@ -288,11 +266,7 @@ fn start_observability<E: Engine>(
     }
 }
 
-fn run_epoll<E: Engine>(options: &Options) -> ExitCode {
-    if options.shards > 1 {
-        eprintln!("eqjoind: --net epoll does not support --shards (use --workers)");
-        return ExitCode::FAILURE;
-    }
+fn run<E: Engine>(options: &Options) -> ExitCode {
     let backend = match tenant_registry::<E>(options) {
         Ok(registry) => Arc::new(registry) as Arc<dyn ServerApi<E>>,
         Err(e) => {
@@ -329,7 +303,9 @@ fn run_epoll<E: Engine>(options: &Options) -> ExitCode {
         max_inflight: options.max_inflight,
         queue_depth: options.queue_depth,
         handle_sigterm: true,
-        io_timeout: io_timeout(options),
+        // `--io-timeout 0` disables the idle deadline.
+        io_timeout: (options.io_timeout > 0)
+            .then(|| std::time::Duration::from_secs(options.io_timeout)),
     };
     match server.serve(backend, config) {
         Ok(()) => {
@@ -338,89 +314,6 @@ fn run_epoll<E: Engine>(options: &Options) -> ExitCode {
         }
         Err(e) => {
             eprintln!("eqjoind: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_threads<E: Engine>(options: &Options) -> ExitCode {
-    let threads = (options.threads > 0).then_some(options.threads);
-    // Sharded execution keeps the plain sharded backend (no tenant
-    // routing); the single-store path serves through the tenant
-    // registry, so tenant envelopes work on BOTH connection layers.
-    let backend: Arc<dyn ServerApi<E>> = if options.shards > 1 {
-        if options.tenants.is_some() {
-            eprintln!("eqjoind: --tenants is not supported with --shards > 1");
-            return ExitCode::FAILURE;
-        }
-        let built = match &options.data_dir {
-            Some(dir) => {
-                let dir = std::path::Path::new(dir);
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("eqjoind: create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                ShardedBackend::<E>::local_persistent(
-                    options.shards,
-                    threads,
-                    dir,
-                    options.decrypt_cache_cap,
-                    options.compaction_threshold,
-                )
-                .map(|b| Arc::new(b) as Arc<dyn ServerApi<E>>)
-            }
-            None => Ok(Arc::new(ShardedBackend::<E>::local_with_config(
-                options.shards,
-                threads,
-                options.decrypt_cache_cap,
-            )) as Arc<dyn ServerApi<E>>),
-        };
-        match built {
-            Ok(backend) => backend,
-            Err(e) => {
-                eprintln!("eqjoind: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match tenant_registry::<E>(options) {
-            Ok(registry) => Arc::new(registry) as Arc<dyn ServerApi<E>>,
-            Err(e) => {
-                eprintln!("eqjoind: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let server = match EqjoinServer::bind(options.listen.as_str()) {
-        Ok(server) => server.io_timeout(io_timeout(options)),
-        Err(e) => {
-            eprintln!("eqjoind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => banner(addr, E::NAME, options),
-        Err(e) => eprintln!("eqjoind: {e}"),
-    }
-    let _metrics = match start_observability::<E>(options, &backend) {
-        Ok(metrics) => metrics,
-        Err(code) => return code,
-    };
-    match server.serve(backend) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("eqjoind: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run<E: Engine>(options: &Options) -> ExitCode {
-    match options.net.as_str() {
-        "threads" => run_threads::<E>(options),
-        "epoll" => run_epoll::<E>(options),
-        other => {
-            eprintln!("eqjoind: unknown connection layer {other:?} (use 'threads' or 'epoll')");
             ExitCode::FAILURE
         }
     }

@@ -1,5 +1,6 @@
-//! Graceful-drain gate for the epoll connection layer, against a
-//! **real** `eqjoind --net epoll` process:
+//! Graceful-drain gate against a **real**, default-configured
+//! `eqjoind` process (no flag beyond the harness's engine, listen
+//! address and data dir):
 //!
 //! * SIGTERM mid-series → the server finishes what it admitted,
 //!   flushes its snapshot, and exits 0; a warm restart on the same
@@ -8,6 +9,7 @@
 //! * A client `Drain` request pipelined behind other work → every
 //!   earlier request is still answered, in order, before the ack and
 //!   the exit.
+//! * `--help` is not an error: usage on stdout, exit 0.
 
 mod harness;
 
@@ -20,8 +22,6 @@ use harness::{join_response_bytes, scratch_data_dir, Daemon};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
-
-const EPOLL: &[&str] = &["--net", "epoll"];
 
 /// Client-side state for a small join series: encrypted tables plus a
 /// closure producing the (cacheable) execute request.
@@ -69,10 +69,7 @@ fn sigterm_drains_flushes_and_restarts_warm() {
     // `--metrics-addr` spawns a helper thread before the reactor runs;
     // it must inherit a blocked SIGTERM or the signal kills the process
     // instead of reaching the signalfd (regression guard).
-    let daemon = Daemon::spawn_with(
-        &data_dir,
-        &["--net", "epoll", "--metrics-addr", "127.0.0.1:0"],
-    );
+    let daemon = Daemon::spawn_with(&data_dir, &["--metrics-addr", "127.0.0.1:0"]);
     let warm_bytes;
     {
         let backend = eqjoin_db::RemoteBackend::connect(daemon.addr.as_str()).unwrap();
@@ -99,7 +96,7 @@ fn sigterm_drains_flushes_and_restarts_warm() {
     );
 
     // ---- warm restart on the drained data dir ----
-    let daemon = Daemon::spawn_with(&data_dir, EPOLL);
+    let daemon = Daemon::spawn(&data_dir);
     {
         let backend = eqjoin_db::RemoteBackend::connect(daemon.addr.as_str()).unwrap();
         let api: &dyn ServerApi<MockEngine> = &backend;
@@ -125,7 +122,7 @@ fn frame(request: &Request<MockEngine>) -> Vec<u8> {
 #[test]
 fn drain_request_answers_pipelined_work_before_exiting() {
     let data_dir = scratch_data_dir("drain-request");
-    let daemon = Daemon::spawn_with(&data_dir, EPOLL);
+    let daemon = Daemon::spawn(&data_dir);
 
     // One TCP segment carrying three pings and then the drain: the
     // reactor must answer all three before acking the drain, and only
@@ -152,4 +149,23 @@ fn drain_request_answers_pipelined_work_before_exiting() {
     let status = daemon.wait_exit(Duration::from_secs(30));
     assert!(status.success(), "drain must exit 0, got {status:?}");
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_zero() {
+    let bin = env!("CARGO_BIN_EXE_eqjoind");
+    for flag in ["--help", "-h"] {
+        let output = std::process::Command::new(bin).arg(flag).output().unwrap();
+        assert!(output.status.success(), "{flag}: {:?}", output.status);
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        assert!(stdout.starts_with("usage: eqjoind"), "{flag}: {stdout}");
+        assert!(output.stderr.is_empty());
+    }
+    // A flag the daemon does not know stays a usage error.
+    let output = std::process::Command::new(bin)
+        .arg("--no-such-flag")
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty());
 }

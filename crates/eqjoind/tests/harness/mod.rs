@@ -23,7 +23,7 @@ impl Daemon {
         Self::spawn_with(data_dir, &[])
     }
 
-    /// [`Daemon::spawn`] with extra flags (e.g. `--net epoll`).
+    /// [`Daemon::spawn`] with extra flags (e.g. `--metrics-addr`).
     pub fn spawn_with(data_dir: &std::path::Path, extra: &[&str]) -> Daemon {
         Self::spawn_with_env(data_dir, extra, &[])
     }

@@ -5,8 +5,8 @@
 //! Deliberately not a real HTTP server — no routing, no keep-alive, no
 //! TLS. It exists so `curl`/Prometheus can scrape a live `eqjoind`
 //! without pulling an HTTP stack into a dependency-free workspace. The
-//! accept loop follows the `EqjoinServer` idiom: a stop flag plus a
-//! wake-up dial so `stop()` never blocks on `accept`.
+//! accept loop is a stop flag plus a wake-up dial, so `stop()` never
+//! blocks on `accept`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

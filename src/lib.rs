@@ -78,16 +78,3 @@ pub fn session_remote<E: eqjoin_pairing::Engine>(
 ) -> Result<Session<E>, eqjoin_db::DbError> {
     Ok(Session::remote(config, addr)?.with_planner(Box::new(eqjoin_sql::SqlFrontend)))
 }
-
-/// A [`Session`] over a [`ShardedBackend`](eqjoin_db::ShardedBackend)
-/// of `shards` in-process shards, SQL front-end installed. Tables are
-/// replicated to every shard; each join in a
-/// [`Session::execute_all`](eqjoin_db::Session::execute_all) series
-/// runs on the shard its table pair hashes to, concurrently with the
-/// rest of the batch.
-pub fn session_sharded<E: eqjoin_pairing::Engine>(
-    config: SessionConfig,
-    shards: usize,
-) -> Session<E> {
-    Session::sharded(config, shards).with_planner(Box::new(eqjoin_sql::SqlFrontend))
-}

@@ -1,15 +1,18 @@
 //! Cross-backend equivalence and transport-level acceptance tests:
-//! `LocalBackend`, `RemoteBackend` (loopback `eqjoind`) and
-//! `ShardedBackend` must return **byte-identical** result sets and
-//! identical leakage reports for the same series — and a prepared
+//! the in-process `LocalBackend` (the reference) and `RemoteBackend`
+//! over TCP to a loopback reactor serving a tenant registry — what
+//! `eqjoind` runs — must return **byte-identical** result sets and
+//! identical leakage reports for the same series, and a prepared
 //! series through `Session::execute_all` over the remote backend must
 //! cost exactly **one** TCP round trip.
 
 use eqjoin::db::{
-    EqjoinServer, JoinQuery, QueryInput, ResultSet, Session, SessionConfig, ShardedBackend, Table,
-    TableConfig, Value,
+    JoinQuery, QueryInput, ResultSet, Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::pairing::MockEngine;
+use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
+use std::net::SocketAddr;
+use std::sync::Arc;
 
 /// Serializes the tests that measure BLS12-381 op-counter deltas (the
 /// counters are process-wide; concurrent BLS work would pollute them).
@@ -97,14 +100,12 @@ fn encode(results: &[ResultSet]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Spawn a loopback `eqjoind` and return a session connected to it.
-/// The session outlives this helper (it may reconnect mid-test after
-/// an injected or real transport hiccup), so the server is detached
-/// for the remainder of the process rather than stopped on return.
-fn remote_session(token_cache: bool) -> Session<MockEngine> {
-    let (addr, handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
-    handle.detach();
-    Session::remote(config(token_cache), addr).unwrap()
+/// A loopback server as `eqjoind` runs it: the reactor over a fresh
+/// in-memory tenant registry. Dropping the handle drains it, so keep
+/// it alive as long as any session is connected.
+fn spawn_server() -> (SocketAddr, NetHandle) {
+    let registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
+    NetServer::spawn(registry, NetConfig::default()).unwrap()
 }
 
 fn run_series(session: &mut Session<MockEngine>) -> Vec<Vec<u8>> {
@@ -120,10 +121,10 @@ fn run_series(session: &mut Session<MockEngine>) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn all_three_backends_agree_and_remote_batches_into_one_round_trip() {
+fn backends_agree_and_remote_batches_into_one_round_trip() {
+    let (addr, _server) = spawn_server();
     let mut local = Session::local(config(true));
-    let mut remote = remote_session(true);
-    let mut sharded = Session::sharded(config(true), 3);
+    let mut remote = Session::remote(config(true), addr).unwrap();
 
     let local_encoded = run_series(&mut local);
 
@@ -147,27 +148,19 @@ fn all_three_backends_agree_and_remote_batches_into_one_round_trip() {
     );
     let remote_encoded = encode(&remote_results);
 
-    let sharded_encoded = run_series(&mut sharded);
-
     assert_eq!(
         local_encoded, remote_encoded,
         "remote results must be byte-identical to local"
     );
-    assert_eq!(
-        local_encoded, sharded_encoded,
-        "sharded results must be byte-identical to local"
-    );
     assert_eq!(local.leakage_report(), remote.leakage_report());
-    assert_eq!(local.leakage_report(), sharded.leakage_report());
     assert!(local.leakage_report().within_bound);
 
     // In-process backends count no wire bytes.
     assert_eq!(local.transport_stats().bytes_sent, 0);
-    assert_eq!(sharded.transport_stats().bytes_sent, 0);
 }
 
 /// Acceptance: the server decrypt cache changes *nothing* observable —
-/// local/remote/sharded return byte-identical result sets and identical
+/// local and remote return byte-identical result sets and identical
 /// leakage reports with the cache on and off — while the repeated query
 /// (query 3 = query 0) is served 100% from the cache wherever the
 /// server actually lives, counted through the wire-format stats.
@@ -178,16 +171,13 @@ fn decrypt_cache_is_invisible_in_results_and_counted_across_backends() {
         let encoded = run_series(&mut session);
         (encoded, session.leakage_report())
     };
-    let make = |decrypt_cache: bool| -> Vec<Session<MockEngine>> {
-        let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
-        vec![
+    for decrypt_cache in [true, false] {
+        let (addr, _server) = spawn_server();
+        let sessions = [
             Session::local(config_decrypt(decrypt_cache)),
             Session::remote(config_decrypt(decrypt_cache), addr).unwrap(),
-            Session::sharded(config_decrypt(decrypt_cache), 3),
-        ]
-    };
-    for decrypt_cache in [true, false] {
-        for mut session in make(decrypt_cache) {
+        ];
+        for mut session in sessions {
             populate(&mut session);
             let inputs: Vec<QueryInput> = series().iter().map(QueryInput::from).collect();
             let results = session.execute_all(&inputs).unwrap();
@@ -230,56 +220,31 @@ fn decrypt_cache_is_invisible_in_results_and_counted_across_backends() {
 }
 
 #[test]
-fn sharded_matches_local_with_cache_on_and_off() {
+fn remote_matches_local_with_cache_on_and_off() {
     for token_cache in [true, false] {
+        let (addr, _server) = spawn_server();
         let mut local = Session::local(config(token_cache));
-        let mut sharded = Session::sharded(config(token_cache), 4);
+        let mut remote = Session::remote(config(token_cache), addr).unwrap();
         assert_eq!(
             run_series(&mut local),
-            run_series(&mut sharded),
+            run_series(&mut remote),
             "token_cache = {token_cache}"
         );
-        assert_eq!(local.leakage_report(), sharded.leakage_report());
+        assert_eq!(local.leakage_report(), remote.leakage_report());
         assert_eq!(
             local.stats().client.tkgen_calls,
-            sharded.stats().client.tkgen_calls,
+            remote.stats().client.tkgen_calls,
             "the cache works identically whatever the backend"
         );
     }
 }
 
 #[test]
-fn sharded_routing_is_deterministic_across_instances_and_runs() {
-    let pairs = [
-        ("L", "R"),
-        ("R", "L"),
-        ("Customers", "Orders"),
-        ("Teams", "Employees"),
-        ("T0", "T1"),
-    ];
-    for shards in [1usize, 2, 3, 5, 8] {
-        let a = ShardedBackend::<MockEngine>::local(shards);
-        let b = ShardedBackend::<MockEngine>::local(shards);
-        for (left, right) in pairs {
-            let route = a.shard_for(left, right);
-            assert_eq!(route, b.shard_for(left, right));
-            assert!(route < shards);
-            // Stable across repeated calls (no interior state involved).
-            assert_eq!(route, a.shard_for(left, right));
-        }
-    }
-    // Pin the 4-shard placement to its concrete FNV-1a values: this
-    // must never change across runs, processes, or refactors — a
-    // shifted hash would silently re-place every deployed series.
-    let four = ShardedBackend::<MockEngine>::local(4);
-    let observed: Vec<usize> = pairs.iter().map(|(l, r)| four.shard_for(l, r)).collect();
-    assert_eq!(observed, vec![1, 1, 3, 0, 0]);
-}
-
-#[test]
-fn sequential_execute_agrees_with_execute_all_over_sharded() {
-    let mut batched = Session::sharded(config(true), 3);
-    let mut sequential = Session::sharded(config(true), 3);
+fn sequential_execute_agrees_with_execute_all_over_remote() {
+    let (addr_batched, _server_batched) = spawn_server();
+    let (addr_sequential, _server_sequential) = spawn_server();
+    let mut batched = Session::remote(config(true), addr_batched).unwrap();
+    let mut sequential = Session::remote(config(true), addr_sequential).unwrap();
     let batched_encoded = run_series(&mut batched);
     populate(&mut sequential);
     let mut sequential_results = Vec::new();
@@ -290,16 +255,12 @@ fn sequential_execute_agrees_with_execute_all_over_sharded() {
     assert_eq!(batched.leakage_report(), sequential.leakage_report());
 }
 
-/// The three backend kinds under test, freshly constructed.
-fn all_backends(token_cache: bool) -> Vec<(&'static str, Session<MockEngine>)> {
-    let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
+/// The two backend kinds under test, freshly constructed: in-process,
+/// and TCP to the server at `addr`.
+fn both_backends(addr: SocketAddr) -> Vec<(&'static str, Session<MockEngine>)> {
     vec![
-        ("local", Session::local(config(token_cache))),
-        (
-            "remote",
-            Session::remote(config(token_cache), addr).unwrap(),
-        ),
-        ("sharded", Session::sharded(config(token_cache), 3)),
+        ("local", Session::local(config(true))),
+        ("remote", Session::remote(config(true), addr).unwrap()),
     ]
 }
 
@@ -330,8 +291,11 @@ fn incremental_inserts_match_full_rebuild_across_backends() {
         filter_columns: vec!["grade".into(), "zone".into()],
     };
 
-    for ((name, mut incremental), (_, mut rebuilt)) in
-        all_backends(true).into_iter().zip(all_backends(true))
+    let (addr_incremental, _server_incremental) = spawn_server();
+    let (addr_rebuilt, _server_rebuilt) = spawn_server();
+    for ((name, mut incremental), (_, mut rebuilt)) in both_backends(addr_incremental)
+        .into_iter()
+        .zip(both_backends(addr_rebuilt))
     {
         // Incremental: partial upload → warm the series → insert the
         // tail → rerun the series.
@@ -397,8 +361,11 @@ fn incremental_deletes_match_full_rebuild_across_backends() {
             .collect()
     };
 
-    for ((name, mut incremental), (_, mut rebuilt)) in
-        all_backends(true).into_iter().zip(all_backends(true))
+    let (addr_incremental, _server_incremental) = spawn_server();
+    let (addr_rebuilt, _server_rebuilt) = spawn_server();
+    for ((name, mut incremental), (_, mut rebuilt)) in both_backends(addr_incremental)
+        .into_iter()
+        .zip(both_backends(addr_rebuilt))
     {
         incremental.create_table(&left_full, l_cfg()).unwrap();
         incremental.create_table(&right, r_cfg()).unwrap();
@@ -542,7 +509,7 @@ mod prepared_oracle {
 }
 
 /// Acceptance (ISSUE 4): a 3-table chain with projection executes on
-/// all three backends with identical `ResultSet`s and `LeakageReport`s,
+/// both backends with identical `ResultSet`s and `LeakageReport`s,
 /// decrypts only the projected columns (asserted via the `ClientStats`
 /// column-decrypt counters), and a repeated chain in one series hits
 /// the token cache on every pairwise stage.
@@ -584,12 +551,8 @@ fn three_table_chain_with_projection_agrees_across_backends() {
         .filter("R", "grade", vec!["a".into()])
         .project(&[("L", "color"), ("S", "tag")]);
 
-    let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
-    let mut sessions = vec![
-        ("local", Session::local(config(true))),
-        ("remote", Session::remote(config(true), addr).unwrap()),
-        ("sharded", Session::sharded(config(true), 3)),
-    ];
+    let (addr, _server) = spawn_server();
+    let mut sessions = both_backends(addr);
 
     let mut encodings = Vec::new();
     let mut reports = Vec::new();
@@ -654,9 +617,7 @@ fn three_table_chain_with_projection_agrees_across_backends() {
         reports.push(session.leakage_report());
     }
     assert_eq!(encodings[0], encodings[1], "local vs remote");
-    assert_eq!(encodings[0], encodings[2], "local vs sharded");
     assert_eq!(reports[0], reports[1]);
-    assert_eq!(reports[0], reports[2]);
     assert!(reports[0].within_bound);
     assert_eq!(reports[0].queries, 4, "2 chains × 2 stages each");
 }

@@ -1,4 +1,4 @@
-//! The introspection plane, end to end: an epoll `NetServer` and a
+//! The introspection plane, end to end: a `NetServer` reactor and a
 //! `--metrics-addr`-style scrape listener in one process, a real
 //! tenant session running the paper series over TCP — and the scrape
 //! surface polled **mid-run**, asserting that what Prometheus would
@@ -9,11 +9,10 @@
 //! a single test keeps concurrent test threads from racing the
 //! counters this test reasons about.
 
-use eqjoin::db::{RemoteBackend, Request, Response, ServerApi, Session, TableConfig};
+use eqjoin::db::{Request, ServerApi, Session, TableConfig};
 use eqjoin::db::{SessionConfig, SessionStats};
 use eqjoin::pairing::MockEngine;
 use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
-use std::net::SocketAddr;
 use std::sync::Arc;
 
 /// Read one series (exact `name{labels}` match) out of an exposition
@@ -60,14 +59,6 @@ const PAPER_SERIES: [&str; 3] = [
      WHERE Name = 'Web Application' AND Role = 'Tester'",
 ];
 
-fn drain(addr: SocketAddr) {
-    let client = RemoteBackend::connect(addr).unwrap();
-    match ServerApi::<MockEngine>::handle(&client, Request::Drain) {
-        Response::Pong => {}
-        other => panic!("expected drain ack, got {other:?}"),
-    }
-}
-
 /// The obs registry is process-global and both tests assert counter
 /// DELTAS — running them concurrently would race each other's moves.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -75,13 +66,10 @@ static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 #[test]
 fn live_scrape_matches_client_and_server_counters() {
     let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The full deployment shape of `eqjoind --net epoll --metrics-addr`:
-    // reactor + tenant registry + scrape listener, all in-process.
-    let server = NetServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
+    // The full deployment shape of `eqjoind --metrics-addr`: reactor +
+    // tenant registry + scrape listener, all in-process.
     let registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
-    let backend = Arc::clone(&registry) as Arc<dyn ServerApi<MockEngine>>;
-    let reactor = std::thread::spawn(move || server.serve(backend, NetConfig::default()));
+    let (addr, reactor) = NetServer::spawn(Arc::clone(&registry), NetConfig::default()).unwrap();
     eqjoin::db::obs_bridge::register_transport_source("metrics_scrape_test", Arc::clone(&registry));
     let (scrape_addr, metrics_server) =
         eqjoin::obs::MetricsServer::spawn("127.0.0.1:0", Arc::new(eqjoin::obs::exposition))
@@ -208,8 +196,7 @@ fn live_scrape_matches_client_and_server_counters() {
     // Deregister the source so other binaries' renders never see a
     // dropped registry (and this test leaks nothing into the process).
     eqjoin::obs::registry().register_source("metrics_scrape_test", Box::new(Vec::new));
-    drain(addr);
-    reactor.join().unwrap().unwrap();
+    reactor.stop().unwrap();
 }
 
 /// The O(delta) persistence plane is scrape-visible: journal appends

@@ -4,17 +4,19 @@
 //! equal the ground-truth σ(q). Random 2–4-table [`QueryPlan`] chains
 //! (with random projections and filters) are additionally checked
 //! against a plaintext hash-join oracle, **byte-identically across the
-//! local, remote and sharded backends**.
+//! local backend and the remote backend over a loopback reactor**.
 
 use eqjoin::baselines::ground_truth;
 use eqjoin::db::{
-    DbClient, DbServer, EqjoinServer, JoinAlgorithm, JoinOptions, JoinQuery, QueryPlan, Schema,
-    Session, SessionConfig, Table, TableConfig, Value,
+    DbClient, DbServer, JoinAlgorithm, JoinOptions, JoinQuery, QueryPlan, Schema, Session,
+    SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::leakage::{pairs_from_classes, Node};
 use eqjoin::pairing::MockEngine;
+use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compact description of a random test instance.
 #[derive(Debug, Clone)]
@@ -331,12 +333,12 @@ proptest! {
 
         let config = SessionConfig::new(1, 3).seed(seed);
         let mut local = Session::<MockEngine>::local(config);
-        let (addr, _handle) = EqjoinServer::spawn_local::<MockEngine>().unwrap();
+        let registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
+        let (addr, _server) = NetServer::spawn(registry, NetConfig::default()).unwrap();
         let mut remote = Session::<MockEngine>::remote(config, addr).unwrap();
-        let mut sharded = Session::<MockEngine>::sharded(config, 3);
 
         let mut encodings = Vec::new();
-        for session in [&mut local, &mut remote, &mut sharded] {
+        for session in [&mut local, &mut remote] {
             populate(session, &inst);
             let result = session.execute(&plan).unwrap();
             prop_assert_eq!(&result.tuples, &expected_tuples, "tuples vs oracle");
@@ -346,8 +348,6 @@ proptest! {
             encodings.push(encode_result(&result));
         }
         prop_assert_eq!(&encodings[0], &encodings[1], "local vs remote");
-        prop_assert_eq!(&encodings[0], &encodings[2], "local vs sharded");
         prop_assert_eq!(local.leakage_report(), remote.leakage_report());
-        prop_assert_eq!(local.leakage_report(), sharded.leakage_report());
     }
 }

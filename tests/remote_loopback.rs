@@ -1,20 +1,21 @@
-//! Loopback integration: spawn `eqjoind`'s server engine on an
+//! Loopback integration: spawn `eqjoind`'s serving stack on an
 //! ephemeral port **in-process**, run the `end_to_end.rs` paper series
 //! through a `RemoteBackend` session — SQL text crosses the SQL
 //! front-end, the token cache, the wire codec, a real TCP socket and
 //! back — and assert the results match the in-process path exactly.
 
-use eqjoin::db::{
-    DbError, EqjoinServer, QueryInput, ServerHandle, Session, SessionConfig, TableConfig, Value,
-};
+use eqjoin::db::{DbError, QueryInput, Session, SessionConfig, TableConfig, Value};
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
+use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
 use std::net::SocketAddr;
+use std::sync::Arc;
 
-/// In-process `eqjoind`: the same serve loop the binary runs. The
-/// handle keeps the server alive for the test and stops it (joining
-/// the accept thread) on drop — no leaked listener.
-fn spawn_server<E: Engine>() -> (SocketAddr, ServerHandle) {
-    EqjoinServer::spawn_local::<E>().unwrap()
+/// In-process `eqjoind`: the reactor over a tenant registry, as the
+/// binary runs it. The handle keeps the server alive for the test and
+/// drains it (joining the reactor thread) on drop — no leaked listener.
+fn spawn_server<E: Engine>() -> (SocketAddr, NetHandle) {
+    let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
+    NetServer::spawn(registry, NetConfig::default()).unwrap()
 }
 
 /// The `end_to_end.rs` setup: the paper's Teams/Employees tables
@@ -143,4 +144,22 @@ fn engine_mismatch_is_rejected_not_misdecoded() {
         matches!(err, DbError::Protocol(_)),
         "expected a protocol error, got {err:?}"
     );
+}
+
+#[test]
+fn a_drained_server_fails_its_sessions_typed() {
+    // Dropping the handle drains the server: it closes the session's
+    // idle connection and the listener. The session's next query must
+    // come back as a typed transport error (after the retry policy's
+    // reconnect attempts are refused) — not a hang, not a panic.
+    let (addr, server) = spawn_server::<MockEngine>();
+    let mut session =
+        eqjoin::session_remote::<MockEngine>(SessionConfig::new(3, 2), &addr.to_string()).unwrap();
+    populate_paper_tables(&mut session);
+    assert!(session.execute(PAPER_SERIES[0]).is_ok());
+    drop(server);
+    match session.execute(PAPER_SERIES[1]) {
+        Err(DbError::Transport(_)) => {}
+        other => panic!("expected a transport error, got {other:?}"),
+    }
 }
