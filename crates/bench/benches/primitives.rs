@@ -50,6 +50,11 @@ fn bench_groups_and_pairing(c: &mut Criterion) {
     group.bench_function("g2_mul_gen_comb", |b| b.iter(|| Bls12::g2_mul_gen(&s)));
     let pa = p.to_affine();
     let qa = q.to_affine();
+    // Decode = curve equation + endomorphism subgroup check: what every
+    // element on the wire, in the journal or in a snapshot pays.
+    let (pb, qb) = (g1::to_bytes(&pa), g2::to_bytes(&qa));
+    group.bench_function("g1_from_bytes", |b| b.iter(|| g1::from_bytes(&pb)));
+    group.bench_function("g2_from_bytes", |b| b.iter(|| g2::from_bytes(&qb)));
     group.bench_function("pairing", |b| b.iter(|| eqjoin_pairing::pairing(&pa, &qa)));
     let gt = eqjoin_pairing::pairing(&pa, &qa);
     group.bench_function("gt_pow", |b| b.iter(|| gt.pow(&s)));

@@ -27,6 +27,20 @@ fn main() {
         let _ = Bls12::pair(&p, &q);
     }
     println!("single pairing: {:?}", t0.elapsed() / 10);
+    // decode = curve equation + subgroup check; the first call derives
+    // the endomorphism constants, so warm up before timing
+    let (pb, qb) = (Bls12::g1_bytes(&p), Bls12::g2_bytes(&q));
+    assert!(Bls12::g1_from_bytes(&pb).is_some() && Bls12::g2_from_bytes(&qb).is_some());
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        let _ = Bls12::g1_from_bytes(&pb);
+    }
+    println!("g1_from_bytes: {:?}", t0.elapsed() / 200);
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        let _ = Bls12::g2_from_bytes(&qb);
+    }
+    println!("g2_from_bytes: {:?}", t0.elapsed() / 200);
     let ps: Vec<_> = (0..19)
         .map(|i| Bls12::g1_mul_gen(&Fr::from_u64(i + 1)))
         .collect();

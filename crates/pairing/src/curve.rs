@@ -5,9 +5,13 @@
 //! `x = X/Z²`, `y = Y/Z³`; the identity is `Z = 0`. Formulas are the
 //! standard EFD `dbl-2009-l` and `add-2007-bl`.
 
+use crate::params::{BLS_X, BLS_X_IS_NEGATIVE};
 use crate::traits::Field;
 use std::fmt::Debug;
 use std::marker::PhantomData;
+
+// `mul_by_x` starts its accumulator at the top bit of `BLS_X`.
+const _: () = assert!(BLS_X >> 63 == 1);
 
 /// Static parameters of a concrete curve.
 pub trait CurveParams: 'static + Copy + Clone + Debug + Send + Sync {
@@ -275,6 +279,27 @@ impl<C: CurveParams> Projective<C> {
         acc
     }
 
+    /// `[z]·self` for the BLS parameter `z` (sign from
+    /// [`BLS_X_IS_NEGATIVE`]): MSB-first double-and-add over the 64-bit,
+    /// Hamming-weight-6 [`BLS_X`] — 63 doublings + 5 additions. The
+    /// multiplier is a public constant this sparse, so there is no
+    /// table, no recoding and no inversion; it is the only scalar
+    /// multiplication the subgroup checks need.
+    pub fn mul_by_x(&self) -> Self {
+        let mut acc = *self;
+        for i in (0..63).rev() {
+            acc = acc.double();
+            if (BLS_X >> i) & 1 == 1 {
+                acc = acc.add(self);
+            }
+        }
+        if BLS_X_IS_NEGATIVE {
+            acc.neg()
+        } else {
+            acc
+        }
+    }
+
     /// Normalize to affine coordinates (one field inversion).
     pub fn to_affine(&self) -> Affine<C> {
         if self.is_identity() {
@@ -297,6 +322,151 @@ impl<C: CurveParams> Projective<C> {
         }
         let z6 = self.z.square().square() * self.z.square();
         self.y.square() == self.x.square() * self.x + C::b() * z6
+    }
+}
+
+/// Inputs for the differential tests of `g1::in_subgroup` /
+/// `g2::in_subgroup` against the `r·P = O` reference: everything is
+/// generic in the curve, so both groups are fed the same families.
+#[cfg(test)]
+pub(crate) mod subgroup_cases {
+    use super::*;
+    use crate::params;
+    use crate::scalar_mul::mul_wnaf;
+    use eqjoin_bigint::BigUint;
+
+    /// Trial division stops here. It covers every prime factor below
+    /// 2³² of both cofactors — `h1 = 3·11²·10177²·859267²·52437899²`
+    /// and `h2 = 13²·23²·2713·11953·262069·(one 4xx-bit prime)` — which
+    /// the callers assert against those published lists.
+    const SMALL_ORDER_BOUND: u64 = 1 << 26;
+
+    /// The reference check the endomorphism tests replaced.
+    pub fn order_divides_r<C: CurveParams>(point: &Projective<C>) -> bool {
+        mul_wnaf(point, &params::consts().r_limbs).is_identity()
+    }
+
+    /// The distinct prime factors of `n` below [`SMALL_ORDER_BOUND`],
+    /// ascending, by trial division (stops early once `n` is used up).
+    pub fn small_prime_factors(n: &BigUint) -> Vec<u64> {
+        let rem = |n: &BigUint, d: u64| {
+            n.limbs()
+                .iter()
+                .rev()
+                .fold(0u128, |rem, &limb| ((rem << 64) | limb as u128) % d as u128)
+        };
+        let one = BigUint::one();
+        let mut n = n.clone();
+        let mut factors = Vec::new();
+        for d in std::iter::once(2).chain((3..SMALL_ORDER_BOUND).step_by(2)) {
+            if n == one {
+                break;
+            }
+            while rem(&n, d) == 0 {
+                n = n.div_exact_u64(d);
+                if factors.last() != Some(&d) {
+                    factors.push(d);
+                }
+            }
+        }
+        factors
+    }
+
+    /// A labelled point and, where it is known a priori, whether it
+    /// lies in the order-`r` subgroup.
+    pub struct Case<C: CurveParams> {
+        pub label: String,
+        pub point: Projective<C>,
+        pub expect: Option<bool>,
+    }
+
+    /// The case families of the differential test. `raw` are curve
+    /// points before cofactor clearing, `generator` generates the
+    /// order-`r` subgroup, `cofactor` is `h` with `#curve = h·r` and
+    /// `small_orders` its prime factors to build points of.
+    pub fn cases<C: CurveParams>(
+        generator: &Projective<C>,
+        raw: &[Projective<C>],
+        cofactor: &BigUint,
+        small_orders: &[u64],
+    ) -> Vec<Case<C>> {
+        let c = params::consts();
+        let case = |label: String, point, expect| Case {
+            label,
+            point,
+            expect,
+        };
+        let mut out = vec![case("identity".into(), Projective::identity(), Some(true))];
+        let in_subgroup: Vec<_> = [1u64, 2, 0xdead_beef, u64::MAX]
+            .iter()
+            .map(|&k| mul_wnaf(generator, &[k, k, k]))
+            .collect();
+        for (i, p) in in_subgroup.iter().enumerate() {
+            out.push(case(format!("subgroup #{i}"), *p, Some(true)));
+        }
+        for (i, p) in raw.iter().enumerate() {
+            out.push(case(format!("raw #{i}"), *p, None));
+            // [r]·raw has order dividing h, coprime to r: in the
+            // subgroup iff it is the identity — and so is anything
+            // in the subgroup plus it.
+            let pure_cofactor = mul_wnaf(p, &c.r_limbs);
+            let expect = Some(pure_cofactor.is_identity());
+            out.push(case(format!("[r]·raw #{i}"), pure_cofactor, expect));
+            let cleared = mul_wnaf(p, cofactor.limbs());
+            out.push(case(format!("[h]·raw #{i}"), cleared, Some(true)));
+            out.push(case(
+                format!("[h]·raw #{i} + [r]·raw #{i}"),
+                cleared.add(&pure_cofactor),
+                expect,
+            ));
+        }
+        let curve_order = cofactor.mul(&c.r_big);
+        for &l in small_orders {
+            // Project a raw point onto the curve's l-part (which need not
+            // be cyclic: l² | h for most of these), then walk down to
+            // order exactly l.
+            let mut l_free = curve_order.clone();
+            while l_free.div_rem_u64(l).1 == 0 {
+                l_free = l_free.div_exact_u64(l);
+            }
+            let mut small = raw
+                .iter()
+                .map(|p| mul_wnaf(p, l_free.limbs()))
+                .find(|q| !q.is_identity())
+                .unwrap_or_else(|| panic!("no raw point has an order-{l} component"));
+            loop {
+                let next = small.mul_limbs(&[l]);
+                if next.is_identity() {
+                    break;
+                }
+                small = next;
+            }
+            out.push(case(format!("order {l}"), small, Some(false)));
+            for (i, p) in in_subgroup.iter().enumerate() {
+                out.push(case(
+                    format!("subgroup #{i} + order {l}"),
+                    p.add(&small),
+                    Some(false),
+                ));
+            }
+        }
+        out
+    }
+
+    /// `check` must agree with the `r·P = O` reference on every case,
+    /// and with what is known about the case a priori.
+    pub fn assert_agrees_with_reference<C: CurveParams>(
+        check: impl Fn(&Projective<C>) -> bool,
+        cases: &[Case<C>],
+    ) {
+        for case in cases {
+            assert!(case.point.is_on_curve(), "{}", case.label);
+            let got = check(&case.point);
+            assert_eq!(got, order_divides_r(&case.point), "{}", case.label);
+            if let Some(expect) = case.expect {
+                assert_eq!(got, expect, "{}", case.label);
+            }
+        }
     }
 }
 
@@ -368,6 +538,20 @@ mod tests {
             p.mul_limbs(&[7]).add(&p.mul_limbs(&[8])),
             p.mul_limbs(&[15])
         );
+    }
+
+    #[test]
+    fn mul_by_x_matches_the_ladder() {
+        let p = base_point().mul_limbs(&[3]);
+        let by_ladder = p.mul_limbs(&[BLS_X]);
+        let expect = if BLS_X_IS_NEGATIVE {
+            by_ladder.neg()
+        } else {
+            by_ladder
+        };
+        assert_eq!(p.mul_by_x(), expect);
+        assert_eq!(BLS_X.count_ones(), 6);
+        assert!(Projective::<TestCurve>::identity().mul_by_x().is_identity());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct Fp12 {
 }
 
 /// Frobenius coefficients `γ^k = ξ^(k(p-1)/6)` for `k = 0..6`, derived once.
-fn gamma_pows() -> &'static [Fp2; 6] {
+pub(crate) fn gamma_pows() -> &'static [Fp2; 6] {
     static GAMMA: OnceLock<[Fp2; 6]> = OnceLock::new();
     GAMMA.get_or_init(|| {
         let gamma = Fp2::xi().pow_slice(&params::consts().p_minus_1_over_6);

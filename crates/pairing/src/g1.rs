@@ -77,9 +77,31 @@ pub fn mul_fr(point: &G1Projective, s: &Fr) -> G1Projective {
     mul_wnaf(point, &s.to_canonical_limbs())
 }
 
-/// Check membership in the order-`r` subgroup (`r·P = O`, via wNAF).
+/// The endomorphism `φ(x, y) = (βx, y)` (`β³ = 1`); in Jacobian
+/// coordinates `X ↦ βX`. On the subgroup it is multiplication by `−z²`.
+pub fn phi(point: &G1Projective) -> G1Projective {
+    phi_with(point, params::endomorphisms().beta)
+}
+
+/// [`phi`] with an explicit cube root of unity (the derivation in
+/// [`params`] picks `β` with it).
+pub(crate) fn phi_with(point: &G1Projective, beta: Fp) -> G1Projective {
+    let mut image = *point;
+    image.x *= beta;
+    image
+}
+
+/// Check membership in the order-`r` subgroup: `φ(P) = −[z²]P`
+/// (Scott, eprint 2021/1130 §6; proof in eprint 2022/352).
+///
+/// Sound because `φ² + φ + 1 = 0` on the whole curve: `φ(P) = [λ]P`
+/// forces `[λ² + λ + 1]P = O`, and for `λ = −z²` that multiplier is
+/// `z⁴ − z² + 1 = r` exactly. Complete because [`params`] picks the `β`
+/// whose `φ` has eigenvalue `−z²` on the subgroup. Costs two
+/// [`G1Projective::mul_by_x`] (126 doublings + 10 additions) instead of
+/// a 255-bit `r·P`.
 pub fn in_subgroup(point: &G1Projective) -> bool {
-    mul_wnaf(point, &params::consts().r_limbs).is_identity()
+    phi(point) == point.mul_by_x().mul_by_x().neg()
 }
 
 /// Hash arbitrary bytes to a subgroup point (try-and-increment over the
@@ -135,7 +157,19 @@ pub fn from_bytes(bytes: &[u8; G1_BYTES]) -> Option<G1Affine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::subgroup_cases::{self, order_divides_r};
+    use eqjoin_bigint::BigUint;
     use eqjoin_crypto::{ChaChaRng, RandomSource};
+    use proptest::prelude::*;
+
+    /// The first `n` curve points `x = 1, 2, …` before cofactor clearing.
+    fn raw_points(n: usize) -> Vec<G1Projective> {
+        (1u64..)
+            .filter_map(|x| point_with_x(Fp::from_u64(x)))
+            .map(|p| p.to_projective())
+            .take(n)
+            .collect()
+    }
 
     #[test]
     fn generator_has_order_r() {
@@ -190,6 +224,45 @@ mod tests {
         let mut bytes = [0u8; G1_BYTES];
         bytes[Fp::BYTES - 1] = 1; // x = 1, y = 0: not on curve
         assert!(from_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn in_subgroup_agrees_with_r_times_p() {
+        let h1 = BigUint::from_limbs(&params::consts().g1_cofactor);
+        let small_orders = subgroup_cases::small_prime_factors(&h1);
+        // h1 = (z-1)²/3 = 3·11²·10177²·859267²·52437899²: fully factored.
+        assert_eq!(small_orders, [3, 11, 10177, 859267, 52437899]);
+        let cases = subgroup_cases::cases(generator(), &raw_points(8), &h1, &small_orders);
+        subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
+    }
+
+    #[test]
+    fn from_bytes_rejects_non_subgroup_points() {
+        // On the curve, validly encoded, outside the subgroup.
+        let raw = raw_points(1)[0];
+        assert!(!order_divides_r(&raw));
+        assert!(from_bytes(&to_bytes(&raw.to_affine())).is_none());
+        // Order 3: x = 0, where φ is the identity.
+        let order_3 = G1Affine::new(Fp::zero(), Fp::from_u64(2)).unwrap();
+        assert!(order_3.to_projective().mul_limbs(&[3]).is_identity());
+        assert!(from_bytes(&to_bytes(&order_3)).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_in_subgroup_agrees_on_random_curve_points(seed in any::<u64>()) {
+            let mut rng = ChaChaRng::seed_from_u64(seed);
+            let raw = loop {
+                if let Some(p) = point_with_x(Fp::random(&mut rng)) {
+                    break p.to_projective();
+                }
+            };
+            let h = BigUint::from_limbs(&params::consts().g1_cofactor);
+            let cases = subgroup_cases::cases(generator(), &[raw], &h, &[]);
+            subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
+        }
     }
 
     #[test]

@@ -82,9 +82,35 @@ pub fn mul_fr(point: &G2Projective, s: &Fr) -> G2Projective {
     mul_wnaf(point, &s.to_canonical_limbs())
 }
 
-/// Check membership in the order-`r` subgroup (`r·P = O`, via wNAF).
+/// The endomorphism `ψ = twist ∘ Frobenius ∘ untwist`,
+/// `ψ(x, y) = (c_x·x̄, c_y·ȳ)`; in Jacobian coordinates
+/// `(X, Y, Z) ↦ (c_x·X̄, c_y·Ȳ, Z̄)`. On the subgroup it is
+/// multiplication by `z`.
+pub fn psi(point: &G2Projective) -> G2Projective {
+    let e = params::endomorphisms();
+    psi_with(point, e.psi_x, e.psi_y)
+}
+
+/// [`psi`] with explicit coefficients (the derivation in [`params`]
+/// asserts its eigenvalue with it).
+pub(crate) fn psi_with(point: &G2Projective, c_x: Fp2, c_y: Fp2) -> G2Projective {
+    let mut image = *point;
+    image.x = point.x.conjugate() * c_x;
+    image.y = point.y.conjugate() * c_y;
+    image.z = point.z.conjugate();
+    image
+}
+
+/// Check membership in the order-`r` subgroup: `ψ(P) = [z]P`
+/// (Scott, eprint 2021/1130 §4; proof in eprint 2022/352).
+///
+/// Sound because `ψ² − tψ + p = 0` on the whole twist (`t = z + 1`):
+/// `ψ(P) = [z]P` forces `[z² − tz + p]P = [p − z]P = [h1·r]P = O`; the
+/// twist's order `h2·r` also kills `P`, and `gcd(h1, h2) = 1`, so
+/// `[r]P = O`. Costs one [`G2Projective::mul_by_x`] (63 doublings + 5
+/// additions) instead of a 255-bit `r·P`.
 pub fn in_subgroup(point: &G2Projective) -> bool {
-    mul_wnaf(point, &params::consts().r_limbs).is_identity()
+    psi(point) == point.mul_by_x()
 }
 
 /// Serialize an affine point (uncompressed; all-zero = identity).
@@ -118,7 +144,20 @@ pub fn from_bytes(bytes: &[u8; G2_BYTES]) -> Option<G2Affine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::subgroup_cases::{self, order_divides_r};
+    use eqjoin_bigint::BigUint;
     use eqjoin_crypto::ChaChaRng;
+    use proptest::prelude::*;
+
+    /// The first `n` twist points `x = 0 + u, 1 + u, …` before cofactor
+    /// clearing.
+    fn raw_points(n: usize) -> Vec<G2Projective> {
+        (0u64..)
+            .filter_map(|k| point_with_x(Fp2::new(Fp::from_u64(k), Fp::one())))
+            .map(|p| p.to_projective())
+            .take(n)
+            .collect()
+    }
 
     #[test]
     fn generator_has_order_r() {
@@ -158,19 +197,37 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_non_subgroup_points() {
-        // A random twist point (before cofactor clearing) is on the curve
-        // but almost surely outside the r-subgroup; serialization must
-        // reject it.
-        let mut n = 0u64;
-        let raw = loop {
-            let x = Fp2::new(Fp::from_u64(n), Fp::one());
-            if let Some(p) = point_with_x(x) {
-                if !in_subgroup(&p.to_projective()) {
-                    break p;
+        // A twist point before cofactor clearing is on the curve but
+        // outside the r-subgroup; deserialization must reject it.
+        let raw = raw_points(1)[0];
+        assert!(!order_divides_r(&raw));
+        assert!(from_bytes(&to_bytes(&raw.to_affine())).is_none());
+    }
+
+    #[test]
+    fn in_subgroup_agrees_with_r_times_p() {
+        let h2 = BigUint::from_limbs(&params::consts().g2_cofactor);
+        let small_orders = subgroup_cases::small_prime_factors(&h2);
+        // h2 = 13²·23²·2713·11953·262069·(a 4xx-bit prime).
+        assert_eq!(small_orders, [13, 23, 2713, 11953, 262069]);
+        let cases = subgroup_cases::cases(generator(), &raw_points(8), &h2, &small_orders);
+        subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn prop_in_subgroup_agrees_on_random_curve_points(seed in any::<u64>()) {
+            let mut rng = ChaChaRng::seed_from_u64(seed);
+            let raw = loop {
+                if let Some(p) = point_with_x(Fp2::random(&mut rng)) {
+                    break p.to_projective();
                 }
-            }
-            n += 1;
-        };
-        assert!(from_bytes(&to_bytes(&raw)).is_none());
+            };
+            let h = BigUint::from_limbs(&params::consts().g2_cofactor);
+            let cases = subgroup_cases::cases(generator(), &[raw], &h, &[]);
+            subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
+        }
     }
 }

@@ -8,9 +8,9 @@
 //! * **Every constant is derived from the BLS parameter**
 //!   `z = -0xd201_0000_0001_0000`: base-field modulus
 //!   `p = (z-1)²(z⁴-z²+1)/3 + z`, scalar modulus `r = z⁴-z²+1`, Montgomery
-//!   parameters, Frobenius coefficients, cofactors and generators. No
-//!   magic hex blobs; tests cross-check the derived values against the
-//!   published standard ones.
+//!   parameters, Frobenius coefficients, endomorphism coefficients,
+//!   cofactors and generators. No magic hex blobs; tests cross-check the
+//!   derived values against the published standard ones.
 //! * **Field tower** `Fp → Fp2 → Fp6 → Fp12` with
 //!   `Fp2 = Fp[u]/(u²+1)`, `Fp6 = Fp2[v]/(v³-ξ)`, `ξ = 1+u`,
 //!   `Fp12 = Fp6[w]/(w²-v)`.
@@ -25,6 +25,11 @@
 //!   generators (built once, then ≤ 64 mixed additions per
 //!   exponentiation); [`ops`] counts every hot-path operation so the
 //!   benchmark trajectory can audit "skipped work" claims exactly.
+//! * **Endomorphism subgroup checks**: every decoded group element is
+//!   validated with `φ(P) = −[z²]P` on `G1` and `ψ(P) = [z]P` on `G2`
+//!   (Scott, eprint 2021/1130; proof in eprint 2022/352) — one or two
+//!   multiplications by the 64-bit, Hamming-weight-6 `z` instead of a
+//!   255-bit `r·P`, which survives only as the tests' reference oracle.
 //! * **[`mock`] engine**: a transparent-exponent stand-in with the same
 //!   [`engine::Engine`] API, used by fast protocol tests and by the
 //!   full-scale shape experiments (see DESIGN.md §4).

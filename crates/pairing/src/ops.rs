@@ -38,7 +38,9 @@ pub struct OpCounts {
     /// flat while this grows is the counter-level proof that ingest
     /// amortized its normalizations.
     pub batched_fixed_base_muls: u64,
-    /// Variable-base scalar multiplications (wNAF).
+    /// Variable-base scalar multiplications (wNAF). Decoding a group
+    /// element adds nothing here: the subgroup checks multiply by the
+    /// public curve parameter `z`, not by a protocol scalar.
     pub variable_base_muls: u64,
     /// Points fed through Pippenger multi-scalar multiplications
     /// ([`crate::scalar_mul::msm`]); an `n`-point sum adds `n`.

@@ -10,11 +10,23 @@
 //! * trace of Frobenius    `t(z) = z + 1`
 //!
 //! Since `z < 0`, every polynomial is rearranged in `|z|` so all
-//! intermediate values are non-negative (see the inline comments). The
-//! derived values are cross-checked against the published standard
-//! constants in the test module.
+//! intermediate values are non-negative (see the inline comments).
+//!
+//! Derived here: `p`, `r`, both Montgomery parameter sets, the
+//! exponents `(p-1)/2`, `(p+1)/4`, `(p-1)/6`, the cofactors `h1`, `h2`
+//! ([`consts`]), and the coefficients of the two efficient
+//! endomorphisms the subgroup checks run on ([`endomorphisms`]): the
+//! cube root of unity `β` of `φ(x, y) = (βx, y)` on `G1` and
+//! `c_x = 1/ξ^((p-1)/3)`, `c_y = 1/ξ^((p-1)/2)` of
+//! `ψ(x, y) = (c_x·x̄, c_y·ȳ)` on `G2`. The derived values are
+//! cross-checked against the published standard constants in the test
+//! module.
 
+use crate::fp::Fp;
+use crate::fp2::Fp2;
 use crate::montgomery::FieldParams;
+use crate::traits::Field;
+use crate::{g1, g2};
 use eqjoin_bigint::BigUint;
 use std::sync::OnceLock;
 
@@ -45,7 +57,8 @@ pub struct Constants {
     pub g1_cofactor: Vec<u64>,
     /// G2 cofactor `h2` limbs.
     pub g2_cofactor: Vec<u64>,
-    /// `r` limbs (for subgroup checks).
+    /// `r` limbs (the generators' order assert and the `r·P = O` test
+    /// oracle of the subgroup checks).
     pub r_limbs: Vec<u64>,
 }
 
@@ -122,6 +135,74 @@ fn derive() -> Constants {
     }
 }
 
+/// Coefficients of the endomorphisms behind [`g1::in_subgroup`] and
+/// [`g2::in_subgroup`].
+pub struct Endomorphisms {
+    /// `β`: the primitive cube root of unity in `Fp` for which
+    /// `φ(x, y) = (βx, y)` acts on `G1` as `−z²` (the other root,
+    /// `β²`, acts as `z² − 1`).
+    pub beta: Fp,
+    /// `c_x = 1/ξ^((p-1)/3)`: x-coefficient of `ψ`.
+    pub psi_x: Fp2,
+    /// `c_y = 1/ξ^((p-1)/2)`: y-coefficient of `ψ`.
+    pub psi_y: Fp2,
+}
+
+/// Endomorphism coefficients, derived once per process.
+///
+/// Separate from [`consts`] because the derivation runs field and
+/// curve arithmetic, which itself reads [`consts`].
+pub fn endomorphisms() -> &'static Endomorphisms {
+    static ENDO: OnceLock<Endomorphisms> = OnceLock::new();
+    ENDO.get_or_init(derive_endomorphisms)
+}
+
+fn derive_endomorphisms() -> Endomorphisms {
+    let c = consts();
+
+    // ω = g^((p-1)/3) for the smallest non-cube g: a primitive cube
+    // root of unity (p ≡ 1 mod 3 follows from p ≡ 1 mod 6).
+    let p_minus_1_over_3 = c.p_big.sub(&BigUint::one()).div_exact_u64(3);
+    let omega = (2u64..)
+        .map(|g| Fp::from_u64(g).pow_limbs(p_minus_1_over_3.limbs()))
+        .find(|w| *w != Fp::one())
+        .expect("some small integer is not a cube");
+    assert!(
+        (omega.square() + omega + Fp::one()).is_zero(),
+        "ω² + ω + 1 = 0"
+    );
+
+    // φ satisfies φ² + φ + 1 = 0, so on G1 it is multiplication by a
+    // root of λ² + λ + 1 mod r = z⁴ - z² + 1: −z² for one of ω, ω² and
+    // z² − 1 for the other. The check needs the first (then
+    // λ² + λ + 1 is r itself, not a multiple).
+    let g = g1::generator();
+    let minus_z2_g = g.mul_by_x().mul_by_x().neg();
+    let beta = [omega, omega.square()]
+        .into_iter()
+        .find(|b| g1::phi_with(g, *b) == minus_z2_g)
+        .expect("one cube root of unity acts on G1 as −z²");
+
+    // ψ = twist ∘ Frobenius ∘ untwist. The untwist is
+    // (x', y') ↦ (x'/w², y'/w³) with w⁶ = ξ, so
+    // ψ(x', y') = (x̄'·w²/w^(2p), ȳ'·w³/w^(3p))
+    //           = (x̄'/ξ^((p-1)/3), ȳ'/ξ^((p-1)/2))
+    //           = (x̄'/γ², ȳ'/γ³)
+    // for the Frobenius coefficient γ = ξ^((p-1)/6) of `Fp12`.
+    let gamma = crate::fp12::gamma_pows();
+    let psi_x = gamma[2].invert().expect("ξ ≠ 0");
+    let psi_y = gamma[3].invert().expect("ξ ≠ 0");
+    // ψ² − tψ + p = 0 with t = z + 1, and p ≡ z mod r, so ψ acts on G2
+    // as a root of λ² − (z+1)λ + z = (λ − z)(λ − 1): z, as ψ ≠ id.
+    let g = g2::generator();
+    assert!(
+        g2::psi_with(g, psi_x, psi_y) == g.mul_by_x(),
+        "ψ acts on G2 as z"
+    );
+
+    Endomorphisms { beta, psi_x, psi_y }
+}
+
 /// Base-field parameters accessor (used by the `Fp` type).
 pub fn fp_params() -> &'static FieldParams<6> {
     &consts().fp
@@ -135,6 +216,9 @@ pub fn fr_params() -> &'static FieldParams<4> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fr::Fr;
+    use crate::scalar_mul::mul_wnaf;
+    use eqjoin_crypto::ChaChaRng;
 
     /// The published standard BLS12-381 moduli — the derivation must
     /// reproduce them exactly.
@@ -218,5 +302,77 @@ mod tests {
             .add(&BigUint::from_u64(3));
         let rhs = p4.sub(&p2).add(&one).mul_u64(3);
         assert_eq!(lhs.mul(&c.r_big), rhs);
+    }
+
+    /// The published BLS12-381 endomorphism constants (β as in Scott,
+    /// eprint 2021/1130, and the zkcrypto/blst `BETA`; the ψ
+    /// coefficients as RFC 9380 §G.3's `c1`, `c2`) — the derivation must
+    /// reproduce them exactly.
+    #[test]
+    fn derived_endomorphism_constants_match_standard() {
+        let hex = |f: &Fp| BigUint::from_limbs(&f.to_canonical_limbs()).to_hex();
+        let e = endomorphisms();
+        assert_eq!(
+            hex(&e.beta),
+            "5f19672fdf76ce51ba69c6076a0f77eaddb3a93be6f89688de17d813620a0002\
+             2e01fffffffefffe"
+        );
+        // c_x = 1/ξ^((p-1)/3) = (1 + β²)·u, purely imaginary.
+        assert_eq!(hex(&e.psi_x.c0), "0");
+        assert_eq!(
+            hex(&e.psi_x.c1),
+            "1a0111ea397fe699ec02408663d4de85aa0d857d89759ad4897d29650fb85f9b\
+             409427eb4f49fffd8bfd00000000aaad"
+        );
+        assert_eq!(
+            hex(&e.psi_y.c0),
+            "135203e60180a68ee2e9c448d77a2cd91c3dedd930b1cf60ef396489f61eb45e\
+             304466cf3e67fa0af1ee7b04121bdea2"
+        );
+        assert_eq!(
+            hex(&e.psi_y.c1),
+            "6af0e0437ff400b6831e36d6bd17ffe48395dabc2d3435e77f76e17009241c5\
+             ee67992f72ec05f4c81084fbede3cc09"
+        );
+    }
+
+    #[test]
+    fn cofactors_are_coprime() {
+        // The G2 check's soundness argument ends in gcd(h1, h2) = 1.
+        let c = consts();
+        let mut a = BigUint::from_limbs(&c.g2_cofactor);
+        let mut b = BigUint::from_limbs(&c.g1_cofactor);
+        while !b.is_zero() {
+            (a, b) = (b.clone(), a.rem(&b));
+        }
+        assert_eq!(a, BigUint::one());
+    }
+
+    #[test]
+    fn phi_satisfies_its_characteristic_equation() {
+        // φ³ = id and φ² + φ + 1 = 0, on random subgroup points.
+        let mut rng = ChaChaRng::seed_from_u64(51);
+        for _ in 0..4 {
+            let p = g1::mul_fr(g1::generator(), &Fr::random(&mut rng));
+            let phi_p = g1::phi(&p);
+            let phi2_p = g1::phi(&phi_p);
+            assert_ne!(phi_p, p);
+            assert_eq!(g1::phi(&phi2_p), p);
+            assert!(phi2_p.add(&phi_p).add(&p).is_identity());
+        }
+    }
+
+    #[test]
+    fn psi_satisfies_its_characteristic_equation() {
+        // ψ² − [t]ψ + [p] = 0 with t = z + 1, on random subgroup points.
+        let c = consts();
+        let mut rng = ChaChaRng::seed_from_u64(52);
+        for _ in 0..4 {
+            let p = g2::mul_fr(g2::generator(), &Fr::random(&mut rng));
+            let psi_p = g2::psi(&p);
+            let t_psi_p = psi_p.mul_by_x().add(&psi_p);
+            let p_p = mul_wnaf(&p, c.p_big.limbs());
+            assert!(g2::psi(&psi_p).sub(&t_psi_p).add(&p_p).is_identity());
+        }
     }
 }

@@ -34,8 +34,8 @@ fn edge_scalars_agree_with_oracle_on_g1_and_g2() {
 
 #[test]
 fn r_times_generator_is_identity_via_every_path() {
-    // r ≡ 0, so every multiplication path must land on the identity —
-    // this is exactly the `in_subgroup` routing.
+    // r ≡ 0, so every multiplication path must land on the identity,
+    // and the endomorphism subgroup checks must say the same.
     let r = params::consts().r_limbs.clone();
     assert!(mul_wnaf(g1::generator(), &r).is_identity());
     assert!(mul_wnaf(g2::generator(), &r).is_identity());
