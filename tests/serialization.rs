@@ -10,6 +10,8 @@ use eqjoin::db::{
 };
 use eqjoin::pairing::{Bls12, Engine, Fr, MockEngine};
 
+mod wire_samples;
+
 fn roundtrip_group_elements<E: Engine>(seed: u64) {
     let mut rng = ChaChaRng::seed_from_u64(seed);
     for _ in 0..5 {
@@ -228,4 +230,48 @@ fn gt_bytes_distinguish_distinct_values_bls() {
     let e2 = Bls12::pair(&Bls12::g1_mul_gen(&b), &Bls12::g2_mul_gen(&Fr::from_u64(1)));
     assert_ne!(Bls12::gt_bytes(&e1), Bls12::gt_bytes(&e2));
     assert_eq!(Bls12::gt_bytes(&e1).len(), 576);
+}
+
+/// The golden-bytes fixture: `fixtures/wire_golden.hex` holds one
+/// `space.Variant hex` line per fixed sample of `wire_samples`, written
+/// by the hand-written codec this repository had before the wire
+/// tables. The wire format, the journal (its records are
+/// `Request::to_bytes()`) and every stored snapshot depend on these
+/// bytes never moving, so a tag or layout change shows up here as an
+/// edit to the fixture that a reviewer has to approve.
+#[test]
+fn wire_encoding_matches_the_golden_fixture() {
+    let golden = include_str!("fixtures/wire_golden.hex");
+    let rendered: String = wire_samples::encoded_samples()
+        .iter()
+        .map(|(space, variant, bytes)| {
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            format!("{space}.{variant} {hex}\n")
+        })
+        .collect();
+    assert!(
+        rendered == golden,
+        "the samples no longer encode to tests/fixtures/wire_golden.hex; if the wire \
+         format is meant to change, the fixture must become:\n{rendered}"
+    );
+
+    // The other direction: every committed line still decodes, and
+    // re-encodes to itself.
+    for line in golden.lines() {
+        let (name, hex) = line.split_once(' ').expect("`name hex` line");
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+            .collect();
+        let again = if name.starts_with("request.") {
+            wire_samples::Req::from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("{name} must decode: {e}"))
+                .to_bytes()
+        } else {
+            Response::from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("{name} must decode: {e}"))
+                .to_bytes()
+        };
+        assert_eq!(again, bytes, "{name} must re-encode to itself");
+    }
 }

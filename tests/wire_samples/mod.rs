@@ -1,0 +1,408 @@
+//! Deterministic `MockEngine` message generators shared by the wire
+//! tests: the golden-bytes fixture (`serialization.rs`) pins what the
+//! fixed samples below encode to, and the protocol proptests
+//! (`proptest_protocol.rs`) drive the same generators with random
+//! shapes.
+
+#![allow(dead_code)] // each test binary uses its own subset
+
+use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
+use eqjoin::db::{
+    DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinAlgorithm, JoinObservation,
+    JoinOptions, MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerMetrics,
+    ServerStats, SideTokens, TransportStats,
+};
+use eqjoin::pairing::{Engine, Fr, MockEngine};
+use std::time::Duration;
+
+pub type Req = Request<MockEngine>;
+
+fn g1(x: u64) -> <MockEngine as Engine>::G1 {
+    MockEngine::g1_mul_gen(&Fr::from_u64(x))
+}
+
+fn g2(x: u64) -> <MockEngine as Engine>::G2 {
+    MockEngine::g2_mul_gen(&Fr::from_u64(x))
+}
+
+/// Deterministic 16-byte prefilter tag from a seed.
+fn tag(x: u64) -> [u8; 16] {
+    let mut t = [0u8; 16];
+    t[..8].copy_from_slice(&x.to_le_bytes());
+    t[8..].copy_from_slice(&x.wrapping_mul(31).to_le_bytes());
+    t
+}
+
+/// An encrypted table whose shape (rows, ciphertext width, payload
+/// length, tag presence) is driven entirely by the generated integers.
+pub fn table(name_id: u64, rows: &[(u64, u64, u64)], tagged: bool) -> EncryptedTable<MockEngine> {
+    EncryptedTable {
+        name: format!("T{name_id}"),
+        join_column: "k".into(),
+        filter_columns: vec!["a".into(), format!("col{name_id}")],
+        rows: rows
+            .iter()
+            .map(|&(seed, width, payload_len)| EncryptedRow {
+                cipher: SjRowCiphertext::from_elements(
+                    (0..=width % 5).map(|i| g2(seed.wrapping_add(i))).collect(),
+                ),
+                payloads: (0..payload_len % 4)
+                    .map(|c| {
+                        (0..(payload_len + c) % 16)
+                            .map(|i| (seed ^ c ^ i) as u8)
+                            .collect()
+                    })
+                    .collect(),
+                tags: tagged.then(|| vec![tag(seed), tag(seed ^ 1)]),
+            })
+            .collect(),
+    }
+}
+
+fn side(table_id: u64, side: SjTableSide, seeds: &[u64]) -> SideTokens<MockEngine> {
+    SideTokens {
+        table: format!("T{table_id}"),
+        token: SjToken::from_elements(side, seeds.iter().map(|&s| g1(s)).collect()),
+        prefilter: seeds
+            .iter()
+            .take(2)
+            .enumerate()
+            .map(|(col, &s)| (col, vec![tag(s), tag(s + 7)]))
+            .collect(),
+    }
+}
+
+pub fn exec_request(query_id: u64, seeds: &[u64], threads: u64) -> Req {
+    Request::ExecuteJoin {
+        tokens: QueryTokens {
+            query_id,
+            left: side(query_id, SjTableSide::A, seeds),
+            right: side(query_id + 1, SjTableSide::B, seeds),
+        },
+        options: JoinOptions {
+            algorithm: if query_id.is_multiple_of(2) {
+                JoinAlgorithm::Hash
+            } else {
+                JoinAlgorithm::NestedLoop
+            },
+            use_prefilter: query_id.is_multiple_of(3),
+            threads: threads as usize,
+            decrypt_cache: query_id.is_multiple_of(5),
+            decrypt_cache_cap: (query_id % 128) as usize,
+        },
+        projection: PayloadProjection {
+            left: query_id
+                .is_multiple_of(3)
+                .then(|| (0..query_id % 4).map(|i| i as usize).collect()),
+            right: query_id
+                .is_multiple_of(2)
+                .then(|| vec![query_id as usize % 7]),
+        },
+    }
+}
+
+pub fn copy_rows_request(
+    name_id: u64,
+    start_row: u64,
+    rows: &[(u64, u64, u64)],
+    tagged: bool,
+) -> Req {
+    let t = table(name_id, rows, tagged);
+    Request::CopyRows {
+        table: t.name,
+        join_column: t.join_column,
+        filter_columns: t.filter_columns,
+        start_row,
+        rows: t.rows,
+    }
+}
+
+pub fn join_response(pairs: &[(u64, u64, u64)], classes: &[(u64, u64)]) -> Response {
+    Response::JoinExecuted {
+        result: EncryptedJoinResult {
+            pairs: pairs
+                .iter()
+                .map(|&(l, r, p)| MatchedPair {
+                    left_row: l as usize,
+                    right_row: r as usize,
+                    left_payloads: (0..p % 3)
+                        .map(|c| (0..(p + c) % 16).map(|i| (l ^ c ^ i) as u8).collect())
+                        .collect(),
+                    right_payloads: (0..(p / 16) % 3)
+                        .map(|c| (0..(p / 16 + c) % 16).map(|i| (r ^ c ^ i) as u8).collect())
+                        .collect(),
+                })
+                .collect(),
+            stats: ServerStats {
+                rows_decrypted: pairs.len(),
+                rows_prefiltered_out: classes.len(),
+                comparisons: pairs.len() as u64 * 3,
+                matched_pairs: pairs.len(),
+                decrypt_time: Duration::from_nanos(pairs.len() as u64 * 11),
+                match_time: Duration::from_nanos(classes.len() as u64 * 13),
+                decrypt_cache_hits: pairs.len() as u64 * 7,
+            },
+        },
+        observation: JoinObservation {
+            query_id: pairs.len() as u64,
+            equality_classes: classes
+                .iter()
+                .map(|&(t, n)| {
+                    (0..2 + n % 3)
+                        .map(|i| (format!("T{t}"), (n + i) as usize))
+                        .collect()
+                })
+                .collect(),
+        },
+    }
+}
+
+pub fn stats_response(trips: u64, exposition_lines: u64) -> Response {
+    Response::Stats(ServerMetrics {
+        transport: TransportStats {
+            round_trips: trips,
+            requests: trips.wrapping_mul(3),
+            batches: trips % 17,
+            bytes_sent: trips.wrapping_mul(101),
+            bytes_received: trips.wrapping_mul(67),
+            reconnects: trips % 5,
+            retries: trips % 7,
+            gave_up: trips % 2,
+        },
+        exposition: (0..exposition_lines)
+            .map(|i| format!("eqjoin_metric_{i} {i}\n"))
+            .collect(),
+    })
+}
+
+// ---------------------------------------------------------------------
+// The fixed samples: at least one per variant of each tag space, keyed
+// by variant name (a name may repeat to cover both arms of an option).
+// ---------------------------------------------------------------------
+
+const ROWS: [(u64, u64, u64); 3] = [(11, 0, 5), (2_024, 3, 38), (999_983, 4, 0)];
+
+pub fn request_samples() -> Vec<(&'static str, Req)> {
+    vec![
+        ("Ping", Request::Ping),
+        ("InsertTable", Request::InsertTable(table(1, &ROWS, true))),
+        (
+            "InsertTable",
+            Request::InsertTable(table(2, &ROWS[..1], false)),
+        ),
+        ("ExecuteJoin", exec_request(30, &[5, 77, 4_242], 2)),
+        ("ExecuteJoin", exec_request(7, &[9], 0)),
+        (
+            "Batch",
+            Request::Batch(vec![
+                Request::Ping,
+                exec_request(12, &[3, 8], 1),
+                copy_rows_request(3, 40, &ROWS[1..], false),
+                Request::Stats,
+            ]),
+        ),
+        (
+            "InsertRows",
+            Request::InsertRows {
+                table: "T1".into(),
+                start_row: 3,
+                rows: table(1, &ROWS[..2], true).rows,
+            },
+        ),
+        (
+            "DeleteRows",
+            Request::DeleteRows {
+                table: "orders".into(),
+                rows: vec![1, 5, 9, u64::MAX],
+            },
+        ),
+        (
+            "WithTenant",
+            Request::WithTenant {
+                tenant: "acme-01_eu".into(),
+                inner: Box::new(Request::Batch(vec![
+                    Request::Stats,
+                    exec_request(15, &[21], 4),
+                ])),
+            },
+        ),
+        ("Drain", Request::Drain),
+        ("Stats", Request::Stats),
+        ("CopyRows", copy_rows_request(0, 1_000, &ROWS, true)),
+        ("CopyRows", copy_rows_request(2, 0, &[], false)),
+    ]
+}
+
+pub fn error_samples() -> Vec<(&'static str, DbError)> {
+    let (table, column) = (String::from("orders"), String::from("o_custkey"));
+    vec![
+        ("UnknownTable", DbError::UnknownTable("X".into())),
+        (
+            "UnknownColumn",
+            DbError::UnknownColumn {
+                table: table.clone(),
+                column: column.clone(),
+            },
+        ),
+        (
+            "JoinColumnMismatch",
+            DbError::JoinColumnMismatch {
+                table: table.clone(),
+                requested: "a".into(),
+                encrypted: "b".into(),
+            },
+        ),
+        (
+            "NotAFilterColumn",
+            DbError::NotAFilterColumn {
+                table: table.clone(),
+                column: column.clone(),
+            },
+        ),
+        (
+            "InClauseTooLarge",
+            DbError::InClauseTooLarge { got: 9, max: 3 },
+        ),
+        ("EmptyInClause", DbError::EmptyInClause),
+        ("PayloadCorrupted", DbError::PayloadCorrupted),
+        (
+            "TooManyFilterColumns",
+            DbError::TooManyFilterColumns {
+                table: table.clone(),
+                got: 4,
+                max: 2,
+            },
+        ),
+        (
+            "Protocol",
+            DbError::Protocol("unknown request tag 200".into()),
+        ),
+        ("Sql", DbError::Sql("expected FROM near 'FORM'".into())),
+        ("NoSqlPlanner", DbError::NoSqlPlanner),
+        ("Transport", DbError::Transport("connection reset".into())),
+        (
+            "FilterTableNotInQuery",
+            DbError::FilterTableNotInQuery {
+                table: table.clone(),
+                column: column.clone(),
+            },
+        ),
+        (
+            "DuplicateProjectionColumn",
+            DbError::DuplicateProjectionColumn {
+                table: table.clone(),
+                column,
+            },
+        ),
+        (
+            "InvalidPlan",
+            DbError::InvalidPlan("projection below join".into()),
+        ),
+        (
+            "UnknownRow",
+            DbError::UnknownRow {
+                table,
+                row: 1 << 40,
+            },
+        ),
+        ("Snapshot", DbError::Snapshot("checksum mismatch".into())),
+        (
+            "Overloaded",
+            DbError::Overloaded {
+                tenant: Some("acme".into()),
+                in_flight: 8,
+                cap: 8,
+            },
+        ),
+        (
+            "Overloaded",
+            DbError::Overloaded {
+                tenant: None,
+                in_flight: 64,
+                cap: 64,
+            },
+        ),
+        (
+            "Timeout",
+            DbError::Timeout("read deadline of 250ms elapsed".into()),
+        ),
+        (
+            "DimensionMismatch",
+            DbError::DimensionMismatch {
+                what: "row attributes".into(),
+                expected: 2,
+                got: 5,
+            },
+        ),
+    ]
+}
+
+pub fn response_samples() -> Vec<(&'static str, Response)> {
+    vec![
+        ("Pong", Response::Pong),
+        (
+            "TableInserted",
+            Response::TableInserted {
+                table: "T1".into(),
+                rows: 3,
+            },
+        ),
+        (
+            "JoinExecuted",
+            join_response(
+                &[(0, 2, 0x21), (7, 7, 0xff), (499, 1, 0)],
+                &[(1, 4), (3, 0)],
+            ),
+        ),
+        ("JoinExecuted", join_response(&[], &[])),
+        ("Error", Response::Error(DbError::EmptyInClause)),
+        (
+            "Batch",
+            Response::Batch(vec![
+                Response::Pong,
+                join_response(&[(1, 1, 0x12)], &[(0, 1)]),
+                Response::Error(DbError::UnknownTable("T9".into())),
+                stats_response(5, 1),
+            ]),
+        ),
+        (
+            "RowsInserted",
+            Response::RowsInserted {
+                table: "T1".into(),
+                rows: 2,
+            },
+        ),
+        (
+            "RowsDeleted",
+            Response::RowsDeleted {
+                table: "orders".into(),
+                rows: 4,
+            },
+        ),
+        ("Stats", stats_response(123_456, 3)),
+        (
+            "CopyRows",
+            Response::CopyRows {
+                table: "T0".into(),
+                rows: 3,
+                total_rows: 1_003,
+            },
+        ),
+    ]
+}
+
+/// Every fixed sample as `(space, variant, wire bytes)`, errors riding
+/// in a `Response::Error` as they do on the wire.
+pub fn encoded_samples() -> Vec<(&'static str, &'static str, Vec<u8>)> {
+    let mut out = Vec::new();
+    for (name, request) in request_samples() {
+        out.push(("request", name, request.to_bytes()));
+    }
+    for (name, response) in response_samples() {
+        out.push(("response", name, response.to_bytes()));
+    }
+    for (name, error) in error_samples() {
+        out.push(("error", name, Response::Error(error).to_bytes()));
+    }
+    out
+}
