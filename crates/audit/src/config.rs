@@ -2,11 +2,10 @@
 //! root with a minimal hand-rolled TOML-subset parser (the audit is
 //! dependency-free by design, like the rest of the workspace).
 //!
-//! Supported subset: `[section]` headers, `key = "string"`,
-//! `key = integer`, and `key = [ "a", "b", ... ]` arrays (single- or
-//! multi-line). Comments start with `#`. That is all the registries
-//! need; anything else is a parse error so a typo cannot silently
-//! drop an entry.
+//! Supported subset: `[section]` headers, `key = "string"` and
+//! `key = [ "a", "b", ... ]` arrays (single- or multi-line). Comments
+//! start with `#`. That is all the registries need; anything else is a
+//! parse error so a typo cannot silently drop an entry.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -16,8 +15,6 @@ use std::path::Path;
 pub struct TomlDoc {
     /// String values by `section.key`.
     pub strings: BTreeMap<String, String>,
-    /// Integer values by `section.key`.
-    pub ints: BTreeMap<String, i64>,
     /// String-array values by `section.key`.
     pub arrays: BTreeMap<String, Vec<String>>,
 }
@@ -76,8 +73,6 @@ impl TomlDoc {
                 doc.arrays.insert(key, items);
             } else if let Some(s) = parse_string(&value) {
                 doc.strings.insert(key, s);
-            } else if let Ok(i) = value.parse::<i64>() {
-                doc.ints.insert(key, i);
             } else {
                 return Err(format!("line {}: unsupported value {value:?}", n + 1));
             }
@@ -141,56 +136,6 @@ impl Secrets {
     }
 }
 
-/// The wire-tag registry (`audit/wire_tags.toml`): the durable record
-/// of every tag ever assigned, so a retired tag cannot be silently
-/// reused for a new variant with a different meaning.
-#[derive(Clone, Debug, Default)]
-pub struct WireTags {
-    /// `variant -> tag` for each message space.
-    pub request: BTreeMap<String, i64>,
-    /// Response variant tags.
-    pub response: BTreeMap<String, i64>,
-    /// `DbError` variant tags.
-    pub error: BTreeMap<String, i64>,
-    /// Tags that were once assigned and must never be reused, per
-    /// space.
-    pub retired: BTreeMap<String, Vec<i64>>,
-}
-
-impl WireTags {
-    /// Load from `<root>/audit/wire_tags.toml`.
-    pub fn load(root: &Path) -> Result<WireTags, String> {
-        let doc = TomlDoc::load(&root.join("audit/wire_tags.toml"))?;
-        let mut tags = WireTags::default();
-        for (key, value) in &doc.ints {
-            let Some((section, name)) = key.split_once('.') else {
-                continue;
-            };
-            match section {
-                "request" => tags.request.insert(name.to_string(), *value),
-                "response" => tags.response.insert(name.to_string(), *value),
-                "error" => tags.error.insert(name.to_string(), *value),
-                other => {
-                    return Err(format!(
-                        "audit/wire_tags.toml: unknown section [{other}] for key {name}"
-                    ))
-                }
-            };
-        }
-        for space in ["request", "response", "error"] {
-            let list = doc.array(&format!("retired.{space}"));
-            let mut parsed = Vec::new();
-            for item in list {
-                parsed.push(item.parse::<i64>().map_err(|_| {
-                    format!("audit/wire_tags.toml: retired.{space} holds non-integer {item:?}")
-                })?);
-            }
-            tags.retired.insert(space.to_string(), parsed);
-        }
-        Ok(tags)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,14 +154,12 @@ crates = [
     "fhipe",
 ]
 note = "text"
-count = 3
 "#,
         )
         .unwrap();
         assert_eq!(doc.array("identifiers.names"), ["scalar", "sk"]);
         assert_eq!(doc.array("scope.crates"), ["pairing", "fhipe"]);
         assert_eq!(doc.strings["scope.note"], "text");
-        assert_eq!(doc.ints["scope.count"], 3);
     }
 
     #[test]

@@ -4,4 +4,3 @@
 pub mod ct;
 pub mod panics;
 pub mod unsafe_hygiene;
-pub mod wire;

@@ -118,6 +118,7 @@ fn is_non_expr_keyword(s: &str) -> bool {
             | "dyn"
             | "where"
             | "impl"
+            | "for"
     )
 }
 
@@ -157,6 +158,8 @@ mod tests {
         assert_eq!(f.len(), 2, "{f:?}");
         let f = findings("fn t(v: &[u8]) -> &[u8] { &v[1..] }");
         assert_eq!(f.len(), 1, "slices panic too: {f:?}");
+        let f = findings("impl<const N: usize> T for [u8; N] { fn f() { for [a, b] in v {} } }");
+        assert!(f.is_empty(), "`for [` opens a type or a pattern: {f:?}");
     }
 
     #[test]

@@ -11,12 +11,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// The four enforced lints plus waiver hygiene.
-pub const PASS_NAMES: [&str; 5] = [
+/// The three enforced lints plus waiver hygiene.
+pub const PASS_NAMES: [&str; 4] = [
     "ct-discipline",
     "panic-freedom",
     "unsafe-hygiene",
-    "wire-conformance",
     "waiver-hygiene",
 ];
 

@@ -203,11 +203,11 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         ));
     }
     let mut len_bytes = [0u8; 4];
+    let (first, rest) = len_bytes.split_at_mut(1);
     // First byte by hand, to tell "connection closed between frames"
     // from "frame cut short".
     loop {
-        // audit-allow(panic-freedom): constant range on a fixed [u8; 4]
-        match stream.read(&mut len_bytes[..1]) {
+        match stream.read(first) {
             Ok(0) => return Ok(None),
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -218,8 +218,7 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     // entry — a server parked in read_frame waiting for the next
     // request would otherwise count idle time as frame latency.
     let start = std::time::Instant::now();
-    // audit-allow(panic-freedom): constant range on a fixed [u8; 4]
-    stream.read_exact(&mut len_bytes[1..])?;
+    stream.read_exact(rest)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(

@@ -28,9 +28,32 @@
 //!   the wire format) length-framed over a TCP socket to an `eqjoind`
 //!   server.
 //!
-//! The wire codec is deliberately dependency-free: length-prefixed
-//! fields, group elements via the engine's canonical (validated)
-//! encodings.
+//! # Wire format — one definition
+//!
+//! The codec is dependency-free and every layout is written exactly
+//! once, in the second half of this file:
+//!
+//! * the crate-private `Wire` trait is implemented once per primitive
+//!   (`u64`/`usize` as little-endian `u64`, `bool` as a byte, `String`
+//!   and byte strings as length + bytes, `[u8; N]` raw, `Vec<T>` as
+//!   count + items, `Option<T>` as marker + item, `Duration` as nanos,
+//!   group elements via the engine's canonical validated encodings);
+//! * each struct that travels is one `wire_struct!` field list;
+//! * [`Request`], [`Response`] and [`DbError`] are one `wire_enum!`
+//!   table each — `tag => Variant { fields }` — from which the encoder,
+//!   the decoder, the constants in [`request_tag`] / [`response_tag`] /
+//!   [`error_tag`] and their `WIRE_TAGS` listings are generated.
+//!
+//! Encode and decode therefore agree by construction, and the
+//! compiler's exhaustiveness check is the "every variant has a tag"
+//! rule. What construction cannot give is stability over time: the
+//! journal stores `Request::to_bytes()` records that outlive the
+//! binary, so a tag is never renumbered or reused, and
+//! `tests/fixtures/wire_golden.hex` pins the bytes of one sample per
+//! variant so that any change to them is a reviewed diff. A message
+//! nested in another (a batch element, an envelope's `inner`) travels
+//! behind a `u64` length prefix; the nesting rules the layout cannot
+//! express are one explicit validation step after decode.
 //!
 //! # Batch semantics
 //!
@@ -195,28 +218,15 @@ pub enum RequestEnvelope {
 /// handing the frame to a worker; a malformed frame peeks as
 /// [`RequestEnvelope::Plain`] and fails properly in the full decode.
 pub fn peek_envelope(payload: &[u8]) -> RequestEnvelope {
-    match payload.first() {
-        Some(7) => RequestEnvelope::Drain,
-        Some(6) => {
-            // Tag, then the codec's string encoding: u64 LE length +
-            // UTF-8 bytes.
-            let Some(len_bytes) = payload.get(1..9).and_then(|s| <[u8; 8]>::try_from(s).ok())
-            else {
-                return RequestEnvelope::Plain;
-            };
-            let len = u64::from_le_bytes(len_bytes);
-            if len > 64 {
-                // Longer than any valid tenant name: don't even slice.
-                return RequestEnvelope::Plain;
-            }
-            match payload.get(9..9 + len as usize) {
-                Some(name_bytes) => match std::str::from_utf8(name_bytes) {
-                    Ok(name) if valid_tenant_name(name) => RequestEnvelope::Tenant(name.to_owned()),
-                    _ => RequestEnvelope::Plain,
-                },
-                None => RequestEnvelope::Plain,
-            }
-        }
+    let mut r = Reader::new(payload);
+    match r.u8() {
+        Ok(request_tag::Drain) => RequestEnvelope::Drain,
+        // Borrows the name out of the frame; a length past the end of
+        // the frame fails in `bytes` before anything is sliced.
+        Ok(request_tag::WithTenant) => match r.bytes().map(std::str::from_utf8) {
+            Ok(Ok(name)) if valid_tenant_name(name) => RequestEnvelope::Tenant(name.to_owned()),
+            _ => RequestEnvelope::Plain,
+        },
         _ => RequestEnvelope::Plain,
     }
 }
@@ -315,25 +325,35 @@ pub trait ServerApi<E: Engine>: Send + Sync {
 }
 
 // ---------------------------------------------------------------------
-// Wire codec
+// Wire format: primitives
 // ---------------------------------------------------------------------
+
+/// A value with exactly one wire layout. `put` and `get` are written
+/// (or generated from one field list) together, so encode and decode
+/// cannot disagree about a layout; everything composite is built from
+/// the impls below by [`wire_struct!`] and [`wire_enum!`].
+pub(crate) trait Wire: Sized {
+    /// Messages nest behind a `u64` length prefix (a batch element, a
+    /// tenant envelope's `inner`); every other value is written inline.
+    /// [`Writer::put`] / [`Reader::get`] apply the prefix, so `put` and
+    /// `get` themselves always see the bare value.
+    const FRAMED: bool = false;
+
+    /// Append this value's bytes.
+    fn put(&self, w: &mut Writer);
+
+    /// Read one value back.
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError>;
+}
 
 /// Byte-writer half of the wire codec (shared with the snapshot codec
 /// in [`crate::store`]).
+#[derive(Default)]
 pub(crate) struct Writer {
     pub(crate) out: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new(tag: u8) -> Self {
-        Writer { out: vec![tag] }
-    }
-
-    /// An empty writer with no message tag (snapshot bodies).
-    pub(crate) fn raw() -> Self {
-        Writer { out: Vec::new() }
-    }
-
     pub(crate) fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
@@ -350,56 +370,84 @@ impl Writer {
     pub(crate) fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
     }
+
+    /// A count, then each item.
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u64(items.len() as u64);
+        for x in items {
+            item(self, x);
+        }
+    }
+
+    /// Write `v` as a field of an enclosing value.
+    pub(crate) fn put<T: Wire>(&mut self, v: &T) {
+        if !T::FRAMED {
+            return v.put(self);
+        }
+        // Length prefix first, patched once the body's size is known.
+        let at = self.out.len();
+        self.u64(0);
+        v.put(self);
+        let len = (self.out.len() - at - 8) as u64;
+        if let Some(prefix) = self.out.get_mut(at..at + 8) {
+            prefix.copy_from_slice(&len.to_le_bytes());
+        }
+    }
 }
+
+/// How deep messages may nest: a tenant envelope around a batch around
+/// leaf requests. The reader refuses deeper frames before recursing, so
+/// a hostile frame of nested batches cannot run the stack out.
+const MAX_NESTING: u8 = 2;
 
 /// Byte-reader half of the wire codec (shared with the snapshot codec
 /// in [`crate::store`]).
 pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
+    rest: &'a [u8],
+    depth: u8,
 }
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            rest: buf,
+            depth: 0,
+        }
     }
 
-    fn err<T>(what: &str) -> Result<T, DbError> {
-        Err(DbError::Protocol(format!("truncated or invalid {what}")))
+    /// The next `N` bytes, as an array.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], DbError> {
+        let (head, rest) = self.rest.split_first_chunk::<N>().ok_or_else(|| {
+            DbError::Protocol(format!("truncated message (wanted {N} more bytes)"))
+        })?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, DbError> {
-        let v = self.buf.get(self.pos).copied();
-        self.pos += 1;
-        v.map_or_else(|| Self::err("u8"), Ok)
+        self.array().map(|[b]| b)
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, DbError> {
-        let end = self.pos + 8;
-        let slice = self.buf.get(self.pos..end);
-        self.pos = end;
-        match slice.and_then(|s| <[u8; 8]>::try_from(s).ok()) {
-            Some(a) => Ok(u64::from_le_bytes(a)),
-            None => Self::err("u64"),
-        }
+        self.array().map(u64::from_le_bytes)
     }
 
+    /// A length or count. It can never exceed the bytes remaining;
+    /// reject early so corrupt lengths cannot trigger huge allocations.
     pub(crate) fn len(&mut self, what: &str) -> Result<usize, DbError> {
-        let n = self.u64()? as usize;
-        // A length can never exceed the bytes remaining; reject early so
-        // corrupt lengths cannot trigger huge allocations.
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(DbError::Protocol(format!("implausible length for {what}")));
-        }
-        Ok(n)
+        usize::try_from(self.u64()?)
+            .ok()
+            .filter(|&n| n <= self.rest.len())
+            .ok_or_else(|| DbError::Protocol(format!("implausible length for {what}")))
     }
 
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], DbError> {
-        let n = self.len("byte string")?;
-        let end = self.pos + n;
-        let slice = self.buf.get(self.pos..end);
-        self.pos = end;
-        slice.map_or_else(|| Self::err("byte string"), Ok)
+        let (head, rest) = usize::try_from(self.u64()?)
+            .ok()
+            .and_then(|n| self.rest.split_at_checked(n))
+            .ok_or_else(|| DbError::Protocol("implausible length for byte string".into()))?;
+        self.rest = rest;
+        Ok(head)
     }
 
     pub(crate) fn str(&mut self) -> Result<String, DbError> {
@@ -407,8 +455,51 @@ impl<'a> Reader<'a> {
             .map_err(|_| DbError::Protocol("non-UTF-8 string".into()))
     }
 
+    /// A count, then that many items. This is the one place a decoded
+    /// count sizes an allocation, and it reserves no more memory than
+    /// the bytes still unread: `len` only bounds the *count* by those
+    /// bytes, and an `EncryptedRow` is 72 bytes in memory, a `Request`
+    /// a few hundred, so reserving `count` elements up front would let
+    /// a 1 MiB frame of lies reserve hundreds of MiB before its first
+    /// item fails to parse. Honest sequences whose items are smaller on
+    /// the wire than in memory grow the usual way.
+    fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, DbError>,
+    ) -> Result<Vec<T>, DbError> {
+        let n = self.len("sequence")?;
+        let affordable = self.rest.len() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(n.min(affordable));
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Read a `T` written by [`Writer::put`].
+    pub(crate) fn get<T: Wire>(&mut self) -> Result<T, DbError> {
+        if !T::FRAMED {
+            return T::get(self);
+        }
+        if self.depth == MAX_NESTING {
+            return Err(DbError::Protocol("messages nested too deep".into()));
+        }
+        let mut body = Reader {
+            rest: self.bytes()?,
+            depth: self.depth + 1,
+        };
+        let v = T::get(&mut body)?;
+        body.finish()?;
+        Ok(v)
+    }
+
+    /// Everything not yet read.
+    pub(crate) fn into_rest(self) -> &'a [u8] {
+        self.rest
+    }
+
     pub(crate) fn finish(self) -> Result<(), DbError> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(DbError::Protocol("trailing bytes after message".into()))
@@ -416,817 +507,423 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_g1<E: Engine>(w: &mut Writer, p: &E::G1) {
-    w.bytes(&E::g1_bytes(p));
-}
-
-fn get_g1<E: Engine>(r: &mut Reader<'_>) -> Result<E::G1, DbError> {
-    E::g1_from_bytes(r.bytes()?)
-        .ok_or_else(|| DbError::Protocol("invalid G1 element (curve/subgroup check)".into()))
-}
-
-fn put_g2<E: Engine>(w: &mut Writer, p: &E::G2) {
-    w.bytes(&E::g2_bytes(p));
-}
-
-fn get_g2<E: Engine>(r: &mut Reader<'_>) -> Result<E::G2, DbError> {
-    E::g2_from_bytes(r.bytes()?)
-        .ok_or_else(|| DbError::Protocol("invalid G2 element (curve/subgroup check)".into()))
-}
-
-fn put_side_tokens<E: Engine>(w: &mut Writer, side: &SideTokens<E>) {
-    w.str(&side.table);
-    w.u8(match side.token.side() {
-        SjTableSide::A => 0,
-        SjTableSide::B => 1,
-    });
-    w.u64(side.token.elements().len() as u64);
-    for e in side.token.elements() {
-        put_g1::<E>(w, e);
+impl Wire for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self);
     }
-    w.u64(side.prefilter.len() as u64);
-    for (col, tags) in &side.prefilter {
-        w.u64(*col as u64);
-        w.u64(tags.len() as u64);
-        for tag in tags {
-            w.out.extend_from_slice(tag);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.u64()
     }
 }
 
-fn get_side_tokens<E: Engine>(r: &mut Reader<'_>) -> Result<SideTokens<E>, DbError> {
-    let table = r.str()?;
-    let side = match r.u8()? {
-        0 => SjTableSide::A,
-        1 => SjTableSide::B,
-        other => return Err(DbError::Protocol(format!("unknown table side {other}"))),
-    };
-    let n = r.len("token elements")?;
-    let elements = (0..n).map(|_| get_g1::<E>(r)).collect::<Result<_, _>>()?;
-    let n_filters = r.len("prefilter sets")?;
-    let mut prefilter = Vec::with_capacity(n_filters);
-    for _ in 0..n_filters {
-        let col = r.u64()? as usize;
-        let n_tags = r.len("prefilter tags")?;
-        let mut tags = Vec::with_capacity(n_tags);
-        for _ in 0..n_tags {
-            let mut tag = [0u8; 16];
-            let end = r.pos + 16;
-            let slice = r
-                .buf
-                .get(r.pos..end)
-                .ok_or_else(|| DbError::Protocol("truncated tag".into()))?;
-            tag.copy_from_slice(slice);
-            r.pos = end;
-            tags.push(tag);
-        }
-        prefilter.push((col, tags));
+/// As a little-endian `u64`, whatever the platform's pointer width.
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64);
     }
-    Ok(SideTokens {
-        table,
-        token: SjToken::from_elements(side, elements),
-        prefilter,
-    })
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        Ok(r.u64()? as usize)
+    }
 }
 
-fn put_query_tokens<E: Engine>(w: &mut Writer, tokens: &QueryTokens<E>) {
-    w.u64(tokens.query_id);
-    put_side_tokens(w, &tokens.left);
-    put_side_tokens(w, &tokens.right);
+/// One byte; any nonzero byte reads as `true`.
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        Ok(r.u8()? != 0)
+    }
 }
 
-fn get_query_tokens<E: Engine>(r: &mut Reader<'_>) -> Result<QueryTokens<E>, DbError> {
-    Ok(QueryTokens {
-        query_id: r.u64()?,
-        left: get_side_tokens(r)?,
-        right: get_side_tokens(r)?,
-    })
+/// Whole nanoseconds as a `u64`.
+impl Wire for Duration {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.as_nanos() as u64);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.u64().map(Duration::from_nanos)
+    }
 }
 
-fn put_options(w: &mut Writer, options: &JoinOptions) {
-    w.u8(match options.algorithm {
-        JoinAlgorithm::Hash => 0,
-        JoinAlgorithm::NestedLoop => 1,
-    });
-    w.u8(options.use_prefilter as u8);
-    w.u64(options.threads as u64);
-    w.u8(options.decrypt_cache as u8);
-    w.u64(options.decrypt_cache_cap as u64);
+/// Length, then UTF-8 bytes.
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.str()
+    }
 }
 
-fn get_options(r: &mut Reader<'_>) -> Result<JoinOptions, DbError> {
-    let algorithm = match r.u8()? {
-        0 => JoinAlgorithm::Hash,
-        1 => JoinAlgorithm::NestedLoop,
-        other => return Err(DbError::Protocol(format!("unknown join algorithm {other}"))),
-    };
-    let use_prefilter = r.u8()? != 0;
-    let threads = r.u64()? as usize;
-    let decrypt_cache = r.u8()? != 0;
-    let decrypt_cache_cap = r.u64()? as usize;
-    Ok(JoinOptions {
-        algorithm,
-        use_prefilter,
-        threads,
-        decrypt_cache,
-        decrypt_cache_cap,
-    })
+/// A byte string: length, then the bytes as one slice copy. (`u8`
+/// itself is not [`Wire`], so this does not overlap `Vec<T>`.)
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.bytes().map(<[u8]>::to_vec)
+    }
 }
 
-fn put_column_list(w: &mut Writer, cols: &Option<Vec<usize>>) {
-    match cols {
-        None => w.u8(0),
-        Some(cols) => {
-            w.u8(1);
-            w.u64(cols.len() as u64);
-            for &c in cols {
-                w.u64(c as u64);
+/// Raw bytes, no length (prefilter tags).
+impl<const N: usize> Wire for [u8; N] {
+    fn put(&self, w: &mut Writer) {
+        w.out.extend_from_slice(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.array()
+    }
+}
+
+/// Count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self, Writer::put);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.seq(Reader::get)
+    }
+}
+
+/// Marker byte `0`, or `1` and the item.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                w.put(v);
             }
         }
     }
-}
-
-fn get_column_list(r: &mut Reader<'_>) -> Result<Option<Vec<usize>>, DbError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let n = r.len("projection columns")?;
-            (0..n)
-                .map(|_| Ok(r.u64()? as usize))
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some)
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => r.get().map(Some),
+            other => Err(DbError::Protocol(format!("bad option marker {other}"))),
         }
-        other => Err(DbError::Protocol(format!("bad projection marker {other}"))),
     }
 }
 
-fn put_projection(w: &mut Writer, projection: &PayloadProjection) {
-    put_column_list(w, &projection.left);
-    put_column_list(w, &projection.right);
-}
-
-fn get_projection(r: &mut Reader<'_>) -> Result<PayloadProjection, DbError> {
-    Ok(PayloadProjection {
-        left: get_column_list(r)?,
-        right: get_column_list(r)?,
-    })
-}
-
-fn put_payloads(w: &mut Writer, payloads: &[Vec<u8>]) {
-    w.u64(payloads.len() as u64);
-    for p in payloads {
-        w.bytes(p);
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        w.put(&self.0);
+        w.put(&self.1);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        Ok((r.get()?, r.get()?))
     }
 }
 
-fn get_payloads(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, DbError> {
-    let n = r.len("column payloads")?;
-    (0..n).map(|_| Ok(r.bytes()?.to_vec())).collect()
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put(&**self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.get().map(Box::new)
+    }
 }
 
-pub(crate) fn put_row<E: Engine>(w: &mut Writer, row: &EncryptedRow<E>) {
-    w.u64(row.cipher.elements().len() as u64);
-    for e in row.cipher.elements() {
-        put_g2::<E>(w, e);
+/// The side, then the `G1` elements, each as a byte string holding the
+/// engine's canonical encoding (curve and subgroup checked on read).
+impl<E: Engine> Wire for SjToken<E> {
+    fn put(&self, w: &mut Writer) {
+        w.put(&self.side());
+        w.seq(self.elements(), |w, e| w.bytes(&E::g1_bytes(e)));
     }
-    put_payloads(w, &row.payloads);
-    match &row.tags {
-        None => w.u8(0),
-        Some(tags) => {
-            w.u8(1);
-            w.u64(tags.len() as u64);
-            for tag in tags {
-                w.out.extend_from_slice(tag);
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        let side = r.get()?;
+        let elements = r.seq(|r| {
+            E::g1_from_bytes(r.bytes()?).ok_or_else(|| {
+                DbError::Protocol("invalid G1 element (curve/subgroup check)".into())
+            })
+        })?;
+        Ok(SjToken::from_elements(side, elements))
+    }
+}
+
+/// The `G2` elements, encoded like a token's `G1` elements.
+impl<E: Engine> Wire for SjRowCiphertext<E> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self.elements(), |w, e| w.bytes(&E::g2_bytes(e)));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        let elements = r.seq(|r| {
+            E::g2_from_bytes(r.bytes()?).ok_or_else(|| {
+                DbError::Protocol("invalid G2 element (curve/subgroup check)".into())
+            })
+        })?;
+        Ok(SjRowCiphertext::from_elements(elements))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wire format: the structs that travel
+// ---------------------------------------------------------------------
+
+/// A struct's layout: its fields, in the order listed, nothing between.
+macro_rules! wire_struct {
+    ($ty:ident $(<$g:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$g: Engine>)? Wire for $ty $(<$g>)? {
+            fn put(&self, w: &mut Writer) {
+                $( w.put(&self.$field); )+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+                Ok($ty { $( $field: r.get()? ),+ })
             }
         }
-    }
-}
-
-pub(crate) fn get_row<E: Engine>(r: &mut Reader<'_>) -> Result<EncryptedRow<E>, DbError> {
-    let n_elems = r.len("ciphertext elements")?;
-    let elements = (0..n_elems)
-        .map(|_| get_g2::<E>(r))
-        .collect::<Result<_, _>>()?;
-    let payloads = get_payloads(r)?;
-    let tags = match r.u8()? {
-        0 => None,
-        1 => {
-            let n_tags = r.len("row tags")?;
-            let mut tags = Vec::with_capacity(n_tags);
-            for _ in 0..n_tags {
-                let end = r.pos + 16;
-                let slice = r
-                    .buf
-                    .get(r.pos..end)
-                    .ok_or_else(|| DbError::Protocol("truncated tag".into()))?;
-                let mut tag = [0u8; 16];
-                tag.copy_from_slice(slice);
-                r.pos = end;
-                tags.push(tag);
-            }
-            Some(tags)
-        }
-        other => return Err(DbError::Protocol(format!("bad tags marker {other}"))),
     };
-    Ok(EncryptedRow {
-        cipher: SjRowCiphertext::from_elements(elements),
-        payloads,
-        tags,
-    })
 }
 
-fn put_table<E: Engine>(w: &mut Writer, table: &EncryptedTable<E>) {
-    w.str(&table.name);
-    w.str(&table.join_column);
-    w.u64(table.filter_columns.len() as u64);
-    for c in &table.filter_columns {
-        w.str(c);
-    }
-    w.u64(table.rows.len() as u64);
-    for row in &table.rows {
-        put_row(w, row);
-    }
-}
+wire_struct!(SideTokens<E> { table, token, prefilter });
+wire_struct!(QueryTokens<E> { query_id, left, right });
+wire_struct!(JoinOptions {
+    algorithm,
+    use_prefilter,
+    threads,
+    decrypt_cache,
+    decrypt_cache_cap,
+});
+wire_struct!(PayloadProjection { left, right });
+wire_struct!(EncryptedRow<E> { cipher, payloads, tags });
+wire_struct!(EncryptedTable<E> { name, join_column, filter_columns, rows });
+wire_struct!(MatchedPair {
+    left_row,
+    right_row,
+    left_payloads,
+    right_payloads
+});
+wire_struct!(ServerStats {
+    rows_decrypted,
+    rows_prefiltered_out,
+    comparisons,
+    matched_pairs,
+    decrypt_time,
+    match_time,
+    decrypt_cache_hits,
+});
+wire_struct!(EncryptedJoinResult { pairs, stats });
+wire_struct!(JoinObservation {
+    query_id,
+    equality_classes
+});
+wire_struct!(TransportStats {
+    round_trips,
+    requests,
+    batches,
+    bytes_sent,
+    bytes_received,
+    reconnects,
+    retries,
+    gave_up,
+});
+wire_struct!(ServerMetrics {
+    transport,
+    exposition
+});
 
-fn get_table<E: Engine>(r: &mut Reader<'_>) -> Result<EncryptedTable<E>, DbError> {
-    let name = r.str()?;
-    let join_column = r.str()?;
-    let n_cols = r.len("filter columns")?;
-    let filter_columns = (0..n_cols).map(|_| r.str()).collect::<Result<_, _>>()?;
-    let n_rows = r.len("rows")?;
-    let mut rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        rows.push(get_row(r)?);
-    }
-    Ok(EncryptedTable {
-        name,
-        join_column,
-        filter_columns,
-        rows,
-    })
-}
+// ---------------------------------------------------------------------
+// Wire format: the tag tables
+// ---------------------------------------------------------------------
 
-fn put_error(w: &mut Writer, e: &DbError) {
-    // Compact structured encoding so a remote backend's errors survive
-    // the wire without collapsing into strings.
-    match e {
-        DbError::UnknownTable(t) => {
-            w.u8(0);
-            w.str(t);
+/// A tagged union's layout: one tag byte, then the variant's fields in
+/// the order listed. Each `tag => Variant` line is the only place that
+/// tag is written; the encoder, the decoder, the `pub const` per variant
+/// and the `WIRE_TAGS` listing in the named module all come from it.
+/// The encoder is an exhaustive `match`, so a variant missing from the
+/// table does not compile. Tags are never renumbered or reused: the
+/// journal on disk holds these bytes (`tests/fixtures/wire_golden.hex`
+/// pins them).
+macro_rules! wire_enum {
+    (
+        $(#[$doc:meta])*
+        $vis:vis mod $tags:ident: $what:literal, framed: $framed:literal, for $ty:ident $(<$g:ident>)?;
+        $( $tag:literal => $variant:ident $( ( $($tf:ident),+ ) )? $( { $($sf:ident),+ } )? ),+ $(,)?
+    ) => {
+        $(#[$doc])*
+        #[allow(non_upper_case_globals, dead_code)]
+        $vis mod $tags {
+            $( pub const $variant: u8 = $tag; )+
+            /// Every variant and its tag, in table order.
+            pub const WIRE_TAGS: &[(&str, u8)] = &[ $( (stringify!($variant), $tag) ),+ ];
         }
-        DbError::UnknownColumn { table, column } => {
-            w.u8(1);
-            w.str(table);
-            w.str(column);
-        }
-        DbError::JoinColumnMismatch {
-            table,
-            requested,
-            encrypted,
-        } => {
-            w.u8(2);
-            w.str(table);
-            w.str(requested);
-            w.str(encrypted);
-        }
-        DbError::NotAFilterColumn { table, column } => {
-            w.u8(3);
-            w.str(table);
-            w.str(column);
-        }
-        DbError::InClauseTooLarge { got, max } => {
-            w.u8(4);
-            w.u64(*got as u64);
-            w.u64(*max as u64);
-        }
-        DbError::EmptyInClause => w.u8(5),
-        DbError::PayloadCorrupted => w.u8(6),
-        DbError::TooManyFilterColumns { table, got, max } => {
-            w.u8(7);
-            w.str(table);
-            w.u64(*got as u64);
-            w.u64(*max as u64);
-        }
-        DbError::Protocol(msg) => {
-            w.u8(8);
-            w.str(msg);
-        }
-        DbError::Sql(msg) => {
-            w.u8(9);
-            w.str(msg);
-        }
-        DbError::NoSqlPlanner => w.u8(10),
-        DbError::Transport(msg) => {
-            w.u8(11);
-            w.str(msg);
-        }
-        DbError::FilterTableNotInQuery { table, column } => {
-            w.u8(12);
-            w.str(table);
-            w.str(column);
-        }
-        DbError::DuplicateProjectionColumn { table, column } => {
-            w.u8(13);
-            w.str(table);
-            w.str(column);
-        }
-        DbError::InvalidPlan(msg) => {
-            w.u8(14);
-            w.str(msg);
-        }
-        DbError::UnknownRow { table, row } => {
-            w.u8(15);
-            w.str(table);
-            w.u64(*row);
-        }
-        DbError::Snapshot(msg) => {
-            w.u8(16);
-            w.str(msg);
-        }
-        DbError::Overloaded {
-            tenant,
-            in_flight,
-            cap,
-        } => {
-            w.u8(17);
-            match tenant {
-                None => w.u8(0),
-                Some(t) => {
-                    w.u8(1);
-                    w.str(t);
+
+        impl $(<$g: Engine>)? Wire for $ty $(<$g>)? {
+            const FRAMED: bool = $framed;
+
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $( Self::$variant $( ( $($tf),+ ) )? $( { $($sf),+ } )? => {
+                        w.u8($tag);
+                        $( $( w.put($tf); )+ )?
+                        $( $( w.put($sf); )+ )?
+                    } )+
                 }
             }
-            w.u64(*in_flight as u64);
-            w.u64(*cap as u64);
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+                Ok(match r.u8()? {
+                    $( $tag => Self::$variant
+                        $( ( $( { let $tf = r.get()?; $tf } ),+ ) )?
+                        $( { $( $sf: r.get()? ),+ } )?, )+
+                    other => {
+                        return Err(DbError::Protocol(format!(
+                            concat!("unknown ", $what, " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
         }
-        DbError::Timeout(msg) => {
-            w.u8(18);
-            w.str(msg);
-        }
-        DbError::DimensionMismatch {
-            what,
-            expected,
-            got,
-        } => {
-            w.u8(19);
-            w.str(what);
-            w.u64(*expected as u64);
-            w.u64(*got as u64);
-        }
-    }
+    };
 }
 
-fn get_error(r: &mut Reader<'_>) -> Result<DbError, DbError> {
-    Ok(match r.u8()? {
-        0 => DbError::UnknownTable(r.str()?),
-        1 => DbError::UnknownColumn {
-            table: r.str()?,
-            column: r.str()?,
-        },
-        2 => DbError::JoinColumnMismatch {
-            table: r.str()?,
-            requested: r.str()?,
-            encrypted: r.str()?,
-        },
-        3 => DbError::NotAFilterColumn {
-            table: r.str()?,
-            column: r.str()?,
-        },
-        4 => DbError::InClauseTooLarge {
-            got: r.u64()? as usize,
-            max: r.u64()? as usize,
-        },
-        5 => DbError::EmptyInClause,
-        6 => DbError::PayloadCorrupted,
-        7 => DbError::TooManyFilterColumns {
-            table: r.str()?,
-            got: r.u64()? as usize,
-            max: r.u64()? as usize,
-        },
-        8 => DbError::Protocol(r.str()?),
-        9 => DbError::Sql(r.str()?),
-        10 => DbError::NoSqlPlanner,
-        11 => DbError::Transport(r.str()?),
-        12 => DbError::FilterTableNotInQuery {
-            table: r.str()?,
-            column: r.str()?,
-        },
-        13 => DbError::DuplicateProjectionColumn {
-            table: r.str()?,
-            column: r.str()?,
-        },
-        14 => DbError::InvalidPlan(r.str()?),
-        15 => DbError::UnknownRow {
-            table: r.str()?,
-            row: r.u64()?,
-        },
-        16 => DbError::Snapshot(r.str()?),
-        17 => DbError::Overloaded {
-            tenant: match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                other => {
-                    return Err(DbError::Protocol(format!("bad tenant marker {other}")));
-                }
-            },
-            in_flight: r.u64()? as usize,
-            cap: r.u64()? as usize,
-        },
-        18 => DbError::Timeout(r.str()?),
-        19 => DbError::DimensionMismatch {
-            what: r.str()?,
-            expected: r.u64()? as usize,
-            got: r.u64()? as usize,
-        },
-        other => return Err(DbError::Protocol(format!("unknown error tag {other}"))),
-    })
+wire_enum! {
+    /// Wire tags of [`Request`].
+    pub mod request_tag: "request", framed: true, for Request<E>;
+    0 => Ping,
+    1 => InsertTable(table),
+    2 => ExecuteJoin { tokens, options, projection },
+    3 => Batch(requests),
+    4 => InsertRows { table, start_row, rows },
+    5 => DeleteRows { table, rows },
+    6 => WithTenant { tenant, inner },
+    7 => Drain,
+    8 => Stats,
+    9 => CopyRows { table, join_column, filter_columns, start_row, rows },
+}
+
+wire_enum! {
+    /// Wire tags of [`Response`].
+    pub mod response_tag: "response", framed: true, for Response;
+    0 => Pong,
+    1 => TableInserted { table, rows },
+    2 => JoinExecuted { result, observation },
+    3 => Error(error),
+    4 => Batch(responses),
+    5 => RowsInserted { table, rows },
+    6 => RowsDeleted { table, rows },
+    7 => Stats(metrics),
+    8 => CopyRows { table, rows, total_rows },
+}
+
+wire_enum! {
+    /// Wire tags of [`DbError`] — a compact structured encoding, so a
+    /// remote backend's errors survive the wire without collapsing into
+    /// strings.
+    pub mod error_tag: "error", framed: false, for DbError;
+    0 => UnknownTable(table),
+    1 => UnknownColumn { table, column },
+    2 => JoinColumnMismatch { table, requested, encrypted },
+    3 => NotAFilterColumn { table, column },
+    4 => InClauseTooLarge { got, max },
+    5 => EmptyInClause,
+    6 => PayloadCorrupted,
+    7 => TooManyFilterColumns { table, got, max },
+    8 => Protocol(message),
+    9 => Sql(message),
+    10 => NoSqlPlanner,
+    11 => Transport(message),
+    12 => FilterTableNotInQuery { table, column },
+    13 => DuplicateProjectionColumn { table, column },
+    14 => InvalidPlan(message),
+    15 => UnknownRow { table, row },
+    16 => Snapshot(message),
+    17 => Overloaded { tenant, in_flight, cap },
+    18 => Timeout(message),
+    19 => DimensionMismatch { what, expected, got },
+}
+
+wire_enum! {
+    mod side_tag: "table side", framed: false, for SjTableSide;
+    0 => A,
+    1 => B,
+}
+
+wire_enum! {
+    mod algorithm_tag: "join algorithm", framed: false, for JoinAlgorithm;
+    0 => Hash,
+    1 => NestedLoop,
+}
+
+// ---------------------------------------------------------------------
+// Wire format: whole messages
+// ---------------------------------------------------------------------
+
+fn encode<T: Wire>(message: &T) -> Vec<u8> {
+    let mut w = Writer::default();
+    message.put(&mut w);
+    w.out
+}
+
+fn decode<T: Wire>(bytes: &[u8]) -> Result<T, DbError> {
+    let mut r = Reader::new(bytes);
+    let message = T::get(&mut r)?;
+    r.finish()?;
+    Ok(message)
 }
 
 impl<E: Engine> Request<E> {
     /// Serialize for the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            Request::Ping => Writer::new(0).out,
-            Request::InsertTable(table) => {
-                let mut w = Writer::new(1);
-                put_table(&mut w, table);
-                w.out
-            }
-            Request::ExecuteJoin {
-                tokens,
-                options,
-                projection,
-            } => {
-                let mut w = Writer::new(2);
-                put_query_tokens(&mut w, tokens);
-                put_options(&mut w, options);
-                put_projection(&mut w, projection);
-                w.out
-            }
-            Request::Batch(requests) => {
-                let mut w = Writer::new(3);
-                w.u64(requests.len() as u64);
-                for request in requests {
-                    debug_assert!(
-                        !matches!(request, Request::Batch(_)),
-                        "batches must not nest"
-                    );
-                    w.bytes(&request.to_bytes());
-                }
-                w.out
-            }
-            Request::InsertRows {
-                table,
-                start_row,
-                rows,
-            } => {
-                let mut w = Writer::new(4);
-                w.str(table);
-                w.u64(*start_row);
-                w.u64(rows.len() as u64);
-                for row in rows {
-                    put_row(&mut w, row);
-                }
-                w.out
-            }
-            Request::DeleteRows { table, rows } => {
-                let mut w = Writer::new(5);
-                w.str(table);
-                w.u64(rows.len() as u64);
-                for row in rows {
-                    w.u64(*row);
-                }
-                w.out
-            }
-            Request::WithTenant { tenant, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Request::WithTenant { .. } | Request::Drain),
-                    "tenant envelopes must not nest or wrap a drain"
-                );
-                let mut w = Writer::new(6);
-                w.str(tenant);
-                w.bytes(&inner.to_bytes());
-                w.out
-            }
-            Request::Drain => Writer::new(7).out,
-            Request::Stats => Writer::new(8).out,
-            Request::CopyRows {
-                table,
-                join_column,
-                filter_columns,
-                start_row,
-                rows,
-            } => {
-                let mut w = Writer::new(9);
-                w.str(table);
-                w.str(join_column);
-                w.u64(filter_columns.len() as u64);
-                for c in filter_columns {
-                    w.str(c);
-                }
-                w.u64(*start_row);
-                w.u64(rows.len() as u64);
-                for row in rows {
-                    put_row(&mut w, row);
-                }
-                w.out
-            }
-        }
+        encode(self)
     }
 
     /// Parse a wire message (rejects trailing bytes, invalid group
-    /// elements, and nested batches).
+    /// elements, and anything [`Request::validate`] rejects).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DbError> {
-        let mut r = Reader::new(bytes);
-        let req = match r.u8()? {
-            0 => Request::Ping,
-            1 => Request::InsertTable(get_table(&mut r)?),
-            2 => Request::ExecuteJoin {
-                tokens: get_query_tokens(&mut r)?,
-                options: get_options(&mut r)?,
-                projection: get_projection(&mut r)?,
+        let request: Self = decode(bytes)?;
+        request.validate()?;
+        Ok(request)
+    }
+
+    /// The rules the layout alone does not express: a batch holds no
+    /// batch, envelope or drain; an envelope names a well-formed tenant
+    /// and wraps no envelope or drain.
+    fn validate(&self) -> Result<(), DbError> {
+        let reject = |why: &str| Err(DbError::Protocol(why.into()));
+        match self {
+            Request::Batch(requests) => requests.iter().try_for_each(|r| match r {
+                Request::Batch(_) => reject("nested request batch"),
+                Request::WithTenant { .. } => {
+                    reject("tenant envelope inside a batch (wrap the whole batch instead)")
+                }
+                Request::Drain => reject("drain inside a batch"),
+                _ => Ok(()),
+            }),
+            Request::WithTenant { tenant, .. } if !valid_tenant_name(tenant) => {
+                Err(DbError::Protocol(format!(
+                    "invalid tenant name {tenant:?} (want [A-Za-z0-9_-]{{1,64}})"
+                )))
+            }
+            Request::WithTenant { inner, .. } => match **inner {
+                Request::WithTenant { .. } | Request::Drain => {
+                    reject("tenant envelope wrapping another envelope or a drain")
+                }
+                _ => inner.validate(),
             },
-            3 => {
-                let n = r.len("batch requests")?;
-                let mut requests = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sub = Request::from_bytes(r.bytes()?)?;
-                    match sub {
-                        Request::Batch(_) => {
-                            return Err(DbError::Protocol("nested request batch".into()))
-                        }
-                        Request::WithTenant { .. } => {
-                            return Err(DbError::Protocol(
-                                "tenant envelope inside a batch (wrap the whole batch instead)"
-                                    .into(),
-                            ))
-                        }
-                        Request::Drain => {
-                            return Err(DbError::Protocol("drain inside a batch".into()))
-                        }
-                        _ => {}
-                    }
-                    requests.push(sub);
-                }
-                Request::Batch(requests)
-            }
-            4 => {
-                let table = r.str()?;
-                let start_row = r.u64()?;
-                let n_rows = r.len("inserted rows")?;
-                let mut rows = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    rows.push(get_row(&mut r)?);
-                }
-                Request::InsertRows {
-                    table,
-                    start_row,
-                    rows,
-                }
-            }
-            5 => {
-                let table = r.str()?;
-                let n_rows = r.len("deleted row ids")?;
-                let rows = (0..n_rows).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                Request::DeleteRows { table, rows }
-            }
-            6 => {
-                let tenant = r.str()?;
-                if !valid_tenant_name(&tenant) {
-                    return Err(DbError::Protocol(format!(
-                        "invalid tenant name {tenant:?} (want [A-Za-z0-9_-]{{1,64}})"
-                    )));
-                }
-                let inner = Request::from_bytes(r.bytes()?)?;
-                if matches!(inner, Request::WithTenant { .. } | Request::Drain) {
-                    return Err(DbError::Protocol(
-                        "tenant envelope wrapping another envelope or a drain".into(),
-                    ));
-                }
-                Request::WithTenant {
-                    tenant,
-                    inner: Box::new(inner),
-                }
-            }
-            7 => Request::Drain,
-            8 => Request::Stats,
-            9 => {
-                let table = r.str()?;
-                let join_column = r.str()?;
-                let n_cols = r.len("copy filter columns")?;
-                let filter_columns = (0..n_cols).map(|_| r.str()).collect::<Result<_, _>>()?;
-                let start_row = r.u64()?;
-                let n_rows = r.len("copied rows")?;
-                let mut rows = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    rows.push(get_row(&mut r)?);
-                }
-                Request::CopyRows {
-                    table,
-                    join_column,
-                    filter_columns,
-                    start_row,
-                    rows,
-                }
-            }
-            other => return Err(DbError::Protocol(format!("unknown request tag {other}"))),
-        };
-        r.finish()?;
-        Ok(req)
+            _ => Ok(()),
+        }
     }
 }
 
 impl Response {
     /// Serialize for the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            Response::Pong => Writer::new(0).out,
-            Response::TableInserted { table, rows } => {
-                let mut w = Writer::new(1);
-                w.str(table);
-                w.u64(*rows as u64);
-                w.out
-            }
-            Response::JoinExecuted {
-                result,
-                observation,
-            } => {
-                let mut w = Writer::new(2);
-                w.u64(result.pairs.len() as u64);
-                for p in &result.pairs {
-                    w.u64(p.left_row as u64);
-                    w.u64(p.right_row as u64);
-                    put_payloads(&mut w, &p.left_payloads);
-                    put_payloads(&mut w, &p.right_payloads);
-                }
-                let s = &result.stats;
-                w.u64(s.rows_decrypted as u64);
-                w.u64(s.rows_prefiltered_out as u64);
-                w.u64(s.comparisons);
-                w.u64(s.matched_pairs as u64);
-                w.u64(s.decrypt_time.as_nanos() as u64);
-                w.u64(s.match_time.as_nanos() as u64);
-                w.u64(s.decrypt_cache_hits);
-                w.u64(observation.query_id);
-                w.u64(observation.equality_classes.len() as u64);
-                for class in &observation.equality_classes {
-                    w.u64(class.len() as u64);
-                    for (table, row) in class {
-                        w.str(table);
-                        w.u64(*row as u64);
-                    }
-                }
-                w.out
-            }
-            Response::Error(e) => {
-                let mut w = Writer::new(3);
-                put_error(&mut w, e);
-                w.out
-            }
-            Response::Batch(responses) => {
-                let mut w = Writer::new(4);
-                w.u64(responses.len() as u64);
-                for response in responses {
-                    debug_assert!(
-                        !matches!(response, Response::Batch(_)),
-                        "batches must not nest"
-                    );
-                    w.bytes(&response.to_bytes());
-                }
-                w.out
-            }
-            Response::RowsInserted { table, rows } => {
-                let mut w = Writer::new(5);
-                w.str(table);
-                w.u64(*rows as u64);
-                w.out
-            }
-            Response::RowsDeleted { table, rows } => {
-                let mut w = Writer::new(6);
-                w.str(table);
-                w.u64(*rows as u64);
-                w.out
-            }
-            Response::CopyRows {
-                table,
-                rows,
-                total_rows,
-            } => {
-                let mut w = Writer::new(8);
-                w.str(table);
-                w.u64(*rows as u64);
-                w.u64(*total_rows);
-                w.out
-            }
-            Response::Stats(metrics) => {
-                let mut w = Writer::new(7);
-                let t = &metrics.transport;
-                w.u64(t.round_trips);
-                w.u64(t.requests);
-                w.u64(t.batches);
-                w.u64(t.bytes_sent);
-                w.u64(t.bytes_received);
-                w.u64(t.reconnects);
-                w.u64(t.retries);
-                w.u64(t.gave_up);
-                w.str(&metrics.exposition);
-                w.out
-            }
-        }
+        encode(self)
     }
 
     /// Parse a wire message (rejects trailing bytes and nested batches).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DbError> {
-        let mut r = Reader::new(bytes);
-        let resp = match r.u8()? {
-            0 => Response::Pong,
-            1 => Response::TableInserted {
-                table: r.str()?,
-                rows: r.u64()? as usize,
-            },
-            2 => {
-                let n_pairs = r.len("matched pairs")?;
-                let mut pairs = Vec::with_capacity(n_pairs);
-                for _ in 0..n_pairs {
-                    pairs.push(MatchedPair {
-                        left_row: r.u64()? as usize,
-                        right_row: r.u64()? as usize,
-                        left_payloads: get_payloads(&mut r)?,
-                        right_payloads: get_payloads(&mut r)?,
-                    });
-                }
-                let stats = ServerStats {
-                    rows_decrypted: r.u64()? as usize,
-                    rows_prefiltered_out: r.u64()? as usize,
-                    comparisons: r.u64()?,
-                    matched_pairs: r.u64()? as usize,
-                    decrypt_time: Duration::from_nanos(r.u64()?),
-                    match_time: Duration::from_nanos(r.u64()?),
-                    decrypt_cache_hits: r.u64()?,
-                };
-                let query_id = r.u64()?;
-                let n_classes = r.len("equality classes")?;
-                let mut equality_classes = Vec::with_capacity(n_classes);
-                for _ in 0..n_classes {
-                    let n_members = r.len("class members")?;
-                    let mut class = Vec::with_capacity(n_members);
-                    for _ in 0..n_members {
-                        let table = r.str()?;
-                        class.push((table, r.u64()? as usize));
-                    }
-                    equality_classes.push(class);
-                }
-                Response::JoinExecuted {
-                    result: EncryptedJoinResult { pairs, stats },
-                    observation: JoinObservation {
-                        query_id,
-                        equality_classes,
-                    },
-                }
+        let response: Self = decode(bytes)?;
+        if let Response::Batch(responses) = &response {
+            if responses.iter().any(|r| matches!(r, Response::Batch(_))) {
+                return Err(DbError::Protocol("nested response batch".into()));
             }
-            3 => Response::Error(get_error(&mut r)?),
-            4 => {
-                let n = r.len("batch responses")?;
-                let mut responses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sub = Response::from_bytes(r.bytes()?)?;
-                    if matches!(sub, Response::Batch(_)) {
-                        return Err(DbError::Protocol("nested response batch".into()));
-                    }
-                    responses.push(sub);
-                }
-                Response::Batch(responses)
-            }
-            5 => Response::RowsInserted {
-                table: r.str()?,
-                rows: r.u64()? as usize,
-            },
-            6 => Response::RowsDeleted {
-                table: r.str()?,
-                rows: r.u64()? as usize,
-            },
-            7 => Response::Stats(ServerMetrics {
-                transport: TransportStats {
-                    round_trips: r.u64()?,
-                    requests: r.u64()?,
-                    batches: r.u64()?,
-                    bytes_sent: r.u64()?,
-                    bytes_received: r.u64()?,
-                    reconnects: r.u64()?,
-                    retries: r.u64()?,
-                    gave_up: r.u64()?,
-                },
-                exposition: r.str()?,
-            }),
-            8 => Response::CopyRows {
-                table: r.str()?,
-                rows: r.u64()? as usize,
-                total_rows: r.u64()?,
-            },
-            other => return Err(DbError::Protocol(format!("unknown response tag {other}"))),
-        };
-        r.finish()?;
-        Ok(resp)
+        }
+        Ok(response)
     }
 }
 
@@ -1352,223 +1049,5 @@ mod tests {
             })
             .collect();
         assert_eq!((got[0].clone(), got[1].clone()), expected);
-    }
-
-    #[test]
-    fn batch_wire_round_trip_and_nesting_rejected() {
-        let (mut client, enc, q) = sample();
-        let tokens = client.query_tokens(&q).unwrap();
-        let batch = Request::Batch(vec![
-            Request::Ping,
-            Request::InsertTable(enc),
-            Request::ExecuteJoin {
-                tokens,
-                options: JoinOptions::default(),
-                projection: Default::default(),
-            },
-        ]);
-        let bytes = batch.to_bytes();
-        let back = Request::<MockEngine>::from_bytes(&bytes).unwrap();
-        assert_eq!(back.to_bytes(), bytes, "byte-identical round trip");
-
-        let resp = Response::Batch(vec![
-            Response::Pong,
-            Response::Error(DbError::EmptyInClause),
-            Response::TableInserted {
-                table: "T".into(),
-                rows: 2,
-            },
-        ]);
-        let resp_bytes = resp.to_bytes();
-        let resp_back = Response::from_bytes(&resp_bytes).unwrap();
-        assert_eq!(resp_back.to_bytes(), resp_bytes);
-
-        // Hand-craft a nested batch (tag 3 wrapping a batch message):
-        // the codec must reject it rather than recurse.
-        let mut w = Writer::new(3);
-        w.u64(1);
-        w.bytes(&Request::<MockEngine>::Batch(vec![Request::Ping]).to_bytes());
-        assert!(matches!(
-            Request::<MockEngine>::from_bytes(&w.out),
-            Err(DbError::Protocol(_))
-        ));
-        let mut w = Writer::new(4);
-        w.u64(1);
-        w.bytes(&Response::Batch(vec![Response::Pong]).to_bytes());
-        assert!(matches!(
-            Response::from_bytes(&w.out),
-            Err(DbError::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn request_wire_round_trip_preserves_execution() {
-        let (mut client, enc, q) = sample();
-        let tokens = client.query_tokens(&q).unwrap();
-
-        // Serialize both requests, parse them back, execute, and compare
-        // with the direct execution path.
-        let insert = Request::InsertTable(enc);
-        let exec = Request::ExecuteJoin {
-            tokens,
-            options: JoinOptions {
-                algorithm: JoinAlgorithm::NestedLoop,
-                use_prefilter: false,
-                threads: 3,
-                decrypt_cache: true,
-                decrypt_cache_cap: 16,
-            },
-            projection: Default::default(),
-        };
-        let insert2 = Request::<MockEngine>::from_bytes(&insert.to_bytes()).unwrap();
-        let exec2 = Request::<MockEngine>::from_bytes(&exec.to_bytes()).unwrap();
-        match (&exec, &exec2) {
-            (Request::ExecuteJoin { options: a, .. }, Request::ExecuteJoin { options: b, .. }) => {
-                assert_eq!(a.algorithm, b.algorithm);
-                assert_eq!(a.use_prefilter, b.use_prefilter);
-                assert_eq!(a.threads, b.threads);
-            }
-            _ => panic!("round trip changed the message kind"),
-        }
-
-        let direct = LocalBackend::<MockEngine>::new();
-        let wired = LocalBackend::<MockEngine>::new();
-        match (direct.handle(insert), wired.handle(insert2)) {
-            (
-                Response::TableInserted { table: a, rows: ra },
-                Response::TableInserted { table: b, rows: rb },
-            ) => {
-                assert_eq!(a, b);
-                assert_eq!(ra, rb);
-            }
-            _ => panic!("insert failed"),
-        }
-        let (r1, r2) = (direct.handle(exec), wired.handle(exec2));
-        match (r1, r2) {
-            (
-                Response::JoinExecuted { result: a, .. },
-                Response::JoinExecuted { result: b, .. },
-            ) => {
-                let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-                    r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-                };
-                assert_eq!(key(&a), key(&b));
-            }
-            _ => panic!("join failed"),
-        }
-    }
-
-    #[test]
-    fn corrupt_messages_rejected() {
-        assert!(Request::<MockEngine>::from_bytes(&[]).is_err());
-        assert!(Request::<MockEngine>::from_bytes(&[9]).is_err());
-        let mut ping = Request::<MockEngine>::Ping.to_bytes();
-        ping.push(0); // trailing byte
-        assert!(Request::<MockEngine>::from_bytes(&ping).is_err());
-        // A length field pointing past the end of the buffer must error,
-        // not allocate.
-        let bad = [1u8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
-        assert!(matches!(
-            Request::<MockEngine>::from_bytes(&bad),
-            Err(DbError::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn update_and_envelope_requests_round_trip() {
-        let del = Request::<MockEngine>::DeleteRows {
-            table: "orders".into(),
-            rows: vec![1, 5, 9],
-        };
-        match Request::<MockEngine>::from_bytes(&del.to_bytes()).unwrap() {
-            Request::DeleteRows { table, rows } => {
-                assert_eq!(table, "orders");
-                assert_eq!(rows, vec![1, 5, 9]);
-            }
-            _ => panic!("round trip changed the message kind"),
-        }
-
-        let wrapped = Request::<MockEngine>::WithTenant {
-            tenant: "acme".into(),
-            inner: Box::new(Request::Ping),
-        };
-        match Request::<MockEngine>::from_bytes(&wrapped.to_bytes()).unwrap() {
-            Request::WithTenant { tenant, inner } => {
-                assert_eq!(tenant, "acme");
-                assert!(matches!(*inner, Request::Ping));
-            }
-            _ => panic!("round trip changed the message kind"),
-        }
-
-        let drain = Request::<MockEngine>::Drain;
-        assert!(matches!(
-            Request::<MockEngine>::from_bytes(&drain.to_bytes()).unwrap(),
-            Request::Drain
-        ));
-    }
-
-    #[test]
-    fn error_responses_round_trip_structurally() {
-        let errors = vec![
-            DbError::UnknownTable("X".into()),
-            DbError::UnknownColumn {
-                table: "T".into(),
-                column: "c".into(),
-            },
-            DbError::JoinColumnMismatch {
-                table: "T".into(),
-                requested: "a".into(),
-                encrypted: "b".into(),
-            },
-            DbError::NotAFilterColumn {
-                table: "T".into(),
-                column: "c".into(),
-            },
-            DbError::InClauseTooLarge { got: 9, max: 3 },
-            DbError::EmptyInClause,
-            DbError::PayloadCorrupted,
-            DbError::TooManyFilterColumns {
-                table: "T".into(),
-                got: 4,
-                max: 2,
-            },
-            DbError::Protocol("p".into()),
-            DbError::Sql("s".into()),
-            DbError::NoSqlPlanner,
-            DbError::Transport("connection reset".into()),
-            DbError::Snapshot("checksum mismatch".into()),
-            DbError::FilterTableNotInQuery {
-                table: "T".into(),
-                column: "c".into(),
-            },
-            DbError::DuplicateProjectionColumn {
-                table: "T".into(),
-                column: "c".into(),
-            },
-            DbError::InvalidPlan("projection below join".into()),
-            DbError::Overloaded {
-                tenant: Some("acme".into()),
-                in_flight: 8,
-                cap: 8,
-            },
-            DbError::Overloaded {
-                tenant: None,
-                in_flight: 64,
-                cap: 64,
-            },
-            DbError::Timeout("read deadline of 250ms elapsed".into()),
-            DbError::DimensionMismatch {
-                what: "row attributes".into(),
-                expected: 2,
-                got: 5,
-            },
-        ];
-        for e in errors {
-            let resp = Response::Error(e.clone());
-            match Response::from_bytes(&resp.to_bytes()).unwrap() {
-                Response::Error(back) => assert_eq!(back, e),
-                _ => panic!("changed kind"),
-            }
-        }
     }
 }

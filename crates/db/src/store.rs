@@ -752,7 +752,7 @@ impl<E: Engine> EncryptedStore<E> {
     /// Serialize the full store — tables, prepared pairing state and
     /// the decrypt cache — into the snapshot wire format.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut body = Writer::raw();
+        let mut body = Writer::default();
         body.u64(self.next_version);
         let mut names: Vec<&String> = self.tables.keys().collect();
         names.sort();
@@ -762,10 +762,7 @@ impl<E: Engine> EncryptedStore<E> {
             let t = &self.tables[name];
             body.str(&t.name);
             body.str(&t.join_column);
-            body.u64(t.filter_columns.len() as u64);
-            for c in &t.filter_columns {
-                body.str(c);
-            }
+            body.put(&t.filter_columns);
             body.u64(t.len() as u64);
             for &id in &t.ids {
                 body.u64(id);
@@ -774,10 +771,7 @@ impl<E: Engine> EncryptedStore<E> {
                 body.u64(version);
             }
             for cipher in &t.ciphers {
-                body.u64(cipher.elements().len() as u64);
-                for e in cipher.elements() {
-                    body.bytes(&E::g2_bytes(e));
-                }
+                body.put(cipher);
             }
             for prepared in &t.prepared {
                 body.u64(prepared.elements().len() as u64);
@@ -830,7 +824,7 @@ impl<E: Engine> EncryptedStore<E> {
         drop(cache);
         let body = body.out;
 
-        let mut out = Writer::raw();
+        let mut out = Writer::default();
         out.out.extend_from_slice(SNAPSHOT_MAGIC);
         out.out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.str(E::NAME);
@@ -845,21 +839,17 @@ impl<E: Engine> EncryptedStore<E> {
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, DbError> {
         let snap = |msg: &str| DbError::Snapshot(msg.to_owned());
         let mut r = Reader::new(bytes);
-        let magic = bytes.get(..8).ok_or_else(|| snap("truncated header"))?;
-        if magic != SNAPSHOT_MAGIC {
+        let magic: [u8; 8] = r.array().map_err(|_| snap("truncated header"))?;
+        if &magic != SNAPSHOT_MAGIC {
             return Err(snap("bad magic (not an eqjoin store snapshot)"));
         }
-        r.pos = 8;
-        let version_bytes = bytes.get(8..12).ok_or_else(|| snap("truncated header"))?;
-        // audit-allow(panic-freedom): get(8..12) yields exactly 4 bytes
-        let version = u32::from_le_bytes(version_bytes.try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes(r.array().map_err(|_| snap("truncated header"))?);
         if version != SNAPSHOT_VERSION {
             return Err(DbError::Snapshot(format!(
                 "unsupported snapshot format version {version} (this build reads \
                  {SNAPSHOT_VERSION})"
             )));
         }
-        r.pos = 12;
         let engine = r.str().map_err(|_| snap("truncated engine name"))?;
         if engine != E::NAME {
             return Err(DbError::Snapshot(format!(
@@ -868,17 +858,11 @@ impl<E: Engine> EncryptedStore<E> {
             )));
         }
         let body_len = r.u64().map_err(|_| snap("truncated body length"))? as usize;
-        let checksum: [u8; 32] = bytes
-            .get(r.pos..r.pos + 32)
-            .ok_or_else(|| snap("truncated checksum"))?
-            .try_into()
-            // audit-allow(panic-freedom): the get() above yields exactly 32 bytes
-            .expect("32 bytes");
-        r.pos += 32;
-        let body = bytes
-            .get(r.pos..)
-            .filter(|b| b.len() == body_len)
-            .ok_or_else(|| snap("body length mismatch (truncated or padded snapshot)"))?;
+        let checksum: [u8; 32] = r.array().map_err(|_| snap("truncated checksum"))?;
+        let body = r.into_rest();
+        if body.len() != body_len {
+            return Err(snap("body length mismatch (truncated or padded snapshot)"));
+        }
         if eqjoin_crypto::sha256(body) != checksum {
             return Err(snap("checksum mismatch (corrupt snapshot)"));
         }
@@ -898,8 +882,7 @@ impl<E: Engine> EncryptedStore<E> {
         for _ in 0..n_tables {
             let name = r.str()?;
             let join_column = r.str()?;
-            let n_filter = r.len("filter columns")?;
-            let filter_columns = (0..n_filter).map(|_| r.str()).collect::<Result<_, _>>()?;
+            let filter_columns = r.get()?;
             let n_rows = r.len("rows")?;
             let ids: Vec<u64> = (0..n_rows).map(|_| r.u64()).collect::<Result<_, _>>()?;
             // audit-allow(panic-freedom): windows(2) yields exactly-2-element slices
@@ -907,17 +890,8 @@ impl<E: Engine> EncryptedStore<E> {
                 return Err(DbError::Protocol("row ids not strictly ascending".into()));
             }
             let versions: Vec<u64> = (0..n_rows).map(|_| r.u64()).collect::<Result<_, _>>()?;
-            let mut ciphers = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let n_elems = r.len("ciphertext elements")?;
-                let elements = (0..n_elems)
-                    .map(|_| {
-                        E::g2_from_bytes(r.bytes()?)
-                            .ok_or_else(|| DbError::Protocol("invalid G2 element".into()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                ciphers.push(SjRowCiphertext::from_elements(elements));
-            }
+            let ciphers: Vec<SjRowCiphertext<E>> =
+                (0..n_rows).map(|_| r.get()).collect::<Result<_, _>>()?;
             let mut prepared = Vec::with_capacity(n_rows);
             for cipher in ciphers.iter().take(n_rows) {
                 let n_elems = r.len("prepared elements")?;
@@ -948,18 +922,9 @@ impl<E: Engine> EncryptedStore<E> {
                     let n_tag_cols = r.len("tag columns")?;
                     let mut cols = Vec::with_capacity(n_tag_cols);
                     for _ in 0..n_tag_cols {
-                        let mut col = Vec::with_capacity(n_rows);
-                        for _ in 0..n_rows {
-                            let end = r.pos + 16;
-                            let slice = r
-                                .buf
-                                .get(r.pos..end)
-                                .ok_or_else(|| DbError::Protocol("truncated tag".into()))?;
-                            let mut tag = [0u8; 16];
-                            tag.copy_from_slice(slice);
-                            r.pos = end;
-                            col.push(tag);
-                        }
+                        let col = (0..n_rows)
+                            .map(|_| r.array::<16>())
+                            .collect::<Result<_, _>>()?;
                         cols.push(col);
                     }
                     Some(cols)
@@ -988,15 +953,7 @@ impl<E: Engine> EncryptedStore<E> {
         };
         let n_entries = r.len("cache entries")?;
         for _ in 0..n_entries {
-            let end = r.pos + 32;
-            let key: [u8; 32] = r
-                .buf
-                .get(r.pos..end)
-                .ok_or_else(|| DbError::Protocol("truncated cache key".into()))?
-                .try_into()
-                // audit-allow(panic-freedom): the get() above yields exactly 32 bytes
-                .expect("32 bytes");
-            r.pos = end;
+            let key: [u8; 32] = r.array()?;
             let table = r.str()?;
             let last_used = r.u64()?;
             let n_rows = r.len("cache rows")?;

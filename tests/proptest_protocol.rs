@@ -3,143 +3,13 @@
 //! truncated or corrupted frames are rejected with an error — never a
 //! panic, never a huge allocation.
 
-use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
-use eqjoin::db::{peek_envelope, RequestEnvelope};
-use eqjoin::db::{
-    DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinAlgorithm, JoinObservation,
-    JoinOptions, MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerMetrics,
-    ServerStats, SideTokens, TransportStats,
-};
-use eqjoin::pairing::{Engine, Fr, MockEngine};
+use eqjoin::db::protocol::{error_tag, request_tag, response_tag};
+use eqjoin::db::{peek_envelope, DbError, Request, RequestEnvelope, Response};
 use eqjoind_net::reactor::{next_frame, FrameStep};
 use proptest::prelude::*;
-use std::time::Duration;
 
-type Req = Request<MockEngine>;
-
-fn g1(x: u64) -> <MockEngine as Engine>::G1 {
-    MockEngine::g1_mul_gen(&Fr::from_u64(x))
-}
-
-fn g2(x: u64) -> <MockEngine as Engine>::G2 {
-    MockEngine::g2_mul_gen(&Fr::from_u64(x))
-}
-
-/// Deterministic 16-byte prefilter tag from a seed.
-fn tag(x: u64) -> [u8; 16] {
-    let mut t = [0u8; 16];
-    t[..8].copy_from_slice(&x.to_le_bytes());
-    t[8..].copy_from_slice(&x.wrapping_mul(31).to_le_bytes());
-    t
-}
-
-/// An encrypted table whose shape (rows, ciphertext width, payload
-/// length, tag presence) is driven entirely by the generated integers.
-fn table(name_id: u64, rows: &[(u64, u64, u64)], tagged: bool) -> EncryptedTable<MockEngine> {
-    EncryptedTable {
-        name: format!("T{name_id}"),
-        join_column: "k".into(),
-        filter_columns: vec!["a".into(), format!("col{name_id}")],
-        rows: rows
-            .iter()
-            .map(|&(seed, width, payload_len)| EncryptedRow {
-                cipher: SjRowCiphertext::from_elements(
-                    (0..=width % 5).map(|i| g2(seed.wrapping_add(i))).collect(),
-                ),
-                payloads: (0..payload_len % 4)
-                    .map(|c| {
-                        (0..(payload_len + c) % 16)
-                            .map(|i| (seed ^ c ^ i) as u8)
-                            .collect()
-                    })
-                    .collect(),
-                tags: tagged.then(|| vec![tag(seed), tag(seed ^ 1)]),
-            })
-            .collect(),
-    }
-}
-
-fn side(table_id: u64, side: SjTableSide, seeds: &[u64]) -> SideTokens<MockEngine> {
-    SideTokens {
-        table: format!("T{table_id}"),
-        token: SjToken::from_elements(side, seeds.iter().map(|&s| g1(s)).collect()),
-        prefilter: seeds
-            .iter()
-            .take(2)
-            .enumerate()
-            .map(|(col, &s)| (col, vec![tag(s), tag(s + 7)]))
-            .collect(),
-    }
-}
-
-fn exec_request(query_id: u64, seeds: &[u64], threads: u64) -> Req {
-    Request::ExecuteJoin {
-        tokens: QueryTokens {
-            query_id,
-            left: side(query_id, SjTableSide::A, seeds),
-            right: side(query_id + 1, SjTableSide::B, seeds),
-        },
-        options: JoinOptions {
-            algorithm: if query_id.is_multiple_of(2) {
-                JoinAlgorithm::Hash
-            } else {
-                JoinAlgorithm::NestedLoop
-            },
-            use_prefilter: query_id.is_multiple_of(3),
-            threads: threads as usize,
-            decrypt_cache: query_id.is_multiple_of(5),
-            decrypt_cache_cap: (query_id % 128) as usize,
-        },
-        projection: PayloadProjection {
-            left: query_id
-                .is_multiple_of(3)
-                .then(|| (0..query_id % 4).map(|i| i as usize).collect()),
-            right: query_id
-                .is_multiple_of(2)
-                .then(|| vec![query_id as usize % 7]),
-        },
-    }
-}
-
-fn join_response(pairs: &[(u64, u64, u64)], classes: &[(u64, u64)]) -> Response {
-    Response::JoinExecuted {
-        result: EncryptedJoinResult {
-            pairs: pairs
-                .iter()
-                .map(|&(l, r, p)| MatchedPair {
-                    left_row: l as usize,
-                    right_row: r as usize,
-                    left_payloads: (0..p % 3)
-                        .map(|c| (0..(p + c) % 16).map(|i| (l ^ c ^ i) as u8).collect())
-                        .collect(),
-                    right_payloads: (0..(p / 16) % 3)
-                        .map(|c| (0..(p / 16 + c) % 16).map(|i| (r ^ c ^ i) as u8).collect())
-                        .collect(),
-                })
-                .collect(),
-            stats: ServerStats {
-                rows_decrypted: pairs.len(),
-                rows_prefiltered_out: classes.len(),
-                comparisons: pairs.len() as u64 * 3,
-                matched_pairs: pairs.len(),
-                decrypt_time: Duration::from_nanos(pairs.len() as u64 * 11),
-                match_time: Duration::from_nanos(classes.len() as u64 * 13),
-                decrypt_cache_hits: pairs.len() as u64 * 7,
-            },
-        },
-        observation: JoinObservation {
-            query_id: pairs.len() as u64,
-            equality_classes: classes
-                .iter()
-                .map(|&(t, n)| {
-                    (0..2 + n % 3)
-                        .map(|i| (format!("T{t}"), (n + i) as usize))
-                        .collect()
-                })
-                .collect(),
-        },
-    }
-}
+mod wire_samples;
+use wire_samples::{copy_rows_request, exec_request, join_response, stats_response, table, Req};
 
 /// Byte-identity round trip through the codec, in both directions.
 fn assert_request_round_trips(request: &Req) {
@@ -244,21 +114,14 @@ proptest! {
         // The self-describing bulk-load chunk: table metadata rides in
         // every frame, and a zero-row chunk (pure "create table") is
         // wire-legal.
-        let t = table(name_id, &rows, tagged == 1);
-        let request = Req::CopyRows {
-            table: t.name.clone(),
-            join_column: t.join_column.clone(),
-            filter_columns: t.filter_columns.clone(),
-            start_row,
-            rows: t.rows,
-        };
+        let request = copy_rows_request(name_id, start_row, &rows, tagged == 1);
         assert_request_round_trips(&request);
         assert_prefixes_rejected(&request.to_bytes(), request_rejected);
         // Chunks pipeline inside a batch.
         assert_request_round_trips(&Request::Batch(vec![Request::Ping, request.clone()]));
 
         let response = Response::CopyRows {
-            table: t.name,
+            table: format!("T{name_id}"),
             rows: rows.len(),
             total_rows: total,
         };
@@ -328,21 +191,7 @@ proptest! {
             inner: Box::new(Request::Stats),
         });
 
-        let response = Response::Stats(ServerMetrics {
-            transport: TransportStats {
-                round_trips: trips,
-                requests: trips.wrapping_mul(3),
-                batches: trips % 17,
-                bytes_sent: trips.wrapping_mul(101),
-                bytes_received: trips.wrapping_mul(67),
-                reconnects: trips % 5,
-                retries: trips % 7,
-                gave_up: trips % 2,
-            },
-            exposition: (0..exposition_lines)
-                .map(|i| format!("eqjoin_metric_{i} {i}\n"))
-                .collect(),
-        });
+        let response = stats_response(trips, exposition_lines);
         assert_response_round_trips(&response);
         assert_prefixes_rejected(&response.to_bytes(), response_rejected);
         let mut long = response.to_bytes();
@@ -376,6 +225,134 @@ proptest! {
         // Outcome may be Ok (the flip hit a payload byte) or Err; the
         // only forbidden outcomes are panics and runaway allocation.
         let _ = Req::from_bytes(&bytes);
+    }
+}
+
+/// One walk over the three generated tag listings. A variant added to a
+/// table without a sample in `tests/wire_samples` fails here, which is
+/// what keeps the golden fixture and the checks below complete.
+#[test]
+fn every_wire_tag_has_a_sample_that_round_trips_and_rejects_every_prefix() {
+    let samples = wire_samples::encoded_samples();
+    for (space, tags) in [
+        ("request", request_tag::WIRE_TAGS),
+        ("response", response_tag::WIRE_TAGS),
+        ("error", error_tag::WIRE_TAGS),
+    ] {
+        for (i, (variant, tag)) in tags.iter().enumerate() {
+            assert!(
+                tags[..i].iter().all(|(v, t)| v != variant && t != tag),
+                "{space}.{variant} = {tag} is listed twice"
+            );
+            assert!(
+                samples.iter().any(|(s, v, _)| s == &space && v == variant),
+                "no sample for {space}.{variant}: add one to tests/wire_samples"
+            );
+        }
+    }
+
+    for (space, variant, bytes) in &samples {
+        let reencoded = |bytes: &[u8]| match *space {
+            "request" => Req::from_bytes(bytes).map(|m| m.to_bytes()),
+            _ => Response::from_bytes(bytes).map(|m| m.to_bytes()),
+        };
+        assert_eq!(reencoded(bytes).as_ref(), Ok(bytes), "{space}.{variant}");
+        for cut in 0..bytes.len() {
+            assert!(
+                reencoded(&bytes[..cut]).is_err(),
+                "{space}.{variant}: strict prefix of {cut}/{} bytes must be rejected",
+                bytes.len()
+            );
+        }
+    }
+
+    // Errors survive structurally, not just byte for byte.
+    for error in wire_samples::error_samples() {
+        match Response::from_bytes(&Response::Error(error.clone()).to_bytes()) {
+            Ok(Response::Error(back)) => assert_eq!(back, error),
+            other => panic!("{error:?} came back as {other:?}"),
+        }
+    }
+}
+
+/// What the layout cannot express is checked after decode: batches hold
+/// no batch, envelope or drain; envelopes name a well-formed tenant and
+/// wrap no envelope or drain.
+#[test]
+fn illegal_nesting_and_tenant_names_are_rejected_after_decode() {
+    let envelope = |tenant: &str, inner: Req| Req::WithTenant {
+        tenant: tenant.into(),
+        inner: Box::new(inner),
+    };
+    let illegal = [
+        Req::Batch(vec![Req::Ping, Req::Batch(vec![])]),
+        Req::Batch(vec![envelope("acme", Req::Ping)]),
+        Req::Batch(vec![Req::Drain]),
+        envelope("acme", envelope("acme", Req::Ping)),
+        envelope("acme", Req::Drain),
+        envelope("acme", Req::Batch(vec![Req::Drain])),
+        envelope("", Req::Ping),
+        envelope("../etc", Req::Ping),
+        envelope(&"x".repeat(65), Req::Ping),
+    ];
+    for request in illegal {
+        let bytes = request.to_bytes();
+        assert!(
+            matches!(Req::from_bytes(&bytes), Err(DbError::Protocol(_))),
+            "must be rejected: {bytes:02x?}"
+        );
+    }
+    let nested = Response::Batch(vec![Response::Pong, Response::Batch(vec![])]);
+    assert!(matches!(
+        Response::from_bytes(&nested.to_bytes()),
+        Err(DbError::Protocol(_))
+    ));
+    // The legal maximum: an envelope around a batch of leaves.
+    let legal = envelope("acme", Req::Batch(vec![Req::Ping, Req::Stats]));
+    assert!(Req::from_bytes(&legal.to_bytes()).is_ok());
+}
+
+/// README quotes tags in prose ("`Request::Stats` (wire tag 8)") and
+/// carries the three tables in its "Wire format" section; both must
+/// say what the generated listings say.
+#[test]
+fn readme_wire_tags_match_the_generated_listings() {
+    let readme = include_str!("../README.md");
+    let spaces = [
+        ("Request", request_tag::WIRE_TAGS),
+        ("Response", response_tag::WIRE_TAGS),
+        ("DbError", error_tag::WIRE_TAGS),
+    ];
+    let mention = "` (wire tag ";
+    let mut quoted = 0;
+    for (at, _) in readme.match_indices(mention) {
+        let name = readme[..at].rsplit('`').next().unwrap_or_default();
+        let (space, variant) = name
+            .split_once("::")
+            .expect("`Space::Variant` before a wire tag");
+        let tag = readme[at + mention.len()..].split(')').next();
+        let tag: u8 = tag.and_then(|n| n.parse().ok()).expect("a number");
+        let (_, tags) = spaces
+            .iter()
+            .find(|(s, _)| *s == space)
+            .expect("a known tag space");
+        assert!(
+            tags.contains(&(variant, tag)),
+            "README says {name} has wire tag {tag}"
+        );
+        quoted += 1;
+    }
+    assert!(quoted >= 2, "the prose mentions this test is for are gone");
+
+    for (space, tags) in spaces {
+        let table: String = tags
+            .iter()
+            .map(|(variant, tag)| format!("| {tag} | `{variant}` |\n"))
+            .collect();
+        assert!(
+            readme.contains(&table),
+            "README's `{space}` tag table must read:\n{table}"
+        );
     }
 }
 

@@ -7,6 +7,7 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
+use eqjoin::db::protocol::{error_tag, request_tag, response_tag};
 use eqjoin::db::{
     DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinAlgorithm, JoinObservation,
     JoinOptions, MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerMetrics,
@@ -176,233 +177,168 @@ pub fn stats_response(trips: u64, exposition_lines: u64) -> Response {
 }
 
 // ---------------------------------------------------------------------
-// The fixed samples: at least one per variant of each tag space, keyed
-// by variant name (a name may repeat to cover both arms of an option).
+// The fixed samples: at least one per variant of each tag space (more
+// where an option or a list has two shapes worth pinning).
 // ---------------------------------------------------------------------
 
 const ROWS: [(u64, u64, u64); 3] = [(11, 0, 5), (2_024, 3, 38), (999_983, 4, 0)];
 
-pub fn request_samples() -> Vec<(&'static str, Req)> {
+pub fn request_samples() -> Vec<Req> {
     vec![
-        ("Ping", Request::Ping),
-        ("InsertTable", Request::InsertTable(table(1, &ROWS, true))),
-        (
-            "InsertTable",
-            Request::InsertTable(table(2, &ROWS[..1], false)),
-        ),
-        ("ExecuteJoin", exec_request(30, &[5, 77, 4_242], 2)),
-        ("ExecuteJoin", exec_request(7, &[9], 0)),
-        (
-            "Batch",
-            Request::Batch(vec![
-                Request::Ping,
-                exec_request(12, &[3, 8], 1),
-                copy_rows_request(3, 40, &ROWS[1..], false),
+        Request::Ping,
+        Request::InsertTable(table(1, &ROWS, true)),
+        Request::InsertTable(table(2, &ROWS[..1], false)),
+        exec_request(30, &[5, 77, 4_242], 2),
+        exec_request(7, &[9], 0),
+        Request::Batch(vec![
+            Request::Ping,
+            exec_request(12, &[3, 8], 1),
+            copy_rows_request(3, 40, &ROWS[1..], false),
+            Request::Stats,
+        ]),
+        Request::InsertRows {
+            table: "T1".into(),
+            start_row: 3,
+            rows: table(1, &ROWS[..2], true).rows,
+        },
+        Request::DeleteRows {
+            table: "orders".into(),
+            rows: vec![1, 5, 9, u64::MAX],
+        },
+        Request::WithTenant {
+            tenant: "acme-01_eu".into(),
+            inner: Box::new(Request::Batch(vec![
                 Request::Stats,
-            ]),
-        ),
-        (
-            "InsertRows",
-            Request::InsertRows {
-                table: "T1".into(),
-                start_row: 3,
-                rows: table(1, &ROWS[..2], true).rows,
-            },
-        ),
-        (
-            "DeleteRows",
-            Request::DeleteRows {
-                table: "orders".into(),
-                rows: vec![1, 5, 9, u64::MAX],
-            },
-        ),
-        (
-            "WithTenant",
-            Request::WithTenant {
-                tenant: "acme-01_eu".into(),
-                inner: Box::new(Request::Batch(vec![
-                    Request::Stats,
-                    exec_request(15, &[21], 4),
-                ])),
-            },
-        ),
-        ("Drain", Request::Drain),
-        ("Stats", Request::Stats),
-        ("CopyRows", copy_rows_request(0, 1_000, &ROWS, true)),
-        ("CopyRows", copy_rows_request(2, 0, &[], false)),
+                exec_request(15, &[21], 4),
+            ])),
+        },
+        Request::Drain,
+        Request::Stats,
+        copy_rows_request(0, 1_000, &ROWS, true),
+        copy_rows_request(2, 0, &[], false),
     ]
 }
 
-pub fn error_samples() -> Vec<(&'static str, DbError)> {
+pub fn error_samples() -> Vec<DbError> {
     let (table, column) = (String::from("orders"), String::from("o_custkey"));
     vec![
-        ("UnknownTable", DbError::UnknownTable("X".into())),
-        (
-            "UnknownColumn",
-            DbError::UnknownColumn {
-                table: table.clone(),
-                column: column.clone(),
-            },
-        ),
-        (
-            "JoinColumnMismatch",
-            DbError::JoinColumnMismatch {
-                table: table.clone(),
-                requested: "a".into(),
-                encrypted: "b".into(),
-            },
-        ),
-        (
-            "NotAFilterColumn",
-            DbError::NotAFilterColumn {
-                table: table.clone(),
-                column: column.clone(),
-            },
-        ),
-        (
-            "InClauseTooLarge",
-            DbError::InClauseTooLarge { got: 9, max: 3 },
-        ),
-        ("EmptyInClause", DbError::EmptyInClause),
-        ("PayloadCorrupted", DbError::PayloadCorrupted),
-        (
-            "TooManyFilterColumns",
-            DbError::TooManyFilterColumns {
-                table: table.clone(),
-                got: 4,
-                max: 2,
-            },
-        ),
-        (
-            "Protocol",
-            DbError::Protocol("unknown request tag 200".into()),
-        ),
-        ("Sql", DbError::Sql("expected FROM near 'FORM'".into())),
-        ("NoSqlPlanner", DbError::NoSqlPlanner),
-        ("Transport", DbError::Transport("connection reset".into())),
-        (
-            "FilterTableNotInQuery",
-            DbError::FilterTableNotInQuery {
-                table: table.clone(),
-                column: column.clone(),
-            },
-        ),
-        (
-            "DuplicateProjectionColumn",
-            DbError::DuplicateProjectionColumn {
-                table: table.clone(),
-                column,
-            },
-        ),
-        (
-            "InvalidPlan",
-            DbError::InvalidPlan("projection below join".into()),
-        ),
-        (
-            "UnknownRow",
-            DbError::UnknownRow {
-                table,
-                row: 1 << 40,
-            },
-        ),
-        ("Snapshot", DbError::Snapshot("checksum mismatch".into())),
-        (
-            "Overloaded",
-            DbError::Overloaded {
-                tenant: Some("acme".into()),
-                in_flight: 8,
-                cap: 8,
-            },
-        ),
-        (
-            "Overloaded",
-            DbError::Overloaded {
-                tenant: None,
-                in_flight: 64,
-                cap: 64,
-            },
-        ),
-        (
-            "Timeout",
-            DbError::Timeout("read deadline of 250ms elapsed".into()),
-        ),
-        (
-            "DimensionMismatch",
-            DbError::DimensionMismatch {
-                what: "row attributes".into(),
-                expected: 2,
-                got: 5,
-            },
-        ),
+        DbError::UnknownTable("X".into()),
+        DbError::UnknownColumn {
+            table: table.clone(),
+            column: column.clone(),
+        },
+        DbError::JoinColumnMismatch {
+            table: table.clone(),
+            requested: "a".into(),
+            encrypted: "b".into(),
+        },
+        DbError::NotAFilterColumn {
+            table: table.clone(),
+            column: column.clone(),
+        },
+        DbError::InClauseTooLarge { got: 9, max: 3 },
+        DbError::EmptyInClause,
+        DbError::PayloadCorrupted,
+        DbError::TooManyFilterColumns {
+            table: table.clone(),
+            got: 4,
+            max: 2,
+        },
+        DbError::Protocol("unknown request tag 200".into()),
+        DbError::Sql("expected FROM near 'FORM'".into()),
+        DbError::NoSqlPlanner,
+        DbError::Transport("connection reset".into()),
+        DbError::FilterTableNotInQuery {
+            table: table.clone(),
+            column: column.clone(),
+        },
+        DbError::DuplicateProjectionColumn {
+            table: table.clone(),
+            column,
+        },
+        DbError::InvalidPlan("projection below join".into()),
+        DbError::UnknownRow {
+            table,
+            row: 1 << 40,
+        },
+        DbError::Snapshot("checksum mismatch".into()),
+        DbError::Overloaded {
+            tenant: Some("acme".into()),
+            in_flight: 8,
+            cap: 8,
+        },
+        DbError::Overloaded {
+            tenant: None,
+            in_flight: 64,
+            cap: 64,
+        },
+        DbError::Timeout("read deadline of 250ms elapsed".into()),
+        DbError::DimensionMismatch {
+            what: "row attributes".into(),
+            expected: 2,
+            got: 5,
+        },
     ]
 }
 
-pub fn response_samples() -> Vec<(&'static str, Response)> {
+pub fn response_samples() -> Vec<Response> {
     vec![
-        ("Pong", Response::Pong),
-        (
-            "TableInserted",
-            Response::TableInserted {
-                table: "T1".into(),
-                rows: 3,
-            },
+        Response::Pong,
+        Response::TableInserted {
+            table: "T1".into(),
+            rows: 3,
+        },
+        join_response(
+            &[(0, 2, 0x21), (7, 7, 0xff), (499, 1, 0)],
+            &[(1, 4), (3, 0)],
         ),
-        (
-            "JoinExecuted",
-            join_response(
-                &[(0, 2, 0x21), (7, 7, 0xff), (499, 1, 0)],
-                &[(1, 4), (3, 0)],
-            ),
-        ),
-        ("JoinExecuted", join_response(&[], &[])),
-        ("Error", Response::Error(DbError::EmptyInClause)),
-        (
-            "Batch",
-            Response::Batch(vec![
-                Response::Pong,
-                join_response(&[(1, 1, 0x12)], &[(0, 1)]),
-                Response::Error(DbError::UnknownTable("T9".into())),
-                stats_response(5, 1),
-            ]),
-        ),
-        (
-            "RowsInserted",
-            Response::RowsInserted {
-                table: "T1".into(),
-                rows: 2,
-            },
-        ),
-        (
-            "RowsDeleted",
-            Response::RowsDeleted {
-                table: "orders".into(),
-                rows: 4,
-            },
-        ),
-        ("Stats", stats_response(123_456, 3)),
-        (
-            "CopyRows",
-            Response::CopyRows {
-                table: "T0".into(),
-                rows: 3,
-                total_rows: 1_003,
-            },
-        ),
+        join_response(&[], &[]),
+        Response::Error(DbError::EmptyInClause),
+        Response::Batch(vec![
+            Response::Pong,
+            join_response(&[(1, 1, 0x12)], &[(0, 1)]),
+            Response::Error(DbError::UnknownTable("T9".into())),
+            stats_response(5, 1),
+        ]),
+        Response::RowsInserted {
+            table: "T1".into(),
+            rows: 2,
+        },
+        Response::RowsDeleted {
+            table: "orders".into(),
+            rows: 4,
+        },
+        stats_response(123_456, 3),
+        Response::CopyRows {
+            table: "T0".into(),
+            rows: 3,
+            total_rows: 1_003,
+        },
     ]
 }
 
 /// Every fixed sample as `(space, variant, wire bytes)`, errors riding
-/// in a `Response::Error` as they do on the wire.
+/// in a `Response::Error` as they do on the wire. The variant name is
+/// looked up from the tag the bytes carry, in the generated listing.
 pub fn encoded_samples() -> Vec<(&'static str, &'static str, Vec<u8>)> {
-    let mut out = Vec::new();
-    for (name, request) in request_samples() {
-        out.push(("request", name, request.to_bytes()));
-    }
-    for (name, response) in response_samples() {
-        out.push(("response", name, response.to_bytes()));
-    }
-    for (name, error) in error_samples() {
-        out.push(("error", name, Response::Error(error).to_bytes()));
-    }
-    out
+    type Tags = &'static [(&'static str, u8)];
+    let named = |space, tags: Tags, tag_at: usize, bytes: Vec<u8>| {
+        let listed = tags.iter().find(|(_, tag)| *tag == bytes[tag_at]);
+        (space, listed.expect("a listed tag").0, bytes)
+    };
+    let requests = request_samples()
+        .into_iter()
+        .map(|m| named("request", request_tag::WIRE_TAGS, 0, m.to_bytes()));
+    let responses = response_samples()
+        .into_iter()
+        .map(|m| named("response", response_tag::WIRE_TAGS, 0, m.to_bytes()));
+    let errors = error_samples().into_iter().map(|e| {
+        named(
+            "error",
+            error_tag::WIRE_TAGS,
+            1,
+            Response::Error(e).to_bytes(),
+        )
+    });
+    requests.chain(responses).chain(errors).collect()
 }
