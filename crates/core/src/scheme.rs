@@ -80,9 +80,10 @@ pub struct SjRowCiphertext<E: Engine> {
 /// An encrypted row with **prepared pairing state**: every `G2` element
 /// carries its precomputed Miller-loop line coefficients
 /// ([`Engine::G2Prepared`]), so each `SJ.Dec` against it skips the
-/// per-step slope derivations. Servers store rows in this form — the
-/// preparation is paid once at upload and amortized over the whole
-/// query series.
+/// per-step slope derivations. Servers keep the rows their queries
+/// select in this form, in memory only — the preparation is paid once,
+/// by the first query that selects the row, and amortized over the
+/// rest of the series.
 #[derive(Clone, Debug)]
 pub struct SjPreparedCiphertext<E: Engine> {
     inner: ModifiedIpePreparedCiphertext<E>,
@@ -182,7 +183,8 @@ impl<E: Engine> SecureJoin<E> {
         ModifiedIpe::<E>::decrypt(&token.inner, &ct.inner)
     }
 
-    /// Precompute a row ciphertext's pairing state (once, at upload).
+    /// Precompute a row ciphertext's pairing state (once, ahead of its
+    /// first `SJ.Dec`).
     pub fn prepare_row(ct: &SjRowCiphertext<E>) -> SjPreparedCiphertext<E> {
         SjPreparedCiphertext {
             inner: ModifiedIpe::<E>::prepare(&ct.inner),
@@ -262,12 +264,8 @@ impl<E: Engine> SjRowCiphertext<E> {
 }
 
 impl<E: Engine> SjPreparedCiphertext<E> {
-    /// The prepared elements (snapshot persistence).
-    pub fn elements(&self) -> &[E::G2Prepared] {
-        &self.inner.elements
-    }
-
-    /// Rebuild from persisted prepared elements.
+    /// Assemble a row from elements prepared elsewhere — a server
+    /// prepares many rows in one cross-row batch and splits the result.
     pub fn from_elements(elements: Vec<E::G2Prepared>) -> Self {
         SjPreparedCiphertext {
             inner: ModifiedIpePreparedCiphertext { elements },

@@ -59,10 +59,10 @@
 //!   [`ClientConfig`]; [`ClientStats`] counts the column decrypts a
 //!   projection performs and skips).
 //! * [`store`] — the storage core ([`EncryptedStore`]):
-//!   column-oriented, row-versioned tables with **prepared pairing
-//!   state** per ciphertext, a row-granular LRU decrypt cache,
-//!   incremental `InsertRows`/`DeleteRows`, and checksummed snapshot
-//!   persistence (warm restarts).
+//!   column-oriented, row-versioned tables, **prepared pairing
+//!   state** filled per row on first use, a row-granular LRU decrypt
+//!   cache, incremental `InsertRows`/`DeleteRows`, and checksummed
+//!   snapshot persistence (warm restarts).
 //! * [`server`] — the query executor over the store: per-row `SJ.Dec`,
 //!   `O(n)` hash join / `O(n²)` nested-loop join, optional
 //!   parallelism, the optional selectivity pre-filter (§4.3), and

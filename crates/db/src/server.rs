@@ -3,10 +3,10 @@
 //! pattern it (unavoidably) observes — the instrumentation the leakage
 //! experiments consume.
 //!
-//! Storage, prepared pairing state, the row-granular decrypt cache and
-//! snapshot persistence all live in [`crate::store`]; this module is
-//! the query executor on top: thread resolution, the match phase,
-//! payload projection and leakage observation.
+//! Storage, first-use pairing preparation, the row-granular decrypt
+//! cache and snapshot persistence all live in [`crate::store`]; this
+//! module is the query executor on top: thread resolution, the match
+//! phase, payload projection and leakage observation.
 //!
 //! # The series-aware decrypt cache
 //!
@@ -192,8 +192,9 @@ impl<E: Engine> DbServer<E> {
         Ok(Self::with_store(EncryptedStore::load(path)?))
     }
 
-    /// Persist the full server state — tables, prepared pairing state
-    /// and the decrypt cache — so a restarted server resumes warm.
+    /// Persist the server's logical state — tables and the decrypt
+    /// cache, not prepared pairing state (rebuilt on first use) — so a
+    /// restarted server resumes warm.
     pub fn save(&self, path: &Path) -> Result<(), DbError> {
         self.store.save(path)
     }
@@ -212,8 +213,8 @@ impl<E: Engine> DbServer<E> {
 
     /// Append encrypted rows to a stored table. Untouched rows keep
     /// their versions — their decrypt-cache entries and prepared state
-    /// stay warm; only the new rows are prepared and (on the next
-    /// query) decrypted.
+    /// stay warm; of the new rows, those the next query selects are
+    /// prepared and decrypted then.
     pub fn insert_rows(
         &mut self,
         table: &str,

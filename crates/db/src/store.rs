@@ -1,19 +1,25 @@
 //! [`EncryptedStore`] — the server's storage core: column-oriented,
-//! row-versioned encrypted tables carrying **prepared pairing state**,
-//! a row-granular LRU decrypt cache, and a checksummed snapshot format
-//! that lets a restarted server resume a query series *warm*.
+//! row-versioned encrypted tables, a fill-on-first-use cache of
+//! **prepared pairing state**, a row-granular LRU decrypt cache, and a
+//! checksummed snapshot format that lets a restarted server resume a
+//! query series *warm*.
 //!
 //! # Why a store, not a `HashMap`
 //!
 //! The paper's subject is a **series** of queries against tables
 //! encrypted once. Three kinds of state are worth keeping between
-//! queries — and, with [`EncryptedStore::save`]/[`EncryptedStore::load`],
-//! between server processes:
+//! queries — the last two, with [`EncryptedStore::save`] /
+//! [`EncryptedStore::load`], also between server processes:
 //!
-//! 1. **Prepared pairing state.** Each stored ciphertext element keeps
-//!    its precomputed Miller-loop line coefficients
-//!    ([`Engine::G2Prepared`]); every `SJ.Dec` then skips the per-step
-//!    slope inversions. Preparation happens once per row, at insert.
+//! 1. **Prepared pairing state.** A ciphertext element's precomputed
+//!    Miller-loop line coefficients ([`Engine::G2Prepared`]) let every
+//!    `SJ.Dec` skip the per-step slope inversions. Preparation happens
+//!    once per row, **on the first `SJ.Dec` that selects it** — never
+//!    at ingest, journal replay or snapshot load — so a row no query
+//!    selects costs no CPU, no memory (≈ 144 KB at m = 2, t = 3) and
+//!    no snapshot bytes, the first query over untouched rows pays for
+//!    them in one batch, and total pairing work is never higher than
+//!    preparing at insert. In memory only; dropped with its row.
 //! 2. **The decrypt cache**, memoizing `SJ.Dec` output per
 //!    `(token fingerprint, row)`. Entries are keyed down to the *row
 //!    version*, so incremental updates invalidate exactly the touched
@@ -22,10 +28,15 @@
 //!    tables stay fully warm. Eviction is true LRU with a configurable
 //!    cap.
 //! 3. **The tables themselves**, stored column-oriented: per-row
-//!    ciphertexts/prepared state next to per-*column* sealed payload
-//!    and pre-filter tag vectors, so the pre-filter scans only the
-//!    constrained columns and a payload projection ships straight from
-//!    the selected column vectors.
+//!    ciphertexts next to per-*column* sealed payload and pre-filter
+//!    tag vectors, so the pre-filter scans only the constrained
+//!    columns and a payload projection ships straight from the
+//!    selected column vectors.
+//!
+//! Which rows hold prepared state is a function of which rows the
+//! server ran `SJ.Dec` on, which it sees anyway; a first touch being
+//! slower shows a network observer no more than the decrypt cache's
+//! hit/miss gap does. Nothing computed on first use is stored or sent.
 //!
 //! # Rows, ids and versions
 //!
@@ -43,10 +54,16 @@
 //! SHA-256(body) ‖ body`, everything inside length-prefixed. `load`
 //! rejects wrong magic, unsupported versions, engine mismatches,
 //! truncation and any body corruption (checksum) with a clean
-//! [`DbError::Snapshot`] — never a panic. What a snapshot persists is
-//! exactly what the server already held in memory: ciphertexts,
-//! prepared state and memoized `SJ.Dec` outputs. It leaks nothing
-//! beyond the ciphertexts themselves.
+//! [`DbError::Snapshot`] — never a panic. A snapshot persists what
+//! cannot be recomputed faster than it is read back — ciphertexts, row
+//! versions, payloads, tags, memoized `SJ.Dec` outputs — so its bytes
+//! are a function of logical state alone, whichever rows are prepared.
+//! It leaks nothing beyond the ciphertexts themselves.
+//!
+//! **Format 2** (written) holds no prepared state. **Format 1** also
+//! carried every row's coefficients (≈ 50× the ciphertexts); it is
+//! still read, the coefficients skipped undecoded, and the next save
+//! writes format 2 — an older build's data directory upgrades in place.
 
 use crate::encrypted::{EncryptedRow, EncryptedTable, SideTokens};
 use crate::error::DbError;
@@ -57,7 +74,7 @@ use eqjoin_pairing::Engine;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Default decrypt-cache capacity (entries = query sides), used when
 /// neither the store nor the request configures one.
@@ -65,8 +82,23 @@ pub const DEFAULT_DECRYPT_CACHE_CAP: usize = 64;
 
 /// Snapshot magic bytes.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"EQJSNAP\x01";
-/// Snapshot format version this build writes and accepts.
-const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version this build writes.
+const SNAPSHOT_VERSION: u32 = 2;
+/// Format 1 also carried every row's coefficients: read (skipped), never written.
+const SNAPSHOT_VERSION_WITH_PREPARED: u32 = 1;
+
+/// One row's prepared pairing state: empty until the first `SJ.Dec`
+/// that selects the row fills it, dropped with the row. The gauge
+/// `eqjoin_store_prepared_rows` counts filled cells: up on fill, down here.
+struct PreparedCell<E: Engine>(OnceLock<SjPreparedCiphertext<E>>);
+
+impl<E: Engine> Drop for PreparedCell<E> {
+    fn drop(&mut self) {
+        if self.0.get().is_some() {
+            eqjoin_obs::gauge!("eqjoin_store_prepared_rows").dec();
+        }
+    }
+}
 
 /// One stored table, column-oriented.
 pub struct TableStore<E: Engine> {
@@ -80,8 +112,8 @@ pub struct TableStore<E: Engine> {
     versions: Vec<u64>,
     /// Per-row `SJ.Enc` ciphertexts.
     ciphers: Vec<SjRowCiphertext<E>>,
-    /// Per-row prepared pairing state (same order).
-    prepared: Vec<SjPreparedCiphertext<E>>,
+    /// Per-row prepared pairing state (same order), filled on first use.
+    prepared: Vec<PreparedCell<E>>,
     /// Sealed payloads, **column-major**: `payload_columns[c][r]`.
     payload_columns: Vec<Vec<Vec<u8>>>,
     /// Pre-filter tags, column-major per *filter* column (present iff
@@ -251,21 +283,10 @@ impl<E: Engine> TableStore<E> {
         }
 
         let inserted = rows.len();
-        // Preparation is the one-time cost the whole refactor exists to
-        // amortize: batch it across every element of every new row.
-        let elements: Vec<E::G2> = rows
-            .iter()
-            .flat_map(|row| row.cipher.elements().iter().cloned())
-            .collect();
-        eqjoin_obs::counter!("eqjoin_store_prepared_pairings_total").add(elements.len() as u64);
-        let mut prepared_elements = E::g2_prepare_batch(&elements).into_iter();
         for (i, (row, version)) in rows.into_iter().zip(versions).enumerate() {
             self.ids.push(start_row + i as u64);
             self.versions.push(version);
-            let n = row.cipher.elements().len();
-            self.prepared.push(SjPreparedCiphertext::from_elements(
-                prepared_elements.by_ref().take(n).collect(),
-            ));
+            self.prepared.push(PreparedCell(OnceLock::new()));
             self.ciphers.push(row.cipher);
             for (col, payload) in self.payload_columns.iter_mut().zip(row.payloads) {
                 col.push(payload);
@@ -308,6 +329,42 @@ impl<E: Engine> TableStore<E> {
             }
         }
         Ok(positions.len())
+    }
+
+    /// The prepared rows at `positions`, first preparing those no query
+    /// selected before in **one** batch call (slope inversions shared
+    /// across all their elements). Runs under the read lock queries
+    /// hold: first touches may race, and the loser's `set` is dropped —
+    /// preparation is a pure function of the ciphertext, so both agree.
+    fn prepared_rows(&self, positions: &[usize]) -> Vec<&SjPreparedCiphertext<E>> {
+        let cold: Vec<(&SjRowCiphertext<E>, &PreparedCell<E>)> = positions
+            .iter()
+            .filter_map(|&pos| Some((self.ciphers.get(pos)?, self.prepared.get(pos)?)))
+            .filter(|(_, cell)| cell.0.get().is_none())
+            .collect();
+        if !cold.is_empty() {
+            let _span =
+                eqjoin_obs::span!("store_prepare", "table" => self.name, "rows" => cold.len());
+            let elements: Vec<E::G2> = cold
+                .iter()
+                .flat_map(|(cipher, _)| cipher.elements().iter().cloned())
+                .collect();
+            eqjoin_obs::counter!("eqjoin_store_prepared_pairings_total").add(elements.len() as u64);
+            let mut prepared = E::g2_prepare_batch(&elements).into_iter();
+            for (cipher, cell) in cold {
+                let n = cipher.elements().len();
+                let row = SjPreparedCiphertext::from_elements(prepared.by_ref().take(n).collect());
+                if cell.0.set(row).is_ok() {
+                    eqjoin_obs::gauge!("eqjoin_store_prepared_rows").inc();
+                }
+            }
+        }
+        // A position past the table (no caller passes one) yields a
+        // short vector, which the merge site's arity check reports.
+        positions
+            .iter()
+            .filter_map(|&pos| self.prepared.get(pos)?.0.get())
+            .collect()
     }
 }
 
@@ -510,7 +567,7 @@ impl<E: Engine> EncryptedStore<E> {
 
     /// Append encrypted rows to an existing table. Stored rows keep
     /// their versions — and therefore their decrypt-cache entries and
-    /// prepared state; only the new rows cost anything.
+    /// prepared state.
     pub fn insert_rows(
         &mut self,
         table: &str,
@@ -622,8 +679,8 @@ impl<E: Engine> EncryptedStore<E> {
     /// Decrypt one side of a join: `(row id, match key)` for every
     /// candidate row surviving the pre-filter. Rows whose exact version
     /// was already decrypted under this token are served from the
-    /// cache; the rest run `SJ.Dec` on the prepared ciphertexts, in
-    /// parallel chunks with the final exponentiation batched per chunk.
+    /// cache; the rest run `SJ.Dec` on prepared ciphertexts (prepared here
+    /// on first touch), in parallel chunks, final exponentiation batched.
     pub fn decrypt_side(
         &self,
         side: &SideTokens<E>,
@@ -685,7 +742,7 @@ impl<E: Engine> EncryptedStore<E> {
             .add((candidates.len() - misses.len()) as u64);
         eqjoin_obs::counter!("eqjoin_store_decrypt_cache_misses_total").add(misses.len() as u64);
 
-        // Phase 2 — decrypt the misses against the prepared rows.
+        // Phase 2 — decrypt the misses, preparing rows on first touch.
         let fresh = decrypt_positions(table, &side.token, &misses, threads);
 
         // Phase 3 — merge and refresh the cache entry with the side's
@@ -749,8 +806,8 @@ impl<E: Engine> EncryptedStore<E> {
     // Snapshot persistence
     // -----------------------------------------------------------------
 
-    /// Serialize the full store — tables, prepared pairing state and
-    /// the decrypt cache — into the snapshot wire format.
+    /// Serialize the store's logical state — tables and the decrypt
+    /// cache, never prepared pairing state — into the snapshot format.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut body = Writer::default();
         body.u64(self.next_version);
@@ -772,12 +829,6 @@ impl<E: Engine> EncryptedStore<E> {
             }
             for cipher in &t.ciphers {
                 body.put(cipher);
-            }
-            for prepared in &t.prepared {
-                body.u64(prepared.elements().len() as u64);
-                for e in prepared.elements() {
-                    body.bytes(&E::g2_prepared_bytes(e));
-                }
             }
             body.u64(t.payload_columns.len() as u64);
             for col in &t.payload_columns {
@@ -844,10 +895,10 @@ impl<E: Engine> EncryptedStore<E> {
             return Err(snap("bad magic (not an eqjoin store snapshot)"));
         }
         let version = u32::from_le_bytes(r.array().map_err(|_| snap("truncated header"))?);
-        if version != SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_WITH_PREPARED {
             return Err(DbError::Snapshot(format!(
                 "unsupported snapshot format version {version} (this build reads \
-                 {SNAPSHOT_VERSION})"
+                 {SNAPSHOT_VERSION_WITH_PREPARED} and {SNAPSHOT_VERSION})"
             )));
         }
         let engine = r.str().map_err(|_| snap("truncated engine name"))?;
@@ -868,14 +919,14 @@ impl<E: Engine> EncryptedStore<E> {
         }
 
         let mut r = Reader::new(body);
-        let store = Self::parse_body(&mut r)
+        let store = Self::parse_body(&mut r, version)
             .map_err(|e| DbError::Snapshot(format!("malformed snapshot body: {e}")))?;
         r.finish()
             .map_err(|_| snap("trailing bytes after snapshot body"))?;
         Ok(store)
     }
 
-    fn parse_body(r: &mut Reader<'_>) -> Result<Self, DbError> {
+    fn parse_body(r: &mut Reader<'_>, version: u32) -> Result<Self, DbError> {
         let next_version = r.u64()?;
         let n_tables = r.len("tables")?;
         let mut tables = HashMap::with_capacity(n_tables);
@@ -892,22 +943,16 @@ impl<E: Engine> EncryptedStore<E> {
             let versions: Vec<u64> = (0..n_rows).map(|_| r.u64()).collect::<Result<_, _>>()?;
             let ciphers: Vec<SjRowCiphertext<E>> =
                 (0..n_rows).map(|_| r.get()).collect::<Result<_, _>>()?;
-            let mut prepared = Vec::with_capacity(n_rows);
-            for cipher in ciphers.iter().take(n_rows) {
-                let n_elems = r.len("prepared elements")?;
-                if n_elems != cipher.elements().len() {
-                    return Err(DbError::Protocol(
-                        "prepared state does not match ciphertext arity".into(),
-                    ));
+            if version == SNAPSHOT_VERSION_WITH_PREPARED {
+                // Format 1 kept every row's coefficients here: step over
+                // the blobs undecoded (recomputing is cheaper than parsing).
+                for _ in 0..n_rows {
+                    for _ in 0..r.len("prepared elements")? {
+                        r.bytes()?;
+                    }
                 }
-                let elements = (0..n_elems)
-                    .map(|_| {
-                        E::g2_prepared_from_bytes(r.bytes()?)
-                            .ok_or_else(|| DbError::Protocol("invalid prepared element".into()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                prepared.push(SjPreparedCiphertext::from_elements(elements));
             }
+            let prepared = (0..n_rows).map(|_| PreparedCell(OnceLock::new())).collect();
             let n_cols = r.len("payload columns")?;
             let mut payload_columns = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
@@ -1062,9 +1107,9 @@ fn store_failpoint(name: &str) -> Result<(), DbError> {
     }
 }
 
-/// Decrypt the given storage positions with the prepared rows —
-/// chunked across scoped threads, each chunk sharing one batched final
-/// exponentiation via [`SecureJoin::decrypt_prepared_many`].
+/// Decrypt the given storage positions — chunked across scoped threads,
+/// each chunk preparing its cold rows in one batch and sharing one batched
+/// final exponentiation via [`SecureJoin::decrypt_prepared_many`].
 fn decrypt_positions<E: Engine>(
     table: &TableStore<E>,
     token: &eqjoin_core::SjToken<E>,
@@ -1072,12 +1117,7 @@ fn decrypt_positions<E: Engine>(
     threads: usize,
 ) -> Vec<Vec<u8>> {
     let decrypt_chunk = |chunk: &[usize]| -> Vec<Vec<u8>> {
-        let rows: Vec<&SjPreparedCiphertext<E>> = chunk
-            .iter()
-            // audit-allow(panic-freedom): callers pass candidate positions bounded by table.len()
-            .map(|&pos| &table.prepared[pos])
-            .collect();
-        SecureJoin::<E>::decrypt_prepared_many(token, &rows)
+        SecureJoin::<E>::decrypt_prepared_many(token, &table.prepared_rows(chunk))
             .iter()
             .map(SecureJoin::<E>::match_key)
             .collect()

@@ -27,7 +27,7 @@ use eqjoin_db::{
 use eqjoin_pairing::Engine;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Cached per-tenant observability handles — resolved once per tenant,
@@ -42,11 +42,21 @@ struct TenantMetrics {
 /// The label the default (tenantless) namespace reports under.
 const DEFAULT_TENANT_LABEL: &str = "default";
 
+/// One tenant's backend, opened once: the cell is published under the
+/// registry lock, the open (snapshot load + journal replay) runs outside
+/// it, and requests arriving meanwhile wait on the cell, not the registry.
+type TenantSlot<E> = Arc<OnceLock<Result<Arc<LocalBackend<E>>, DbError>>>;
+
+/// The backend in a cell, once its open has succeeded.
+fn opened<E: Engine>(slot: &TenantSlot<E>) -> Option<&Arc<LocalBackend<E>>> {
+    slot.get()?.as_ref().ok()
+}
+
 /// Routes requests to per-tenant [`LocalBackend`]s, creating them on
 /// first use (or only for an allow-listed set of names).
 pub struct TenantRegistry<E: Engine> {
     default: LocalBackend<E>,
-    tenants: RwLock<HashMap<String, Arc<LocalBackend<E>>>>,
+    tenants: RwLock<HashMap<String, TenantSlot<E>>>,
     /// `Some` restricts tenants to this set; `None` admits any name.
     allowed: Option<Vec<String>>,
     data_dir: Option<PathBuf>,
@@ -133,13 +143,16 @@ impl<E: Engine> TenantRegistry<E> {
         }))
     }
 
-    /// The backend serving `tenant`, created on first use.
+    /// The backend serving `tenant`, opened on first use. The registry
+    /// lock is held only to publish the tenant's cell: open tenants never
+    /// wait on another's recovery, and two tenants recover side by side.
     fn tenant_backend(&self, tenant: &str) -> Result<Arc<LocalBackend<E>>, DbError> {
         if let Some(backend) = self
             .tenants
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(tenant)
+            .and_then(opened)
         {
             return Ok(Arc::clone(backend));
         }
@@ -156,38 +169,55 @@ impl<E: Engine> TenantRegistry<E> {
                 )));
             }
         }
-        let mut tenants = self.tenants.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(backend) = tenants.get(tenant) {
-            return Ok(Arc::clone(backend));
-        }
-        let backend = match &self.data_dir {
-            Some(dir) => {
-                let tenant_dir = dir.join("tenants").join(tenant);
-                std::fs::create_dir_all(&tenant_dir).map_err(|e| {
-                    DbError::Snapshot(format!("create {}: {e}", tenant_dir.display()))
-                })?;
-                LocalBackend::with_persistence(
-                    tenant_dir.join("store.snap"),
-                    self.threads,
-                    self.cache_cap,
-                    self.compaction_threshold,
-                )?
-            }
-            None => LocalBackend::with_config(self.threads, self.cache_cap),
+        let slot = {
+            let mut tenants = self.tenants.write().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(tenants.entry(tenant.to_owned()).or_default())
         };
-        let backend = Arc::new(backend);
-        tenants.insert(tenant.to_owned(), Arc::clone(&backend));
-        Ok(backend)
+        match slot.get_or_init(|| self.open_tenant(tenant).map(Arc::new)) {
+            Ok(backend) => Ok(Arc::clone(backend)),
+            Err(e) => {
+                // Everyone who waited on this attempt gets its error; it is
+                // not cached — unpublish this attempt's cell so the next retries.
+                let mut tenants = self.tenants.write().unwrap_or_else(|e| e.into_inner());
+                if tenants.get(tenant).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                    tenants.remove(tenant);
+                }
+                Err(e.clone())
+            }
+        }
+    }
+
+    /// Open `tenant`'s backend: in memory, or from its snapshot and
+    /// journal under `<data-dir>/tenants/<tenant>/`.
+    fn open_tenant(&self, tenant: &str) -> Result<LocalBackend<E>, DbError> {
+        let Some(dir) = &self.data_dir else {
+            return Ok(LocalBackend::with_config(self.threads, self.cache_cap));
+        };
+        let tenant_dir = dir.join("tenants").join(tenant);
+        std::fs::create_dir_all(&tenant_dir)
+            .map_err(|e| DbError::Snapshot(format!("create {}: {e}", tenant_dir.display())))?;
+        LocalBackend::with_persistence(
+            tenant_dir.join("store.snap"),
+            self.threads,
+            self.cache_cap,
+            self.compaction_threshold,
+        )
+    }
+
+    /// Every open tenant's backend, collected under the read lock and
+    /// returned without it: a flush or stats walk never holds the registry.
+    fn open_tenants(&self) -> Vec<Arc<LocalBackend<E>>> {
+        let tenants = self.tenants.read().unwrap_or_else(|e| e.into_inner());
+        tenants.values().filter_map(opened).cloned().collect()
     }
 
     /// Tenants that have been materialized, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .tenants
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .cloned()
+        let tenants = self.tenants.read().unwrap_or_else(|e| e.into_inner());
+        let mut names: Vec<String> = tenants
+            .iter()
+            .filter(|(_, slot)| opened(slot).is_some())
+            .map(|(name, _)| name.clone())
             .collect();
         names.sort();
         names
@@ -203,6 +233,7 @@ impl<E: Engine> TenantRegistry<E> {
                 .read()
                 .unwrap_or_else(|e| e.into_inner())
                 .get(name)
+                .and_then(opened)
                 .map(|b| ServerApi::<E>::transport_stats(b.as_ref())),
         }
     }
@@ -211,8 +242,7 @@ impl<E: Engine> TenantRegistry<E> {
     /// failure wins; the rest still get their flush attempt.
     pub fn flush_all(&self) -> Result<(), DbError> {
         let mut first_err = self.default.flush().err();
-        let tenants = self.tenants.read().unwrap_or_else(|e| e.into_inner());
-        for backend in tenants.values() {
+        for backend in self.open_tenants() {
             if let Err(e) = backend.flush() {
                 first_err.get_or_insert(e);
             }
@@ -279,8 +309,7 @@ impl<E: Engine> ServerApi<E> for TenantRegistry<E> {
     fn transport_stats(&self) -> TransportStats {
         // Aggregate view: the default namespace plus every tenant.
         let mut total = ServerApi::<E>::transport_stats(&self.default);
-        let tenants = self.tenants.read().unwrap_or_else(|e| e.into_inner());
-        for backend in tenants.values() {
+        for backend in self.open_tenants() {
             let s = ServerApi::<E>::transport_stats(backend.as_ref());
             total.round_trips += s.round_trips;
             total.requests += s.requests;

@@ -23,12 +23,12 @@
 //! eqjoind --log-level info                 # JSONL lifecycle events
 //! ```
 //!
-//! With `--data-dir`, the server snapshots its full store — encrypted
-//! tables, their prepared pairing state, and the decrypt cache — after
-//! every state change, and loads the snapshot back on startup: a query
-//! series that outlives the process resumes with zero fresh Miller
-//! loops for repeated joins. Tenant namespaces snapshot separately
-//! under `DIR/tenants/<name>/`.
+//! With `--data-dir`, the server snapshots its store — encrypted
+//! tables and the decrypt cache; prepared pairing state is rebuilt on
+//! first use — after every state change, and loads the snapshot back on
+//! startup: a query series that outlives the process resumes with zero
+//! fresh Miller loops for repeated joins. Tenant namespaces snapshot
+//! separately under `DIR/tenants/<name>/`.
 //!
 //! The engine must match the clients' — the wire codec validates group
 //! elements under the engine it is given, so a mock client cannot talk
@@ -81,8 +81,8 @@ usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
                         default 30); in-flight joins are never cut short
 --tenants A,B,..        allow-list of tenant namespaces (default: any
                         well-formed tenant name materializes on first use)
---data-dir DIR          persist the store (tables + prepared pairing state +
-                        decrypt cache) under DIR and restart warm from it;
+--data-dir DIR          persist the store (tables + decrypt cache) under
+                        DIR and restart warm from it;
                         tenants snapshot under DIR/tenants/<name>/
 --decrypt-cache-cap N   decrypt-cache entries kept per store (default 64,
                         LRU eviction; requests may pin their own cap)

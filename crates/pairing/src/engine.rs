@@ -93,9 +93,10 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
 
     /// A `G2` element with its Miller-loop line state precomputed
     /// ([`crate::pairing::G2Prepared`] for the real curve) — pairings
-    /// against it skip the per-step slope derivations entirely. Stored
-    /// ciphertexts are kept in this form so a *series* of queries pays
-    /// the line computation once per ciphertext, not once per pairing.
+    /// against it skip the per-step slope derivations entirely. A
+    /// server keeps this form, in memory only, for the ciphertexts its
+    /// queries select, so a *series* of queries pays the line
+    /// computation once per ciphertext, not once per pairing.
     type G2Prepared: Clone + Debug + Send + Sync;
 
     /// The bilinear map `e(p, q)`.
@@ -123,11 +124,6 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
             .map(|row| Self::multi_pair_prepared(ps, row))
             .collect()
     }
-    /// Serialize a prepared element (snapshot persistence).
-    fn g2_prepared_bytes(q: &Self::G2Prepared) -> Vec<u8>;
-    /// Deserialize a prepared element (length- and canonicality-checked;
-    /// integrity beyond that is the snapshot checksum's job).
-    fn g2_prepared_from_bytes(bytes: &[u8]) -> Option<Self::G2Prepared>;
 
     /// Identity of `GT`.
     fn gt_one() -> Self::Gt;
@@ -257,14 +253,6 @@ impl Engine for Bls12 {
             })
             .collect();
         pr::final_exponentiation_batch(&millers)
-    }
-
-    fn g2_prepared_bytes(q: &pr::G2Prepared) -> Vec<u8> {
-        q.to_bytes()
-    }
-
-    fn g2_prepared_from_bytes(bytes: &[u8]) -> Option<pr::G2Prepared> {
-        pr::G2Prepared::from_bytes(bytes)
     }
 
     fn gt_one() -> pr::Gt {

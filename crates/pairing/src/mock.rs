@@ -89,14 +89,6 @@ impl Engine for MockEngine {
         Self::multi_pair(ps, qs)
     }
 
-    fn g2_prepared_bytes(q: &MockG2) -> Vec<u8> {
-        Self::g2_bytes(q)
-    }
-
-    fn g2_prepared_from_bytes(bytes: &[u8]) -> Option<MockG2> {
-        Self::g2_from_bytes(bytes)
-    }
-
     fn gt_one() -> MockGt {
         MockGt(Fr::zero())
     }

@@ -253,9 +253,9 @@ pub fn multi_miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
 ///
 /// so a pairing against a prepared point costs **no slope inversions
 /// and no point arithmetic** — only table reads and sparse `Fp12` line
-/// multiplications. A stored ciphertext is prepared once (at upload)
-/// and then reused by every query of the series, which is the paper's
-/// reuse pattern exactly.
+/// multiplications. A stored ciphertext is prepared once (by the first
+/// query that selects it) and then reused by every later query of the
+/// series, which is the paper's reuse pattern exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct G2Prepared {
     /// `(λ', λ'·x_• − y_•)` per Miller step (63 doublings interleaved
@@ -280,8 +280,8 @@ impl G2Prepared {
 
     /// Prepare a batch of points, sharing one slope inversion per
     /// Miller step across the whole batch (Montgomery's trick) — the
-    /// shape of a table upload, where every ciphertext element of every
-    /// row is prepared at once.
+    /// shape of a first touch, where every ciphertext element of every
+    /// row a query newly selects is prepared at once.
     pub fn prepare_batch(qs: &[G2Affine]) -> Vec<G2Prepared> {
         struct Walk {
             xq: Fp2,
@@ -356,55 +356,6 @@ impl G2Prepared {
     /// True iff this is the prepared identity.
     pub fn is_identity(&self) -> bool {
         self.infinity
-    }
-
-    /// Serialize for snapshot persistence: a 1-byte identity marker
-    /// followed by the line coefficients as canonical `Fp` limbs.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        if self.infinity {
-            return vec![1];
-        }
-        let mut out = Vec::with_capacity(1 + self.coeffs.len() * 4 * Fp::BYTES);
-        out.push(0);
-        for (lambda, b) in &self.coeffs {
-            for fp in [lambda.c0, lambda.c1, b.c0, b.c1] {
-                out.extend_from_slice(&fp.to_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parse [`G2Prepared::to_bytes`] output. Enforces the exact
-    /// coefficient count and canonical (`< p`) limb encodings; it does
-    /// *not* re-verify that the lines belong to a curve point — the
-    /// snapshot layer guards integrity with a checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        match bytes.split_first()? {
-            (1, []) => Some(G2Prepared {
-                coeffs: Vec::new(),
-                infinity: true,
-            }),
-            (0, rest) => {
-                let n = prepared_coeff_count();
-                if rest.len() != n * 4 * Fp::BYTES {
-                    return None;
-                }
-                let mut fps = rest
-                    .chunks_exact(Fp::BYTES)
-                    .map(|chunk| Fp::from_bytes(chunk.try_into().expect("exact chunk")));
-                let mut coeffs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let lambda = Fp2::new(fps.next()??, fps.next()??);
-                    let b = Fp2::new(fps.next()??, fps.next()??);
-                    coeffs.push((lambda, b));
-                }
-                Some(G2Prepared {
-                    coeffs,
-                    infinity: false,
-                })
-            }
-            _ => None,
-        }
     }
 }
 
@@ -715,26 +666,10 @@ mod tests {
     }
 
     #[test]
-    fn prepared_identity_and_serialization() {
+    fn prepared_identity_contributes_one() {
         let id = G2Prepared::from_affine(&G2Affine::identity());
         assert!(id.is_identity());
         assert_eq!(multi_miller_loop_prepared(&[(g1_gen(), &id)]), Fp12::one());
-        assert_eq!(G2Prepared::from_bytes(&id.to_bytes()).unwrap(), id);
-
-        let q = G2Prepared::from_affine(&g2_gen());
-        let bytes = q.to_bytes();
-        assert_eq!(G2Prepared::from_bytes(&bytes).unwrap(), q);
-        // Truncation and trailing garbage are rejected.
-        assert!(G2Prepared::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(G2Prepared::from_bytes(&longer).is_none());
-        // Non-canonical limbs (≥ p) are rejected.
-        let mut bad = bytes;
-        for b in bad[1..49].iter_mut() {
-            *b = 0xff;
-        }
-        assert!(G2Prepared::from_bytes(&bad).is_none());
     }
 
     #[test]

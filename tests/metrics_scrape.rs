@@ -85,6 +85,11 @@ fn live_scrape_matches_client_and_server_counters() {
     let frames_before = series_value(&before, "eqjoin_frames_sent_total");
     let dec_hits_before = series_value(&before, "eqjoin_store_decrypt_cache_hits_total");
     let trips_before = series_value(&before, "eqjoin_transport_round_trips_total");
+    // First-use preparation: a histogram of first touches, a counter
+    // of elements prepared, a gauge of rows holding coefficients.
+    let first_touches = |body: &str| series_value(body, "eqjoin_store_prepare_seconds_count");
+    let prepared_elements = |body: &str| series_value(body, "eqjoin_store_prepared_pairings_total");
+    let prepared_rows = |body: &str| series_value(body, "eqjoin_store_prepared_rows");
 
     let mut session = eqjoin::session_remote::<MockEngine>(
         SessionConfig::new(3, 2).seed(20220501),
@@ -95,6 +100,16 @@ fn live_scrape_matches_client_and_server_counters() {
     .unwrap();
     populate(&mut session);
     let stats_at_start: SessionStats = session.stats();
+    let loaded = scrape();
+    assert_eq!(
+        (
+            first_touches(&loaded) - first_touches(&before),
+            prepared_elements(&loaded) - prepared_elements(&before),
+            prepared_rows(&loaded) - prepared_rows(&before),
+        ),
+        (0.0, 0.0, 0.0),
+        "ingest prepares nothing"
+    );
 
     // --- Mid-run scrape: after the first query the surface must have
     // moved in lockstep with the client's own view.
@@ -111,6 +126,16 @@ fn live_scrape_matches_client_and_server_counters() {
         session.leakage_report().queries as u64,
         "mid-run: the leakage ledger and the leakage metric agree"
     );
+    // The first query paid for exactly the rows it decrypted (two
+    // distinct tables, nothing cached yet), every element of each.
+    let touched = first.stats.rows_decrypted as f64;
+    let elements_per_row = eqjoin::core::SjParams { m: 3, t: 2 }.inner_dim() as f64;
+    assert_eq!(prepared_rows(&mid) - prepared_rows(&before), touched);
+    assert_eq!(
+        prepared_elements(&mid) - prepared_elements(&before),
+        touched * elements_per_row
+    );
+    assert!(first_touches(&mid) > first_touches(&before));
 
     for &sql in &PAPER_SERIES[1..] {
         session.execute(sql).unwrap();
@@ -184,6 +209,16 @@ fn live_scrape_matches_client_and_server_counters() {
     assert!(server_metrics
         .exposition
         .contains("eqjoin_leakage_queries_total"));
+    for series in [
+        "eqjoin_store_prepare_seconds_count",
+        "eqjoin_store_prepared_pairings_total",
+        "eqjoin_store_prepared_rows",
+    ] {
+        assert!(
+            series_value(&server_metrics.exposition, series) > 0.0,
+            "{series} must be visible through Request::Stats"
+        );
+    }
 
     // Sending Stats was an explicit call — exactly one extra round trip.
     assert_eq!(

@@ -173,7 +173,7 @@ fn version_and_engine_mismatches_detected() {
 
     // Bump the format version field (bytes 8..12, little-endian u32).
     let mut wrong_version = bytes.clone();
-    wrong_version[8..12].copy_from_slice(&2u32.to_le_bytes());
+    wrong_version[8..12].copy_from_slice(&3u32.to_le_bytes());
     match EncryptedStore::<MockEngine>::from_snapshot_bytes(&wrong_version) {
         Err(DbError::Snapshot(msg)) => {
             assert!(msg.contains("version"), "{msg}")
