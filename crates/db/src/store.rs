@@ -693,6 +693,20 @@ impl<E: Engine> EncryptedStore<E> {
             .tables
             .get(&side.table)
             .ok_or_else(|| DbError::UnknownTable(side.table.clone()))?;
+        // A token of another arity than the stored rows (every row has
+        // the first one's, `push_rows` sees to that) is a well-formed
+        // message from a client keyed at other dimensions. The engine
+        // asserts equal lengths, so it has to be turned away here.
+        if let Some(stored) = table.ciphers.first().map(|c| c.elements().len()) {
+            let got = side.token.elements().len();
+            if got != stored {
+                return Err(DbError::DimensionMismatch {
+                    what: format!("join token for table {}", side.table),
+                    expected: stored,
+                    got,
+                });
+            }
+        }
         let candidates = table.candidate_positions(&side.prefilter, opts.use_prefilter);
         stats.rows_prefiltered_out += table.len() - candidates.len();
         stats.rows_decrypted += candidates.len();

@@ -241,15 +241,20 @@ impl Engine for Bls12 {
     }
 
     fn multi_pair_prepared_batch(ps: &[G1Affine], rows: &[&[pr::G2Prepared]]) -> Vec<pr::Gt> {
-        // One prepared Miller loop per row, then a single batched final
-        // exponentiation across the whole phase.
+        // A fully cached side decrypts no rows, and must not pay the
+        // token's inversion for them.
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        // The token is normalised once for the whole phase; then one
+        // prepared Miller loop per row and a single batched final
+        // exponentiation across all of them.
+        let token = pr::G1Normalized::batch(ps);
         let millers: Vec<_> = rows
             .iter()
             .map(|qs| {
                 assert_eq!(ps.len(), qs.len(), "multi_pair_prepared length mismatch");
-                let pairs: Vec<(G1Affine, &pr::G2Prepared)> =
-                    ps.iter().copied().zip(qs.iter()).collect();
-                pr::multi_miller_loop_prepared(&pairs)
+                pr::miller_loop_normalized(token.iter().zip(qs.iter()))
             })
             .collect();
         pr::final_exponentiation_batch(&millers)
@@ -392,6 +397,36 @@ mod tests {
             &Bls12::g2_mul_gen(&Fr::one()),
         );
         assert_eq!(lhs, Bls12::gt_pow(&e_gen, &(a * b)));
+    }
+
+    #[test]
+    fn prepared_batch_matches_per_row_and_unprepared_with_identities() {
+        // An identity in the token and one in a row: the token is
+        // normalised once for all rows, and the finite points' shared
+        // inversion must stay aligned with the points it skips.
+        let mut rng = ChaChaRng::seed_from_u64(67);
+        let mut token: Vec<G1Affine> = (0..4)
+            .map(|_| Bls12::g1_mul_gen(&Fr::random(&mut rng)))
+            .collect();
+        token[1] = Bls12::g1_identity();
+        let mut rows: Vec<Vec<G2Affine>> = (0..3)
+            .map(|_| {
+                (0..4)
+                    .map(|_| Bls12::g2_mul_gen(&Fr::random(&mut rng)))
+                    .collect()
+            })
+            .collect();
+        rows[2][3] = Bls12::g2_identity();
+        let prepared: Vec<Vec<pr::G2Prepared>> =
+            rows.iter().map(|r| Bls12::g2_prepare_batch(r)).collect();
+        let refs: Vec<&[pr::G2Prepared]> = prepared.iter().map(Vec::as_slice).collect();
+        let batch = Bls12::multi_pair_prepared_batch(&token, &refs);
+        assert_eq!(batch.len(), rows.len());
+        for ((row, prep), gt) in rows.iter().zip(&prepared).zip(&batch) {
+            assert_eq!(*gt, Bls12::multi_pair_prepared(&token, prep));
+            assert_eq!(*gt, Bls12::multi_pair(&token, row));
+        }
+        assert!(Bls12::multi_pair_prepared_batch(&token, &[]).is_empty());
     }
 
     #[test]

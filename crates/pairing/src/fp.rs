@@ -1,4 +1,8 @@
 //! The BLS12-381 base field `Fp` (381-bit prime, 6 limbs, Montgomery form).
+//!
+//! The modulus is written out so the Montgomery parameters can be
+//! derived from it at compile time; [`params::consts`] refuses to hand
+//! out anything unless it equals `p(z)`.
 
 use crate::params;
 
@@ -6,7 +10,14 @@ crate::impl_montgomery_field!(
     /// An element of the BLS12-381 base field `Fp`.
     Fp,
     6,
-    params::fp_params
+    [
+        0xb9fe_ffff_ffff_aaab,
+        0x1eab_fffe_b153_ffff,
+        0x6730_d2a0_f6b0_f624,
+        0x6477_4b84_f385_12bf,
+        0x4b1b_a7b6_434b_acd7,
+        0x1a01_11ea_397f_e69a,
+    ]
 );
 
 impl Fp {
@@ -79,7 +90,7 @@ mod tests {
             assert_eq!(Fp::from_bytes(&a.to_bytes()).unwrap(), a);
         }
         // The modulus itself must be rejected.
-        let p_limbs = params::fp_params().modulus;
+        let p_limbs = Fp::PARAMS.modulus;
         assert!(Fp::from_canonical_limbs(p_limbs).is_none());
     }
 

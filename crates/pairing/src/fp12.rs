@@ -99,11 +99,11 @@ impl Fp12 {
     /// the final exponentiation emits, hence every `GT` element).
     ///
     /// Decomposing `Fp12 = Fp4[w]` with `Fp4 = Fp2[v·w]`, the norm-1
-    /// condition collapses a full squaring (3 `Fp6` multiplications ≈ 18
+    /// condition collapses a full squaring (2 `Fp6` multiplications = 12
     /// `Fp2` multiplications) into three `Fp4` squarings — 9 `Fp2`
-    /// squarings plus additions, roughly half the work. `Gt::pow` and the
-    /// hard part of the final exponentiation are squaring-dominated, so
-    /// they run on this.
+    /// squarings plus additions, of 2 `Fp` multiplications each where an
+    /// `Fp2` multiplication takes 3. `Gt::pow` and the hard part of the
+    /// final exponentiation are squaring-dominated, so they run on this.
     pub fn cyclotomic_square(&self) -> Self {
         crate::ops::count_cyclotomic_square();
         // Coefficients in the w-power basis: c0 = (z0, z4, z3)·(1, v, v²),
@@ -132,6 +132,21 @@ impl Fp12 {
         Fp12 {
             c0: Fp6::new(z0, z4, z3),
             c1: Fp6::new(z2, z1, z5),
+        }
+    }
+
+    /// Multiply by the sparse element `1 + b·w³ + c·w⁵` — the shape of
+    /// every Miller-loop line once it is normalised by its `Fp2`
+    /// constant term (see [`crate::pairing`]).
+    ///
+    /// With `B = b·v + c·v²` the line is `1 + B·w`, so
+    /// `(f0 + f1·w)(1 + B·w) = (f0 + v·f1·B) + (f1 + f0·B)·w`: two
+    /// sparse `Fp6` products of 5 `Fp2` multiplications each, against a
+    /// dense multiplication's 18.
+    pub fn mul_by_line(&self, b: Fp2, c: Fp2) -> Self {
+        Fp12 {
+            c0: self.c0 + self.c1.mul_by_0bc(b, c).mul_by_v(),
+            c1: self.c1 + self.c0.mul_by_0bc(b, c),
         }
     }
 
@@ -250,13 +265,13 @@ impl Field for Fp12 {
     }
 
     fn square(&self) -> Self {
-        // (c0 + c1 w)² = c0² + v c1² + 2 c0 c1 w.
-        let t0 = self.c0.square();
-        let t1 = self.c1.square();
-        let cross = self.c0 * self.c1;
+        // Complex squaring: (c0 + c1 w)² = c0² + v c1² + 2 c0 c1 w, and
+        // with t = c0 c1, (c0 + c1)(c0 + v c1) = c0² + v c1² + t + v t —
+        // two `Fp6` products.
+        let t = self.c0 * self.c1;
         Fp12 {
-            c0: t0 + t1.mul_by_v(),
-            c1: cross + cross,
+            c0: (self.c0 + self.c1) * (self.c0 + self.c1.mul_by_v()) - t - t.mul_by_v(),
+            c1: t + t,
         }
     }
 
@@ -318,6 +333,32 @@ mod tests {
             assert_eq!((a * b) * c, a * (b * c));
             assert_eq!(a * (b + c), a * b + a * c);
             assert_eq!(a.square(), a * a);
+        }
+    }
+
+    #[test]
+    fn square_matches_mul_on_random_and_sparse_inputs() {
+        let mut r = rng();
+        for _ in 0..5 {
+            let a = Fp12::random(&mut r);
+            assert_eq!(a.square(), a * a);
+            let only_c0 = Fp12::from_fp6(a.c0);
+            assert_eq!(only_c0.square(), only_c0 * only_c0);
+            let only_c1 = Fp12::new(Fp6::zero(), a.c1);
+            assert_eq!(only_c1.square(), only_c1 * only_c1);
+        }
+        assert_eq!(Fp12::zero().square(), Fp12::zero());
+        assert_eq!(Fp12::one().square(), Fp12::one());
+    }
+
+    #[test]
+    fn mul_by_line_matches_dense_mul() {
+        let mut r = rng();
+        for _ in 0..5 {
+            let f = Fp12::random(&mut r);
+            let (b, c) = (Fp2::random(&mut r), Fp2::random(&mut r));
+            let line = Fp12::new(Fp6::one(), Fp6::new(Fp2::zero(), b, c));
+            assert_eq!(f.mul_by_line(b, c), f * line);
         }
     }
 

@@ -40,6 +40,21 @@ impl Fp6 {
         }
     }
 
+    /// Multiply by the sparse element `b·v + c·v²` — half of a Miller
+    /// line (see [`crate::fp12::Fp12::mul_by_line`]). 5 `Fp2`
+    /// multiplications: `c1·c + c2·b` comes out of one Karatsuba product
+    /// that reuses `c1·b` and `c2·c`.
+    pub(crate) fn mul_by_0bc(&self, b: Fp2, c: Fp2) -> Self {
+        let t1 = self.c1 * b;
+        let t2 = self.c2 * c;
+        let cross = (self.c1 + self.c2) * (b + c) - t1 - t2;
+        Fp6 {
+            c0: cross.mul_by_xi(),
+            c1: self.c0 * b + t2.mul_by_xi(),
+            c2: self.c0 * c + t1,
+        }
+    }
+
     /// Scale every coefficient by an `Fp2` element.
     pub fn scale(&self, k: Fp2) -> Self {
         Fp6 {
@@ -237,6 +252,16 @@ mod tests {
         let b = Fp2::random(&mut r);
         assert_eq!(Fp6::from_fp2(a) * Fp6::from_fp2(b), Fp6::from_fp2(a * b));
         assert_eq!(Fp6::from_fp2(a) + Fp6::from_fp2(b), Fp6::from_fp2(a + b));
+    }
+
+    #[test]
+    fn mul_by_0bc_matches_dense_mul() {
+        let mut r = rng();
+        for _ in 0..8 {
+            let a = Fp6::random(&mut r);
+            let (b, c) = (Fp2::random(&mut r), Fp2::random(&mut r));
+            assert_eq!(a.mul_by_0bc(b, c), a * Fp6::new(Fp2::zero(), b, c));
+        }
     }
 
     #[test]

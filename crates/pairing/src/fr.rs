@@ -2,14 +2,21 @@
 //! 4 limbs, Montgomery form). All protocol plaintext values (hashed join
 //! attributes, polynomial coefficients, blinding factors, query keys) live
 //! here.
-
-use crate::params;
+//!
+//! The modulus is written out so the Montgomery parameters can be
+//! derived from it at compile time; [`crate::params::consts`] refuses to
+//! hand out anything unless it equals `r(z)`.
 
 crate::impl_montgomery_field!(
     /// An element of the BLS12-381 scalar field `Fr` (the paper's `Z_q`).
     Fr,
     4,
-    params::fr_params
+    [
+        0xffff_ffff_0000_0001,
+        0x53bd_a402_fffe_5bfe,
+        0x3339_d808_09a1_d805,
+        0x73ed_a753_299d_7d48,
+    ]
 );
 
 impl Fr {

@@ -7,19 +7,24 @@
 //!
 //! * **Every constant is derived from the BLS parameter**
 //!   `z = -0xd201_0000_0001_0000`: base-field modulus
-//!   `p = (z-1)²(z⁴-z²+1)/3 + z`, scalar modulus `r = z⁴-z²+1`, Montgomery
-//!   parameters, Frobenius coefficients, endomorphism coefficients,
-//!   cofactors and generators. No magic hex blobs; tests cross-check the
-//!   derived values against the published standard ones.
+//!   `p = (z-1)²(z⁴-z²+1)/3 + z`, scalar modulus `r = z⁴-z²+1`,
+//!   Frobenius coefficients, endomorphism coefficients, cofactors and
+//!   generators. No magic hex blobs; tests cross-check the derived
+//!   values against the published standard ones. The two moduli are
+//!   also written out in [`fp`] and [`fr`], so that their Montgomery
+//!   parameters are compile-time constants ([`montgomery`]);
+//!   [`params::consts`] asserts the literals equal `p(z)` and `r(z)`.
 //! * **Field tower** `Fp → Fp2 → Fp6 → Fp12` with
 //!   `Fp2 = Fp[u]/(u²+1)`, `Fp6 = Fp2[v]/(v³-ξ)`, `ξ = 1+u`,
 //!   `Fp12 = Fp6[w]/(w²-v)`.
 //! * **Pairing**: optimal ate, computed with affine Miller-loop formulas
-//!   over the untwisted `G2` image in `Fp12` (the untwist
-//!   `(x', y') ↦ (x'/w², y'/w³)` keeps the formulas textbook-verifiable),
-//!   with **batched inversions across a multi-pairing** so the product of
-//!   pairings in `SJ.Dec` shares one inversion per Miller step and a single
-//!   final exponentiation.
+//!   in `Fp2` twist coordinates (the untwist
+//!   `(x', y') ↦ (x'/w², y'/w³)` keeps the formulas textbook-verifiable,
+//!   and a dense `Fp12` loop over the untwisted points stays as the test
+//!   oracle), every line normalised to `1 + b·w³ + c·w⁵` so `f·line`
+//!   costs 10 `Fp2` multiplications, with **batched inversions across a
+//!   multi-pairing** so the product of pairings in `SJ.Dec` shares one
+//!   inversion per Miller step and a single final exponentiation.
 //! * **Fast scalar multiplication** ([`scalar_mul`]): width-5 wNAF for
 //!   variable bases and affine fixed-base comb tables for the
 //!   generators (built once, then ≤ 64 mixed additions per
@@ -34,7 +39,9 @@
 //!   [`engine::Engine`] API, used by fast protocol tests and by the
 //!   full-scale shape experiments (see DESIGN.md §4).
 //!
-//! This is a research prototype: arithmetic is *not* constant-time (the
+//! This is a research prototype: field addition, subtraction, negation
+//! and multiplication are branch-free, but inversion, scalar
+//! multiplication and everything above them are *not* constant-time (the
 //! paper's security model is leakage at the query level, not side
 //! channels), and `unsafe` is not used.
 

@@ -2,13 +2,25 @@
 //! limb count, plus the [`impl_montgomery_field!`] macro that stamps out a
 //! concrete field type (`Fp` with 6 limbs, `Fr` with 4).
 //!
-//! All Montgomery parameters are computed from the modulus at first use:
-//! `inv = -p⁻¹ mod 2⁶⁴` by Newton iteration, and `R`, `R²`, `R³` by
-//! repeated modular doubling (no multi-precision division needed).
+//! All Montgomery parameters are computed from the modulus at compile
+//! time ([`FieldParams::derive`] is a `const fn`): `inv = -p⁻¹ mod 2⁶⁴`
+//! by Newton iteration, and `R`, `R²`, `R³` by repeated modular doubling
+//! (no multi-precision division needed). A field type holds them as an
+//! associated constant, so every operation sees its modulus as an
+//! immediate rather than a load behind a `OnceLock`.
+//!
+//! The arithmetic is branch-free: `p < 2^(64N-1)` (asserted by `derive`,
+//! so at compile time) means a sum of two reduced values and every
+//! Montgomery intermediate stay below `2p ≤ 2^(64N)` and never carry out
+//! of `N` limbs, and the one conditional subtraction or addition that
+//! brings a result back into `[0, p)` is a mask-select, not a jump —
+//! secret `Fr` scalars steer no branch here. (Inversion is the
+//! exception; see [`inv_mod`].)
 
 use eqjoin_bigint::limb::{adc, mac, sbb};
 
-/// Runtime-derived Montgomery parameters for an `N`-limb prime field.
+/// Compile-time-derived Montgomery parameters for an `N`-limb prime
+/// field.
 #[derive(Debug, Clone)]
 pub struct FieldParams<const N: usize> {
     /// The prime modulus `p` (little-endian limbs).
@@ -26,16 +38,23 @@ pub struct FieldParams<const N: usize> {
 }
 
 impl<const N: usize> FieldParams<N> {
-    /// Derive all parameters from the modulus. `p` must be odd and larger
-    /// than 1; the caller guarantees primality.
-    pub fn derive(modulus: [u64; N]) -> Self {
+    /// Derive all parameters from the modulus. `p` must be odd, larger
+    /// than 1 and leave the top bit of its top limb free; the caller
+    /// guarantees primality.
+    pub const fn derive(modulus: [u64; N]) -> Self {
         assert!(modulus[0] & 1 == 1, "modulus must be odd");
+        assert!(
+            modulus[N - 1] >> 63 == 0,
+            "2p must fit in N limbs: the carry-free arithmetic relies on it"
+        );
         // Newton iteration for p⁻¹ mod 2⁶⁴ (doubles correct bits each step).
         let mut inv = 1u64;
-        for _ in 0..6 {
+        let mut i = 0;
+        while i < 6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(modulus[0].wrapping_mul(inv)));
+            i += 1;
         }
-        debug_assert_eq!(modulus[0].wrapping_mul(inv), 1);
+        assert!(modulus[0].wrapping_mul(inv) == 1);
         let inv = inv.wrapping_neg();
 
         // R, R², R³ by doubling 1 modulo p: after 64N doublings we have R,
@@ -44,33 +63,33 @@ impl<const N: usize> FieldParams<N> {
         acc[0] = 1;
         let mut r = [0u64; N];
         let mut r2 = [0u64; N];
-        let mut r3 = [0u64; N];
-        for i in 1..=(3 * 64 * N) {
-            acc = double_mod(&acc, &modulus);
+        let mut i = 1;
+        while i <= 3 * 64 * N {
+            acc = mod_add(&acc, &acc, &modulus);
             if i == 64 * N {
                 r = acc;
             } else if i == 2 * 64 * N {
                 r2 = acc;
-            } else if i == 3 * 64 * N {
-                r3 = acc;
             }
+            i += 1;
         }
 
-        let bits = bit_len(&modulus);
         FieldParams {
             modulus,
             inv,
             r,
             r2,
-            r3,
-            bits,
+            r3: acc,
+            bits: bit_len(&modulus),
         }
     }
 }
 
 /// Significant bits of an `N`-limb value.
-pub fn bit_len<const N: usize>(a: &[u64; N]) -> usize {
-    for i in (0..N).rev() {
+pub const fn bit_len<const N: usize>(a: &[u64; N]) -> usize {
+    let mut i = N;
+    while i > 0 {
+        i -= 1;
         if a[i] != 0 {
             return 64 * i + (64 - a[i].leading_zeros() as usize);
         }
@@ -78,7 +97,6 @@ pub fn bit_len<const N: usize>(a: &[u64; N]) -> usize {
     0
 }
 
-#[inline]
 fn geq<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
     for i in (0..N).rev() {
         if a[i] > b[i] {
@@ -91,109 +109,121 @@ fn geq<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
     true
 }
 
-#[inline]
-fn add_limbs<const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], u64) {
+#[inline(always)]
+const fn add_limbs<const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], u64) {
     let mut out = [0u64; N];
     let mut carry = 0u64;
-    for i in 0..N {
-        let (v, c) = adc(a[i], b[i], carry);
-        out[i] = v;
-        carry = c;
+    let mut i = 0;
+    while i < N {
+        (out[i], carry) = adc(a[i], b[i], carry);
+        i += 1;
     }
     (out, carry)
 }
 
-#[inline]
-fn sub_limbs<const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], u64) {
+#[inline(always)]
+const fn sub_limbs<const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], u64) {
     let mut out = [0u64; N];
     let mut borrow = 0u64;
-    for i in 0..N {
-        let (v, bo) = sbb(a[i], b[i], borrow);
-        out[i] = v;
-        borrow = bo;
+    let mut i = 0;
+    while i < N {
+        (out[i], borrow) = sbb(a[i], b[i], borrow);
+        i += 1;
     }
     (out, borrow)
 }
 
-/// `2a mod p` for `a < p`.
-fn double_mod<const N: usize>(a: &[u64; N], p: &[u64; N]) -> [u64; N] {
-    let (sum, carry) = add_limbs(a, a);
-    reduce_once(sum, carry, p)
-}
-
-/// Reduce `value + carry·2^(64N)` into `[0, p)` assuming it is `< 2p`.
-#[inline]
-fn reduce_once<const N: usize>(value: [u64; N], carry: u64, p: &[u64; N]) -> [u64; N] {
-    if carry != 0 || geq(&value, p) {
-        let (out, _) = sub_limbs(&value, p);
-        out
-    } else {
-        value
+/// `a` where `mask` is all ones, `b` where it is zero.
+#[inline(always)]
+const fn select<const N: usize>(mask: u64, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+    let mut out = [0u64; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = (a[i] & mask) | (b[i] & !mask);
+        i += 1;
     }
+    out
 }
 
-/// Montgomery product `a·b·R⁻¹ mod p` (CIOS).
-pub fn mont_mul<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N], inv: u64) -> [u64; N] {
+/// Reduce `value < 2p` into `[0, p)`: subtract `p`, keep the difference
+/// unless it borrowed.
+#[inline(always)]
+const fn reduce_once<const N: usize>(value: &[u64; N], p: &[u64; N]) -> [u64; N] {
+    let (diff, borrow) = sub_limbs(value, p);
+    select(borrow.wrapping_neg(), value, &diff)
+}
+
+/// Montgomery product `a·b·R⁻¹ mod p` for `b < p`; `a` may be any
+/// `N`-limb value (wide reduction feeds unreduced halves through it).
+///
+/// CIOS with the multiplication and reduction passes interleaved, in
+/// its "no-carry" form: every outer iteration maps `t < 2p` to
+/// `(t + aᵢ·b + m·p)/2⁶⁴ < (2p + (2⁶⁴−1)·p + (2⁶⁴−1)·p)/2⁶⁴ = 2p` —
+/// using only `aᵢ, m < 2⁶⁴` and `b < p` — and `2p ≤ 2^(64N)`, so the
+/// two carry chains' top words sum without overflow and no `(N+1)`-th
+/// limb survives an iteration.
+#[inline(always)]
+pub const fn mont_mul<const N: usize>(
+    a: &[u64; N],
+    b: &[u64; N],
+    p: &[u64; N],
+    inv: u64,
+) -> [u64; N] {
     let mut t = [0u64; N];
-    let mut t_n = 0u64; // t[N], carried across outer iterations
-    #[allow(clippy::needless_range_loop)] // textbook CIOS indexing
-    for i in 0..N {
-        // t += a[i] * b
-        let mut carry = 0u64;
-        for j in 0..N {
-            let (v, c) = mac(t[j], a[i], b[j], carry);
-            t[j] = v;
-            carry = c;
+    let mut i = 0;
+    while i < N {
+        // t += a[i]·b and t = (t + m·p)/2⁶⁴ in one pass over j.
+        let (t0, mut mul_carry) = mac(t[0], a[i], b[0], 0);
+        let m = t0.wrapping_mul(inv);
+        let (_, mut red_carry) = mac(t0, m, p[0], 0);
+        let mut j = 1;
+        while j < N {
+            let tj;
+            (tj, mul_carry) = mac(t[j], a[i], b[j], mul_carry);
+            (t[j - 1], red_carry) = mac(tj, m, p[j], red_carry);
+            j += 1;
         }
-        let (v, c) = adc(t_n, carry, 0);
-        t_n = v;
-        let t_n1 = c; // t[N+1], local to this iteration
-
-        // Reduce one limb: t += m * p, then shift right by one limb.
-        let m = t[0].wrapping_mul(inv);
-        let (_, mut carry) = mac(t[0], m, p[0], 0);
-        for j in 1..N {
-            let (v, c) = mac(t[j], m, p[j], carry);
-            t[j - 1] = v;
-            carry = c;
-        }
-        let (v, c) = adc(t_n, carry, 0);
-        t[N - 1] = v;
-        let (v2, _) = adc(t_n1, c, 0);
-        t_n = v2;
+        (t[N - 1], _) = adc(mul_carry, red_carry, 0);
+        i += 1;
     }
-    reduce_once(t, t_n, p)
+    reduce_once(&t, p)
 }
 
 /// Modular addition of values already in `[0, p)`.
-pub fn mod_add<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N]) -> [u64; N] {
-    let (sum, carry) = add_limbs(a, b);
-    reduce_once(sum, carry, p)
+#[inline(always)]
+pub const fn mod_add<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N]) -> [u64; N] {
+    let (sum, _) = add_limbs(a, b);
+    reduce_once(&sum, p)
 }
 
-/// Modular subtraction of values already in `[0, p)`.
-pub fn mod_sub<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N]) -> [u64; N] {
+/// Modular subtraction of values already in `[0, p)`: add `p` back
+/// where the difference borrowed.
+#[inline(always)]
+pub const fn mod_sub<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N]) -> [u64; N] {
     let (diff, borrow) = sub_limbs(a, b);
-    if borrow != 0 {
-        let (fixed, _) = add_limbs(&diff, p);
-        fixed
-    } else {
-        diff
-    }
+    let (fixed, _) = add_limbs(&diff, &select(borrow.wrapping_neg(), p, &[0u64; N]));
+    fixed
 }
 
-/// Modular negation of a value in `[0, p)`.
-pub fn mod_neg<const N: usize>(a: &[u64; N], p: &[u64; N]) -> [u64; N] {
-    if a.iter().all(|&l| l == 0) {
-        *a
-    } else {
-        let (out, _) = sub_limbs(p, a);
-        out
+/// Modular negation of a value in `[0, p)`: `p − a`, masked to zero
+/// for `a = 0` so the result stays fully reduced.
+#[inline(always)]
+pub const fn mod_neg<const N: usize>(a: &[u64; N], p: &[u64; N]) -> [u64; N] {
+    let mut any = 0u64;
+    let mut i = 0;
+    while i < N {
+        any |= a[i];
+        i += 1;
     }
+    // Top bit of `any | −any` is set iff `any ≠ 0`.
+    let nonzero = ((any | any.wrapping_neg()) >> 63).wrapping_neg();
+    let (out, _) = sub_limbs(p, a);
+    select(nonzero, &out, &[0u64; N])
 }
 
 /// Plain (non-Montgomery) modular inverse via binary extended Euclid.
 /// Returns `None` for zero input. `a` must be `< p`, `p` odd prime.
+/// Variable-time: the one routine here whose branches follow its input.
 pub fn inv_mod<const N: usize>(a: &[u64; N], p: &[u64; N]) -> Option<[u64; N]> {
     if a.iter().all(|&l| l == 0) {
         return None;
@@ -252,11 +282,12 @@ pub fn inv_mod<const N: usize>(a: &[u64; N], p: &[u64; N]) -> Option<[u64; N]> {
 
 /// Define a Montgomery-form prime-field type.
 ///
-/// `$name` — the type; `$n` — limb count literal; `$params` — a
-/// `fn() -> &'static FieldParams<$n>` providing the derived parameters.
+/// `$name` — the type; `$n` — limb count literal; `$modulus` — the
+/// prime as little-endian limbs, from which the type's
+/// [`FieldParams`] are derived at compile time.
 #[macro_export]
 macro_rules! impl_montgomery_field {
-    ($(#[$attr:meta])* $name:ident, $n:expr, $params:path) => {
+    ($(#[$attr:meta])* $name:ident, $n:expr, $modulus:expr) => {
         $(#[$attr])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(pub(crate) [u64; $n]);
@@ -266,10 +297,16 @@ macro_rules! impl_montgomery_field {
             pub const LIMBS: usize = $n;
             /// Serialized length in bytes.
             pub const BYTES: usize = $n * 8;
+            /// The Montgomery parameters, derived from the modulus at
+            /// compile time.
+            pub const PARAMS: $crate::montgomery::FieldParams<$n> =
+                $crate::montgomery::FieldParams::derive($modulus);
+            const MODULUS: [u64; $n] = Self::PARAMS.modulus;
 
-            #[inline]
-            fn params() -> &'static $crate::montgomery::FieldParams<$n> {
-                $params()
+            /// Montgomery product of two limb arrays below the modulus.
+            #[inline(always)]
+            const fn mont_mul(a: &[u64; $n], b: &[u64; $n]) -> [u64; $n] {
+                $crate::montgomery::mont_mul(a, b, &Self::MODULUS, Self::PARAMS.inv)
             }
 
             /// The additive identity.
@@ -281,15 +318,14 @@ macro_rules! impl_montgomery_field {
             /// The multiplicative identity (Montgomery form of 1).
             #[inline]
             pub fn one() -> Self {
-                $name(Self::params().r)
+                $name(Self::PARAMS.r)
             }
 
             /// Construct from a small integer.
             pub fn from_u64(v: u64) -> Self {
                 let mut limbs = [0u64; $n];
                 limbs[0] = v;
-                let p = Self::params();
-                $name($crate::montgomery::mont_mul(&limbs, &p.r2, &p.modulus, p.inv))
+                $name(Self::mont_mul(&limbs, &Self::PARAMS.r2))
             }
 
             /// Construct from a signed small integer.
@@ -304,19 +340,16 @@ macro_rules! impl_montgomery_field {
             /// Construct from canonical little-endian limbs; `None` if the
             /// value is not fully reduced (`>= p`).
             pub fn from_canonical_limbs(limbs: [u64; $n]) -> Option<Self> {
-                let p = Self::params();
                 // reject limbs >= modulus
                 let mut borrow = 0u64;
                 for i in 0..$n {
-                    let (_, b) = eqjoin_bigint::limb::sbb(limbs[i], p.modulus[i], borrow);
+                    let (_, b) = eqjoin_bigint::limb::sbb(limbs[i], Self::MODULUS[i], borrow);
                     borrow = b;
                 }
                 if borrow == 0 {
                     return None;
                 }
-                Some($name($crate::montgomery::mont_mul(
-                    &limbs, &p.r2, &p.modulus, p.inv,
-                )))
+                Some($name(Self::mont_mul(&limbs, &Self::PARAMS.r2)))
             }
 
             /// Reduce a double-width little-endian limb value modulo `p`.
@@ -324,23 +357,21 @@ macro_rules! impl_montgomery_field {
             /// Used for near-uniform sampling and hash-to-field: the input
             /// is `2N` limbs, the statistical bias is `≈ 2^-(64N - bits)`.
             pub fn from_wide_limbs(limbs: [u64; 2 * $n]) -> Self {
-                let p = Self::params();
                 let mut lo = [0u64; $n];
                 let mut hi = [0u64; $n];
                 lo.copy_from_slice(&limbs[..$n]);
                 hi.copy_from_slice(&limbs[$n..]);
                 // value = lo + hi·R; Montgomery form is lo·R + hi·R².
-                let lo_m = $crate::montgomery::mont_mul(&lo, &p.r2, &p.modulus, p.inv);
-                let hi_m = $crate::montgomery::mont_mul(&hi, &p.r3, &p.modulus, p.inv);
-                $name($crate::montgomery::mod_add(&lo_m, &hi_m, &p.modulus))
+                let lo_m = Self::mont_mul(&lo, &Self::PARAMS.r2);
+                let hi_m = Self::mont_mul(&hi, &Self::PARAMS.r3);
+                $name($crate::montgomery::mod_add(&lo_m, &hi_m, &Self::MODULUS))
             }
 
             /// Canonical (non-Montgomery) little-endian limbs in `[0, p)`.
             pub fn to_canonical_limbs(&self) -> [u64; $n] {
-                let p = Self::params();
                 let mut one = [0u64; $n];
                 one[0] = 1;
-                $crate::montgomery::mont_mul(&self.0, &one, &p.modulus, p.inv)
+                Self::mont_mul(&self.0, &one)
             }
 
             /// Canonical big-endian byte serialization.
@@ -393,34 +424,26 @@ macro_rules! impl_montgomery_field {
             /// Field multiplication.
             #[inline]
             pub fn mul_assign_ref(&mut self, other: &Self) {
-                let p = Self::params();
-                self.0 = $crate::montgomery::mont_mul(&self.0, &other.0, &p.modulus, p.inv);
+                self.0 = Self::mont_mul(&self.0, &other.0);
             }
 
             /// `self²`.
             #[inline]
             pub fn square(&self) -> Self {
-                let p = Self::params();
-                $name($crate::montgomery::mont_mul(
-                    &self.0, &self.0, &p.modulus, p.inv,
-                ))
+                $name(Self::mont_mul(&self.0, &self.0))
             }
 
             /// `2·self`.
             #[inline]
             pub fn double(&self) -> Self {
-                let p = Self::params();
-                $name($crate::montgomery::mod_add(&self.0, &self.0, &p.modulus))
+                $name($crate::montgomery::mod_add(&self.0, &self.0, &Self::MODULUS))
             }
 
             /// Multiplicative inverse (`None` for zero).
             pub fn invert(&self) -> Option<Self> {
-                let p = Self::params();
                 let plain = self.to_canonical_limbs();
-                let inv_plain = $crate::montgomery::inv_mod(&plain, &p.modulus)?;
-                Some($name($crate::montgomery::mont_mul(
-                    &inv_plain, &p.r2, &p.modulus, p.inv,
-                )))
+                let inv_plain = $crate::montgomery::inv_mod(&plain, &Self::MODULUS)?;
+                Some($name(Self::mont_mul(&inv_plain, &Self::PARAMS.r2)))
             }
 
             /// Exponentiation by a little-endian limb-slice exponent.
@@ -459,8 +482,7 @@ macro_rules! impl_montgomery_field {
             type Output = $name;
             #[inline]
             fn add(self, rhs: $name) -> $name {
-                let p = Self::params();
-                $name($crate::montgomery::mod_add(&self.0, &rhs.0, &p.modulus))
+                $name($crate::montgomery::mod_add(&self.0, &rhs.0, &Self::MODULUS))
             }
         }
 
@@ -468,8 +490,7 @@ macro_rules! impl_montgomery_field {
             type Output = $name;
             #[inline]
             fn sub(self, rhs: $name) -> $name {
-                let p = Self::params();
-                $name($crate::montgomery::mod_sub(&self.0, &rhs.0, &p.modulus))
+                $name($crate::montgomery::mod_sub(&self.0, &rhs.0, &Self::MODULUS))
             }
         }
 
@@ -477,10 +498,7 @@ macro_rules! impl_montgomery_field {
             type Output = $name;
             #[inline]
             fn mul(self, rhs: $name) -> $name {
-                let p = Self::params();
-                $name($crate::montgomery::mont_mul(
-                    &self.0, &rhs.0, &p.modulus, p.inv,
-                ))
+                $name(Self::mont_mul(&self.0, &rhs.0))
             }
         }
 
@@ -488,8 +506,7 @@ macro_rules! impl_montgomery_field {
             type Output = $name;
             #[inline]
             fn neg(self) -> $name {
-                let p = Self::params();
-                $name($crate::montgomery::mod_neg(&self.0, &p.modulus))
+                $name($crate::montgomery::mod_neg(&self.0, &Self::MODULUS))
             }
         }
 

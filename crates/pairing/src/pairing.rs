@@ -5,10 +5,31 @@
 //!
 //! * `G2` points are *untwisted* into `E(Fp12)` via
 //!   `(x', y') ↦ (x'/w², y'/w³)` (with `w⁶ = ξ` this maps
-//!   `y'² = x'³ + 4ξ` onto `y² = x³ + 4`), and the Miller loop runs with
-//!   plain affine chord-and-tangent formulas over `Fp12`. Vertical-line
+//!   `y'² = x'³ + 4ξ` onto `y² = x³ + 4`). The loop itself never leaves
+//!   `Fp2` twist coordinates: with twist-affine slope `λ'` (the untwisted
+//!   slope is `λ'·w⁻¹`), the tangent at `T` or chord through `T` and `Q`,
+//!   evaluated at `P = (x_P, y_P)` and scaled by `ξ` to clear the
+//!   negative powers of `w` (`w⁻³ = ξ⁻¹·w³`, `w⁻¹ = ξ⁻¹·w⁵`), is
+//!
+//!   ```text
+//!     ξ·y_P  +  (λ'·x'_• − y'_•)·w³  −  (λ'·x_P)·w⁵
+//!   ```
+//!
+//!   with `•` = `T` (doubling) or `Q` (addition). Vertical-line
 //!   denominators are omitted: their values lie in `Fp6`, which the easy
 //!   part of the final exponentiation annihilates.
+//! * **Every line is normalised by its constant term** and reads
+//!   `1 + b·w³ + c·w⁵`. The divisor `ξ·y_P` lies in `Fp2`, so
+//!   `(ξ·y_P)^(p²−1) = 1`, and `p²−1` divides `p⁶−1`, the first factor
+//!   of the final exponent: the Miller value changes by an `Fp2` factor
+//!   per line, the pairing not at all. `y_P ≠ 0` on every curve point: a
+//!   point with `y = 0` has order 2, and `#E(Fp) = h1·r` is odd
+//!   (`params::tests` checks `h1·r = p + 1 − t`). The `P`-independent
+//!   halves `(λ'·ξ⁻¹, (λ'·x'_• − y'_•)·ξ⁻¹)` are what [`G2Prepared`]
+//!   stores; the `P`-dependent halves `1/y_P` and `−x_P/y_P`
+//!   (`G1Normalized`) cost one shared inversion per token. `f·line` is
+//!   then [`Fp12::mul_by_line`]: 10 `Fp2` multiplications and 4 `Fp`
+//!   scalings, where a line with a general constant term takes 15 and 2.
 //! * The loop parameter is `|z|`; since the BLS parameter is negative the
 //!   Miller value is conjugated at the end (`conj(f) = f⁻¹ · f^{p⁶+1}` and
 //!   `f^{p⁶+1} ∈ Fp6` is likewise killed by the final exponentiation).
@@ -107,169 +128,210 @@ fn cyclotomic_pow_wnaf(base: &Fp12, exp: &[u64]) -> Fp12 {
     acc
 }
 
-/// Untwist constants `ξ⁻¹·w⁴` (= `w⁻²`) and `ξ⁻¹·w³` (= `w⁻³`).
-fn untwist_consts() -> &'static (Fp12, Fp12) {
-    static CONSTS: OnceLock<(Fp12, Fp12)> = OnceLock::new();
-    CONSTS.get_or_init(|| {
-        let xi_inv = Fp2::xi().invert().expect("ξ nonzero");
-        // w⁻² = ξ⁻¹·w⁴ = ξ⁻¹·v²  (coefficient c0.c2)
-        let w_inv_2 = Fp12::new(Fp6::new(Fp2::zero(), Fp2::zero(), xi_inv), Fp6::zero());
-        // w⁻³ = ξ⁻¹·w³ = ξ⁻¹·v·w (coefficient c1.c1)
-        let w_inv_3 = Fp12::new(Fp6::zero(), Fp6::new(Fp2::zero(), xi_inv, Fp2::zero()));
-        (w_inv_2, w_inv_3)
-    })
+/// `ξ⁻¹`, derived once.
+fn xi_inv() -> &'static Fp2 {
+    static XI_INV: OnceLock<Fp2> = OnceLock::new();
+    XI_INV.get_or_init(|| Fp2::xi().invert().expect("ξ nonzero"))
 }
 
 /// Map a twist point into `E(Fp12): y² = x³ + 4`.
 pub(crate) fn untwist(q: &G2Affine) -> (Fp12, Fp12) {
-    let (w2, w3) = untwist_consts();
-    (Fp12::from_fp2(q.x) * *w2, Fp12::from_fp2(q.y) * *w3)
+    // x'·w⁻² = x'·ξ⁻¹·w⁴ = x'·ξ⁻¹·v²  (coefficient c0.c2)
+    let x = Fp12::new(
+        Fp6::new(Fp2::zero(), Fp2::zero(), q.x * *xi_inv()),
+        Fp6::zero(),
+    );
+    // y'·w⁻³ = y'·ξ⁻¹·w³ = y'·ξ⁻¹·v·w (coefficient c1.c1)
+    let y = Fp12::new(
+        Fp6::zero(),
+        Fp6::new(Fp2::zero(), q.y * *xi_inv(), Fp2::zero()),
+    );
+    (x, y)
 }
 
-/// Multiply `f` by a sparse line value `a + b·(v·w) + c·(v²·w)`
-/// (`w`-degrees 0, 3 and 5 — the shape every Miller-loop line takes after
-/// scaling by `ξ`). Costs 15 `Fp2` multiplications instead of a full
-/// `Fp12` multiplication's 18.
-fn mul_by_line(f: &Fp12, a: Fp2, b: Fp2, c: Fp2) -> Fp12 {
-    // l = A + B·w with A = (a, 0, 0), B = (0, b, c) over Fp6.
-    let t0 = f.c0.scale(a);
-    let t1 = mul_fp6_by_0bc(&f.c1, b, c);
-    let cross = (f.c0 + f.c1) * Fp6::new(a, b, c);
-    Fp12 {
-        c0: t0 + t1.mul_by_v(),
-        c1: cross - t0 - t1,
+/// Number of lines a Miller loop evaluates per pair: one per doubling
+/// step plus one per addition step (63 + 5 for the BLS12-381 loop
+/// parameter).
+fn lines_per_pair() -> usize {
+    let bits = 64 - BLS_X.leading_zeros() as usize;
+    (bits - 1) + (BLS_X.count_ones() as usize - 1)
+}
+
+/// The `P`-independent half of one Miller line:
+/// `(λ'·ξ⁻¹, (λ'·x'_• − y'_•)·ξ⁻¹)` with `•` = `T` (doubling) or `Q`
+/// (addition).
+type LineCoeffs = (Fp2, Fp2);
+
+/// The `P`-dependent half of every Miller line against one `G1` point.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct LinePoint {
+    inv_y: Fp,
+    neg_x_over_y: Fp,
+}
+
+/// The [`LineCoeffs`] of every Miller line of each point, in loop order.
+/// One slope inversion per step is shared across the whole batch
+/// (Montgomery's trick). The identity gets an empty table.
+fn line_tables(qs: &[G2Affine]) -> Vec<Vec<LineCoeffs>> {
+    struct Walk {
+        xq: Fp2,
+        yq: Fp2,
+        xt: Fp2,
+        yt: Fp2,
+        slot: usize,
     }
-}
-
-/// `(f0 + f1·v + f2·v²)·(b·v + c·v²)` with `v³ = ξ`.
-fn mul_fp6_by_0bc(f: &Fp6, b: Fp2, c: Fp2) -> Fp6 {
-    Fp6::new(
-        (f.c1 * c + f.c2 * b).mul_by_xi(),
-        f.c0 * b + (f.c2 * c).mul_by_xi(),
-        f.c0 * c + f.c1 * b,
-    )
-}
-
-/// Per-pair Miller-loop state in twist coordinates: `T = (xt, yt)` walks
-/// multiples of `Q` on `E'(Fp2)`; `yp_xi` caches `ξ·y_P`.
-struct TwistState {
-    xp: Fp,
-    yp_xi: Fp2,
-    xq: Fp2,
-    yq: Fp2,
-    xt: Fp2,
-    yt: Fp2,
-}
-
-/// Shared Miller loop over all pairs (identity pairs contribute 1 and are
-/// skipped). Returns the un-exponentiated Miller value.
-///
-/// The loop runs entirely in `Fp2` twist coordinates: the untwist
-/// `(x', y') ↦ (x'/w², y'/w³)` turns the affine tangent/chord line at
-/// `P = (x_P, y_P)` into (after scaling by the exponentiation-killed
-/// factor `ξ ∈ Fp2 ⊂ Fp6`)
-///
-/// ```text
-///   ξ·y_P  +  (λ'·x'_• - y'_•)·w³  -  (λ'·x_P)·w⁵
-/// ```
-///
-/// where `λ' ∈ Fp2` is the twist-affine slope and `•` is `T` (doubling) or
-/// `Q` (addition). Slope denominators are batch-inverted across all pairs.
-pub fn multi_miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
-    let mut states: Vec<TwistState> = pairs
+    impl Walk {
+        /// Record the line of slope `lambda` through `(x, y)` and step
+        /// `T` to the third point on it: `x` is `x_T` for a tangent and
+        /// `x_Q` for a chord.
+        fn step(&mut self, lambda: Fp2, x: Fp2, y: Fp2, table: &mut Vec<LineCoeffs>) {
+            let xi_inv = *xi_inv();
+            table.push((lambda * xi_inv, (lambda * x - y) * xi_inv));
+            let x3 = lambda.square() - self.xt - x;
+            self.yt = lambda * (self.xt - x3) - self.yt;
+            self.xt = x3;
+        }
+    }
+    let mut walks: Vec<Walk> = qs
         .iter()
-        .filter(|(p, q)| !p.infinity && !q.infinity)
-        .map(|(p, q)| TwistState {
-            xp: p.x,
-            yp_xi: Fp2::xi().scale(p.y),
+        .enumerate()
+        .filter(|(_, q)| !q.infinity)
+        .map(|(slot, q)| Walk {
             xq: q.x,
             yq: q.y,
             xt: q.x,
             yt: q.y,
+            slot,
         })
         .collect();
-    crate::ops::count_pairing(states.len() as u64);
-    if states.is_empty() {
-        return Fp12::one();
-    }
+    let mut tables: Vec<Vec<LineCoeffs>> = qs
+        .iter()
+        .map(|q| Vec::with_capacity(if q.infinity { 0 } else { lines_per_pair() }))
+        .collect();
 
-    let mut f = Fp12::one();
     let bits = 64 - BLS_X.leading_zeros() as usize;
-    let mut denoms: Vec<Fp2> = Vec::with_capacity(states.len());
-
+    let mut denoms: Vec<Fp2> = Vec::with_capacity(walks.len());
     for i in (0..bits - 1).rev() {
-        f = f.square();
-
         // Doubling: λ' = 3x_T²/(2y_T) on the twist, batched inversion.
         denoms.clear();
-        denoms.extend(states.iter().map(|s| s.yt.double()));
+        denoms.extend(walks.iter().map(|w| w.yt.double()));
         batch_invert(&mut denoms);
-        for (s, inv) in states.iter_mut().zip(&denoms) {
-            let xt_sq = s.xt.square();
+        for (w, inv) in walks.iter_mut().zip(&denoms) {
+            let xt_sq = w.xt.square();
             let lambda = (xt_sq.double() + xt_sq) * *inv;
-            let b = lambda * s.xt - s.yt;
-            let c = -lambda.scale(s.xp);
-            f = mul_by_line(&f, s.yp_xi, b, c);
-            let x3 = lambda.square() - s.xt.double();
-            let y3 = lambda * (s.xt - x3) - s.yt;
-            s.xt = x3;
-            s.yt = y3;
+            w.step(lambda, w.xt, w.yt, &mut tables[w.slot]);
         }
-
         if (BLS_X >> i) & 1 == 1 {
             // Addition: λ' = (y_T - y_Q)/(x_T - x_Q); T = mQ with
             // 2 ≤ m < r-1 never collides with ±Q on an order-r point, so
             // the denominators are nonzero.
             denoms.clear();
-            denoms.extend(states.iter().map(|s| s.xt - s.xq));
+            denoms.extend(walks.iter().map(|w| w.xt - w.xq));
             batch_invert(&mut denoms);
-            for (s, inv) in states.iter_mut().zip(&denoms) {
-                let lambda = (s.yt - s.yq) * *inv;
-                let b = lambda * s.xq - s.yq;
-                let c = -lambda.scale(s.xp);
-                f = mul_by_line(&f, s.yp_xi, b, c);
-                let x3 = lambda.square() - s.xt - s.xq;
-                let y3 = lambda * (s.xt - x3) - s.yt;
-                s.xt = x3;
-                s.yt = y3;
+            for (w, inv) in walks.iter_mut().zip(&denoms) {
+                let lambda = (w.yt - w.yq) * *inv;
+                w.step(lambda, w.xq, w.yq, &mut tables[w.slot]);
             }
         }
     }
+    tables
+}
 
+/// A `G1` point as the normalised lines are evaluated at it:
+/// `(1/y_P, −x_P/y_P)`, which turns a table entry `(l, m)` into the line
+/// `1 + m·(1/y_P)·w³ + l·(−x_P/y_P)·w⁵`. `None` inside for the identity,
+/// whose pairs contribute 1.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct G1Normalized(Option<LinePoint>);
+
+impl G1Normalized {
+    /// Normalise a batch of points with one shared inversion — a token
+    /// is normalised once and then evaluated against every row it
+    /// decrypts. `y_P ≠ 0` on every curve point (module docs).
+    pub(crate) fn batch(ps: &[G1Affine]) -> Vec<G1Normalized> {
+        // The identity stands in as 1 so every point keeps its slot.
+        let mut inv_ys: Vec<Fp> = ps
+            .iter()
+            .map(|p| if p.infinity { Fp::one() } else { p.y })
+            .collect();
+        batch_invert(&mut inv_ys);
+        ps.iter()
+            .zip(inv_ys)
+            .map(|(p, inv_y)| {
+                G1Normalized((!p.infinity).then_some(LinePoint {
+                    inv_y,
+                    neg_x_over_y: -(p.x * inv_y),
+                }))
+            })
+            .collect()
+    }
+}
+
+/// The Miller loop proper: `f ← f²·∏ lines` per bit of `|z|`, every
+/// line read from a table and evaluated at a normalised point — no
+/// inversions, no point arithmetic. Identity pairs are already gone.
+fn miller_loop_over(pairs: &[(LinePoint, &[LineCoeffs])]) -> Fp12 {
+    if pairs.is_empty() {
+        return Fp12::one();
+    }
+    let mut f = Fp12::one();
+    let bits = 64 - BLS_X.leading_zeros() as usize;
+    let mut step = 0usize;
+    let mut multiply_lines = |f: &mut Fp12| {
+        for (p, table) in pairs {
+            let (l, m) = table[step];
+            *f = f.mul_by_line(m.scale(p.inv_y), l.scale(p.neg_x_over_y));
+        }
+        step += 1;
+    };
+    for i in (0..bits - 1).rev() {
+        f = f.square();
+        multiply_lines(&mut f);
+        if (BLS_X >> i) & 1 == 1 {
+            multiply_lines(&mut f);
+        }
+    }
     if BLS_X_IS_NEGATIVE {
         f = f.conjugate();
     }
     f
 }
 
-/// Precomputed Miller-loop line state for one `G2` point: the slope
-/// `λ'` and intercept term `λ'·x_• − y_•` of every doubling/addition
-/// line, in loop order. These are exactly the `P`-independent parts of
-/// the twist-coordinate line
+/// Shared Miller loop over all pairs (identity pairs contribute 1 and are
+/// skipped). Returns the un-exponentiated Miller value.
 ///
-/// ```text
-///   ξ·y_P  +  (λ'·x'_• − y'_•)·w³  −  (λ'·x_P)·w⁵
-/// ```
-///
-/// so a pairing against a prepared point costs **no slope inversions
-/// and no point arithmetic** — only table reads and sparse `Fp12` line
+/// The line tables [`G2Prepared`] would keep are built for this one
+/// call and dropped, so the value equals
+/// [`multi_miller_loop_prepared`]'s on the same points bit for bit.
+pub fn multi_miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
+    let (ps, qs): (Vec<G1Affine>, Vec<G2Affine>) = pairs
+        .iter()
+        .filter(|(p, q)| !p.infinity && !q.infinity)
+        .copied()
+        .unzip();
+    crate::ops::count_pairing(ps.len() as u64);
+    let tables = line_tables(&qs);
+    let live: Vec<_> = G1Normalized::batch(&ps)
+        .iter()
+        .zip(&tables)
+        .filter_map(|(p, table)| Some((p.0?, table.as_slice())))
+        .collect();
+    miller_loop_over(&live)
+}
+
+/// Precomputed Miller-loop line state for one `G2` point: the
+/// `P`-independent half `(λ'·ξ⁻¹, (λ'·x'_• − y'_•)·ξ⁻¹)` of every
+/// doubling/addition line, in loop order (module docs), so a pairing
+/// against a prepared point costs **no slope inversions and no point
+/// arithmetic** — only table reads and sparse `Fp12` line
 /// multiplications. A stored ciphertext is prepared once (by the first
 /// query that selects it) and then reused by every later query of the
 /// series, which is the paper's reuse pattern exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct G2Prepared {
-    /// `(λ', λ'·x_• − y_•)` per Miller step (63 doublings interleaved
-    /// with 5 additions for the BLS12-381 loop parameter).
-    coeffs: Vec<(Fp2, Fp2)>,
-    /// The point was the identity; it contributes `1` to the product.
-    infinity: bool,
-}
-
-/// Number of line coefficients a non-identity [`G2Prepared`] carries:
-/// one per doubling step plus one per addition step of the Miller loop.
-fn prepared_coeff_count() -> usize {
-    let bits = 64 - BLS_X.leading_zeros() as usize;
-    (bits - 1) + (BLS_X.count_ones() as usize - 1)
+    /// One entry per Miller step; empty for the identity, which
+    /// contributes `1` to the product.
+    coeffs: Vec<LineCoeffs>,
 }
 
 impl G2Prepared {
@@ -283,133 +345,47 @@ impl G2Prepared {
     /// shape of a first touch, where every ciphertext element of every
     /// row a query newly selects is prepared at once.
     pub fn prepare_batch(qs: &[G2Affine]) -> Vec<G2Prepared> {
-        struct Walk {
-            xq: Fp2,
-            yq: Fp2,
-            xt: Fp2,
-            yt: Fp2,
-            slot: usize,
-        }
-        let mut walks: Vec<Walk> = qs
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.infinity)
-            .map(|(slot, q)| Walk {
-                xq: q.x,
-                yq: q.y,
-                xt: q.x,
-                yt: q.y,
-                slot,
-            })
-            .collect();
-        crate::ops::count_g2_prepares(walks.len() as u64);
-        let mut out: Vec<G2Prepared> = qs
-            .iter()
-            .map(|q| G2Prepared {
-                coeffs: Vec::with_capacity(if q.infinity {
-                    0
-                } else {
-                    prepared_coeff_count()
-                }),
-                infinity: q.infinity,
-            })
-            .collect();
-        if walks.is_empty() {
-            return out;
-        }
-
-        let bits = 64 - BLS_X.leading_zeros() as usize;
-        let mut denoms: Vec<Fp2> = Vec::with_capacity(walks.len());
-        for i in (0..bits - 1).rev() {
-            // Doubling: λ' = 3x_T²/(2y_T), batched inversion.
-            denoms.clear();
-            denoms.extend(walks.iter().map(|w| w.yt.double()));
-            batch_invert(&mut denoms);
-            for (w, inv) in walks.iter_mut().zip(&denoms) {
-                let xt_sq = w.xt.square();
-                let lambda = (xt_sq.double() + xt_sq) * *inv;
-                out[w.slot].coeffs.push((lambda, lambda * w.xt - w.yt));
-                let x3 = lambda.square() - w.xt.double();
-                let y3 = lambda * (w.xt - x3) - w.yt;
-                w.xt = x3;
-                w.yt = y3;
-            }
-            if (BLS_X >> i) & 1 == 1 {
-                // Addition: λ' = (y_T - y_Q)/(x_T - x_Q); nonzero
-                // denominators for order-r points (see the loop above).
-                denoms.clear();
-                denoms.extend(walks.iter().map(|w| w.xt - w.xq));
-                batch_invert(&mut denoms);
-                for (w, inv) in walks.iter_mut().zip(&denoms) {
-                    let lambda = (w.yt - w.yq) * *inv;
-                    out[w.slot].coeffs.push((lambda, lambda * w.xq - w.yq));
-                    let x3 = lambda.square() - w.xt - w.xq;
-                    let y3 = lambda * (w.xt - x3) - w.yt;
-                    w.xt = x3;
-                    w.yt = y3;
-                }
-            }
-        }
-        out
+        crate::ops::count_g2_prepares(qs.iter().filter(|q| !q.infinity).count() as u64);
+        line_tables(qs)
+            .into_iter()
+            .map(|coeffs| G2Prepared { coeffs })
+            .collect()
     }
 
     /// True iff this is the prepared identity.
     pub fn is_identity(&self) -> bool {
-        self.infinity
+        self.coeffs.is_empty()
     }
 }
 
-/// The shared Miller loop over **prepared** `G2` points: identical
-/// output to [`multi_miller_loop`] (asserted bit-for-bit by tests), but
-/// every line's slope comes from the [`G2Prepared`] table — no
-/// inversions, no squarings, no point updates. This is the hot path of
-/// `SJ.Dec` over stored ciphertexts.
-pub fn multi_miller_loop_prepared(pairs: &[(G1Affine, &G2Prepared)]) -> Fp12 {
-    struct Eval<'a> {
-        xp: Fp,
-        yp_xi: Fp2,
-        coeffs: &'a [(Fp2, Fp2)],
-    }
-    let states: Vec<Eval<'_>> = pairs
-        .iter()
-        .filter(|(p, q)| !p.infinity && !q.infinity)
-        .map(|(p, q)| {
-            debug_assert_eq!(q.coeffs.len(), prepared_coeff_count());
-            Eval {
-                xp: p.x,
-                yp_xi: Fp2::xi().scale(p.y),
-                coeffs: &q.coeffs,
-            }
+/// The shared Miller loop of one row: a token already normalised by
+/// [`G1Normalized::batch`] against **prepared** `G2` points. This is the
+/// hot path of `SJ.Dec` over stored ciphertexts; taking the normalised
+/// form as its argument is what keeps the token's inversion out of the
+/// per-row work.
+pub(crate) fn miller_loop_normalized<'a>(
+    pairs: impl IntoIterator<Item = (&'a G1Normalized, &'a G2Prepared)>,
+) -> Fp12 {
+    let live: Vec<_> = pairs
+        .into_iter()
+        .filter(|(_, q)| !q.is_identity())
+        .filter_map(|(p, q)| {
+            debug_assert_eq!(q.coeffs.len(), lines_per_pair());
+            Some((p.0?, q.coeffs.as_slice()))
         })
         .collect();
-    crate::ops::count_prepared_pairing(states.len() as u64);
-    if states.is_empty() {
-        return Fp12::one();
-    }
+    crate::ops::count_prepared_pairing(live.len() as u64);
+    miller_loop_over(&live)
+}
 
-    let mut f = Fp12::one();
-    let bits = 64 - BLS_X.leading_zeros() as usize;
-    let mut step = 0usize;
-    for i in (0..bits - 1).rev() {
-        f = f.square();
-        for s in &states {
-            let (lambda, b) = s.coeffs[step];
-            f = mul_by_line(&f, s.yp_xi, b, -lambda.scale(s.xp));
-        }
-        step += 1;
-        if (BLS_X >> i) & 1 == 1 {
-            for s in &states {
-                let (lambda, b) = s.coeffs[step];
-                f = mul_by_line(&f, s.yp_xi, b, -lambda.scale(s.xp));
-            }
-            step += 1;
-        }
-    }
-
-    if BLS_X_IS_NEGATIVE {
-        f = f.conjugate();
-    }
-    f
+/// The prepared Miller loop for a caller holding plain `G1` points:
+/// normalises them, then runs the per-row loop the engine's batch path
+/// runs against an already-normalised token. Identical output to
+/// [`multi_miller_loop`] (asserted bit-for-bit by tests).
+pub fn multi_miller_loop_prepared(pairs: &[(G1Affine, &G2Prepared)]) -> Fp12 {
+    let ps: Vec<G1Affine> = pairs.iter().map(|(p, _)| *p).collect();
+    let normalized = G1Normalized::batch(&ps);
+    miller_loop_normalized(normalized.iter().zip(pairs.iter().map(|(_, q)| *q)))
 }
 
 struct PairState {

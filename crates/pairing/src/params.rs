@@ -12,19 +12,26 @@
 //! Since `z < 0`, every polynomial is rearranged in `|z|` so all
 //! intermediate values are non-negative (see the inline comments).
 //!
-//! Derived here: `p`, `r`, both Montgomery parameter sets, the
-//! exponents `(p-1)/2`, `(p+1)/4`, `(p-1)/6`, the cofactors `h1`, `h2`
-//! ([`consts`]), and the coefficients of the two efficient
+//! Derived here: `p`, `r`, the exponents `(p-1)/2`, `(p+1)/4`,
+//! `(p-1)/6`, the cofactors `h1`, `h2` ([`consts`]), and the
+//! coefficients of the two efficient
 //! endomorphisms the subgroup checks run on ([`endomorphisms`]): the
 //! cube root of unity `β` of `φ(x, y) = (βx, y)` on `G1` and
 //! `c_x = 1/ξ^((p-1)/3)`, `c_y = 1/ξ^((p-1)/2)` of
 //! `ψ(x, y) = (c_x·x̄, c_y·ȳ)` on `G2`. The derived values are
 //! cross-checked against the published standard constants in the test
 //! module.
+//!
+//! The two moduli are the exception to "derived here": `Fp` and `Fr`
+//! carry them as literals, because their Montgomery parameters are
+//! computed at compile time (`FieldParams::derive` is a `const fn`).
+//! [`consts`] asserts each literal equals its family polynomial at `z`
+//! before it returns anything, and the tests re-derive `inv`, `R`, `R²`
+//! and `R³` from `p(z)` and `r(z)` with big-integer arithmetic.
 
 use crate::fp::Fp;
 use crate::fp2::Fp2;
-use crate::montgomery::FieldParams;
+use crate::fr::Fr;
 use crate::traits::Field;
 use crate::{g1, g2};
 use eqjoin_bigint::BigUint;
@@ -39,10 +46,6 @@ pub const BLS_X_IS_NEGATIVE: bool = true;
 
 /// All derived curve constants.
 pub struct Constants {
-    /// Montgomery parameters of the base field `Fp` (381 bits, 6 limbs).
-    pub fp: FieldParams<6>,
-    /// Montgomery parameters of the scalar field `Fr` (255 bits, 4 limbs).
-    pub fr: FieldParams<4>,
     /// `p` as a big integer.
     pub p_big: BigUint,
     /// `r` as a big integer.
@@ -92,11 +95,10 @@ fn derive() -> Constants {
         BigUint::from_u64(1),
         "p ≡ 1 mod 6"
     );
-    assert_eq!(p_big.bit_len(), 381);
-    assert_eq!(r_big.bit_len(), 255);
-
-    let fp = FieldParams::derive(p_big.to_limbs_fixed::<6>());
-    let fr = FieldParams::derive(r_big.to_limbs_fixed::<4>());
+    // The field types were compiled over literals; they are the BLS12
+    // family's moduli at this z or nothing below means anything.
+    assert_eq!(p_big.limbs(), Fp::PARAMS.modulus, "Fp modulus is p(z)");
+    assert_eq!(r_big.limbs(), Fr::PARAMS.modulus, "Fr modulus is r(z)");
 
     let p_minus_1 = p_big.sub(&one);
     let p_minus_1_over_2 = p_minus_1.div_exact_u64(2).limbs().to_vec();
@@ -122,8 +124,6 @@ fn derive() -> Constants {
     let g2_cofactor = positive.sub(&negative).div_exact_u64(9).limbs().to_vec();
 
     Constants {
-        fp,
-        fr,
         p_minus_1_over_2,
         p_plus_1_over_4,
         p_minus_1_over_6,
@@ -203,20 +203,10 @@ fn derive_endomorphisms() -> Endomorphisms {
     Endomorphisms { beta, psi_x, psi_y }
 }
 
-/// Base-field parameters accessor (used by the `Fp` type).
-pub fn fp_params() -> &'static FieldParams<6> {
-    &consts().fp
-}
-
-/// Scalar-field parameters accessor (used by the `Fr` type).
-pub fn fr_params() -> &'static FieldParams<4> {
-    &consts().fr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fr::Fr;
+    use crate::montgomery::FieldParams;
     use crate::scalar_mul::mul_wnaf;
     use eqjoin_crypto::ChaChaRng;
 
@@ -237,19 +227,26 @@ mod tests {
         );
     }
 
+    /// The compile-time Montgomery parameters against a derivation that
+    /// shares no code with `FieldParams::derive`: big-integer shifts and
+    /// remainders modulo the z-derived modulus.
+    fn assert_params_match<const N: usize>(params: &FieldParams<N>, modulus: &BigUint) {
+        assert_eq!(modulus.limbs(), params.modulus);
+        assert_eq!(params.bits, modulus.bit_len());
+        assert_eq!(params.modulus[0].wrapping_mul(params.inv), u64::MAX);
+        let r = BigUint::one().shl(64 * N).rem(modulus);
+        let r2 = r.square().rem(modulus);
+        let r3 = r2.mul(&r).rem(modulus);
+        assert_eq!(r.to_limbs_fixed::<N>(), params.r, "R");
+        assert_eq!(r2.to_limbs_fixed::<N>(), params.r2, "R²");
+        assert_eq!(r3.to_limbs_fixed::<N>(), params.r3, "R³");
+    }
+
     #[test]
-    fn montgomery_inv_is_consistent() {
+    fn compile_time_montgomery_parameters_match_the_z_derivation() {
         let c = consts();
-        assert_eq!(
-            c.fp.modulus[0].wrapping_mul(c.fp.inv.wrapping_neg()),
-            1,
-            "fp inv"
-        );
-        assert_eq!(
-            c.fr.modulus[0].wrapping_mul(c.fr.inv.wrapping_neg()),
-            1,
-            "fr inv"
-        );
+        assert_params_match(&Fp::PARAMS, &c.p_big);
+        assert_params_match(&Fr::PARAMS, &c.r_big);
     }
 
     #[test]
