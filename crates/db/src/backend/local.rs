@@ -172,8 +172,9 @@ impl<E: Engine> LocalBackend<E> {
     }
 
     /// Empty backend whose server resolves auto thread requests
-    /// (`JoinOptions::threads == 0`) to `threads` workers instead of
-    /// the machine's available parallelism (`eqjoind --threads`).
+    /// (`JoinOptions::threads == 0`) to `threads` workers, and caps
+    /// explicit ones there, instead of at the machine's available
+    /// parallelism (`eqjoind --threads`).
     pub fn with_default_threads(threads: Option<usize>) -> Self {
         Self::with_config(threads, None)
     }

@@ -531,7 +531,7 @@ impl<E: Engine> DbClient<E> {
         let token = SecureJoin::<E>::token_gen(&self.msk, side, key, &per_column, &mut self.rng)?;
         Ok(SideTokens {
             table: table.clone(),
-            token,
+            token: token.into(),
             prefilter,
         })
     }

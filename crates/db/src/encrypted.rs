@@ -1,7 +1,9 @@
 //! Server-side encrypted artifacts: tables, rows and query tokens.
 
-use eqjoin_core::{SjRowCiphertext, SjToken};
+use crate::error::DbError;
+use eqjoin_core::{SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin_pairing::Engine;
+use std::marker::PhantomData;
 
 /// One encrypted row as stored by the server.
 #[derive(Clone, Debug)]
@@ -61,13 +63,82 @@ impl<E: Engine> EncryptedTable<E> {
     }
 }
 
+/// A Secure Join token `Tk = g1^{v·B}` as it travels: the table side
+/// and each `G1` element's canonical encoding, byte for byte. A client
+/// encodes the token it generated once ([`From<SjToken>`]); the codec
+/// copies the byte strings without touching the curve; the store hashes
+/// them as received. A pairing takes an [`SjToken`], and the only way
+/// there is [`WireToken::checked`].
+#[derive(Clone, Debug)]
+pub struct WireToken<E: Engine> {
+    side: SjTableSide,
+    elements: Vec<Vec<u8>>,
+    engine: PhantomData<E>,
+}
+
+impl<E: Engine> WireToken<E> {
+    /// A token from element encodings nobody has vouched for (what the
+    /// codec reads off a frame).
+    pub fn from_encoded(side: SjTableSide, elements: Vec<Vec<u8>>) -> Self {
+        WireToken {
+            side,
+            elements,
+            engine: PhantomData,
+        }
+    }
+
+    /// Which table side this token targets.
+    pub fn side(&self) -> SjTableSide {
+        self.side
+    }
+
+    /// The element encodings, as received.
+    pub fn elements(&self) -> &[Vec<u8>] {
+        &self.elements
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.elements.len()
+    }
+
+    /// True iff no elements.
+    pub fn is_empty(&self) -> bool {
+        self.elements.is_empty()
+    }
+
+    /// Decode every element with the engine's full curve + subgroup
+    /// check; the first bad one refuses the token.
+    pub fn checked(&self) -> Result<SjToken<E>, DbError> {
+        let elements = self
+            .elements
+            .iter()
+            .map(|bytes| {
+                E::g1_from_bytes(bytes).ok_or_else(|| {
+                    DbError::Protocol("invalid G1 element (curve/subgroup check)".into())
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(SjToken::from_elements(self.side, elements))
+    }
+}
+
+impl<E: Engine> From<SjToken<E>> for WireToken<E> {
+    fn from(token: SjToken<E>) -> Self {
+        Self::from_encoded(
+            token.side(),
+            token.elements().iter().map(E::g1_bytes).collect(),
+        )
+    }
+}
+
 /// The token bundle for one side of a join query.
 #[derive(Clone, Debug)]
 pub struct SideTokens<E: Engine> {
     /// Target table name.
     pub table: String,
-    /// The Secure Join token `Tk = g1^{v·B}`.
-    pub token: SjToken<E>,
+    /// The Secure Join token, as it travels.
+    pub token: WireToken<E>,
     /// Pre-filter tag sets: `(filter column index, allowed tags)` for
     /// each constrained column. Empty when the pre-filter is unused.
     pub prefilter: Vec<(usize, Vec<[u8; 16]>)>,

@@ -90,7 +90,7 @@ pub mod store;
 pub use backend::{LocalBackend, RemoteBackend, RemoteConfig, RetryPolicy, TransportStats};
 pub use client::{ClientConfig, ClientStats, DbClient, JoinedRow, TableConfig};
 pub use data::{Row, Schema, Table, Value};
-pub use encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens};
+pub use encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 pub use error::DbError;
 pub use join::JoinAlgorithm;
 pub use plan::{ColumnId, LoweredPlan, OutputColumn, PlanNode, QueryPlan, Stage};

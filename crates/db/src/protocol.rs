@@ -37,7 +37,9 @@
 //!   (`u64`/`usize` as little-endian `u64`, `bool` as a byte, `String`
 //!   and byte strings as length + bytes, `[u8; N]` raw, `Vec<T>` as
 //!   count + items, `Option<T>` as marker + item, `Duration` as nanos,
-//!   group elements via the engine's canonical validated encodings);
+//!   group elements as byte strings holding the engine's canonical
+//!   encodings — validated as set out under "Where group elements are
+//!   validated");
 //! * each struct that travels is one `wire_struct!` field list;
 //! * [`Request`], [`Response`] and [`DbError`] are one `wire_enum!`
 //!   table each — `tag => Variant { fields }` — from which the encoder,
@@ -55,6 +57,37 @@
 //! behind a `u64` length prefix; the nesting rules the layout cannot
 //! express are one explicit validation step after decode.
 //!
+//! # Where group elements are validated
+//!
+//! Every group element is checked — on the curve, in the order-`r`
+//! subgroup — before a pairing takes it; *where* depends on the group:
+//!
+//! * **`G2` ciphertext elements: at decode, always.** They are stored,
+//!   so they are decoded (`E::g2_from_bytes`) the moment a frame,
+//!   journal record or snapshot is read.
+//! * **`G1` token elements: at the store, on first sighting.** A join
+//!   side's token is a [`WireToken`]: the codec copies its bytes, and
+//!   [`EncryptedStore::decrypt_side`](crate::store::EncryptedStore::decrypt_side)
+//!   turns them into the `SjToken` a pairing accepts through the one
+//!   fallible [`WireToken::checked`] (`E::g1_from_bytes`) — unless its
+//!   decrypt cache holds an entry for exactly this side's fingerprint
+//!   and every candidate row hits. That skip is sound because (1) an
+//!   entry is written only by a pass that had a miss and therefore
+//!   checked these same bytes first, or was read back from a snapshot
+//!   such a pass wrote, under its SHA-256; (2) the fingerprint is a
+//!   SHA-256 over every token byte as received, so "this entry" means
+//!   "these bytes"; (3) with no miss no pairing runs and the token is
+//!   never used. Any miss, a side the cache does not hold (even one
+//!   that selects no rows) and every `decrypt_cache: false` request
+//!   are checked. In the series setting this protocol exists for, the
+//!   repeat of a query therefore decodes nothing.
+//!
+//! [`Request::from_bytes`] is the strict entry point: it finishes with
+//! `checked()` on every token side, so its result is validated through
+//! and through. A server that executes against a store calls
+//! [`Request::from_bytes_deferring_tokens`] — the same decode without
+//! that last step.
+//!
 //! # Batch semantics
 //!
 //! `handle(Request::Batch(v))` answers with `Response::Batch(w)` where
@@ -65,13 +98,13 @@
 //! every backend.
 
 use crate::backend::TransportStats;
-use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens};
+use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 use crate::error::DbError;
 use crate::join::JoinAlgorithm;
 use crate::server::{
     EncryptedJoinResult, JoinObservation, JoinOptions, MatchedPair, PayloadProjection, ServerStats,
 };
-use eqjoin_core::{SjRowCiphertext, SjTableSide, SjToken};
+use eqjoin_core::{SjRowCiphertext, SjTableSide};
 use eqjoin_pairing::Engine;
 use std::time::Duration;
 
@@ -627,24 +660,21 @@ impl<T: Wire> Wire for Box<T> {
 }
 
 /// The side, then the `G1` elements, each as a byte string holding the
-/// engine's canonical encoding (curve and subgroup checked on read).
-impl<E: Engine> Wire for SjToken<E> {
+/// engine's canonical encoding — copied, not decoded: the curve and
+/// subgroup check is [`WireToken::checked`], run by
+/// [`Request::from_bytes`] or by the store on first sighting.
+impl<E: Engine> Wire for WireToken<E> {
     fn put(&self, w: &mut Writer) {
         w.put(&self.side());
-        w.seq(self.elements(), |w, e| w.bytes(&E::g1_bytes(e)));
+        w.seq(self.elements(), |w, e| w.bytes(e));
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
-        let side = r.get()?;
-        let elements = r.seq(|r| {
-            E::g1_from_bytes(r.bytes()?).ok_or_else(|| {
-                DbError::Protocol("invalid G1 element (curve/subgroup check)".into())
-            })
-        })?;
-        Ok(SjToken::from_elements(side, elements))
+        Ok(WireToken::from_encoded(r.get()?, r.get()?))
     }
 }
 
-/// The `G2` elements, encoded like a token's `G1` elements.
+/// The `G2` elements, each as a byte string holding the engine's
+/// canonical encoding (curve and subgroup checked on read).
 impl<E: Engine> Wire for SjRowCiphertext<E> {
     fn put(&self, w: &mut Writer) {
         w.seq(self.elements(), |w, e| w.bytes(&E::g2_bytes(e)));
@@ -871,9 +901,26 @@ impl<E: Engine> Request<E> {
         encode(self)
     }
 
-    /// Parse a wire message (rejects trailing bytes, invalid group
-    /// elements, and anything [`Request::validate`] rejects).
+    /// Parse a wire message; rejects trailing bytes, invalid group
+    /// elements and broken nesting rules. Every element is validated
+    /// here: `G2` ciphertext elements while decoding, `G1` token
+    /// elements by a final [`WireToken::checked`] pass over every join
+    /// side. Whoever holds the result may rely on the whole message.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DbError> {
+        let request = Self::from_bytes_deferring_tokens(bytes)?;
+        request.check_tokens()?;
+        Ok(request)
+    }
+
+    /// [`Request::from_bytes`] without its last step: `G1` token sides
+    /// stay as received, for a server that hands the request to an
+    /// [`EncryptedStore`](crate::store::EncryptedStore) — which checks
+    /// a side's token before its first pairing, and skips the check
+    /// only for bytes its decrypt cache already answers in full (see
+    /// the [module docs](self#where-group-elements-are-validated)).
+    /// A bad token then fails its own join (inside a batch: its own
+    /// slot), not the frame.
+    pub fn from_bytes_deferring_tokens(bytes: &[u8]) -> Result<Self, DbError> {
         let request: Self = decode(bytes)?;
         request.validate()?;
         Ok(request)
@@ -904,6 +951,20 @@ impl<E: Engine> Request<E> {
                 }
                 _ => inner.validate(),
             },
+            _ => Ok(()),
+        }
+    }
+
+    /// Curve + subgroup check of every join token this message carries.
+    fn check_tokens(&self) -> Result<(), DbError> {
+        match self {
+            Request::ExecuteJoin { tokens, .. } => {
+                tokens.left.token.checked()?;
+                tokens.right.token.checked()?;
+                Ok(())
+            }
+            Request::Batch(requests) => requests.iter().try_for_each(Self::check_tokens),
+            Request::WithTenant { inner, .. } => inner.check_tokens(),
             _ => Ok(()),
         }
     }

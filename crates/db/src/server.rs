@@ -42,7 +42,8 @@ pub struct JoinOptions {
     pub use_prefilter: bool,
     /// Worker threads for the decryption phase. `0` (the default) means
     /// auto: one worker per available core, or the server's configured
-    /// default ([`DbServer::set_default_threads`]). The paper's §6.5
+    /// default ([`DbServer::set_default_threads`]); that is also the
+    /// most a request is given, whatever it asks for. The paper's §6.5
     /// measures exactly this parallelism.
     pub threads: usize,
     /// Serve repeated byte-identical tokens from the server's decrypt
@@ -245,8 +246,9 @@ impl<E: Engine> DbServer<E> {
     }
 
     /// Fix the worker count used when a request asks for auto threads
-    /// (`JoinOptions::threads == 0`). `None` (the default) resolves
-    /// auto to the machine's available parallelism.
+    /// (`JoinOptions::threads == 0`) and the ceiling for one that names
+    /// a count. `None` (the default) is the machine's available
+    /// parallelism.
     pub fn set_default_threads(&mut self, threads: Option<usize>) {
         self.default_threads = threads.filter(|&t| t > 0);
     }
@@ -257,17 +259,20 @@ impl<E: Engine> DbServer<E> {
         self.store.set_decrypt_cache_cap(cap);
     }
 
-    /// Resolve a request's thread count: explicit > server default >
-    /// available cores.
+    /// Resolve a request's thread count. The server's ceiling is its
+    /// configured default, else the available cores; a request may ask
+    /// for fewer (`0` = the ceiling), never more — `threads` is a wire
+    /// field, and the decrypt phase spawns one OS thread per chunk.
     fn resolve_threads(&self, requested: usize) -> usize {
-        if requested > 0 {
-            return requested;
-        }
-        self.default_threads.unwrap_or_else(|| {
+        let ceiling = self.default_threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-        })
+        });
+        match requested {
+            0 => ceiling,
+            n => n.min(ceiling),
+        }
     }
 
     /// Execute a join query with full payloads — shorthand for
@@ -501,6 +506,19 @@ mod tests {
         };
         assert_eq!(key(&hash_res), key(&nl_res));
         assert!(nl_res.stats.comparisons > hash_res.stats.comparisons);
+    }
+
+    #[test]
+    fn a_request_gets_no_more_threads_than_the_server_allows() {
+        let mut server = DbServer::<MockEngine>::new();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(server.resolve_threads(0), cores);
+        assert_eq!(server.resolve_threads(1), 1);
+        assert_eq!(server.resolve_threads(usize::MAX), cores);
+        server.set_default_threads(Some(3));
+        assert_eq!(server.resolve_threads(0), 3);
+        assert_eq!(server.resolve_threads(2), 2);
+        assert_eq!(server.resolve_threads(usize::MAX), 3);
     }
 
     #[test]

@@ -681,6 +681,18 @@ impl<E: Engine> EncryptedStore<E> {
     /// was already decrypted under this token are served from the
     /// cache; the rest run `SJ.Dec` on prepared ciphertexts (prepared here
     /// on first touch), in parallel chunks, final exponentiation batched.
+    ///
+    /// The token arrives as received and is validated here
+    /// ([`WireToken::checked`](crate::encrypted::WireToken::checked),
+    /// curve + subgroup, before the first pairing) **unless the cache
+    /// holds an entry for exactly this fingerprint and every candidate
+    /// row hits**. That skip is sound: an entry is only ever written
+    /// by a pass that had a miss, hence checked these same bytes (or
+    /// was read back from a snapshot such a pass wrote, under its
+    /// SHA-256); the fingerprint covers every token byte; and with no
+    /// miss the token is never used. A miss, a side the cache does not
+    /// hold (even one selecting zero rows) and every `decrypt_cache:
+    /// false` request are checked.
     pub fn decrypt_side(
         &self,
         side: &SideTokens<E>,
@@ -698,7 +710,7 @@ impl<E: Engine> EncryptedStore<E> {
         // message from a client keyed at other dimensions. The engine
         // asserts equal lengths, so it has to be turned away here.
         if let Some(stored) = table.ciphers.first().map(|c| c.elements().len()) {
-            let got = side.token.elements().len();
+            let got = side.token.len();
             if got != stored {
                 return Err(DbError::DimensionMismatch {
                     what: format!("join token for table {}", side.table),
@@ -719,9 +731,11 @@ impl<E: Engine> EncryptedStore<E> {
         // version match), collect the misses.
         let mut out: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(candidates.len());
         let mut misses: Vec<usize> = Vec::new();
+        let mut vouched = false;
         if let Some(key) = &key {
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             let entry = cache.touch(key).filter(|e| e.table == side.table);
+            vouched = entry.is_some();
             for &pos in &candidates {
                 // audit-allow(panic-freedom): `pos` comes from candidate_positions(), bounded by table.len() which sizes `ids`
                 let id = table.ids[pos];
@@ -752,12 +766,26 @@ impl<E: Engine> EncryptedStore<E> {
             );
         }
 
+        // Validate once: these bytes are vouched for by the entry a
+        // checked pass over them left behind, and only as long as they
+        // are not needed — no miss, no pairing, no token.
+        let token = if vouched && misses.is_empty() {
+            None
+        } else {
+            eqjoin_obs::counter!("eqjoin_store_token_elements_checked_total")
+                .add(side.token.len() as u64);
+            Some(side.token.checked()?)
+        };
+
         eqjoin_obs::counter!("eqjoin_store_decrypt_cache_hits_total")
             .add((candidates.len() - misses.len()) as u64);
         eqjoin_obs::counter!("eqjoin_store_decrypt_cache_misses_total").add(misses.len() as u64);
 
         // Phase 2 — decrypt the misses, preparing rows on first touch.
-        let fresh = decrypt_positions(table, &side.token, &misses, threads);
+        let fresh = match &token {
+            Some(token) => decrypt_positions(table, token, &misses, threads),
+            None => Vec::new(),
+        };
 
         // Phase 3 — merge and refresh the cache entry with the side's
         // current candidate set.
@@ -1156,10 +1184,12 @@ fn decrypt_positions<E: Engine>(
 }
 
 /// Collision-resistant fingerprint of one side's decrypt inputs: the
-/// token elements (byte serialization), the target table, the
-/// pre-filter constraint sets and whether the pre-filter applies.
-/// Byte-identical fingerprints decrypt to byte-identical outputs, which
-/// is what makes the memoization sound.
+/// token elements as received, the target table, the pre-filter
+/// constraint sets and whether the pre-filter applies. Byte-identical
+/// fingerprints decrypt to byte-identical outputs, which is what makes
+/// the memoization sound — and, the engines' decoding being canonical
+/// (one encoding per element), hashing the received bytes gives the
+/// digest that hashing the decoded elements' encodings gave.
 pub(crate) fn side_fingerprint<E: Engine>(side: &SideTokens<E>, use_prefilter: bool) -> [u8; 32] {
     let mut h = eqjoin_crypto::Sha256::new();
     h.update(b"eqjoin-decrypt-cache-v1\0");
@@ -1169,11 +1199,10 @@ pub(crate) fn side_fingerprint<E: Engine>(side: &SideTokens<E>, use_prefilter: b
         use_prefilter as u8,
         matches!(side.token.side(), SjTableSide::A) as u8,
     ]);
-    h.update(&(side.token.elements().len() as u64).to_le_bytes());
-    for element in side.token.elements() {
-        let bytes = E::g1_bytes(element);
+    h.update(&(side.token.len() as u64).to_le_bytes());
+    for bytes in side.token.elements() {
         h.update(&(bytes.len() as u64).to_le_bytes());
-        h.update(&bytes);
+        h.update(bytes);
     }
     h.update(&(side.prefilter.len() as u64).to_le_bytes());
     for (col, allowed) in &side.prefilter {

@@ -19,10 +19,11 @@
 //!
 //! Division of labor: the reactor only moves bytes and *peeks* at each
 //! frame's envelope (tag byte + tenant name — O(1)); the expensive
-//! part of a request — `Request::from_bytes`, which validates every
-//! group element, and the Miller-loop crypto of the join itself — runs
-//! on a worker, so a slow decrypt never blocks accept/read/write for
-//! other connections.
+//! part of a request — decoding it, which validates every `G2`
+//! element (`G1` token sides are validated by the store, the first
+//! time it sees their bytes), and the Miller-loop crypto of the join
+//! itself — runs on a worker, so a slow decrypt never blocks
+//! accept/read/write for other connections.
 //!
 //! Ordering: the protocol is strictly request→response per connection.
 //! The reactor keeps that guarantee under concurrency by running at
@@ -373,7 +374,7 @@ impl Drop for NetHandle {
 /// Decode and execute one frame on a worker; returns the serialized
 /// response and whether the frame was a drain request.
 fn execute<E: Engine>(backend: &dyn ServerApi<E>, payload: &[u8]) -> (Vec<u8>, bool) {
-    let (response, drain) = match Request::<E>::from_bytes(payload) {
+    let (response, drain) = match Request::<E>::from_bytes_deferring_tokens(payload) {
         Ok(request) => {
             let drain = matches!(request, Request::Drain);
             (backend.handle(request), drain)

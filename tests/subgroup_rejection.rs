@@ -99,7 +99,7 @@ fn request_frames_reject_on_curve_points_outside_the_subgroup() {
     let tokens = client
         .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
         .unwrap();
-    let g1_element = Bls12::g1_bytes(&tokens.right.token.elements()[0]);
+    let g1_element = tokens.right.token.elements()[0].clone();
     let good = Request::ExecuteJoin {
         tokens,
         options: JoinOptions::default(),

@@ -12,7 +12,7 @@ use eqjoin::db::{
     Table, TableConfig, Value,
 };
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
-use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
+use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,7 +62,7 @@ fn mismatched_token_is_refused<E: Engine>(backend: &dyn ServerApi<E>) {
 
     for threads in [1, 0] {
         let tokens = stranger.query_tokens(&query).unwrap();
-        assert_eq!(tokens.left.token.elements().len(), 11);
+        assert_eq!(tokens.left.token.len(), 11);
         match backend.handle(join(tokens, threads)) {
             Response::Error(DbError::DimensionMismatch { expected, got, .. }) => {
                 assert_eq!((expected, got), (6, 11), "threads = {threads}");
@@ -84,15 +84,15 @@ fn through_local_backend<E: Engine>() {
     mismatched_token_is_refused::<E>(&LocalBackend::<E>::new());
 }
 
-/// One reactor worker: if the refusal took it down, nothing answers
-/// the `Ping` (the deadline turns that hang into a failure).
-fn through_one_worker_server<E: Engine>() {
+/// One reactor worker: if a request took it down, nothing answers the
+/// next one (the deadline turns that hang into a failure).
+fn one_worker_server<E: Engine>() -> (RemoteBackend, NetHandle) {
     let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
     let config = NetConfig {
         workers: 1,
         ..NetConfig::default()
     };
-    let (addr, _server) = NetServer::spawn(registry, config).unwrap();
+    let (addr, server) = NetServer::spawn(registry, config).unwrap();
     let remote = RemoteBackend::connect_with(
         addr,
         RemoteConfig {
@@ -101,6 +101,11 @@ fn through_one_worker_server<E: Engine>() {
         },
     )
     .unwrap();
+    (remote, server)
+}
+
+fn through_one_worker_server<E: Engine>() {
+    let (remote, _server) = one_worker_server::<E>();
     mismatched_token_is_refused::<E>(&remote);
 }
 
@@ -114,4 +119,49 @@ fn mismatched_token_arity_is_a_typed_error_mock() {
 fn mismatched_token_arity_is_a_typed_error_bls12() {
     through_local_backend::<Bls12>();
     through_one_worker_server::<Bls12>();
+}
+
+/// `JoinOptions::threads` is a wire field too: the decrypt phase spawns
+/// one OS thread per chunk, so a request naming every thread there is
+/// must get the server's ceiling — the same answer as one thread, from
+/// a worker that goes on serving — not a thread per candidate row.
+#[test]
+fn a_request_for_usize_max_threads_is_served_at_the_servers_ceiling() {
+    let (remote, _server) = one_worker_server::<MockEngine>();
+    let mut client = DbClient::<MockEngine>::with_config(ClientConfig::new(1, 2).seed(8));
+    let mut uploads = Vec::new();
+    for name in ["L", "R"] {
+        let mut t = Table::new(Schema::new(name, &["k", "a"]));
+        for i in 0..200i64 {
+            t.push_row(vec![Value::Int(i % 50), "x".into()]);
+        }
+        let cfg = TableConfig {
+            join_column: "k".into(),
+            filter_columns: vec!["a".into()],
+        };
+        uploads.push(Request::InsertTable(client.encrypt_table(&t, cfg).unwrap()));
+    }
+    for upload in uploads {
+        assert!(matches!(
+            remote.handle(upload),
+            Response::TableInserted { rows: 200, .. }
+        ));
+    }
+    let query = JoinQuery::on("L", "k", "R", "k");
+    let mut pairs_with = |threads: usize| {
+        let tokens = client.query_tokens(&query).unwrap();
+        match remote.handle(join(tokens, threads)) {
+            Response::JoinExecuted { result, .. } => result
+                .pairs
+                .iter()
+                .map(|p| (p.left_row, p.right_row))
+                .collect::<Vec<_>>(),
+            other => panic!("threads = {threads}: {other:?}"),
+        }
+    };
+    let one = pairs_with(1);
+    assert_eq!(one.len(), 50 * 4 * 4);
+    assert_eq!(pairs_with(usize::MAX), one);
+    let ping = Request::<MockEngine>::Ping;
+    assert!(matches!(remote.handle(ping), Response::Pong));
 }

@@ -63,7 +63,7 @@ pub fn table(name_id: u64, rows: &[(u64, u64, u64)], tagged: bool) -> EncryptedT
 fn side(table_id: u64, side: SjTableSide, seeds: &[u64]) -> SideTokens<MockEngine> {
     SideTokens {
         table: format!("T{table_id}"),
-        token: SjToken::from_elements(side, seeds.iter().map(|&s| g1(s)).collect()),
+        token: SjToken::from_elements(side, seeds.iter().map(|&s| g1(s)).collect()).into(),
         prefilter: seeds
             .iter()
             .take(2)
