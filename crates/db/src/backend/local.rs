@@ -7,7 +7,7 @@
 
 use super::transport::TransportCounters;
 use crate::error::DbError;
-use crate::protocol::{Request, Response, ServerApi};
+use crate::protocol::{Reader, Request, Response, ServerApi};
 use crate::server::DbServer;
 use eqjoin_pairing::Engine;
 use std::io::Write;
@@ -31,14 +31,17 @@ struct Journal {
     path: PathBuf,
     /// Serializes appends: concurrent writers each want their
     /// length-prefix + payload + fsync to hit the file contiguously.
-    lock: Mutex<()>,
+    /// The flag it guards: every record in the file was replayed at
+    /// startup as applied or already covered, and none was appended
+    /// since — so a snapshot of the store as it stands covers the file.
+    replayed: Mutex<bool>,
 }
 
 impl Journal {
     fn new(snapshot_path: &std::path::Path) -> Self {
         Journal {
             path: snapshot_path.with_extension("journal"),
-            lock: Mutex::new(()),
+            replayed: Mutex::new(false),
         }
     }
 
@@ -58,7 +61,8 @@ impl Journal {
         // buckets work for any magnitude, and the scrape labels the
         // unit in the metric name.
         eqjoin_obs::histogram!("eqjoin_store_journal_append_bytes").record_ns(bytes.len() as u64);
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut replayed = self.replayed.lock().unwrap_or_else(|e| e.into_inner());
+        *replayed = false;
         let mut record = Vec::with_capacity(bytes.len() + 8);
         record.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         record.extend_from_slice(&fnv1a(bytes).to_le_bytes());
@@ -106,6 +110,10 @@ impl Journal {
                 _ => break,
             }
         }
+        if at < bytes.len() {
+            journal_entries("torn_tail").inc();
+            eqjoin_obs::info!("journal_torn_tail", "path" => self.path.display(), "at" => at);
+        }
         out
     }
 
@@ -113,11 +121,34 @@ impl Journal {
     /// snapshot. Best-effort: a leftover journal only costs an
     /// idempotent (no-op) replay on the next start.
     fn truncate(&self) {
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = self.replayed.lock().unwrap_or_else(|e| e.into_inner());
+        self.remove_file();
+    }
+
+    /// Caller holds the append lock.
+    fn remove_file(&self) {
         if self.path.exists() {
             let _ = std::fs::remove_file(&self.path);
         }
     }
+
+    /// [`Journal::truncate`] for a store with nothing to flush: only a
+    /// file whose every record replayed as applied or covered is dead
+    /// weight. One holding a skipped record, or an intent appended
+    /// since (possibly not applied yet), stays.
+    fn truncate_if_replayed(&self) {
+        let replayed = self.replayed.lock().unwrap_or_else(|e| e.into_inner());
+        if *replayed {
+            self.remove_file();
+        }
+    }
+}
+
+/// `eqjoin_store_journal_entries_total{outcome}`: what startup made of
+/// each journal record (`applied`, `covered`, `skipped`) and of a file's
+/// incomplete last record (`torn_tail`).
+fn journal_entries(outcome: &str) -> std::sync::Arc<eqjoin_obs::Counter> {
+    eqjoin_obs::counter!("eqjoin_store_journal_entries_total", "outcome" => outcome)
 }
 
 /// FNV-1a, the checksum guarding journal records against torn writes
@@ -237,7 +268,8 @@ impl<E: Engine> LocalBackend<E> {
             // Fold the replayed intents into a fresh durable snapshot
             // right away (compacting regardless of threshold), so the
             // journal can be dropped and a second crash does not depend
-            // on replaying twice.
+            // on replaying twice. If the snapshot covered them all
+            // there is nothing to write, and the journal just goes.
             backend.persist(true)?;
         }
         Ok(backend)
@@ -248,53 +280,61 @@ impl<E: Engine> LocalBackend<E> {
     /// covers fails with [`DbError::UnknownRow`] (row ids collide on
     /// insert, are gone on delete) or re-applies an identical
     /// `InsertTable` — both leave the store exactly where the snapshot
-    /// put it. Returns whether any entry was applied or skipped (i.e.
-    /// the journal existed and should be folded into a snapshot).
+    /// put it. Records are this server's own bytes under their
+    /// checksum, so ciphertext elements are read with the curve check
+    /// only ([`Reader::over_own_storage`]). Returns whether the journal
+    /// held any entry (and should be folded into a snapshot, or dropped
+    /// if the snapshot covers it).
     fn replay_journal(server: &mut DbServer<E>, journal: &Journal) -> bool {
-        let entries = journal.entries();
-        let had_entries = !entries.is_empty();
-        for bytes in entries {
-            let request = match Request::<E>::from_bytes(&bytes) {
-                Ok(request) => request,
-                Err(e) => {
-                    // Checksum-valid but undecodable: a format drift,
-                    // not a torn write. The intent was acknowledged at
-                    // most as far as the snapshot covers it; skip.
-                    eprintln!("eqjoin: skipping undecodable journal entry: {e}");
-                    continue;
-                }
-            };
-            let outcome = match request {
-                Request::InsertTable(table) => server.insert_table(table),
-                Request::InsertRows {
-                    table,
-                    start_row,
-                    rows,
-                } => server.insert_rows(&table, start_row, rows).map(|_| ()),
-                Request::DeleteRows { table, rows } => {
-                    server.delete_rows(&table, &rows).map(|_| ())
-                }
-                Request::CopyRows {
-                    table,
-                    join_column,
-                    filter_columns,
-                    start_row,
-                    rows,
-                } => server
-                    .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
-                    .map(|_| ()),
-                // Only the four mutations above are ever journaled.
-                _ => Ok(()),
-            };
+        let _span = eqjoin_obs::span!("store_journal_replay");
+        // Took effect / already covered by the snapshot / left in the
+        // file (undecodable, or refused with anything but `UnknownRow`).
+        let (mut applied, mut covered, mut skipped) = (0u64, 0u64, 0u64);
+        for bytes in journal.entries() {
+            let outcome =
+                Request::<E>::read(Reader::over_own_storage(&bytes)).and_then(|request| {
+                    match request {
+                        Request::InsertTable(table) => server.insert_table(table),
+                        Request::InsertRows {
+                            table,
+                            start_row,
+                            rows,
+                        } => server.insert_rows(&table, start_row, rows).map(|_| ()),
+                        Request::DeleteRows { table, rows } => {
+                            server.delete_rows(&table, &rows).map(|_| ())
+                        }
+                        Request::CopyRows {
+                            table,
+                            join_column,
+                            filter_columns,
+                            start_row,
+                            rows,
+                        } => server
+                            .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
+                            .map(|_| ()),
+                        // Only the four mutations above are ever journaled.
+                        _ => Ok(()),
+                    }
+                });
             match outcome {
-                Ok(()) => {}
+                Ok(()) => applied += 1,
                 // Already covered by the snapshot (the crash hit after
                 // the flush but before the journal truncate).
-                Err(DbError::UnknownRow { .. }) => {}
-                Err(e) => eprintln!("eqjoin: journal replay skipped an entry: {e}"),
+                Err(DbError::UnknownRow { .. }) => covered += 1,
+                // Checksum-valid but undecodable (a format drift, not a
+                // torn write) or refused by the store: the intent was
+                // acknowledged at most as far as the snapshot covers it.
+                Err(e) => {
+                    skipped += 1;
+                    eqjoin_obs::info!("journal_entry_skipped", "error" => e);
+                }
             }
         }
-        had_entries
+        journal_entries("applied").add(applied);
+        journal_entries("covered").add(covered);
+        journal_entries("skipped").add(skipped);
+        *journal.replayed.lock().unwrap_or_else(|e| e.into_inner()) = skipped == 0;
+        applied + covered + skipped > 0
     }
 
     /// Read access to the underlying server (tests and experiments peek
@@ -335,6 +375,12 @@ impl<E: Engine> LocalBackend<E> {
             }
         }
         if !server.store().take_dirty() {
+            // Nothing to write. A journal the snapshot on disk already
+            // covers (the crash hit between flush and truncate) must
+            // still go, or every start decodes it again.
+            if let (true, Some(journal)) = (force, &self.journal) {
+                journal.truncate_if_replayed();
+            }
             return Ok(());
         }
         let compaction_timer = eqjoin_obs::span!("store_compaction");
@@ -389,9 +435,10 @@ impl<E: Engine> LocalBackend<E> {
         }
     }
 
-    /// Force a compacting flush if the store is dirty or a journal is
-    /// pending (the drain path — after it, the snapshot alone carries
-    /// the whole store and a restart is warm with zero replay).
+    /// Force a compacting flush if the store is dirty, and drop a
+    /// journal the snapshot already covers (the drain path — after it,
+    /// the snapshot alone carries the whole store and a restart is warm
+    /// with zero replay).
     pub fn flush(&self) -> Result<(), DbError> {
         self.persist(true)
     }
@@ -864,6 +911,118 @@ mod tests {
             }
             other => panic!("join over replayed store failed: {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_the_snapshot_already_covers_is_dropped_at_open() {
+        let mut client = DbClient::<MockEngine>::new(1, 2, 19);
+        let mut t = Table::new(Schema::new("T", &["k", "a"]));
+        for i in 0..4 {
+            t.push_row(vec![Value::Int(i % 2), "x".into()]);
+        }
+        let enc = client
+            .encrypt_table(
+                &t,
+                TableConfig {
+                    join_column: "k".into(),
+                    filter_columns: vec!["a".into()],
+                },
+            )
+            .unwrap();
+
+        let dir = std::env::temp_dir().join(format!("eqjoin-covered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("store.snap");
+        let journal = snap.with_extension("journal");
+        let open = || LocalBackend::<MockEngine>::with_persistence(&snap, None, None, 1 << 20);
+
+        let backend = open().unwrap();
+        backend.handle(Request::InsertTable(enc));
+        backend.flush().unwrap();
+        // Three deferred deltas: the journal is their only durable copy.
+        let (start_row, rows) = client
+            .encrypt_rows("T", &[vec![Value::Int(1), "y".into()]])
+            .unwrap();
+        for request in [
+            Request::CopyRows {
+                table: "T".into(),
+                join_column: "k".into(),
+                filter_columns: vec!["a".into()],
+                start_row,
+                rows: rows.clone(),
+            },
+            Request::InsertRows {
+                table: "T".into(),
+                start_row: start_row + 1,
+                rows,
+            },
+            Request::DeleteRows {
+                table: "T".into(),
+                rows: vec![0],
+            },
+        ] {
+            let response = backend.handle(request);
+            assert!(!matches!(response, Response::Error(_)), "{response:?}");
+        }
+        let pending = std::fs::read(&journal).unwrap();
+        // The crash window: the snapshot that covers the deltas is
+        // durable, the journal has not been truncated yet.
+        backend.flush().unwrap();
+        drop(backend);
+        assert!(!journal.exists());
+        std::fs::write(&journal, &pending).unwrap();
+        let covering = std::fs::read(&snap).unwrap();
+
+        let entries = |outcome| {
+            eqjoin_obs::registry().counter_value(
+                "eqjoin_store_journal_entries_total",
+                Some(("outcome", outcome)),
+            )
+        };
+        let covered = entries("covered");
+        let reopened = open().unwrap();
+        assert!(
+            !journal.exists(),
+            "every entry replayed as covered: the journal must not be decoded again next start"
+        );
+        assert_eq!(
+            std::fs::read(&snap).unwrap(),
+            covering,
+            "nothing to rewrite"
+        );
+        assert_eq!(reopened.server().store().table("T").unwrap().len(), 5);
+        // (Other tests of this binary replay journals concurrently.)
+        assert!(entries("covered") - covered >= 3);
+        drop(reopened);
+
+        // A journal with an entry replay could not apply is kept.
+        let mut client2 = DbClient::<MockEngine>::new(1, 2, 23);
+        let other = client2
+            .encrypt_table(
+                &t,
+                TableConfig {
+                    join_column: "a".into(),
+                    filter_columns: vec!["k".into()],
+                },
+            )
+            .unwrap();
+        Journal::new(&snap)
+            .append(
+                &Request::<MockEngine>::CopyRows {
+                    table: "T".into(),
+                    join_column: "a".into(),
+                    filter_columns: vec!["k".into()],
+                    start_row: 9,
+                    rows: other.rows,
+                }
+                .to_bytes(),
+            )
+            .unwrap();
+        let reopened = open().unwrap();
+        reopened.flush().unwrap();
+        assert!(journal.exists(), "a skipped entry stays on disk");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -54,7 +54,11 @@ pub enum DbError {
     /// was rejected at load time (I/O failure, bad magic, unsupported
     /// format version, engine mismatch, truncation, or checksum
     /// mismatch). Loading never panics on corrupt input — it returns
-    /// this.
+    /// this. Also what a join is answered with when it selects a row
+    /// whose stored ciphertext holds an on-curve element outside the
+    /// order-`r` subgroup: such an element passes the load (its
+    /// checksum was valid) and is refused by the row's preparation,
+    /// before any pairing; the message names table and row id.
     Snapshot(String),
     /// A filter names a table that is not part of the query. (Without
     /// this check a typo'd table name would silently leave that side of

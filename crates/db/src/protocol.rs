@@ -62,9 +62,22 @@
 //! Every group element is checked — on the curve, in the order-`r`
 //! subgroup — before a pairing takes it; *where* depends on the group:
 //!
-//! * **`G2` ciphertext elements: at decode, always.** They are stored,
-//!   so they are decoded (`E::g2_from_bytes`) the moment a frame,
-//!   journal record or snapshot is read.
+//! * **`G2` ciphertext elements on the wire: at decode, always.** An
+//!   upload is a first sighting: both request decoders read it with
+//!   `E::g2_from_bytes` and refuse the frame.
+//! * **`G2` ciphertext elements from this server's own journal and
+//!   snapshot: the curve at decode, the subgroup at their first
+//!   preparation.** Those bytes were validated at the door and written
+//!   back under a checksum; a crate-private `Reader` constructor,
+//!   `Reader::over_own_storage` — called by journal replay and by the
+//!   snapshot body parser and reachable from no network byte — reads
+//!   them with `E::g2_from_bytes_on_curve`. The walk that prepares an
+//!   element for its first pairing is the subgroup test
+//!   (`E::g2_prepare_batch_checked`, see the `pairing` module docs),
+//!   and [`TableStore::prepared_rows`](crate::store::TableStore) — the
+//!   only road from a stored ciphertext to a pairing — turns a refusal
+//!   into a typed error before any Miller loop runs. A reopen thus
+//!   spends its time on the rows queries select, not on all of them.
 //! * **`G1` token elements: at the store, on first sighting.** A join
 //!   side's token is a [`WireToken`]: the codec copies its bytes, and
 //!   [`EncryptedStore::decrypt_side`](crate::store::EncryptedStore::decrypt_side)
@@ -434,17 +447,38 @@ impl Writer {
 const MAX_NESTING: u8 = 2;
 
 /// Byte-reader half of the wire codec (shared with the snapshot codec
-/// in [`crate::store`]).
+/// in [`crate::store`]). It knows where its bytes come from, which
+/// decides one thing: when a `G2` ciphertext element's subgroup check
+/// runs (see "Where group elements are validated").
 pub(crate) struct Reader<'a> {
     rest: &'a [u8],
     depth: u8,
+    /// Bytes this server wrote itself, read back under their checksum.
+    own_storage: bool,
 }
 
 impl<'a> Reader<'a> {
+    /// A reader over bytes from outside: a frame off the wire, a file a
+    /// tool was handed. Everything is validated in full as it is read.
     pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader {
             rest: buf,
             depth: 0,
+            own_storage: false,
+        }
+    }
+
+    /// A reader over bytes **this server wrote and has just verified
+    /// the checksum of** — a journal record (`LocalBackend`'s replay)
+    /// or a snapshot body (`EncryptedStore::parse_body`), and nothing
+    /// else: no byte a network peer chose may pass through here. Each
+    /// element was validated in full before it was written; reading it
+    /// back checks encoding and curve equation, and leaves the subgroup
+    /// check to the preparation walk that precedes its first pairing.
+    pub(crate) fn over_own_storage(buf: &'a [u8]) -> Self {
+        Reader {
+            own_storage: true,
+            ..Reader::new(buf)
         }
     }
 
@@ -520,6 +554,7 @@ impl<'a> Reader<'a> {
         let mut body = Reader {
             rest: self.bytes()?,
             depth: self.depth + 1,
+            own_storage: self.own_storage,
         };
         let v = T::get(&mut body)?;
         body.finish()?;
@@ -674,14 +709,22 @@ impl<E: Engine> Wire for WireToken<E> {
 }
 
 /// The `G2` elements, each as a byte string holding the engine's
-/// canonical encoding (curve and subgroup checked on read).
+/// canonical encoding: curve and subgroup checked on read — from this
+/// server's own storage the curve only, the subgroup check being the
+/// preparation walk's ([`Reader::over_own_storage`]). This is the one
+/// place that reads a reader's provenance.
 impl<E: Engine> Wire for SjRowCiphertext<E> {
     fn put(&self, w: &mut Writer) {
         w.seq(self.elements(), |w, e| w.bytes(&E::g2_bytes(e)));
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        let element = if r.own_storage {
+            E::g2_from_bytes_on_curve
+        } else {
+            E::g2_from_bytes
+        };
         let elements = r.seq(|r| {
-            E::g2_from_bytes(r.bytes()?).ok_or_else(|| {
+            element(r.bytes()?).ok_or_else(|| {
                 DbError::Protocol("invalid G2 element (curve/subgroup check)".into())
             })
         })?;
@@ -888,8 +931,7 @@ fn encode<T: Wire>(message: &T) -> Vec<u8> {
     w.out
 }
 
-fn decode<T: Wire>(bytes: &[u8]) -> Result<T, DbError> {
-    let mut r = Reader::new(bytes);
+fn decode<T: Wire>(mut r: Reader<'_>) -> Result<T, DbError> {
     let message = T::get(&mut r)?;
     r.finish()?;
     Ok(message)
@@ -921,7 +963,14 @@ impl<E: Engine> Request<E> {
     /// A bad token then fails its own join (inside a batch: its own
     /// slot), not the frame.
     pub fn from_bytes_deferring_tokens(bytes: &[u8]) -> Result<Self, DbError> {
-        let request: Self = decode(bytes)?;
+        Self::read(Reader::new(bytes))
+    }
+
+    /// The one whole message `r` holds, nesting rules applied. What
+    /// `r` was built over decides how strictly its `G2` elements are
+    /// read; journal replay is the only caller outside this file.
+    pub(crate) fn read(r: Reader<'_>) -> Result<Self, DbError> {
+        let request: Self = decode(r)?;
         request.validate()?;
         Ok(request)
     }
@@ -978,7 +1027,7 @@ impl Response {
 
     /// Parse a wire message (rejects trailing bytes and nested batches).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DbError> {
-        let response: Self = decode(bytes)?;
+        let response: Self = decode(Reader::new(bytes))?;
         if let Response::Batch(responses) = &response {
             if responses.iter().any(|r| matches!(r, Response::Batch(_))) {
                 return Err(DbError::Protocol("nested response batch".into()));

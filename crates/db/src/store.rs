@@ -20,6 +20,12 @@
 //!    no snapshot bytes, the first query over untouched rows pays for
 //!    them in one batch, and total pairing work is never higher than
 //!    preparing at insert. In memory only; dropped with its row.
+//!    Preparation is also where a row read back from the journal or a
+//!    snapshot has its elements' subgroup membership established (the
+//!    preparation walk is the subgroup test; see
+//!    `TableStore::prepared_rows`): such rows are decoded with the
+//!    curve check only, so a reopen does not pay ≈ 0.8 ms per row for
+//!    rows no query will pair.
 //! 2. **The decrypt cache**, memoizing `SJ.Dec` output per
 //!    `(token fingerprint, row)`. Entries are keyed down to the *row
 //!    version*, so incremental updates invalidate exactly the touched
@@ -53,12 +59,16 @@
 //! `save` writes `magic ‖ format version ‖ engine name ‖ body length ‖
 //! SHA-256(body) ‖ body`, everything inside length-prefixed. `load`
 //! rejects wrong magic, unsupported versions, engine mismatches,
-//! truncation and any body corruption (checksum) with a clean
-//! [`DbError::Snapshot`] — never a panic. A snapshot persists what
-//! cannot be recomputed faster than it is read back — ciphertexts, row
-//! versions, payloads, tags, memoized `SJ.Dec` outputs — so its bytes
-//! are a function of logical state alone, whichever rows are prepared.
-//! It leaks nothing beyond the ciphertexts themselves.
+//! truncation, any body corruption (checksum) and any ciphertext
+//! element that is non-canonical or off the curve with a clean
+//! [`DbError::Snapshot`] — never a panic. (An on-curve element outside
+//! the subgroup — only a rewrite under a re-stamped checksum produces
+//! one — loads, and is refused by the first query that selects its
+//! row.) A snapshot persists what cannot be recomputed faster than it
+//! is read back — ciphertexts, row versions, payloads, tags, memoized
+//! `SJ.Dec` outputs — so its bytes are a function of logical state
+//! alone, whichever rows are prepared. It leaks nothing beyond the
+//! ciphertexts themselves.
 //!
 //! **Format 2** (written) holds no prepared state. **Format 1** also
 //! carried every row's coefficients (≈ 50× the ciphertexts); it is
@@ -336,35 +346,61 @@ impl<E: Engine> TableStore<E> {
     /// across all their elements). Runs under the read lock queries
     /// hold: first touches may race, and the loser's `set` is dropped —
     /// preparation is a pure function of the ciphertext, so both agree.
-    fn prepared_rows(&self, positions: &[usize]) -> Vec<&SjPreparedCiphertext<E>> {
-        let cold: Vec<(&SjRowCiphertext<E>, &PreparedCell<E>)> = positions
+    ///
+    /// This is the only reader of `ciphers` that leads to a pairing, and
+    /// it is where a stored element's subgroup membership is
+    /// established: rows read back from the journal or a snapshot were
+    /// decoded with the curve check only, and the walk that prepares an
+    /// element decides the rest (`Engine::g2_prepare_batch_checked`). A
+    /// row holding a refused element fails the call with a typed error
+    /// naming it, **before any Miller loop of this call runs**; its cell
+    /// stays empty, so a retry walks it again and refuses again, and
+    /// its neighbours in the batch keep the state the walk gave them.
+    fn prepared_rows(&self, positions: &[usize]) -> Result<Vec<&SjPreparedCiphertext<E>>, DbError> {
+        let cold: Vec<(usize, &SjRowCiphertext<E>, &PreparedCell<E>)> = positions
             .iter()
-            .filter_map(|&pos| Some((self.ciphers.get(pos)?, self.prepared.get(pos)?)))
-            .filter(|(_, cell)| cell.0.get().is_none())
+            .filter_map(|&pos| Some((pos, self.ciphers.get(pos)?, self.prepared.get(pos)?)))
+            .filter(|(_, _, cell)| cell.0.get().is_none())
             .collect();
         if !cold.is_empty() {
             let _span =
                 eqjoin_obs::span!("store_prepare", "table" => self.name, "rows" => cold.len());
             let elements: Vec<E::G2> = cold
                 .iter()
-                .flat_map(|(cipher, _)| cipher.elements().iter().cloned())
+                .flat_map(|(_, cipher, _)| cipher.elements().iter().cloned())
                 .collect();
             eqjoin_obs::counter!("eqjoin_store_prepared_pairings_total").add(elements.len() as u64);
-            let mut prepared = E::g2_prepare_batch(&elements).into_iter();
-            for (cipher, cell) in cold {
+            let mut prepared = E::g2_prepare_batch_checked(&elements).into_iter();
+            let mut refused = None;
+            for (pos, cipher, cell) in cold {
                 let n = cipher.elements().len();
-                let row = SjPreparedCiphertext::from_elements(prepared.by_ref().take(n).collect());
-                if cell.0.set(row).is_ok() {
-                    eqjoin_obs::gauge!("eqjoin_store_prepared_rows").inc();
+                match prepared.by_ref().take(n).collect::<Option<Vec<_>>>() {
+                    Some(row) => {
+                        if cell.0.set(SjPreparedCiphertext::from_elements(row)).is_ok() {
+                            eqjoin_obs::gauge!("eqjoin_store_prepared_rows").inc();
+                        }
+                    }
+                    None => {
+                        eqjoin_obs::counter!("eqjoin_store_stored_elements_refused_total").inc();
+                        refused.get_or_insert(pos);
+                    }
                 }
+            }
+            if let Some(pos) = refused {
+                return Err(DbError::Snapshot(format!(
+                    "table {} row {}: a stored ciphertext element is outside the order-r \
+                     subgroup (refused by its preparation, before any pairing)",
+                    self.name,
+                    self.ids.get(pos).copied().unwrap_or_default(),
+                )));
             }
         }
         // A position past the table (no caller passes one) yields a
         // short vector, which the merge site's arity check reports.
-        positions
+        Ok(positions
             .iter()
             .filter_map(|&pos| self.prepared.get(pos)?.0.get())
-            .collect()
+            .collect())
     }
 }
 
@@ -783,7 +819,7 @@ impl<E: Engine> EncryptedStore<E> {
 
         // Phase 2 — decrypt the misses, preparing rows on first touch.
         let fresh = match &token {
-            Some(token) => decrypt_positions(table, token, &misses, threads),
+            Some(token) => decrypt_positions(table, token, &misses, threads)?,
             None => Vec::new(),
         };
 
@@ -960,15 +996,20 @@ impl<E: Engine> EncryptedStore<E> {
             return Err(snap("checksum mismatch (corrupt snapshot)"));
         }
 
-        let mut r = Reader::new(body);
-        let store = Self::parse_body(&mut r, version)
-            .map_err(|e| DbError::Snapshot(format!("malformed snapshot body: {e}")))?;
-        r.finish()
-            .map_err(|_| snap("trailing bytes after snapshot body"))?;
-        Ok(store)
+        Self::parse_body(body, version)
+            .map_err(|e| DbError::Snapshot(format!("malformed snapshot body: {e}")))
     }
 
-    fn parse_body(r: &mut Reader<'_>, version: u32) -> Result<Self, DbError> {
+    /// Decode a snapshot body whose SHA-256 the caller has just
+    /// verified. These are bytes this server wrote, so ciphertext
+    /// elements are read with the curve check only
+    /// ([`Reader::over_own_storage`]) — 0.8 ms per row not spent on rows
+    /// most of which no query will pair; an element's subgroup check is
+    /// [`TableStore::prepared_rows`]'s, before its first pairing.
+    /// Off-curve or non-canonical bytes are refused here, as ever.
+    fn parse_body(body: &[u8], version: u32) -> Result<Self, DbError> {
+        let mut reader = Reader::over_own_storage(body);
+        let r = &mut reader;
         let next_version = r.u64()?;
         let n_tables = r.len("tables")?;
         let mut tables = HashMap::with_capacity(n_tables);
@@ -1060,6 +1101,7 @@ impl<E: Engine> EncryptedStore<E> {
             );
         }
 
+        reader.finish()?;
         Ok(EncryptedStore {
             tables,
             cache: Mutex::new(cache),
@@ -1151,24 +1193,26 @@ fn store_failpoint(name: &str) -> Result<(), DbError> {
 
 /// Decrypt the given storage positions — chunked across scoped threads,
 /// each chunk preparing its cold rows in one batch and sharing one batched
-/// final exponentiation via [`SecureJoin::decrypt_prepared_many`].
+/// final exponentiation via [`SecureJoin::decrypt_prepared_many`]. A
+/// chunk whose preparation refuses a stored element fails the pass.
 fn decrypt_positions<E: Engine>(
     table: &TableStore<E>,
     token: &eqjoin_core::SjToken<E>,
     positions: &[usize],
     threads: usize,
-) -> Vec<Vec<u8>> {
-    let decrypt_chunk = |chunk: &[usize]| -> Vec<Vec<u8>> {
-        SecureJoin::<E>::decrypt_prepared_many(token, &table.prepared_rows(chunk))
+) -> Result<Vec<Vec<u8>>, DbError> {
+    let decrypt_chunk = |chunk: &[usize]| -> Result<Vec<Vec<u8>>, DbError> {
+        let rows = table.prepared_rows(chunk)?;
+        Ok(SecureJoin::<E>::decrypt_prepared_many(token, &rows)
             .iter()
             .map(SecureJoin::<E>::match_key)
-            .collect()
+            .collect())
     };
     if threads <= 1 || positions.len() < 2 {
         return decrypt_chunk(positions);
     }
     let chunk_size = positions.len().div_ceil(threads);
-    let mut results: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut results: Vec<Result<Vec<Vec<u8>>, DbError>> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = positions
             .chunks(chunk_size)
@@ -1177,10 +1221,11 @@ fn decrypt_positions<E: Engine>(
         for h in handles {
             // A panicked worker contributes no keys; the arity check at
             // the merge site surfaces that as a typed protocol error.
-            results.push(h.join().unwrap_or_else(|_| Vec::new()));
+            results.push(h.join().unwrap_or_else(|_| Ok(Vec::new())));
         }
     });
-    results.into_iter().flatten().collect()
+    let chunks: Vec<Vec<Vec<u8>>> = results.into_iter().collect::<Result<_, _>>()?;
+    Ok(chunks.into_iter().flatten().collect())
 }
 
 /// Collision-resistant fingerprint of one side's decrypt inputs: the

@@ -117,6 +117,9 @@ fn main() {
         row("g2_from_bytes", 20, 1, || {
             black_box(Bls12::g2_from_bytes(black_box(&qb)));
         }),
+        row("g2_from_bytes_on_curve (stored bytes)", 200, 1, || {
+            black_box(Bls12::g2_from_bytes_on_curve(black_box(&qb)));
+        }),
     ];
 
     for _ in 0..ROUNDS {

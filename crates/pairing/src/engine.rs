@@ -111,6 +111,13 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
     fn g2_prepare_batch(qs: &[Self::G2]) -> Vec<Self::G2Prepared> {
         qs.iter().map(Self::g2_prepare).collect()
     }
+    /// [`Engine::g2_prepare_batch`] for elements decoded by
+    /// [`Engine::g2_from_bytes_on_curve`]: `None` for one outside the
+    /// group, which therefore never reaches a pairing. The default
+    /// serves engines whose every decoded element is a group element.
+    fn g2_prepare_batch_checked(qs: &[Self::G2]) -> Vec<Option<Self::G2Prepared>> {
+        Self::g2_prepare_batch(qs).into_iter().map(Some).collect()
+    }
     /// `∏ᵢ e(pᵢ, qᵢ)` against prepared elements — must agree exactly
     /// with [`Engine::multi_pair`] on the originating points.
     fn multi_pair_prepared(ps: &[Self::G1], qs: &[Self::G2Prepared]) -> Self::Gt;
@@ -144,6 +151,13 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
     fn g2_bytes(p: &Self::G2) -> Vec<u8>;
     /// Deserialize a `G2` element (validated).
     fn g2_from_bytes(bytes: &[u8]) -> Option<Self::G2>;
+    /// Deserialize a `G2` element whose group membership
+    /// [`Engine::g2_prepare_batch_checked`] establishes before its first
+    /// pairing: everything [`Engine::g2_from_bytes`] checks except
+    /// that. The default serves engines with nothing to defer.
+    fn g2_from_bytes_on_curve(bytes: &[u8]) -> Option<Self::G2> {
+        Self::g2_from_bytes(bytes)
+    }
 }
 
 fn g1_table() -> &'static FixedBaseTable<crate::g1::G1Params> {
@@ -234,6 +248,10 @@ impl Engine for Bls12 {
         pr::G2Prepared::prepare_batch(qs)
     }
 
+    fn g2_prepare_batch_checked(qs: &[G2Affine]) -> Vec<Option<pr::G2Prepared>> {
+        pr::G2Prepared::prepare_batch_checked(qs)
+    }
+
     fn multi_pair_prepared(ps: &[G1Affine], qs: &[pr::G2Prepared]) -> pr::Gt {
         assert_eq!(ps.len(), qs.len(), "multi_pair_prepared length mismatch");
         let pairs: Vec<(G1Affine, &pr::G2Prepared)> = ps.iter().copied().zip(qs.iter()).collect();
@@ -296,6 +314,11 @@ impl Engine for Bls12 {
     fn g2_from_bytes(bytes: &[u8]) -> Option<G2Affine> {
         let arr: &[u8; g2::G2_BYTES] = bytes.try_into().ok()?;
         g2::from_bytes(arr)
+    }
+
+    fn g2_from_bytes_on_curve(bytes: &[u8]) -> Option<G2Affine> {
+        let arr: &[u8; g2::G2_BYTES] = bytes.try_into().ok()?;
+        g2::from_bytes_on_curve(arr)
     }
 }
 

@@ -127,6 +127,14 @@ pub fn to_bytes(point: &G2Affine) -> [u8; G2_BYTES] {
 
 /// Deserialize an affine point; checks the curve equation and subgroup.
 pub fn from_bytes(bytes: &[u8; G2_BYTES]) -> Option<G2Affine> {
+    from_bytes_on_curve(bytes).filter(|point| in_subgroup(&point.to_projective()))
+}
+
+/// Deserialize an affine point of the twist: canonical `Fp` limbs and
+/// the curve equation, **not** the subgroup. For bytes whose subgroup
+/// check happens later and before any pairing — in the walk of
+/// [`crate::pairing::G2Prepared::prepare_batch_checked`].
+pub fn from_bytes_on_curve(bytes: &[u8; G2_BYTES]) -> Option<G2Affine> {
     if bytes.iter().all(|&b| b == 0) {
         return Some(G2Affine::identity());
     }
@@ -137,14 +145,15 @@ pub fn from_bytes(bytes: &[u8; G2_BYTES]) -> Option<G2Affine> {
     };
     let x = Fp2::new(part(0)?, part(1)?);
     let y = Fp2::new(part(2)?, part(3)?);
-    let point = G2Affine::new(x, y)?;
-    in_subgroup(&point.to_projective()).then_some(point)
+    G2Affine::new(x, y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::curve::subgroup_cases::{self, order_divides_r};
+    use crate::engine::{Bls12, Engine};
+    use crate::pairing::G2Prepared;
     use eqjoin_bigint::BigUint;
     use eqjoin_crypto::ChaChaRng;
     use proptest::prelude::*;
@@ -157,6 +166,11 @@ mod tests {
             .map(|p| p.to_projective())
             .take(n)
             .collect()
+    }
+
+    /// The verdict of the preparation walk on one point.
+    fn walk_accepts(point: &G2Projective) -> bool {
+        G2Prepared::prepare_batch_checked(&[point.to_affine()])[0].is_some()
     }
 
     #[test]
@@ -212,6 +226,62 @@ mod tests {
         assert_eq!(small_orders, [13, 23, 2713, 11953, 262069]);
         let cases = subgroup_cases::cases(generator(), &raw_points(8), &h2, &small_orders);
         subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
+        // The preparation walk decides the same thing — the small-order
+        // cases are the ones whose walk meets a zero denominator.
+        subgroup_cases::assert_agrees_with_reference(walk_accepts, &cases);
+
+        // One batch over every case: exactly the non-members are
+        // refused, and a member's coefficients are those a members-only
+        // batch gives it (a refused neighbour's substituted denominator
+        // stays its own).
+        let points: Vec<G2Affine> = cases.iter().map(|c| c.point.to_affine()).collect();
+        let mixed = G2Prepared::prepare_batch_checked(&points);
+        let members: Vec<G2Affine> = cases
+            .iter()
+            .filter(|c| in_subgroup(&c.point))
+            .map(|c| c.point.to_affine())
+            .collect();
+        assert!(members.len() < points.len());
+        let mut alone = G2Prepared::prepare_batch(&members).into_iter();
+        for (case, prepared) in cases.iter().zip(mixed) {
+            assert_eq!(
+                prepared.is_some(),
+                in_subgroup(&case.point),
+                "{}",
+                case.label
+            );
+            if let Some(prepared) = prepared {
+                assert_eq!(Some(prepared), alone.next(), "{}", case.label);
+            }
+        }
+        // The identity is a member with nothing to walk.
+        let identity = G2Prepared::prepare_batch_checked(&[G2Affine::identity()]);
+        assert!(identity[0].as_ref().is_some_and(G2Prepared::is_identity));
+    }
+
+    #[test]
+    fn from_bytes_on_curve_defers_the_subgroup_check_and_nothing_else() {
+        let h2 = BigUint::from_limbs(&params::consts().g2_cofactor);
+        for case in subgroup_cases::cases(generator(), &raw_points(2), &h2, &[13]) {
+            let point = case.point.to_affine();
+            let bytes = to_bytes(&point);
+            assert_eq!(from_bytes_on_curve(&bytes), Some(point), "{}", case.label);
+            let strict = from_bytes(&bytes);
+            assert_eq!(strict.is_some(), in_subgroup(&case.point), "{}", case.label);
+            assert!(strict.is_none() || strict == Some(point), "{}", case.label);
+        }
+        let good = to_bytes(&generator().to_affine());
+        // Off the curve: y + 1.
+        let mut off_curve = good;
+        off_curve[G2_BYTES - 1] ^= 1;
+        assert!(from_bytes_on_curve(&off_curve).is_none());
+        // A limb ≥ p is not a canonical `Fp`.
+        let mut non_canonical = good;
+        non_canonical[..Fp::BYTES].fill(0xff);
+        assert!(from_bytes_on_curve(&non_canonical).is_none());
+        // Wrong length, through the engine's slice-taking entry point.
+        assert!(Bls12::g2_from_bytes_on_curve(&good[1..]).is_none());
+        assert!(Bls12::g2_from_bytes_on_curve(&good).is_some());
     }
 
     proptest! {
@@ -228,6 +298,7 @@ mod tests {
             let h = BigUint::from_limbs(&params::consts().g2_cofactor);
             let cases = subgroup_cases::cases(generator(), &[raw], &h, &[]);
             subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
+            subgroup_cases::assert_agrees_with_reference(walk_accepts, &cases);
         }
     }
 }

@@ -37,6 +37,21 @@
 //!   multi-pairing all pairs share a single **batched inversion** per step
 //!   (Montgomery's trick), which is what makes the `m(t+1)+3`-element
 //!   products in `SJ.Dec` affordable.
+//! * **The walk is the subgroup check.** Building a point's line table
+//!   walks `T` from `Q` along the MSB-first double-and-add of `|z|` —
+//!   the very chain [`crate::curve::Projective::mul_by_x`] spends inside
+//!   [`crate::g2::in_subgroup`] — so the walk's endpoint is `[|z|]Q`
+//!   and Scott's test `ψ(Q) = [z]Q` is two `Fp2` products and a
+//!   comparison away: `(c_x·x̄_Q, c_y·ȳ_Q) = (x_T, −y_T)`, as `z < 0`.
+//!   `line_tables` therefore returns a verdict next to each table, and
+//!   [`G2Prepared::prepare_batch_checked`] refuses (`None`) exactly the
+//!   on-curve points `in_subgroup` refuses. An exceptional step — a zero
+//!   slope denominator — needs `T = mQ`, `2 ≤ m ≤ |z| < r`, to be
+//!   2-torsion (tangent) or `±Q` (chord), i.e. `Q` of order dividing
+//!   `2m` or `m ∓ 1`: impossible for order `r`, reachable on a
+//!   cofactor-torsion point, and so itself a proof of non-membership.
+//!   The walk notes it, substitutes 1 (the batch's shared inversion and
+//!   every other point in it are unaffected) and refuses at the end.
 //! * The final exponentiation splits into the easy part
 //!   `(p⁶-1)(p²+1)` and the Hayashida et al. BLS12 hard part
 //!   `(z-1)²(z+p)(z²+p²-1) + 3` (a 3-multiple of `(p⁴-p²+1)/r`, verified
@@ -149,6 +164,10 @@ pub(crate) fn untwist(q: &G2Affine) -> (Fp12, Fp12) {
     (x, y)
 }
 
+/// What a pairing entry point that takes points on trust says when the
+/// walk finds one outside the subgroup.
+const NOT_IN_G2: &str = "G2 pairing input outside the order-r subgroup";
+
 /// Number of lines a Miller loop evaluates per pair: one per doubling
 /// step plus one per addition step (63 + 5 for the BLS12-381 loop
 /// parameter).
@@ -169,18 +188,36 @@ struct LinePoint {
     neg_x_over_y: Fp,
 }
 
-/// The [`LineCoeffs`] of every Miller line of each point, in loop order.
-/// One slope inversion per step is shared across the whole batch
-/// (Montgomery's trick). The identity gets an empty table.
-fn line_tables(qs: &[G2Affine]) -> Vec<Vec<LineCoeffs>> {
+/// The [`LineCoeffs`] of every Miller line of each point, in loop order,
+/// or `None` for a point outside the order-`r` subgroup (module docs,
+/// "The walk is the subgroup check"). One slope inversion per step is
+/// shared across the whole batch (Montgomery's trick). The identity
+/// gets an empty table.
+fn line_tables(qs: &[G2Affine]) -> Vec<Option<Vec<LineCoeffs>>> {
     struct Walk {
         xq: Fp2,
         yq: Fp2,
         xt: Fp2,
         yt: Fp2,
         slot: usize,
+        /// Cleared by an exceptional step; decided at the endpoint.
+        member: bool,
     }
     impl Walk {
+        /// A slope denominator for the batch's shared inversion. Zero
+        /// means `T` met a 2-torsion point (tangent) or `±Q` (chord),
+        /// which no multiple `2 ≤ m ≤ |z| < r` of an order-`r` point
+        /// does: the point is refused, and 1 stands in so the shared
+        /// inversion and every other walk in the batch are unaffected.
+        fn denominator(&mut self, d: Fp2) -> Fp2 {
+            if d.is_zero() {
+                self.member = false;
+                Fp2::one()
+            } else {
+                d
+            }
+        }
+
         /// Record the line of slope `lambda` through `(x, y)` and step
         /// `T` to the third point on it: `x` is `x_T` for a tangent and
         /// `x_Q` for a chord.
@@ -190,6 +227,14 @@ fn line_tables(qs: &[G2Affine]) -> Vec<Vec<LineCoeffs>> {
             let x3 = lambda.square() - self.xt - x;
             self.yt = lambda * (self.xt - x3) - self.yt;
             self.xt = x3;
+        }
+
+        /// Scott's test at the walk's endpoint `T = [|z|]Q`:
+        /// `ψ(Q) = [z]Q`, with `[z]Q = −T` as `z < 0`.
+        fn ends_at_psi(&self) -> bool {
+            let e = crate::params::endomorphisms();
+            let zq_y = if BLS_X_IS_NEGATIVE { -self.yt } else { self.yt };
+            self.xq.conjugate() * e.psi_x == self.xt && self.yq.conjugate() * e.psi_y == zq_y
         }
     }
     let mut walks: Vec<Walk> = qs
@@ -202,6 +247,7 @@ fn line_tables(qs: &[G2Affine]) -> Vec<Vec<LineCoeffs>> {
             xt: q.x,
             yt: q.y,
             slot,
+            member: true,
         })
         .collect();
     let mut tables: Vec<Vec<LineCoeffs>> = qs
@@ -214,7 +260,7 @@ fn line_tables(qs: &[G2Affine]) -> Vec<Vec<LineCoeffs>> {
     for i in (0..bits - 1).rev() {
         // Doubling: λ' = 3x_T²/(2y_T) on the twist, batched inversion.
         denoms.clear();
-        denoms.extend(walks.iter().map(|w| w.yt.double()));
+        denoms.extend(walks.iter_mut().map(|w| w.denominator(w.yt.double())));
         batch_invert(&mut denoms);
         for (w, inv) in walks.iter_mut().zip(&denoms) {
             let xt_sq = w.xt.square();
@@ -222,17 +268,19 @@ fn line_tables(qs: &[G2Affine]) -> Vec<Vec<LineCoeffs>> {
             w.step(lambda, w.xt, w.yt, &mut tables[w.slot]);
         }
         if (BLS_X >> i) & 1 == 1 {
-            // Addition: λ' = (y_T - y_Q)/(x_T - x_Q); T = mQ with
-            // 2 ≤ m < r-1 never collides with ±Q on an order-r point, so
-            // the denominators are nonzero.
+            // Addition: λ' = (y_T - y_Q)/(x_T - x_Q).
             denoms.clear();
-            denoms.extend(walks.iter().map(|w| w.xt - w.xq));
+            denoms.extend(walks.iter_mut().map(|w| w.denominator(w.xt - w.xq)));
             batch_invert(&mut denoms);
             for (w, inv) in walks.iter_mut().zip(&denoms) {
                 let lambda = (w.yt - w.yq) * *inv;
                 w.step(lambda, w.xq, w.yq, &mut tables[w.slot]);
             }
         }
+    }
+    let mut tables: Vec<Option<Vec<LineCoeffs>>> = tables.into_iter().map(Some).collect();
+    for w in walks.iter().filter(|w| !(w.member && w.ends_at_psi())) {
+        tables[w.slot] = None;
     }
     tables
 }
@@ -310,7 +358,10 @@ pub fn multi_miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
         .copied()
         .unzip();
     crate::ops::count_pairing(ps.len() as u64);
-    let tables = line_tables(&qs);
+    let tables: Vec<Vec<LineCoeffs>> = line_tables(&qs)
+        .into_iter()
+        .map(|table| table.expect(NOT_IN_G2))
+        .collect();
     let live: Vec<_> = G1Normalized::batch(&ps)
         .iter()
         .zip(&tables)
@@ -340,15 +391,30 @@ impl G2Prepared {
         Self::prepare_batch(&[*q]).pop().expect("one in, one out")
     }
 
-    /// Prepare a batch of points, sharing one slope inversion per
-    /// Miller step across the whole batch (Montgomery's trick) — the
-    /// shape of a first touch, where every ciphertext element of every
-    /// row a query newly selects is prepared at once.
+    /// Prepare a batch of points the caller knows to be in `G2` (it
+    /// generated them, or decoded them with [`crate::g2::from_bytes`]):
+    /// [`G2Prepared::prepare_batch_checked`], a refusal being a bug.
     pub fn prepare_batch(qs: &[G2Affine]) -> Vec<G2Prepared> {
+        Self::prepare_batch_checked(qs)
+            .into_iter()
+            .map(|prepared| prepared.expect(NOT_IN_G2))
+            .collect()
+    }
+
+    /// Prepare a batch of **on-curve** points, sharing one slope
+    /// inversion per Miller step across the whole batch (Montgomery's
+    /// trick) — the shape of a first touch, where every ciphertext
+    /// element of every row a query newly selects is prepared at once.
+    ///
+    /// `None` for a point outside the order-`r` subgroup: the walk that
+    /// builds the table ends at `[|z|]Q`, so it decides
+    /// [`crate::g2::in_subgroup`] on the way (module docs). A refused
+    /// point changes no other point's coefficients.
+    pub fn prepare_batch_checked(qs: &[G2Affine]) -> Vec<Option<G2Prepared>> {
         crate::ops::count_g2_prepares(qs.iter().filter(|q| !q.infinity).count() as u64);
         line_tables(qs)
             .into_iter()
-            .map(|coeffs| G2Prepared { coeffs })
+            .map(|table| table.map(|coeffs| G2Prepared { coeffs }))
             .collect()
     }
 

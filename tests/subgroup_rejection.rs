@@ -1,28 +1,27 @@
-//! The subgroup check is reachable — and rejects — through every door a
-//! group element enters by: a request frame (`Request::from_bytes`, G1
-//! token elements and G2 ciphertext elements) and a store snapshot
-//! (`EncryptedStore::from_snapshot_bytes`, G2 ciphertext elements).
+//! The subgroup check is reachable — and refuses — through every door a
+//! group element enters by. A request frame is refused at decode
+//! (`Request::from_bytes`, G1 token elements and G2 ciphertext
+//! elements). A store snapshot — bytes this server wrote, under their
+//! SHA-256 — is decoded with the curve check only and **opens**; its
+//! G2 ciphertext elements are subgroup-checked by the preparation walk
+//! that precedes their first pairing, so the join that selects the row
+//! is refused, typed, with no Miller loop run (`tests/stored_elements.rs`
+//! has the full contract, journal door included).
 //!
 //! A flipped byte only ever trips the curve equation (see
 //! `tests/serialization.rs`); these tests splice in points that are
 //! validly encoded and **on the curve** but outside the order-`r`
 //! subgroup, so the subgroup check is the only thing left to refuse them.
 
-use eqjoin::crypto::sha256;
+mod outside_subgroup;
+
 use eqjoin::db::{
     DbClient, DbError, DbServer, EncryptedStore, EncryptedTable, JoinOptions, JoinQuery, Request,
     Schema, Table, TableConfig, Value,
 };
-use eqjoin::pairing::curve::{Affine, CurveParams};
-use eqjoin::pairing::{g1, g2, params, Bls12, Engine, Field, Fp, Fp2, G1Affine, G2Affine};
-
-/// Not in the subgroup by the definition (`r·P ≠ O`, textbook ladder),
-/// independent of the check under test.
-fn outside_subgroup<C: CurveParams>(p: &Affine<C>) -> bool {
-    !p.to_projective()
-        .mul_limbs(&params::consts().r_limbs)
-        .is_identity()
-}
+use eqjoin::pairing::curve::CurveParams;
+use eqjoin::pairing::{g1, ops, Bls12, Engine, Fp, G1Affine};
+use outside_subgroup::{g2_outside_subgroup, outside_subgroup, splice, splice_snapshot};
 
 /// Wire bytes of an on-curve `G1` point outside the subgroup: the first
 /// `x = 1, 2, …` with a `y`, before any cofactor clearing.
@@ -36,32 +35,6 @@ fn g1_outside_subgroup() -> Vec<u8> {
         .expect("some small x is on the curve");
     assert!(p.is_on_curve() && outside_subgroup(&p));
     g1::to_bytes(&p).to_vec()
-}
-
-/// Wire bytes of an on-curve `G2` point outside the subgroup.
-fn g2_outside_subgroup() -> Vec<u8> {
-    let p = (0u64..)
-        .find_map(|n| {
-            let x = Fp2::new(Fp::from_u64(n), Fp::one());
-            let y = (x.square() * x + g2::G2Params::b()).sqrt()?;
-            G2Affine::new(x, y)
-        })
-        .expect("some small x is on the twist");
-    assert!(p.is_on_curve() && outside_subgroup(&p));
-    g2::to_bytes(&p).to_vec()
-}
-
-/// `bytes` with the first occurrence of `element` overwritten by
-/// `replacement` (same length, so every length prefix stays valid).
-fn splice(bytes: &[u8], element: &[u8], replacement: &[u8]) -> Vec<u8> {
-    assert_eq!(element.len(), replacement.len());
-    let at = bytes
-        .windows(element.len())
-        .position(|w| w == element)
-        .expect("the element is in the encoding");
-    let mut out = bytes.to_vec();
-    out[at..at + element.len()].copy_from_slice(replacement);
-    out
 }
 
 fn assert_protocol_error(frame: &[u8], group: &str) {
@@ -125,25 +98,39 @@ fn request_frames_reject_on_curve_points_outside_the_subgroup() {
 
 #[test]
 fn snapshots_reject_on_curve_points_outside_the_subgroup() {
-    let (_, table) = client_and_table();
+    let (mut client, table) = client_and_table();
     let g2_element = Bls12::g2_bytes(&table.rows[0].cipher.elements()[0]);
     let mut server = DbServer::<Bls12>::new();
     server.insert_table(table).unwrap();
     let good = server.store().snapshot_bytes();
     assert!(EncryptedStore::<Bls12>::from_snapshot_bytes(&good).is_ok());
 
-    // Header: magic (8) + version (4) + engine name (u64 length + bytes)
-    // + body length (8) + SHA-256 of the body (32); then the body.
-    let body_at = 8 + 4 + 8 + Bls12::NAME.len() + 8 + 32;
-    let mut bad = splice(&good, &g2_element, &g2_outside_subgroup());
-    let checksum = sha256(&bad[body_at..]);
-    bad[body_at - 32..body_at].copy_from_slice(&checksum);
+    // The checksum vouches for the spliced body, the point is on the
+    // curve: the snapshot loads, preparing nothing …
+    let bad = splice_snapshot(&good, &g2_element, &g2_outside_subgroup());
+    let before = ops::snapshot();
+    let store = EncryptedStore::<Bls12>::from_snapshot_bytes(&bad)
+        .expect("an on-curve element under a valid checksum loads");
+    assert_eq!(ops::snapshot().since(&before).g2_prepares, 0);
 
-    match EncryptedStore::<Bls12>::from_snapshot_bytes(&bad) {
-        Err(DbError::Snapshot(msg)) => assert!(msg.contains("invalid G2 element"), "{msg}"),
+    // … and the first join that selects the row is refused by the
+    // row's preparation, before any pairing takes the element.
+    let tokens = client
+        .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
+        .unwrap();
+    let server = DbServer::with_store(store);
+    match server.execute_join(&tokens, &JoinOptions::default()) {
+        Err(DbError::Snapshot(msg)) => {
+            assert!(
+                msg.contains("table T row 0") && msg.contains("subgroup"),
+                "{msg}"
+            )
+        }
         other => panic!(
-            "expected a typed snapshot error, got {:?}",
-            other.map(|_| "Ok(store)")
+            "expected the typed stored-element refusal, got {:?}",
+            other.map(|_| "Ok(result)")
         ),
     }
+    let delta = ops::snapshot().since(&before);
+    assert_eq!((delta.miller_pairs, delta.pairings), (0, 0));
 }
