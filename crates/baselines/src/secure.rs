@@ -63,13 +63,8 @@ impl<E: Engine> JoinScheme for SecureJoinScheme<E> {
         let result = self.session.execute(query).expect("join executes");
         // The session already recorded what the server observed this
         // query into its ledger; report that σ(q) to the harness.
-        let per_query_leakage = self
-            .session
-            .ledger()
-            .last()
-            .expect("execute recorded the query")
-            .per_query
-            .clone();
+        let ledger = self.session.ledger();
+        let per_query_leakage = ledger.per_query(ledger.len() - 1);
         QueryOutcome {
             result_pairs: result.pairs,
             per_query_leakage,

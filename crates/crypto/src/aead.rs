@@ -6,7 +6,7 @@
 //! ciphertext, so truncation and AD-substitution are rejected.
 
 use crate::chacha20::{self, KEY_LEN, NONCE_LEN};
-use crate::hmac::{ct_eq, hkdf_expand, hmac_sha256};
+use crate::hmac::{ct_eq, hkdf_expand, HmacKey};
 use crate::rng::RandomSource;
 
 /// MAC tag length in bytes.
@@ -37,7 +37,7 @@ impl std::error::Error for AeadError {}
 #[derive(Clone)]
 pub struct AeadKey {
     enc: [u8; KEY_LEN],
-    mac: [u8; 32],
+    mac: HmacKey,
 }
 
 impl AeadKey {
@@ -45,10 +45,11 @@ impl AeadKey {
     pub fn from_master(master: &[u8; 32]) -> Self {
         let okm = hkdf_expand(master, b"eqjoin-aead-v1", KEY_LEN + 32);
         let mut enc = [0u8; KEY_LEN];
-        let mut mac = [0u8; 32];
         enc.copy_from_slice(&okm[..KEY_LEN]);
-        mac.copy_from_slice(&okm[KEY_LEN..]);
-        AeadKey { enc, mac }
+        AeadKey {
+            enc,
+            mac: HmacKey::new(&okm[KEY_LEN..]),
+        }
     }
 
     /// Sample a fresh key.
@@ -58,13 +59,10 @@ impl AeadKey {
         Self::from_master(&master)
     }
 
-    fn mac_input(nonce: &[u8; NONCE_LEN], ad: &[u8], ct: &[u8]) -> Vec<u8> {
-        let mut m = Vec::with_capacity(NONCE_LEN + 8 + ad.len() + ct.len());
-        m.extend_from_slice(nonce);
-        m.extend_from_slice(&(ad.len() as u64).to_le_bytes());
-        m.extend_from_slice(ad);
-        m.extend_from_slice(ct);
-        m
+    /// The tag over `nonce || len(ad) as u64 LE || ad || ct`.
+    fn tag(&self, nonce: &[u8; NONCE_LEN], ad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+        let ad_len = (ad.len() as u64).to_le_bytes();
+        self.mac.mac_parts(&[nonce, &ad_len, ad, ct])
     }
 
     /// Encrypt `plaintext` binding `ad` (associated data), drawing a fresh
@@ -74,7 +72,7 @@ impl AeadKey {
         rng.fill_bytes(&mut nonce);
         let mut ct = plaintext.to_vec();
         chacha20::apply_keystream(&self.enc, &nonce, 1, &mut ct);
-        let tag = hmac_sha256(&self.mac, &Self::mac_input(&nonce, ad, &ct));
+        let tag = self.tag(&nonce, ad, &ct);
         let mut out = Vec::with_capacity(NONCE_LEN + ct.len() + TAG_LEN);
         out.extend_from_slice(&nonce);
         out.extend_from_slice(&ct);
@@ -91,7 +89,7 @@ impl AeadKey {
         let (ct, tag) = rest.split_at(rest.len() - TAG_LEN);
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(nonce_bytes);
-        let expect = hmac_sha256(&self.mac, &Self::mac_input(&nonce, ad, ct));
+        let expect = self.tag(&nonce, ad, ct);
         if !ct_eq(&expect, tag) {
             return Err(AeadError::BadTag);
         }

@@ -10,7 +10,8 @@
 //! * [`sha256`] — FIPS 180-4 SHA-256. Round constants are *derived* at
 //!   startup with exact integer cube/square roots instead of being
 //!   hard-coded, and checked against the standard test vectors.
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104) and an HKDF-style expander.
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), with the padded-key state
+//!   precomputed once per key ([`HmacKey`]), and an HKDF-style expander.
 //! * [`chacha20`] — the RFC 8439 ChaCha20 stream cipher.
 //! * [`rng`] — a deterministic ChaCha20-based CSPRNG behind the dyn-safe
 //!   [`RandomSource`] trait used everywhere randomness is needed. All
@@ -31,7 +32,7 @@ pub mod rng;
 pub mod sha256;
 
 pub use aead::{AeadError, AeadKey};
-pub use hmac::{hkdf_expand, hmac_sha256};
+pub use hmac::{hkdf_expand, hmac_sha256, HmacKey};
 pub use prf::Prf;
 pub use rng::{ChaChaRng, RandomSource};
 pub use sha256::{sha256, Sha256};

@@ -1,26 +1,30 @@
 //! A keyed pseudo-random function with labeled domains, plus key
 //! derivation for the per-column pre-filter tags and baseline schemes.
 
-use crate::hmac::{hkdf_expand, hmac_sha256};
+use crate::hmac::{hkdf_expand, HmacKey};
 use crate::rng::RandomSource;
 
 /// A keyed PRF (HMAC-SHA-256 under the hood) with domain separation.
 #[derive(Clone)]
 pub struct Prf {
     key: [u8; 32],
+    hmac: HmacKey,
 }
 
 impl Prf {
     /// Construct from an explicit 32-byte key.
     pub fn from_key(key: [u8; 32]) -> Self {
-        Prf { key }
+        Prf {
+            key,
+            hmac: HmacKey::new(&key),
+        }
     }
 
     /// Sample a fresh PRF key from `rng`.
     pub fn generate(rng: &mut dyn RandomSource) -> Self {
         let mut key = [0u8; 32];
         rng.fill_bytes(&mut key);
-        Prf { key }
+        Self::from_key(key)
     }
 
     /// Derive a child PRF for a labeled sub-domain (e.g. one per column).
@@ -28,12 +32,12 @@ impl Prf {
         let out = hkdf_expand(&self.key, label, 32);
         let mut key = [0u8; 32];
         key.copy_from_slice(&out);
-        Prf { key }
+        Self::from_key(key)
     }
 
     /// Evaluate the PRF on `input`, returning 32 bytes.
     pub fn eval(&self, input: &[u8]) -> [u8; 32] {
-        hmac_sha256(&self.key, input)
+        self.hmac.mac(input)
     }
 
     /// Evaluate and truncate to a 16-byte tag (pre-filter tag size).

@@ -44,13 +44,20 @@
 //! # What a multi-way chain adds to the leakage report
 //!
 //! Each pairwise stage is a query of its own in the ledger: a 3-table
-//! chain records two [`QueryLeakage`] entries. The server additionally
-//! learns which stages belong to one chain (they arrive in one batch) —
+//! chain records two [`LedgerEntry`](eqjoin_leakage::LedgerEntry)s.
+//! The server additionally learns which stages belong to one chain
+//! (they arrive in one batch) —
 //! but that link adds no *pair* leakage beyond the transitive closure
 //! the ledger already accounts for: the middle table's rows appear in
 //! both stages' equality classes, so the closure over the union already
 //! connects them. [`Session::leakage_report`] therefore stays the
 //! paper's bound, now over `Σ stages` instead of `Σ queries`.
+//!
+//! The ledger keeps that closure incrementally, so a stage costs
+//! `O(|σ(q)|)` however long the series has run, the report is `O(1)`,
+//! and the visible pair set is built only when asked for
+//! ([`Session::visible_pairs`]). [`ResultSet::leakage_delta`] is what
+//! one query added to it — 0 for a repeat.
 
 use crate::backend::{LocalBackend, RemoteBackend, TransportStats};
 use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
@@ -64,7 +71,7 @@ use crate::query::JoinQuery;
 use crate::server::{
     EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection, ServerStats,
 };
-use eqjoin_leakage::{closure, pairs_from_classes, LeakageLedger, Node, PairSet, QueryLeakage};
+use eqjoin_leakage::{pairs_from_classes, LeakageLedger, Node, PairSet};
 use eqjoin_pairing::Engine;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -379,6 +386,10 @@ pub struct ResultSet {
     /// Ledger index of the plan's first stage (stages occupy
     /// `series_index .. series_index + stage_stats.len()`).
     pub series_index: u64,
+    /// Pairs this query added to what the server can derive (the growth
+    /// of the closure bound over its stages): 0 when it repeats what
+    /// the series already revealed.
+    pub leakage_delta: usize,
     /// Whether *every* stage's token bundle came from the session
     /// cache.
     pub cache_hit: bool,
@@ -453,7 +464,6 @@ pub struct Session<E: Engine> {
     planner: Option<Box<dyn SqlPlanner>>,
     token_cache: HashMap<Vec<u8>, QueryTokens<E>>,
     ledger: LeakageLedger,
-    observed_union: PairSet,
     stats: SessionStats,
 }
 
@@ -501,7 +511,6 @@ impl<E: Engine> Session<E> {
             planner: None,
             token_cache: HashMap::new(),
             ledger: LeakageLedger::new(),
-            observed_union: PairSet::new(),
             stats: SessionStats::default(),
         }
     }
@@ -853,10 +862,11 @@ impl<E: Engine> Session<E> {
     }
 
     /// Record one executed join in the leakage ledger and return its
-    /// series index. This must happen for every join the server
-    /// executed — the observation exists server-side whatever the
-    /// client manages to do with the result afterwards.
-    fn record_observation(&mut self, observation: &JoinObservation) -> u64 {
+    /// series index and the pairs it added to the closure. This must
+    /// happen for every join the server executed — the observation
+    /// exists server-side whatever the client manages to do with the
+    /// result afterwards.
+    fn record_observation(&mut self, observation: &JoinObservation) -> (u64, usize) {
         let classes: Vec<Vec<Node>> = observation
             .equality_classes
             .iter()
@@ -867,16 +877,12 @@ impl<E: Engine> Session<E> {
                     .collect()
             })
             .collect();
-        let per_query = pairs_from_classes(&classes);
-        self.observed_union.union_with(&per_query);
         let series_index = self.stats.queries_executed;
-        self.ledger.record(QueryLeakage {
-            query_id: series_index,
-            per_query,
-            cumulative_visible: closure(&self.observed_union),
-        });
+        let added = self
+            .ledger
+            .record_closed(series_index, &pairs_from_classes(&classes));
         self.stats.queries_executed += 1;
-        series_index
+        (series_index, added)
     }
 
     /// Stitch one plan's executed stages and decrypt the projected
@@ -886,6 +892,7 @@ impl<E: Engine> Session<E> {
         prepared: &PreparedQuery,
         stage_results: Vec<EncryptedJoinResult>,
         series_index: u64,
+        leakage_delta: usize,
         stage_cache_hits: Vec<bool>,
     ) -> Result<ResultSet, DbError> {
         let lowered = &prepared.lowered;
@@ -993,6 +1000,7 @@ impl<E: Engine> Session<E> {
             stats,
             stage_stats: stage_results.into_iter().map(|r| r.stats).collect(),
             series_index,
+            leakage_delta,
             cache_hit: stage_cache_hits.iter().all(|&h| h),
             stage_cache_hits,
         })
@@ -1176,7 +1184,7 @@ impl<E: Engine> Session<E> {
         // in the series, so record them all before any error or decrypt
         // failure can cut the processing short.
         let dispatched = self.backend.transport_stats().bytes_sent > sent_before;
-        let mut executed: Vec<Result<(EncryptedJoinResult, u64), DbError>> =
+        let mut executed: Vec<Result<(EncryptedJoinResult, u64, usize), DbError>> =
             Vec::with_capacity(responses.len());
         for response in responses {
             match response {
@@ -1185,8 +1193,8 @@ impl<E: Engine> Session<E> {
                     observation,
                 } => {
                     self.stats.decrypt_cache_hits += result.stats.decrypt_cache_hits;
-                    let series_index = self.record_observation(&observation);
-                    executed.push(Ok((result, series_index)));
+                    let (series_index, added) = self.record_observation(&observation);
+                    executed.push(Ok((result, series_index, added)));
                 }
                 Response::Error(e) => {
                     // Per-element transport errors reach here when the
@@ -1224,10 +1232,12 @@ impl<E: Engine> Session<E> {
             let mut stage_results = Vec::with_capacity(n_stages);
             let mut first_error = None;
             let mut first_series_index = None;
+            let mut leakage_delta = 0;
             for _ in 0..n_stages {
                 match executed.next().expect("stage arity checked") {
-                    Ok((result, series_index)) => {
+                    Ok((result, series_index, added)) => {
                         first_series_index.get_or_insert(series_index);
+                        leakage_delta += added;
                         stage_results.push(result);
                     }
                     Err(e) => {
@@ -1241,6 +1251,7 @@ impl<E: Engine> Session<E> {
                     &p,
                     stage_results,
                     first_series_index.expect("plans have at least one stage"),
+                    leakage_delta,
                     stage_cache_hits,
                 ),
             });
@@ -1254,9 +1265,11 @@ impl<E: Engine> Session<E> {
     }
 
     /// Everything the adversarial server can currently derive about
-    /// equality pairs (the closure of all observations so far).
+    /// equality pairs (the closure of all observations so far), built
+    /// on each call; [`leakage_report`](Self::leakage_report) has its
+    /// size without building it.
     pub fn visible_pairs(&self) -> PairSet {
-        closure(&self.observed_union)
+        self.ledger.visible_now()
     }
 
     /// The Corollary 5.2.2 verdict for the series executed so far.
@@ -1264,14 +1277,14 @@ impl<E: Engine> Session<E> {
     /// Exact while every dispatched join's observation came back; if
     /// [`SessionStats::queries_unaccounted`] is non-zero (a transport
     /// failure after dispatch), the report is a lower bound on what
-    /// the server observed.
+    /// the server observed. `O(1)`: read from the ledger's counts.
     pub fn leakage_report(&self) -> LeakageReport {
         LeakageReport {
             queries: self.ledger.len(),
-            visible_pairs: self.ledger.visible_now().len(),
-            closure_bound: self.ledger.closure_bound().len(),
+            visible_pairs: self.ledger.visible_len(),
+            closure_bound: self.ledger.closure_bound_len(),
             within_bound: self.ledger.is_within_closure_bound(),
-            super_additive_excess: self.ledger.super_additive_excess().len(),
+            super_additive_excess: self.ledger.super_additive_excess_len(),
         }
     }
 }

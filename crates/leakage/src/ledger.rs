@@ -13,8 +13,19 @@
 //! A scheme exhibits **super-additive leakage** when the pairs it makes
 //! visible exceed that closure (CryptDB's onion peel and Hahn et al.'s
 //! cumulative unwrap both do; see `eqjoin-baselines`).
+//!
+//! The ledger keeps that closure as it grows instead of recomputing it:
+//! every node some `σ(qᵢ)` mentions is interned (table name → small id,
+//! `(id, row)` → union–find element), each pair of `σ(q)` is one union,
+//! and the closure's size `Σ C(|component|, 2)` rises by `|A|·|B|`
+//! whenever components `A` and `B` merge. Recording a query costs
+//! `O(|σ(q)|·α)`, the counts are read in `O(1)`, and a pair set is built
+//! only when one is asked for ([`LeakageLedger::closure_bound`],
+//! [`LeakageLedger::visible_now`]).
 
-use crate::pairs::{closure, PairSet};
+use crate::pairs::{Node, PairSet};
+use crate::union_find::UnionFind;
+use std::collections::HashMap;
 
 /// The observation recorded for one query.
 #[derive(Clone, Debug)]
@@ -30,11 +41,119 @@ pub struct QueryLeakage {
     pub cumulative_visible: PairSet,
 }
 
+/// One recorded query as the ledger keeps it: `σ(q)` over the ledger's
+/// interned nodes and the two counts [`LeakageLedger::growth_series`]
+/// plots — never a cumulative pair set.
+#[derive(Clone, Debug)]
+pub struct LedgerEntry {
+    /// Query identifier (position in the series).
+    pub query_id: u64,
+    /// Pairs visible to the adversary after this query.
+    pub visible_pairs: usize,
+    /// `|closure(σ(q₁) ∪ … ∪ σ(this query))|`.
+    pub closure_bound: usize,
+    /// `σ(q)` as pairs of interned nodes ([`LeakageLedger::per_query`]
+    /// turns it back into a [`PairSet`]).
+    per_query: Vec<(usize, usize)>,
+}
+
+/// The closure of the union recorded so far, kept as the components of
+/// a growing union–find over interned nodes.
+#[derive(Clone, Debug, Default)]
+struct Closure {
+    tables: Vec<String>,
+    table_ids: HashMap<String, usize>,
+    /// `(table id, row)` of each union–find element, and back.
+    nodes: Vec<(usize, usize)>,
+    node_ids: HashMap<(usize, usize), usize>,
+    components: UnionFind,
+    /// `Σ C(|component|, 2)`: the number of pairs in the closure.
+    pairs: usize,
+}
+
+impl Closure {
+    fn lookup(&self, node: &Node) -> Option<usize> {
+        let table = *self.table_ids.get(node.table.as_str())?;
+        self.node_ids.get(&(table, node.row)).copied()
+    }
+
+    fn intern(&mut self, node: &Node) -> usize {
+        let table = match self.table_ids.get(node.table.as_str()) {
+            Some(&id) => id,
+            None => {
+                let id = self.tables.len();
+                self.tables.push(node.table.clone());
+                self.table_ids.insert(node.table.clone(), id);
+                id
+            }
+        };
+        let key = (table, node.row);
+        if let Some(&id) = self.node_ids.get(&key) {
+            return id;
+        }
+        let id = self.components.push();
+        self.nodes.push(key);
+        self.node_ids.insert(key, id);
+        id
+    }
+
+    fn node(&self, id: usize) -> Node {
+        let (table, row) = self.nodes[id];
+        Node::new(&self.tables[table], row)
+    }
+
+    /// Union every pair of `pairs` into the closure; returns them interned.
+    fn absorb(&mut self, pairs: &PairSet) -> Vec<(usize, usize)> {
+        pairs
+            .iter()
+            .map(|(a, b)| {
+                let (a, b) = (self.intern(a), self.intern(b));
+                if let Some((x, y)) = self.components.merge(a, b) {
+                    self.pairs += x * y;
+                }
+                (a, b)
+            })
+            .collect()
+    }
+
+    /// Is `(a, b)` in the closure?
+    fn contains(&mut self, a: &Node, b: &Node) -> bool {
+        match (self.lookup(a), self.lookup(b)) {
+            (Some(a), Some(b)) => self.components.connected(a, b),
+            _ => false,
+        }
+    }
+
+    fn materialise(&self) -> PairSet {
+        let mut out = PairSet::new();
+        for component in self.components.clone().components() {
+            for (i, &a) in component.iter().enumerate() {
+                for &b in &component[i + 1..] {
+                    out.insert(self.node(a), self.node(b));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// What the latest [`LeakageLedger::record`] declared visible, and how
+/// many of those pairs lie outside the closure.
+#[derive(Clone, Debug)]
+struct Declared {
+    visible: PairSet,
+    excess: usize,
+}
+
 /// Accumulates a query series for one scheme and renders verdicts.
 #[derive(Clone, Debug, Default)]
 pub struct LeakageLedger {
-    history: Vec<QueryLeakage>,
-    union_of_queries: PairSet,
+    history: Vec<LedgerEntry>,
+    closure: Closure,
+    /// `None` while the latest entry came from
+    /// [`record_closed`](Self::record_closed): what is visible is then
+    /// the closure itself.
+    declared: Option<Declared>,
 }
 
 impl LeakageLedger {
@@ -43,10 +162,40 @@ impl LeakageLedger {
         Self::default()
     }
 
-    /// Record one query's leakage.
+    /// Record one query's leakage together with the pair set the
+    /// scheme's state makes visible after it — for stateful schemes,
+    /// whose visible set is not the closure.
     pub fn record(&mut self, leakage: QueryLeakage) {
-        self.union_of_queries.union_with(&leakage.per_query);
-        self.history.push(leakage);
+        let per_query = self.closure.absorb(&leakage.per_query);
+        let visible = leakage.cumulative_visible;
+        let excess = visible
+            .iter()
+            .filter(|(a, b)| !self.closure.contains(a, b))
+            .count();
+        self.history.push(LedgerEntry {
+            query_id: leakage.query_id,
+            visible_pairs: visible.len(),
+            closure_bound: self.closure.pairs,
+            per_query,
+        });
+        self.declared = Some(Declared { visible, excess });
+    }
+
+    /// Record one query of a scheme whose visible set *is* the closure
+    /// of the union (Secure Join): `record` with `cumulative_visible =
+    /// closure(σ(q₁) ∪ … ∪ σ(q))`, at `O(|σ(q)|·α)`. Returns the number
+    /// of pairs this query added to the closure.
+    pub fn record_closed(&mut self, query_id: u64, per_query: &PairSet) -> usize {
+        let before = self.closure.pairs;
+        let per_query = self.closure.absorb(per_query);
+        self.history.push(LedgerEntry {
+            query_id,
+            visible_pairs: self.closure.pairs,
+            closure_bound: self.closure.pairs,
+            per_query,
+        });
+        self.declared = None;
+        self.closure.pairs - before
     }
 
     /// Number of recorded queries.
@@ -55,12 +204,12 @@ impl LeakageLedger {
     }
 
     /// Full per-query history in execution order.
-    pub fn history(&self) -> &[QueryLeakage] {
+    pub fn history(&self) -> &[LedgerEntry] {
         &self.history
     }
 
     /// The most recently recorded query, if any.
-    pub fn last(&self) -> Option<&QueryLeakage> {
+    pub fn last(&self) -> Option<&LedgerEntry> {
         self.history.last()
     }
 
@@ -69,50 +218,75 @@ impl LeakageLedger {
         self.history.is_empty()
     }
 
+    /// `σ(q)` of the `index`-th recorded query.
+    pub fn per_query(&self, index: usize) -> PairSet {
+        self.history[index]
+            .per_query
+            .iter()
+            .map(|&(a, b)| (self.closure.node(a), self.closure.node(b)))
+            .collect()
+    }
+
     /// The union of per-query leakages `σ(q₁) ∪ … ∪ σ(q_μ)`.
-    pub fn union_of_queries(&self) -> &PairSet {
-        &self.union_of_queries
+    pub fn union_of_queries(&self) -> PairSet {
+        self.history
+            .iter()
+            .flat_map(|entry| &entry.per_query)
+            .map(|&(a, b)| (self.closure.node(a), self.closure.node(b)))
+            .collect()
     }
 
     /// The paper's bound: `closure(union of per-query leakages)`.
     pub fn closure_bound(&self) -> PairSet {
-        closure(&self.union_of_queries)
+        self.closure.materialise()
+    }
+
+    /// `|closure_bound()|`, without building it.
+    pub fn closure_bound_len(&self) -> usize {
+        self.closure.pairs
     }
 
     /// Latest cumulative visible pair set (empty if no queries ran).
     pub fn visible_now(&self) -> PairSet {
-        self.history
-            .last()
-            .map(|q| q.cumulative_visible.clone())
-            .unwrap_or_default()
+        match &self.declared {
+            Some(declared) => declared.visible.clone(),
+            None => self.closure_bound(),
+        }
+    }
+
+    /// `|visible_now()|`, without building it.
+    pub fn visible_len(&self) -> usize {
+        self.history.last().map_or(0, |entry| entry.visible_pairs)
     }
 
     /// Corollary 5.2.2 check: does the cumulative visible leakage stay
     /// within the transitive-closure bound?
     pub fn is_within_closure_bound(&self) -> bool {
-        self.visible_now().is_subset(&self.closure_bound())
+        self.super_additive_excess_len() == 0
     }
 
     /// The super-additive excess: visible pairs beyond the closure bound
     /// (empty for Secure Join; non-empty for Hahn/CryptDB-style schemes).
     pub fn super_additive_excess(&self) -> PairSet {
-        self.visible_now().difference(&self.closure_bound())
+        match &self.declared {
+            Some(declared) if declared.excess > 0 => {
+                declared.visible.difference(&self.closure_bound())
+            }
+            _ => PairSet::new(),
+        }
+    }
+
+    /// `|super_additive_excess()|`, without building it.
+    pub fn super_additive_excess_len(&self) -> usize {
+        self.declared.as_ref().map_or(0, |declared| declared.excess)
     }
 
     /// Per-query cumulative counts `(query id, visible pairs, bound)` —
     /// the series plotted by the leakage experiment.
     pub fn growth_series(&self) -> Vec<(u64, usize, usize)> {
-        let mut union_so_far = PairSet::new();
         self.history
             .iter()
-            .map(|q| {
-                union_so_far.union_with(&q.per_query);
-                (
-                    q.query_id,
-                    q.cumulative_visible.len(),
-                    closure(&union_so_far).len(),
-                )
-            })
+            .map(|entry| (entry.query_id, entry.visible_pairs, entry.closure_bound))
             .collect()
     }
 }
@@ -235,10 +409,32 @@ mod tests {
     }
 
     #[test]
+    fn record_closed_reports_what_each_query_added() {
+        // (a1,b1) then (b1,b2): the second query adds (b1,b2) and the
+        // transitive (a1,b2); a repeat adds nothing.
+        let mut ledger = LeakageLedger::new();
+        let p1 = pairset(&[(("a", 1), ("b", 1))]);
+        let p2 = pairset(&[(("b", 1), ("b", 2))]);
+        assert_eq!(ledger.record_closed(0, &p1), 1);
+        assert_eq!(ledger.record_closed(1, &p2), 2);
+        assert_eq!(ledger.record_closed(2, &p2), 0);
+        assert_eq!(
+            ledger.growth_series(),
+            vec![(0, 1, 1), (1, 3, 3), (2, 3, 3)]
+        );
+        assert_eq!(ledger.per_query(1), p2);
+        assert_eq!(ledger.visible_now(), ledger.closure_bound());
+        assert_eq!(ledger.visible_len(), 3);
+        assert!(ledger.is_within_closure_bound());
+    }
+
+    #[test]
     fn empty_ledger() {
         let ledger = LeakageLedger::new();
         assert!(ledger.is_empty());
         assert!(ledger.is_within_closure_bound());
         assert!(ledger.visible_now().is_empty());
+        assert_eq!(ledger.closure_bound_len(), 0);
+        assert_eq!(ledger.visible_len(), 0);
     }
 }

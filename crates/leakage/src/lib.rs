@@ -13,7 +13,9 @@
 //!   the two questions of Corollaries 5.2.1/5.2.2: is the cumulative
 //!   leakage bounded by the transitive closure of the union of per-query
 //!   leakages (no super-additive leakage), and how much *extra* leakage
-//!   did a scheme reveal beyond it.
+//!   did a scheme reveal beyond it. It keeps that closure incrementally
+//!   (one growing [`UnionFind`]); [`closure`] recomputes it from scratch
+//!   and is the oracle the ledger is tested against.
 
 #![forbid(unsafe_code)]
 
@@ -21,6 +23,6 @@ pub mod ledger;
 pub mod pairs;
 pub mod union_find;
 
-pub use ledger::{LeakageLedger, QueryLeakage};
+pub use ledger::{LeakageLedger, LedgerEntry, QueryLeakage};
 pub use pairs::{closure, pairs_from_classes, Node, PairSet};
 pub use union_find::UnionFind;

@@ -1,7 +1,8 @@
 //! Union–find (disjoint set) with path compression and union by size.
 
-/// Disjoint-set forest over `0..n`.
-#[derive(Clone, Debug)]
+/// Disjoint-set forest over `0..n`; [`push`](Self::push) grows it by one
+/// singleton.
+#[derive(Clone, Debug, Default)]
 pub struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
@@ -14,6 +15,14 @@ impl UnionFind {
             parent: (0..n).collect(),
             size: vec![1; n],
         }
+    }
+
+    /// Add one singleton set and return its element.
+    pub fn push(&mut self) -> usize {
+        let x = self.parent.len();
+        self.parent.push(x);
+        self.size.push(1);
+        x
     }
 
     /// Representative of `x`'s set (with path compression).
@@ -33,16 +42,23 @@ impl UnionFind {
 
     /// Merge the sets of `a` and `b`; returns true if they were separate.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
+        self.merge(a, b).is_some()
+    }
+
+    /// Merge the sets of `a` and `b`; if they were separate, returns
+    /// their sizes before the merge.
+    pub fn merge(&mut self, a: usize, b: usize) -> Option<(usize, usize)> {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return false;
+            return None;
         }
+        let sizes = (self.size[ra], self.size[rb]);
         if self.size[ra] < self.size[rb] {
             std::mem::swap(&mut ra, &mut rb);
         }
         self.parent[rb] = ra;
         self.size[ra] += self.size[rb];
-        true
+        Some(sizes)
     }
 
     /// True iff `a` and `b` are in the same set.
@@ -98,6 +114,19 @@ mod tests {
         }
         assert!(uf.connected(0, 99));
         assert_eq!(uf.components()[0].len(), 100);
+    }
+
+    #[test]
+    fn push_grows_and_merge_reports_sizes() {
+        let mut uf = UnionFind::default();
+        let (a, b, c) = (uf.push(), uf.push(), uf.push());
+        assert_eq!((a, b, c, uf.len()), (0, 1, 2, 3));
+        assert_eq!(uf.merge(a, b), Some((1, 1)));
+        assert_eq!(uf.merge(c, a), Some((1, 2)));
+        assert_eq!(uf.merge(b, c), None, "already one set");
+        let d = uf.push();
+        assert!(!uf.connected(a, d));
+        assert_eq!(uf.components(), vec![vec![0, 1, 2]]);
     }
 
     #[test]

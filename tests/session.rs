@@ -356,3 +356,146 @@ fn sql_copy_statement_bulk_loads_end_to_end() {
         .is_err());
     assert!(session.run_sql("COPY L FROM VALUES (1)").is_err());
 }
+
+#[test]
+fn chain_series_with_mutations_matches_a_from_scratch_ledger() {
+    use eqjoin::db::{JoinObservation, LocalBackend, QueryPlan, Request, Response, ServerApi};
+    use eqjoin::leakage::{
+        closure, pairs_from_classes, LeakageLedger, Node, PairSet, QueryLeakage,
+    };
+    use std::sync::{Arc, Mutex};
+
+    /// Forwards to a local backend and keeps every observation the
+    /// server hands back, in order — the manual ledger's input.
+    struct Recording {
+        inner: LocalBackend<MockEngine>,
+        seen: Arc<Mutex<Vec<JoinObservation>>>,
+    }
+    impl Recording {
+        fn keep(&self, response: &Response) {
+            match response {
+                Response::JoinExecuted { observation, .. } => {
+                    self.seen.lock().unwrap().push(observation.clone())
+                }
+                Response::Batch(responses) => responses.iter().for_each(|r| self.keep(r)),
+                _ => {}
+            }
+        }
+    }
+    impl ServerApi<MockEngine> for Recording {
+        fn handle(&self, request: Request<MockEngine>) -> Response {
+            let response = self.inner.handle(request);
+            self.keep(&response);
+            response
+        }
+    }
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut session = Session::<MockEngine>::with_backend(
+        SessionConfig::new(2, 3).seed(0xc4a1),
+        Box::new(Recording {
+            inner: LocalBackend::new(),
+            seen: Arc::clone(&seen),
+        }),
+    );
+    let (left, right) = tables_of(24);
+    let (lcfg, rcfg) = configs();
+    let mut third = Table::new(Schema::new("S", &["k", "tag", "note"]));
+    for i in 0..18i64 {
+        third.push_row(vec![
+            Value::Int(i % 6),
+            ["x", "y", "z"][(i % 3) as usize].into(),
+            Value::Int(i),
+        ]);
+    }
+    session.create_table(&left, lcfg).unwrap();
+    session.create_table(&right, rcfg).unwrap();
+    session
+        .create_table(
+            &third,
+            TableConfig {
+                join_column: "k".into(),
+                filter_columns: vec!["tag".into(), "note".into()],
+            },
+        )
+        .unwrap();
+
+    // L ⋈ R ⋈ S, filtered differently so the stages' classes overlap
+    // through the middle table and merge across queries.
+    let chain = |color: &str, grade: &str| {
+        QueryPlan::scan("L")
+            .join_on("L", "k", "R", "k")
+            .join_on("R", "k", "S", "k")
+            .filter("L", "color", vec![color.into()])
+            .filter("R", "grade", vec![grade.into()])
+            .project(&[("L", "size"), ("S", "tag")])
+    };
+    let mut deltas = Vec::new();
+    let mut run = |session: &mut Session<MockEngine>, plan: &QueryPlan| {
+        let result = session.execute(plan).unwrap();
+        deltas.push(result.leakage_delta);
+        result.leakage_delta
+    };
+    assert!(run(&mut session, &chain("red", "a")) > 0);
+    assert_eq!(
+        run(&mut session, &chain("red", "a")),
+        0,
+        "a repeat adds nothing"
+    );
+    run(&mut session, &chain("blue", "b"));
+    // Rows joining existing classes: the next query grows them.
+    session
+        .insert_rows(
+            "R",
+            &[
+                vec![Value::Int(1), "a".into(), Value::Int(0)],
+                vec![Value::Int(2), "b".into(), Value::Int(1)],
+            ],
+        )
+        .unwrap();
+    assert!(run(&mut session, &chain("red", "a")) > 0);
+    // Deleted rows stay leaked: the closure never shrinks.
+    session.delete_rows("L", &[0, 3, 7]).unwrap();
+    run(&mut session, &chain("green", "a"));
+    run(&mut session, &chain("blue", "b"));
+    session
+        .insert_rows("L", &[vec![Value::Int(2), "green".into(), Value::Int(3)]])
+        .unwrap();
+    run(&mut session, &chain("green", "b"));
+    assert_eq!(run(&mut session, &chain("green", "b")), 0);
+
+    let mut manual = LeakageLedger::new();
+    let mut union = PairSet::new();
+    for (i, obs) in seen.lock().unwrap().iter().enumerate() {
+        let classes: Vec<Vec<Node>> = obs
+            .equality_classes
+            .iter()
+            .map(|c| c.iter().map(|(t, r)| Node::new(t, *r)).collect())
+            .collect();
+        let per_query = pairs_from_classes(&classes);
+        union.union_with(&per_query);
+        manual.record(QueryLeakage {
+            query_id: i as u64,
+            per_query,
+            cumulative_visible: closure(&union),
+        });
+    }
+    assert_eq!(manual.len(), 16, "eight chains, two stages each");
+
+    let report = session.leakage_report();
+    assert_eq!(report.queries, manual.len());
+    assert_eq!(report.visible_pairs, manual.visible_now().len());
+    assert_eq!(report.closure_bound, manual.closure_bound().len());
+    assert_eq!(report.within_bound, manual.is_within_closure_bound());
+    assert_eq!(
+        report.super_additive_excess,
+        manual.super_additive_excess().len()
+    );
+    assert_eq!(session.ledger().growth_series(), manual.growth_series());
+    assert_eq!(session.visible_pairs(), closure(&union));
+    assert_eq!(
+        deltas.iter().sum::<usize>(),
+        report.visible_pairs,
+        "the per-query deltas add up to the report"
+    );
+}
