@@ -151,10 +151,7 @@ mod tests {
             panic_scope("crates/eqjoind-net/src/reactor.rs"),
             Some(false)
         );
-        assert_eq!(
-            panic_scope("crates/bench/src/bin/session_series.rs"),
-            Some(true)
-        );
+        assert_eq!(panic_scope("crates/bench/src/bin/fig3.rs"), Some(true));
         assert_eq!(panic_scope("crates/db/src/session.rs"), None);
         assert_eq!(panic_scope("crates/pairing/src/ops.rs"), None);
     }

@@ -184,7 +184,7 @@ mod tests {
         assert!(ws.crates.iter().any(|c| c.name == "audit"));
         assert!(ws.crates.iter().any(|c| c.name == "eqjoin"));
         let compat: Vec<&CrateInfo> = ws.crates.iter().filter(|c| c.is_compat).collect();
-        assert_eq!(compat.len(), 2, "criterion + proptest stand-ins");
+        assert_eq!(compat.len(), 1, "the proptest stand-in");
         let files = ws.rust_files();
         assert!(files.iter().any(|f| f == "crates/db/src/protocol.rs"));
         assert!(files.iter().any(|f| f == "src/lib.rs"));

@@ -1,15 +1,13 @@
-//! Shared harness for the paper-reproduction benchmarks: encrypted
-//! TPC-H setup, the Figure 3/4 query shapes, timing helpers and simple
-//! table/CSV reporting.
+//! Shared harness for the binaries that regenerate the paper's
+//! evaluation (§6): encrypted TPC-H setup, the Figure 3/4 query shapes,
+//! timing helpers and simple table/CSV reporting.
 //!
-//! Every figure and table of the paper's evaluation (§6) has two
-//! regeneration paths:
-//!
-//! * a Criterion bench (`cargo bench -p eqjoin-bench`) with reduced
-//!   parameters so the whole suite completes in minutes, and
-//! * a binary (`cargo run --release -p eqjoin-bench --bin fig3 -- …`)
-//!   that sweeps the paper's full parameter grid and prints the same
-//!   series the paper plots, optionally writing CSV.
+//! Each figure and table has one binary
+//! (`cargo run --release -p eqjoin-bench --bin fig3 -- …`) that sweeps
+//! the paper's parameter grid and prints the series the paper plots,
+//! writing CSV under `results/`. Time, memory and bytes on the wire are
+//! measured by the `benchmark/` package (`BENCHMARK.json`); exact
+//! operation counts are pinned by `tests/op_counts.rs`.
 
 #![forbid(unsafe_code)]
 
@@ -19,18 +17,7 @@ use eqjoin_db::{
 };
 use eqjoin_pairing::Engine;
 use eqjoin_tpch::{generate_customers, generate_orders, TpchConfig};
-use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
-use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A loopback server as `eqjoind` runs it: the reactor over a fresh
-/// in-memory tenant registry, on an ephemeral port. Dropping the handle
-/// drains it, so hold it as long as any session is connected.
-pub fn spawn_loopback<E: Engine>() -> (SocketAddr, NetHandle) {
-    let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
-    NetServer::spawn(registry, NetConfig::default()).expect("spawn loopback eqjoind")
-}
 
 /// The four selectivity labels of Figures 3/4 in the paper's plotting
 /// order (least to most selective work).
@@ -147,8 +134,7 @@ pub fn run_join<E: Engine>(
 }
 
 /// An encrypted TPC-H instance behind the [`Session`] API — the harness
-/// the figure binaries drive (the criterion benches keep the raw
-/// [`TpchBench`] so they can time pre-tokenized server work alone).
+/// the figure binaries drive.
 pub struct TpchSession<E: Engine> {
     /// The session (client keys + local backend + token cache).
     pub session: Session<E>,
@@ -160,26 +146,18 @@ pub struct TpchSession<E: Engine> {
 /// parameters as [`setup_tpch`], pre-filter on, token cache on — and
 /// the **decrypt cache off**, because the figure binaries time the
 /// same query repeatedly and must measure fresh `SJ.Dec` work every
-/// run. Use [`setup_tpch_session_with`] to opt back in.
+/// run.
 pub fn setup_tpch_session<E: Engine>(scale: f64, t: usize, seed: u64) -> TpchSession<E> {
-    setup_tpch_session_with(scale, t, seed, |config| config.decrypt_cache(false))
-}
-
-/// [`setup_tpch_session`] with a configuration hook (e.g. the cache
-/// benches re-enable the decrypt cache the figure harness turns off).
-pub fn setup_tpch_session_with<E: Engine>(
-    scale: f64,
-    t: usize,
-    seed: u64,
-    configure: impl FnOnce(SessionConfig) -> SessionConfig,
-) -> TpchSession<E> {
     let cfg = TpchConfig::new(scale, seed);
     let customers = generate_customers(&cfg);
     let orders = generate_orders(&cfg);
     let rows = (customers.len(), orders.len());
-    let mut session = Session::<E>::local(configure(
-        SessionConfig::new(2, t).seed(seed ^ 0xbe9c).prefilter(true),
-    ));
+    let mut session = Session::<E>::local(
+        SessionConfig::new(2, t)
+            .seed(seed ^ 0xbe9c)
+            .prefilter(true)
+            .decrypt_cache(false),
+    );
     session
         .create_table(
             &customers,

@@ -1,8 +1,7 @@
-//! One source of truth for metric exposition: converts the crate's
-//! pre-existing stats structs ([`TransportStats`], [`ServerStats`],
-//! [`ClientStats`]) into canonical [`eqjoin_obs`] samples and registers
-//! them as *snapshot sources* — closures the registry evaluates at
-//! scrape time against the live counters.
+//! One source of truth for metric exposition: converts a backend's
+//! [`TransportStats`] into canonical [`eqjoin_obs`] samples and
+//! registers them as a *snapshot source* — a closure the registry
+//! evaluates at scrape time against the live counters.
 //!
 //! The point is that the scrape surface and the programmatic snapshots
 //! can never disagree: both read the same atomics at the moment they
@@ -12,9 +11,7 @@
 //! corresponding snapshot delta.
 
 use crate::backend::TransportStats;
-use crate::client::ClientStats;
 use crate::protocol::ServerApi;
-use crate::server::ServerStats;
 use eqjoin_obs::{Sample, SampleKind};
 use eqjoin_pairing::Engine;
 use std::sync::Arc;
@@ -50,55 +47,6 @@ pub fn transport_samples(stats: &TransportStats, label: Option<(&str, &str)>) ->
         counter("eqjoin_transport_reconnects_total", label, stats.reconnects),
         counter("eqjoin_transport_retries_total", label, stats.retries),
         counter("eqjoin_transport_gave_up_total", label, stats.gave_up),
-    ]
-}
-
-/// [`ServerStats`] (cumulative across joins) under canonical names.
-pub fn server_samples(stats: &ServerStats, label: Option<(&str, &str)>) -> Vec<Sample> {
-    vec![
-        counter(
-            "eqjoin_server_rows_decrypted_total",
-            label,
-            stats.rows_decrypted as u64,
-        ),
-        counter(
-            "eqjoin_server_rows_prefiltered_out_total",
-            label,
-            stats.rows_prefiltered_out as u64,
-        ),
-        counter("eqjoin_server_comparisons_total", label, stats.comparisons),
-        counter(
-            "eqjoin_server_matched_pairs_total",
-            label,
-            stats.matched_pairs as u64,
-        ),
-        counter(
-            "eqjoin_server_decrypt_cache_hits_total",
-            label,
-            stats.decrypt_cache_hits,
-        ),
-    ]
-}
-
-/// [`ClientStats`] under canonical names.
-pub fn client_samples(stats: &ClientStats, label: Option<(&str, &str)>) -> Vec<Sample> {
-    vec![
-        counter("eqjoin_client_tkgen_calls_total", label, stats.tkgen_calls),
-        counter(
-            "eqjoin_client_rows_encrypted_total",
-            label,
-            stats.rows_encrypted,
-        ),
-        counter(
-            "eqjoin_client_column_decrypts_total",
-            label,
-            stats.column_decrypts,
-        ),
-        counter(
-            "eqjoin_client_column_decrypts_skipped_total",
-            label,
-            stats.column_decrypts_skipped,
-        ),
     ]
 }
 
@@ -162,16 +110,12 @@ mod tests {
 
     #[test]
     fn sample_sets_cover_every_struct_field() {
-        // One sample per field: if a field is ever added to a stats
-        // struct without a canonical metric, these counts go stale and
-        // point straight at the omission.
+        // One sample per field: if a field is ever added to
+        // `TransportStats` without a canonical metric, this count goes
+        // stale and points straight at the omission.
         let t = transport_samples(&TransportStats::default(), None);
         assert_eq!(t.len(), 8);
-        let s = server_samples(&ServerStats::default(), None);
-        assert_eq!(s.len(), 5);
-        let c = client_samples(&ClientStats::default(), None);
-        assert_eq!(c.len(), 4);
-        for sample in t.iter().chain(&s).chain(&c) {
+        for sample in &t {
             assert!(sample.name.starts_with("eqjoin_"), "{}", sample.name);
             assert!(sample.name.ends_with("_total"), "{}", sample.name);
         }

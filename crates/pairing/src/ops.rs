@@ -1,12 +1,12 @@
 //! Process-wide operation counters for the cryptographic hot paths.
 //!
-//! The bench trajectory (`BENCH_session.json`, written by the
-//! `session_series` binary) reports *operation counts*, not just wall
-//! times: how many fixed-base exponentiations, variable-base scalar
+//! How many fixed-base exponentiations, variable-base scalar
 //! multiplications, pairings, Miller-loop pairs and `GT`
 //! exponentiations a workload performed. Counts are exact and
 //! machine-independent, so a cache that claims to skip the pairing
-//! phase can be audited by counter deltas rather than timing noise.
+//! phase can be audited by counter deltas rather than timing noise:
+//! the root crate's `tests/op_counts.rs` pins them for a fixed-seed
+//! series, and the `benchmark/` harness reports them per run.
 //!
 //! Counters are relaxed atomics — the increments are nanoseconds next
 //! to the multi-microsecond operations they count — and cumulative per

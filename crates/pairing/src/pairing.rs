@@ -858,6 +858,12 @@ mod tests {
         assert_eq!(cyclotomic_pow_wnaf(&e.0, &[1]), e.0);
         assert_eq!(cyclotomic_pow_wnaf(&e.0, &[2]), e.0.square());
         assert_eq!(e.pow(&(-Fr::one())), e.inverse());
+        // `Gt::pow` takes the cyclotomic path: about one squaring per
+        // exponent bit (a lower bound, since other tests bump the
+        // process-wide counter too).
+        let before = crate::ops::snapshot();
+        e.pow(&Fr::random(&mut rng));
+        assert!(crate::ops::snapshot().since(&before).cyclotomic_squares >= 200);
     }
 
     #[test]
