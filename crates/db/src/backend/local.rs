@@ -7,7 +7,7 @@
 
 use super::transport::TransportCounters;
 use crate::error::DbError;
-use crate::protocol::{Reader, Request, Response, ServerApi};
+use crate::protocol::{Request, Response, ServerApi};
 use crate::server::DbServer;
 use eqjoin_pairing::Engine;
 use std::io::Write;
@@ -280,9 +280,9 @@ impl<E: Engine> LocalBackend<E> {
     /// covers fails with [`DbError::UnknownRow`] (row ids collide on
     /// insert, are gone on delete) or re-applies an identical
     /// `InsertTable` — both leave the store exactly where the snapshot
-    /// put it. Records are this server's own bytes under their
-    /// checksum, so ciphertext elements are read with the curve check
-    /// only ([`Reader::over_own_storage`]). Returns whether the journal
+    /// put it. Records are decoded like a frame off the wire: ciphertext
+    /// elements are curve-checked, and subgroup-checked by the walk that
+    /// prepares them for their first pairing. Returns whether the journal
     /// held any entry (and should be folded into a snapshot, or dropped
     /// if the snapshot covers it).
     fn replay_journal(server: &mut DbServer<E>, journal: &Journal) -> bool {
@@ -291,31 +291,30 @@ impl<E: Engine> LocalBackend<E> {
         // file (undecodable, or refused with anything but `UnknownRow`).
         let (mut applied, mut covered, mut skipped) = (0u64, 0u64, 0u64);
         for bytes in journal.entries() {
-            let outcome =
-                Request::<E>::read(Reader::over_own_storage(&bytes)).and_then(|request| {
-                    match request {
-                        Request::InsertTable(table) => server.insert_table(table),
-                        Request::InsertRows {
-                            table,
-                            start_row,
-                            rows,
-                        } => server.insert_rows(&table, start_row, rows).map(|_| ()),
-                        Request::DeleteRows { table, rows } => {
-                            server.delete_rows(&table, &rows).map(|_| ())
-                        }
-                        Request::CopyRows {
-                            table,
-                            join_column,
-                            filter_columns,
-                            start_row,
-                            rows,
-                        } => server
-                            .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
-                            .map(|_| ()),
-                        // Only the four mutations above are ever journaled.
-                        _ => Ok(()),
+            let outcome = Request::<E>::from_bytes_deferring_tokens(&bytes).and_then(|request| {
+                match request {
+                    Request::InsertTable(table) => server.insert_table(table),
+                    Request::InsertRows {
+                        table,
+                        start_row,
+                        rows,
+                    } => server.insert_rows(&table, start_row, rows).map(|_| ()),
+                    Request::DeleteRows { table, rows } => {
+                        server.delete_rows(&table, &rows).map(|_| ())
                     }
-                });
+                    Request::CopyRows {
+                        table,
+                        join_column,
+                        filter_columns,
+                        start_row,
+                        rows,
+                    } => server
+                        .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
+                        .map(|_| ()),
+                    // Only the four mutations above are ever journaled.
+                    _ => Ok(()),
+                }
+            });
             match outcome {
                 Ok(()) => applied += 1,
                 // Already covered by the snapshot (the crash hit after

@@ -231,9 +231,8 @@ impl<E: Engine> DbClient<E> {
             })
             .collect::<Result<_, _>>()?;
 
-        let plain_rows: Vec<Vec<Value>> = table.rows.iter().map(|r| r.0.clone()).collect();
         let rows =
-            self.encrypt_row_batch(&schema.name, &config, join_idx, &filter_idx, 0, &plain_rows)?;
+            self.encrypt_row_batch(&schema.name, &config, join_idx, &filter_idx, 0, &table.rows)?;
 
         self.tables.insert(
             schema.name.clone(),
@@ -257,10 +256,10 @@ impl<E: Engine> DbClient<E> {
     /// PRFs as the original upload, with row ids continuing where the
     /// table left off. Returns `(start_row, rows)` ready for a
     /// [`Request::InsertRows`](crate::protocol::Request::InsertRows).
-    pub fn encrypt_rows(
+    pub fn encrypt_rows<R: AsRef<[Value]> + Sync>(
         &mut self,
         table: &str,
-        rows: &[Vec<Value>],
+        rows: &[R],
     ) -> Result<(u64, Vec<EncryptedRow<E>>), DbError> {
         let _span = eqjoin_obs::span!("client_encrypt", "table" => table);
         let state = self
@@ -269,6 +268,7 @@ impl<E: Engine> DbClient<E> {
             .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?
             .clone();
         for row in rows {
+            let row = row.as_ref();
             if row.len() != state.schema.columns.len() {
                 return Err(DbError::Protocol(format!(
                     "inserted row has {} values, table {table} has {} columns",
@@ -314,14 +314,14 @@ impl<E: Engine> DbClient<E> {
     /// offset) — never on scheduling — so fanning the loop across
     /// [`ClientConfig::encrypt_threads`] scoped workers produces
     /// byte-identical output at any thread count.
-    fn encrypt_row_batch(
+    fn encrypt_row_batch<R: AsRef<[Value]> + Sync>(
         &mut self,
         table: &str,
         config: &TableConfig,
         join_idx: usize,
         filter_idx: &[usize],
         start_row: u64,
-        rows: &[Vec<Value>],
+        rows: &[R],
     ) -> Result<Vec<EncryptedRow<E>>, DbError> {
         let table_prf = self.prefilter_root.derive(table.as_bytes());
         let column_prfs: Vec<Prf> = config
@@ -345,7 +345,8 @@ impl<E: Engine> DbClient<E> {
         let msk = &self.msk;
         let aead = &self.aead;
         let prefilter_enabled = self.prefilter_enabled;
-        let encrypt_one = |offset: usize, row: &Vec<Value>| -> Result<EncryptedRow<E>, DbError> {
+        let encrypt_one = |offset: usize, row: &R| -> Result<EncryptedRow<E>, DbError> {
+            let row = row.as_ref();
             let mut rng = ChaChaRng::from_seed(seeds[offset]);
             let ridx = start_row as usize + offset;
             let join_bytes = row[join_idx].canonical_bytes();

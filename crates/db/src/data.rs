@@ -172,6 +172,14 @@ impl Row {
     }
 }
 
+/// A row is its values, so a slice of a [`Table`]'s rows encrypts
+/// without being copied into plain value vectors first.
+impl AsRef<[Value]> for Row {
+    fn as_ref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 /// A plaintext table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Table {

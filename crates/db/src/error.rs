@@ -56,9 +56,11 @@ pub enum DbError {
     /// mismatch). Loading never panics on corrupt input — it returns
     /// this. Also what a join is answered with when it selects a row
     /// whose stored ciphertext holds an on-curve element outside the
-    /// order-`r` subgroup: such an element passes the load (its
-    /// checksum was valid) and is refused by the row's preparation,
-    /// before any pairing; the message names table and row id.
+    /// order-`r` subgroup, however the row arrived — uploaded over the
+    /// wire, replayed from the journal or loaded from a snapshot: such
+    /// an element passes decode (only its curve equation is checked
+    /// there) and is refused by the row's preparation, before any
+    /// pairing; the message names table and row id.
     Snapshot(String),
     /// A filter names a table that is not part of the query. (Without
     /// this check a typo'd table name would silently leave that side of

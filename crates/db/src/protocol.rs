@@ -62,22 +62,23 @@
 //! Every group element is checked — on the curve, in the order-`r`
 //! subgroup — before a pairing takes it; *where* depends on the group:
 //!
-//! * **`G2` ciphertext elements on the wire: at decode, always.** An
-//!   upload is a first sighting: both request decoders read it with
-//!   `E::g2_from_bytes` and refuse the frame.
-//! * **`G2` ciphertext elements from this server's own journal and
-//!   snapshot: the curve at decode, the subgroup at their first
-//!   preparation.** Those bytes were validated at the door and written
-//!   back under a checksum; a crate-private `Reader` constructor,
-//!   `Reader::over_own_storage` — called by journal replay and by the
-//!   snapshot body parser and reachable from no network byte — reads
-//!   them with `E::g2_from_bytes_on_curve`. The walk that prepares an
+//! * **`G2` ciphertext elements: the curve at decode, the subgroup at
+//!   their first preparation — whichever door they came by.** An
+//!   upload frame, a journal record and a snapshot body are read by
+//!   one rule: `E::g2_from_bytes_on_curve` refuses non-canonical and
+//!   off-curve bytes with the message. The walk that prepares an
 //!   element for its first pairing is the subgroup test
 //!   (`E::g2_prepare_batch_checked`, see the `pairing` module docs),
 //!   and [`TableStore::prepared_rows`](crate::store::TableStore) — the
 //!   only road from a stored ciphertext to a pairing — turns a refusal
-//!   into a typed error before any Miller loop runs. A reopen thus
-//!   spends its time on the rows queries select, not on all of them.
+//!   into a typed error before any Miller loop runs. An upload
+//!   carrying an on-curve point outside the subgroup is therefore
+//!   acked, and the first join that selects its row is refused. That
+//!   is sound: the server holds no key a small-subgroup point could
+//!   probe, no pairing ever takes a non-member, and only the tenant
+//!   that owns a table can poison one of its rows. Ingest, replay and
+//!   load thus spend their time on the rows queries select, not on
+//!   all of them.
 //! * **`G1` token elements: at the store, on first sighting.** A join
 //!   side's token is a [`WireToken`]: the codec copies its bytes, and
 //!   [`EncryptedStore::decrypt_side`](crate::store::EncryptedStore::decrypt_side)
@@ -447,38 +448,18 @@ impl Writer {
 const MAX_NESTING: u8 = 2;
 
 /// Byte-reader half of the wire codec (shared with the snapshot codec
-/// in [`crate::store`]). It knows where its bytes come from, which
-/// decides one thing: when a `G2` ciphertext element's subgroup check
-/// runs (see "Where group elements are validated").
+/// in [`crate::store`]). Wire frames, journal records and snapshot
+/// bodies are all read by the same rules.
 pub(crate) struct Reader<'a> {
     rest: &'a [u8],
     depth: u8,
-    /// Bytes this server wrote itself, read back under their checksum.
-    own_storage: bool,
 }
 
 impl<'a> Reader<'a> {
-    /// A reader over bytes from outside: a frame off the wire, a file a
-    /// tool was handed. Everything is validated in full as it is read.
     pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader {
             rest: buf,
             depth: 0,
-            own_storage: false,
-        }
-    }
-
-    /// A reader over bytes **this server wrote and has just verified
-    /// the checksum of** — a journal record (`LocalBackend`'s replay)
-    /// or a snapshot body (`EncryptedStore::parse_body`), and nothing
-    /// else: no byte a network peer chose may pass through here. Each
-    /// element was validated in full before it was written; reading it
-    /// back checks encoding and curve equation, and leaves the subgroup
-    /// check to the preparation walk that precedes its first pairing.
-    pub(crate) fn over_own_storage(buf: &'a [u8]) -> Self {
-        Reader {
-            own_storage: true,
-            ..Reader::new(buf)
         }
     }
 
@@ -554,7 +535,6 @@ impl<'a> Reader<'a> {
         let mut body = Reader {
             rest: self.bytes()?,
             depth: self.depth + 1,
-            own_storage: self.own_storage,
         };
         let v = T::get(&mut body)?;
         body.finish()?;
@@ -709,24 +689,17 @@ impl<E: Engine> Wire for WireToken<E> {
 }
 
 /// The `G2` elements, each as a byte string holding the engine's
-/// canonical encoding: curve and subgroup checked on read — from this
-/// server's own storage the curve only, the subgroup check being the
-/// preparation walk's ([`Reader::over_own_storage`]). This is the one
-/// place that reads a reader's provenance.
+/// canonical encoding: encoding and curve equation checked on read;
+/// the subgroup check is the preparation walk's, before the element's
+/// first pairing (see "Where group elements are validated").
 impl<E: Engine> Wire for SjRowCiphertext<E> {
     fn put(&self, w: &mut Writer) {
         w.seq(self.elements(), |w, e| w.bytes(&E::g2_bytes(e)));
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
-        let element = if r.own_storage {
-            E::g2_from_bytes_on_curve
-        } else {
-            E::g2_from_bytes
-        };
         let elements = r.seq(|r| {
-            element(r.bytes()?).ok_or_else(|| {
-                DbError::Protocol("invalid G2 element (curve/subgroup check)".into())
-            })
+            E::g2_from_bytes_on_curve(r.bytes()?)
+                .ok_or_else(|| DbError::Protocol("invalid G2 element (curve check)".into()))
         })?;
         Ok(SjRowCiphertext::from_elements(elements))
     }
@@ -944,10 +917,11 @@ impl<E: Engine> Request<E> {
     }
 
     /// Parse a wire message; rejects trailing bytes, invalid group
-    /// elements and broken nesting rules. Every element is validated
-    /// here: `G2` ciphertext elements while decoding, `G1` token
-    /// elements by a final [`WireToken::checked`] pass over every join
-    /// side. Whoever holds the result may rely on the whole message.
+    /// elements and broken nesting rules. `G2` ciphertext elements are
+    /// curve-checked while decoding and subgroup-checked by the store's
+    /// preparation walk before their first pairing; `G1` token elements
+    /// are checked in full by a final [`WireToken::checked`] pass over
+    /// every join side.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DbError> {
         let request = Self::from_bytes_deferring_tokens(bytes)?;
         request.check_tokens()?;
@@ -961,16 +935,9 @@ impl<E: Engine> Request<E> {
     /// only for bytes its decrypt cache already answers in full (see
     /// the [module docs](self#where-group-elements-are-validated)).
     /// A bad token then fails its own join (inside a batch: its own
-    /// slot), not the frame.
+    /// slot), not the frame. The two decoders differ in nothing else.
     pub fn from_bytes_deferring_tokens(bytes: &[u8]) -> Result<Self, DbError> {
-        Self::read(Reader::new(bytes))
-    }
-
-    /// The one whole message `r` holds, nesting rules applied. What
-    /// `r` was built over decides how strictly its `G2` elements are
-    /// read; journal replay is the only caller outside this file.
-    pub(crate) fn read(r: Reader<'_>) -> Result<Self, DbError> {
-        let request: Self = decode(r)?;
+        let request: Self = decode(Reader::new(bytes))?;
         request.validate()?;
         Ok(request)
     }

@@ -649,29 +649,15 @@ impl<E: Engine> Session<E> {
         config: TableConfig,
         chunk_rows: usize,
     ) -> Result<usize, DbError> {
-        let name = table.schema.name.clone();
+        let name = &table.schema.name;
         // Register the client-side table state (keys, PRF streams, row
         // numbering) without materializing the whole encrypted table:
         // an empty shell of the schema encrypts zero rows.
         let shell = Table::new(table.schema.clone());
         let _ = self.client.encrypt_table(&shell, config)?;
-        let chunk = if chunk_rows == 0 {
-            DEFAULT_COPY_CHUNK_ROWS
-        } else {
-            chunk_rows
-        };
-        let rows: Vec<Vec<Value>> = table.rows.iter().map(|r| r.0.clone()).collect();
-        let mut loaded = 0;
-        let mut offset = 0;
-        loop {
-            let end = (offset + chunk).min(rows.len());
-            loaded += self.copy_chunk(&name, &rows[offset..end])?;
-            offset = end;
-            if offset >= rows.len() {
-                break;
-            }
-        }
-        self.catalog.insert(name, table.schema.columns.clone());
+        let loaded = self.copy_chunks(name, &table.rows, chunk_rows)?;
+        self.catalog
+            .insert(name.clone(), table.schema.columns.clone());
         Ok(loaded)
     }
 
@@ -680,21 +666,37 @@ impl<E: Engine> Session<E> {
     /// not exist server-side yet). Rows are encrypted and shipped in
     /// [`DEFAULT_COPY_CHUNK_ROWS`]-row [`Request::CopyRows`] chunks.
     pub fn copy_rows(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<usize, DbError> {
-        let mut loaded = 0;
-        let mut offset = 0;
-        loop {
-            let end = (offset + DEFAULT_COPY_CHUNK_ROWS).min(rows.len());
-            loaded += self.copy_chunk(table, &rows[offset..end])?;
-            offset = end;
-            if offset >= rows.len() {
-                break;
-            }
+        self.copy_chunks(table, rows, DEFAULT_COPY_CHUNK_ROWS)
+    }
+
+    /// Encrypt and ship `rows` in chunks of `chunk_rows` (`0` =
+    /// [`DEFAULT_COPY_CHUNK_ROWS`]), each encrypted straight from its
+    /// slice of `rows`. Zero rows still ship one empty chunk.
+    fn copy_chunks<R: AsRef<[Value]> + Sync>(
+        &mut self,
+        table: &str,
+        rows: &[R],
+        chunk_rows: usize,
+    ) -> Result<usize, DbError> {
+        if rows.is_empty() {
+            return self.copy_chunk(table, rows);
         }
-        Ok(loaded)
+        let chunk = if chunk_rows == 0 {
+            DEFAULT_COPY_CHUNK_ROWS
+        } else {
+            chunk_rows
+        };
+        rows.chunks(chunk)
+            .map(|rows| self.copy_chunk(table, rows))
+            .sum()
     }
 
     /// Encrypt and ship one COPY chunk.
-    fn copy_chunk(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<usize, DbError> {
+    fn copy_chunk<R: AsRef<[Value]> + Sync>(
+        &mut self,
+        table: &str,
+        rows: &[R],
+    ) -> Result<usize, DbError> {
         let config = self
             .client
             .table_config(table)

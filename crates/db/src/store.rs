@@ -20,12 +20,12 @@
 //!    no snapshot bytes, the first query over untouched rows pays for
 //!    them in one batch, and total pairing work is never higher than
 //!    preparing at insert. In memory only; dropped with its row.
-//!    Preparation is also where a row read back from the journal or a
-//!    snapshot has its elements' subgroup membership established (the
-//!    preparation walk is the subgroup test; see
-//!    `TableStore::prepared_rows`): such rows are decoded with the
-//!    curve check only, so a reopen does not pay ≈ 0.8 ms per row for
-//!    rows no query will pair.
+//!    Preparation is also where a row's elements have their subgroup
+//!    membership established (the preparation walk is the subgroup
+//!    test; see `TableStore::prepared_rows`): every row — uploaded,
+//!    replayed from the journal or loaded from a snapshot — is decoded
+//!    with the curve check only, so neither ingest nor a reopen pays
+//!    ≈ 1 ms per row for rows no query will pair.
 //! 2. **The decrypt cache**, memoizing `SJ.Dec` output per
 //!    `(token fingerprint, row)`. Entries are keyed down to the *row
 //!    version*, so incremental updates invalidate exactly the touched
@@ -62,13 +62,13 @@
 //! truncation, any body corruption (checksum) and any ciphertext
 //! element that is non-canonical or off the curve with a clean
 //! [`DbError::Snapshot`] — never a panic. (An on-curve element outside
-//! the subgroup — only a rewrite under a re-stamped checksum produces
-//! one — loads, and is refused by the first query that selects its
-//! row.) A snapshot persists what cannot be recomputed faster than it
-//! is read back — ciphertexts, row versions, payloads, tags, memoized
-//! `SJ.Dec` outputs — so its bytes are a function of logical state
-//! alone, whichever rows are prepared. It leaks nothing beyond the
-//! ciphertexts themselves.
+//! the subgroup — an upload or a rewrite under a re-stamped checksum
+//! can produce one — loads, and is refused by the first query that
+//! selects its row.) A snapshot persists what cannot be recomputed
+//! faster than it is read back — ciphertexts, row versions, payloads,
+//! tags, memoized `SJ.Dec` outputs — so its bytes are a function of
+//! logical state alone, whichever rows are prepared. It leaks nothing
+//! beyond the ciphertexts themselves.
 //!
 //! **Format 2** (written) holds no prepared state. **Format 1** also
 //! carried every row's coefficients (≈ 50× the ciphertexts); it is
@@ -349,7 +349,7 @@ impl<E: Engine> TableStore<E> {
     ///
     /// This is the only reader of `ciphers` that leads to a pairing, and
     /// it is where a stored element's subgroup membership is
-    /// established: rows read back from the journal or a snapshot were
+    /// established: every row — uploaded, replayed or loaded — was
     /// decoded with the curve check only, and the walk that prepares an
     /// element decides the rest (`Engine::g2_prepare_batch_checked`). A
     /// row holding a refused element fails the call with a typed error
@@ -1001,14 +1001,12 @@ impl<E: Engine> EncryptedStore<E> {
     }
 
     /// Decode a snapshot body whose SHA-256 the caller has just
-    /// verified. These are bytes this server wrote, so ciphertext
-    /// elements are read with the curve check only
-    /// ([`Reader::over_own_storage`]) — 0.8 ms per row not spent on rows
-    /// most of which no query will pair; an element's subgroup check is
-    /// [`TableStore::prepared_rows`]'s, before its first pairing.
-    /// Off-curve or non-canonical bytes are refused here, as ever.
+    /// verified. Ciphertext elements are read by the wire's rule:
+    /// off-curve or non-canonical bytes are refused here, and an
+    /// element's subgroup check is [`TableStore::prepared_rows`]'s,
+    /// before its first pairing.
     fn parse_body(body: &[u8], version: u32) -> Result<Self, DbError> {
-        let mut reader = Reader::over_own_storage(body);
+        let mut reader = Reader::new(body);
         let r = &mut reader;
         let next_version = r.u64()?;
         let n_tables = r.len("tables")?;

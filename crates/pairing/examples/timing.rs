@@ -114,10 +114,10 @@ fn main() {
         row("g1_from_bytes", 20, 1, || {
             black_box(Bls12::g1_from_bytes(black_box(&pb)));
         }),
-        row("g2_from_bytes", 20, 1, || {
+        row("g2_from_bytes (+ subgroup)", 20, 1, || {
             black_box(Bls12::g2_from_bytes(black_box(&qb)));
         }),
-        row("g2_from_bytes_on_curve (stored bytes)", 200, 1, || {
+        row("g2_from_bytes_on_curve (all doors)", 200, 1, || {
             black_box(Bls12::g2_from_bytes_on_curve(black_box(&qb)));
         }),
     ];

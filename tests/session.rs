@@ -323,6 +323,32 @@ fn copy_table_streams_chunks_and_joins_like_create_table() {
 }
 
 #[test]
+fn copy_table_of_one_row_more_than_a_chunk_ships_two_chunks() {
+    let (left, right) = tables_of(8);
+    let (lcfg, rcfg) = configs();
+    let query = series().remove(0);
+
+    let mut whole = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(0xfeed));
+    whole.create_table(&left, lcfg.clone()).unwrap();
+    whole.create_table(&right, rcfg.clone()).unwrap();
+    let baseline = whole.execute(&query).unwrap();
+
+    // 8 rows in 7-row chunks: a full chunk, then one holding the last row.
+    let mut streamed = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(0xfeed));
+    let before = streamed.transport_stats().round_trips;
+    assert_eq!(streamed.copy_table(&left, lcfg, 7).unwrap(), 8);
+    assert_eq!(streamed.transport_stats().round_trips - before, 2);
+    assert_eq!(streamed.copy_table(&right, rcfg, 7).unwrap(), 8);
+    let copied = streamed.execute(&query).unwrap();
+
+    let encode = |r: &eqjoin::db::ResultSet| -> Vec<u8> {
+        r.rows.iter().flat_map(|row| row.encode()).collect()
+    };
+    assert!(!baseline.rows.is_empty());
+    assert_eq!(encode(&baseline), encode(&copied));
+}
+
+#[test]
 fn sql_copy_statement_bulk_loads_end_to_end() {
     use eqjoin::db::SqlOutcome;
 

@@ -1,18 +1,16 @@
-//! Stored ciphertext elements are subgroup-checked at their first
-//! preparation, not at replay/load — through both doors this server
-//! reads its own bytes by.
+//! Ciphertext elements are subgroup-checked at their first preparation,
+//! not at decode — through all three doors a row enters the store by:
+//! an upload frame, a journal record and a snapshot body.
 //!
-//! A journal record and a snapshot body are bytes the server wrote
-//! (after validating every element at the wire) and reads back under a
-//! checksum; they are decoded with the curve check only, and the walk
-//! that prepares an element for its first pairing decides the rest.
-//! So a data directory rewritten under valid checksums with an
-//! on-curve point outside the order-`r` subgroup **opens**; rows no
-//! query selects keep answering; the join that selects the poisoned row
-//! gets a typed error before any Miller loop takes the element, every
-//! time it is tried; and the worker that refused it keeps serving.
-//! Off-curve bytes are refused at load exactly as before, and a
-//! network frame is decoded strictly whatever it carries.
+//! Every door decodes elements with the curve check only, and the walk
+//! that prepares an element for its first pairing decides the rest. So
+//! an upload carrying an on-curve point outside the order-`r` subgroup
+//! is **acked**, and a data directory rewritten under valid checksums
+//! with one **opens**; rows no query selects keep answering; the join
+//! that selects the poisoned row gets a typed error before any Miller
+//! loop takes the element, every time it is tried; and the worker that
+//! refused it keeps serving. Off-curve bytes are refused at load
+//! (`tests/subgroup_rejection.rs` has the same refusals for frames).
 //!
 //! The op counters and the metrics registry are process-wide, so every
 //! test here runs under one lock.
@@ -28,7 +26,7 @@ use eqjoin::db::{
 use eqjoin::pairing::{ops, Bls12, Engine, MockEngine};
 use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
 use outside_subgroup::{
-    g2_outside_subgroup, g2_point_outside_subgroup, splice, splice_journal, splice_snapshot,
+    g2_outside_subgroup, g2_point_outside_subgroup, splice_journal, splice_snapshot,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -311,64 +309,185 @@ fn a_poisoned_journal_replays_and_the_row_is_refused_at_first_use() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The lenient decode is for this server's own storage only: whatever a
-/// frame carries, both wire decoders read it strictly — and so does the
-/// reactor, which refuses the upload at the door.
-#[test]
-fn a_network_frame_is_decoded_strictly_whatever_it_carries() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let fx = fixture();
-    let insert_rows = |rows: Vec<EncryptedRow<Bls12>>| Request::InsertRows {
-        table: "L".into(),
-        start_row: 3,
-        rows,
-    };
-    let good_row = fx.left.rows[2].clone();
-    let mut elements = good_row.cipher.elements().to_vec();
-    elements[1] = g2_point_outside_subgroup();
-    let mut bad_row = good_row.clone();
-    bad_row.cipher = SjRowCiphertext::from_elements(elements);
-    // Bare, as a batch element, and under a tenant envelope.
-    let frames = |row: &EncryptedRow<Bls12>| {
-        [
-            insert_rows(vec![row.clone()]),
-            Request::Batch(vec![Request::Ping, insert_rows(vec![row.clone()])]),
-            Request::WithTenant {
+/// The request kinds that upload ciphertexts.
+#[derive(Clone, Copy, Debug)]
+enum Upload {
+    InsertTable,
+    InsertRows,
+    CopyRows,
+}
+
+/// How an upload — and every request after it — is framed.
+#[derive(Clone, Copy, Debug)]
+enum Framing {
+    Bare,
+    /// Behind a `Ping`, as the second element of a batch.
+    Batch,
+    /// Under a `WithTenant` envelope: the tenant's own store.
+    Envelope,
+}
+
+impl Framing {
+    fn wrap(self, request: Request<Bls12>) -> Request<Bls12> {
+        match self {
+            Framing::Bare => request,
+            Framing::Batch => Request::Batch(vec![Request::Ping, request]),
+            Framing::Envelope => Request::WithTenant {
                 tenant: "t".into(),
-                inner: Box::new(insert_rows(vec![row.clone()])),
+                inner: Box::new(request),
             },
-        ]
-        .map(|request| request.to_bytes())
-    };
-    assert_eq!(
-        frames(&bad_row)[0],
-        splice(&frames(&good_row)[0], &fx.victim, &g2_outside_subgroup())
-    );
-    type Decoder = fn(&[u8]) -> Result<Request<Bls12>, DbError>;
-    let decoders: [Decoder; 2] = [Request::from_bytes, Request::from_bytes_deferring_tokens];
-    for decode in decoders {
-        for (good, bad) in frames(&good_row).iter().zip(frames(&bad_row)) {
-            assert!(decode(good).is_ok());
-            match decode(&bad) {
-                Err(DbError::Protocol(msg)) => assert!(msg.contains("G2"), "{msg}"),
-                other => panic!("decoded a poisoned frame: {:?}", other.map(|_| ())),
-            }
         }
     }
 
-    // Through a reactor: the poisoned row never reaches the store.
-    let (remote, _server) = one_worker_server(TenantRegistry::<Bls12>::new(Some(1), None, None));
-    fx.upload(&remote);
-    match remote.handle(insert_rows(vec![bad_row])) {
-        Response::Error(DbError::Protocol(msg)) => assert!(msg.contains("G2"), "{msg}"),
-        other => panic!("the reactor accepted a poisoned upload: {other:?}"),
+    fn unwrap(self, response: Response) -> Response {
+        match (self, response) {
+            (Framing::Batch, Response::Batch(mut slots)) => {
+                assert_eq!(slots.len(), 2, "a batch answers slot for slot");
+                assert!(matches!(slots[0], Response::Pong), "{:?}", slots[0]);
+                slots.pop().unwrap()
+            }
+            (_, response) => response,
+        }
     }
-    let ping = Request::<Bls12>::Ping;
-    assert!(matches!(remote.handle(ping), Response::Pong));
+}
+
+/// A server as a client sees it through one framing. In process
+/// (`decode`), every request is encoded and read back with
+/// `Request::from_bytes_deferring_tokens`, the decoder the reactor runs.
+struct Framed<'a> {
+    server: &'a dyn ServerApi<Bls12>,
+    framing: Framing,
+    decode: bool,
+}
+
+impl ServerApi<Bls12> for Framed<'_> {
+    fn handle(&self, request: Request<Bls12>) -> Response {
+        let request = self.framing.wrap(request);
+        let response = if self.decode {
+            match Request::from_bytes_deferring_tokens(&request.to_bytes()) {
+                Ok(request) => self.server.handle(request),
+                Err(e) => Response::Error(e),
+            }
+        } else {
+            self.server.handle(request)
+        };
+        self.framing.unwrap(response)
+    }
+}
+
+impl Fixture {
+    /// The requests that store `L` and `R` through `kind`, `L` row 2
+    /// carrying an on-curve element outside the subgroup.
+    fn poisoned_uploads(&self, kind: Upload) -> Vec<Request<Bls12>> {
+        let mut left = self.left.clone();
+        let mut elements = left.rows[2].cipher.elements().to_vec();
+        elements[1] = g2_point_outside_subgroup();
+        left.rows[2].cipher = SjRowCiphertext::from_elements(elements);
+        let copy = |start_row: u64, rows: &[EncryptedRow<Bls12>]| Request::CopyRows {
+            table: left.name.clone(),
+            join_column: left.join_column.clone(),
+            filter_columns: left.filter_columns.clone(),
+            start_row,
+            rows: rows.to_vec(),
+        };
+        let mut uploads = match kind {
+            Upload::InsertTable => vec![Request::InsertTable(left.clone())],
+            Upload::InsertRows => {
+                let poisoned = left.rows.split_off(2);
+                vec![
+                    Request::InsertTable(left.clone()),
+                    Request::InsertRows {
+                        table: left.name.clone(),
+                        start_row: 2,
+                        rows: poisoned,
+                    },
+                ]
+            }
+            Upload::CopyRows => vec![copy(0, &left.rows[..2]), copy(2, &left.rows[2..])],
+        };
+        uploads.push(Request::InsertTable(self.right.clone()));
+        uploads
+    }
+}
+
+/// Either request decoder, either door: a poisoned upload is acked —
+/// no subgroup check ran at decode — and the row it carried is refused
+/// by its first use, exactly like a poisoned journal or snapshot; so is
+/// it after a restart replays the journal the uploads wrote.
+#[test]
+fn a_poisoned_upload_is_acked_and_the_row_is_refused_at_first_use() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut fx = fixture();
+    let open = |dir: &Path| {
+        TenantRegistry::<Bls12>::with_persistence(dir.to_owned(), Some(1), None, 1 << 20, None)
+            .unwrap()
+    };
+    for kind in [Upload::InsertTable, Upload::InsertRows, Upload::CopyRows] {
+        for framing in [Framing::Bare, Framing::Batch, Framing::Envelope] {
+            let uploads = fx.poisoned_uploads(kind);
+            let upload = |server: &Framed<'_>| {
+                for request in uploads.clone() {
+                    let response = server.handle(request);
+                    assert!(
+                        matches!(
+                            response,
+                            Response::TableInserted { .. }
+                                | Response::RowsInserted { .. }
+                                | Response::CopyRows { .. }
+                        ),
+                        "{kind:?} {framing:?}: {response:?}"
+                    );
+                }
+            };
+
+            // In process, through the reactor's decoder.
+            let dir = scratch_dir(&format!("upload-{kind:?}-{framing:?}"));
+            let registry = open(&dir);
+            let local = Framed {
+                server: &registry,
+                framing,
+                decode: true,
+            };
+            upload(&local);
+            poisoned_row_is_refused_at_first_use(&local, &mut fx, None);
+            drop(registry);
+
+            // The journal is the data directory's only copy of the
+            // uploads: a restart replays it, preparing nothing.
+            let (before, applied) = (ops::snapshot(), journal_entries("applied"));
+            let registry = open(&dir);
+            let local = Framed {
+                server: &registry,
+                framing,
+                decode: true,
+            };
+            assert!(matches!(local.handle(Request::Ping), Response::Pong));
+            assert_eq!(ops::snapshot().since(&before).g2_prepares, 0);
+            assert_eq!(
+                journal_entries("applied") - applied,
+                uploads.len() as u64,
+                "{kind:?} {framing:?}"
+            );
+            poisoned_row_is_refused_at_first_use(&local, &mut fx, None);
+            drop(registry);
+            let _ = std::fs::remove_dir_all(&dir);
+
+            // Over TCP, into a one-worker reactor.
+            let (client, _server) =
+                one_worker_server(TenantRegistry::<Bls12>::new(Some(1), None, None));
+            let remote = Framed {
+                server: &client,
+                framing,
+                decode: false,
+            };
+            upload(&remote);
+            poisoned_row_is_refused_at_first_use(&remote, &mut fx, None);
+        }
+    }
 }
 
 /// Shapes, on the mock engine: what was written is what is read back
-/// (the lenient reader changes no byte), and replay's tally says what
+/// (the curve-only reader changes no byte), and replay's tally says what
 /// became of each record.
 #[test]
 fn stored_bytes_round_trip_and_replay_is_tallied() {

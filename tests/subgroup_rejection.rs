@@ -1,12 +1,14 @@
 //! The subgroup check is reachable — and refuses — through every door a
-//! group element enters by. A request frame is refused at decode
-//! (`Request::from_bytes`, G1 token elements and G2 ciphertext
-//! elements). A store snapshot — bytes this server wrote, under their
-//! SHA-256 — is decoded with the curve check only and **opens**; its
-//! G2 ciphertext elements are subgroup-checked by the preparation walk
-//! that precedes their first pairing, so the join that selects the row
-//! is refused, typed, with no Miller loop run (`tests/stored_elements.rs`
-//! has the full contract, journal door included).
+//! group element enters by. A request frame carrying a G1 token element
+//! outside the subgroup is refused at decode (`Request::from_bytes`).
+//! G2 ciphertext elements — in an upload frame or a store snapshot —
+//! are decoded with the curve check only: the frame **decodes**, the
+//! snapshot **opens**, and the preparation walk that precedes the
+//! element's first pairing refuses it, so the join that selects the row
+//! gets a typed error with no Miller loop run (`tests/stored_elements.rs`
+//! has the full contract: every upload kind and framing, both request
+//! decoders' doors, the journal and the snapshot). Off-curve and
+//! non-canonical G2 bytes are still refused at decode, by both decoders.
 //!
 //! A flipped byte only ever trips the curve equation (see
 //! `tests/serialization.rs`); these tests splice in points that are
@@ -22,6 +24,7 @@ use eqjoin::db::{
 use eqjoin::pairing::curve::CurveParams;
 use eqjoin::pairing::{g1, ops, Bls12, Engine, Fp, G1Affine};
 use outside_subgroup::{g2_outside_subgroup, outside_subgroup, splice, splice_snapshot};
+use std::sync::Mutex;
 
 /// Wire bytes of an on-curve `G1` point outside the subgroup: the first
 /// `x = 1, 2, …` with a `y`, before any cofactor clearing.
@@ -37,14 +40,42 @@ fn g1_outside_subgroup() -> Vec<u8> {
     g1::to_bytes(&p).to_vec()
 }
 
-fn assert_protocol_error(frame: &[u8], group: &str) {
-    match Request::<Bls12>::from_bytes(frame) {
+/// The op counters are process-wide: tests reading their deltas take
+/// turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+type Decoder = fn(&[u8]) -> Result<Request<Bls12>, DbError>;
+
+/// Both request decoders: the one that checks tokens too, and the
+/// reactor's, which leaves them to the store.
+const DECODERS: [Decoder; 2] = [Request::from_bytes, Request::from_bytes_deferring_tokens];
+
+fn assert_protocol_error(decode: Decoder, frame: &[u8], group: &str) {
+    match decode(frame) {
         Err(DbError::Protocol(msg)) => assert!(msg.contains(group), "{msg}"),
         other => panic!(
             "expected a {group} protocol error, got {:?}",
             other.map(|_| "Ok(request)")
         ),
     }
+}
+
+/// The typed refusal of the join that first pairs `table`'s `row`, with
+/// no Miller loop run since `before`.
+fn assert_refused_at_first_use(
+    result: Result<impl Sized, DbError>,
+    table_row: &str,
+    before: &ops::OpCounts,
+) {
+    match result {
+        Err(DbError::Snapshot(msg)) => {
+            assert!(msg.contains(table_row) && msg.contains("subgroup"), "{msg}")
+        }
+        Err(other) => panic!("expected the typed stored-element refusal, got {other:?}"),
+        Ok(_) => panic!("expected the typed stored-element refusal, got Ok(result)"),
+    }
+    let delta = ops::snapshot().since(before);
+    assert_eq!((delta.miller_pairs, delta.pairings), (0, 0));
 }
 
 fn client_and_table() -> (DbClient<Bls12>, EncryptedTable<Bls12>) {
@@ -64,9 +95,8 @@ fn client_and_table() -> (DbClient<Bls12>, EncryptedTable<Bls12>) {
 }
 
 #[test]
-fn request_frames_reject_on_curve_points_outside_the_subgroup() {
-    let (mut client, table) = client_and_table();
-    let g2_element = Bls12::g2_bytes(&table.rows[0].cipher.elements()[1]);
+fn request_frames_reject_token_points_outside_the_subgroup() {
+    let (mut client, _) = client_and_table();
 
     // G1: a token element of an ExecuteJoin.
     let tokens = client
@@ -80,24 +110,76 @@ fn request_frames_reject_on_curve_points_outside_the_subgroup() {
     }
     .to_bytes();
     assert!(Request::<Bls12>::from_bytes(&good).is_ok());
-    assert_protocol_error(&splice(&good, &g1_element, &g1_outside_subgroup()), "G1");
+    assert_protocol_error(
+        Request::from_bytes,
+        &splice(&good, &g1_element, &g1_outside_subgroup()),
+        "G1",
+    );
+}
 
-    // G2: a ciphertext element of an InsertTable and of an InsertRows.
+#[test]
+fn uploads_outside_the_subgroup_decode_and_are_refused_at_first_use() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut client, table) = client_and_table();
+    let g2_element = Bls12::g2_bytes(&table.rows[0].cipher.elements()[1]);
+    let mut off_curve = g2_element.clone();
+    *off_curve.last_mut().unwrap() ^= 1;
+    let mut non_canonical = g2_element.clone();
+    non_canonical[..Fp::BYTES].fill(0xff);
+
+    // G2: a ciphertext element of an InsertTable, an InsertRows and a
+    // CopyRows.
     let insert_rows = Request::InsertRows {
         table: "T".into(),
         start_row: 1,
         rows: table.rows.clone(),
     }
     .to_bytes();
-    let insert_table = Request::InsertTable(table).to_bytes();
-    for good in [insert_table, insert_rows] {
-        assert!(Request::<Bls12>::from_bytes(&good).is_ok());
-        assert_protocol_error(&splice(&good, &g2_element, &g2_outside_subgroup()), "G2");
+    let copy_rows = Request::CopyRows {
+        table: "T".into(),
+        join_column: table.join_column.clone(),
+        filter_columns: table.filter_columns.clone(),
+        start_row: 1,
+        rows: table.rows.clone(),
     }
+    .to_bytes();
+    let insert_table = Request::InsertTable(table).to_bytes();
+    let mut poisoned_insert_table = None;
+    for good in [insert_table, insert_rows, copy_rows] {
+        let poisoned = splice(&good, &g2_element, &g2_outside_subgroup());
+        for decode in DECODERS {
+            assert!(decode(&good).is_ok());
+            // Off the curve or not canonical: refused at decode.
+            for bad in [&off_curve, &non_canonical] {
+                assert_protocol_error(decode, &splice(&good, &g2_element, bad), "G2");
+            }
+            // On the curve, outside the subgroup: decodes.
+            assert!(decode(&poisoned).is_ok());
+        }
+        poisoned_insert_table.get_or_insert(poisoned);
+    }
+
+    // … and the first join that selects the row is refused by the
+    // row's preparation, before any pairing takes the element.
+    let Ok(Request::InsertTable(poisoned)) =
+        Request::<Bls12>::from_bytes_deferring_tokens(&poisoned_insert_table.unwrap())
+    else {
+        panic!("an InsertTable frame decodes to an InsertTable");
+    };
+    let mut server = DbServer::<Bls12>::new();
+    let before = ops::snapshot();
+    server.insert_table(poisoned).unwrap();
+    assert_eq!(ops::snapshot().since(&before).g2_prepares, 0);
+    let tokens = client
+        .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
+        .unwrap();
+    let result = server.execute_join(&tokens, &JoinOptions::default());
+    assert_refused_at_first_use(result, "table T row 0", &before);
 }
 
 #[test]
 fn snapshots_reject_on_curve_points_outside_the_subgroup() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (mut client, table) = client_and_table();
     let g2_element = Bls12::g2_bytes(&table.rows[0].cipher.elements()[0]);
     let mut server = DbServer::<Bls12>::new();
@@ -119,18 +201,6 @@ fn snapshots_reject_on_curve_points_outside_the_subgroup() {
         .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
         .unwrap();
     let server = DbServer::with_store(store);
-    match server.execute_join(&tokens, &JoinOptions::default()) {
-        Err(DbError::Snapshot(msg)) => {
-            assert!(
-                msg.contains("table T row 0") && msg.contains("subgroup"),
-                "{msg}"
-            )
-        }
-        other => panic!(
-            "expected the typed stored-element refusal, got {:?}",
-            other.map(|_| "Ok(result)")
-        ),
-    }
-    let delta = ops::snapshot().since(&before);
-    assert_eq!((delta.miller_pairs, delta.pairings), (0, 0));
+    let result = server.execute_join(&tokens, &JoinOptions::default());
+    assert_refused_at_first_use(result, "table T row 0", &before);
 }
