@@ -1,5 +1,5 @@
 //! **panic-freedom** — no panicking constructs in the server request
-//! path, where a malformed frame must yield a typed [`DbError`], never
+//! path, where a malformed frame must yield a typed `DbError`, never
 //! a crash that takes every other tenant's connection down with it.
 //!
 //! Enforced scope (findings fail the audit):

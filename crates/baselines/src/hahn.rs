@@ -1,7 +1,7 @@
 //! Functional reconstruction of the join scheme of Hahn, Loza and
 //! Kerschbaum (ICDE 2019) — the paper's state-of-the-art baseline.
 //!
-//! Mechanism (per the paper's §2.1 reading of [16]):
+//! Mechanism (per the paper's §2.1 reading of \[16\]):
 //!
 //! 1. every row's join label is a *randomized, pairing-testable*
 //!    encoding of the join value: `(g1^ρ, g1^{ρ·H(v)}, g2^σ, g2^{σ·H(v)})`

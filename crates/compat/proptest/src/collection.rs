@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// Lengths a [`vec`] strategy may draw.
+/// Lengths a [`vec()`] strategy may draw.
 pub trait SizeRange {
     /// Draw one length.
     fn pick(&self, rng: &mut TestRng) -> usize;
@@ -35,7 +35,7 @@ pub fn vec<S: Strategy, R: SizeRange>(element: S, size: R) -> VecStrategy<S, R> 
     VecStrategy { element, size }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S, R> {
     element: S,
     size: R,

@@ -6,7 +6,7 @@
 //!
 //! * the [`proptest!`] macro (with an optional
 //!   `#![proptest_config(...)]` header),
-//! * [`Strategy`] with `prop_map`, implemented for integer ranges,
+//! * [`Strategy`](strategy::Strategy) with `prop_map`, implemented for integer ranges,
 //!   tuples, and the combinators in [`collection`] and [`option`],
 //! * `any::<T>()` for the integer types the tests draw from,
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!`.

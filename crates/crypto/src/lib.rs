@@ -7,7 +7,7 @@
 //! plaintext of joined rows. No external crypto crates are assumed, so this
 //! crate implements the required primitives from scratch:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256. Round constants are *derived* at
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256. Round constants are *derived* at
 //!   startup with exact integer cube/square roots instead of being
 //!   hard-coded, and checked against the standard test vectors.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), with the padded-key state

@@ -202,17 +202,11 @@ impl<E: Engine> LocalBackend<E> {
         }
     }
 
-    /// Empty backend whose server resolves auto thread requests
-    /// (`JoinOptions::threads == 0`) to `threads` workers, and caps
-    /// explicit ones there, instead of at the machine's available
-    /// parallelism (`eqjoind --threads`).
-    pub fn with_default_threads(threads: Option<usize>) -> Self {
-        Self::with_config(threads, None)
-    }
-
     /// Empty backend with both server defaults configured: decrypt
     /// workers and decrypt-cache capacity (`eqjoind --threads
-    /// --decrypt-cache-cap`).
+    /// --decrypt-cache-cap`). `threads` is what auto thread requests
+    /// (`JoinOptions::threads == 0`) resolve to, and caps explicit ones,
+    /// instead of the machine's available parallelism.
     pub fn with_config(threads: Option<usize>, cache_cap: Option<usize>) -> Self {
         let mut server = DbServer::new();
         server.set_default_threads(threads);
@@ -280,53 +274,28 @@ impl<E: Engine> LocalBackend<E> {
     /// covers fails with [`DbError::UnknownRow`] (row ids collide on
     /// insert, are gone on delete) or re-applies an identical
     /// `InsertTable` — both leave the store exactly where the snapshot
-    /// put it. Records are decoded like a frame off the wire: ciphertext
-    /// elements are curve-checked, and subgroup-checked by the walk that
-    /// prepares them for their first pairing. Returns whether the journal
-    /// held any entry (and should be folded into a snapshot, or dropped
-    /// if the snapshot covers it).
+    /// put it. A record is decoded like a frame off the wire and applied
+    /// by [`Request::apply`], the code that served it. Returns whether
+    /// the journal held any entry (and should be folded into a snapshot,
+    /// or dropped if the snapshot covers it).
     fn replay_journal(server: &mut DbServer<E>, journal: &Journal) -> bool {
         let _span = eqjoin_obs::span!("store_journal_replay");
         // Took effect / already covered by the snapshot / left in the
         // file (undecodable, or refused with anything but `UnknownRow`).
         let (mut applied, mut covered, mut skipped) = (0u64, 0u64, 0u64);
         for bytes in journal.entries() {
-            let outcome = Request::<E>::from_bytes_deferring_tokens(&bytes).and_then(|request| {
-                match request {
-                    Request::InsertTable(table) => server.insert_table(table),
-                    Request::InsertRows {
-                        table,
-                        start_row,
-                        rows,
-                    } => server.insert_rows(&table, start_row, rows).map(|_| ()),
-                    Request::DeleteRows { table, rows } => {
-                        server.delete_rows(&table, &rows).map(|_| ())
-                    }
-                    Request::CopyRows {
-                        table,
-                        join_column,
-                        filter_columns,
-                        start_row,
-                        rows,
-                    } => server
-                        .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
-                        .map(|_| ()),
-                    // Only the four mutations above are ever journaled.
-                    _ => Ok(()),
-                }
-            });
-            match outcome {
-                Ok(()) => applied += 1,
+            match Request::<E>::from_bytes(&bytes).map(|request| request.apply(server)) {
                 // Already covered by the snapshot (the crash hit after
                 // the flush but before the journal truncate).
-                Err(DbError::UnknownRow { .. }) => covered += 1,
+                Ok(Response::Error(DbError::UnknownRow { .. })) => covered += 1,
                 // Checksum-valid but undecodable (a format drift, not a
                 // torn write) or refused by the store: the intent was
                 // acknowledged at most as far as the snapshot covers it.
-                Err(e) => {
+                Ok(Response::Error(e)) | Err(e) => {
                     skipped += 1;
                     eqjoin_obs::info!("journal_entry_skipped", "error" => e);
                 }
+                Ok(_) => applied += 1,
             }
         }
         journal_entries("applied").add(applied);
@@ -442,41 +411,14 @@ impl<E: Engine> LocalBackend<E> {
         self.persist(true)
     }
 
-    /// Does this request mutate durable state? A flush failure after a
-    /// mutation must not be swallowed — the client would believe an
-    /// update survived a restart that would in fact lose it. `Drain`
-    /// is in the set because its whole point is "flush now": a drain
-    /// whose flush failed must not be acknowledged.
-    fn is_mutation(request: &Request<E>) -> bool {
-        match request {
-            Request::InsertTable(_)
-            | Request::InsertRows { .. }
-            | Request::DeleteRows { .. }
-            | Request::CopyRows { .. }
-            | Request::Drain => true,
-            Request::Batch(requests) => requests.iter().any(Self::is_mutation),
-            Request::WithTenant { inner, .. } => Self::is_mutation(inner),
-            Request::Ping | Request::ExecuteJoin { .. } | Request::Stats => false,
-        }
-    }
-
     /// Journal a mutation's intent before applying it. A failed append
     /// fails the mutation up front — acknowledging a mutation whose
     /// intent is not durable would break the crash-replay guarantee.
-    fn journal_intent(&self, request: &Request<E>) -> Result<(), DbError> {
+    fn journal_intent(&self, mutation: &Request<E>) -> Result<(), DbError> {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
-        if !matches!(
-            request,
-            Request::InsertTable(_)
-                | Request::InsertRows { .. }
-                | Request::DeleteRows { .. }
-                | Request::CopyRows { .. }
-        ) {
-            return Ok(());
-        }
-        journal.append(&request.to_bytes())?;
+        journal.append(&mutation.to_bytes())?;
         match eqjoin_failpoint::failpoint!("local::journal::after_append") {
             None => Ok(()),
             Some(eqjoin_failpoint::Action::Delay(ms)) => {
@@ -491,70 +433,8 @@ impl<E: Engine> LocalBackend<E> {
     }
 
     fn handle_one(&self, request: Request<E>) -> Response {
-        if let Err(e) = self.journal_intent(&request) {
-            return Response::Error(e);
-        }
         match request {
             Request::Ping => Response::Pong,
-            Request::InsertTable(table) => {
-                let (name, rows) = (table.name.clone(), table.len());
-                match self
-                    .server
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert_table(table)
-                {
-                    Ok(()) => Response::TableInserted { table: name, rows },
-                    Err(e) => Response::Error(e),
-                }
-            }
-            Request::InsertRows {
-                table,
-                start_row,
-                rows,
-            } => {
-                match self
-                    .server
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert_rows(&table, start_row, rows)
-                {
-                    Ok(rows) => Response::RowsInserted { table, rows },
-                    Err(e) => Response::Error(e),
-                }
-            }
-            Request::DeleteRows { table, rows } => {
-                match self
-                    .server
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .delete_rows(&table, &rows)
-                {
-                    Ok(rows) => Response::RowsDeleted { table, rows },
-                    Err(e) => Response::Error(e),
-                }
-            }
-            Request::CopyRows {
-                table,
-                join_column,
-                filter_columns,
-                start_row,
-                rows,
-            } => {
-                match self
-                    .server
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
-                {
-                    Ok((rows, total_rows)) => Response::CopyRows {
-                        table,
-                        rows,
-                        total_rows,
-                    },
-                    Err(e) => Response::Error(e),
-                }
-            }
             Request::ExecuteJoin {
                 tokens,
                 options,
@@ -593,6 +473,14 @@ impl<E: Engine> LocalBackend<E> {
                 "backend has no tenant support (route through a tenant registry)".into(),
             )),
             Request::Batch(_) => Response::Error(DbError::Protocol("nested request batch".into())),
+            // What is left are the store mutations: journaled, then
+            // applied by the code journal replay runs.
+            mutation => match self.journal_intent(&mutation) {
+                Ok(()) => {
+                    mutation.apply(&mut self.server.write().unwrap_or_else(|e| e.into_inner()))
+                }
+                Err(e) => Response::Error(e),
+            },
         }
     }
 }
@@ -600,7 +488,12 @@ impl<E: Engine> LocalBackend<E> {
 impl<E: Engine> ServerApi<E> for LocalBackend<E> {
     fn handle(&self, request: Request<E>) -> Response {
         self.counters.record_request(&request);
-        let mutation = self.persist.is_some() && Self::is_mutation(&request);
+        // A flush failure after a mutation must not be swallowed — the
+        // client would believe an update survived a restart that would
+        // in fact lose it. A drain counts too: its whole point is "flush
+        // now", so a drain whose flush failed must not be acknowledged.
+        let mutation =
+            self.persist.is_some() && (request.is_mutation() || matches!(request, Request::Drain));
         let response = match request {
             Request::Batch(requests) => Response::Batch(
                 requests
@@ -632,6 +525,7 @@ mod tests {
     use super::*;
     use crate::client::{DbClient, TableConfig};
     use crate::data::{Schema, Table, Value};
+    use crate::encrypted::EncryptedRow;
     use crate::query::JoinQuery;
     use crate::server::JoinOptions;
     use eqjoin_pairing::MockEngine;
@@ -1022,6 +916,90 @@ mod tests {
         let reopened = open().unwrap();
         reopened.flush().unwrap();
         assert!(journal.exists(), "a skipped entry stays on disk");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_replayed_store_equals_the_served_store() {
+        let mut client = DbClient::<MockEngine>::new(1, 2, 29);
+        let config = |join: &str, filter: &str| TableConfig {
+            join_column: join.into(),
+            filter_columns: vec![filter.into()],
+        };
+        let mut t = Table::new(Schema::new("T", &["k", "a"]));
+        let mut u = Table::new(Schema::new("U", &["k", "b"]));
+        for i in 0..4 {
+            t.push_row(vec![Value::Int(i % 2), "x".into()]);
+            u.push_row(vec![Value::Int(i), "y".into()]);
+        }
+        let t = client.encrypt_table(&t, config("k", "a")).unwrap();
+        let u = client.encrypt_table(&u, config("k", "b")).unwrap();
+        let (start_row, rows) = client
+            .encrypt_rows("T", &[vec![Value::Int(1), "z".into()]])
+            .unwrap();
+        let copy = |join_column: &str, start_row: u64, rows: &[EncryptedRow<MockEngine>]| {
+            Request::CopyRows {
+                table: "U".into(),
+                join_column: join_column.into(),
+                filter_columns: vec!["b".into()],
+                start_row,
+                rows: rows.to_vec(),
+            }
+        };
+        let series = || {
+            vec![
+                Request::InsertTable(t.clone()),
+                copy("k", 0, &u.rows[..2]),
+                copy("k", 2, &u.rows[2..]),
+                Request::InsertRows {
+                    table: "T".into(),
+                    start_row,
+                    rows: rows.clone(),
+                },
+                Request::DeleteRows {
+                    table: "T".into(),
+                    rows: vec![0],
+                },
+                // Refused by the store: an unknown table, and a chunk
+                // naming the wrong join column.
+                Request::InsertRows {
+                    table: "nope".into(),
+                    start_row,
+                    rows: rows.clone(),
+                },
+                copy("b", 4, &u.rows[..1]),
+            ]
+        };
+
+        let dir = std::env::temp_dir().join(format!("eqjoin-replay-eq-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("store.snap");
+        let open = || LocalBackend::<MockEngine>::with_persistence(&snap, None, None, 1 << 30);
+        let (persistent, served) = (open().unwrap(), LocalBackend::<MockEngine>::new());
+        for request in series() {
+            let (a, b) = (persistent.handle(request.clone()), served.handle(request));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        // Dropped without a flush: the journal is the only durable copy.
+        drop(persistent);
+        assert!(!snap.exists());
+
+        let entries = |outcome| {
+            eqjoin_obs::registry().counter_value(
+                "eqjoin_store_journal_entries_total",
+                Some(("outcome", outcome)),
+            )
+        };
+        let (applied, skipped) = (entries("applied"), entries("skipped"));
+        let replayed = open().unwrap();
+        assert!(
+            replayed.server().store().snapshot_bytes() == served.server().store().snapshot_bytes(),
+            "the replayed store differs from the served one"
+        );
+        // (Other tests of this binary replay journals concurrently.)
+        assert!(entries("applied") - applied >= 5);
+        assert!(entries("skipped") - skipped >= 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

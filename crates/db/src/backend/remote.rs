@@ -15,10 +15,10 @@
 //! deadline elapsing ([`RemoteConfig::io_timeout`]) as
 //! [`DbError::Timeout`]. After a transport failure the connection is
 //! dropped (the stream may be desynchronized) and the [`RetryPolicy`]
-//! decides what happens next: requests classified *idempotent* (pings,
-//! joins, drains — reads whose replay cannot double-apply) are re-sent
-//! on a fresh connection with capped jittered exponential backoff;
-//! mutations (`InsertTable`/`InsertRows`/`DeleteRows`, whose outcome on
+//! decides what happens next: pings, joins, stats and drains — requests
+//! whose replay cannot double-apply — are re-sent on a fresh connection
+//! with capped jittered exponential backoff; the store mutations
+//! (`InsertTable`/`InsertRows`/`DeleteRows`/`CopyRows`, whose outcome on
 //! the server is unknown) are **never** silently replayed and surface
 //! the failure immediately. Either way the *next* request reconnects,
 //! so a transient server restart does not kill the backend forever.
@@ -121,24 +121,6 @@ fn check_frame_cap(payload: &[u8]) -> Result<(), DbError> {
     Ok(())
 }
 
-/// May `request` be silently re-sent after a transport failure whose
-/// point of no return is unknown? Reads and joins: yes — replaying
-/// them changes nothing but server work. Mutations: no — an
-/// `InsertRows` whose response was lost may well have been applied, and
-/// replaying it would double-apply (or spuriously fail) server-side.
-/// Envelopes classify as their contents.
-fn is_idempotent<E: Engine>(request: &Request<E>) -> bool {
-    match request {
-        Request::Ping | Request::ExecuteJoin { .. } | Request::Drain | Request::Stats => true,
-        Request::InsertTable(_)
-        | Request::InsertRows { .. }
-        | Request::DeleteRows { .. }
-        | Request::CopyRows { .. } => false,
-        Request::WithTenant { inner, .. } => is_idempotent(inner),
-        Request::Batch(requests) => requests.iter().all(is_idempotent),
-    }
-}
-
 /// A [`ServerApi`] over a TCP connection to an `eqjoind` server.
 ///
 /// The stream sits behind a `Mutex`: requests from concurrent sessions
@@ -148,7 +130,7 @@ fn is_idempotent<E: Engine>(request: &Request<E>) -> bool {
 pub struct RemoteBackend {
     peer: String,
     stream: Mutex<Option<TcpStream>>,
-    config: Mutex<RemoteConfig>,
+    config: RemoteConfig,
     counters: TransportCounters,
 }
 
@@ -170,7 +152,7 @@ impl RemoteBackend {
         Ok(RemoteBackend {
             peer,
             stream: Mutex::new(Some(stream)),
-            config: Mutex::new(config),
+            config,
             counters: TransportCounters::default(),
         })
     }
@@ -196,24 +178,6 @@ impl RemoteBackend {
         &self.peer
     }
 
-    /// Replace the per-operation deadline (applied to the live stream
-    /// immediately and to every future reconnect). `None` blocks
-    /// indefinitely.
-    pub fn set_io_timeout(&self, io_timeout: Option<Duration>) {
-        let mut config = self.config.lock().unwrap_or_else(|e| e.into_inner());
-        config.io_timeout = io_timeout;
-        drop(config);
-        let guard = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(stream) = guard.as_ref() {
-            let _ = stream.set_read_timeout(io_timeout);
-            let _ = stream.set_write_timeout(io_timeout);
-        }
-    }
-
-    fn config(&self) -> RemoteConfig {
-        *self.config.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// One request frame out, one response frame back. Drops the
     /// connection on any exchange failure so later calls never read
     /// desynchronized bytes; a *later* call finding the connection gone
@@ -230,7 +194,7 @@ impl RemoteBackend {
             // Single bounded reconnect attempt for this request; on
             // failure the backend stays disconnected and the *next*
             // request (or retry attempt) gets its own single attempt.
-            let fresh = Self::open(&self.peer, &self.peer.as_str(), self.config().io_timeout)
+            let fresh = Self::open(&self.peer, &self.peer.as_str(), self.config.io_timeout)
                 .map_err(|e| {
                     DbError::Transport(format!("reconnect after an earlier transport failure: {e}"))
                 })?;
@@ -306,16 +270,17 @@ impl<E: Engine> ServerApi<E> for RemoteBackend {
             // no retry, no give-up accounting.
             return Response::Error(e);
         }
-        let retry = self.config().retry;
+        let retry = self.config.retry;
         // Mutations are never replayed: a lost response leaves their
         // server-side outcome unknown, and re-sending could
         // double-apply. Transport failures *and* elapsed deadlines are
-        // both retriable for idempotent requests (the server may still
-        // be chewing on the original, but replaying a read is safe).
-        let budget = if is_idempotent(&request) {
-            retry.max_retries
-        } else {
+        // both retriable for everything else — pings, joins, stats and
+        // drains (the server may still be chewing on the original, but
+        // replaying a read is safe).
+        let budget = if request.is_mutation() {
             0
+        } else {
+            retry.max_retries
         };
         let mut attempt = 0u32;
         loop {

@@ -118,8 +118,9 @@ pub enum DbError {
     /// which the *server* reported after receiving the request intact.
     Transport(String),
     /// A deadline elapsed before the operation completed: a stream
-    /// read/write timed out ([`SessionConfig::deadline`]
-    /// (crate::session::SessionConfig::deadline) or a server idle
+    /// read/write timed out
+    /// ([`SessionConfig::deadline`](crate::session::SessionConfig::deadline)
+    /// or a server idle
     /// timeout), or a retry budget was exhausted retrying timeouts.
     /// Unlike [`DbError::Transport`], the peer may still be working on
     /// the request — whether a retry is safe depends on idempotency.

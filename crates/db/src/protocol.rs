@@ -3,8 +3,8 @@
 //!
 //! [`Session`]: crate::session::Session
 //!
-//! The session never touches a [`DbServer`](crate::server::DbServer)
-//! directly; it speaks a small request/response protocol:
+//! The session never touches a [`DbServer`] directly; it speaks a
+//! small request/response protocol:
 //!
 //! ```text
 //!   Session ── Request::InsertTable ──────▶ ServerApi
@@ -22,7 +22,7 @@
 //! Backends living in [`crate::backend`]:
 //!
 //! * [`LocalBackend`](crate::backend::LocalBackend) — in-process, a
-//!   [`DbServer`](crate::server::DbServer) behind an `RwLock`.
+//!   [`DbServer`] behind an `RwLock`.
 //! * [`RemoteBackend`](crate::backend::RemoteBackend) — the same
 //!   messages ([`Request::to_bytes`] / [`Response::from_bytes`] define
 //!   the wire format) length-framed over a TCP socket to an `eqjoind`
@@ -96,11 +96,12 @@
 //!   are checked. In the series setting this protocol exists for, the
 //!   repeat of a query therefore decodes nothing.
 //!
-//! [`Request::from_bytes`] is the strict entry point: it finishes with
-//! `checked()` on every token side, so its result is validated through
-//! and through. A server that executes against a store calls
-//! [`Request::from_bytes_deferring_tokens`] — the same decode without
-//! that last step.
+//! [`Request::from_bytes`] is the one request decoder — the reactor,
+//! journal replay and every tool call it. It checks `G2` elements
+//! against the curve and copies `G1` token sides; `checked()` is the
+//! only way from a [`WireToken`] to the `SjToken` a pairing accepts, so
+//! a bad token fails its own join (inside a batch: its own slot), not
+//! the frame.
 //!
 //! # Batch semantics
 //!
@@ -116,7 +117,8 @@ use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, Wi
 use crate::error::DbError;
 use crate::join::JoinAlgorithm;
 use crate::server::{
-    EncryptedJoinResult, JoinObservation, JoinOptions, MatchedPair, PayloadProjection, ServerStats,
+    DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, MatchedPair, PayloadProjection,
+    ServerStats,
 };
 use eqjoin_core::{SjRowCiphertext, SjTableSide};
 use eqjoin_pairing::Engine;
@@ -232,6 +234,62 @@ impl<E: Engine> Request<E> {
             Request::WithTenant { tenant, .. } => Some(tenant),
             _ => None,
         }
+    }
+
+    /// Does this message change the store? The four store mutations do
+    /// — the only requests a journal holds and [`Request::apply`]
+    /// applies — and so does a batch or envelope carrying one. A
+    /// mutation's outcome is unknown after a lost response, so it is
+    /// never re-sent.
+    pub(crate) fn is_mutation(&self) -> bool {
+        match self {
+            Request::InsertTable(_)
+            | Request::InsertRows { .. }
+            | Request::DeleteRows { .. }
+            | Request::CopyRows { .. } => true,
+            Request::Batch(requests) => requests.iter().any(Self::is_mutation),
+            Request::WithTenant { inner, .. } => inner.is_mutation(),
+            _ => false,
+        }
+    }
+
+    /// Apply a store mutation to `server` and answer it: one code path
+    /// for a mutation served live and for its journal record replayed
+    /// at startup. Any other request is refused with a protocol error.
+    pub(crate) fn apply(self, server: &mut DbServer<E>) -> Response {
+        let applied = match self {
+            Request::InsertTable(table) => {
+                let (name, rows) = (table.name.clone(), table.len());
+                server
+                    .insert_table(table)
+                    .map(|()| Response::TableInserted { table: name, rows })
+            }
+            Request::InsertRows {
+                table,
+                start_row,
+                rows,
+            } => server
+                .insert_rows(&table, start_row, rows)
+                .map(|rows| Response::RowsInserted { table, rows }),
+            Request::DeleteRows { table, rows } => server
+                .delete_rows(&table, &rows)
+                .map(|rows| Response::RowsDeleted { table, rows }),
+            Request::CopyRows {
+                table,
+                join_column,
+                filter_columns,
+                start_row,
+                rows,
+            } => server
+                .copy_rows(&table, &join_column, &filter_columns, start_row, rows)
+                .map(|(rows, total_rows)| Response::CopyRows {
+                    table,
+                    rows,
+                    total_rows,
+                }),
+            _ => Err(DbError::Protocol("not a store mutation".into())),
+        };
+        applied.unwrap_or_else(Response::Error)
     }
 }
 
@@ -676,8 +734,8 @@ impl<T: Wire> Wire for Box<T> {
 
 /// The side, then the `G1` elements, each as a byte string holding the
 /// engine's canonical encoding — copied, not decoded: the curve and
-/// subgroup check is [`WireToken::checked`], run by
-/// [`Request::from_bytes`] or by the store on first sighting.
+/// subgroup check is [`WireToken::checked`], run by the store on first
+/// sighting.
 impl<E: Engine> Wire for WireToken<E> {
     fn put(&self, w: &mut Writer) {
         w.put(&self.side());
@@ -916,27 +974,15 @@ impl<E: Engine> Request<E> {
         encode(self)
     }
 
-    /// Parse a wire message; rejects trailing bytes, invalid group
+    /// Parse a wire message; rejects trailing bytes, invalid `G2`
     /// elements and broken nesting rules. `G2` ciphertext elements are
     /// curve-checked while decoding and subgroup-checked by the store's
-    /// preparation walk before their first pairing; `G1` token elements
-    /// are checked in full by a final [`WireToken::checked`] pass over
-    /// every join side.
+    /// preparation walk before their first pairing. `G1` token sides
+    /// stay as received: the [`EncryptedStore`](crate::store::EncryptedStore)
+    /// checks a side's token before its first pairing, and skips the
+    /// check only for bytes its decrypt cache already answers in full
+    /// (see the [module docs](self#where-group-elements-are-validated)).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DbError> {
-        let request = Self::from_bytes_deferring_tokens(bytes)?;
-        request.check_tokens()?;
-        Ok(request)
-    }
-
-    /// [`Request::from_bytes`] without its last step: `G1` token sides
-    /// stay as received, for a server that hands the request to an
-    /// [`EncryptedStore`](crate::store::EncryptedStore) — which checks
-    /// a side's token before its first pairing, and skips the check
-    /// only for bytes its decrypt cache already answers in full (see
-    /// the [module docs](self#where-group-elements-are-validated)).
-    /// A bad token then fails its own join (inside a batch: its own
-    /// slot), not the frame. The two decoders differ in nothing else.
-    pub fn from_bytes_deferring_tokens(bytes: &[u8]) -> Result<Self, DbError> {
         let request: Self = decode(Reader::new(bytes))?;
         request.validate()?;
         Ok(request)
@@ -967,20 +1013,6 @@ impl<E: Engine> Request<E> {
                 }
                 _ => inner.validate(),
             },
-            _ => Ok(()),
-        }
-    }
-
-    /// Curve + subgroup check of every join token this message carries.
-    fn check_tokens(&self) -> Result<(), DbError> {
-        match self {
-            Request::ExecuteJoin { tokens, .. } => {
-                tokens.left.token.checked()?;
-                tokens.right.token.checked()?;
-                Ok(())
-            }
-            Request::Batch(requests) => requests.iter().try_for_each(Self::check_tokens),
-            Request::WithTenant { inner, .. } => inner.check_tokens(),
             _ => Ok(()),
         }
     }

@@ -52,7 +52,8 @@ pub struct JoinOptions {
     /// Decrypt-cache capacity in entries (query sides). `0` (the
     /// default) defers to the server's configured cap
     /// ([`DbServer::set_decrypt_cache_cap`] / `eqjoind
-    /// --decrypt-cache-cap`).
+    /// --decrypt-cache-cap`); that is also the most a request is
+    /// given — a request may only lower it.
     pub decrypt_cache_cap: usize,
 }
 
@@ -254,7 +255,8 @@ impl<E: Engine> DbServer<E> {
     }
 
     /// Set the decrypt-cache capacity used when a request does not pin
-    /// one (`JoinOptions::decrypt_cache_cap == 0`).
+    /// one (`JoinOptions::decrypt_cache_cap == 0`), and the ceiling for
+    /// one that does.
     pub fn set_decrypt_cache_cap(&mut self, cap: usize) {
         self.store.set_decrypt_cache_cap(cap);
     }
@@ -779,6 +781,21 @@ mod tests {
             server.execute_join(&tokens, &opts).unwrap();
             assert!(server.store().decrypt_cache_len() <= 2);
         }
+    }
+
+    #[test]
+    fn a_request_cannot_lift_the_server_cache_cap() {
+        let (mut client, mut server, query) = setup();
+        server.set_decrypt_cache_cap(4);
+        let opts = JoinOptions {
+            decrypt_cache_cap: usize::MAX,
+            ..Default::default()
+        };
+        for _ in 0..6 {
+            let tokens = client.query_tokens(&query).unwrap();
+            server.execute_join(&tokens, &opts).unwrap();
+        }
+        assert!(server.store().decrypt_cache_len() <= 4);
     }
 
     #[test]

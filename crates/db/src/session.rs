@@ -145,7 +145,8 @@ impl SessionConfig {
 
     /// Pin the server decrypt-cache capacity (entries) for this
     /// session's joins; `0` (the default) defers to the server's
-    /// configured cap (`eqjoind --decrypt-cache-cap`).
+    /// configured cap (`eqjoind --decrypt-cache-cap`), and a pinned cap
+    /// may only lower it.
     pub fn decrypt_cache_cap(mut self, cap: usize) -> Self {
         self.options.decrypt_cache_cap = cap;
         self
@@ -199,7 +200,7 @@ pub enum SqlStatement {
     },
     /// `COPY t FROM VALUES (…), (…)` — bulk-load rows the session
     /// streams to the backend in self-describing
-    /// [`Request::CopyRows`](crate::protocol::Request::CopyRows) chunks.
+    /// [`Request::CopyRows`] chunks.
     Copy {
         /// Target table.
         table: String,
@@ -1023,7 +1024,7 @@ impl<E: Engine> Session<E> {
     /// occurrence just generated), the series ships as a single
     /// [`Request::Batch`] of pairwise joins, and the backend answers
     /// with one same-arity [`Response::Batch`]. Over a
-    /// [`RemoteBackend`](crate::backend::RemoteBackend) that is exactly
+    /// [`RemoteBackend`] that is exactly
     /// one TCP round trip for the entire series.
     ///
     /// Results come back in input order. If any query fails, the first

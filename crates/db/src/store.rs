@@ -492,8 +492,9 @@ impl<E: Engine> EncryptedStore<E> {
         }
     }
 
-    /// Set the decrypt-cache capacity used when a request does not pin
-    /// one (`eqjoind --decrypt-cache-cap`). Clamped to at least 1.
+    /// Set the decrypt-cache capacity (`eqjoind --decrypt-cache-cap`):
+    /// what a request that pins none gets, and the most one that pins
+    /// a cap gets. Clamped to at least 1.
     pub fn set_decrypt_cache_cap(&mut self, cap: usize) {
         self.cache_cap = cap.max(1);
     }
@@ -631,7 +632,7 @@ impl<E: Engine> EncryptedStore<E> {
     /// was created with — a loader pointed at the wrong table fails
     /// loudly instead of splicing rows encrypted under a different key
     /// column. A replayed chunk collides on `start_row` and is rejected
-    /// by [`TableStore::push_rows`], which is what makes journal replay
+    /// by `TableStore::push_rows`, which is what makes journal replay
     /// of a bulk load idempotent. Returns `(rows appended, total rows
     /// now stored)`.
     pub fn copy_rows(
@@ -861,10 +862,12 @@ impl<E: Engine> EncryptedStore<E> {
                     (table.ids[pos], (table.versions[pos], match_key.clone()))
                 })
                 .collect();
-            let cap = if opts.decrypt_cache_cap > 0 {
-                opts.decrypt_cache_cap
-            } else {
-                self.cache_cap
+            // A request may lower the store's cap, never lift it: the
+            // cap is a wire field, and the cache lives in memory and in
+            // every snapshot.
+            let cap = match opts.decrypt_cache_cap {
+                0 => self.cache_cap,
+                pinned => pinned.min(self.cache_cap),
             };
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache.tick += 1;

@@ -374,7 +374,7 @@ impl Drop for NetHandle {
 /// Decode and execute one frame on a worker; returns the serialized
 /// response and whether the frame was a drain request.
 fn execute<E: Engine>(backend: &dyn ServerApi<E>, payload: &[u8]) -> (Vec<u8>, bool) {
-    let (response, drain) = match Request::<E>::from_bytes_deferring_tokens(payload) {
+    let (response, drain) = match Request::<E>::from_bytes(payload) {
         Ok(request) => {
             let drain = matches!(request, Request::Drain);
             (backend.handle(request), drain)

@@ -86,7 +86,7 @@ usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
                         DIR and restart warm from it;
                         tenants snapshot under DIR/tenants/<name>/
 --decrypt-cache-cap N   decrypt-cache entries kept per store (default 64,
-                        LRU eviction; requests may pin their own cap)
+                        LRU eviction; requests may only lower it)
 --compaction-threshold BYTES
                         O(delta) persistence: keep appending to the
                         fsynced mutation journal and rewrite the full

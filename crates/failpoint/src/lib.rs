@@ -14,7 +14,7 @@
 //!
 //! Sites are inert until armed. Arming happens two ways:
 //!
-//! * programmatically — [`configure`]`("transport::read_frame", "delay(50)")`,
+//! * programmatically — `configure("transport::read_frame", "delay(50)")`,
 //! * via the `EQJOIN_FAILPOINTS` environment variable, parsed lazily on
 //!   first evaluation — `name=action;name2=action2` — so a spawned
 //!   `eqjoind` child process inherits the parent test's fault plan.

@@ -183,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn closure_is_idempotent_and_monotone() {
+    fn closure_is_monotone_and_idempotent() {
         let s: PairSet = [
             (n("a", 0), n("b", 0)),
             (n("b", 0), n("a", 1)),

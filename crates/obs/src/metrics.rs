@@ -223,7 +223,7 @@ pub struct Sample {
 }
 
 /// Closure producing samples from live state at scrape time — how the
-/// pre-existing stats structs ([`TransportStats`-likes]) join the
+/// pre-existing stats structs (`TransportStats` and the like) join the
 /// scrape surface without a second copy of their counters.
 pub type Source = Box<dyn Fn() -> Vec<Sample> + Send + Sync>;
 

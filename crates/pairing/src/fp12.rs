@@ -137,7 +137,7 @@ impl Fp12 {
 
     /// Multiply by the sparse element `1 + b·w³ + c·w⁵` — the shape of
     /// every Miller-loop line once it is normalised by its `Fp2`
-    /// constant term (see [`crate::pairing`]).
+    /// constant term (see [`mod@crate::pairing`]).
     ///
     /// With `B = b·v + c·v²` the line is `1 + B·w`, so
     /// `(f0 + f1·w)(1 + B·w) = (f0 + v·f1·B) + (f1 + f0·B)·w`: two

@@ -1,5 +1,5 @@
 //! Fixed-width Montgomery-form prime-field arithmetic, generic over the
-//! limb count, plus the [`impl_montgomery_field!`] macro that stamps out a
+//! limb count, plus the `impl_montgomery_field!` macro that stamps out a
 //! concrete field type (`Fp` with 6 limbs, `Fr` with 4).
 //!
 //! All Montgomery parameters are computed from the modulus at compile

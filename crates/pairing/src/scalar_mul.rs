@@ -291,7 +291,7 @@ fn pippenger_window(n: usize) -> usize {
 /// Multi-scalar multiplication `Σ sᵢ·Pᵢ` via Pippenger's bucket method.
 ///
 /// The scalar bits are split into `⌈255/c⌉` windows of `c` bits
-/// (`c` grows with `n`, see [`pippenger_window`]). For each window,
+/// (`c` grows with `n`, see `pippenger_window`). For each window,
 /// every point is dropped into the bucket indexed by its window digit
 /// (digit 0 skips), buckets are collapsed with the running-sum trick —
 /// `Σ j·Bⱼ` computed with `2·(2ᶜ−1)` additions and no multiplications —

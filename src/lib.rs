@@ -68,8 +68,7 @@ pub fn session<E: eqjoin_pairing::Engine>(config: SessionConfig) -> Session<E> {
 /// The engine type must match the server's `--engine` flag — the wire
 /// codec validates group elements under the engine it is given.
 ///
-/// Connection failure is
-/// [`db::DbError::Transport`](eqjoin_db::DbError::Transport), which
+/// Connection failure is [`db::DbError::Transport`], which
 /// also marks any later loss of the connection — errors the *server*
 /// reports keep their original variants.
 pub fn session_remote<E: eqjoin_pairing::Engine>(

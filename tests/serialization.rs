@@ -1,16 +1,26 @@
 //! Wire-format integration tests: group elements, tokens, ciphertexts
 //! and the session protocol messages survive byte roundtrips on both
-//! engines, and invalid bytes are rejected (subgroup/curve checks).
+//! engines, and invalid bytes are rejected (subgroup/curve checks) —
+//! token bytes by the store, before their first pairing.
 
 use eqjoin::core::{RowEncoding, SecureJoin, SjParams, SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::crypto::ChaChaRng;
 use eqjoin::db::{
-    DbClient, JoinAlgorithm, JoinOptions, JoinQuery, LocalBackend, Request, Response, Schema,
-    ServerApi, Table, TableConfig, Value,
+    DbClient, DbError, JoinAlgorithm, JoinOptions, JoinQuery, LocalBackend, Request, Response,
+    Schema, ServerApi, Table, TableConfig, Value,
 };
-use eqjoin::pairing::{Bls12, Engine, Fr, MockEngine};
+use eqjoin::pairing::{ops, Bls12, Engine, Fr, MockEngine};
+use std::sync::Mutex;
 
 mod wire_samples;
+
+/// The op counters are process-wide: the tests that pair on `Bls12`
+/// take turns with the one asserting that no pairing ran.
+static PAIRING: Mutex<()> = Mutex::new(());
+
+fn pairing_turn() -> std::sync::MutexGuard<'static, ()> {
+    PAIRING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn roundtrip_group_elements<E: Engine>(seed: u64) {
     let mut rng = ChaChaRng::seed_from_u64(seed);
@@ -75,6 +85,7 @@ fn roundtrip_scheme_artifacts<E: Engine>(seed: u64) {
 
 #[test]
 fn scheme_artifacts_roundtrip_bls() {
+    let _turn = pairing_turn();
     roundtrip_scheme_artifacts::<Bls12>(3);
 }
 
@@ -171,18 +182,20 @@ fn protocol_messages_roundtrip_mock() {
 
 #[test]
 fn protocol_messages_roundtrip_bls() {
+    let _turn = pairing_turn();
     protocol_messages_roundtrip::<Bls12>(42);
 }
 
 #[test]
 fn query_tokens_reject_tampered_group_elements() {
-    // Flip bytes inside a token element on the wire: the codec's
-    // validated G1 decoding must reject it rather than hand the server a
-    // bogus token.
+    // Flip a byte inside a token element on the wire: the frame decodes
+    // (the codec copies token bytes), and the store's G1 check refuses
+    // the join before any pairing rather than run a bogus token.
+    let _turn = pairing_turn();
     let mut t = Table::new(Schema::new("T", &["k", "attr"]));
     t.push_row(vec![Value::Int(1), "x".into()]);
     let mut client = DbClient::<Bls12>::new(1, 2, 7);
-    client
+    let table = client
         .encrypt_table(
             &t,
             TableConfig {
@@ -194,22 +207,35 @@ fn query_tokens_reject_tampered_group_elements() {
     let tokens = client
         .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
         .unwrap();
+    let element = tokens.left.token.elements()[0].clone();
     let good = Request::ExecuteJoin {
         tokens,
         options: JoinOptions::default(),
         projection: Default::default(),
     }
     .to_bytes();
-    assert!(Request::<Bls12>::from_bytes(&good).is_ok());
-    // Token elements start after the query id + table name; corrupt a
-    // byte well inside the first element's payload.
+    let at = good
+        .windows(element.len())
+        .position(|w| w == element.as_slice())
+        .expect("the element is in the encoding");
     let mut bad = good.clone();
-    let idx = bad.len() / 2;
-    bad[idx] ^= 0xff;
-    assert!(
-        Request::<Bls12>::from_bytes(&bad).is_err(),
-        "tampered message must not decode"
-    );
+    bad[at + element.len() / 2] ^= 0xff;
+
+    let backend = LocalBackend::<Bls12>::new();
+    backend.handle(Request::InsertTable(table));
+    let tampered = Request::<Bls12>::from_bytes(&bad).expect("the codec copies token bytes");
+    let before = ops::snapshot();
+    match backend.handle(tampered) {
+        Response::Error(DbError::Protocol(msg)) => assert!(msg.contains("G1"), "{msg}"),
+        other => panic!("expected the G1 protocol error, got {other:?}"),
+    }
+    let delta = ops::snapshot().since(&before);
+    assert_eq!((delta.miller_pairs, delta.pairings), (0, 0));
+    let untampered = Request::<Bls12>::from_bytes(&good).unwrap();
+    assert!(matches!(
+        backend.handle(untampered),
+        Response::JoinExecuted { .. }
+    ));
 }
 
 #[test]
@@ -223,6 +249,7 @@ fn fr_bytes_are_canonical_and_ordered() {
 
 #[test]
 fn gt_bytes_distinguish_distinct_values_bls() {
+    let _turn = pairing_turn();
     let mut rng = ChaChaRng::seed_from_u64(5);
     let a = Fr::random(&mut rng);
     let b = Fr::random(&mut rng);

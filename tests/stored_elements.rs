@@ -353,7 +353,7 @@ impl Framing {
 
 /// A server as a client sees it through one framing. In process
 /// (`decode`), every request is encoded and read back with
-/// `Request::from_bytes_deferring_tokens`, the decoder the reactor runs.
+/// `Request::from_bytes`, the decoder the reactor runs.
 struct Framed<'a> {
     server: &'a dyn ServerApi<Bls12>,
     framing: Framing,
@@ -364,7 +364,7 @@ impl ServerApi<Bls12> for Framed<'_> {
     fn handle(&self, request: Request<Bls12>) -> Response {
         let request = self.framing.wrap(request);
         let response = if self.decode {
-            match Request::from_bytes_deferring_tokens(&request.to_bytes()) {
+            match Request::from_bytes(&request.to_bytes()) {
                 Ok(request) => self.server.handle(request),
                 Err(e) => Response::Error(e),
             }

@@ -1,14 +1,17 @@
 //! The subgroup check is reachable — and refuses — through every door a
 //! group element enters by. A request frame carrying a G1 token element
-//! outside the subgroup is refused at decode (`Request::from_bytes`).
-//! G2 ciphertext elements — in an upload frame or a store snapshot —
-//! are decoded with the curve check only: the frame **decodes**, the
+//! outside the subgroup **decodes** (`Request::from_bytes` copies token
+//! bytes), and `WireToken::checked()`, the only way to a token a pairing
+//! accepts, refuses it (`tests/validate_once.rs` drives the refusal
+//! before any pairing through a local backend and a reactor). G2
+//! ciphertext elements — in an upload frame or a store snapshot — are
+//! decoded with the curve check only: the frame **decodes**, the
 //! snapshot **opens**, and the preparation walk that precedes the
 //! element's first pairing refuses it, so the join that selects the row
 //! gets a typed error with no Miller loop run (`tests/stored_elements.rs`
-//! has the full contract: every upload kind and framing, both request
-//! decoders' doors, the journal and the snapshot). Off-curve and
-//! non-canonical G2 bytes are still refused at decode, by both decoders.
+//! has the full contract: every upload kind and framing, the reactor's
+//! door, the journal and the snapshot). Off-curve and non-canonical G2
+//! bytes are still refused at decode.
 //!
 //! A flipped byte only ever trips the curve equation (see
 //! `tests/serialization.rs`); these tests splice in points that are
@@ -44,18 +47,12 @@ fn g1_outside_subgroup() -> Vec<u8> {
 /// turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-type Decoder = fn(&[u8]) -> Result<Request<Bls12>, DbError>;
-
-/// Both request decoders: the one that checks tokens too, and the
-/// reactor's, which leaves them to the store.
-const DECODERS: [Decoder; 2] = [Request::from_bytes, Request::from_bytes_deferring_tokens];
-
-fn assert_protocol_error(decode: Decoder, frame: &[u8], group: &str) {
-    match decode(frame) {
+fn assert_protocol_error<T>(result: Result<T, DbError>, group: &str) {
+    match result {
         Err(DbError::Protocol(msg)) => assert!(msg.contains(group), "{msg}"),
         other => panic!(
             "expected a {group} protocol error, got {:?}",
-            other.map(|_| "Ok(request)")
+            other.map(|_| "Ok(..)")
         ),
     }
 }
@@ -95,7 +92,7 @@ fn client_and_table() -> (DbClient<Bls12>, EncryptedTable<Bls12>) {
 }
 
 #[test]
-fn request_frames_reject_token_points_outside_the_subgroup() {
+fn token_points_outside_the_subgroup_decode_and_are_refused_by_checked() {
     let (mut client, _) = client_and_table();
 
     // G1: a token element of an ExecuteJoin.
@@ -109,12 +106,16 @@ fn request_frames_reject_token_points_outside_the_subgroup() {
         projection: Default::default(),
     }
     .to_bytes();
-    assert!(Request::<Bls12>::from_bytes(&good).is_ok());
-    assert_protocol_error(
-        Request::from_bytes,
-        &splice(&good, &g1_element, &g1_outside_subgroup()),
-        "G1",
-    );
+    let right_token = |frame: &[u8]| match Request::<Bls12>::from_bytes(frame) {
+        Ok(Request::ExecuteJoin { tokens, .. }) => tokens.right.token,
+        _ => panic!("an ExecuteJoin frame decodes to an ExecuteJoin"),
+    };
+    assert!(right_token(&good).checked().is_ok());
+    // The frame decodes — the codec copies token bytes — and
+    // `checked()`, which the store runs before the token's first
+    // pairing, refuses the point.
+    let poisoned = right_token(&splice(&good, &g1_element, &g1_outside_subgroup()));
+    assert_protocol_error(poisoned.checked(), "G1");
 }
 
 #[test]
@@ -147,22 +148,21 @@ fn uploads_outside_the_subgroup_decode_and_are_refused_at_first_use() {
     let mut poisoned_insert_table = None;
     for good in [insert_table, insert_rows, copy_rows] {
         let poisoned = splice(&good, &g2_element, &g2_outside_subgroup());
-        for decode in DECODERS {
-            assert!(decode(&good).is_ok());
-            // Off the curve or not canonical: refused at decode.
-            for bad in [&off_curve, &non_canonical] {
-                assert_protocol_error(decode, &splice(&good, &g2_element, bad), "G2");
-            }
-            // On the curve, outside the subgroup: decodes.
-            assert!(decode(&poisoned).is_ok());
+        assert!(Request::<Bls12>::from_bytes(&good).is_ok());
+        // Off the curve or not canonical: refused at decode.
+        for bad in [&off_curve, &non_canonical] {
+            let frame = splice(&good, &g2_element, bad);
+            assert_protocol_error(Request::<Bls12>::from_bytes(&frame), "G2");
         }
+        // On the curve, outside the subgroup: decodes.
+        assert!(Request::<Bls12>::from_bytes(&poisoned).is_ok());
         poisoned_insert_table.get_or_insert(poisoned);
     }
 
     // … and the first join that selects the row is refused by the
     // row's preparation, before any pairing takes the element.
     let Ok(Request::InsertTable(poisoned)) =
-        Request::<Bls12>::from_bytes_deferring_tokens(&poisoned_insert_table.unwrap())
+        Request::<Bls12>::from_bytes(&poisoned_insert_table.unwrap())
     else {
         panic!("an InsertTable frame decodes to an InsertTable");
     };

@@ -10,11 +10,9 @@
 //! `eqjoin_store_token_elements_checked_total` moves by the element
 //! count of precisely the sides the cache could not vouch for.
 //!
-//! One behaviour differs from a server that validated tokens in the
-//! frame decoder: a bad token inside a `Request::Batch` now fails its
-//! own slot and its neighbours execute, where the whole frame used to
-//! be refused. (`Request::from_bytes`, the strict decoder, still
-//! refuses the frame.)
+//! The frame decoder (`Request::from_bytes`, the only one) copies token
+//! bytes and checks none, so a bad token inside a `Request::Batch`
+//! fails its own slot and its neighbours execute.
 //!
 //! The op counters and the metrics registry are process-wide, so every
 //! test here runs under one lock.
@@ -134,14 +132,7 @@ fn spliced(tokens: &QueryTokens<Bls12>, bad: Side, options: JoinOptions) -> Requ
         .expect("the element is in the encoding");
     let mut frame = good;
     frame[at..at + element.len()].copy_from_slice(&g1_outside_subgroup());
-    match Request::<Bls12>::from_bytes(&frame) {
-        Err(DbError::Protocol(msg)) => assert!(msg.contains("G1"), "{msg}"),
-        other => panic!(
-            "the strict decoder accepted the frame: {:?}",
-            other.map(|_| ())
-        ),
-    }
-    let request = Request::<Bls12>::from_bytes_deferring_tokens(&frame).unwrap();
+    let request = Request::<Bls12>::from_bytes(&frame).unwrap();
     assert_eq!(request.to_bytes(), frame, "the codec copies token bytes");
     request
 }
@@ -228,7 +219,7 @@ fn first_sightings_are_refused(backend: &dyn ServerApi<Bls12>) {
         spliced(&tokens, Side::Right, default),
         join(&tokens, default),
     ]);
-    assert!(Request::<Bls12>::from_bytes(&batch.to_bytes()).is_err());
+    assert!(Request::<Bls12>::from_bytes(&batch.to_bytes()).is_ok());
     let checked = checked_elements();
     let before = ops::snapshot();
     let Response::Batch(mut slots) = backend.handle(batch) else {
@@ -433,8 +424,8 @@ fn mock_g1(seed: u64) -> <MockEngine as Engine>::G1 {
 }
 
 /// An `ExecuteJoin` carrying `token` on its left side, through the
-/// codec the reactor uses; the left token that comes out.
-fn through_the_codec(token: WireToken<MockEngine>) -> (Vec<u8>, WireToken<MockEngine>) {
+/// codec; the left token that comes out. The frame always decodes.
+fn through_the_codec(token: WireToken<MockEngine>) -> WireToken<MockEngine> {
     let side = |token| SideTokens {
         table: "T".into(),
         token,
@@ -446,8 +437,8 @@ fn through_the_codec(token: WireToken<MockEngine>) -> (Vec<u8>, WireToken<MockEn
         right: side(SjToken::from_elements(SjTableSide::B, vec![mock_g1(1)]).into()),
     };
     let frame = join(&tokens, JoinOptions::default()).to_bytes();
-    match Request::<MockEngine>::from_bytes_deferring_tokens(&frame) {
-        Ok(Request::ExecuteJoin { tokens, .. }) => (frame, tokens.left.token),
+    match Request::<MockEngine>::from_bytes(&frame) {
+        Ok(Request::ExecuteJoin { tokens, .. }) => tokens.left.token,
         _ => panic!("an ExecuteJoin frame decodes to an ExecuteJoin"),
     }
 }
@@ -468,7 +459,7 @@ proptest! {
             seeds.iter().map(|&s| mock_g1(s)).collect(),
         );
         let wire = WireToken::from(token.clone());
-        let (_, received) = through_the_codec(wire.clone());
+        let received = through_the_codec(wire.clone());
         prop_assert_eq!(received.side(), side);
         prop_assert_eq!(received.elements(), wire.elements());
         let checked = received.checked().unwrap();
@@ -480,8 +471,9 @@ proptest! {
 
     // Byte strings nobody vouches for — valid encodings, 32 random
     // bytes (a valid mock element about half the time), any length —
-    // pass the codec untouched, never panic, and `checked()` accepts
-    // the token iff `g1_from_bytes` accepts every element.
+    // pass the codec untouched (the frame decodes), never panic, and
+    // `checked()` decides: it accepts the token iff `g1_from_bytes`
+    // accepts every element.
     #[test]
     fn arbitrary_element_bytes_never_panic_and_are_judged_by_g1_from_bytes(
         raw in proptest::collection::vec(
@@ -501,19 +493,16 @@ proptest! {
             })
             .collect();
         let decoded: Vec<_> = elements.iter().map(|b| MockEngine::g1_from_bytes(b)).collect();
-        let (frame, received) =
-            through_the_codec(WireToken::from_encoded(SjTableSide::A, elements.clone()));
+        let received = through_the_codec(WireToken::from_encoded(SjTableSide::A, elements.clone()));
         prop_assert_eq!(received.elements(), elements.as_slice());
         match received.checked() {
             Ok(token) => {
                 let expected: Option<Vec<_>> = decoded.into_iter().collect();
                 prop_assert_eq!(Some(token.elements().to_vec()), expected);
-                prop_assert!(Request::<MockEngine>::from_bytes(&frame).is_ok());
             }
             Err(DbError::Protocol(msg)) => {
                 prop_assert!(msg.contains("G1"), "{}", msg);
                 prop_assert!(decoded.iter().any(Option::is_none));
-                prop_assert!(Request::<MockEngine>::from_bytes(&frame).is_err());
             }
             Err(other) => prop_assert!(false, "untyped refusal {:?}", other),
         }
