@@ -8,7 +8,7 @@
 //! 1. the registry identifiers (`[identifiers] names`) — always secret
 //!    wherever they appear (e.g. `scalar`, `sk`, `msk`, `key`);
 //! 2. parameters whose declared type mentions a registry type
-//!    (`[types] names`, e.g. `Fr`, `IpeMasterKey`);
+//!    (`[types] names`, e.g. `Fr`, `ModifiedIpeMasterKey`);
 //! 3. propagation to fixpoint through `let` bindings and `for`
 //!    patterns whose right-hand side mentions a tainted identifier
 //!    (uppercase-initial identifiers are never tainted — they are

@@ -47,11 +47,6 @@ impl Prf {
         out.copy_from_slice(&full[..16]);
         out
     }
-
-    /// Raw key access (used to persist client state).
-    pub fn key_bytes(&self) -> &[u8; 32] {
-        &self.key
-    }
 }
 
 #[cfg(test)]

@@ -2,13 +2,32 @@
 //! interior synchronization so one instance can serve many sessions
 //! and server worker threads concurrently — optionally **persistent**:
 //! give it a snapshot path and every state change (table uploads,
-//! incremental row updates, fresh decrypt-cache entries) is flushed to
-//! disk, so a restarted server resumes the series warm.
+//! incremental row updates, fresh decrypt-cache entries) is made
+//! durable, so a restarted server resumes the series warm.
+//!
+//! # One lock order
+//!
+//! A persistent backend keeps a snapshot and a journal of mutation
+//! intents beside it. When bytes reach either file is decided in one
+//! place, under one lock order: the store's `RwLock` first, then the
+//! mutex of the private `Disk`. Two guarantees follow.
+//!
+//! - **Journal order is apply order.** A mutation appends its intent
+//!   (fsync included) and applies it in one hold of the write lock, so
+//!   no flush can run between a record and the store change it
+//!   describes, and two mutations apply in the order they were
+//!   journaled. Readers of the backend wait out that fsync.
+//! - **One snapshot write at a time.** Every persistence decision — the
+//!   one after each request, [`LocalBackend::flush`] / `Drain`, and the
+//!   fold-in of a replayed journal at open — holds the read lock and
+//!   then the `Disk` mutex. Two saves never overlap, and a journal
+//!   truncation only drops records the snapshot just written covers.
 
 use super::transport::TransportCounters;
 use crate::error::DbError;
 use crate::protocol::{Request, Response, ServerApi};
 use crate::server::DbServer;
+use crate::store::store_failpoint;
 use eqjoin_pairing::Engine;
 use std::io::Write;
 use std::path::PathBuf;
@@ -16,76 +35,82 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use super::TransportStats;
 
-/// Append-only journal of mutation intents sitting next to the
-/// snapshot (`store.snap` → `store.journal`): every mutation request is
-/// appended (length-prefixed, checksummed, fsynced) *before* it is
-/// applied in memory, and the journal is truncated once a snapshot
-/// flush has made its effects durable. A `kill -9` between those two
-/// points leaves the intent on disk; startup replays complete entries
-/// idempotently (an entry already covered by the snapshot replays as a
-/// no-op), so the restarted store is consistent with everything that
-/// was ever acknowledged — and a torn final entry (the crash happened
-/// mid-append, so its request was never acknowledged) is discarded
-/// cleanly.
-struct Journal {
-    path: PathBuf,
-    /// Serializes appends: concurrent writers each want their
-    /// length-prefix + payload + fsync to hit the file contiguously.
-    /// The flag it guards: every record in the file was replayed at
-    /// startup as applied or already covered, and none was appended
-    /// since — so a snapshot of the store as it stands covers the file.
-    replayed: Mutex<bool>,
+/// What a persistent backend keeps on disk: the snapshot (`store.snap`)
+/// and, beside it, an append-only journal of mutation intents
+/// (`store.journal`). Every mutation is appended (length-prefixed,
+/// checksummed, fsynced) before it applies in memory, and the journal
+/// is truncated once a snapshot flush has made its effects durable. A
+/// `kill -9` between those two points leaves the intent on disk; open
+/// replays complete records idempotently (a record the snapshot already
+/// covers replays as a no-op), so the restarted store is consistent
+/// with everything that was ever acknowledged — and a torn final record
+/// (the crash happened mid-append, so its request was never
+/// acknowledged) is discarded cleanly.
+struct Disk {
+    snapshot: PathBuf,
+    journal: PathBuf,
+    /// Length of the journal file: the records appended since the last
+    /// truncation (or found at open).
+    journal_bytes: u64,
+    /// Every record in the journal replayed at open as applied or
+    /// already covered, and none was appended since — so a snapshot of
+    /// the store as it stands covers the file.
+    covered: bool,
+    /// O(delta) persistence: while the journal is shorter than this
+    /// many bytes, a dirtying request leaves the snapshot alone (the
+    /// fsynced journal already makes its mutation durable) and only the
+    /// threshold crossing pays a full snapshot rewrite + journal
+    /// truncation ("compaction"). `0` rewrites the snapshot after every
+    /// dirtying request. Forced flushes (drain, shutdown) always
+    /// compact, so a graceful restart starts journal-free and warm.
+    threshold: u64,
 }
 
-impl Journal {
-    fn new(snapshot_path: &std::path::Path) -> Self {
-        Journal {
-            path: snapshot_path.with_extension("journal"),
-            replayed: Mutex::new(false),
+impl Disk {
+    fn new(snapshot: PathBuf, threshold: u64) -> Self {
+        Disk {
+            journal: snapshot.with_extension("journal"),
+            snapshot,
+            journal_bytes: 0,
+            covered: false,
+            threshold,
         }
-    }
-
-    /// Current journal size in bytes (0 if it does not exist). Drives
-    /// the compaction-threshold decision: below the threshold the
-    /// journal *is* the durable delta and the snapshot rewrite is
-    /// deferred.
-    fn size(&self) -> u64 {
-        std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
     }
 
     /// Append one intent record: `len ‖ fnv1a(bytes) ‖ bytes`, fsynced
     /// before returning so an acknowledged mutation's intent survives
     /// any crash after this call.
-    fn append(&self, bytes: &[u8]) -> Result<(), DbError> {
+    fn append(&mut self, bytes: &[u8]) -> Result<(), DbError> {
         // Byte counts ride the ns-bucketed histogram: the exponential
         // buckets work for any magnitude, and the scrape labels the
         // unit in the metric name.
         eqjoin_obs::histogram!("eqjoin_store_journal_append_bytes").record_ns(bytes.len() as u64);
-        let mut replayed = self.replayed.lock().unwrap_or_else(|e| e.into_inner());
-        *replayed = false;
+        self.covered = false;
         let mut record = Vec::with_capacity(bytes.len() + 8);
         record.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         record.extend_from_slice(&fnv1a(bytes).to_le_bytes());
         record.extend_from_slice(bytes);
+        let path = &self.journal;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&self.path)
-            .map_err(|e| DbError::Snapshot(format!("open journal {}: {e}", self.path.display())))?;
-        file.write_all(&record).map_err(|e| {
-            DbError::Snapshot(format!("append journal {}: {e}", self.path.display()))
-        })?;
+            .open(path)
+            .map_err(|e| DbError::Snapshot(format!("open journal {}: {e}", path.display())))?;
+        file.write_all(&record)
+            .map_err(|e| DbError::Snapshot(format!("append journal {}: {e}", path.display())))?;
         file.sync_all()
-            .map_err(|e| DbError::Snapshot(format!("fsync journal {}: {e}", self.path.display())))
+            .map_err(|e| DbError::Snapshot(format!("fsync journal {}: {e}", path.display())))?;
+        self.journal_bytes += record.len() as u64;
+        Ok(())
     }
 
-    /// All complete, checksum-valid entries, in append order. Stops at
-    /// the first torn or corrupt record: everything after it was
-    /// written later and never acknowledged.
-    fn entries(&self) -> Vec<Vec<u8>> {
-        let Ok(bytes) = std::fs::read(&self.path) else {
-            return Vec::new();
-        };
+    /// All complete, checksum-valid records, in append order (the open
+    /// path). Parsing stops at the first torn or corrupt record: it and
+    /// everything after it were written later and never acknowledged.
+    /// The file is cut back to the records before it, so an intent
+    /// appended from now on is not stranded behind unreadable bytes.
+    fn read(&mut self) -> Result<Vec<Vec<u8>>, DbError> {
+        let bytes = std::fs::read(&self.journal).unwrap_or_default();
         let mut out = Vec::new();
         let mut at = 0usize;
         loop {
@@ -110,36 +135,27 @@ impl Journal {
                 _ => break,
             }
         }
+        self.journal_bytes = at as u64;
         if at < bytes.len() {
             journal_entries("torn_tail").inc();
-            eqjoin_obs::info!("journal_torn_tail", "path" => self.path.display(), "at" => at);
+            let path = self.journal.display();
+            eqjoin_obs::info!("journal_torn_tail", "path" => path, "at" => at);
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&self.journal)
+                .and_then(|file| file.set_len(self.journal_bytes))
+                .map_err(|e| DbError::Snapshot(format!("cut torn journal {path}: {e}")))?;
         }
-        out
+        Ok(out)
     }
 
-    /// Drop the journal after its entries are covered by a durable
+    /// Drop the journal after its records are covered by a durable
     /// snapshot. Best-effort: a leftover journal only costs an
     /// idempotent (no-op) replay on the next start.
-    fn truncate(&self) {
-        let _guard = self.replayed.lock().unwrap_or_else(|e| e.into_inner());
-        self.remove_file();
-    }
-
-    /// Caller holds the append lock.
-    fn remove_file(&self) {
-        if self.path.exists() {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-
-    /// [`Journal::truncate`] for a store with nothing to flush: only a
-    /// file whose every record replayed as applied or covered is dead
-    /// weight. One holding a skipped record, or an intent appended
-    /// since (possibly not applied yet), stays.
-    fn truncate_if_replayed(&self) {
-        let replayed = self.replayed.lock().unwrap_or_else(|e| e.into_inner());
-        if *replayed {
-            self.remove_file();
+    fn truncate(&mut self) {
+        match std::fs::remove_file(&self.journal) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {}
+            _ => self.journal_bytes = 0,
         }
     }
 }
@@ -165,41 +181,26 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 
 /// The in-process [`ServerApi`] implementation.
 ///
-/// Table storage sits behind an `RwLock`: uploads take the write lock,
+/// Table storage sits behind an `RwLock`: mutations take the write lock,
 /// joins share the read lock, so concurrent queries — many sessions
 /// over one `Arc<LocalBackend>`, or the `eqjoind` connection threads —
-/// execute in parallel.
+/// execute in parallel. A persistent backend decides its disk writes
+/// under the same lock: a mutation journals and applies in one hold of
+/// the write lock, and every snapshot write holds the read lock and
+/// then a disk mutex, so saves never overlap.
 #[derive(Default)]
 pub struct LocalBackend<E: Engine> {
     server: RwLock<DbServer<E>>,
     counters: TransportCounters,
-    /// Snapshot path; when set, the store is flushed after any request
-    /// that dirtied it.
-    persist: Option<PathBuf>,
-    /// Mutation-intent journal (persistent backends only): written
-    /// before a mutation applies, truncated after a snapshot flush.
-    journal: Option<Journal>,
-    /// O(delta) persistence: while the journal is smaller than this many
-    /// bytes, dirtying requests leave the snapshot alone (the fsynced
-    /// journal already makes the mutations durable) and only the
-    /// threshold crossing pays a full snapshot rewrite + journal
-    /// truncation ("compaction"). `0` (the default) keeps the legacy
-    /// flush-every-mutation behavior. Forced flushes (drain, shutdown)
-    /// always compact, so a graceful restart starts journal-free and
-    /// warm.
-    compaction_threshold: u64,
+    /// Snapshot + journal (persistent backends only). Locked after
+    /// `server`, never before.
+    disk: Option<Mutex<Disk>>,
 }
 
 impl<E: Engine> LocalBackend<E> {
     /// Empty backend.
     pub fn new() -> Self {
-        LocalBackend {
-            server: RwLock::new(DbServer::new()),
-            counters: TransportCounters::default(),
-            persist: None,
-            journal: None,
-            compaction_threshold: 0,
-        }
+        Self::with_config(None, None)
     }
 
     /// Empty backend with both server defaults configured: decrypt
@@ -216,19 +217,19 @@ impl<E: Engine> LocalBackend<E> {
         LocalBackend {
             server: RwLock::new(server),
             counters: TransportCounters::default(),
-            persist: None,
-            journal: None,
-            compaction_threshold: 0,
+            disk: None,
         }
     }
 
     /// Persistent backend (`eqjoind --data-dir`): loads the snapshot at
     /// `path` if one exists (rejecting corrupt/mismatched snapshots
-    /// with a clean error) and re-saves the store whenever tables,
-    /// rows or the decrypt cache change. `threads` and `cache_cap`
-    /// configure the restored server like the plain constructors do.
-    /// `compaction_threshold` (bytes of journal) arms O(delta)
-    /// persistence; `0` flushes a full snapshot after every mutation.
+    /// with a clean error), replays the journal beside it, and keeps
+    /// both durable whenever tables, rows or the decrypt cache change.
+    /// `threads` and `cache_cap` configure the restored server like the
+    /// plain constructors do. `compaction_threshold` (bytes of journal)
+    /// arms O(delta) persistence: below it a mutation is durable by its
+    /// journal record alone; `0` rewrites the snapshot after every
+    /// dirtying request.
     pub fn with_persistence(
         path: impl Into<PathBuf>,
         threads: Option<usize>,
@@ -249,14 +250,12 @@ impl<E: Engine> LocalBackend<E> {
         if let Some(cap) = cache_cap {
             server.set_decrypt_cache_cap(cap);
         }
-        let journal = Journal::new(&path);
-        let replayed = Self::replay_journal(&mut server, &journal);
+        let mut disk = Disk::new(path, compaction_threshold);
+        let replayed = Self::replay_journal(&mut server, &mut disk)?;
         let backend = LocalBackend {
             server: RwLock::new(server),
             counters: TransportCounters::default(),
-            persist: Some(path),
-            journal: Some(journal),
-            compaction_threshold,
+            disk: Some(Mutex::new(disk)),
         };
         if replayed {
             // Fold the replayed intents into a fresh durable snapshot
@@ -276,14 +275,14 @@ impl<E: Engine> LocalBackend<E> {
     /// `InsertTable` — both leave the store exactly where the snapshot
     /// put it. A record is decoded like a frame off the wire and applied
     /// by [`Request::apply`], the code that served it. Returns whether
-    /// the journal held any entry (and should be folded into a snapshot,
-    /// or dropped if the snapshot covers it).
-    fn replay_journal(server: &mut DbServer<E>, journal: &Journal) -> bool {
+    /// the journal held any record (and should be folded into a
+    /// snapshot, or dropped if the snapshot covers it).
+    fn replay_journal(server: &mut DbServer<E>, disk: &mut Disk) -> Result<bool, DbError> {
         let _span = eqjoin_obs::span!("store_journal_replay");
         // Took effect / already covered by the snapshot / left in the
         // file (undecodable, or refused with anything but `UnknownRow`).
         let (mut applied, mut covered, mut skipped) = (0u64, 0u64, 0u64);
-        for bytes in journal.entries() {
+        for bytes in disk.read()? {
             match Request::<E>::from_bytes(&bytes).map(|request| request.apply(server)) {
                 // Already covered by the snapshot (the crash hit after
                 // the flush but before the journal truncate).
@@ -301,8 +300,8 @@ impl<E: Engine> LocalBackend<E> {
         journal_entries("applied").add(applied);
         journal_entries("covered").add(covered);
         journal_entries("skipped").add(skipped);
-        *journal.replayed.lock().unwrap_or_else(|e| e.into_inner()) = skipped == 0;
-        applied + covered + skipped > 0
+        disk.covered = skipped == 0;
+        Ok(applied + covered + skipped > 0)
     }
 
     /// Read access to the underlying server (tests and experiments peek
@@ -312,95 +311,61 @@ impl<E: Engine> LocalBackend<E> {
         self.server.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Flush the store to the snapshot path if it changed since the
-    /// last flush. A failed write re-arms the dirty flag so the next
-    /// request retries instead of silently dropping state.
-    fn persist_if_dirty(&self) -> Result<(), DbError> {
-        self.persist(false)
-    }
-
-    /// The persistence decision after a dirtying request.
+    /// The persistence decision, taken under the read lock and the
+    /// `Disk` mutex.
     ///
-    /// With a nonzero [`compaction threshold`](Self::with_persistence),
-    /// a sub-threshold journal means the mutation is *already* durable
-    /// (append-before-apply, fsynced), so the full snapshot rewrite is
-    /// deferred — persisted bytes stay O(delta), not O(store). Crossing
-    /// the threshold compacts: one snapshot rewrite covers every
-    /// journaled intent and the journal is truncated. `force` (drain,
-    /// replay fold-in) always compacts.
+    /// A journal shorter than the [compaction
+    /// threshold](Self::with_persistence) means every applied mutation
+    /// is *already* durable (journaled and fsynced in the hold that
+    /// applied it), so the full snapshot rewrite is deferred — persisted
+    /// bytes stay O(delta), not O(store). Reaching the threshold
+    /// compacts: one snapshot rewrite covers every journaled intent and
+    /// the journal is truncated. `force` (drain, replay fold-in) always
+    /// compacts. A failed write re-arms the dirty flag so the next
+    /// request retries instead of silently dropping state.
     fn persist(&self, force: bool) -> Result<(), DbError> {
-        let Some(path) = &self.persist else {
+        let Some(disk) = &self.disk else {
             return Ok(());
         };
         let server = self.server.read().unwrap_or_else(|e| e.into_inner());
-        if !force && self.compaction_threshold > 0 {
-            let journal_bytes = self.journal.as_ref().map_or(0, Journal::size);
-            if journal_bytes < self.compaction_threshold {
-                if server.store().is_dirty() {
-                    eqjoin_obs::counter!("eqjoin_store_snapshot_deferred_total").inc();
-                }
-                return Ok(());
+        let mut disk = disk.lock().unwrap_or_else(|e| e.into_inner());
+        if !force && disk.journal_bytes < disk.threshold {
+            if server.store().is_dirty() {
+                eqjoin_obs::counter!("eqjoin_store_snapshot_deferred_total").inc();
             }
+            return Ok(());
         }
         if !server.store().take_dirty() {
             // Nothing to write. A journal the snapshot on disk already
             // covers (the crash hit between flush and truncate) must
             // still go, or every start decodes it again.
-            if let (true, Some(journal)) = (force, &self.journal) {
-                journal.truncate_if_replayed();
+            if force && disk.covered {
+                disk.truncate();
             }
             return Ok(());
         }
         let compaction_timer = eqjoin_obs::span!("store_compaction");
-        let flushed = match eqjoin_failpoint::failpoint!("local::flush") {
-            None => server.save(path),
-            Some(eqjoin_failpoint::Action::Delay(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                server.save(path)
-            }
-            Some(eqjoin_failpoint::Action::Abort) => std::process::abort(),
-            Some(_) => Err(DbError::Snapshot(
-                "failpoint local::flush: injected error".into(),
-            )),
-        };
+        let flushed = store_failpoint("local::flush").and_then(|()| server.save(&disk.snapshot));
         drop(compaction_timer);
-        match flushed {
-            Ok(()) => {
-                eqjoin_obs::counter!("eqjoin_store_snapshot_flushes_total").inc();
-                eqjoin_obs::info!("snapshot_flush", "path" => path.display());
-                // A crash in this window (snapshot durable, journal not
-                // yet truncated) replays the journal over the *newer*
-                // snapshot — idempotent by construction, exercised by
-                // the chaos suite.
-                match eqjoin_failpoint::failpoint!("store::journal::compact") {
-                    None => {}
-                    Some(eqjoin_failpoint::Action::Delay(ms)) => {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                    Some(eqjoin_failpoint::Action::Abort) => std::process::abort(),
-                    Some(_) => {
-                        // Injected truncation failure: state is durable
-                        // (snapshot + stale journal replays as a no-op),
-                        // so surface the fault without re-arming dirty.
-                        return Err(DbError::Snapshot(
-                            "failpoint store::journal::compact: injected error".into(),
-                        ));
-                    }
-                }
-                // The snapshot now covers every applied intent: the
-                // journal is dead weight (and must not replay over a
-                // *newer* snapshot than the one it was written against).
-                if let Some(journal) = &self.journal {
-                    journal.truncate();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                server.store().mark_dirty_again();
-                eprintln!("eqjoin: snapshot flush failed: {e}");
-                Err(e)
-            }
+        if let Err(e) = flushed {
+            server.store().mark_dirty_again();
+            eqjoin_obs::counter!("eqjoin_store_snapshot_flush_failures_total").inc();
+            eprintln!("eqjoin: snapshot flush failed: {e}");
+            return Err(e);
         }
+        eqjoin_obs::counter!("eqjoin_store_snapshot_flushes_total").inc();
+        eqjoin_obs::info!("snapshot_flush", "path" => disk.snapshot.display());
+        // A crash here (snapshot durable, journal not yet truncated)
+        // replays the journal over the *newer* snapshot — idempotent by
+        // construction, exercised by the chaos suite. An injected
+        // failure leaves the same durable state, so it surfaces without
+        // re-arming dirty.
+        store_failpoint("store::journal::compact")?;
+        // The snapshot now covers every applied intent: the journal is
+        // dead weight (and must not replay over a *newer* snapshot than
+        // the one it was written against).
+        disk.truncate();
+        Ok(())
     }
 
     /// Force a compacting flush if the store is dirty, and drop a
@@ -411,25 +376,21 @@ impl<E: Engine> LocalBackend<E> {
         self.persist(true)
     }
 
-    /// Journal a mutation's intent before applying it. A failed append
+    /// Journal a mutation's intent and apply it, in one hold of the
+    /// write lock, by the code journal replay runs. A failed append
     /// fails the mutation up front — acknowledging a mutation whose
     /// intent is not durable would break the crash-replay guarantee.
-    fn journal_intent(&self, mutation: &Request<E>) -> Result<(), DbError> {
-        let Some(journal) = &self.journal else {
-            return Ok(());
-        };
-        journal.append(&mutation.to_bytes())?;
-        match eqjoin_failpoint::failpoint!("local::journal::after_append") {
-            None => Ok(()),
-            Some(eqjoin_failpoint::Action::Delay(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                Ok(())
+    fn mutate(&self, mutation: Request<E>) -> Response {
+        let mut server = self.server.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(disk) = &self.disk {
+            let journaled = (disk.lock().unwrap_or_else(|e| e.into_inner()))
+                .append(&mutation.to_bytes())
+                .and_then(|()| store_failpoint("local::journal::after_append"));
+            if let Err(e) = journaled {
+                return Response::Error(e);
             }
-            Some(eqjoin_failpoint::Action::Abort) => std::process::abort(),
-            Some(_) => Err(DbError::Snapshot(
-                "failpoint local::journal::after_append: injected error".into(),
-            )),
         }
+        mutation.apply(&mut server)
     }
 
     fn handle_one(&self, request: Request<E>) -> Response {
@@ -473,14 +434,8 @@ impl<E: Engine> LocalBackend<E> {
                 "backend has no tenant support (route through a tenant registry)".into(),
             )),
             Request::Batch(_) => Response::Error(DbError::Protocol("nested request batch".into())),
-            // What is left are the store mutations: journaled, then
-            // applied by the code journal replay runs.
-            mutation => match self.journal_intent(&mutation) {
-                Ok(()) => {
-                    mutation.apply(&mut self.server.write().unwrap_or_else(|e| e.into_inner()))
-                }
-                Err(e) => Response::Error(e),
-            },
+            // What is left are the store mutations.
+            mutation => self.mutate(mutation),
         }
     }
 }
@@ -493,7 +448,7 @@ impl<E: Engine> ServerApi<E> for LocalBackend<E> {
         // in fact lose it. A drain counts too: its whole point is "flush
         // now", so a drain whose flush failed must not be acknowledged.
         let mutation =
-            self.persist.is_some() && (request.is_mutation() || matches!(request, Request::Drain));
+            self.disk.is_some() && (request.is_mutation() || matches!(request, Request::Drain));
         let response = match request {
             Request::Batch(requests) => Response::Batch(
                 requests
@@ -503,7 +458,7 @@ impl<E: Engine> ServerApi<E> for LocalBackend<E> {
             ),
             single => self.handle_one(single),
         };
-        match self.persist_if_dirty() {
+        match self.persist(false) {
             Ok(()) => response,
             // A mutation whose snapshot flush failed must not be acked:
             // the in-memory state applied, but the durability the
@@ -619,10 +574,15 @@ mod tests {
         // construction: the rename at the end of every save now fails.
         std::fs::create_dir_all(&snap).unwrap();
         std::fs::write(snap.join("occupied"), b"x").unwrap();
+        let failures = || {
+            eqjoin_obs::registry().counter_value("eqjoin_store_snapshot_flush_failures_total", None)
+        };
+        let failed = failures();
         assert!(matches!(
             backend.handle(Request::InsertTable(enc)),
             Response::Error(DbError::Snapshot(_))
         ));
+        assert!(failures() > failed, "a failed flush must be counted");
         // …while a query keeps its result: only cache warmth was at
         // stake (the table itself applied in memory above).
         assert!(matches!(
@@ -665,13 +625,12 @@ mod tests {
         // intent (plus a torn half-record from the moment of death),
         // and no snapshot exists.
         {
-            let journal = Journal::new(&snap);
-            journal
-                .append(&Request::<MockEngine>::InsertTable(enc).to_bytes())
+            let mut disk = Disk::new(snap.clone(), 0);
+            disk.append(&Request::<MockEngine>::InsertTable(enc).to_bytes())
                 .unwrap();
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
-                .open(&journal.path)
+                .open(&disk.journal)
                 .unwrap();
             f.write_all(&[42, 0, 0, 0, 7, 7]).unwrap(); // torn tail
         }
@@ -695,6 +654,44 @@ mod tests {
             }
             other => panic!("join over replayed table failed: {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_does_not_strand_later_intents() {
+        let mut client = DbClient::<MockEngine>::new(1, 2, 43);
+        let mut t = Table::new(Schema::new("T", &["k", "a"]));
+        t.push_row(vec![Value::Int(1), "x".into()]);
+        let enc = client
+            .encrypt_table(
+                &t,
+                TableConfig {
+                    join_column: "k".into(),
+                    filter_columns: vec!["a".into()],
+                },
+            )
+            .unwrap();
+
+        let dir = std::env::temp_dir().join(format!("eqjoin-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("store.snap");
+        let open = || LocalBackend::<MockEngine>::with_persistence(&snap, None, None, 1 << 20);
+
+        // A crash mid-append left nothing but a torn record.
+        std::fs::write(snap.with_extension("journal"), [42, 0, 0, 0, 7, 7]).unwrap();
+        let backend = open().unwrap();
+        assert!(matches!(
+            backend.handle(Request::InsertTable(enc)),
+            Response::TableInserted { .. }
+        ));
+        // Crash again: the journal is the only durable copy of T, and
+        // its record must not sit behind the torn bytes.
+        drop(backend);
+        assert!(
+            open().unwrap().server().store().table("T").is_some(),
+            "an acknowledged intent appended after a torn tail was lost"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -901,7 +898,7 @@ mod tests {
                 },
             )
             .unwrap();
-        Journal::new(&snap)
+        Disk::new(snap.clone(), 0)
             .append(
                 &Request::<MockEngine>::CopyRows {
                     table: "T".into(),

@@ -157,11 +157,6 @@ impl<E: Engine> TableStore<E> {
         &self.filter_columns
     }
 
-    /// Number of sealed payload columns.
-    pub fn payload_column_count(&self) -> usize {
-        self.payload_columns.len()
-    }
-
     /// Stable row ids, ascending.
     pub fn ids(&self) -> &[u64] {
         &self.ids
@@ -1173,12 +1168,13 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), DbError> {
         .map_err(|e| DbError::Snapshot(format!("fsync dir {}: {e}", parent.display())))
 }
 
-/// Evaluate a failpoint planted at one exact position in the save/load
-/// protocol: `delay` stalls there, `abort` kills the process in its
+/// Evaluate a failpoint planted at one exact position in the
+/// persistence protocol (save and load here, flush and journal in
+/// `backend::local`): `delay` stalls there, `abort` kills the process in its
 /// tracks — a crash at exactly this point — and any failure action
 /// (`return-error`, or the I/O-only `partial-write`/`drop-conn`)
 /// surfaces as a typed [`DbError::Snapshot`].
-fn store_failpoint(name: &str) -> Result<(), DbError> {
+pub(crate) fn store_failpoint(name: &str) -> Result<(), DbError> {
     match eqjoin_failpoint::failpoint!(name) {
         None => Ok(()),
         Some(eqjoin_failpoint::Action::Delay(ms)) => {

@@ -1,15 +1,11 @@
 //! Function-hiding inner-product encryption (FHIPE).
 //!
-//! Implements two schemes over a generic bilinear [`Engine`]:
-//!
-//! * [`ipe`] — the original construction of Kim et al. (SCN 2018, §3.3 of
-//!   the paper): `IPE.{Setup, KeyGen, Encrypt, Decrypt}` with the
-//!   polynomial-size plaintext set `S` recovered by discrete logarithm.
-//! * [`modified`] — the paper's §4.2 variant used by Secure Join: the
-//!   `α`/`β` randomizers are fixed to 1 (randomness moves into the last
-//!   two vector slots), only the second component of keys/ciphertexts is
-//!   kept, and decryption returns the raw group element
-//!   `e(g1,g2)^{det(B)·⟨v,w⟩}` instead of extracting the exponent.
+//! [`modified`] implements, over a generic bilinear [`Engine`], the
+//! paper's §4.2 variant of Kim et al.'s construction (SCN 2018) that
+//! Secure Join uses: the `α`/`β` randomizers are fixed to 1 (randomness
+//! moves into the last two vector slots), only the second component of
+//! keys/ciphertexts is kept, and decryption returns the raw group element
+//! `e(g1,g2)^{det(B)·⟨v,w⟩}` instead of extracting the exponent.
 //!
 //! [`linalg`] provides the `GL_n(Z_q)` machinery (`B`, `B⁻¹`, `det B`,
 //! `B* = det(B)·(B⁻¹)ᵀ`).
@@ -19,12 +15,10 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
-pub mod ipe;
 pub mod linalg;
 pub mod modified;
 
 pub use error::DimensionMismatch;
-pub use ipe::{Ipe, IpeCiphertext, IpeMasterKey, IpeSecretKey};
 pub use linalg::Matrix;
 pub use modified::{
     ModifiedIpe, ModifiedIpeCiphertext, ModifiedIpeMasterKey, ModifiedIpePreparedCiphertext,

@@ -1,7 +1,8 @@
 //! The paper's modified FHIPE (§4.2) — the cryptographic core of Secure
 //! Join.
 //!
-//! Differences from [`crate::ipe`] (quoting §4.2):
+//! Differences from Kim et al.'s original construction (SCN 2018, §3.3
+//! of the paper), quoting §4.2:
 //!
 //! 1. `α = β = 1`; randomness moves into the vectors themselves, which
 //!    become `v = (ν, 0, δ)` and `w = (ω, γ₁, 0)` for fresh `δ`, `γ₁`.

@@ -150,14 +150,6 @@ impl Fp12 {
         }
     }
 
-    /// Scale by an `Fp2` element (coefficient-wise).
-    pub fn scale_fp2(&self, k: Fp2) -> Self {
-        Fp12 {
-            c0: self.c0.scale(k),
-            c1: self.c1.scale(k),
-        }
-    }
-
     /// Canonical byte serialization (12 × 48 bytes, coefficients in tower
     /// order). Used for `GT` equality hashing in the hash join.
     pub fn to_bytes(&self) -> Vec<u8> {
