@@ -5,7 +5,7 @@
 //! Enforced scope (findings fail the audit):
 //!
 //! * `crates/db/src/backend/` (every file)
-//! * `crates/db/src/{store,server,protocol}.rs`
+//! * `crates/db/src/{store,server,protocol,join,encrypted}.rs`
 //! * `crates/eqjoind-net/src/` (every file)
 //!
 //! Warn-only scope (sites are counted in `audit_report.json` so the

@@ -27,7 +27,7 @@ use super::transport::TransportCounters;
 use crate::error::DbError;
 use crate::protocol::{Request, Response, ServerApi};
 use crate::server::DbServer;
-use crate::store::store_failpoint;
+use crate::store::{store_failpoint, EncryptedStore};
 use eqjoin_pairing::Engine;
 use std::io::Write;
 use std::path::PathBuf;
@@ -242,7 +242,7 @@ impl<E: Engine> LocalBackend<E> {
         // sweeps on its own path, but only when it runs).
         crate::store::sweep_stale_tmp(&path);
         let mut server = if path.exists() {
-            DbServer::load(&path)?
+            DbServer::with_store(EncryptedStore::load(&path)?)
         } else {
             DbServer::new()
         };
@@ -345,10 +345,11 @@ impl<E: Engine> LocalBackend<E> {
             return Ok(());
         }
         let compaction_timer = eqjoin_obs::span!("store_compaction");
-        let flushed = store_failpoint("local::flush").and_then(|()| server.save(&disk.snapshot));
+        let flushed =
+            store_failpoint("local::flush").and_then(|()| server.store().save(&disk.snapshot));
         drop(compaction_timer);
         if let Err(e) = flushed {
-            server.store().mark_dirty_again();
+            server.store().mark_dirty();
             eqjoin_obs::counter!("eqjoin_store_snapshot_flush_failures_total").inc();
             eprintln!("eqjoin: snapshot flush failed: {e}");
             return Err(e);

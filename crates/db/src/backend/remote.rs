@@ -99,15 +99,6 @@ pub struct RemoteConfig {
     pub retry: RetryPolicy,
 }
 
-impl RemoteConfig {
-    fn default_plain() -> Self {
-        RemoteConfig {
-            io_timeout: None,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
 /// Deterministic pre-send rejection of requests too large for one
 /// frame. Never worth retrying — the payload will not shrink.
 fn check_frame_cap(payload: &[u8]) -> Result<(), DbError> {
@@ -139,7 +130,7 @@ impl RemoteBackend {
     /// deadline, default [`RetryPolicy`]). Connection failure is
     /// [`DbError::Transport`].
     pub fn connect<A: ToSocketAddrs + ToString>(addr: A) -> Result<Self, DbError> {
-        Self::connect_with(addr, RemoteConfig::default_plain())
+        Self::connect_with(addr, RemoteConfig::default())
     }
 
     /// Connect with an explicit deadline/retry configuration.

@@ -64,20 +64,9 @@ impl Value {
     }
 
     fn decode_from(bytes: &[u8]) -> Option<(Value, usize)> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(bytes[..4].try_into().ok()?) as usize;
+        let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
         let body = bytes.get(4..4 + len)?;
-        let (tag, rest) = body.split_first()?;
-        let value = match tag {
-            0x01 => Value::Int(i64::from_le_bytes(rest.try_into().ok()?)),
-            0x02 => Value::Str(String::from_utf8(rest.to_vec()).ok()?),
-            0x03 => Value::Decimal(i64::from_le_bytes(rest.try_into().ok()?)),
-            0x04 => Value::Date(i32::from_le_bytes(rest.try_into().ok()?)),
-            _ => return None,
-        };
-        Some((value, 4 + len))
+        Some((Value::from_canonical_bytes(body)?, 4 + len))
     }
 }
 

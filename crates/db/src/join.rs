@@ -125,7 +125,10 @@ pub fn stitch_stages(stages: &[StageLink]) -> Vec<Vec<usize>> {
         }
         let mut next = Vec::new();
         for tuple in &tuples {
-            if let Some(new_rows) = by_anchor.get(&tuple[stage.left_position]) {
+            if let Some(new_rows) = tuple
+                .get(stage.left_position)
+                .and_then(|a| by_anchor.get(a))
+            {
                 for &new_row in new_rows {
                     let mut extended = tuple.clone();
                     extended.push(new_row);

@@ -30,7 +30,6 @@ use crate::error::DbError;
 use crate::join::{hash_join, nested_loop_join, JoinAlgorithm, MatchOutcome};
 use crate::store::EncryptedStore;
 use eqjoin_pairing::Engine;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Join execution options.
@@ -187,18 +186,6 @@ impl<E: Engine> DbServer<E> {
             store,
             default_threads: None,
         }
-    }
-
-    /// Restore a server from a snapshot written by [`DbServer::save`].
-    pub fn load(path: &Path) -> Result<Self, DbError> {
-        Ok(Self::with_store(EncryptedStore::load(path)?))
-    }
-
-    /// Persist the server's logical state — tables and the decrypt
-    /// cache, not prepared pairing state (rebuilt on first use) — so a
-    /// restarted server resumes warm.
-    pub fn save(&self, path: &Path) -> Result<(), DbError> {
-        self.store.save(path)
     }
 
     /// The underlying store (tests and persistent backends inspect it).

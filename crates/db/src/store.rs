@@ -54,6 +54,15 @@
 //! per memoized row and a lookup accepts only exact matches — this is
 //! the entire invalidation story, no epochs or purge walks required.
 //!
+//! Rows enter a table through `TableStore::push_rows` only, whichever
+//! request carries them (`InsertTable`, `InsertRows`, `CopyRows`). It
+//! checks the whole batch against the table's layout — ids past the
+//! last stored one and inside `u64`, one payload per column, one
+//! ciphertext element count, and one pre-filter tag per filter column
+//! (or none at all); an empty table takes its layout from the first
+//! row — and only then draws versions, so a refused mutation leaves the
+//! store, its version counter included, exactly as it was.
+//!
 //! # Snapshot format
 //!
 //! `save` writes `magic ‖ format version ‖ engine name ‖ body length ‖
@@ -110,7 +119,8 @@ impl<E: Engine> Drop for PreparedCell<E> {
     }
 }
 
-/// One stored table, column-oriented.
+/// One stored table, column-oriented: vectors parallel by storage
+/// position, grown only by `push_rows`.
 pub struct TableStore<E: Engine> {
     name: String,
     join_column: String,
@@ -132,6 +142,21 @@ pub struct TableStore<E: Engine> {
 }
 
 impl<E: Engine> TableStore<E> {
+    /// An empty table; its first rows fix the rest of the layout.
+    fn new(name: String, join_column: String, filter_columns: Vec<String>) -> Self {
+        TableStore {
+            name,
+            join_column,
+            filter_columns,
+            ids: Vec::new(),
+            versions: Vec::new(),
+            ciphers: Vec::new(),
+            prepared: Vec::new(),
+            payload_columns: Vec::new(),
+            tag_columns: None,
+        }
+    }
+
     /// Number of stored rows.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -167,16 +192,23 @@ impl<E: Engine> TableStore<E> {
         self.ids.binary_search(&id).ok()
     }
 
-    /// Storage positions surviving the pre-filter — a column-oriented
-    /// scan: only the constrained tag columns are touched.
-    fn candidate_positions(
+    /// `(storage position, row id, row version)` of every row surviving
+    /// the pre-filter — a column-oriented scan: only the constrained
+    /// tag columns are touched.
+    fn candidates(
         &self,
         prefilter: &[(usize, Vec<[u8; 16]>)],
         use_prefilter: bool,
-    ) -> Vec<usize> {
+    ) -> Vec<(usize, u64, u64)> {
+        let rows = self
+            .ids
+            .iter()
+            .zip(&self.versions)
+            .enumerate()
+            .map(|(pos, (&id, &version))| (pos, id, version));
         let tag_columns = match (&self.tag_columns, use_prefilter, prefilter.is_empty()) {
             (Some(cols), true, false) => cols,
-            _ => return (0..self.len()).collect(),
+            _ => return rows.collect(),
         };
         let mut alive = vec![true; self.len()];
         for (col, allowed) in prefilter {
@@ -191,11 +223,8 @@ impl<E: Engine> TableStore<E> {
                 }
             }
         }
-        alive
-            .iter()
-            .enumerate()
-            .filter(|(_, keep)| **keep)
-            .map(|(i, _)| i)
+        rows.zip(alive)
+            .filter_map(|(row, keep)| keep.then_some(row))
             .collect()
     }
 
@@ -231,35 +260,48 @@ impl<E: Engine> TableStore<E> {
         }
     }
 
-    /// Append rows (arity-checked against the stored layout).
+    /// The one way rows enter a table (see the module docs): `rows`
+    /// get ids from `start_row` on and, once the whole batch fits the
+    /// layout, versions from `next_version`.
     fn push_rows(
         &mut self,
         start_row: u64,
         rows: Vec<EncryptedRow<E>>,
-        versions: impl Iterator<Item = u64>,
+        next_version: &mut u64,
     ) -> Result<usize, DbError> {
-        if rows.is_empty() {
+        let Some(first) = rows.first() else {
             return Ok(0);
+        };
+        if self.ids.last().is_some_and(|&last| start_row <= last) {
+            return Err(DbError::UnknownRow {
+                table: self.name.clone(),
+                row: start_row,
+            });
         }
-        if let Some(&last) = self.ids.last() {
-            if start_row <= last {
-                return Err(DbError::UnknownRow {
-                    table: self.name.clone(),
-                    row: start_row,
-                });
-            }
+        if start_row.checked_add(rows.len() as u64).is_none() {
+            return Err(DbError::Protocol(format!(
+                "{} rows from id {start_row} overflow the row id space",
+                rows.len()
+            )));
         }
-        if self.ciphers.is_empty() {
-            // An empty table has no layout yet; adopt the first row's
-            // (`rows` is non-empty — checked at entry).
-            if let Some(first) = rows.first() {
-                self.payload_columns = vec![Vec::new(); first.payloads.len()];
-                self.tag_columns = first.tags.as_ref().map(|t| vec![Vec::new(); t.len()]);
-            }
-        }
-        let n_cols = self.payload_columns.len();
-        let n_elems = self.ciphers.first().map(|c| c.elements().len());
-        let n_tag_cols = self.tag_columns.as_ref().map(Vec::len);
+        // An empty table has no layout yet: it takes the first row's,
+        // once the whole batch agrees with it.
+        let empty = self.ciphers.is_empty();
+        let (n_cols, n_tag_cols) = if empty {
+            let n_tags = first.tags.as_ref().map(|_| self.filter_columns.len());
+            (first.payloads.len(), n_tags)
+        } else {
+            (
+                self.payload_columns.len(),
+                self.tag_columns.as_ref().map(Vec::len),
+            )
+        };
+        let n_elems = self
+            .ciphers
+            .first()
+            .unwrap_or(&first.cipher)
+            .elements()
+            .len();
         for row in &rows {
             if row.payloads.len() != n_cols {
                 return Err(DbError::Protocol(format!(
@@ -269,28 +311,33 @@ impl<E: Engine> TableStore<E> {
                     n_cols
                 )));
             }
-            if let Some(n) = n_elems {
-                if row.cipher.elements().len() != n {
-                    return Err(DbError::Protocol(format!(
-                        "inserted row has {} ciphertext elements, table {} stores {}",
-                        row.cipher.elements().len(),
-                        self.name,
-                        n
-                    )));
-                }
+            if row.cipher.elements().len() != n_elems {
+                return Err(DbError::Protocol(format!(
+                    "inserted row has {} ciphertext elements, table {} stores {}",
+                    row.cipher.elements().len(),
+                    self.name,
+                    n_elems
+                )));
             }
             if row.tags.as_ref().map(Vec::len) != n_tag_cols {
                 return Err(DbError::Protocol(format!(
-                    "inserted row's pre-filter tags do not match table {}'s layout",
-                    self.name
+                    "inserted row's pre-filter tags do not match table {}'s layout \
+                     (one tag per filter column, {} filter columns)",
+                    self.name,
+                    self.filter_columns.len()
                 )));
             }
         }
 
+        if empty {
+            self.payload_columns = vec![Vec::new(); n_cols];
+            self.tag_columns = n_tag_cols.map(|n| vec![Vec::new(); n]);
+        }
         let inserted = rows.len();
-        for (i, (row, version)) in rows.into_iter().zip(versions).enumerate() {
-            self.ids.push(start_row + i as u64);
-            self.versions.push(version);
+        for (id, row) in (start_row..).zip(rows) {
+            self.ids.push(id);
+            self.versions.push(*next_version);
+            *next_version += 1;
             self.prepared.push(PreparedCell(OnceLock::new()));
             self.ciphers.push(row.cipher);
             for (col, payload) in self.payload_columns.iter_mut().zip(row.payloads) {
@@ -302,25 +349,27 @@ impl<E: Engine> TableStore<E> {
                 }
             }
         }
+        eqjoin_obs::counter!("eqjoin_rows_ingested_total").add(inserted as u64);
         Ok(inserted)
     }
 
-    /// Remove rows by id; every id must exist.
+    /// Remove rows by id; every id must exist. Returns how many
+    /// distinct rows went.
     fn remove_rows(&mut self, ids: &[u64]) -> Result<usize, DbError> {
-        let mut positions = Vec::with_capacity(ids.len());
-        for &id in ids {
-            positions.push(self.position_of(id).ok_or_else(|| DbError::UnknownRow {
+        if let Some(&id) = ids.iter().find(|&&id| self.position_of(id).is_none()) {
+            return Err(DbError::UnknownRow {
                 table: self.name.clone(),
                 row: id,
-            })?);
+            });
         }
-        positions.sort_unstable();
-        positions.dedup();
-        let mut keep = vec![true; self.len()];
-        for &pos in &positions {
-            // audit-allow(panic-freedom): position_of() only returns positions < self.len(), which sized `keep`
-            keep[pos] = false;
-        }
+        let mut doomed = ids.to_vec();
+        doomed.sort_unstable();
+        doomed.dedup();
+        let keep: Vec<bool> = self
+            .ids
+            .iter()
+            .map(|id| doomed.binary_search(id).is_err())
+            .collect();
         retain_by_mask(&mut self.ids, &keep);
         retain_by_mask(&mut self.versions, &keep);
         retain_by_mask(&mut self.ciphers, &keep);
@@ -333,7 +382,7 @@ impl<E: Engine> TableStore<E> {
                 retain_by_mask(col, &keep);
             }
         }
-        Ok(positions.len())
+        Ok(doomed.len())
     }
 
     /// The prepared rows at `positions`, first preparing those no query
@@ -399,15 +448,11 @@ impl<E: Engine> TableStore<E> {
     }
 }
 
-/// `vec.retain` driven by a precomputed per-position mask.
+/// `vec.retain` driven by a precomputed per-position mask (an element
+/// past the mask's end is kept; every caller passes one per element).
 fn retain_by_mask<T>(vec: &mut Vec<T>, keep: &[bool]) {
-    let mut pos = 0;
-    vec.retain(|_| {
-        // audit-allow(panic-freedom): every caller passes a mask of exactly vec.len() entries
-        let k = keep[pos];
-        pos += 1;
-        k
-    });
+    let mut keep = keep.iter();
+    vec.retain(|_| keep.next().copied().unwrap_or(true));
 }
 
 /// One memoized `SJ.Dec` side: per-row match keys, each valid for the
@@ -518,7 +563,9 @@ impl<E: Engine> EncryptedStore<E> {
         self.tables.get(name)
     }
 
-    fn mark_dirty(&self) {
+    /// Arm the dirty flag: the next persistence decision rewrites the
+    /// snapshot (a persistent backend whose flush failed re-arms it).
+    pub fn mark_dirty(&self) {
         self.dirty.store(true, Ordering::Relaxed);
     }
 
@@ -535,59 +582,16 @@ impl<E: Engine> EncryptedStore<E> {
         self.dirty.load(Ordering::Relaxed)
     }
 
-    /// Re-arm the dirty flag — a persistent backend failed to flush and
-    /// wants the next request to retry.
-    pub fn mark_dirty_again(&self) {
-        self.mark_dirty();
-    }
-
-    fn next_versions(&mut self, n: usize) -> std::ops::Range<u64> {
-        let start = self.next_version;
-        self.next_version += n as u64;
-        start..self.next_version
-    }
-
     /// Store a whole encrypted table (replacing any table of the same
     /// name). Every row is re-versioned, so stale cache entries die by
     /// version mismatch; the old table's entries are also dropped
-    /// eagerly to free memory. Rows get ids `0..n`. Ragged tables
-    /// (rows disagreeing on column arity) are rejected.
+    /// eagerly to free memory. Rows get ids `0..n`. A table whose rows
+    /// disagree with the first one's layout — payload columns,
+    /// ciphertext elements, or tags other than one per filter column —
+    /// is refused, and the stored one stays.
     pub fn insert_table(&mut self, table: EncryptedTable<E>) -> Result<(), DbError> {
-        let n_rows = table.rows.len();
-        let n_cols = table.rows.first().map_or(0, |r| r.payloads.len());
-        let tagged = table.rows.first().is_some_and(|r| r.tags.is_some());
-        let n_tag_cols = if tagged {
-            table.filter_columns.len()
-        } else {
-            0
-        };
-        for row in &table.rows {
-            let row_tags = row.tags.as_ref().map_or(0, Vec::len);
-            if row.payloads.len() != n_cols
-                || row.tags.is_some() != tagged
-                || row_tags != if tagged { n_tag_cols } else { 0 }
-            {
-                return Err(DbError::Protocol(format!(
-                    "ragged table {:?}: rows disagree on column layout",
-                    table.name
-                )));
-            }
-        }
-
-        let mut store = TableStore {
-            name: table.name.clone(),
-            join_column: table.join_column,
-            filter_columns: table.filter_columns,
-            ids: Vec::with_capacity(n_rows),
-            versions: Vec::with_capacity(n_rows),
-            ciphers: Vec::with_capacity(n_rows),
-            prepared: Vec::with_capacity(n_rows),
-            payload_columns: vec![Vec::with_capacity(n_rows); n_cols],
-            tag_columns: tagged.then(|| vec![Vec::with_capacity(n_rows); n_tag_cols]),
-        };
-        let versions = self.next_versions(n_rows);
-        store.push_rows(0, table.rows, versions)?;
-        eqjoin_obs::counter!("eqjoin_rows_ingested_total").add(n_rows as u64);
+        let mut store = TableStore::new(table.name, table.join_column, table.filter_columns);
+        store.push_rows(0, table.rows, &mut self.next_version)?;
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -606,15 +610,8 @@ impl<E: Engine> EncryptedStore<E> {
         start_row: u64,
         rows: Vec<EncryptedRow<E>>,
     ) -> Result<usize, DbError> {
-        let versions = self.next_versions(rows.len());
-        let stored = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?;
-        let inserted = stored.push_rows(start_row, rows, versions)?;
-        eqjoin_obs::counter!("eqjoin_rows_ingested_total").add(inserted as u64);
-        self.mark_dirty();
-        Ok(inserted)
+        self.grow(table, None, start_row, rows)
+            .map(|(inserted, _)| inserted)
     }
 
     /// Apply one COPY-style bulk-load chunk
@@ -626,8 +623,9 @@ impl<E: Engine> EncryptedStore<E> {
     /// the chunk's join column and filter columns match what the table
     /// was created with — a loader pointed at the wrong table fails
     /// loudly instead of splicing rows encrypted under a different key
-    /// column. A replayed chunk collides on `start_row` and is rejected
-    /// by `TableStore::push_rows`, which is what makes journal replay
+    /// column. Rows are checked as every upload's are (one tag per
+    /// filter column included). A replayed chunk collides on
+    /// `start_row` and is refused, which is what makes journal replay
     /// of a bulk load idempotent. Returns `(rows appended, total rows
     /// now stored)`.
     pub fn copy_rows(
@@ -638,9 +636,24 @@ impl<E: Engine> EncryptedStore<E> {
         start_row: u64,
         rows: Vec<EncryptedRow<E>>,
     ) -> Result<(usize, u64), DbError> {
-        let versions = self.next_versions(rows.len());
-        match self.tables.get_mut(table) {
-            Some(stored) => {
+        self.grow(table, Some((join_column, filter_columns)), start_row, rows)
+    }
+
+    /// Append `rows` to `table`. With a `layout` (a COPY chunk) a
+    /// missing table is created with it — and published only once its
+    /// rows are in, so a refused first chunk leaves no half-created
+    /// table behind — and an existing one must match it. Returns
+    /// `(rows appended, total rows now stored)`.
+    fn grow(
+        &mut self,
+        table: &str,
+        layout: Option<(&str, &[String])>,
+        start_row: u64,
+        rows: Vec<EncryptedRow<E>>,
+    ) -> Result<(usize, u64), DbError> {
+        let mut created = None;
+        let stored = match (self.tables.get_mut(table), layout) {
+            (Some(stored), Some((join_column, filter_columns))) => {
                 if stored.join_column != join_column {
                     return Err(DbError::JoinColumnMismatch {
                         table: table.to_owned(),
@@ -655,35 +668,23 @@ impl<E: Engine> EncryptedStore<E> {
                         filter_columns, stored.filter_columns
                     )));
                 }
-                let inserted = stored.push_rows(start_row, rows, versions)?;
-                let total = stored.len() as u64;
-                eqjoin_obs::counter!("eqjoin_rows_ingested_total").add(inserted as u64);
-                self.mark_dirty();
-                Ok((inserted, total))
+                stored
             }
-            None => {
-                // First chunk: build the table off to the side and only
-                // publish it if the rows go in cleanly, so a malformed
-                // first chunk leaves no half-created table behind.
-                let mut store = TableStore {
-                    name: table.to_owned(),
-                    join_column: join_column.to_owned(),
-                    filter_columns: filter_columns.to_vec(),
-                    ids: Vec::new(),
-                    versions: Vec::new(),
-                    ciphers: Vec::new(),
-                    prepared: Vec::new(),
-                    payload_columns: Vec::new(),
-                    tag_columns: None,
-                };
-                let inserted = store.push_rows(start_row, rows, versions)?;
-                let total = store.len() as u64;
-                self.tables.insert(store.name.clone(), store);
-                eqjoin_obs::counter!("eqjoin_rows_ingested_total").add(inserted as u64);
-                self.mark_dirty();
-                Ok((inserted, total))
-            }
+            (Some(stored), None) => stored,
+            (None, Some((join_column, filter_columns))) => created.insert(TableStore::new(
+                table.to_owned(),
+                join_column.to_owned(),
+                filter_columns.to_vec(),
+            )),
+            (None, None) => return Err(DbError::UnknownTable(table.to_owned())),
+        };
+        let inserted = stored.push_rows(start_row, rows, &mut self.next_version)?;
+        let total = stored.len() as u64;
+        if let Some(store) = created {
+            self.tables.insert(store.name.clone(), store);
         }
+        self.mark_dirty();
+        Ok((inserted, total))
     }
 
     /// Delete rows by id. Cache entries for other rows stay valid (a
@@ -751,7 +752,7 @@ impl<E: Engine> EncryptedStore<E> {
                 });
             }
         }
-        let candidates = table.candidate_positions(&side.prefilter, opts.use_prefilter);
+        let candidates = table.candidates(&side.prefilter, opts.use_prefilter);
         stats.rows_prefiltered_out += table.len() - candidates.len();
         stats.rows_decrypted += candidates.len();
 
@@ -763,40 +764,29 @@ impl<E: Engine> EncryptedStore<E> {
         // version match), collect the misses.
         let mut out: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(candidates.len());
         let mut misses: Vec<usize> = Vec::new();
-        let mut vouched = false;
-        if let Some(key) = &key {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            let entry = cache.touch(key).filter(|e| e.table == side.table);
-            vouched = entry.is_some();
-            for &pos in &candidates {
-                // audit-allow(panic-freedom): `pos` comes from candidate_positions(), bounded by table.len() which sizes `ids`
-                let id = table.ids[pos];
-                // audit-allow(panic-freedom): same bound as `id` above; `versions` is parallel to `ids`
-                let version = table.versions[pos];
-                match entry
-                    .as_ref()
-                    .and_then(|e| e.rows.get(&id))
-                    .filter(|(v, _)| *v == version)
-                {
-                    Some((_, match_key)) => {
-                        stats.decrypt_cache_hits += 1;
-                        out.push((id as usize, Some(match_key.clone())));
-                    }
-                    None => {
-                        misses.push(pos);
-                        out.push((id as usize, None));
-                    }
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = key
+            .as_ref()
+            .and_then(|key| cache.touch(key))
+            .filter(|e| e.table == side.table);
+        let vouched = entry.is_some();
+        for &(pos, id, version) in &candidates {
+            match entry
+                .as_ref()
+                .and_then(|e| e.rows.get(&id))
+                .filter(|(v, _)| *v == version)
+            {
+                Some((_, match_key)) => {
+                    stats.decrypt_cache_hits += 1;
+                    out.push((id as usize, Some(match_key.clone())));
+                }
+                None => {
+                    misses.push(pos);
+                    out.push((id as usize, None));
                 }
             }
-        } else {
-            misses.extend(&candidates);
-            out.extend(
-                candidates
-                    .iter()
-                    // audit-allow(panic-freedom): candidate positions are bounded by table.len() which sizes `ids`
-                    .map(|&pos| (table.ids[pos] as usize, None)),
-            );
         }
+        drop(cache);
 
         // Validate once: these bytes are vouched for by the entry a
         // checked pass over them left behind, and only as long as they
@@ -852,10 +842,7 @@ impl<E: Engine> EncryptedStore<E> {
             let rows: HashMap<u64, (u64, Vec<u8>)> = candidates
                 .iter()
                 .zip(&out)
-                .map(|(&pos, (_, match_key))| {
-                    // audit-allow(panic-freedom): candidate positions are bounded by table.len()
-                    (table.ids[pos], (table.versions[pos], match_key.clone()))
-                })
+                .map(|(&(_, id, version), (_, match_key))| (id, (version, match_key.clone())))
                 .collect();
             // A request may lower the store's cap, never lift it: the
             // cap is a wire field, and the cache lives in memory and in
@@ -887,12 +874,10 @@ impl<E: Engine> EncryptedStore<E> {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut body = Writer::default();
         body.u64(self.next_version);
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        body.u64(names.len() as u64);
-        for name in names {
-            // audit-allow(panic-freedom): `names` are this map's own keys
-            let t = &self.tables[name];
+        let mut tables: Vec<(&String, &TableStore<E>)> = self.tables.iter().collect();
+        tables.sort_unstable_by_key(|&(name, _)| name);
+        body.u64(tables.len() as u64);
+        for (_, t) in tables {
             body.str(&t.name);
             body.str(&t.join_column);
             body.put(&t.filter_columns);
@@ -928,21 +913,17 @@ impl<E: Engine> EncryptedStore<E> {
 
         let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         body.u64(cache.tick);
-        let mut keys: Vec<&[u8; 32]> = cache.entries.keys().collect();
-        keys.sort();
-        body.u64(keys.len() as u64);
-        for key in keys {
-            // audit-allow(panic-freedom): `keys` are this map's own keys
-            let entry = &cache.entries[key];
+        let mut entries: Vec<(&[u8; 32], &CacheEntry)> = cache.entries.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        body.u64(entries.len() as u64);
+        for (key, entry) in entries {
             body.out.extend_from_slice(key);
             body.str(&entry.table);
             body.u64(entry.last_used);
-            let mut ids: Vec<&u64> = entry.rows.keys().collect();
-            ids.sort();
-            body.u64(ids.len() as u64);
-            for id in ids {
-                // audit-allow(panic-freedom): `ids` are this map's own keys
-                let (version, match_key) = &entry.rows[id];
+            let mut rows: Vec<(&u64, &(u64, Vec<u8>))> = entry.rows.iter().collect();
+            rows.sort_unstable_by_key(|&(id, _)| id);
+            body.u64(rows.len() as u64);
+            for (id, (version, match_key)) in rows {
                 body.u64(*id);
                 body.u64(*version);
                 body.bytes(match_key);
@@ -1015,8 +996,7 @@ impl<E: Engine> EncryptedStore<E> {
             let filter_columns = r.get()?;
             let n_rows = r.len("rows")?;
             let ids: Vec<u64> = (0..n_rows).map(|_| r.u64()).collect::<Result<_, _>>()?;
-            // audit-allow(panic-freedom): windows(2) yields exactly-2-element slices
-            if !ids.windows(2).all(|w| w[0] < w[1]) {
+            if !ids.is_sorted_by(|a, b| a < b) {
                 return Err(DbError::Protocol("row ids not strictly ascending".into()));
             }
             let versions: Vec<u64> = (0..n_rows).map(|_| r.u64()).collect::<Result<_, _>>()?;

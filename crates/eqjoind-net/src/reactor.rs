@@ -462,8 +462,7 @@ fn event_loop(
             Err(e) => break Err(transport(e, "epoll_wait")),
         };
         let mut drain_now = false;
-        // audit-allow(panic-freedom): epoll_wait returns at most events.len() ready slots
-        for event in &events[..n] {
+        for event in events.iter().take(n) {
             // Copy out of the packed struct before use.
             let (token, ready) = ({ event.data }, { event.events });
             match token {
@@ -675,9 +674,13 @@ fn read_frames(conn: &mut Conn, admission: &Arc<Admission>, scratch: &mut [u8]) 
                 break;
             }
             Ok(n) => {
+                // `read` reports at most `scratch.len()` bytes; a count
+                // past it is a broken stream, closed as an error is.
+                let Some(got) = scratch.get(..n) else {
+                    return false;
+                };
                 conn.last_activity = Instant::now();
-                // audit-allow(panic-freedom): read() returns at most scratch.len() bytes
-                conn.read_buf.extend_from_slice(&scratch[..n]);
+                conn.read_buf.extend_from_slice(got);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -767,8 +770,13 @@ fn service_conn(epfd: i32, token: u64, conn: &mut Conn, queue: &JobQueue, draini
         Some(_) | None => {}
     }
     while conn.write_pending() {
-        // audit-allow(panic-freedom): write_pending() guarantees write_pos <= write_buf.len()
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+        // `write_pending()` means `write_pos` is inside the buffer; were
+        // it not, the connection closes as on a write error.
+        let written = match conn.write_buf.get(conn.write_pos..) {
+            Some(rest) => conn.stream.write(rest),
+            None => Err(io::ErrorKind::InvalidInput.into()),
+        };
+        match written {
             Ok(0) => break,
             Ok(n) => {
                 conn.last_activity = Instant::now();
