@@ -27,7 +27,7 @@ use super::transport::TransportCounters;
 use crate::error::DbError;
 use crate::protocol::{Request, Response, ServerApi};
 use crate::server::DbServer;
-use crate::store::{store_failpoint, EncryptedStore};
+use crate::store::{store_failpoint, store_failpoint_action, EncryptedStore};
 use eqjoin_pairing::Engine;
 use std::io::Write;
 use std::path::PathBuf;
@@ -79,7 +79,10 @@ impl Disk {
 
     /// Append one intent record: `len ‖ fnv1a(bytes) ‖ bytes`, fsynced
     /// before returning so an acknowledged mutation's intent survives
-    /// any crash after this call.
+    /// any crash after this call. A failed write or fsync cuts the file
+    /// back to the records before it: the mutation is refused, so its
+    /// record — torn or whole — must neither replay nor strand the
+    /// intents appended after it behind unreadable bytes.
     fn append(&mut self, bytes: &[u8]) -> Result<(), DbError> {
         // Byte counts ride the ns-bucketed histogram: the exponential
         // buckets work for any magnitude, and the scrape labels the
@@ -96,10 +99,31 @@ impl Disk {
             .append(true)
             .open(path)
             .map_err(|e| DbError::Snapshot(format!("open journal {}: {e}", path.display())))?;
-        file.write_all(&record)
-            .map_err(|e| DbError::Snapshot(format!("append journal {}: {e}", path.display())))?;
-        file.sync_all()
-            .map_err(|e| DbError::Snapshot(format!("fsync journal {}: {e}", path.display())))?;
+        let fp = "local::journal::append";
+        let written = match eqjoin_failpoint::failpoint!(fp) {
+            // A torn append: the head of the record reaches the file,
+            // then the write fails.
+            Some(eqjoin_failpoint::Action::PartialWrite(n)) => file
+                .write_all(record.get(..n).unwrap_or(&record))
+                .and(Err(std::io::Error::other(format!(
+                    "failpoint {fp}: torn after {n} of {} bytes",
+                    record.len()
+                )))),
+            action => {
+                store_failpoint_action(fp, action)?;
+                file.write_all(&record).and_then(|()| file.sync_all())
+            }
+        };
+        if let Err(e) = written {
+            let mut msg = format!("append journal {}: {e}", path.display());
+            if let Err(e) = file.set_len(self.journal_bytes) {
+                msg += &format!(
+                    "; cutting it back to {} bytes failed: {e}",
+                    self.journal_bytes
+                );
+            }
+            return Err(DbError::Snapshot(msg));
+        }
         self.journal_bytes += record.len() as u64;
         Ok(())
     }

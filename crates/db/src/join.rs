@@ -7,6 +7,7 @@
 //! the nested loop exists as the ablation/comparison arm.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Join algorithm selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,16 +32,33 @@ pub struct MatchOutcome {
     pub comparisons: u64,
 }
 
+/// A `D` value as a bucket key: equal iff the whole values are equal,
+/// hashed on its last 16 bytes only. In the engines' big-endian
+/// canonical encodings those are low-order limb bytes, spread
+/// uniformly, so 16 bytes bucket as well as the whole value (576 at
+/// `Bls12`) at a fraction of the hashing; values that share the window
+/// and differ elsewhere cost a probe, never a false match. The hasher
+/// stays std's keyed one, and a crafted pile-up would need `SJ.Dec`
+/// outputs that agree on 128 bits.
+#[derive(PartialEq, Eq)]
+struct DKey<'a>(&'a [u8]);
+
+impl Hash for DKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.0.rchunks(16).next().unwrap_or_default());
+    }
+}
+
 /// Hash join: bucket both sides by `D` bytes, emit the cross product of
 /// each bucket.
 pub fn hash_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -> MatchOutcome {
-    let mut buckets: HashMap<&[u8], (Vec<usize>, Vec<usize>)> =
+    let mut buckets: HashMap<DKey, (Vec<usize>, Vec<usize>)> =
         HashMap::with_capacity(left.len() + right.len());
     for (idx, key) in left {
-        buckets.entry(key.as_slice()).or_default().0.push(*idx);
+        buckets.entry(DKey(key)).or_default().0.push(*idx);
     }
     for (idx, key) in right {
-        buckets.entry(key.as_slice()).or_default().1.push(*idx);
+        buckets.entry(DKey(key)).or_default().1.push(*idx);
     }
     let mut pairs = Vec::new();
     let mut equality_classes = Vec::new();
@@ -241,6 +259,90 @@ mod tests {
         ];
         assert!(stitch_stages(&dead).is_empty());
         assert!(stitch_stages(&[]).is_empty());
+    }
+
+    /// Equality classes in a canonical order, members sorted.
+    fn canonical(mut classes: Vec<Vec<(u8, usize)>>) -> Vec<Vec<(u8, usize)>> {
+        for class in &mut classes {
+            class.sort_unstable();
+        }
+        classes.sort_unstable();
+        classes
+    }
+
+    /// Classes by grouping on the whole value, independently of any hash.
+    fn reference_classes(
+        left: &[(usize, Vec<u8>)],
+        right: &[(usize, Vec<u8>)],
+    ) -> Vec<Vec<(u8, usize)>> {
+        let mut groups: std::collections::BTreeMap<&[u8], Vec<(u8, usize)>> = Default::default();
+        let sides = left
+            .iter()
+            .map(|r| (0u8, r))
+            .chain(right.iter().map(|r| (1u8, r)));
+        for (side, (idx, key)) in sides {
+            groups.entry(key).or_default().push((side, *idx));
+        }
+        canonical(groups.into_values().filter(|c| c.len() >= 2).collect())
+    }
+
+    #[test]
+    fn bucket_key_hashes_the_window_and_compares_the_whole_value() {
+        // 576-byte values (a `Bls12` D) that share their last 16 bytes.
+        let value = |head: u8| {
+            let mut v = vec![head; 576];
+            v[560..].copy_from_slice(&[7u8; 16]);
+            v
+        };
+        let left = vec![(0, value(1)), (1, value(2)), (2, value(1))];
+        let right = vec![(0, value(2)), (1, value(3)), (2, value(1))];
+        let out = hash_join(&left, &right);
+        assert_eq!(out.pairs, vec![(0, 2), (1, 0), (2, 2)]);
+        assert_eq!(
+            canonical(out.equality_classes),
+            vec![vec![(0, 0), (0, 2), (1, 2)], vec![(0, 1), (1, 0)]]
+        );
+        // Values shorter than the window bucket whole.
+        let short = keyed(&[(0, 1), (1, 2)]);
+        assert_eq!(hash_join(&short, &short).pairs, vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn hash_join_agrees_with_nested_loop_on_pairs_and_classes() {
+        // Values that differ outside the hashed window, inside it, or
+        // not at all, from a small alphabet so that classes form.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..50 {
+            let mut side = |n: usize| -> Vec<(usize, Vec<u8>)> {
+                (0..n)
+                    .map(|i| {
+                        let r = next();
+                        let mut v = vec![0u8; 40];
+                        v[0] = (r % 3) as u8;
+                        v[39] = ((r >> 8) % 3) as u8;
+                        (i, v)
+                    })
+                    .collect()
+            };
+            let (left, right) = (side(12), side(9));
+            let h = hash_join(&left, &right);
+            let n = nested_loop_join(&left, &right);
+            assert_eq!(h.pairs, n.pairs);
+            assert_eq!(
+                canonical(h.equality_classes),
+                reference_classes(&left, &right)
+            );
+            assert_eq!(
+                canonical(n.equality_classes),
+                reference_classes(&left, &right)
+            );
+        }
     }
 
     #[test]

@@ -162,7 +162,10 @@ pub struct JoinObservation {
 /// executor.
 pub struct DbServer<E: Engine> {
     store: EncryptedStore<E>,
-    default_threads: Option<usize>,
+    /// The most decrypt workers a request gets: the configured default,
+    /// else the cores available when it was set (asking the OS reads
+    /// cgroup files, too slow to repeat on every join).
+    max_threads: usize,
 }
 
 impl<E: Engine> Default for DbServer<E> {
@@ -174,17 +177,14 @@ impl<E: Engine> Default for DbServer<E> {
 impl<E: Engine> DbServer<E> {
     /// Empty server.
     pub fn new() -> Self {
-        DbServer {
-            store: EncryptedStore::new(),
-            default_threads: None,
-        }
+        Self::with_store(EncryptedStore::new())
     }
 
     /// Server over an existing store (e.g. one loaded from a snapshot).
     pub fn with_store(store: EncryptedStore<E>) -> Self {
         DbServer {
             store,
-            default_threads: None,
+            max_threads: available_cores(),
         }
     }
 
@@ -236,9 +236,10 @@ impl<E: Engine> DbServer<E> {
     /// Fix the worker count used when a request asks for auto threads
     /// (`JoinOptions::threads == 0`) and the ceiling for one that names
     /// a count. `None` (the default) is the machine's available
-    /// parallelism.
+    /// parallelism, read here and when the server is built — not on
+    /// every join.
     pub fn set_default_threads(&mut self, threads: Option<usize>) {
-        self.default_threads = threads.filter(|&t| t > 0);
+        self.max_threads = threads.filter(|&t| t > 0).unwrap_or_else(available_cores);
     }
 
     /// Set the decrypt-cache capacity used when a request does not pin
@@ -253,14 +254,9 @@ impl<E: Engine> DbServer<E> {
     /// for fewer (`0` = the ceiling), never more — `threads` is a wire
     /// field, and the decrypt phase spawns one OS thread per chunk.
     fn resolve_threads(&self, requested: usize) -> usize {
-        let ceiling = self.default_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
         match requested {
-            0 => ceiling,
-            n => n.min(ceiling),
+            0 => self.max_threads,
+            n => n.min(self.max_threads),
         }
     }
 
@@ -382,6 +378,11 @@ impl<E: Engine> DbServer<E> {
 
         Ok((EncryptedJoinResult { pairs, stats }, observation))
     }
+}
+
+/// The machine's available parallelism (1 if the OS will not say).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]

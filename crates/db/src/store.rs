@@ -32,7 +32,13 @@
 //!    rows: after `InsertRows` a repeated query re-decrypts only the
 //!    new rows, after `DeleteRows` nothing at all, and untouched
 //!    tables stay fully warm. Eviction is true LRU with a configurable
-//!    cap.
+//!    cap. An entry's key, the *fingerprint*, is the SHA-256 of the
+//!    side's preimage (token bytes as received, table, pre-filter); the
+//!    cache also remembers each preimage it has hashed and holds an
+//!    entry for, so a repeated side finds its fingerprint by exact byte
+//!    equality and a warm repeat hashes nothing. That memo is bounded
+//!    by the cap (one preimage per entry, ≈ 1.1 KB at m = 2, t = 3),
+//!    pruned with the entries and never persisted.
 //! 3. **The tables themselves**, stored column-oriented: per-row
 //!    ciphertexts next to per-*column* sealed payload and pre-filter
 //!    tag vectors, so the pre-filter scans only the constrained
@@ -465,14 +471,39 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// True-LRU memo of decrypt sides keyed by token fingerprint.
+/// True-LRU memo of decrypt sides keyed by token fingerprint, and a
+/// memo of the fingerprints themselves.
 #[derive(Default)]
 struct DecryptCache {
     entries: HashMap<[u8; 32], CacheEntry>,
+    /// `side_preimage → fingerprint` for the sides this process has
+    /// seen: a repeat finds its fingerprint by exact byte equality and
+    /// runs no SHA-256. Every value is a key of `entries` (eviction and
+    /// purges prune the rest), so it holds at most one preimage per
+    /// entry. In memory only: query tokens never reach disk.
+    known: HashMap<Box<[u8]>, [u8; 32]>,
+    /// SHA-256 runs over side preimages — what `known` saves.
+    digests: u64,
     tick: u64,
 }
 
 impl DecryptCache {
+    /// The fingerprint of a side preimage: remembered if these exact
+    /// bytes were hashed before, else their SHA-256 — remembered at once
+    /// when it names an entry (one read back from a snapshot), and by
+    /// `insert` when a pass adds one.
+    fn fingerprint(&mut self, preimage: &[u8]) -> [u8; 32] {
+        if let Some(key) = self.known.get(preimage) {
+            return *key;
+        }
+        self.digests += 1;
+        let key = eqjoin_crypto::sha256(preimage);
+        if self.entries.contains_key(&key) {
+            self.known.insert(preimage.into(), key);
+        }
+        key
+    }
+
     fn touch(&mut self, key: &[u8; 32]) -> Option<&mut CacheEntry> {
         self.tick += 1;
         let tick = self.tick;
@@ -481,8 +512,9 @@ impl DecryptCache {
         Some(entry)
     }
 
-    fn insert(&mut self, key: [u8; 32], entry: CacheEntry, cap: usize) {
+    fn insert(&mut self, preimage: Box<[u8]>, key: [u8; 32], entry: CacheEntry, cap: usize) {
         self.entries.insert(key, entry);
+        self.known.insert(preimage, key);
         while self.entries.len() > cap.max(1) {
             // True LRU: evict the least recently used entry.
             let Some(oldest) = self
@@ -496,10 +528,17 @@ impl DecryptCache {
             self.entries.remove(&oldest);
             eqjoin_obs::counter!("eqjoin_store_decrypt_cache_evictions_total").inc();
         }
+        self.forget_dropped();
     }
 
     fn purge_table(&mut self, table: &str) {
         self.entries.retain(|_, e| e.table != table);
+        self.forget_dropped();
+    }
+
+    /// Drop the memoized fingerprints whose entry is gone.
+    fn forget_dropped(&mut self) {
+        self.known.retain(|_, key| self.entries.contains_key(key));
     }
 }
 
@@ -725,7 +764,10 @@ impl<E: Engine> EncryptedStore<E> {
     /// SHA-256); the fingerprint covers every token byte; and with no
     /// miss the token is never used. A miss, a side the cache does not
     /// hold (even one selecting zero rows) and every `decrypt_cache:
-    /// false` request are checked.
+    /// false` request are checked. A fingerprint found in the memo
+    /// instead of recomputed vouches just as much: the memo maps
+    /// exactly these bytes to the SHA-256 an earlier pass computed over
+    /// them, and holds only fingerprints the cache has an entry for.
     pub fn decrypt_side(
         &self,
         side: &SideTokens<E>,
@@ -756,15 +798,16 @@ impl<E: Engine> EncryptedStore<E> {
         stats.rows_prefiltered_out += table.len() - candidates.len();
         stats.rows_decrypted += candidates.len();
 
-        let key = opts
+        let preimage = opts
             .decrypt_cache
-            .then(|| side_fingerprint::<E>(side, opts.use_prefilter));
+            .then(|| side_preimage::<E>(side, opts.use_prefilter));
 
         // Phase 1 — serve what the cache already knows (exact row
         // version match), collect the misses.
         let mut out: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(candidates.len());
         let mut misses: Vec<usize> = Vec::new();
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let key = preimage.as_deref().map(|p| cache.fingerprint(p));
         let entry = key
             .as_ref()
             .and_then(|key| cache.touch(key))
@@ -838,7 +881,7 @@ impl<E: Engine> EncryptedStore<E> {
         // persistent server rewrite the whole snapshot to disk, the
         // exact steady state the cache exists to make cheap. Only a
         // pass with fresh decrypts updates the entry and the flag.
-        if let (Some(key), false) = (key, misses.is_empty()) {
+        if let (Some(key), Some(preimage), false) = (key, preimage, misses.is_empty()) {
             let rows: HashMap<u64, (u64, Vec<u8>)> = candidates
                 .iter()
                 .zip(&out)
@@ -858,7 +901,7 @@ impl<E: Engine> EncryptedStore<E> {
                 rows,
                 last_used: cache.tick,
             };
-            cache.insert(key, entry, cap);
+            cache.insert(preimage.into_boxed_slice(), key, entry, cap);
             drop(cache);
             self.mark_dirty();
         }
@@ -1052,8 +1095,8 @@ impl<E: Engine> EncryptedStore<E> {
         }
 
         let mut cache = DecryptCache {
-            entries: HashMap::new(),
             tick: r.u64()?,
+            ..DecryptCache::default()
         };
         let n_entries = r.len("cache entries")?;
         for _ in 0..n_entries {
@@ -1155,7 +1198,16 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), DbError> {
 /// (`return-error`, or the I/O-only `partial-write`/`drop-conn`)
 /// surfaces as a typed [`DbError::Snapshot`].
 pub(crate) fn store_failpoint(name: &str) -> Result<(), DbError> {
-    match eqjoin_failpoint::failpoint!(name) {
+    store_failpoint_action(name, eqjoin_failpoint::failpoint!(name))
+}
+
+/// [`store_failpoint`] for an action the site has already drawn (a
+/// write site takes `partial-write` for itself first).
+pub(crate) fn store_failpoint_action(
+    name: &str,
+    action: Option<eqjoin_failpoint::Action>,
+) -> Result<(), DbError> {
+    match action {
         None => Ok(()),
         Some(eqjoin_failpoint::Action::Delay(ms)) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
@@ -1205,34 +1257,203 @@ fn decrypt_positions<E: Engine>(
     Ok(chunks.into_iter().flatten().collect())
 }
 
-/// Collision-resistant fingerprint of one side's decrypt inputs: the
+/// The bytes a side's decrypt-cache fingerprint is the SHA-256 of: the
 /// token elements as received, the target table, the pre-filter
 /// constraint sets and whether the pre-filter applies. Byte-identical
-/// fingerprints decrypt to byte-identical outputs, which is what makes
+/// preimages decrypt to byte-identical outputs, which is what makes
 /// the memoization sound — and, the engines' decoding being canonical
 /// (one encoding per element), hashing the received bytes gives the
 /// digest that hashing the decoded elements' encodings gave.
-pub(crate) fn side_fingerprint<E: Engine>(side: &SideTokens<E>, use_prefilter: bool) -> [u8; 32] {
-    let mut h = eqjoin_crypto::Sha256::new();
-    h.update(b"eqjoin-decrypt-cache-v1\0");
-    h.update(&(side.table.len() as u64).to_le_bytes());
-    h.update(side.table.as_bytes());
-    h.update(&[
+///
+/// A repeat finds its entry through these bytes (`DecryptCache::known`),
+/// but entries stay keyed by their digest: keying them by the bytes
+/// would write query tokens to disk, need a snapshot format 3, and drop
+/// every cached side when a format-2 data directory upgrades.
+fn side_preimage<E: Engine>(side: &SideTokens<E>, use_prefilter: bool) -> Vec<u8> {
+    const DOMAIN: &[u8] = b"eqjoin-decrypt-cache-v1\0";
+    let elements: usize = side.token.elements().iter().map(|e| 8 + e.len()).sum();
+    let prefilter: usize = side
+        .prefilter
+        .iter()
+        .map(|(_, allowed)| 16 + 16 * allowed.len())
+        .sum();
+    let mut p =
+        Vec::with_capacity(DOMAIN.len() + 8 + side.table.len() + 2 + 8 + elements + 8 + prefilter);
+    p.extend_from_slice(DOMAIN);
+    p.extend_from_slice(&(side.table.len() as u64).to_le_bytes());
+    p.extend_from_slice(side.table.as_bytes());
+    p.extend_from_slice(&[
         use_prefilter as u8,
         matches!(side.token.side(), SjTableSide::A) as u8,
     ]);
-    h.update(&(side.token.len() as u64).to_le_bytes());
+    p.extend_from_slice(&(side.token.len() as u64).to_le_bytes());
     for bytes in side.token.elements() {
-        h.update(&(bytes.len() as u64).to_le_bytes());
-        h.update(bytes);
+        p.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        p.extend_from_slice(bytes);
     }
-    h.update(&(side.prefilter.len() as u64).to_le_bytes());
+    p.extend_from_slice(&(side.prefilter.len() as u64).to_le_bytes());
     for (col, allowed) in &side.prefilter {
-        h.update(&(*col as u64).to_le_bytes());
-        h.update(&(allowed.len() as u64).to_le_bytes());
+        p.extend_from_slice(&(*col as u64).to_le_bytes());
+        p.extend_from_slice(&(allowed.len() as u64).to_le_bytes());
         for tag in allowed {
-            h.update(tag);
+            p.extend_from_slice(tag);
         }
     }
-    h.finalize()
+    p
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{DbClient, TableConfig};
+    use crate::data::{Schema, Table, Value};
+    use crate::encrypted::QueryTokens;
+    use crate::query::JoinQuery;
+    use eqjoin_pairing::MockEngine;
+
+    type Store = EncryptedStore<MockEngine>;
+
+    fn table(name: &str, keys: &[i64]) -> Table {
+        let mut t = Table::new(Schema::new(name, &["key", "tag"]));
+        for (i, &k) in keys.iter().enumerate() {
+            t.push_row(vec![Value::Int(k), Value::Str(format!("t{i}"))]);
+        }
+        t
+    }
+
+    fn encrypted(client: &mut DbClient<MockEngine>, t: &Table) -> EncryptedTable<MockEngine> {
+        let config = TableConfig {
+            join_column: "key".into(),
+            filter_columns: vec!["tag".into()],
+        };
+        client.encrypt_table(t, config).unwrap()
+    }
+
+    fn setup() -> (DbClient<MockEngine>, Store) {
+        let mut client = DbClient::<MockEngine>::new(2, 2, 7);
+        let mut store = Store::new();
+        store
+            .insert_table(encrypted(&mut client, &table("L", &[1, 2, 3, 1])))
+            .unwrap();
+        store
+            .insert_table(encrypted(&mut client, &table("R", &[1, 4, 3])))
+            .unwrap();
+        (client, store)
+    }
+
+    /// Fresh tokens: every call draws new randomness, so a new side.
+    fn tokens(client: &mut DbClient<MockEngine>) -> QueryTokens<MockEngine> {
+        client
+            .query_tokens(&JoinQuery::on("L", "key", "R", "key"))
+            .unwrap()
+    }
+
+    /// One side's answer and how many of its rows the cache served.
+    fn decrypt(store: &Store, side: &SideTokens<MockEngine>) -> (Vec<(usize, Vec<u8>)>, usize) {
+        let mut stats = ServerStats::default();
+        let out = store
+            .decrypt_side(side, &JoinOptions::default(), 1, &mut stats)
+            .unwrap();
+        (out, stats.decrypt_cache_hits as usize)
+    }
+
+    fn digests(store: &Store) -> u64 {
+        store.cache.lock().unwrap().digests
+    }
+
+    /// The memo's invariant: every remembered fingerprint has an entry.
+    fn assert_memo_bounded(store: &Store) {
+        let cache = store.cache.lock().unwrap();
+        assert!(cache.known.len() <= cache.entries.len());
+        assert!(cache.known.values().all(|k| cache.entries.contains_key(k)));
+    }
+
+    #[test]
+    fn a_warm_repeat_runs_no_sha256() {
+        let (mut client, store) = setup();
+        let q = tokens(&mut client);
+        let (cold, hits) = decrypt(&store, &q.left);
+        assert_eq!((hits, digests(&store)), (0, 1));
+        for _ in 0..3 {
+            let (warm, hits) = decrypt(&store, &q.left);
+            assert_eq!(warm, cold);
+            assert_eq!(hits, cold.len());
+        }
+        assert_eq!(
+            digests(&store),
+            1,
+            "a repeat found its fingerprint by its bytes"
+        );
+        assert_eq!(store.cache.lock().unwrap().known.len(), 1);
+    }
+
+    #[test]
+    fn a_loaded_store_hashes_each_side_once() {
+        let (mut client, store) = setup();
+        let q = tokens(&mut client);
+        let left = decrypt(&store, &q.left).0;
+        let right = decrypt(&store, &q.right).0;
+        let loaded = Store::from_snapshot_bytes(&store.snapshot_bytes()).unwrap();
+        assert!(
+            loaded.cache.lock().unwrap().known.is_empty(),
+            "never persisted"
+        );
+        for _ in 0..3 {
+            assert_eq!(decrypt(&loaded, &q.left), (left.clone(), left.len()));
+            assert_eq!(decrypt(&loaded, &q.right), (right.clone(), right.len()));
+        }
+        assert_eq!(digests(&loaded), 2);
+        assert_memo_bounded(&loaded);
+    }
+
+    #[test]
+    fn the_memo_shrinks_with_evictions_and_replaced_tables() {
+        let (mut client, mut store) = setup();
+        store.set_decrypt_cache_cap(2);
+        let (a, b, c) = (
+            tokens(&mut client),
+            tokens(&mut client),
+            tokens(&mut client),
+        );
+        for side in [&a.left, &a.right, &b.left, &b.right, &c.left] {
+            decrypt(&store, side);
+            assert_memo_bounded(&store);
+        }
+        assert_eq!(store.decrypt_cache_len(), 2);
+        // The survivors still hit through the memo; an evicted side is
+        // a miss that hashes again.
+        let hashed = digests(&store);
+        decrypt(&store, &c.left);
+        decrypt(&store, &b.right);
+        assert_eq!(digests(&store), hashed);
+        decrypt(&store, &a.left);
+        assert_eq!(digests(&store), hashed + 1);
+        assert_memo_bounded(&store);
+
+        // Replacing L purges its sides and their preimages.
+        store
+            .insert_table(encrypted(&mut client, &table("L", &[5, 6])))
+            .unwrap();
+        assert_memo_bounded(&store);
+        assert_eq!(store.cache.lock().unwrap().known.len(), 1);
+    }
+
+    #[test]
+    fn snapshots_do_not_depend_on_the_memo() {
+        let (mut client, warm) = setup();
+        let q = tokens(&mut client);
+        decrypt(&warm, &q.left);
+        decrypt(&warm, &q.right);
+        let bytes = warm.snapshot_bytes();
+        let cold = Store::from_snapshot_bytes(&bytes).unwrap();
+        assert!(cold.snapshot_bytes() == bytes);
+        // The same repeats through a warm memo and through SHA-256.
+        for store in [&warm, &cold] {
+            decrypt(store, &q.right);
+            decrypt(store, &q.left);
+        }
+        assert_eq!(digests(&warm), 2);
+        assert_eq!(digests(&cold), 2);
+        assert!(warm.snapshot_bytes() == cold.snapshot_bytes());
+    }
 }

@@ -1,9 +1,10 @@
 //! Race tests for the persistent backend's one lock order: a
 //! mutation's journal record and its store change happen in one hold
-//! of the write lock, and snapshot writes never overlap. Each test
+//! of the write lock, and snapshot writes never overlap. Each race test
 //! holds a window open with a `delay` failpoint, sends a second request
 //! once the first thread is inside it, and then checks the disk against
-//! the store that served.
+//! the store that served. One more tears a journal append with
+//! `partial-write` and checks that the intents after it survive.
 //!
 //! Run with `cargo test -p eqjoin-db --features failpoints --test
 //! persistence_order`; without the feature this file is empty.
@@ -173,5 +174,25 @@ fn snapshot_writes_never_overlap() {
         std::fs::read(&snap).unwrap() == backend.server().store().snapshot_bytes(),
         "the snapshot on disk is not the live store"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refused_append_strands_no_later_intent() {
+    let _serial = serial();
+    let mut client = DbClient::<MockEngine>::new(1, 2, 43);
+    let dir = scratch("torn-append");
+    let snap = dir.join("store.snap");
+    let backend = open(&snap);
+    acked(backend.handle(Request::InsertTable(table_t(&mut client))));
+
+    // The append tears after 5 bytes: the mutation is refused, and its
+    // head must not stay in the journal in front of the next record.
+    eqjoin_failpoint::configure("local::journal::append", "1*partial-write(5)").unwrap();
+    let refused = backend.handle(insert_rows(&mut client));
+    assert!(matches!(refused, Response::Error(_)), "{refused:?}");
+    eqjoin_failpoint::remove("local::journal::append");
+    acked(backend.handle(insert_rows(&mut client)));
+    assert_reopens_as_served(backend, &snap);
     let _ = std::fs::remove_dir_all(&dir);
 }
