@@ -621,6 +621,59 @@ mod tests {
     }
 
     #[test]
+    fn a_reopen_under_a_lower_cache_cap_keeps_no_more_entries() {
+        let mut client = DbClient::<MockEngine>::new(1, 2, 13);
+        let mut t = Table::new(Schema::new("T", &["k", "a"]));
+        for i in 0..4 {
+            t.push_row(vec![Value::Int(i % 2), "x".into()]);
+        }
+        let config = TableConfig {
+            join_column: "k".into(),
+            filter_columns: vec!["a".into()],
+        };
+        let enc = client.encrypt_table(&t, config).unwrap();
+
+        let dir = std::env::temp_dir().join(format!("eqjoin-lowercap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("store.snap");
+        {
+            // Two joins, each with two fresh sides, saved under the
+            // default cap.
+            let backend =
+                LocalBackend::<MockEngine>::with_persistence(&snap, None, None, 0).unwrap();
+            assert!(matches!(
+                backend.handle(Request::InsertTable(enc)),
+                Response::TableInserted { .. }
+            ));
+            for _ in 0..2 {
+                let tokens = client
+                    .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
+                    .unwrap();
+                assert!(matches!(
+                    backend.handle(Request::ExecuteJoin {
+                        tokens,
+                        options: JoinOptions::default(),
+                        projection: Default::default(),
+                    }),
+                    Response::JoinExecuted { .. }
+                ));
+            }
+            backend.flush().unwrap();
+        }
+        let saved = EncryptedStore::<MockEngine>::load(&snap).unwrap();
+        assert_eq!(saved.decrypt_cache_len(), 4);
+
+        let backend =
+            LocalBackend::<MockEngine>::with_persistence(&snap, None, Some(1), 0).unwrap();
+        assert_eq!(backend.server().store().decrypt_cache_len(), 1);
+        backend.flush().unwrap();
+        let rewritten = EncryptedStore::<MockEngine>::load(&snap).unwrap();
+        assert_eq!(rewritten.decrypt_cache_len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journaled_intents_replay_after_a_crash() {
         let mut client = DbClient::<MockEngine>::new(1, 2, 11);
         let mut t = Table::new(Schema::new("T", &["k", "a"]));

@@ -60,9 +60,11 @@
 //!   projection performs and skips).
 //! * [`store`] — the storage core ([`EncryptedStore`]):
 //!   column-oriented, row-versioned tables, **prepared pairing
-//!   state** filled per row on first use, a row-granular LRU decrypt
-//!   cache, incremental `InsertRows`/`DeleteRows`, and checksummed
-//!   snapshot persistence (warm restarts).
+//!   state** filled per row on first use, a row-granular decrypt cache
+//!   that evicts the side with the fewest `uses × rows` (use counts
+//!   halved every `10 × cap` lookups), incremental
+//!   `InsertRows`/`DeleteRows`, and checksummed snapshot persistence
+//!   (warm restarts).
 //! * [`server`] — the query executor over the store: per-row `SJ.Dec`,
 //!   `O(n)` hash join / `O(n²)` nested-loop join, optional
 //!   parallelism, the optional selectivity pre-filter (§4.3), and

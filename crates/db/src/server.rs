@@ -20,8 +20,10 @@
 //! pairing phase entirely (visible as [`ServerStats::decrypt_cache_hits`]
 //! and a zero pairing-counter delta), and an incremental
 //! [`DbServer::insert_rows`] re-decrypts only the new rows. The cache
-//! is LRU-capped ([`JoinOptions::decrypt_cache_cap`] /
-//! [`DbServer::set_decrypt_cache_cap`]). It caches only values the
+//! is capped ([`JoinOptions::decrypt_cache_cap`] /
+//! [`DbServer::set_decrypt_cache_cap`]) and evicts the side cheapest to
+//! lose: fewest `uses × rows`, use counts halved every `10 × cap`
+//! lookups, ties to the least recently used. It caches only values the
 //! server would recompute from what it already stores — it observes
 //! nothing new, so the leakage accounting is unchanged.
 
@@ -734,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_keeps_hot_entries_through_a_cold_flood() {
+    fn hot_entries_survive_a_cold_flood() {
         let (mut client, mut server, query) = setup();
         server.set_decrypt_cache_cap(4);
         let opts = JoinOptions::default();

@@ -1,8 +1,8 @@
 //! [`EncryptedStore`] — the server's storage core: column-oriented,
 //! row-versioned encrypted tables, a fill-on-first-use cache of
-//! **prepared pairing state**, a row-granular LRU decrypt cache, and a
-//! checksummed snapshot format that lets a restarted server resume a
-//! query series *warm*.
+//! **prepared pairing state**, a row-granular decrypt cache that evicts
+//! what is cheapest to recompute, and a checksummed snapshot format
+//! that lets a restarted server resume a query series *warm*.
 //!
 //! # Why a store, not a `HashMap`
 //!
@@ -31,12 +31,16 @@
 //!    version*, so incremental updates invalidate exactly the touched
 //!    rows: after `InsertRows` a repeated query re-decrypts only the
 //!    new rows, after `DeleteRows` nothing at all, and untouched
-//!    tables stay fully warm. Eviction is true LRU with a configurable
-//!    cap. An entry's key, the *fingerprint*, is the SHA-256 of the
-//!    side's preimage (token bytes as received, table, pre-filter); the
-//!    cache also remembers each preimage it has hashed and holds an
-//!    entry for, so a repeated side finds its fingerprint by exact byte
-//!    equality and a warm repeat hashes nothing. That memo is bounded
+//!    tables stay fully warm. The cache holds a configurable number of
+//!    entries; on overflow it evicts the side that is cheapest to lose,
+//!    the smallest `uses × rows` (lookups that found it, halved every
+//!    `10 × cap` lookups, times the `SJ.Dec` a repeat would redo), ties
+//!    to the least recently used. An entry's key, the *fingerprint*, is
+//!    the SHA-256 of the side's preimage (token bytes as received,
+//!    table, pre-filter); the cache also remembers each preimage it
+//!    has hashed and holds an entry for, so a repeated side finds its
+//!    fingerprint by exact byte equality and a warm repeat hashes
+//!    nothing. That memo is bounded
 //!    by the cap (one preimage per entry, ≈ 1.1 KB at m = 2, t = 3),
 //!    pruned with the entries and never persisted.
 //! 3. **The tables themselves**, stored column-oriented: per-row
@@ -461,18 +465,39 @@ fn retain_by_mask<T>(vec: &mut Vec<T>, keep: &[bool]) {
     vec.retain(|_| keep.next().copied().unwrap_or(true));
 }
 
+/// Lookups per cached entry between two halvings of every entry's
+/// use count: TinyLFU's reset period (Einziger et al., *TinyLFU*,
+/// 2017), so popularity that stops is forgotten.
+const AGING_LOOKUPS_PER_ENTRY: u64 = 10;
+
 /// One memoized `SJ.Dec` side: per-row match keys, each valid for the
 /// exact row version it was computed against.
 struct CacheEntry {
     table: String,
     /// `row id → (row version, match key)`.
     rows: HashMap<u64, (u64, Vec<u8>)>,
-    /// LRU recency stamp.
+    /// Recency stamp: of two entries that cost the same to lose, the
+    /// one used less recently goes.
     last_used: u64,
+    /// Lookups that found this entry, plus one for its insertion;
+    /// halved every aging window. In memory only: a loaded entry
+    /// starts at 1, and the snapshot never carries it.
+    uses: u64,
 }
 
-/// True-LRU memo of decrypt sides keyed by token fingerprint, and a
-/// memo of the fingerprints themselves.
+impl CacheEntry {
+    /// Eviction order, smallest first: the `SJ.Dec` a repeat would redo
+    /// (one per row) times how often the side came back, then recency.
+    fn keep_priority(&self) -> (u64, u64) {
+        let rows = self.rows.len().max(1) as u64;
+        (self.uses.saturating_mul(rows), self.last_used)
+    }
+}
+
+/// Memo of decrypt sides keyed by token fingerprint, and a memo of the
+/// fingerprints themselves. On overflow it evicts the entry that is
+/// cheapest to lose: the smallest `uses × rows`, ties to the least
+/// recently used.
 #[derive(Default)]
 struct DecryptCache {
     entries: HashMap<[u8; 32], CacheEntry>,
@@ -485,6 +510,8 @@ struct DecryptCache {
     /// SHA-256 runs over side preimages — what `known` saves.
     digests: u64,
     tick: u64,
+    /// Lookups since this process opened the cache (the aging clock).
+    lookups: u64,
 }
 
 impl DecryptCache {
@@ -504,31 +531,58 @@ impl DecryptCache {
         key
     }
 
-    fn touch(&mut self, key: &[u8; 32]) -> Option<&mut CacheEntry> {
+    /// One lookup: advance the clocks (halving every entry's use count
+    /// once per `AGING_LOOKUPS_PER_ENTRY × cap` lookups), then count a
+    /// use of the entry if there is one.
+    fn touch(&mut self, key: &[u8; 32], cap: usize) -> Option<&mut CacheEntry> {
         self.tick += 1;
+        self.lookups += 1;
+        let window = AGING_LOOKUPS_PER_ENTRY.saturating_mul(cap.max(1) as u64);
+        if self.lookups.is_multiple_of(window) {
+            for entry in self.entries.values_mut() {
+                entry.uses /= 2;
+            }
+        }
         let tick = self.tick;
         let entry = self.entries.get_mut(key)?;
         entry.last_used = tick;
+        entry.uses += 1;
         Some(entry)
     }
 
-    fn insert(&mut self, preimage: Box<[u8]>, key: [u8; 32], entry: CacheEntry, cap: usize) {
+    /// Store `entry` under `key`, then evict down to `cap`. A refresh
+    /// of an existing key is the same side, so it keeps its use count.
+    fn insert(&mut self, preimage: Box<[u8]>, key: [u8; 32], mut entry: CacheEntry, cap: usize) {
+        if let Some(old) = self.entries.get(&key) {
+            entry.uses = old.uses;
+        }
         self.entries.insert(key, entry);
         self.known.insert(preimage, key);
+        self.evict_to(cap, Some(key));
+    }
+
+    /// Evict the entries cheapest to lose until at most `cap` remain,
+    /// never `keep`. Returns whether anything went.
+    fn evict_to(&mut self, cap: usize, keep: Option<[u8; 32]>) -> bool {
+        let before = self.entries.len();
         while self.entries.len() > cap.max(1) {
-            // True LRU: evict the least recently used entry.
-            let Some(oldest) = self
+            let Some(victim) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+                .filter(|(key, _)| Some(**key) != keep)
+                .min_by_key(|(_, e)| e.keep_priority())
+                .map(|(key, _)| *key)
             else {
-                break; // unreachable: the loop guard keeps the map non-empty
+                break; // unreachable: cap ≥ 1 leaves an entry besides `keep`
             };
-            self.entries.remove(&oldest);
-            eqjoin_obs::counter!("eqjoin_store_decrypt_cache_evictions_total").inc();
+            if let Some(gone) = self.entries.remove(&victim) {
+                eqjoin_obs::counter!("eqjoin_store_decrypt_cache_evictions_total").inc();
+                eqjoin_obs::counter!("eqjoin_store_decrypt_cache_rows_evicted_total")
+                    .add(gone.rows.len() as u64);
+            }
         }
         self.forget_dropped();
+        self.entries.len() < before
     }
 
     fn purge_table(&mut self, table: &str) {
@@ -573,9 +627,16 @@ impl<E: Engine> EncryptedStore<E> {
 
     /// Set the decrypt-cache capacity (`eqjoind --decrypt-cache-cap`):
     /// what a request that pins none gets, and the most one that pins
-    /// a cap gets. Clamped to at least 1.
+    /// a cap gets. Clamped to at least 1. Takes effect at once: a cache
+    /// holding more entries (a snapshot saved under a larger cap) is
+    /// evicted down to it, and the store is marked dirty so the next
+    /// snapshot holds no more either.
     pub fn set_decrypt_cache_cap(&mut self, cap: usize) {
         self.cache_cap = cap.max(1);
+        let cache = self.cache.get_mut().unwrap_or_else(|e| e.into_inner());
+        if cache.evict_to(self.cache_cap, None) {
+            self.mark_dirty();
+        }
     }
 
     /// The configured default decrypt-cache capacity.
@@ -810,7 +871,7 @@ impl<E: Engine> EncryptedStore<E> {
         let key = preimage.as_deref().map(|p| cache.fingerprint(p));
         let entry = key
             .as_ref()
-            .and_then(|key| cache.touch(key))
+            .and_then(|key| cache.touch(key, self.cache_cap))
             .filter(|e| e.table == side.table);
         let vouched = entry.is_some();
         for &(pos, id, version) in &candidates {
@@ -876,11 +937,12 @@ impl<E: Engine> EncryptedStore<E> {
 
         // A fully-warm side changes nothing: the entry already holds
         // every (id, version, key) this pass produced, and `touch`
-        // refreshed its LRU stamp. Rebuilding it — and above all
-        // marking the store dirty — would make every warm repeat of a
-        // persistent server rewrite the whole snapshot to disk, the
-        // exact steady state the cache exists to make cheap. Only a
-        // pass with fresh decrypts updates the entry and the flag.
+        // counted the use and refreshed its recency stamp. Rebuilding
+        // it — and above all marking the store dirty — would make every
+        // warm repeat of a persistent server rewrite the whole snapshot
+        // to disk, the exact steady state the cache exists to make
+        // cheap. Only a pass with fresh decrypts updates the entry and
+        // the flag.
         if let (Some(key), Some(preimage), false) = (key, preimage, misses.is_empty()) {
             let rows: HashMap<u64, (u64, Vec<u8>)> = candidates
                 .iter()
@@ -900,6 +962,7 @@ impl<E: Engine> EncryptedStore<E> {
                 table: side.table.clone(),
                 rows,
                 last_used: cache.tick,
+                uses: 1,
             };
             cache.insert(preimage.into_boxed_slice(), key, entry, cap);
             drop(cache);
@@ -1116,6 +1179,7 @@ impl<E: Engine> EncryptedStore<E> {
                     table,
                     rows,
                     last_used,
+                    uses: 1,
                 },
             );
         }
@@ -1343,8 +1407,13 @@ mod tests {
 
     /// Fresh tokens: every call draws new randomness, so a new side.
     fn tokens(client: &mut DbClient<MockEngine>) -> QueryTokens<MockEngine> {
+        tokens_against(client, "R")
+    }
+
+    /// Fresh tokens for `L ⋈ right`.
+    fn tokens_against(client: &mut DbClient<MockEngine>, right: &str) -> QueryTokens<MockEngine> {
         client
-            .query_tokens(&JoinQuery::on("L", "key", "R", "key"))
+            .query_tokens(&JoinQuery::on("L", "key", right, "key"))
             .unwrap()
     }
 
@@ -1406,6 +1475,23 @@ mod tests {
         assert_memo_bounded(&loaded);
     }
 
+    /// Whether the cache holds an entry for `side`, asked without a
+    /// lookup (no use counted, no SHA-256 counted).
+    fn holds(store: &Store, side: &SideTokens<MockEngine>) -> bool {
+        let preimage = side_preimage::<MockEngine>(side, JoinOptions::default().use_prefilter);
+        let key = eqjoin_crypto::sha256(&preimage);
+        store.cache.lock().unwrap().entries.contains_key(&key)
+    }
+
+    /// The use count of the one cached side on `table`.
+    fn uses(store: &Store, table: &str) -> Option<u64> {
+        let cache = store.cache.lock().unwrap();
+        let mut on_table = cache.entries.values().filter(|e| e.table == table);
+        let uses = on_table.next().map(|e| e.uses);
+        assert!(on_table.next().is_none(), "one side on {table}");
+        uses
+    }
+
     #[test]
     fn the_memo_shrinks_with_evictions_and_replaced_tables() {
         let (mut client, mut store) = setup();
@@ -1415,27 +1501,134 @@ mod tests {
             tokens(&mut client),
             tokens(&mut client),
         );
-        for side in [&a.left, &a.right, &b.left, &b.right, &c.left] {
+        let sides = [&a.left, &a.right, &b.left, &b.right, &c.left];
+        for side in sides {
             decrypt(&store, side);
             assert_memo_bounded(&store);
         }
         assert_eq!(store.decrypt_cache_len(), 2);
         // The survivors still hit through the memo; an evicted side is
         // a miss that hashes again.
+        let (held, evicted): (Vec<_>, Vec<_>) = sides.iter().partition(|s| holds(&store, s));
+        assert_eq!(held.len(), 2);
         let hashed = digests(&store);
-        decrypt(&store, &c.left);
-        decrypt(&store, &b.right);
+        for side in held {
+            let (out, hits) = decrypt(&store, side);
+            assert_eq!(hits, out.len());
+        }
         assert_eq!(digests(&store), hashed);
-        decrypt(&store, &a.left);
+        let evicted = evicted.first().expect("three sides were evicted");
+        assert_eq!(decrypt(&store, evicted).1, 0);
         assert_eq!(digests(&store), hashed + 1);
         assert_memo_bounded(&store);
 
-        // Replacing L purges its sides and their preimages.
+        // Replacing L purges its sides and their preimages; the R side
+        // cached last stays.
+        decrypt(&store, &a.right);
         store
             .insert_table(encrypted(&mut client, &table("L", &[5, 6])))
             .unwrap();
         assert_memo_bounded(&store);
         assert_eq!(store.cache.lock().unwrap().known.len(), 1);
+    }
+
+    #[test]
+    fn a_reused_wide_side_outlives_one_off_narrow_ones() {
+        let (mut client, mut store) = setup();
+        store
+            .insert_table(encrypted(&mut client, &table("S", &[1])))
+            .unwrap();
+        store.set_decrypt_cache_cap(2);
+        // Four rows of L, looked up twice: losing it costs 8 `SJ.Dec`.
+        let hot = tokens_against(&mut client, "S").left;
+        decrypt(&store, &hot);
+        decrypt(&store, &hot);
+        for _ in 0..8 {
+            let one_off = tokens_against(&mut client, "S").right;
+            assert_eq!(decrypt(&store, &one_off).1, 0);
+        }
+        assert_eq!(decrypt(&store, &hot).1, 4, "the hot side was evicted");
+    }
+
+    #[test]
+    fn popularity_that_stops_is_forgotten() {
+        let (mut client, mut store) = setup();
+        store
+            .insert_table(encrypted(&mut client, &table("S", &[1])))
+            .unwrap();
+        store.set_decrypt_cache_cap(3);
+        let window = (AGING_LOOKUPS_PER_ENTRY * 3) as usize;
+        // A one-row side looked up 12 times in the first window, then
+        // never again: worth 12 `SJ.Dec`, more than a 4-row one-off.
+        let once_hot = tokens_against(&mut client, "S").right;
+        for _ in 0..12 {
+            decrypt(&store, &once_hot);
+        }
+        // Repeating traffic: one 4-row side, and a 4-row one-off after
+        // each of its repeats — two lookups a round.
+        let repeated = tokens(&mut client).left;
+        for round in 0..window {
+            decrypt(&store, &repeated);
+            decrypt(&store, &tokens(&mut client).left);
+            if round == 0 {
+                assert!(holds(&store, &once_hot), "hot sides outlive one-offs");
+            }
+        }
+        assert!(
+            !holds(&store, &once_hot),
+            "a side nobody asks for must age out within two windows"
+        );
+        assert!(holds(&store, &repeated));
+    }
+
+    #[test]
+    fn a_refresh_after_new_rows_keeps_the_use_count() {
+        let (mut client, mut store) = setup();
+        let q = tokens(&mut client);
+        for _ in 0..3 {
+            decrypt(&store, &q.left);
+        }
+        assert_eq!(uses(&store, "L"), Some(3));
+        let (start, rows) = client
+            .encrypt_rows("L", &[vec![Value::Int(2), Value::Str("t4".into())]])
+            .unwrap();
+        store.insert_rows("L", start, rows).unwrap();
+        // A partial miss: four rows served, the new one decrypted, and
+        // the entry rebuilt under the same key.
+        assert_eq!(decrypt(&store, &q.left).1, 4);
+        assert_eq!(uses(&store, "L"), Some(4));
+    }
+
+    #[test]
+    fn use_counts_never_reach_the_snapshot() {
+        let (mut client, store) = setup();
+        let q = tokens(&mut client);
+        for _ in 0..3 {
+            decrypt(&store, &q.left);
+        }
+        decrypt(&store, &q.right);
+        // The same entries, stamps and clock, another use history.
+        let other = Store::from_snapshot_bytes(&store.snapshot_bytes()).unwrap();
+        for entry in other.cache.lock().unwrap().entries.values_mut() {
+            entry.uses = 7;
+        }
+        assert_eq!(uses(&store, "L"), Some(3));
+        assert!(store.snapshot_bytes() == other.snapshot_bytes());
+    }
+
+    #[test]
+    fn lowering_the_cap_evicts_at_once() {
+        let (mut client, mut store) = setup();
+        let (a, b) = (tokens(&mut client), tokens(&mut client));
+        for side in [&a.left, &a.right, &b.left] {
+            decrypt(&store, side);
+        }
+        assert_eq!(store.decrypt_cache_len(), 3);
+        store.take_dirty();
+        store.set_decrypt_cache_cap(1);
+        assert_eq!(store.decrypt_cache_len(), 1);
+        assert_memo_bounded(&store);
+        assert!(store.take_dirty(), "the next snapshot must shrink too");
     }
 
     #[test]

@@ -85,8 +85,9 @@ usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
 --data-dir DIR          persist the store (tables + decrypt cache) under
                         DIR and restart warm from it;
                         tenants snapshot under DIR/tenants/<name>/
---decrypt-cache-cap N   decrypt-cache entries kept per store (default 64,
-                        LRU eviction; requests may only lower it)
+--decrypt-cache-cap N   decrypt-cache entries kept per store (default 64;
+                        evicts the fewest uses x rows, uses halved every
+                        10 x N lookups; requests may only lower it)
 --compaction-threshold BYTES
                         O(delta) persistence: keep appending to the
                         fsynced mutation journal and rewrite the full
