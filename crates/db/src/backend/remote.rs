@@ -50,8 +50,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: every transport failure surfaces immediately (the
-    /// pre-PR behavior).
+    /// No retries: every transport failure surfaces immediately.
     pub fn none() -> Self {
         RetryPolicy {
             max_retries: 0,

@@ -51,6 +51,22 @@ pub struct TransportStats {
     pub gave_up: u64,
 }
 
+impl TransportStats {
+    /// Accumulate another backend's counters into this one — the single
+    /// place that knows every field, so an aggregate over backends
+    /// cannot silently drop a counter added later.
+    pub fn merge(&mut self, other: &TransportStats) {
+        self.round_trips += other.round_trips;
+        self.requests += other.requests;
+        self.batches += other.batches;
+        self.bytes_sent += other.bytes_sent;
+        self.bytes_received += other.bytes_received;
+        self.reconnects += other.reconnects;
+        self.retries += other.retries;
+        self.gave_up += other.gave_up;
+    }
+}
+
 /// Interior-mutable counters behind [`TransportStats`] — backends
 /// update them through `&self` from any thread.
 #[derive(Debug, Default)]

@@ -143,6 +143,25 @@ impl<E: Engine> TenantRegistry<E> {
         }))
     }
 
+    /// Serve `request` with `serve`, counting it in namespace `label`'s
+    /// request, latency and error metrics.
+    fn observed(
+        &self,
+        label: &str,
+        request: Request<E>,
+        serve: impl FnOnce(Request<E>) -> Response,
+    ) -> Response {
+        let metrics = self.metrics_for(label);
+        metrics.requests.add(request.request_count());
+        let start = Instant::now();
+        let response = serve(request);
+        metrics.latency.record(start.elapsed());
+        if has_error(&response) {
+            metrics.errors.inc();
+        }
+        response
+    }
+
     /// The backend serving `tenant`, opened on first use. The registry
     /// lock is held only to publish the tenant's cell: open tenants never
     /// wait on another's recovery, and two tenants recover side by side.
@@ -266,20 +285,12 @@ fn has_error(response: &Response) -> bool {
 impl<E: Engine> ServerApi<E> for TenantRegistry<E> {
     fn handle(&self, request: Request<E>) -> Response {
         match request {
-            Request::WithTenant { tenant, inner } => {
-                let metrics = self.metrics_for(&tenant);
-                metrics.requests.add(inner.request_count());
-                let start = Instant::now();
-                let response = match self.tenant_backend(&tenant) {
-                    Ok(backend) => backend.handle(*inner),
+            Request::WithTenant { tenant, inner } => self.observed(&tenant, *inner, |inner| {
+                match self.tenant_backend(&tenant) {
+                    Ok(backend) => backend.handle(inner),
                     Err(e) => Response::Error(e),
-                };
-                metrics.latency.record(start.elapsed());
-                if has_error(&response) {
-                    metrics.errors.inc();
                 }
-                response
-            }
+            }),
             // Drain flushes EVERY namespace, not just the default one.
             Request::Drain => match self.flush_all() {
                 Ok(()) => Response::Pong,
@@ -292,17 +303,7 @@ impl<E: Engine> ServerApi<E> for TenantRegistry<E> {
                 transport: ServerApi::<E>::transport_stats(self),
                 exposition: eqjoin_obs::exposition(),
             }),
-            other => {
-                let metrics = self.metrics_for(DEFAULT_TENANT_LABEL);
-                metrics.requests.add(other.request_count());
-                let start = Instant::now();
-                let response = self.default.handle(other);
-                metrics.latency.record(start.elapsed());
-                if has_error(&response) {
-                    metrics.errors.inc();
-                }
-                response
-            }
+            other => self.observed(DEFAULT_TENANT_LABEL, other, |r| self.default.handle(r)),
         }
     }
 
@@ -310,13 +311,7 @@ impl<E: Engine> ServerApi<E> for TenantRegistry<E> {
         // Aggregate view: the default namespace plus every tenant.
         let mut total = ServerApi::<E>::transport_stats(&self.default);
         for backend in self.open_tenants() {
-            let s = ServerApi::<E>::transport_stats(backend.as_ref());
-            total.round_trips += s.round_trips;
-            total.requests += s.requests;
-            total.batches += s.batches;
-            total.bytes_sent += s.bytes_sent;
-            total.bytes_received += s.bytes_received;
-            total.reconnects += s.reconnects;
+            total.merge(&ServerApi::<E>::transport_stats(backend.as_ref()));
         }
         total
     }
@@ -374,6 +369,47 @@ mod tests {
         assert!(matches!(registry.handle(ping()), Response::Pong));
         assert!(matches!(registry.handle(Request::Drain), Response::Pong));
         assert_eq!(registry.tenant_stats(None).unwrap().round_trips, 1);
+    }
+
+    #[test]
+    fn aggregate_transport_stats_sum_every_field_of_every_namespace() {
+        let registry = TenantRegistry::<MockEngine>::new(None, None, None);
+        let in_tenant = |tenant: &str, inner: Request<MockEngine>| Request::WithTenant {
+            tenant: tenant.into(),
+            inner: Box::new(inner),
+        };
+        registry.handle(ping());
+        registry.handle(in_tenant("acme", ping()));
+        registry.handle(in_tenant(
+            "acme",
+            Request::Batch(vec![ping(), ping(), ping()]),
+        ));
+        registry.handle(in_tenant("beta", Request::Batch(vec![ping(), ping()])));
+        let parts = [None, Some("acme"), Some("beta")].map(|t| registry.tenant_stats(t).unwrap());
+        let sum = |field: fn(&TransportStats) -> u64| parts.iter().map(field).sum::<u64>();
+        // Destructured field by field: a counter added to
+        // `TransportStats` must be added here too.
+        let TransportStats {
+            round_trips,
+            requests,
+            batches,
+            bytes_sent,
+            bytes_received,
+            reconnects,
+            retries,
+            gave_up,
+        } = ServerApi::<MockEngine>::transport_stats(&registry);
+        assert_eq!(round_trips, sum(|s| s.round_trips));
+        assert_eq!(requests, sum(|s| s.requests));
+        assert_eq!(batches, sum(|s| s.batches));
+        assert_eq!(bytes_sent, sum(|s| s.bytes_sent));
+        assert_eq!(bytes_received, sum(|s| s.bytes_received));
+        assert_eq!(reconnects, sum(|s| s.reconnects));
+        assert_eq!(retries, sum(|s| s.retries));
+        assert_eq!(gave_up, sum(|s| s.gave_up));
+        // The traffic reached all three namespaces.
+        assert_eq!((round_trips, requests, batches), (4, 7, 2));
+        assert!(parts.iter().all(|s| s.round_trips > 0));
     }
 
     #[test]

@@ -119,7 +119,8 @@ pub fn bucket_upper_ns(i: usize) -> u64 {
 }
 
 impl Histogram {
-    /// Record one sample, in nanoseconds.
+    /// Record one sample: nanoseconds in a `_seconds` histogram, else
+    /// the unit its name says (bytes, say).
     pub fn record_ns(&self, ns: u64) {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -313,8 +314,10 @@ impl Registry {
     }
 
     /// Render the whole registry in the Prometheus text exposition
-    /// format. Histograms render as summaries (`{quantile="…"}` in
-    /// seconds) plus `_sum`/`_count`/`_max`.
+    /// format. Histograms render as summaries (`{quantile="…"}`) plus
+    /// `_sum`/`_count`/`_max`; the name says the unit: a `_seconds`
+    /// histogram recorded nanoseconds and renders seconds, any other
+    /// renders its samples as recorded (bytes, counts).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(4096);
         let mut last_name = String::new();
@@ -349,22 +352,22 @@ impl Registry {
         {
             typeline(&mut out, &k.name, "summary");
             let snap = h.snapshot();
+            let value: fn(u64) -> String = if k.name.ends_with("_seconds") {
+                format_seconds
+            } else {
+                format_u64
+            };
             for q in [0.5, 0.9, 0.99] {
                 let mut labels = label_vec(k);
                 labels.push(("quantile".to_owned(), format!("{q}")));
-                push_sample(
-                    &mut out,
-                    &k.name,
-                    &labels,
-                    &format_seconds(snap.percentile_ns(q)),
-                );
+                push_sample(&mut out, &k.name, &labels, &value(snap.percentile_ns(q)));
             }
             let labels = label_vec(k);
             push_sample(
                 &mut out,
                 &format!("{}_sum", k.name),
                 &labels,
-                &format_seconds(snap.sum_ns),
+                &value(snap.sum_ns),
             );
             push_sample(
                 &mut out,
@@ -376,7 +379,7 @@ impl Registry {
                 &mut out,
                 &format!("{}_max", k.name),
                 &labels,
-                &format_seconds(snap.max_ns),
+                &value(snap.max_ns),
             );
         }
         let sources = self.sources.read().unwrap_or_else(|e| e.into_inner());
@@ -552,5 +555,17 @@ mod tests {
         // Re-registering a source by name replaces it, not duplicates.
         r.register_source("src", Box::new(Vec::new));
         assert!(!r.render().contains("from_source_total"));
+    }
+
+    #[test]
+    fn only_seconds_histograms_render_scaled() {
+        let r = Registry::default();
+        r.histogram("io_bytes").record_ns(2_048);
+        r.histogram("io_seconds").record_ns(1_500_000_000);
+        let text = r.render();
+        assert!(text.contains("io_bytes_sum 2048\n"), "{text}");
+        assert!(text.contains("io_bytes_max 2048\n"), "{text}");
+        assert!(text.contains("io_seconds_sum 1.5\n"), "{text}");
+        assert!(text.contains("io_seconds_max 1.5\n"), "{text}");
     }
 }

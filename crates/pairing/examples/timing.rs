@@ -99,7 +99,7 @@ fn main() {
         row("row (11-pair multi_pair_prepared)", 4, 1, || {
             black_box(Bls12::multi_pair_prepared(black_box(&g1), &prepared));
         }),
-        row("g2_prepare per element (batch 11)", 2, PAIRS, || {
+        row("G2 prepare per element (batch 11)", 2, PAIRS, || {
             black_box(G2Prepared::prepare_batch(black_box(&g2)));
         }),
         row("fp_invert", 200, 1, || {

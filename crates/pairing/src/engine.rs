@@ -5,8 +5,10 @@
 //! which lets the test suite and the large-scale shape experiments swap in
 //! the transparent [`crate::MockEngine`] while the cryptographic
 //! benchmarks use the real curve. All scheme code treats group elements
-//! opaquely: only generator exponentiations, pairings and `GT` equality
-//! are required (plus general adds/muls used by the baseline schemes).
+//! opaquely, and the trait carries only the group work the schemes run:
+//! fixed-base generator exponentiations (`SJ.Enc`, `SJ.TkGen`),
+//! prepared inner-product multi-pairings (`SJ.Dec`), single pairings
+//! and `GT` arithmetic (the §6.5 baselines), and the element codecs.
 
 use crate::fr::Fr;
 use crate::g1::{self, G1Affine};
@@ -18,8 +20,10 @@ use std::hash::Hash;
 use std::sync::OnceLock;
 
 /// A bilinear group `(G1, G2, GT, q, e)` with the operations the schemes
-/// need. Groups are written additively at this layer; the paper's
-/// multiplicative `g^x` corresponds to `mul_gen(x)`.
+/// run. Groups are written additively at this layer; the paper's
+/// multiplicative `g^x` corresponds to `mul_gen(x)`. There is no
+/// variable-base `G1`/`G2` multiplication and no source-group addition:
+/// nothing in the schemes multiplies a point other than a generator.
 pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
     /// First source group.
     type G1: Clone + Copy + PartialEq + Debug + Send + Sync;
@@ -52,45 +56,6 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
         crate::ops::count_batched_fixed_base_muls(scalars.len() as u64);
         scalars.iter().map(Self::g2_mul_gen).collect()
     }
-    /// Multi-scalar multiplication `Σ sᵢ·pᵢ` in `G1` (slices must have
-    /// equal length). The BLS engine runs Pippenger's bucket method
-    /// ([`crate::scalar_mul::msm`]); the default folds per-point muls.
-    fn g1_msm(points: &[Self::G1], scalars: &[Fr]) -> Self::G1 {
-        assert_eq!(points.len(), scalars.len(), "msm length mismatch");
-        crate::ops::count_msm_points(points.len() as u64);
-        points
-            .iter()
-            .zip(scalars)
-            .fold(Self::g1_identity(), |acc, (p, s)| {
-                Self::g1_add(&acc, &Self::g1_mul(p, s))
-            })
-    }
-    /// Multi-scalar multiplication `Σ sᵢ·qᵢ` in `G2`; see
-    /// [`Engine::g1_msm`].
-    fn g2_msm(points: &[Self::G2], scalars: &[Fr]) -> Self::G2 {
-        assert_eq!(points.len(), scalars.len(), "msm length mismatch");
-        crate::ops::count_msm_points(points.len() as u64);
-        points
-            .iter()
-            .zip(scalars)
-            .fold(Self::g2_identity(), |acc, (q, s)| {
-                Self::g2_add(&acc, &Self::g2_mul(q, s))
-            })
-    }
-
-    /// Identity of `G1`.
-    fn g1_identity() -> Self::G1;
-    /// Identity of `G2`.
-    fn g2_identity() -> Self::G2;
-    /// Group operation in `G1`.
-    fn g1_add(a: &Self::G1, b: &Self::G1) -> Self::G1;
-    /// Group operation in `G2`.
-    fn g2_add(a: &Self::G2, b: &Self::G2) -> Self::G2;
-    /// Scalar multiplication with an arbitrary base in `G1`.
-    fn g1_mul(p: &Self::G1, s: &Fr) -> Self::G1;
-    /// Scalar multiplication with an arbitrary base in `G2`.
-    fn g2_mul(p: &Self::G2, s: &Fr) -> Self::G2;
-
     /// A `G2` element with its Miller-loop line state precomputed
     /// ([`crate::pairing::G2Prepared`] for the real curve) — pairings
     /// against it skip the per-step slope derivations entirely. A
@@ -104,13 +69,10 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
     /// `∏ᵢ e(pᵢ, qᵢ)` (slices must have equal length).
     fn multi_pair(ps: &[Self::G1], qs: &[Self::G2]) -> Self::Gt;
 
-    /// Precompute the Miller-loop line state of one `G2` element.
-    fn g2_prepare(q: &Self::G2) -> Self::G2Prepared;
-    /// Batch form of [`Engine::g2_prepare`]; engines may share the
-    /// per-step slope inversions across the whole batch.
-    fn g2_prepare_batch(qs: &[Self::G2]) -> Vec<Self::G2Prepared> {
-        qs.iter().map(Self::g2_prepare).collect()
-    }
+    /// Precompute the Miller-loop line state of a batch of `G2`
+    /// elements; engines may share the per-step slope inversions across
+    /// the whole batch. Output order matches `qs`.
+    fn g2_prepare_batch(qs: &[Self::G2]) -> Vec<Self::G2Prepared>;
     /// [`Engine::g2_prepare_batch`] for elements decoded by
     /// [`Engine::g2_from_bytes_on_curve`]: `None` for one outside the
     /// group, which therefore never reaches a pairing. The default
@@ -198,38 +160,6 @@ impl Engine for Bls12 {
         g2_table().mul_batch(scalars)
     }
 
-    fn g1_msm(points: &[G1Affine], scalars: &[Fr]) -> G1Affine {
-        crate::scalar_mul::msm(points, scalars).to_affine()
-    }
-
-    fn g2_msm(points: &[G2Affine], scalars: &[Fr]) -> G2Affine {
-        crate::scalar_mul::msm(points, scalars).to_affine()
-    }
-
-    fn g1_identity() -> G1Affine {
-        G1Affine::identity()
-    }
-
-    fn g2_identity() -> G2Affine {
-        G2Affine::identity()
-    }
-
-    fn g1_add(a: &G1Affine, b: &G1Affine) -> G1Affine {
-        a.to_projective().add(&b.to_projective()).to_affine()
-    }
-
-    fn g2_add(a: &G2Affine, b: &G2Affine) -> G2Affine {
-        a.to_projective().add(&b.to_projective()).to_affine()
-    }
-
-    fn g1_mul(p: &G1Affine, s: &Fr) -> G1Affine {
-        g1::mul_fr(&p.to_projective(), s).to_affine()
-    }
-
-    fn g2_mul(p: &G2Affine, s: &Fr) -> G2Affine {
-        g2::mul_fr(&p.to_projective(), s).to_affine()
-    }
-
     fn pair(p: &G1Affine, q: &G2Affine) -> pr::Gt {
         pr::pairing(p, q)
     }
@@ -238,10 +168,6 @@ impl Engine for Bls12 {
         assert_eq!(ps.len(), qs.len(), "multi_pair length mismatch");
         let pairs: Vec<(G1Affine, G2Affine)> = ps.iter().copied().zip(qs.iter().copied()).collect();
         pr::multi_pairing(&pairs)
-    }
-
-    fn g2_prepare(q: &G2Affine) -> pr::G2Prepared {
-        pr::G2Prepared::from_affine(q)
     }
 
     fn g2_prepare_batch(qs: &[G2Affine]) -> Vec<pr::G2Prepared> {
@@ -374,39 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_msm_matches_fold() {
-        let mut rng = ChaChaRng::seed_from_u64(66);
-        let points: Vec<G1Affine> = (0..5)
-            .map(|_| Bls12::g1_mul_gen(&Fr::random(&mut rng)))
-            .collect();
-        let scalars: Vec<Fr> = (0..5).map(|_| Fr::random(&mut rng)).collect();
-        let mut expect = Bls12::g1_identity();
-        for (p, s) in points.iter().zip(&scalars) {
-            expect = Bls12::g1_add(&expect, &Bls12::g1_mul(p, s));
-        }
-        assert_eq!(Bls12::g1_msm(&points, &scalars), expect);
-
-        let q: Vec<G2Affine> = (0..3)
-            .map(|_| Bls12::g2_mul_gen(&Fr::random(&mut rng)))
-            .collect();
-        let qs: Vec<Fr> = (0..3).map(|_| Fr::random(&mut rng)).collect();
-        let mut expect2 = Bls12::g2_identity();
-        for (p, s) in q.iter().zip(&qs) {
-            expect2 = Bls12::g2_add(&expect2, &Bls12::g2_mul(p, s));
-        }
-        assert_eq!(Bls12::g2_msm(&q, &qs), expect2);
-    }
-
-    #[test]
     fn batch_counters_audit_the_batched_path() {
         let before = crate::ops::snapshot();
         let scalars = vec![Fr::from_u64(3); 4];
         let _ = Bls12::g1_mul_gen_batch(&scalars);
-        let points: Vec<G1Affine> = vec![Bls12::g1_mul_gen(&Fr::one()); 2];
-        let _ = Bls12::g1_msm(&points, &[Fr::from_u64(5), Fr::from_u64(9)]);
         let delta = crate::ops::snapshot().since(&before);
         assert!(delta.batched_fixed_base_muls >= 4);
-        assert!(delta.msm_points >= 2);
     }
 
     #[test]
@@ -431,7 +330,7 @@ mod tests {
         let mut token: Vec<G1Affine> = (0..4)
             .map(|_| Bls12::g1_mul_gen(&Fr::random(&mut rng)))
             .collect();
-        token[1] = Bls12::g1_identity();
+        token[1] = G1Affine::identity();
         let mut rows: Vec<Vec<G2Affine>> = (0..3)
             .map(|_| {
                 (0..4)
@@ -439,7 +338,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        rows[2][3] = Bls12::g2_identity();
+        rows[2][3] = G2Affine::identity();
         let prepared: Vec<Vec<pr::G2Prepared>> =
             rows.iter().map(|r| Bls12::g2_prepare_batch(r)).collect();
         let refs: Vec<&[pr::G2Prepared]> = prepared.iter().map(Vec::as_slice).collect();
@@ -461,24 +360,5 @@ mod tests {
         assert_eq!(Bls12::g1_from_bytes(&Bls12::g1_bytes(&p)).unwrap(), p);
         assert_eq!(Bls12::g2_from_bytes(&Bls12::g2_bytes(&q)).unwrap(), q);
         assert!(Bls12::g1_from_bytes(&[1, 2, 3]).is_none());
-    }
-
-    #[test]
-    fn engine_group_ops_consistent() {
-        let mut rng = ChaChaRng::seed_from_u64(64);
-        let a = Fr::random(&mut rng);
-        let b = Fr::random(&mut rng);
-        assert_eq!(
-            Bls12::g1_add(&Bls12::g1_mul_gen(&a), &Bls12::g1_mul_gen(&b)),
-            Bls12::g1_mul_gen(&(a + b))
-        );
-        assert_eq!(
-            Bls12::g1_mul(&Bls12::g1_mul_gen(&a), &b),
-            Bls12::g1_mul_gen(&(a * b))
-        );
-        assert_eq!(
-            Bls12::g2_mul(&Bls12::g2_mul_gen(&a), &b),
-            Bls12::g2_mul_gen(&(a * b))
-        );
     }
 }

@@ -6,7 +6,6 @@
 
 use crate::curve::{Affine, CurveParams, Projective};
 use crate::fp::Fp;
-use crate::fr::Fr;
 use crate::params;
 use crate::scalar_mul::mul_wnaf;
 
@@ -72,8 +71,10 @@ fn canonical_y(y: Fp) -> Fp {
     }
 }
 
-/// Multiply a point by a scalar-field element (wNAF).
-pub fn mul_fr(point: &G1Projective, s: &Fr) -> G1Projective {
+/// Multiply a point by a scalar-field element (wNAF). Tests only: the
+/// product multiplies no `G1` point but the generator, through the comb.
+#[cfg(test)]
+pub(crate) fn mul_fr(point: &G1Projective, s: &crate::fr::Fr) -> G1Projective {
     mul_wnaf(point, &s.to_canonical_limbs())
 }
 
@@ -104,33 +105,6 @@ pub fn in_subgroup(point: &G1Projective) -> bool {
     phi(point) == point.mul_by_x().mul_by_x().neg()
 }
 
-/// Hash arbitrary bytes to a subgroup point (try-and-increment over the
-/// hashed x-coordinate, then cofactor clearing). Not constant-time; used
-/// for tests and baselines, not the core protocol.
-pub fn hash_to_g1(domain: &[u8], msg: &[u8]) -> G1Projective {
-    let mut counter = 0u32;
-    loop {
-        let mut material = Vec::with_capacity(msg.len() + 8);
-        material.extend_from_slice(&counter.to_le_bytes());
-        material.extend_from_slice(msg);
-        let fe = crate::fr::Fr::hash_to_field(domain, &material);
-        // Map Fr bits into Fp (injective: r < p).
-        let limbs4 = fe.to_canonical_limbs();
-        let mut limbs6 = [0u64; 6];
-        limbs6[..4].copy_from_slice(&limbs4);
-        let x = Fp::from_canonical_limbs(limbs6).expect("r < p");
-        if let Some(point) = point_with_x(x) {
-            // Cofactor clearing through the wNAF path: the naive ladder
-            // here used to dominate every try-and-increment attempt.
-            let cleared = mul_wnaf(&point.to_projective(), &params::consts().g1_cofactor);
-            if !cleared.is_identity() {
-                return cleared;
-            }
-        }
-        counter += 1;
-    }
-}
-
 /// Serialize an affine point (uncompressed; all-zero = identity).
 pub fn to_bytes(point: &G1Affine) -> [u8; G1_BYTES] {
     let mut out = [0u8; G1_BYTES];
@@ -158,6 +132,7 @@ pub fn from_bytes(bytes: &[u8; G1_BYTES]) -> Option<G1Affine> {
 mod tests {
     use super::*;
     use crate::curve::subgroup_cases::{self, order_divides_r};
+    use crate::fr::Fr;
     use eqjoin_bigint::BigUint;
     use eqjoin_crypto::{ChaChaRng, RandomSource};
     use proptest::prelude::*;
@@ -263,15 +238,6 @@ mod tests {
             let cases = subgroup_cases::cases(generator(), &[raw], &h, &[]);
             subgroup_cases::assert_agrees_with_reference(in_subgroup, &cases);
         }
-    }
-
-    #[test]
-    fn hash_to_g1_lands_in_subgroup() {
-        let p = hash_to_g1(b"test", b"hello");
-        let q = hash_to_g1(b"test", b"world");
-        assert!(in_subgroup(&p) && in_subgroup(&q));
-        assert_ne!(p, q);
-        assert_eq!(p, hash_to_g1(b"test", b"hello"));
     }
 
     #[test]

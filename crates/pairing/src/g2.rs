@@ -8,7 +8,6 @@
 use crate::curve::{Affine, CurveParams, Projective};
 use crate::fp::Fp;
 use crate::fp2::Fp2;
-use crate::fr::Fr;
 use crate::params;
 use crate::scalar_mul::mul_wnaf;
 use crate::traits::Field;
@@ -77,8 +76,10 @@ fn canonical_y(y: Fp2) -> Fp2 {
     }
 }
 
-/// Multiply a point by a scalar-field element (wNAF).
-pub fn mul_fr(point: &G2Projective, s: &Fr) -> G2Projective {
+/// Multiply a point by a scalar-field element (wNAF). Tests only: the
+/// product multiplies no `G2` point but the generator, through the comb.
+#[cfg(test)]
+pub(crate) fn mul_fr(point: &G2Projective, s: &crate::fr::Fr) -> G2Projective {
     mul_wnaf(point, &s.to_canonical_limbs())
 }
 
@@ -153,6 +154,7 @@ mod tests {
     use super::*;
     use crate::curve::subgroup_cases::{self, order_divides_r};
     use crate::engine::{Bls12, Engine};
+    use crate::fr::Fr;
     use crate::pairing::G2Prepared;
     use eqjoin_bigint::BigUint;
     use eqjoin_crypto::ChaChaRng;

@@ -25,11 +25,13 @@
 //!   costs 10 `Fp2` multiplications, with **batched inversions across a
 //!   multi-pairing** so the product of pairings in `SJ.Dec` shares one
 //!   inversion per Miller step and a single final exponentiation.
-//! * **Fast scalar multiplication** ([`scalar_mul`]): width-5 wNAF for
-//!   variable bases and affine fixed-base comb tables for the
-//!   generators (built once, then ≤ 64 mixed additions per
-//!   exponentiation); [`ops`] counts every hot-path operation so the
-//!   benchmark trajectory can audit "skipped work" claims exactly.
+//! * **Fast scalar multiplication** ([`scalar_mul`]): affine fixed-base
+//!   comb tables for the generators (built once, then ≤ 32 mixed
+//!   additions per exponentiation) — the only way a protocol scalar
+//!   reaches `G1` or `G2` — and width-5 wNAF for the one-time
+//!   derivation of the generators themselves; [`ops`] counts every
+//!   hot-path operation so the benchmark trajectory can audit "skipped
+//!   work" claims exactly.
 //! * **Endomorphism subgroup checks**: every decoded group element is
 //!   validated with `φ(P) = −[z²]P` on `G1` and `ψ(P) = [z]P` on `G2`
 //!   (Scott, eprint 2021/1130; proof in eprint 2022/352) — one or two

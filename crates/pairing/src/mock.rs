@@ -48,30 +48,6 @@ impl Engine for MockEngine {
         MockG2(*s)
     }
 
-    fn g1_identity() -> MockG1 {
-        MockG1(Fr::zero())
-    }
-
-    fn g2_identity() -> MockG2 {
-        MockG2(Fr::zero())
-    }
-
-    fn g1_add(a: &MockG1, b: &MockG1) -> MockG1 {
-        MockG1(a.0 + b.0)
-    }
-
-    fn g2_add(a: &MockG2, b: &MockG2) -> MockG2 {
-        MockG2(a.0 + b.0)
-    }
-
-    fn g1_mul(p: &MockG1, s: &Fr) -> MockG1 {
-        MockG1(p.0 * *s)
-    }
-
-    fn g2_mul(p: &MockG2, s: &Fr) -> MockG2 {
-        MockG2(p.0 * *s)
-    }
-
     fn pair(p: &MockG1, q: &MockG2) -> MockGt {
         MockGt(p.0 * q.0)
     }
@@ -81,8 +57,8 @@ impl Engine for MockEngine {
         MockGt(ps.iter().zip(qs).map(|(p, q)| p.0 * q.0).sum())
     }
 
-    fn g2_prepare(q: &MockG2) -> MockG2 {
-        *q
+    fn g2_prepare_batch(qs: &[MockG2]) -> Vec<MockG2> {
+        qs.to_vec()
     }
 
     fn multi_pair_prepared(ps: &[MockG1], qs: &[MockG2]) -> MockGt {

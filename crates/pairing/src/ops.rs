@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static FIXED_BASE_MULS: AtomicU64 = AtomicU64::new(0);
 static BATCHED_FIXED_BASE_MULS: AtomicU64 = AtomicU64::new(0);
 static VARIABLE_BASE_MULS: AtomicU64 = AtomicU64::new(0);
-static MSM_POINTS: AtomicU64 = AtomicU64::new(0);
 static PAIRINGS: AtomicU64 = AtomicU64::new(0);
 static MILLER_PAIRS: AtomicU64 = AtomicU64::new(0);
 static PREPARED_MILLER_PAIRS: AtomicU64 = AtomicU64::new(0);
@@ -38,13 +37,12 @@ pub struct OpCounts {
     /// flat while this grows is the counter-level proof that ingest
     /// amortized its normalizations.
     pub batched_fixed_base_muls: u64,
-    /// Variable-base scalar multiplications (wNAF). Decoding a group
-    /// element adds nothing here: the subgroup checks multiply by the
-    /// public curve parameter `z`, not by a protocol scalar.
+    /// Variable-base scalar multiplications (wNAF): the one-time
+    /// derivation of each generator adds two (cofactor clearing and the
+    /// order check), and nothing else in the product does. Decoding a group element adds nothing here: the
+    /// subgroup checks multiply by the public curve parameter `z`, not
+    /// by a protocol scalar.
     pub variable_base_muls: u64,
-    /// Points fed through Pippenger multi-scalar multiplications
-    /// ([`crate::scalar_mul::msm`]); an `n`-point sum adds `n`.
-    pub msm_points: u64,
     /// Pairing evaluations (each = one Miller loop + one final
     /// exponentiation; a multi-pairing counts once).
     pub pairings: u64,
@@ -79,7 +77,6 @@ impl OpCounts {
             variable_base_muls: self
                 .variable_base_muls
                 .saturating_sub(earlier.variable_base_muls),
-            msm_points: self.msm_points.saturating_sub(earlier.msm_points),
             pairings: self.pairings.saturating_sub(earlier.pairings),
             miller_pairs: self.miller_pairs.saturating_sub(earlier.miller_pairs),
             prepared_miller_pairs: self
@@ -100,7 +97,6 @@ pub fn snapshot() -> OpCounts {
         fixed_base_muls: FIXED_BASE_MULS.load(Ordering::Relaxed),
         batched_fixed_base_muls: BATCHED_FIXED_BASE_MULS.load(Ordering::Relaxed),
         variable_base_muls: VARIABLE_BASE_MULS.load(Ordering::Relaxed),
-        msm_points: MSM_POINTS.load(Ordering::Relaxed),
         pairings: PAIRINGS.load(Ordering::Relaxed),
         miller_pairs: MILLER_PAIRS.load(Ordering::Relaxed),
         prepared_miller_pairs: PREPARED_MILLER_PAIRS.load(Ordering::Relaxed),
@@ -123,11 +119,6 @@ pub(crate) fn count_batched_fixed_base_muls(n: u64) {
 #[inline]
 pub(crate) fn count_variable_base_mul() {
     VARIABLE_BASE_MULS.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn count_msm_points(n: u64) {
-    MSM_POINTS.fetch_add(n, Ordering::Relaxed);
 }
 
 #[inline]
@@ -168,7 +159,6 @@ mod tests {
         count_fixed_base_mul();
         count_batched_fixed_base_muls(6);
         count_variable_base_mul();
-        count_msm_points(5);
         count_pairing(3);
         count_prepared_pairing(2);
         count_g2_prepares(4);
@@ -180,7 +170,6 @@ mod tests {
         assert!(delta.fixed_base_muls >= 1);
         assert!(delta.batched_fixed_base_muls >= 6);
         assert!(delta.variable_base_muls >= 1);
-        assert!(delta.msm_points >= 5);
         assert!(delta.pairings >= 2);
         assert!(delta.miller_pairs >= 5);
         assert!(delta.prepared_miller_pairs >= 2);

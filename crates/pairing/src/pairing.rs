@@ -98,12 +98,6 @@ impl Gt {
         Gt(cyclotomic_pow_wnaf(&self.0, &s.to_canonical_limbs()))
     }
 
-    /// Exponentiation by a small integer.
-    pub fn pow_u64(&self, e: u64) -> Gt {
-        crate::ops::count_gt_pow();
-        Gt(cyclotomic_pow_wnaf(&self.0, &[e]))
-    }
-
     /// Canonical serialization (576 bytes) — the hash-join key for
     /// `SJ.Match`.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -870,7 +864,7 @@ mod tests {
     fn gt_group_ops() {
         let e = pairing(&g1_gen(), &g2_gen());
         assert_eq!(e.mul(&e.inverse()), Gt::one());
-        assert_eq!(e.pow_u64(3), e.mul(&e).mul(&e));
+        assert_eq!(e.pow(&Fr::from_u64(3)), e.mul(&e).mul(&e));
         assert_eq!(e.pow(&Fr::from_u64(1)), e);
         assert_eq!(e.pow(&Fr::zero()), Gt::one());
         assert_eq!(e.to_bytes().len(), 576);

@@ -1,17 +1,19 @@
-//! Fast scalar multiplication: wNAF variable-base multiplication,
+//! Fast scalar multiplication: wNAF variable-base multiplication and
 //! precomputed fixed-base comb tables for the group generators (single
-//! and batched), and a Pippenger bucket-method [`msm`].
+//! and batched).
 //!
 //! The naive ladder ([`Projective::mul_limbs`]) costs 256 doublings and
 //! ~128 general additions for a 256-bit scalar. The paths here replace
-//! it everywhere hot:
+//! it everywhere:
 //!
 //! * **[`mul_wnaf`]** — width-5 non-adjacent form: the scalar is recoded
 //!   into signed odd digits `{±1, ±3, …, ±15}` so on average only one in
 //!   `w + 1 = 6` positions needs an addition (~43 for 256 bits), and the
 //!   8-entry odd-multiples table is batch-normalized to affine once so
 //!   every addition is a cheap mixed add. Negative digits are free:
-//!   point negation only flips `y`.
+//!   point negation only flips `y`. Its one product use is the one-time
+//!   derivation of the generators (cofactor clearing and the `r·G`
+//!   order check), on public curve constants.
 //! * **[`FixedBaseTable`]** — for the *fixed* generators: all
 //!   `j·256^w·G` multiples (32 radix-256 windows × 255 nonzero digits)
 //!   are precomputed at first use and batch-normalized to affine, after
@@ -24,23 +26,24 @@
 //!   shared Montgomery-trick inversion instead of one inversion per
 //!   scalar. `SJ.Enc` needs `m(t+1)+3` generator exponentiations per
 //!   row; batching turns their `m(t+1)+3` inversions into 1.
-//! * **[`msm`]** — Pippenger's bucket method for variable-base sums
-//!   `Σ sᵢ·Pᵢ`, sub-linear in per-point cost once the sum is wide.
 //!
 //! Recoding works on arbitrary-length limb slices — the ~508-bit `G2`
-//! cofactor clears through the same code as 255-bit `Fr` scalars.
+//! cofactor clears through the same code as 255-bit `Fr` scalars, and
+//! [`crate::pairing::Gt::pow`] recodes its exponent with
+//! [`wnaf_digits`] too.
 //!
 //! # Constant-time discipline
 //!
 //! Every path in this module is variable-time in its scalars (wNAF
-//! digit patterns, comb byte lookups, Pippenger bucket indices). The
-//! waiver scope is unchanged from the seed: these scalars are used for
-//! *encryption and token generation against the public group
-//! generators* — the attacker already knows the base point, and the
-//! timing leak on the scalar is the documented out-of-scope channel
-//! (README "Static analysis & audits"). Batching does not widen the
-//! scope: `mul_batch` and `msm` touch exactly the data the per-scalar
-//! paths already touched, in a different order.
+//! digit patterns, comb byte lookups). Secret scalars reach `G1`/`G2`
+//! only through the comb: [`FixedBaseTable`] is what `SJ.Enc` and
+//! `SJ.TokenGen` exponentiate with, against the public generators —
+//! the attacker already knows the base point, and the timing leak on
+//! the scalar is the documented out-of-scope channel (README "Static
+//! analysis & audits"). [`mul_wnaf`] multiplies only public curve
+//! constants. Batching does not widen the scope: `mul_batch` touches
+//! exactly the data the per-scalar path already touched, in a
+//! different order.
 
 use crate::curve::{Affine, CurveParams, Projective};
 use crate::fr::Fr;
@@ -56,7 +59,7 @@ pub const WNAF_WINDOW: u32 = 5;
 /// `value = Σ d_i · 2^i`, each digit zero or odd with
 /// `|d_i| < 2^(w-1)`; at most one of any `w` consecutive digits is
 /// nonzero. `w` must be in `2..=7` so digits fit an `i8`.
-// audit-allow(ct-discipline): wNAF recoding is variable-time in the scalar's digit pattern by construction; scalar-mul timing channels are documented out of scope (README "Static analysis & audits")
+// audit-allow(ct-discipline): wNAF recoding is variable-time in the scalar's digit pattern by construction; it recodes the public curve constants mul_wnaf multiplies by and the exponents of Gt::pow, whose timing channel is documented out of scope (README "Static analysis & audits")
 pub fn wnaf_digits(scalar: &[u64], w: u32) -> Vec<i8> {
     assert!((2..=7).contains(&w), "window width must be in 2..=7");
     let mut k: Vec<u64> = scalar.to_vec();
@@ -160,7 +163,7 @@ pub fn batch_normalize<C: CurveParams>(points: &[Projective<C>]) -> Vec<Affine<C
 /// for a 256-bit scalar, vs the ladder's 256 + ~128 general additions.
 ///
 /// Accepts any little-endian limb slice (cofactors included).
-// audit-allow(ct-discipline): digit-indexed table walk of the standard variable-time wNAF loop; same documented scope as wnaf_digits
+// audit-allow(ct-discipline): digit-indexed table walk of the standard variable-time wNAF loop; its product callers multiply only public curve constants (cofactors and r in the one-time generator derivation)
 pub fn mul_wnaf<C: CurveParams>(point: &Projective<C>, scalar: &[u64]) -> Projective<C> {
     ops::count_variable_base_mul();
     if point.is_identity() {
@@ -244,7 +247,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
 
     /// The comb walk itself, shared by [`FixedBaseTable::mul`] and
     /// [`FixedBaseTable::mul_batch`] (counting is the callers' job).
-    // audit-allow(ct-discipline): byte-indexed comb lookup is variable-time in the scalar bytes; same documented scope as wnaf_digits
+    // audit-allow(ct-discipline): byte-indexed comb lookup is variable-time in the scalar bytes; the base is a public generator, and scalar-mul timing channels are documented out of scope (README "Static analysis & audits")
     fn comb_acc(&self, s: &Fr) -> Projective<C> {
         let limbs = s.to_canonical_limbs();
         let mut acc = Projective::<C>::identity();
@@ -272,100 +275,6 @@ impl<C: CurveParams> FixedBaseTable<C> {
         let accs: Vec<Projective<C>> = scalars.iter().map(|s| self.comb_acc(s)).collect();
         batch_normalize(&accs)
     }
-}
-
-/// Pippenger window width (bits) for an `n`-point sum: the classic
-/// `log2(n)`-ish heuristic, clamped so tiny sums don't pay bucket setup
-/// and huge sums don't blow up bucket memory.
-fn pippenger_window(n: usize) -> usize {
-    match n {
-        0..=3 => 2,
-        4..=15 => 4,
-        16..=127 => 6,
-        128..=1023 => 8,
-        1024..=8191 => 10,
-        _ => 12,
-    }
-}
-
-/// Multi-scalar multiplication `Σ sᵢ·Pᵢ` via Pippenger's bucket method.
-///
-/// The scalar bits are split into `⌈255/c⌉` windows of `c` bits
-/// (`c` grows with `n`, see `pippenger_window`). For each window,
-/// every point is dropped into the bucket indexed by its window digit
-/// (digit 0 skips), buckets are collapsed with the running-sum trick —
-/// `Σ j·Bⱼ` computed with `2·(2ᶜ−1)` additions and no multiplications —
-/// and the window totals combine with `c` doublings in between. Total
-/// cost is roughly `255/c · (n + 2ᶜ⁺¹)` additions versus `n · 255`
-/// doublings for per-point ladders: sub-linear per point once `n`
-/// clears the window size.
-///
-/// # Constant-time discipline
-///
-/// Bucket indices are the scalar digits, so memory access order is
-/// scalar-dependent — exactly the waiver scope documented at module
-/// level: callers use this for sums over the *public* generators or
-/// public ciphertext points with encryption-side scalars, where the
-/// scalar-timing channel is the accepted out-of-scope leak.
-///
-/// Identity points contribute nothing; `points` and `scalars` must have
-/// equal length. Counted under `msm_points` (an `n`-point call adds
-/// `n`).
-// audit-allow(ct-discipline): digit-indexed bucket accumulation is variable-time in the scalars; same documented scope as wnaf_digits
-pub fn msm<C: CurveParams>(points: &[Affine<C>], scalars: &[Fr]) -> Projective<C> {
-    assert_eq!(points.len(), scalars.len(), "msm length mismatch");
-    ops::count_msm_points(points.len() as u64);
-    if points.is_empty() {
-        return Projective::identity();
-    }
-    let c = pippenger_window(points.len());
-    let limbs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
-    // Fr is 255 bits; windows walk top-down so the accumulated total is
-    // shifted left by c bits between windows.
-    let windows = 255usize.div_ceil(c);
-    let mut total = Projective::<C>::identity();
-    let mut buckets: Vec<Projective<C>> = vec![Projective::identity(); (1 << c) - 1];
-    for w in (0..windows).rev() {
-        if w + 1 != windows {
-            for _ in 0..c {
-                total = total.double();
-            }
-        }
-        for b in buckets.iter_mut() {
-            *b = Projective::identity();
-        }
-        let bit = w * c;
-        for (p, l) in points.iter().zip(&limbs) {
-            let digit = window_digit(l, bit, c);
-            if digit != 0 {
-                buckets[digit - 1] = buckets[digit - 1].add_affine(p);
-            }
-        }
-        // Running-sum trick: Σ j·Bⱼ = Σ (Bⱼ + Bⱼ₊₁ + …) summed top-down.
-        let mut running = Projective::<C>::identity();
-        let mut window_sum = Projective::<C>::identity();
-        for b in buckets.iter().rev() {
-            running = running.add(b);
-            window_sum = window_sum.add(&running);
-        }
-        total = total.add(&window_sum);
-    }
-    total
-}
-
-/// Extract the `c`-bit window starting at bit `bit` from a 4-limb
-/// little-endian scalar (windows may straddle a limb boundary).
-fn window_digit(limbs: &[u64; 4], bit: usize, c: usize) -> usize {
-    let limb = bit / 64;
-    let shift = bit % 64;
-    if limb >= 4 {
-        return 0;
-    }
-    let mut v = limbs[limb] >> shift;
-    if shift + c > 64 && limb + 1 < 4 {
-        v |= limbs[limb + 1] << (64 - shift);
-    }
-    (v & ((1u64 << c) - 1)) as usize
 }
 
 #[cfg(test)]
@@ -503,70 +412,6 @@ mod tests {
 
         assert!(g1t.mul_batch(&[]).is_empty());
         assert!(g1t.mul_batch(&[Fr::zero()])[0].infinity);
-    }
-
-    #[test]
-    fn msm_matches_sum_of_per_point_muls() {
-        let mut rng = ChaChaRng::seed_from_u64(75);
-        let g = g1::generator();
-        // Sizes straddling the window-width breakpoints.
-        for n in [1usize, 3, 4, 17, 40] {
-            let points: Vec<_> = (0..n)
-                .map(|_| g.mul_limbs(&Fr::random(&mut rng).to_canonical_limbs()))
-                .collect();
-            let affine = batch_normalize(&points);
-            let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-            let mut expect = Projective::<G1Params>::identity();
-            for (p, s) in points.iter().zip(&scalars) {
-                expect = expect.add(&p.mul_limbs(&s.to_canonical_limbs()));
-            }
-            assert_eq!(msm(&affine, &scalars), expect, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn msm_edge_scalars_and_identities() {
-        let g = *g1::generator();
-        let ga = g.to_affine();
-        assert!(msm::<G1Params>(&[], &[]).is_identity());
-        assert!(msm(&[ga], &[Fr::zero()]).is_identity());
-        assert_eq!(msm(&[ga], &[Fr::one()]), g);
-        // r−1 wraps to −G.
-        assert_eq!(msm(&[ga], &[-Fr::one()]), g.neg());
-        // Identity points contribute nothing.
-        assert_eq!(
-            msm(
-                &[Affine::identity(), ga, Affine::identity()],
-                &[Fr::from_u64(7), Fr::from_u64(3), Fr::from_u64(11)]
-            ),
-            g.mul_limbs(&[3])
-        );
-        // G2 spot check: s·G₂ + (r−1−s)·G₂ + G₂ = identity… i.e. sums cancel.
-        let g2 = *crate::g2::generator();
-        let g2a = g2.to_affine();
-        let s = Fr::from_u64(12345);
-        assert_eq!(
-            msm(&[g2a, g2a], &[s, -s]),
-            Projective::<crate::g2::G2Params>::identity()
-        );
-        assert_eq!(
-            msm(&[g2a, g2a.neg()], &[s, s]),
-            Projective::<crate::g2::G2Params>::identity()
-        );
-    }
-
-    #[test]
-    fn window_digit_straddles_limbs() {
-        let limbs = [u64::MAX, 0b1011, 0, 1 << 63];
-        assert_eq!(window_digit(&limbs, 0, 8), 0xff);
-        // Window crossing the limb 0 → 1 boundary: top 4 bits of limb 0
-        // (all ones) plus bottom 4 of limb 1 (0b1011).
-        assert_eq!(window_digit(&limbs, 60, 8), 0b1011_1111);
-        assert_eq!(window_digit(&limbs, 64, 4), 0b1011);
-        // The 255th bit (top of limb 3) in a width-3 window at bit 252.
-        assert_eq!(window_digit(&limbs, 252, 3), 0);
-        assert_eq!(window_digit(&limbs, 192 + 60, 4), 0b1000);
-        assert_eq!(window_digit(&limbs, 256, 4), 0);
     }
 
     #[test]

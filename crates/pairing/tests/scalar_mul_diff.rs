@@ -58,7 +58,7 @@ proptest! {
         let limbs = s.to_canonical_limbs();
         prop_assert_eq!(mul_wnaf(g1::generator(), &limbs), g1::generator().mul_limbs(&limbs));
         // Variable bases too, not just the generator.
-        let base = g1::mul_fr(g1::generator(), &Fr::from_u64(small | 1));
+        let base = mul_wnaf(g1::generator(), &[small | 1]);
         prop_assert_eq!(mul_wnaf(&base, &limbs), base.mul_limbs(&limbs));
     }
 

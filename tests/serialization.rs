@@ -31,9 +31,18 @@ fn roundtrip_group_elements<E: Engine>(seed: u64) {
         assert_eq!(E::g1_from_bytes(&E::g1_bytes(&p)).unwrap(), p);
         assert_eq!(E::g2_from_bytes(&E::g2_bytes(&q)).unwrap(), q);
     }
-    // Identity elements.
-    let id1 = E::g1_identity();
-    assert_eq!(E::g1_from_bytes(&E::g1_bytes(&id1)).unwrap(), id1);
+    // Identity elements: the generator to the power 0 encodes as all
+    // zero bytes and decodes back, through the strict decoders and
+    // through the upload decoder of `G2` ciphertext elements.
+    let id1 = E::g1_mul_gen(&Fr::zero());
+    let id1_bytes = E::g1_bytes(&id1);
+    assert!(id1_bytes.iter().all(|&b| b == 0));
+    assert_eq!(E::g1_from_bytes(&id1_bytes).unwrap(), id1);
+    let id2 = E::g2_mul_gen(&Fr::zero());
+    let id2_bytes = E::g2_bytes(&id2);
+    assert!(id2_bytes.iter().all(|&b| b == 0));
+    assert_eq!(E::g2_from_bytes(&id2_bytes).unwrap(), id2);
+    assert_eq!(E::g2_from_bytes_on_curve(&id2_bytes).unwrap(), id2);
     // Garbage is rejected.
     assert!(E::g1_from_bytes(&[0xffu8; 7]).is_none());
 }
