@@ -3,20 +3,13 @@
 //! The paper's headline systems contribution over Hahn et al. is that
 //! matching can use an **expected `O(n)` hash join** on the canonical
 //! `D`-bytes instead of an `O(n²)` nested loop, because `SJ.Dec` outputs
-//! directly comparable group elements. Both algorithms are implemented;
-//! the nested loop exists as the ablation/comparison arm.
+//! directly comparable group elements. The server always runs the hash
+//! join; the nested loop is kept as the §6.5 comparison arm
+//! (`eqjoin-bench`'s `compare`) and as a test oracle, and no request
+//! can select it.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-
-/// Join algorithm selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinAlgorithm {
-    /// Expected `O(n)` bucket join on `D` bytes (the paper's default).
-    Hash,
-    /// `O(n²)` pairwise comparison (Hahn et al.'s constraint).
-    NestedLoop,
-}
 
 /// Output of the matching phase: matched `(left, right)` row-index pairs
 /// plus the equality classes the server observed (for leakage
@@ -84,7 +77,8 @@ pub fn hash_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -> Match
     }
 }
 
-/// Nested-loop join: compare every left/right pair.
+/// Nested-loop join: compare every left/right pair — `O(n²)`, Hahn et
+/// al.'s constraint.
 pub fn nested_loop_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -> MatchOutcome {
     let mut pairs = Vec::new();
     let mut comparisons = 0u64;

@@ -21,7 +21,7 @@
 //!              LocalBackend / remote backend
 //!   ┌────────────────────────────────────────────────┐
 //!   │ DbServer: SJ.Dec per row (pre-filter, threads) │
-//!   │           SJ.Match via hash / nested-loop join │
+//!   │           SJ.Match via hash join on D bytes    │
 //!   │           → EncryptedJoinResult (projected     │
 //!   │             payload columns) + observation     │
 //!   └────────────────────────────────────────────────┘
@@ -65,11 +65,12 @@
 //!   halved every `10 × cap` lookups), incremental
 //!   `InsertRows`/`DeleteRows`, and checksummed snapshot persistence
 //!   (warm restarts).
-//! * [`server`] — the query executor over the store: per-row `SJ.Dec`,
-//!   `O(n)` hash join / `O(n²)` nested-loop join, optional
-//!   parallelism, the optional selectivity pre-filter (§4.3), and
-//!   payload projection ([`PayloadProjection`]).
-//! * [`join`] — the matching algorithms on decrypted `D` values, plus
+//! * [`server`] — the query executor over the store: per-row `SJ.Dec`
+//!   (parallel, optionally pre-filtered by the §4.3 tags), the `O(n)`
+//!   hash join, and payload projection ([`PayloadProjection`]).
+//! * [`join`] — the matching algorithms on decrypted `D` values (the
+//!   hash join the server runs, and the `O(n²)` nested loop kept as the
+//!   comparison arm and a test oracle), plus
 //!   [`stitch_stages`](join::stitch_stages), which composes pairwise
 //!   stage results into chain tuples.
 
@@ -94,7 +95,6 @@ pub use client::{ClientConfig, ClientStats, DbClient, JoinedRow, TableConfig};
 pub use data::{Row, Schema, Table, Value};
 pub use encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 pub use error::DbError;
-pub use join::JoinAlgorithm;
 pub use plan::{ColumnId, LoweredPlan, OutputColumn, PlanNode, QueryPlan, Stage};
 pub use protocol::{
     peek_envelope, valid_tenant_name, Request, RequestEnvelope, Response, ServerApi, ServerMetrics,

@@ -115,7 +115,6 @@
 use crate::backend::TransportStats;
 use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 use crate::error::DbError;
-use crate::join::JoinAlgorithm;
 use crate::server::{
     DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, MatchedPair, PayloadProjection,
     ServerStats,
@@ -784,11 +783,9 @@ macro_rules! wire_struct {
 wire_struct!(SideTokens<E> { table, token, prefilter });
 wire_struct!(QueryTokens<E> { query_id, left, right });
 wire_struct!(JoinOptions {
-    algorithm,
     use_prefilter,
     threads,
     decrypt_cache,
-    decrypt_cache_cap,
 });
 wire_struct!(PayloadProjection { left, right });
 wire_struct!(EncryptedRow<E> { cipher, payloads, tags });
@@ -944,12 +941,6 @@ wire_enum! {
     mod side_tag: "table side", framed: false, for SjTableSide;
     0 => A,
     1 => B,
-}
-
-wire_enum! {
-    mod algorithm_tag: "join algorithm", framed: false, for JoinAlgorithm;
-    0 => Hash,
-    1 => NestedLoop,
 }
 
 // ---------------------------------------------------------------------

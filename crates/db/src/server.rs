@@ -6,7 +6,11 @@
 //! Storage, first-use pairing preparation, the row-granular decrypt
 //! cache and snapshot persistence all live in [`crate::store`]; this
 //! module is the query executor on top: thread resolution, the match
-//! phase, payload projection and leakage observation.
+//! phase (always the hash join on `D` bytes), payload projection and
+//! leakage observation. A request says what to join; how is mostly the
+//! server's: the match algorithm and the decrypt-cache capacity are
+//! fixed server-side, never per request, and the options a request
+//! does carry ([`JoinOptions`]) act on that request alone.
 //!
 //! # The series-aware decrypt cache
 //!
@@ -20,26 +24,30 @@
 //! pairing phase entirely (visible as [`ServerStats::decrypt_cache_hits`]
 //! and a zero pairing-counter delta), and an incremental
 //! [`DbServer::insert_rows`] re-decrypts only the new rows. The cache
-//! is capped ([`JoinOptions::decrypt_cache_cap`] /
-//! [`DbServer::set_decrypt_cache_cap`]) and evicts the side cheapest to
-//! lose: fewest `uses × rows`, use counts halved every `10 × cap`
-//! lookups, ties to the least recently used. It caches only values the
-//! server would recompute from what it already stores — it observes
-//! nothing new, so the leakage accounting is unchanged.
+//! is capped by server configuration alone
+//! ([`DbServer::set_decrypt_cache_cap`] / `eqjoind --decrypt-cache-cap`)
+//! and evicts the side cheapest to lose: fewest `uses × rows`, use
+//! counts halved every `10 × cap` lookups, ties to the least recently
+//! used. It caches only values the server would recompute from what it
+//! already stores — it observes nothing new, so the leakage accounting
+//! is unchanged.
 
 use crate::encrypted::{EncryptedTable, QueryTokens};
 use crate::error::DbError;
-use crate::join::{hash_join, nested_loop_join, JoinAlgorithm, MatchOutcome};
+use crate::join::hash_join;
 use crate::store::EncryptedStore;
 use eqjoin_pairing::Engine;
 use std::time::{Duration, Instant};
 
-/// Join execution options.
+/// The execution options a join request carries. Each acts on this
+/// request only: the match algorithm and the decrypt-cache capacity are
+/// server configuration, so no request can change how a later one is
+/// served.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinOptions {
-    /// Matching algorithm (hash join is the paper's default).
-    pub algorithm: JoinAlgorithm,
-    /// Honor pre-filter tags if the ciphertexts carry them.
+    /// Honor pre-filter tags if the ciphertexts carry them (on by
+    /// default). A side served without them is a different decrypt-cache
+    /// entry from the same side served with them.
     pub use_prefilter: bool,
     /// Worker threads for the decryption phase. `0` (the default) means
     /// auto: one worker per available core, or the server's configured
@@ -50,22 +58,14 @@ pub struct JoinOptions {
     /// Serve repeated byte-identical tokens from the server's decrypt
     /// cache (on by default; see the module docs).
     pub decrypt_cache: bool,
-    /// Decrypt-cache capacity in entries (query sides). `0` (the
-    /// default) defers to the server's configured cap
-    /// ([`DbServer::set_decrypt_cache_cap`] / `eqjoind
-    /// --decrypt-cache-cap`); that is also the most a request is
-    /// given — a request may only lower it.
-    pub decrypt_cache_cap: usize,
 }
 
 impl Default for JoinOptions {
     fn default() -> Self {
         JoinOptions {
-            algorithm: JoinAlgorithm::Hash,
             use_prefilter: true,
             threads: 0,
             decrypt_cache: true,
-            decrypt_cache_cap: 0,
         }
     }
 }
@@ -244,9 +244,9 @@ impl<E: Engine> DbServer<E> {
         self.max_threads = threads.filter(|&t| t > 0).unwrap_or_else(available_cores);
     }
 
-    /// Set the decrypt-cache capacity used when a request does not pin
-    /// one (`JoinOptions::decrypt_cache_cap == 0`), and the ceiling for
-    /// one that does.
+    /// Set the decrypt-cache capacity in entries (query sides) — the
+    /// one cap every request is served under (`eqjoind
+    /// --decrypt-cache-cap`).
     pub fn set_decrypt_cache_cap(&mut self, cap: usize) {
         self.store.set_decrypt_cache_cap(cap);
     }
@@ -272,11 +272,12 @@ impl<E: Engine> DbServer<E> {
         self.execute_join_projected(tokens, opts, &PayloadProjection::default())
     }
 
-    /// Execute a join query: per-row `SJ.Dec` on both sides (optionally
-    /// pre-filtered and parallel, served from the decrypt cache where
-    /// warm), then `SJ.Match` via the selected algorithm. Returns the
-    /// encrypted result — matched pairs carrying only the payload
-    /// columns `projection` asks for — and the leakage observation.
+    /// Execute a join query: per-row `SJ.Dec` on both sides
+    /// (optionally pre-filtered, parallel, served from the decrypt cache
+    /// where warm), then `SJ.Match` via the hash join on `D` bytes.
+    /// Returns the encrypted result — matched pairs carrying only the
+    /// payload columns `projection` asks for — and the leakage
+    /// observation.
     pub fn execute_join_projected(
         &self,
         tokens: &QueryTokens<E>,
@@ -310,10 +311,7 @@ impl<E: Engine> DbServer<E> {
         stats.decrypt_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let outcome: MatchOutcome = match opts.algorithm {
-            JoinAlgorithm::Hash => hash_join(&left_d, &right_d),
-            JoinAlgorithm::NestedLoop => nested_loop_join(&left_d, &right_d),
-        };
+        let outcome = hash_join(&left_d, &right_d);
         stats.match_time = t1.elapsed();
         stats.comparisons = outcome.comparisons;
         stats.matched_pairs = outcome.pairs.len();
@@ -478,29 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_agrees_with_hash() {
-        let (mut client, server, query) = setup();
-        let tokens = client.query_tokens(&query).unwrap();
-        let (hash_res, _) = server
-            .execute_join(&tokens, &JoinOptions::default())
-            .unwrap();
-        let (nl_res, _) = server
-            .execute_join(
-                &tokens,
-                &JoinOptions {
-                    algorithm: JoinAlgorithm::NestedLoop,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-        };
-        assert_eq!(key(&hash_res), key(&nl_res));
-        assert!(nl_res.stats.comparisons > hash_res.stats.comparisons);
-    }
-
-    #[test]
     fn a_request_gets_no_more_threads_than_the_server_allows() {
         let mut server = DbServer::<MockEngine>::new();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -544,45 +519,48 @@ mod tests {
     #[test]
     fn prefilter_reduces_decryptions() {
         use crate::client::ClientConfig;
-        let mut client =
-            DbClient::<MockEngine>::with_config(ClientConfig::new(1, 2).seed(5).prefilter(true));
-        let mut server = DbServer::new();
-        let mut t = Table::new(Schema::new("T", &["k", "attr"]));
-        for i in 0..10 {
-            let attr = if i < 2 { "hit" } else { "miss" };
-            t.push_row(vec![Value::Int(i), attr.into()]);
-        }
-        let enc = client
-            .encrypt_table(
-                &t,
-                TableConfig {
-                    join_column: "k".into(),
-                    filter_columns: vec!["attr".into()],
-                },
-            )
-            .unwrap();
-        server.insert_table(enc).unwrap();
-        let query = JoinQuery::on("T", "k", "T", "k").filter("T", "attr", vec!["hit".into()]);
-        let tokens = client.query_tokens(&query).unwrap();
-        let (result, _) = server
-            .execute_join(&tokens, &JoinOptions::default())
-            .unwrap();
+        // The pre-filter is the client's choice, made at encryption: a
+        // table encrypted without tags is a full scan, whatever the query.
+        let run = |prefilter: bool| {
+            let mut client = DbClient::<MockEngine>::with_config(
+                ClientConfig::new(1, 2).seed(5).prefilter(prefilter),
+            );
+            let mut server = DbServer::new();
+            let mut t = Table::new(Schema::new("T", &["k", "attr"]));
+            for i in 0..10 {
+                let attr = if i < 2 { "hit" } else { "miss" };
+                t.push_row(vec![Value::Int(i), attr.into()]);
+            }
+            let enc = client
+                .encrypt_table(
+                    &t,
+                    TableConfig {
+                        join_column: "k".into(),
+                        filter_columns: vec!["attr".into()],
+                    },
+                )
+                .unwrap();
+            server.insert_table(enc).unwrap();
+            let query = JoinQuery::on("T", "k", "T", "k").filter("T", "attr", vec!["hit".into()]);
+            let tokens = client.query_tokens(&query).unwrap();
+            let (result, _) = server
+                .execute_join(&tokens, &JoinOptions::default())
+                .unwrap();
+            result
+        };
+        let filtered = run(true);
         // Self-join: the filter applies to both sides, 2 rows each.
-        assert_eq!(result.stats.rows_decrypted, 4);
-        assert_eq!(result.stats.rows_prefiltered_out, 16);
-        // Without the prefilter everything is decrypted.
-        let (nofilter, _) = server
-            .execute_join(
-                &tokens,
-                &JoinOptions {
-                    use_prefilter: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(nofilter.stats.rows_decrypted, 20);
+        assert_eq!(filtered.stats.rows_decrypted, 4);
+        assert_eq!(filtered.stats.rows_prefiltered_out, 16);
+        // Without tags everything is decrypted.
+        let unfiltered = run(false);
+        assert_eq!(unfiltered.stats.rows_decrypted, 20);
+        assert_eq!(unfiltered.stats.rows_prefiltered_out, 0);
         // Same matches either way.
-        assert_eq!(result.stats.matched_pairs, nofilter.stats.matched_pairs);
+        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
+            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
+        };
+        assert_eq!(key(&filtered), key(&unfiltered));
     }
 
     #[test]
@@ -757,35 +735,6 @@ mod tests {
             );
             assert!(server.store().decrypt_cache_len() <= 4);
         }
-    }
-
-    #[test]
-    fn per_request_cache_cap_overrides_server_default() {
-        let (mut client, server, query) = setup();
-        let opts = JoinOptions {
-            decrypt_cache_cap: 2,
-            ..Default::default()
-        };
-        for _ in 0..5 {
-            let tokens = client.query_tokens(&query).unwrap();
-            server.execute_join(&tokens, &opts).unwrap();
-            assert!(server.store().decrypt_cache_len() <= 2);
-        }
-    }
-
-    #[test]
-    fn a_request_cannot_lift_the_server_cache_cap() {
-        let (mut client, mut server, query) = setup();
-        server.set_decrypt_cache_cap(4);
-        let opts = JoinOptions {
-            decrypt_cache_cap: usize::MAX,
-            ..Default::default()
-        };
-        for _ in 0..6 {
-            let tokens = client.query_tokens(&query).unwrap();
-            server.execute_join(&tokens, &opts).unwrap();
-        }
-        assert!(server.store().decrypt_cache_len() <= 4);
     }
 
     #[test]

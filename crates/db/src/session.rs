@@ -64,7 +64,7 @@ use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
 use crate::data::{Row, Table, Value};
 use crate::encrypted::QueryTokens;
 use crate::error::DbError;
-use crate::join::{stitch_stages, JoinAlgorithm, StageLink};
+use crate::join::{stitch_stages, StageLink};
 use crate::plan::{ColumnId, LoweredPlan, QueryPlan};
 use crate::protocol::{Request, Response, ServerApi};
 use crate::query::JoinQuery;
@@ -96,8 +96,9 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// Scheme dimensions `m` (filter attributes per table) and `t`
-    /// (`IN`-clause bound); defaults: seed 0, pre-filter off, hash join,
-    /// single-threaded, token cache on.
+    /// (`IN`-clause bound); defaults: seed 0, pre-filter off, token
+    /// cache on, server decrypt cache on, and auto decrypt threads (the
+    /// executing server's ceiling).
     pub fn new(m: usize, t: usize) -> Self {
         SessionConfig {
             client: ClientConfig::new(m, t),
@@ -140,21 +141,6 @@ impl SessionConfig {
     /// server-side.
     pub fn decrypt_cache(mut self, enabled: bool) -> Self {
         self.options.decrypt_cache = enabled;
-        self
-    }
-
-    /// Pin the server decrypt-cache capacity (entries) for this
-    /// session's joins; `0` (the default) defers to the server's
-    /// configured cap (`eqjoind --decrypt-cache-cap`), and a pinned cap
-    /// may only lower it.
-    pub fn decrypt_cache_cap(mut self, cap: usize) -> Self {
-        self.options.decrypt_cache_cap = cap;
-        self
-    }
-
-    /// Select the server-side matching algorithm.
-    pub fn algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
-        self.options.algorithm = algorithm;
         self
     }
 

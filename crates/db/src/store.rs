@@ -105,8 +105,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Default decrypt-cache capacity (entries = query sides), used when
-/// neither the store nor the request configures one.
+/// Default decrypt-cache capacity (entries = query sides), used until
+/// the server configures its own (`eqjoind --decrypt-cache-cap`).
 pub const DEFAULT_DECRYPT_CACHE_CAP: usize = 64;
 
 /// Snapshot magic bytes.
@@ -625,12 +625,11 @@ impl<E: Engine> EncryptedStore<E> {
         }
     }
 
-    /// Set the decrypt-cache capacity (`eqjoind --decrypt-cache-cap`):
-    /// what a request that pins none gets, and the most one that pins
-    /// a cap gets. Clamped to at least 1. Takes effect at once: a cache
-    /// holding more entries (a snapshot saved under a larger cap) is
-    /// evicted down to it, and the store is marked dirty so the next
-    /// snapshot holds no more either.
+    /// Set the decrypt-cache capacity (`eqjoind --decrypt-cache-cap`),
+    /// the one cap every request is served under, clamped to at least
+    /// one entry. Takes effect at once: a cache holding more entries (a
+    /// snapshot saved under a larger cap) is evicted down to it, and the
+    /// store is marked dirty so the next snapshot holds no more either.
     pub fn set_decrypt_cache_cap(&mut self, cap: usize) {
         self.cache_cap = cap.max(1);
         let cache = self.cache.get_mut().unwrap_or_else(|e| e.into_inner());
@@ -639,7 +638,7 @@ impl<E: Engine> EncryptedStore<E> {
         }
     }
 
-    /// The configured default decrypt-cache capacity.
+    /// The configured decrypt-cache capacity.
     pub fn decrypt_cache_cap(&self) -> usize {
         self.cache_cap
     }
@@ -949,13 +948,6 @@ impl<E: Engine> EncryptedStore<E> {
                 .zip(&out)
                 .map(|(&(_, id, version), (_, match_key))| (id, (version, match_key.clone())))
                 .collect();
-            // A request may lower the store's cap, never lift it: the
-            // cap is a wire field, and the cache lives in memory and in
-            // every snapshot.
-            let cap = match opts.decrypt_cache_cap {
-                0 => self.cache_cap,
-                pinned => pinned.min(self.cache_cap),
-            };
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache.tick += 1;
             let entry = CacheEntry {
@@ -964,7 +956,7 @@ impl<E: Engine> EncryptedStore<E> {
                 last_used: cache.tick,
                 uses: 1,
             };
-            cache.insert(preimage.into_boxed_slice(), key, entry, cap);
+            cache.insert(preimage.into_boxed_slice(), key, entry, self.cache_cap);
             drop(cache);
             self.mark_dirty();
         }

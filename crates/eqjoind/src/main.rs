@@ -85,9 +85,9 @@ usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
 --data-dir DIR          persist the store (tables + decrypt cache) under
                         DIR and restart warm from it;
                         tenants snapshot under DIR/tenants/<name>/
---decrypt-cache-cap N   decrypt-cache entries kept per store (default 64;
-                        evicts the fewest uses x rows, uses halved every
-                        10 x N lookups; requests may only lower it)
+--decrypt-cache-cap N   decrypt-cache entries kept per store, N >= 1
+                        (default 64); evicts the fewest uses x rows, uses
+                        halved every 10 x N lookups
 --compaction-threshold BYTES
                         O(delta) persistence: keep appending to the
                         fsynced mutation journal and rewrite the full
@@ -181,11 +181,13 @@ fn parse_options() -> Options {
                     .unwrap_or_else(|e: String| bad_value("--log-level", &e))
             }
             "--decrypt-cache-cap" => {
-                options.decrypt_cache_cap = Some(
-                    value("--decrypt-cache-cap")
-                        .parse()
-                        .unwrap_or_else(|_| usage_for("--decrypt-cache-cap")),
-                )
+                let cap: usize = value("--decrypt-cache-cap")
+                    .parse()
+                    .unwrap_or_else(|_| usage_for("--decrypt-cache-cap"));
+                if cap == 0 {
+                    bad_value("--decrypt-cache-cap", "N must be at least 1");
+                }
+                options.decrypt_cache_cap = Some(cap);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -215,12 +215,14 @@ const EAGER_PAIRINGS: u64 = 9;
 
 /// (b) The case with nothing to save: a query that selects every row
 /// prepares every row once, and ingest + that query cost exactly what
-/// eager preparation cost — the work moved, it did not grow.
+/// eager preparation cost — the work moved, it did not grow. The
+/// tables carry no tags (a `prefilter(false)` client), so the filtered
+/// query is a full scan.
 #[test]
 fn a_full_scan_costs_what_eager_preparation_cost() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut client =
-        DbClient::<Bls12>::with_config(ClientConfig::new(1, 1).seed(9).prefilter(true));
+        DbClient::<Bls12>::with_config(ClientConfig::new(1, 1).seed(9).prefilter(false));
     let mut left = Table::new(Schema::new("L", &["k", "a"]));
     let mut right = Table::new(Schema::new("R", &["k", "b"]));
     for i in 0..5i64 {
@@ -234,7 +236,6 @@ fn a_full_scan_costs_what_eager_preparation_cost() {
     let query = JoinQuery::on("L", "k", "R", "k").filter("L", "a", vec!["a0".into()]);
     let tokens = client.query_tokens(&query).unwrap();
     let full_scan = JoinOptions {
-        use_prefilter: false,
         threads: 1,
         ..JoinOptions::default()
     };
@@ -246,7 +247,7 @@ fn a_full_scan_costs_what_eager_preparation_cost() {
     applied(&backend, Request::InsertTable(enc_right));
     let (_, decrypted) = run(&backend, join(&tokens, full_scan));
     let delta = ops::snapshot().since(&before);
-    assert_eq!(decrypted, 9, "prefilter off: every stored row");
+    assert_eq!(decrypted, 9, "no tags: every stored row");
     assert_eq!(prepared_rows() - baseline, 9, "every row prepared");
     assert_eq!(
         (delta.g2_prepares, delta.miller_pairs, delta.pairings),
@@ -359,7 +360,6 @@ fn query(which: u8) -> JoinQuery {
 /// keys) drive an unfiltered, uncached self-join over each table.
 fn touch_all(backend: &LocalBackend<MockEngine>, foreign: &mut DbClient<MockEngine>) {
     let options = JoinOptions {
-        use_prefilter: false,
         decrypt_cache: false,
         ..JoinOptions::default()
     };

@@ -7,15 +7,16 @@
 //! local backend and the remote backend over a loopback reactor**.
 
 use eqjoin::baselines::ground_truth;
+use eqjoin::db::join::{hash_join, nested_loop_join};
 use eqjoin::db::{
-    DbClient, DbServer, JoinAlgorithm, JoinOptions, JoinQuery, QueryPlan, Schema, Session,
+    DbClient, DbServer, JoinOptions, JoinQuery, QueryPlan, Schema, ServerStats, Session,
     SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::leakage::{pairs_from_classes, Node};
 use eqjoin::pairing::MockEngine;
 use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A compact description of a random test instance.
@@ -66,6 +67,32 @@ fn build_query(inst: &Instance) -> JoinQuery {
         q = q.filter("R", "attr", vs);
     }
     q
+}
+
+/// Equality classes in a canonical order (they come back in hash-map
+/// order).
+fn sorted_classes(mut classes: Vec<Vec<(u8, usize)>>) -> Vec<Vec<(u8, usize)>> {
+    for class in &mut classes {
+        class.sort_unstable();
+    }
+    classes.sort_unstable();
+    classes
+}
+
+/// The equality classes of the `D` values grouped by their whole bytes
+/// in an ordered map — independent of the hash join's bucketing (which
+/// `nested_loop_join` reuses for its classes).
+fn reference_classes(
+    left: &[(usize, Vec<u8>)],
+    right: &[(usize, Vec<u8>)],
+) -> Vec<Vec<(u8, usize)>> {
+    let mut groups: BTreeMap<&[u8], Vec<(u8, usize)>> = BTreeMap::new();
+    for (side, rows) in [(0u8, left), (1, right)] {
+        for (row, d) in rows {
+            groups.entry(d).or_default().push((side, *row));
+        }
+    }
+    sorted_classes(groups.into_values().filter(|c| c.len() >= 2).collect())
 }
 
 proptest! {
@@ -127,20 +154,18 @@ proptest! {
         server.insert_table(client.encrypt_table(&right, cfg()).unwrap()).unwrap();
         let tokens = client.query_tokens(&query).unwrap();
 
-        let (hash, _) = server.execute_join(&tokens, &JoinOptions::default()).unwrap();
-        let (nested, _) = server
-            .execute_join(
-                &tokens,
-                &JoinOptions { algorithm: JoinAlgorithm::NestedLoop, ..Default::default() },
-            )
-            .unwrap();
-        let as_pairs = |r: &eqjoin::db::EncryptedJoinResult| {
-            let mut v: Vec<(usize, usize)> =
-                r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(as_pairs(&hash), as_pairs(&nested));
+        // Both algorithms over the store's real `SJ.Dec` outputs.
+        let mut stats = ServerStats::default();
+        let store = server.store();
+        let left_d = store.decrypt_side(&tokens.left, &JoinOptions::default(), 1, &mut stats).unwrap();
+        let right_d = store.decrypt_side(&tokens.right, &JoinOptions::default(), 1, &mut stats).unwrap();
+        let hash = hash_join(&left_d, &right_d);
+        let nested = nested_loop_join(&left_d, &right_d);
+        prop_assert_eq!(&hash.pairs, &nested.pairs);
+        prop_assert_eq!(sorted_classes(hash.equality_classes.clone()), reference_classes(&left_d, &right_d));
+        // One probe per row against every pair.
+        prop_assert_eq!(hash.comparisons, (left_d.len() + right_d.len()) as u64);
+        prop_assert_eq!(nested.comparisons, (left_d.len() * right_d.len()) as u64);
     }
 }
 

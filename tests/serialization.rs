@@ -6,8 +6,8 @@
 use eqjoin::core::{RowEncoding, SecureJoin, SjParams, SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::crypto::ChaChaRng;
 use eqjoin::db::{
-    DbClient, DbError, JoinAlgorithm, JoinOptions, JoinQuery, LocalBackend, Request, Response,
-    Schema, ServerApi, Table, TableConfig, Value,
+    DbClient, DbError, JoinOptions, JoinQuery, LocalBackend, Request, Response, Schema, ServerApi,
+    Table, TableConfig, Value,
 };
 use eqjoin::pairing::{ops, Bls12, Engine, Fr, MockEngine};
 use std::sync::Mutex;
@@ -116,11 +116,9 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     };
     let query = JoinQuery::on("T", "k", "T", "k").filter("T", "attr", vec!["v0".into()]);
     let options = JoinOptions {
-        algorithm: JoinAlgorithm::Hash,
         use_prefilter: true,
         threads: 2,
         decrypt_cache: true,
-        decrypt_cache_cap: 0,
     };
 
     // In-process reference execution.

@@ -4,9 +4,14 @@
 //! at a small scale factor; one BLS12-381 smoke run at a tiny scale).
 
 use eqjoin::baselines::ground_truth;
-use eqjoin::db::{JoinAlgorithm, JoinQuery, Session, SessionConfig, Table, TableConfig};
+use eqjoin::db::join::{hash_join, nested_loop_join};
+use eqjoin::db::{
+    DbClient, DbServer, JoinOptions, JoinQuery, ServerStats, Session, SessionConfig, Table,
+    TableConfig,
+};
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use eqjoin::tpch::{generate_customers, generate_orders, TpchConfig};
+use std::collections::BTreeMap;
 
 fn tpch_session<E: Engine>(config: SessionConfig, customers: &Table, orders: &Table) -> Session<E> {
     let mut session = Session::<E>::local(config);
@@ -99,19 +104,76 @@ fn hash_and_nested_loop_agree_on_tpch_mock() {
         vec!["1/12.5".into()],
     );
 
-    let run = |algorithm: JoinAlgorithm| {
-        let mut session = tpch_session::<MockEngine>(
-            SessionConfig::new(2, 4).seed(31).algorithm(algorithm),
-            &customers,
-            &orders,
-        );
-        let result = session.execute(&query).unwrap();
-        (result.pairs, result.stats.comparisons)
+    // Both algorithms over the server's real `SJ.Dec` outputs: the `D`
+    // values the store hands its (hash-only) match phase.
+    let mut client = DbClient::<MockEngine>::new(2, 4, 31);
+    let mut server = DbServer::<MockEngine>::new();
+    for (table, filters) in [
+        (&customers, ["mktsegment", "selectivity"]),
+        (&orders, ["orderpriority", "selectivity"]),
+    ] {
+        let config = TableConfig {
+            join_column: "custkey".into(),
+            filter_columns: filters.iter().map(|c| (*c).to_string()).collect(),
+        };
+        let enc = client.encrypt_table(table, config).unwrap();
+        server.insert_table(enc).unwrap();
+    }
+    let tokens = client.query_tokens(&query).unwrap();
+    let mut stats = ServerStats::default();
+    let mut decrypt = |side| {
+        server
+            .store()
+            .decrypt_side(side, &JoinOptions::default(), 1, &mut stats)
+            .unwrap()
     };
-    let (hash_pairs, hash_cmp) = run(JoinAlgorithm::Hash);
-    let (nested_pairs, nested_cmp) = run(JoinAlgorithm::NestedLoop);
-    assert_eq!(hash_pairs, nested_pairs);
-    assert!(nested_cmp >= hash_cmp);
+    let (left, right) = (decrypt(&tokens.left), decrypt(&tokens.right));
+
+    let hash = hash_join(&left, &right);
+    let nested = nested_loop_join(&left, &right);
+    assert!(!hash.pairs.is_empty());
+    assert_eq!(hash.pairs, nested.pairs);
+    assert_eq!(
+        sorted_classes(hash.equality_classes),
+        reference_classes(&left, &right)
+    );
+    assert!(nested.comparisons >= hash.comparisons);
+    // And the server's answer is the hash join's.
+    let (served, _) = server
+        .execute_join(&tokens, &JoinOptions::default())
+        .unwrap();
+    let served: Vec<(usize, usize)> = served
+        .pairs
+        .iter()
+        .map(|p| (p.left_row, p.right_row))
+        .collect();
+    assert_eq!(served, hash.pairs);
+}
+
+/// Equality classes in a canonical order (they come back in hash-map
+/// order).
+fn sorted_classes(mut classes: Vec<Vec<(u8, usize)>>) -> Vec<Vec<(u8, usize)>> {
+    for class in &mut classes {
+        class.sort_unstable();
+    }
+    classes.sort_unstable();
+    classes
+}
+
+/// The equality classes of the `D` values grouped by their whole bytes
+/// in an ordered map — independent of the hash join's bucketing (which
+/// `nested_loop_join` reuses for its classes).
+fn reference_classes(
+    left: &[(usize, Vec<u8>)],
+    right: &[(usize, Vec<u8>)],
+) -> Vec<Vec<(u8, usize)>> {
+    let mut groups: BTreeMap<&[u8], Vec<(u8, usize)>> = BTreeMap::new();
+    for (side, rows) in [(0u8, left), (1, right)] {
+        for (row, d) in rows {
+            groups.entry(d).or_default().push((side, *row));
+        }
+    }
+    sorted_classes(groups.into_values().filter(|c| c.len() >= 2).collect())
 }
 
 #[test]

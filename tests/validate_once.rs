@@ -339,27 +339,45 @@ fn the_store_checks_exactly_the_sides_its_cache_cannot_vouch_for() {
     insert_into_b(1, "y");
     assert_eq!(checks_and_misses(&remote, chain()), (0, 0));
 
-    // Eviction: under a cap of one entry the right side's insert evicts
-    // the left side's, so the repeat finds the right side vouched for
-    // and the left side a first sighting again.
-    let fresh = client
-        .query_tokens(&JoinQuery::on("A", "k", "C", "k"))
+    // Eviction, on a server configured for one entry. A side that
+    // selects no row is checked but leaves no entry, so the right
+    // side's entry survives and its repeat is vouched for. A join with
+    // two entries to write keeps only its right side's, and even that
+    // is gone by the time its repeat looks: the repeat's left side,
+    // a first sighting again, is decrypted and cached first and evicts
+    // it, so both sides are checked again. The first join's right
+    // side, evicted by then, is a first sighting again too.
+    let (capped, _capped_server) =
+        one_worker_server(TenantRegistry::<MockEngine>::new(None, Some(1), None));
+    for (t, filter) in [(&tables[0], "a"), (&tables[2], "c")] {
+        let upload = Request::InsertTable(client.encrypt_table(t, cfg(filter)).unwrap());
+        assert!(matches!(
+            capped.handle(upload),
+            Response::TableInserted { .. }
+        ));
+    }
+    let a_c = || JoinQuery::on("A", "k", "C", "k");
+    let no_a = client
+        .query_tokens(&a_c().filter("A", "a", vec!["z".into()]))
         .unwrap();
-    let cap_one = JoinOptions {
-        decrypt_cache_cap: 1,
-        ..JoinOptions::default()
-    };
+    let every_a = client.query_tokens(&a_c()).unwrap();
+    let default = JoinOptions::default;
     assert_eq!(
-        checks_and_misses(&remote, join(&fresh, cap_one)),
+        checks_and_misses(&capped, join(&no_a, default())),
+        (2 * n, 2)
+    );
+    assert_eq!(checks_and_misses(&capped, join(&no_a, default())), (n, 0));
+    assert_eq!(
+        checks_and_misses(&capped, join(&every_a, default())),
         (2 * n, 3 + 2)
     );
     assert_eq!(
-        checks_and_misses(&remote, join(&fresh, JoinOptions::default())),
-        (n, 3)
+        checks_and_misses(&capped, join(&every_a, default())),
+        (2 * n, 3 + 2)
     );
     assert_eq!(
-        checks_and_misses(&remote, join(&fresh, JoinOptions::default())),
-        (0, 0)
+        checks_and_misses(&capped, join(&no_a, default())),
+        (2 * n, 2)
     );
 }
 

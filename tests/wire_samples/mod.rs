@@ -9,9 +9,9 @@
 use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::db::protocol::{error_tag, request_tag, response_tag};
 use eqjoin::db::{
-    DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinAlgorithm, JoinObservation,
-    JoinOptions, MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerMetrics,
-    ServerStats, SideTokens, TransportStats,
+    DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinObservation, JoinOptions,
+    MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerMetrics, ServerStats,
+    SideTokens, TransportStats,
 };
 use eqjoin::pairing::{Engine, Fr, MockEngine};
 use std::time::Duration;
@@ -81,15 +81,9 @@ pub fn exec_request(query_id: u64, seeds: &[u64], threads: u64) -> Req {
             right: side(query_id + 1, SjTableSide::B, seeds),
         },
         options: JoinOptions {
-            algorithm: if query_id.is_multiple_of(2) {
-                JoinAlgorithm::Hash
-            } else {
-                JoinAlgorithm::NestedLoop
-            },
             use_prefilter: query_id.is_multiple_of(3),
             threads: threads as usize,
             decrypt_cache: query_id.is_multiple_of(5),
-            decrypt_cache_cap: (query_id % 128) as usize,
         },
         projection: PayloadProjection {
             left: query_id
