@@ -444,13 +444,9 @@ impl<E: Engine> LocalBackend<E> {
                 Ok(()) => Response::Pong,
                 Err(e) => Response::Error(e),
             },
-            // Observability snapshot: this backend's own counters (the
-            // snapshot includes the Stats request itself — `handle`
-            // counts before dispatching) plus the process exposition.
-            Request::Stats => Response::Stats(crate::protocol::ServerMetrics {
-                transport: self.counters.snapshot(),
-                exposition: eqjoin_obs::exposition(),
-            }),
+            // The process exposition; this backend's own counters stay
+            // in-process (`transport_stats`).
+            Request::Stats => Response::Stats(eqjoin_obs::exposition()),
             // This backend has exactly one namespace. Serving a tenant
             // envelope here would silently merge tenants' stores, so
             // refuse loudly — multi-tenant serving goes through the

@@ -199,8 +199,7 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
     stream.write_all(tail)?;
     stream.flush()?;
     eqjoin_obs::histogram!("eqjoin_frame_write_seconds").record(start.elapsed());
-    eqjoin_obs::counter!("eqjoin_frames_sent_total").inc();
-    eqjoin_obs::counter!("eqjoin_frame_bytes_sent_total").add(payload.len() as u64 + 4);
+    count_frame_sent(payload.len());
     Ok(payload.len() as u64 + 4)
 }
 
@@ -245,9 +244,27 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
     eqjoin_obs::histogram!("eqjoin_frame_read_seconds").record(start.elapsed());
-    eqjoin_obs::counter!("eqjoin_frames_received_total").inc();
-    eqjoin_obs::counter!("eqjoin_frame_bytes_received_total").add(len as u64 + 4);
+    count_frame_received(len);
     Ok(Some(payload))
+}
+
+/// Count one complete frame of `payload_len` payload bytes put on the
+/// wire (`eqjoin_frames_sent_total`, `eqjoin_frame_bytes_sent_total`,
+/// framing included). [`write_frame`] calls it, and so does any other
+/// writer of this frame format (the `eqjoind` reactor), so the series
+/// count both ends of a connection.
+pub fn count_frame_sent(payload_len: usize) {
+    eqjoin_obs::counter!("eqjoin_frames_sent_total").inc();
+    eqjoin_obs::counter!("eqjoin_frame_bytes_sent_total").add(payload_len as u64 + 4);
+}
+
+/// Count one complete frame of `payload_len` payload bytes taken off
+/// the wire (`eqjoin_frames_received_total`,
+/// `eqjoin_frame_bytes_received_total`, framing included): the
+/// receiving twin of [`count_frame_sent`].
+pub fn count_frame_received(payload_len: usize) {
+    eqjoin_obs::counter!("eqjoin_frames_received_total").inc();
+    eqjoin_obs::counter!("eqjoin_frame_bytes_received_total").add(payload_len as u64 + 4);
 }
 
 #[cfg(test)]

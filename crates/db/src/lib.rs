@@ -45,7 +45,9 @@
 //! * [`backend`] — the transports: in-process [`LocalBackend`],
 //!   networked [`RemoteBackend`] (the client half of the `eqjoind`
 //!   server, whose connection layer is the `eqjoind-net` crate), and
-//!   [`TransportStats`]. Backends only ever see pairwise
+//!   [`TransportStats`], the client-side and in-process count of round
+//!   trips and bytes (a server's scrape counts its own wire traffic in
+//!   the `eqjoin_frame*` series). Backends only ever see pairwise
 //!   `ExecuteJoin`s — plans reach them as ordinary batches.
 //!
 //! The documented low-level layer underneath (useful for experiments
@@ -82,7 +84,6 @@ pub mod data;
 pub mod encrypted;
 pub mod error;
 pub mod join;
-pub mod obs_bridge;
 pub mod plan;
 pub mod protocol;
 pub mod query;
@@ -97,7 +98,7 @@ pub use encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireT
 pub use error::DbError;
 pub use plan::{ColumnId, LoweredPlan, OutputColumn, PlanNode, QueryPlan, Stage};
 pub use protocol::{
-    peek_envelope, valid_tenant_name, Request, RequestEnvelope, Response, ServerApi, ServerMetrics,
+    peek_envelope, valid_tenant_name, Request, RequestEnvelope, Response, ServerApi,
 };
 pub use query::{InFilter, JoinQuery};
 pub use server::{

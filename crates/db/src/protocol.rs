@@ -207,12 +207,9 @@ pub enum Request<E: Engine> {
     /// connections, finish in-flight work, then exit. In-process
     /// backends flush and answer [`Response::Pong`].
     Drain,
-    /// Ask the server for its observability snapshot: cumulative
-    /// transport counters plus a full Prometheus-text metrics
-    /// exposition ([`Response::Stats`]). Read-only, so unlike
-    /// [`Request::Drain`] it may ride inside a batch or a tenant
-    /// envelope (a tenant envelope scopes the transport counters to
-    /// that tenant's namespace).
+    /// Ask the server for its Prometheus-text metrics exposition
+    /// ([`Response::Stats`]). Read-only, so unlike [`Request::Drain`]
+    /// it may ride inside a batch or a tenant envelope.
     Stats,
 }
 
@@ -335,19 +332,6 @@ pub fn peek_envelope(payload: &[u8]) -> RequestEnvelope {
     }
 }
 
-/// What a server reports for [`Request::Stats`]: the programmatic
-/// counter snapshot plus the same Prometheus-text exposition the
-/// `--metrics-addr` listener serves, so a client can introspect a live
-/// server over the ordinary wire without a second endpoint.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerMetrics {
-    /// Cumulative transport counters, scoped to the answering backend
-    /// (the whole server, or one tenant under a tenant envelope).
-    pub transport: TransportStats,
-    /// Prometheus text exposition of the server process's registry.
-    pub exposition: String,
-}
-
 /// A server→client message.
 ///
 /// No variant carries engine-typed data (matched pairs are returned as
@@ -400,8 +384,11 @@ pub enum Response {
     Error(DbError),
     /// Answer to [`Request::Batch`], element `i` answering request `i`.
     Batch(Vec<Response>),
-    /// Answer to [`Request::Stats`].
-    Stats(ServerMetrics),
+    /// Answer to [`Request::Stats`]: the Prometheus text exposition of
+    /// the server process's registry, the same text the
+    /// `--metrics-addr` listener serves, so a client can introspect a
+    /// live server over the ordinary wire without a second endpoint.
+    Stats(String),
 }
 
 /// A join-database backend: anything that can answer the protocol.
@@ -810,20 +797,6 @@ wire_struct!(JoinObservation {
     query_id,
     equality_classes
 });
-wire_struct!(TransportStats {
-    round_trips,
-    requests,
-    batches,
-    bytes_sent,
-    bytes_received,
-    reconnects,
-    retries,
-    gave_up,
-});
-wire_struct!(ServerMetrics {
-    transport,
-    exposition
-});
 
 // ---------------------------------------------------------------------
 // Wire format: the tag tables
@@ -906,7 +879,7 @@ wire_enum! {
     4 => Batch(responses),
     5 => RowsInserted { table, rows },
     6 => RowsDeleted { table, rows },
-    7 => Stats(metrics),
+    7 => Stats(exposition),
     8 => CopyRows { table, rows, total_rows },
 }
 

@@ -570,14 +570,14 @@ impl<E: Engine> Session<E> {
         self.backend.transport_stats()
     }
 
-    /// Ask the *server* for its observability snapshot over the wire
-    /// ([`Request::Stats`]): the server-side transport counters plus
-    /// its full Prometheus exposition. A tenant-scoped session gets
-    /// counters scoped to its namespace. Never sent implicitly — the
-    /// probe itself is one ordinary (counted) round trip.
-    pub fn server_metrics(&self) -> Result<crate::protocol::ServerMetrics, DbError> {
+    /// Ask the *server* for its Prometheus text exposition over the
+    /// wire ([`Request::Stats`]): the text its `--metrics-addr`
+    /// listener serves, per-tenant series included. Never sent
+    /// implicitly — the probe itself is one ordinary (counted) round
+    /// trip.
+    pub fn server_metrics(&self) -> Result<String, DbError> {
         match self.dispatch(Request::Stats) {
-            Response::Stats(metrics) => Ok(metrics),
+            Response::Stats(exposition) => Ok(exposition),
             Response::Error(e) => Err(e),
             _ => Err(DbError::Protocol(
                 "backend answered Stats with the wrong response kind".into(),

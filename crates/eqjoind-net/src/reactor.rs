@@ -39,7 +39,9 @@
 
 use crate::admission::{Admission, AdmitTicket};
 use crate::sys;
-use eqjoin_db::backend::{read_frame, write_frame, MAX_FRAME_BYTES};
+use eqjoin_db::backend::{
+    count_frame_received, count_frame_sent, read_frame, write_frame, MAX_FRAME_BYTES,
+};
 use eqjoin_db::{peek_envelope, DbError, Request, RequestEnvelope, Response, ServerApi};
 use eqjoin_failpoint::{failpoint, Action};
 use eqjoin_pairing::Engine;
@@ -212,6 +214,7 @@ impl Conn {
 
     /// Append one length-framed response to the write buffer.
     fn queue_frame(&mut self, bytes: &[u8]) {
+        count_frame_sent(bytes.len());
         self.write_buf
             .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         self.write_buf.extend_from_slice(bytes);
@@ -704,6 +707,7 @@ fn read_frames(conn: &mut Conn, admission: &Arc<Admission>, scratch: &mut [u8]) 
                 break;
             }
             FrameStep::Frame { payload, next } => {
+                count_frame_received(payload.len());
                 let bytes = payload.to_vec();
                 pos = next;
                 bytes

@@ -21,9 +21,7 @@
 //! `Session::with_backend` as the reference for the TCP path.
 
 use eqjoin_db::TransportStats;
-use eqjoin_db::{
-    valid_tenant_name, DbError, LocalBackend, Request, Response, ServerApi, ServerMetrics,
-};
+use eqjoin_db::{valid_tenant_name, DbError, LocalBackend, Request, Response, ServerApi};
 use eqjoin_pairing::Engine;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -296,13 +294,10 @@ impl<E: Engine> ServerApi<E> for TenantRegistry<E> {
                 Ok(()) => Response::Pong,
                 Err(e) => Response::Error(e),
             },
-            // A top-level (tenantless) stats probe reports the
-            // *aggregate* transport view across every namespace; wrap
-            // it in a tenant envelope to scope it to one tenant.
-            Request::Stats => Response::Stats(ServerMetrics {
-                transport: ServerApi::<E>::transport_stats(self),
-                exposition: eqjoin_obs::exposition(),
-            }),
+            // One exposition for the whole process, tenant envelope or
+            // not: per-tenant request counts and latencies are its
+            // `{tenant}`-labeled series.
+            Request::Stats => Response::Stats(eqjoin_obs::exposition()),
             other => self.observed(DEFAULT_TENANT_LABEL, other, |r| self.default.handle(r)),
         }
     }

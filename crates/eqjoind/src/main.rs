@@ -245,16 +245,11 @@ fn banner(addr: std::net::SocketAddr, engine: &str, options: &Options) {
     );
 }
 
-/// Start the `--metrics-addr` scrape listener (if asked for) and wire
-/// the serving backend's live transport counters into the exposition.
-/// The returned handle must stay alive for the process lifetime; a
-/// failed bind is fatal — the operator asked for a scrape surface and
+/// Start the `--metrics-addr` scrape listener (if asked for). The
+/// returned handle must stay alive for the process lifetime; a failed
+/// bind is fatal — the operator asked for a scrape surface and
 /// silently not having one defeats the point.
-fn start_observability<E: Engine>(
-    options: &Options,
-    backend: &Arc<dyn ServerApi<E>>,
-) -> Result<Option<eqjoin_obs::MetricsServer>, ExitCode> {
-    eqjoin_db::obs_bridge::register_transport_source("eqjoind", Arc::clone(backend));
+fn start_observability(options: &Options) -> Result<Option<eqjoin_obs::MetricsServer>, ExitCode> {
     let Some(addr) = &options.metrics_addr else {
         return Ok(None);
     };
@@ -298,7 +293,7 @@ fn run<E: Engine>(options: &Options) -> ExitCode {
         eprintln!("eqjoind: sigprocmask: {e}");
         return ExitCode::FAILURE;
     }
-    let _metrics = match start_observability::<E>(options, &backend) {
+    let _metrics = match start_observability(options) {
         Ok(metrics) => metrics,
         Err(code) => return code,
     };

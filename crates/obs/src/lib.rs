@@ -44,7 +44,7 @@ pub mod serve;
 
 pub use metrics::{
     bucket_index, bucket_upper_ns, registry, Counter, Gauge, Histogram, HistogramSnapshot,
-    Registry, Sample, SampleKind, Source, HISTOGRAM_BUCKETS,
+    Registry, HISTOGRAM_BUCKETS,
 };
 pub use serve::MetricsServer;
 

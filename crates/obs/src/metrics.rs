@@ -1,7 +1,6 @@
 //! The process-wide metrics registry: named atomic counters, gauges
-//! and fixed-bucket log-scale histograms, plus *snapshot sources* that
-//! expose existing programmatic stats structs under canonical metric
-//! names without duplicating their state.
+//! and fixed-bucket log-scale histograms. Every exported series is one
+//! of these handles; [`Registry::render`] reads them and nothing else.
 //!
 //! # Hot-path design
 //!
@@ -201,33 +200,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// What kind of value a snapshot-source sample is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SampleKind {
-    /// Monotonic counter.
-    Counter,
-    /// Point-in-time gauge.
-    Gauge,
-}
-
-/// One sample emitted by a snapshot source at scrape time.
-#[derive(Clone, Debug)]
-pub struct Sample {
-    /// Full metric name (`eqjoin_server_round_trips_total`).
-    pub name: String,
-    /// Label pairs rendered as `{k="v",…}`.
-    pub labels: Vec<(String, String)>,
-    /// Counter or gauge.
-    pub kind: SampleKind,
-    /// The value (already in its exposition unit).
-    pub value: f64,
-}
-
-/// Closure producing samples from live state at scrape time — how the
-/// pre-existing stats structs (`TransportStats` and the like) join the
-/// scrape surface without a second copy of their counters.
-pub type Source = Box<dyn Fn() -> Vec<Sample> + Send + Sync>;
-
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct MetricKey {
     name: String,
@@ -240,7 +212,6 @@ pub struct Registry {
     counters: RwLock<BTreeMap<MetricKey, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<MetricKey, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<MetricKey, Arc<Histogram>>>,
-    sources: RwLock<Vec<(String, Source)>>,
 }
 
 fn get_or_insert<T: Default>(map: &RwLock<BTreeMap<MetricKey, Arc<T>>>, key: MetricKey) -> Arc<T> {
@@ -299,18 +270,6 @@ impl Registry {
             .unwrap_or_else(|e| e.into_inner())
             .get(&key(name, label))
             .map_or(0, |g| g.get())
-    }
-
-    /// Register (or replace, by name) a snapshot source evaluated at
-    /// every scrape. Sources keep the exposition and the programmatic
-    /// snapshots structurally identical: both read the same atomics.
-    pub fn register_source(&self, name: &str, source: Source) {
-        let mut sources = self.sources.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = sources.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = source;
-        } else {
-            sources.push((name.to_owned(), source));
-        }
     }
 
     /// Render the whole registry in the Prometheus text exposition
@@ -382,22 +341,6 @@ impl Registry {
                 &value(snap.max_ns),
             );
         }
-        let sources = self.sources.read().unwrap_or_else(|e| e.into_inner());
-        for (_, source) in sources.iter() {
-            let mut samples = source();
-            samples.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-            for s in samples {
-                typeline(
-                    &mut out,
-                    &s.name,
-                    match s.kind {
-                        SampleKind::Counter => "counter",
-                        SampleKind::Gauge => "gauge",
-                    },
-                );
-                push_sample(&mut out, &s.name, &s.labels, &format_f64(s.value));
-            }
-        }
         out
     }
 }
@@ -442,14 +385,6 @@ fn push_sample(out: &mut String, name: &str, labels: &[(String, String)], value:
 
 fn format_u64(v: u64) -> String {
     v.to_string()
-}
-
-fn format_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
 }
 
 fn format_seconds(ns: u64) -> String {
@@ -532,17 +467,6 @@ mod tests {
             .inc();
         r.gauge("depth").set(5);
         r.histogram("lat_seconds").record_ns(1_000);
-        r.register_source(
-            "src",
-            Box::new(|| {
-                vec![Sample {
-                    name: "from_source_total".into(),
-                    labels: vec![("tenant".into(), "acme".into())],
-                    kind: SampleKind::Counter,
-                    value: 42.0,
-                }]
-            }),
-        );
         let text = r.render();
         assert!(text.contains("# TYPE test_total counter"));
         assert!(text.contains("test_total 7"));
@@ -551,10 +475,6 @@ mod tests {
         assert!(text.contains("depth 5"));
         assert!(text.contains("lat_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("lat_seconds_count 1"));
-        assert!(text.contains("from_source_total{tenant=\"acme\"} 42"));
-        // Re-registering a source by name replaces it, not duplicates.
-        r.register_source("src", Box::new(Vec::new));
-        assert!(!r.render().contains("from_source_total"));
     }
 
     #[test]

@@ -70,7 +70,6 @@ fn live_scrape_matches_client_and_server_counters() {
     // tenant registry + scrape listener, all in-process.
     let registry = Arc::new(TenantRegistry::<MockEngine>::new(None, None, None));
     let (addr, reactor) = NetServer::spawn(Arc::clone(&registry), NetConfig::default()).unwrap();
-    eqjoin::db::obs_bridge::register_transport_source("metrics_scrape_test", Arc::clone(&registry));
     let (scrape_addr, metrics_server) =
         eqjoin::obs::MetricsServer::spawn("127.0.0.1:0", Arc::new(eqjoin::obs::exposition))
             .unwrap();
@@ -84,7 +83,8 @@ fn live_scrape_matches_client_and_server_counters() {
     let join_count_before = series_value(&before, "eqjoin_join_seconds_count");
     let frames_before = series_value(&before, "eqjoin_frames_sent_total");
     let dec_hits_before = series_value(&before, "eqjoin_store_decrypt_cache_hits_total");
-    let trips_before = series_value(&before, "eqjoin_transport_round_trips_total");
+    let acme_requests = "eqjoin_tenant_request_seconds_count{tenant=\"acme\"}";
+    let trips_before = series_value(&before, acme_requests);
     // First-use preparation: a histogram of first touches, a counter
     // of elements prepared, a gauge of rows holding coefficients.
     let first_touches = |body: &str| series_value(body, "eqjoin_store_prepare_seconds_count");
@@ -176,13 +176,14 @@ fn live_scrape_matches_client_and_server_counters() {
     );
     let transport = session.transport_stats();
     assert_eq!(
-        (series_value(&after, "eqjoin_transport_round_trips_total") - trips_before) as u64,
+        (series_value(&after, acme_requests) - trips_before) as u64,
         transport.round_trips,
-        "the server-side transport source agrees with the client's transport stats"
+        "the tenant's request latency count agrees with the client's round trips"
     );
-    assert!(
-        series_value(&after, "eqjoin_frames_sent_total") - frames_before > 0.0,
-        "frame-level counters moved"
+    assert_eq!(
+        (series_value(&after, "eqjoin_frames_sent_total") - frames_before) as u64,
+        2 * transport.round_trips,
+        "client and reactor share this process: one request frame and one reply per round trip"
     );
     assert!(
         after.contains("eqjoin_session_query_seconds{quantile=\"0.99\"}"),
@@ -200,22 +201,17 @@ fn live_scrape_matches_client_and_server_counters() {
 
     // --- The wire-level introspection pair: `Session::server_metrics`
     // sends `Request::Stats` and gets the SAME exposition the scrape
-    // listener serves, plus the server's aggregate transport snapshot.
-    let server_metrics = session.server_metrics().unwrap();
-    assert!(server_metrics.transport.round_trips >= transport.round_trips);
-    assert!(server_metrics
-        .exposition
-        .contains("eqjoin_build_info{version=\""));
-    assert!(server_metrics
-        .exposition
-        .contains("eqjoin_leakage_queries_total"));
+    // listener serves.
+    let exposition = session.server_metrics().unwrap();
+    assert!(exposition.contains("eqjoin_build_info{version=\""));
+    assert!(exposition.contains("eqjoin_leakage_queries_total"));
     for series in [
         "eqjoin_store_prepare_seconds_count",
         "eqjoin_store_prepared_pairings_total",
         "eqjoin_store_prepared_rows",
     ] {
         assert!(
-            series_value(&server_metrics.exposition, series) > 0.0,
+            series_value(&exposition, series) > 0.0,
             "{series} must be visible through Request::Stats"
         );
     }
@@ -228,9 +224,6 @@ fn live_scrape_matches_client_and_server_counters() {
 
     drop(session);
     metrics_server.stop();
-    // Deregister the source so other binaries' renders never see a
-    // dropped registry (and this test leaks nothing into the process).
-    eqjoin::obs::registry().register_source("metrics_scrape_test", Box::new(Vec::new));
     reactor.stop().unwrap();
 }
 

@@ -178,10 +178,7 @@ proptest! {
     }
 
     #[test]
-    fn stats_round_trip_and_reject_truncation(
-        trips in 0u64..1_000_000,
-        exposition_lines in 0u64..20,
-    ) {
+    fn stats_round_trip_and_reject_truncation(exposition_lines in 0u64..20) {
         // The request is a bare tag; it also rides inside batches and
         // tenant envelopes (it is read-only, unlike Drain).
         assert_request_round_trips(&Req::Stats);
@@ -191,7 +188,7 @@ proptest! {
             inner: Box::new(Request::Stats),
         });
 
-        let response = stats_response(trips, exposition_lines);
+        let response = stats_response(exposition_lines);
         assert_response_round_trips(&response);
         assert_prefixes_rejected(&response.to_bytes(), response_rejected);
         let mut long = response.to_bytes();

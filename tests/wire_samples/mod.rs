@@ -10,8 +10,7 @@ use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::db::protocol::{error_tag, request_tag, response_tag};
 use eqjoin::db::{
     DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinObservation, JoinOptions,
-    MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerMetrics, ServerStats,
-    SideTokens, TransportStats,
+    MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerStats, SideTokens,
 };
 use eqjoin::pairing::{Engine, Fr, MockEngine};
 use std::time::Duration;
@@ -152,22 +151,12 @@ pub fn join_response(pairs: &[(u64, u64, u64)], classes: &[(u64, u64)]) -> Respo
     }
 }
 
-pub fn stats_response(trips: u64, exposition_lines: u64) -> Response {
-    Response::Stats(ServerMetrics {
-        transport: TransportStats {
-            round_trips: trips,
-            requests: trips.wrapping_mul(3),
-            batches: trips % 17,
-            bytes_sent: trips.wrapping_mul(101),
-            bytes_received: trips.wrapping_mul(67),
-            reconnects: trips % 5,
-            retries: trips % 7,
-            gave_up: trips % 2,
-        },
-        exposition: (0..exposition_lines)
+pub fn stats_response(exposition_lines: u64) -> Response {
+    Response::Stats(
+        (0..exposition_lines)
             .map(|i| format!("eqjoin_metric_{i} {i}\n"))
             .collect(),
-    })
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -292,7 +281,7 @@ pub fn response_samples() -> Vec<Response> {
             Response::Pong,
             join_response(&[(1, 1, 0x12)], &[(0, 1)]),
             Response::Error(DbError::UnknownTable("T9".into())),
-            stats_response(5, 1),
+            stats_response(1),
         ]),
         Response::RowsInserted {
             table: "T1".into(),
@@ -302,7 +291,7 @@ pub fn response_samples() -> Vec<Response> {
             table: "orders".into(),
             rows: 4,
         },
-        stats_response(123_456, 3),
+        stats_response(3),
         Response::CopyRows {
             table: "T0".into(),
             rows: 3,
