@@ -64,7 +64,10 @@ impl<E: Engine> EncryptedTable<E> {
 }
 
 /// A Secure Join token `Tk = g1^{v·B}` as it travels: the table side
-/// and each `G1` element's canonical encoding, byte for byte. A client
+/// and each `G1` element's canonical encoding, byte for byte — for
+/// `Bls12` the 48-byte compressed form (`x` and a flag for the root of
+/// `y`; see the `eqjoin_pairing::g1` docs), so a `(m, t) = (2, 3)`
+/// token is `1 + 8 + 11 × (8 + 48)` = 625 bytes on the wire. A client
 /// encodes the token it generated once ([`From<SjToken>`]); the codec
 /// copies the byte strings without touching the curve; the store hashes
 /// them as received. A pairing takes an [`SjToken`], and the only way
@@ -107,8 +110,10 @@ impl<E: Engine> WireToken<E> {
         self.elements.is_empty()
     }
 
-    /// Decode every element with the engine's full curve + subgroup
-    /// check; the first bad one refuses the token.
+    /// Decode every element with the engine's full check (for `Bls12`:
+    /// the encoding, one square root for `y`, the subgroup); the first
+    /// bad one refuses the token. An element of another width is
+    /// refused, not misread.
     pub fn checked(&self) -> Result<SjToken<E>, DbError> {
         let elements = self
             .elements

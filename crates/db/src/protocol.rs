@@ -83,12 +83,14 @@
 //!   side's token is a [`WireToken`]: the codec copies its bytes, and
 //!   [`EncryptedStore::decrypt_side`](crate::store::EncryptedStore::decrypt_side)
 //!   turns them into the `SjToken` a pairing accepts through the one
-//!   fallible [`WireToken::checked`] (`E::g1_from_bytes`) — unless its
-//!   decrypt cache holds an entry for exactly this side's fingerprint
-//!   and every candidate row hits. That skip is sound because (1) an
-//!   entry is written only by a pass that had a miss and therefore
-//!   checked these same bytes first, or was read back from a snapshot
-//!   such a pass wrote, under its SHA-256; (2) the fingerprint is a
+//!   fallible [`WireToken::checked`] (`E::g1_from_bytes`; for `Bls12`
+//!   a compressed 48-byte element, so one `Fp` square root and the
+//!   subgroup check each, timed as `eqjoin_store_token_check_seconds`)
+//!   — unless its decrypt cache holds an entry for exactly this side's
+//!   fingerprint and every candidate row hits. That skip is sound
+//!   because (1) an entry is written only by a pass that had a miss and
+//!   therefore checked these same bytes first, or was read back from a
+//!   snapshot such a pass wrote, under its SHA-256; (2) the fingerprint is a
 //!   SHA-256 over every token byte as received, so "this entry" means
 //!   "these bytes"; (3) with no miss no pairing runs and the token is
 //!   never used. Any miss, a side the cache does not hold (even one

@@ -41,7 +41,7 @@
 //!    has hashed and holds an entry for, so a repeated side finds its
 //!    fingerprint by exact byte equality and a warm repeat hashes
 //!    nothing. That memo is bounded
-//!    by the cap (one preimage per entry, ≈ 1.1 KB at m = 2, t = 3),
+//!    by the cap (one preimage per entry, ≈ 0.7 KB at m = 2, t = 3),
 //!    pruned with the entries and never persisted.
 //! 3. **The tables themselves**, stored column-oriented: per-row
 //!    ciphertexts next to per-*column* sealed payload and pre-filter
@@ -899,6 +899,7 @@ impl<E: Engine> EncryptedStore<E> {
         } else {
             eqjoin_obs::counter!("eqjoin_store_token_elements_checked_total")
                 .add(side.token.len() as u64);
+            let _span = eqjoin_obs::span!("store_token_check", "table" => side.table);
             Some(side.token.checked()?)
         };
 
@@ -1318,8 +1319,9 @@ fn decrypt_positions<E: Engine>(
 /// constraint sets and whether the pre-filter applies. Byte-identical
 /// preimages decrypt to byte-identical outputs, which is what makes
 /// the memoization sound — and, the engines' decoding being canonical
-/// (one encoding per element), hashing the received bytes gives the
-/// digest that hashing the decoded elements' encodings gave.
+/// (one encoding per element: a string decodes only if it re-encodes to
+/// itself), hashing the received bytes gives the digest that hashing the
+/// decoded elements' encodings gives.
 ///
 /// A repeat finds its entry through these bytes (`DecryptCache::known`),
 /// but entries stay keyed by their digest: keying them by the bytes

@@ -73,8 +73,10 @@ fn main() {
     let pairs: Vec<_> = g1.iter().copied().zip(&prepared).collect();
     let f = multi_miller_loop_prepared(&pairs);
     let nonzero = Fp::random_nonzero(&mut rng);
+    let square = nonzero.square();
     let s = Fr::random(&mut rng);
-    // decode = curve equation + subgroup check
+    // decode: G1 = square root for y (compressed) + subgroup check,
+    // G2 = curve equation + subgroup check
     let (pb, qb) = (Bls12::g1_bytes(&g1[0]), Bls12::g2_bytes(&g2[0]));
 
     let mut rows = vec![
@@ -96,6 +98,9 @@ fn main() {
         row("final_exp", 8, 1, || {
             black_box(final_exponentiation(black_box(&f)));
         }),
+        row("pairing (one, unprepared)", 8, 1, || {
+            black_box(pairing(black_box(&g1[0]), black_box(&g2[0])));
+        }),
         row("row (11-pair multi_pair_prepared)", 4, 1, || {
             black_box(Bls12::multi_pair_prepared(black_box(&g1), &prepared));
         }),
@@ -105,13 +110,16 @@ fn main() {
         row("fp_invert", 200, 1, || {
             black_box(black_box(&nonzero).invert());
         }),
+        row("fp_sqrt", 200, 1, || {
+            black_box(black_box(&square).sqrt());
+        }),
         row("g1_mul_gen", 20, 1, || {
             black_box(Bls12::g1_mul_gen(black_box(&s)));
         }),
         row("g2_mul_gen", 20, 1, || {
             black_box(Bls12::g2_mul_gen(black_box(&s)));
         }),
-        row("g1_from_bytes", 20, 1, || {
+        row("g1_from_bytes (sqrt + subgroup)", 20, 1, || {
             black_box(Bls12::g1_from_bytes(black_box(&pb)));
         }),
         row("g2_from_bytes (+ subgroup)", 20, 1, || {

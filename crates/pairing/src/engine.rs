@@ -105,9 +105,12 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
     /// Canonical bytes of a `GT` element — the hash-join key.
     fn gt_bytes(a: &Self::Gt) -> Vec<u8>;
 
-    /// Serialize a `G1` element.
+    /// Serialize a `G1` element in the engine's canonical encoding
+    /// (`Bls12`: 48 compressed bytes, see [`crate::g1`]).
     fn g1_bytes(p: &Self::G1) -> Vec<u8>;
-    /// Deserialize a `G1` element (validated).
+    /// Deserialize a `G1` element (validated: curve and subgroup).
+    /// `Some` only for strings [`Engine::g1_bytes`] produces, so each
+    /// element has one encoding.
     fn g1_from_bytes(bytes: &[u8]) -> Option<Self::G1>;
     /// Serialize a `G2` element.
     fn g2_bytes(p: &Self::G2) -> Vec<u8>;

@@ -30,7 +30,7 @@ impl Fp {
     }
 
     /// Square root for `p ≡ 3 mod 4`: `a^((p+1)/4)`; `None` if `a` is not
-    /// a square.
+    /// a square. Decoding a compressed `G1` element pays one of these.
     pub fn sqrt(&self) -> Option<Fp> {
         if self.is_zero() {
             return Some(*self);
@@ -125,8 +125,10 @@ mod tests {
             let sq = a.square();
             let root = sq.sqrt().expect("square must have a root");
             assert!(root == a || root == -a);
+            assert_eq!(root.square(), sq);
             assert!(sq.is_square());
         }
+        assert_eq!(Fp::zero().sqrt(), Some(Fp::zero()));
     }
 
     #[test]
@@ -135,8 +137,11 @@ mod tests {
         assert!((-Fp::one()).sqrt().is_none());
         assert!(!(-Fp::one()).is_square());
         let mut r = rng();
-        let a = Fp::random_nonzero(&mut r);
-        assert!((-(a.square())).sqrt().is_none());
+        for _ in 0..10 {
+            let non_residue = -Fp::random_nonzero(&mut r).square();
+            assert!(non_residue.sqrt().is_none());
+            assert!(!non_residue.is_square());
+        }
     }
 
     #[test]

@@ -3,6 +3,21 @@
 //! The generator is constructed deterministically (smallest valid `x`,
 //! lexicographically smaller `y`, cleared by the cofactor `h1`) rather than
 //! hard-coded; its order is verified at derivation time.
+//!
+//! # Encoding
+//!
+//! A point travels as [`G1_BYTES`] = 48 bytes: `x`, big-endian. `p` has
+//! 381 bits, so the top three bits of the first byte are spare. One of
+//! them, `LARGER_Y` (`0x20`, as in ZCash's layout), says that `y` is the
+//! larger of the two roots of `x³ + 4` in big-endian byte order (the
+//! root the generator derivation does not pick); the other two must be
+//! clear. All-zero is the identity. [`from_bytes`] recovers `y` with one
+//! `Fp` square root, then runs the subgroup check, and refuses
+//! everything else: `x ≥ p`, a set unused bit (on the identity too), an
+//! `x` off the curve, and every point outside the subgroup — among them
+//! `LARGER_Y` over a zero `x`, the order-3 point `(0, −2)`. So each
+//! element has exactly one encoding, and every 48-byte string that
+//! decodes re-encodes to itself.
 
 use crate::curve::{Affine, CurveParams, Projective};
 use crate::fp::Fp;
@@ -27,8 +42,15 @@ pub type G1Affine = Affine<G1Params>;
 /// Jacobian `G1` point.
 pub type G1Projective = Projective<G1Params>;
 
-/// Number of bytes in the uncompressed affine serialization.
-pub const G1_BYTES: usize = 2 * Fp::BYTES;
+/// Number of bytes in the compressed serialization: `x` alone.
+pub const G1_BYTES: usize = Fp::BYTES;
+
+/// The flag bit in the first byte of an encoding: `y` is the larger of
+/// its two roots (the one `canonical_y` does not pick).
+const LARGER_Y: u8 = 0x20;
+/// The first byte's bits above `p`'s 381: `LARGER_Y` and two that must
+/// be clear.
+const SPARE_BITS: u8 = 0xe0;
 
 /// Deterministic generator of the order-`r` subgroup.
 pub fn generator() -> &'static G1Projective {
@@ -105,26 +127,35 @@ pub fn in_subgroup(point: &G1Projective) -> bool {
     phi(point) == point.mul_by_x().mul_by_x().neg()
 }
 
-/// Serialize an affine point (uncompressed; all-zero = identity).
+/// Serialize an affine point: `x`, plus the `LARGER_Y` flag when `y`
+/// is the larger root (all-zero = identity). Choosing the flag is one
+/// byte comparison.
 pub fn to_bytes(point: &G1Affine) -> [u8; G1_BYTES] {
-    let mut out = [0u8; G1_BYTES];
-    if !point.infinity {
-        out[..Fp::BYTES].copy_from_slice(&point.x.to_bytes());
-        out[Fp::BYTES..].copy_from_slice(&point.y.to_bytes());
+    if point.infinity {
+        return [0u8; G1_BYTES];
+    }
+    let mut out = point.x.to_bytes();
+    if canonical_y(point.y) != point.y {
+        out[0] |= LARGER_Y;
     }
     out
 }
 
-/// Deserialize an affine point; checks the curve equation and subgroup.
+/// Deserialize a point: recovers `y` from `x` and the flag, then checks
+/// the subgroup. The refusals are listed in the module docs.
 pub fn from_bytes(bytes: &[u8; G1_BYTES]) -> Option<G1Affine> {
     if bytes.iter().all(|&b| b == 0) {
         return Some(G1Affine::identity());
     }
-    let mut xb = [0u8; Fp::BYTES];
-    let mut yb = [0u8; Fp::BYTES];
-    xb.copy_from_slice(&bytes[..Fp::BYTES]);
-    yb.copy_from_slice(&bytes[Fp::BYTES..]);
-    let point = G1Affine::new(Fp::from_bytes(&xb)?, Fp::from_bytes(&yb)?)?;
+    if bytes[0] & SPARE_BITS & !LARGER_Y != 0 {
+        return None;
+    }
+    let mut xb = *bytes;
+    xb[0] &= !LARGER_Y;
+    let mut point = point_with_x(Fp::from_bytes(&xb)?)?;
+    if bytes[0] & LARGER_Y != 0 {
+        point.y = -point.y;
+    }
     in_subgroup(&point.to_projective()).then_some(point)
 }
 
@@ -188,6 +219,9 @@ mod tests {
         let p = mul_fr(generator(), &s).to_affine();
         let bytes = to_bytes(&p);
         assert_eq!(from_bytes(&bytes).unwrap(), p);
+        let mut x_only = bytes;
+        x_only[0] &= !LARGER_Y;
+        assert_eq!(x_only, p.x.to_bytes(), "the encoding is x and a flag");
         // Identity encodes as all-zero.
         let id = G1Affine::identity();
         assert_eq!(to_bytes(&id), [0u8; G1_BYTES]);
@@ -196,9 +230,16 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_off_curve() {
-        let mut bytes = [0u8; G1_BYTES];
-        bytes[Fp::BYTES - 1] = 1; // x = 1, y = 0: not on curve
-        assert!(from_bytes(&bytes).is_none());
+        // The first x whose x³ + 4 has no square root: no point has it.
+        let x = (1u64..)
+            .map(Fp::from_u64)
+            .find(|&x| (x.square() * x + G1Params::b()).sqrt().is_none())
+            .expect("half of all x are off the curve");
+        for flag in [0, LARGER_Y] {
+            let mut bytes = x.to_bytes();
+            bytes[0] |= flag;
+            assert!(from_bytes(&bytes).is_none());
+        }
     }
 
     #[test]
@@ -216,15 +257,142 @@ mod tests {
         // On the curve, validly encoded, outside the subgroup.
         let raw = raw_points(1)[0];
         assert!(!order_divides_r(&raw));
-        assert!(from_bytes(&to_bytes(&raw.to_affine())).is_none());
-        // Order 3: x = 0, where φ is the identity.
-        let order_3 = G1Affine::new(Fp::zero(), Fp::from_u64(2)).unwrap();
-        assert!(order_3.to_projective().mul_limbs(&[3]).is_identity());
-        assert!(from_bytes(&to_bytes(&order_3)).is_none());
+        for point in [raw.to_affine(), raw.to_affine().neg()] {
+            assert!(from_bytes(&to_bytes(&point)).is_none());
+        }
+        // Order 3 (x = 0): `from_bytes_refuses_the_order_3_points`.
+    }
+
+    /// A subgroup point from a seeded scalar.
+    fn random_point(seed: u64) -> G1Affine {
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        mul_fr(generator(), &Fr::random(&mut rng)).to_affine()
+    }
+
+    /// Little-endian limbs as 48 big-endian bytes.
+    fn be_bytes(limbs: [u64; 6]) -> [u8; G1_BYTES] {
+        let mut out = [0u8; G1_BYTES];
+        for (chunk, limb) in out.chunks_exact_mut(8).zip(limbs.iter().rev()) {
+            chunk.copy_from_slice(&limb.to_be_bytes());
+        }
+        out
+    }
+
+    /// `x + p` in the 48 bytes, if it still fits below the spare bits:
+    /// the one other reading of a point's `x` the width allows.
+    fn x_plus_p(x: Fp) -> Option<[u8; G1_BYTES]> {
+        let sum = BigUint::from_limbs(&x.to_canonical_limbs()).add(&params::consts().p_big);
+        (sum.bit_len() <= 381).then(|| be_bytes(sum.to_limbs_fixed()))
+    }
+
+    #[test]
+    fn from_bytes_refuses_every_other_use_of_the_spare_bits() {
+        let p = random_point(34);
+        let good = to_bytes(&p);
+        // A stray flag bit next to a valid x and either y flag.
+        for stray in [0x40, 0x80, 0xc0] {
+            for flag in [0, LARGER_Y] {
+                let mut bytes = good;
+                bytes[0] = (bytes[0] & !LARGER_Y) | flag | stray;
+                assert!(from_bytes(&bytes).is_none(), "stray bits {stray:#x}");
+            }
+        }
+        // The identity with any spare bit set: the two unused bits are
+        // refused as such, and `LARGER_Y` alone reads as `(0, −2)`, a
+        // point of order 3 (`from_bytes_refuses_the_order_3_points`).
+        for top in [0x20, 0x40, 0x60, 0x80, 0xa0, 0xc0, 0xe0] {
+            let mut bytes = [0u8; G1_BYTES];
+            bytes[0] = top;
+            assert!(from_bytes(&bytes).is_none(), "identity with {top:#x}");
+        }
+    }
+
+    #[test]
+    fn from_bytes_refuses_x_at_or_above_p() {
+        let p_bytes = be_bytes(Fp::PARAMS.modulus);
+        let mut all_ones = [0xffu8; G1_BYTES];
+        all_ones[0] = 0x1f; // 2^381 − 1, no spare bit set
+        for x in [p_bytes, all_ones] {
+            for flag in [0, LARGER_Y] {
+                let mut bytes = x;
+                bytes[0] |= flag;
+                assert!(from_bytes(&bytes).is_none());
+            }
+        }
+        // A subgroup point's x + p, where it fits: same point, refused.
+        let shifted = (40..)
+            .find_map(|seed| x_plus_p(random_point(seed).x))
+            .expect("a quarter of all x leave room for x + p");
+        assert!(from_bytes(&shifted).is_none());
+    }
+
+    #[test]
+    fn from_bytes_refuses_the_order_3_points() {
+        // x = 0, y = ±2: φ is the identity there and 3·P = O.
+        let small = G1Affine::new(Fp::zero(), Fp::from_u64(2)).unwrap();
+        let large = small.neg();
+        for point in [small, large] {
+            assert!(point.to_projective().mul_limbs(&[3]).is_identity());
+        }
+        // The larger root is `LARGER_Y` over a zero x: refused. The
+        // smaller one's string is all-zero, the identity's, so no string
+        // reads as `(0, 2)` at all.
+        assert_eq!(to_bytes(&large)[0], LARGER_Y);
+        assert!(from_bytes(&to_bytes(&large)).is_none());
+        assert_eq!(to_bytes(&small), [0u8; G1_BYTES]);
+        assert_eq!(from_bytes(&to_bytes(&small)), Some(G1Affine::identity()));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_decode_encode_is_identity_for_both_signs(seed in any::<u64>()) {
+            let p = random_point(seed);
+            let (plus, minus) = (to_bytes(&p), to_bytes(&p.neg()));
+            prop_assert_eq!(from_bytes(&plus), Some(p));
+            prop_assert_eq!(from_bytes(&minus), Some(p.neg()));
+            // The two roots share x and differ in the flag alone.
+            prop_assert_eq!(plus[0] ^ minus[0], LARGER_Y);
+            prop_assert_eq!(&plus[1..], &minus[1..]);
+        }
+
+        // One encoding per element: every string within reach of a valid
+        // one — each combination of the spare bits, `x + p`, any single
+        // bit flipped — either fails to decode or re-encodes to itself,
+        // and only the point's own encoding decodes to it.
+        #[test]
+        fn prop_every_decodable_string_reencodes_to_itself(
+            seed in any::<u64>(),
+            flip in 0..8 * G1_BYTES,
+        ) {
+            let p = random_point(seed);
+            let good = to_bytes(&p);
+            let mut candidates: Vec<[u8; G1_BYTES]> = (0u8..8)
+                .map(|spare| {
+                    let mut bytes = good;
+                    bytes[0] = (bytes[0] & !SPARE_BITS) | (spare << 5);
+                    bytes
+                })
+                .collect();
+            let mut flipped = good;
+            flipped[flip / 8] ^= 1 << (flip % 8);
+            candidates.push(flipped);
+            if let Some(shifted) = x_plus_p(p.x) {
+                candidates.push(shifted);
+                let mut other = shifted;
+                other[0] ^= LARGER_Y;
+                candidates.push(other);
+            }
+            let mut decoding_to_p = 0;
+            for bytes in candidates {
+                if let Some(q) = from_bytes(&bytes) {
+                    prop_assert_eq!(to_bytes(&q), bytes);
+                    decoding_to_p += usize::from(q == p);
+                }
+            }
+            prop_assert_eq!(decoding_to_p, 1);
+        }
 
         #[test]
         fn prop_in_subgroup_agrees_on_random_curve_points(seed in any::<u64>()) {

@@ -446,15 +446,29 @@ macro_rules! impl_montgomery_field {
                 Some($name(Self::mont_mul(&inv_plain, &Self::PARAMS.r2)))
             }
 
-            /// Exponentiation by a little-endian limb-slice exponent.
+            /// Exponentiation by a little-endian limb-slice exponent, in
+            /// fixed 4-bit windows: 14 products fill the table
+            /// `self^0 … self^15`, then every nibble below the leading
+            /// nonzero one costs 4 squarings and, unless it is zero, one
+            /// product (476 multiplications for the 375-bit `(p+1)/4` of
+            /// `Fp::sqrt`). Which products
+            /// run depends on the exponent, so it must be public; the
+            /// base need not be.
             pub fn pow_limbs(&self, exp: &[u64]) -> Self {
-                let mut res = Self::one();
-                for &limb in exp.iter().rev() {
-                    for i in (0..64).rev() {
-                        res = res.square();
-                        if (limb >> i) & 1 == 1 {
-                            res *= *self;
-                        }
+                let mut table = [Self::one(); 16];
+                for i in 1..16 {
+                    table[i] = table[i - 1] * *self;
+                }
+                let mut nibbles = exp
+                    .iter()
+                    .rev()
+                    .flat_map(|&limb| (0..16).rev().map(move |i| ((limb >> (4 * i)) & 0xf) as usize))
+                    .skip_while(|&n| n == 0);
+                let mut res = nibbles.next().map_or(Self::one(), |n| table[n]);
+                for n in nibbles {
+                    res = res.square().square().square().square();
+                    if n != 0 {
+                        res *= table[n];
                     }
                 }
                 res

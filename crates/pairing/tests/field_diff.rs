@@ -144,6 +144,56 @@ macro_rules! field_diff {
                 );
             }
 
+            /// `x^e mod p` bit by bit on the model.
+            fn model_pow(x: &BigUint, e: &BigUint) -> BigUint {
+                let p = modulus();
+                let mut acc = BigUint::one();
+                for i in (0..e.bit_len()).rev() {
+                    acc = acc.square().rem(&p);
+                    if e.bit(i) {
+                        acc = acc.mul(x).rem(&p);
+                    }
+                }
+                acc
+            }
+
+            fn check_pow(a: &$f, exp: &[u64]) {
+                let got = a.pow_limbs(exp);
+                assert_reduced(&got, "pow_limbs");
+                assert!(
+                    model(&got) == model_pow(&model(a), &BigUint::from_limbs(exp)),
+                    "pow_limbs of {a:?} by {exp:x?}"
+                );
+            }
+
+            /// Windowed exponentiation against the model: empty, zero,
+            /// one-nibble and limb-straddling exponents, and the full-width
+            /// ones the fields raise to (`p − 1`, `(p − 1)/2`, `(p + 1)/4`).
+            #[test]
+            fn pow_limbs_matches_the_model() {
+                let p = modulus();
+                let one = BigUint::one();
+                let mut exponents: Vec<Vec<u64>> = vec![
+                    vec![],
+                    vec![0],
+                    vec![1],
+                    vec![5],
+                    vec![0xf],
+                    vec![0x10],
+                    vec![0, 1],
+                    vec![u64::MAX, 0xf0],
+                    vec![u64::MAX; $n],
+                ];
+                for e in [p.sub(&one), p.sub(&one).shr1(), p.add(&one).shr1().shr1()] {
+                    exponents.push(e.limbs().to_vec());
+                }
+                for v in edge_values() {
+                    for exp in &exponents {
+                        check_pow(&elem(&v), exp);
+                    }
+                }
+            }
+
             /// Limbs drawn per 2 bits of `shape`: all-zero, all-one or
             /// (twice as often) random — long runs of `0`/`f` limbs are
             /// where carry and borrow chains cross limb boundaries.
@@ -172,6 +222,20 @@ macro_rules! field_diff {
                     let (a, b) = (shaped(&a, shape), shaped(&b, shape >> 32));
                     check_pair(&elem(&a), &elem(&b));
                     check_pair(&with_montgomery_limbs(&a), &with_montgomery_limbs(&b));
+                }
+            }
+
+            proptest! {
+                // Each case is a full-width exponentiation on the model.
+                #![proptest_config(ProptestConfig::with_cases(32))]
+
+                #[test]
+                fn random_exponents_match_the_model(
+                    a in proptest::collection::vec(any::<u64>(), $n),
+                    exp in proptest::collection::vec(any::<u64>(), 0..=$n),
+                    shape in any::<u64>(),
+                ) {
+                    check_pow(&with_montgomery_limbs(&shaped(&a, shape)), &exp);
                 }
             }
         }
