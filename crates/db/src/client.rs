@@ -111,7 +111,7 @@ pub struct ClientStats {
 /// client-assigned and bind the sealed payloads, so only the client
 /// may mint them.
 #[derive(Clone, Debug)]
-struct TableState {
+pub(crate) struct TableState {
     config: TableConfig,
     schema: crate::data::Schema,
     join_idx: usize,
@@ -129,7 +129,6 @@ pub struct DbClient<E: Engine> {
     rng: ChaChaRng,
     tables: HashMap<String, TableState>,
     next_query_id: u64,
-    embed_cache: HashMap<Vec<u8>, Fr>,
     stats: ClientStats,
 }
 
@@ -165,7 +164,6 @@ impl<E: Engine> DbClient<E> {
             rng,
             tables: HashMap::new(),
             next_query_id: 0,
-            embed_cache: HashMap::new(),
             stats: ClientStats::default(),
         }
     }
@@ -192,6 +190,22 @@ impl<E: Engine> DbClient<E> {
     /// [`Request::CopyRows`](crate::protocol::Request::CopyRows) chunks.
     pub fn table_config(&self, table: &str) -> Option<&TableConfig> {
         self.tables.get(table).map(|state| &state.config)
+    }
+
+    /// Everything this client remembers about `table`, to hand back to
+    /// [`DbClient::restore_registration`] if an upload re-registering
+    /// it is refused.
+    pub(crate) fn registration(&self, table: &str) -> Option<TableState> {
+        self.tables.get(table).cloned()
+    }
+
+    /// Put back a registration taken by [`DbClient::registration`]
+    /// (`None`: forget the table).
+    pub(crate) fn restore_registration(&mut self, table: &str, previous: Option<TableState>) {
+        match previous {
+            Some(state) => self.tables.insert(table.to_owned(), state),
+            None => self.tables.remove(table),
+        };
     }
 
     /// Encrypt a table for joins on `config.join_column` with the given
@@ -508,13 +522,7 @@ impl<E: Engine> DbClient<E> {
             }
             let embedded: Vec<Fr> = values
                 .iter()
-                .map(|v| {
-                    let bytes = v.canonical_bytes();
-                    *self
-                        .embed_cache
-                        .entry(bytes.clone())
-                        .or_insert_with(|| embed_attribute(&bytes))
-                })
+                .map(|v| embed_attribute(&v.canonical_bytes()))
                 .collect();
             per_column[col_pos] = Some(embedded);
             if self.prefilter_enabled {

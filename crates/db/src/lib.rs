@@ -6,8 +6,8 @@
 //! ```text
 //!                 Session<E>  (trusted side)
 //!   ┌────────────────────────────────────────────────┐
-//!   │ catalog ─ SqlPlanner ▶ QueryPlan ─ lower ──▶   │
-//!   │                     PreparedQuery (stages)     │
+//!   │ catalog ─ SqlPlanner ▶ QueryPlan               │
+//!   │            lower at each execute ▶ stages      │
 //!   │                              │                 │
 //!   │ DbClient (keys) ◀── token cache (per stage)    │
 //!   │    │ encrypt_table  │ query_tokens on miss     │
@@ -34,11 +34,14 @@
 //!   session [`Catalog`] and lowered to pairwise join stages (multi-way
 //!   chains execute as pipelined pairwise joins; projections select
 //!   which sealed columns ship and decrypt).
-//! * [`session`] — [`Session`], [`SessionConfig`], [`PreparedQuery`],
-//!   [`ResultSet`], the per-stage token cache and the embedded
+//! * [`session`] — [`Session`], [`SessionConfig`], [`ResultSet`], the
+//!   per-stage token cache (keyed by the stage and its tables'
+//!   registered layouts) and the embedded
 //!   [`LeakageLedger`](eqjoin_leakage::LeakageLedger) (one entry per
 //!   executed stage; see the session docs for why a chain adds nothing
-//!   beyond the closure bound).
+//!   beyond the closure bound). A plan is lowered against the catalog
+//!   each time it executes; nothing prepared outlives a table's
+//!   registration.
 //! * [`protocol`] — the [`ServerApi`] transport trait and the
 //!   [`Request`]/[`Response`] message enums (including batched series
 //!   and payload projections) with their wire codec.
@@ -106,7 +109,7 @@ pub use server::{
     ServerStats,
 };
 pub use session::{
-    Catalog, LeakageReport, PreparedQuery, QueryInput, ResultSet, Session, SessionConfig,
-    SessionStats, SqlOutcome, SqlPlanner, SqlStatement, DEFAULT_COPY_CHUNK_ROWS,
+    Catalog, LeakageReport, QueryInput, ResultSet, Session, SessionConfig, SessionStats,
+    SqlOutcome, SqlPlanner, SqlStatement, DEFAULT_COPY_CHUNK_ROWS,
 };
 pub use store::{EncryptedStore, TableStore, DEFAULT_DECRYPT_CACHE_CAP};

@@ -5,10 +5,10 @@
 //!
 //! ```text
 //!   "SELECT c.name, o.total FROM c JOIN o ON … JOIN s ON … WHERE …"
-//!        │ prepare (SqlPlanner → QueryPlan → lower(catalog))
+//!        │ prepare (SqlPlanner → QueryPlan, validated)
 //!        ▼
-//!   PreparedQuery ─ execute ─▶ per-stage token cache ─▶ query_tokens
-//!        │   (pairwise stages)      │ hit: reuse stage bundle
+//!   QueryPlan ─ execute ─▶ per-stage token cache ─▶ query_tokens
+//!        │ lower(catalog)           │ hit: reuse stage bundle
 //!        │                          ▼
 //!        │                ServerApi backend (local / remote)
 //!        │                — a chain ships as one Request::Batch of
@@ -27,8 +27,18 @@
 //! stages** (see [`crate::plan`]). A two-table [`JoinQuery`] is simply
 //! a one-stage plan ([`QueryPlan::pairwise`]).
 //!
+//! A plan is lowered against the catalog as it stands when it is
+//! executed, every time: [`Session::prepare`] validates a plan and
+//! returns it, and keeps nothing derived from a table's registration
+//! that a later `create_table` could make stale.
+//!
 //! The token cache is keyed by the **canonical pairwise stage** (both
-//! sides, canonical filter sets). That granularity is forced by the
+//! sides, canonical filter sets) and by each side's registered layout
+//! (join column, then filter columns in order): a token puts an `IN`
+//! set's polynomial, and its pre-filter tags, at its column's position
+//! in that list, so a table re-created under another layout draws fresh
+//! tokens, while one re-created under the same layout keeps hitting.
+//! The stage granularity is forced by the
 //! scheme: the two [`SjToken`](eqjoin_core::SjToken)s of one stage
 //! share a fresh key `k`, and it is exactly the freshness of `k`
 //! *across distinct stages* that keeps a series inside the closure
@@ -136,8 +146,8 @@ impl SessionConfig {
     }
 
     /// Enable/disable the server's decrypt cache for this session's
-    /// joins (on by default). With both caches on, a repeated prepared
-    /// query skips `SJ.TkGen` client-side *and* every `SJ.Dec` pairing
+    /// joins (on by default). With both caches on, a repeated query
+    /// skips `SJ.TkGen` client-side *and* every `SJ.Dec` pairing
     /// server-side.
     pub fn decrypt_cache(mut self, enabled: bool) -> Self {
         self.options.decrypt_cache = enabled;
@@ -225,8 +235,7 @@ pub trait SqlPlanner {
 }
 
 /// Anything [`Session::prepare`]/[`Session::execute`] accepts: SQL
-/// text, a logical [`QueryPlan`], a two-table [`JoinQuery`], or an
-/// already-prepared query.
+/// text, a logical [`QueryPlan`] or a two-table [`JoinQuery`].
 #[derive(Clone)]
 pub enum QueryInput {
     /// SQL text (requires an installed [`SqlPlanner`]).
@@ -235,8 +244,6 @@ pub enum QueryInput {
     Plan(QueryPlan),
     /// A two-table query (shorthand for [`QueryPlan::pairwise`]).
     Query(JoinQuery),
-    /// A previously prepared query.
-    Prepared(PreparedQuery),
 }
 
 impl From<&str> for QueryInput {
@@ -275,67 +282,15 @@ impl From<&JoinQuery> for QueryInput {
     }
 }
 
-impl From<PreparedQuery> for QueryInput {
-    fn from(prepared: PreparedQuery) -> Self {
-        QueryInput::Prepared(prepared)
-    }
-}
-
-impl From<&PreparedQuery> for QueryInput {
-    fn from(prepared: &PreparedQuery) -> Self {
-        QueryInput::Prepared(prepared.clone())
-    }
-}
-
-/// A planned query: the logical plan, its lowering (tables, pairwise
-/// stages, resolved projection) and the per-stage cache keys.
-#[derive(Clone, Debug)]
-pub struct PreparedQuery {
-    plan: QueryPlan,
-    lowered: LoweredPlan,
-    stage_fingerprints: Vec<Vec<u8>>,
-    fingerprint: Vec<u8>,
-}
-
-impl PreparedQuery {
-    /// The logical plan.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// The validated lowering: tables in join order, pairwise stages,
-    /// resolved projection.
-    pub fn lowered(&self) -> &LoweredPlan {
-        &self.lowered
-    }
-
-    /// Canonical cache key of the whole plan: identical for
-    /// semantically identical plans (filter order and duplicate `IN`
-    /// values do not matter). The token cache uses the finer
-    /// [`PreparedQuery::stage_fingerprints`].
-    pub fn fingerprint(&self) -> &[u8] {
-        &self.fingerprint
-    }
-
-    /// Canonical cache key per pairwise stage — what the session token
-    /// cache is keyed on, so overlapping chains share stage tokens.
-    pub fn stage_fingerprints(&self) -> &[Vec<u8>] {
-        &self.stage_fingerprints
-    }
-}
-
 /// Canonical byte encoding of a pairwise stage: table/column names
 /// length-prefixed, followed by the stage's *effective* IN sets
 /// ([`JoinQuery::canonical_filter_sets`] — deduplicated, same-column
 /// filters intersected, sorted). Token generation consumes exactly the
-/// same canonical sets, so two stages with the same fingerprint are
+/// same canonical sets, so two stages with the same fingerprint over
+/// tables of the same layouts (which [`Session::stage_key`] adds) are
 /// guaranteed to execute identically — sharing one token bundle between
 /// them is safe.
 fn fingerprint(query: &JoinQuery) -> Vec<u8> {
-    fn put(out: &mut Vec<u8>, bytes: &[u8]) {
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
     let mut out = Vec::new();
     put(&mut out, query.left_table.as_bytes());
     put(&mut out, query.left_join_column.as_bytes());
@@ -351,6 +306,12 @@ fn fingerprint(query: &JoinQuery) -> Vec<u8> {
         put(&mut out, &enc);
     }
     out
+}
+
+/// Append `bytes` to `out`, length-prefixed.
+fn put(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// Decrypted result of one executed plan.
@@ -586,27 +547,36 @@ impl<E: Engine> Session<E> {
     }
 
     /// Encrypt a plaintext table under the session keys and upload it to
-    /// the backend.
+    /// the backend. The session's registration of the table (schema,
+    /// layout, row numbering) changes only once the backend accepts the
+    /// upload; an error leaves the previous one in place.
     pub fn create_table(&mut self, table: &Table, config: TableConfig) -> Result<(), DbError> {
+        let name = &table.schema.name;
+        let previous = self.client.registration(name);
         let encrypted = self.client.encrypt_table(table, config)?;
-        match self.dispatch(Request::InsertTable(encrypted)) {
-            Response::TableInserted { .. } => {
-                self.catalog
-                    .insert(table.schema.name.clone(), table.schema.columns.clone());
-                Ok(())
-            }
+        let outcome = match self.dispatch(Request::InsertTable(encrypted)) {
+            Response::TableInserted { .. } => Ok(()),
             Response::Error(e) => Err(e),
             _ => Err(DbError::Protocol(
                 "backend answered InsertTable with the wrong response kind".into(),
             )),
-        }
+        };
+        // Refused, the server keeps the table it had (if any), and so
+        // must the client: it never encrypts or tokenizes for a layout
+        // the server does not hold.
+        outcome.inspect_err(|_| self.client.restore_registration(name, previous))?;
+        self.catalog
+            .insert(name.clone(), table.schema.columns.clone());
+        Ok(())
     }
 
     /// Encrypt plaintext rows (schema column order) and append them to
     /// an existing table **incrementally**: stored rows — and their
     /// decrypt-cache entries server-side — are untouched, so a warm
     /// series stays warm and only the new rows cost anything. Returns
-    /// the number of rows appended.
+    /// the number of rows appended. A refused insert keeps the row ids
+    /// it was given: the next insert starts after them, and the gap it
+    /// leaves is one the store accepts.
     pub fn insert_rows(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<usize, DbError> {
         let (start_row, encrypted) = self.client.encrypt_rows(table, rows)?;
         match self.dispatch(Request::InsertRows {
@@ -629,7 +599,9 @@ impl<E: Engine> Session<E> {
     /// client and wire — is one chunk, not one table. The first chunk
     /// creates the table server-side (a zero-row table still ships one
     /// empty chunk as a pure "create" declaration). Returns the number
-    /// of rows loaded.
+    /// of rows loaded. As with [`Session::create_table`], the session's
+    /// registration changes only once the backend accepts the first
+    /// chunk.
     pub fn copy_table(
         &mut self,
         table: &Table,
@@ -637,43 +609,40 @@ impl<E: Engine> Session<E> {
         chunk_rows: usize,
     ) -> Result<usize, DbError> {
         let name = &table.schema.name;
+        let chunk = if chunk_rows == 0 {
+            DEFAULT_COPY_CHUNK_ROWS
+        } else {
+            chunk_rows
+        };
+        let (first, rest) = table.rows.split_at(chunk.min(table.rows.len()));
         // Register the client-side table state (keys, PRF streams, row
         // numbering) without materializing the whole encrypted table:
         // an empty shell of the schema encrypts zero rows.
+        let previous = self.client.registration(name);
         let shell = Table::new(table.schema.clone());
         let _ = self.client.encrypt_table(&shell, config)?;
-        let loaded = self.copy_chunks(name, &table.rows, chunk_rows)?;
+        let mut loaded = self
+            .copy_chunk(name, first)
+            .inspect_err(|_| self.client.restore_registration(name, previous))?;
+        // The server now holds the table under its new schema.
         self.catalog
             .insert(name.clone(), table.schema.columns.clone());
+        for rows in rest.chunks(chunk) {
+            loaded += self.copy_chunk(name, rows)?;
+        }
         Ok(loaded)
     }
 
     /// Bulk-append plaintext rows to a table this session already
     /// encrypts (the server half is create-or-append, so the table need
     /// not exist server-side yet). Rows are encrypted and shipped in
-    /// [`DEFAULT_COPY_CHUNK_ROWS`]-row [`Request::CopyRows`] chunks.
+    /// [`DEFAULT_COPY_CHUNK_ROWS`]-row [`Request::CopyRows`] chunks;
+    /// zero rows still ship one empty chunk.
     pub fn copy_rows(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<usize, DbError> {
-        self.copy_chunks(table, rows, DEFAULT_COPY_CHUNK_ROWS)
-    }
-
-    /// Encrypt and ship `rows` in chunks of `chunk_rows` (`0` =
-    /// [`DEFAULT_COPY_CHUNK_ROWS`]), each encrypted straight from its
-    /// slice of `rows`. Zero rows still ship one empty chunk.
-    fn copy_chunks<R: AsRef<[Value]> + Sync>(
-        &mut self,
-        table: &str,
-        rows: &[R],
-        chunk_rows: usize,
-    ) -> Result<usize, DbError> {
         if rows.is_empty() {
             return self.copy_chunk(table, rows);
         }
-        let chunk = if chunk_rows == 0 {
-            DEFAULT_COPY_CHUNK_ROWS
-        } else {
-            chunk_rows
-        };
-        rows.chunks(chunk)
+        rows.chunks(DEFAULT_COPY_CHUNK_ROWS)
             .map(|rows| self.copy_chunk(table, rows))
             .sum()
     }
@@ -743,61 +712,67 @@ impl<E: Engine> Session<E> {
         }
     }
 
-    /// Plan a query: SQL text goes through the installed [`SqlPlanner`],
-    /// then the resulting [`QueryPlan`] (or a directly supplied one) is
-    /// validated against the session catalog and lowered to pairwise
-    /// stages.
-    pub fn prepare(&mut self, input: impl Into<QueryInput>) -> Result<PreparedQuery, DbError> {
-        let plan = match input.into() {
-            QueryInput::Prepared(prepared) => return Ok(prepared),
-            QueryInput::Plan(plan) => plan,
-            QueryInput::Query(query) => QueryPlan::pairwise(&query),
+    /// Plan a query and validate it: SQL text goes through the
+    /// installed [`SqlPlanner`], and the resulting [`QueryPlan`] (or a
+    /// directly supplied one) must lower against the session catalog.
+    /// The plan comes back as it is: [`Session::execute`] lowers it
+    /// against the catalog as it stands then, so a plan prepared before
+    /// a table was re-created runs against the new registration.
+    pub fn prepare(&self, input: impl Into<QueryInput>) -> Result<QueryPlan, DbError> {
+        let plan = self.logical_plan(input.into())?;
+        plan.lower(&self.catalog)?;
+        Ok(plan)
+    }
+
+    /// The logical plan behind `input` (SQL goes through the planner).
+    fn logical_plan(&self, input: QueryInput) -> Result<QueryPlan, DbError> {
+        match input {
+            QueryInput::Plan(plan) => Ok(plan),
+            QueryInput::Query(query) => Ok(QueryPlan::pairwise(&query)),
             QueryInput::Sql(sql) => {
                 let planner = self.planner.as_ref().ok_or(DbError::NoSqlPlanner)?;
-                planner.plan(&sql, &self.catalog)?
+                planner.plan(&sql, &self.catalog)
             }
-        };
-        let lowered = plan.lower(&self.catalog)?;
-        let stage_fingerprints: Vec<Vec<u8>> = lowered
-            .stages
-            .iter()
-            .map(|stage| fingerprint(&stage.query))
-            .collect();
-        // Whole-plan fingerprint: the stages plus the projection.
-        let mut fp = Vec::new();
-        for sf in &stage_fingerprints {
-            fp.extend_from_slice(&(sf.len() as u32).to_le_bytes());
-            fp.extend_from_slice(sf);
         }
-        fp.push(lowered.select_star as u8);
-        for col in &lowered.projection {
-            fp.extend_from_slice(&(col.position as u32).to_le_bytes());
-            fp.extend_from_slice(&(col.column_index as u32).to_le_bytes());
+    }
+
+    /// Plan `input` and lower it to pairwise stages against the catalog
+    /// as it stands now.
+    fn lower(&self, input: QueryInput) -> Result<LoweredPlan, DbError> {
+        self.logical_plan(input)?.lower(&self.catalog)
+    }
+
+    /// The token-cache key of one pairwise stage: its [`fingerprint`],
+    /// then each side's registered layout (join column, filter columns
+    /// in order; empty for a table the client does not know, whose
+    /// token generation fails anyway).
+    fn stage_key(&self, query: &JoinQuery) -> Vec<u8> {
+        let mut key = fingerprint(query);
+        for table in [&query.left_table, &query.right_table] {
+            let mut layout = Vec::new();
+            if let Some(config) = self.client.table_config(table) {
+                put(&mut layout, config.join_column.as_bytes());
+                for column in &config.filter_columns {
+                    put(&mut layout, column.as_bytes());
+                }
+            }
+            put(&mut key, &layout);
         }
-        Ok(PreparedQuery {
-            plan,
-            lowered,
-            stage_fingerprints,
-            fingerprint: fp,
-        })
+        key
     }
 
     /// Fetch the token bundle for one pairwise stage — from the session
     /// cache when enabled and warm, freshly generated (and cached)
     /// otherwise. Returns `(tokens, cache_hit)` and updates the cache
     /// counters.
-    fn tokens_for(
-        &mut self,
-        stage_fingerprint: &[u8],
-        query: &JoinQuery,
-    ) -> Result<(QueryTokens<E>, bool), DbError> {
+    fn tokens_for(&mut self, query: &JoinQuery) -> Result<(QueryTokens<E>, bool), DbError> {
         let (tokens, cache_hit) = if self.config.token_cache {
-            match self.token_cache.get(stage_fingerprint) {
+            let key = self.stage_key(query);
+            match self.token_cache.get(&key) {
                 Some(cached) => (cached.clone(), true),
                 None => {
                     let fresh = self.client.query_tokens(query)?;
-                    self.token_cache
-                        .insert(stage_fingerprint.to_vec(), fresh.clone());
+                    self.token_cache.insert(key, fresh.clone());
                     (fresh, false)
                 }
             }
@@ -831,19 +806,15 @@ impl<E: Engine> Session<E> {
         }
     }
 
-    /// Resolve all stages of `prepared` into dispatchable requests
+    /// Resolve all stages of `lowered` into dispatchable requests
     /// (token cache consulted per stage).
-    fn dispatch_stages(
-        &mut self,
-        prepared: &PreparedQuery,
-    ) -> Result<Vec<StageDispatch<E>>, DbError> {
-        let mut out = Vec::with_capacity(prepared.lowered.stages.len());
-        for (i, stage) in prepared.lowered.stages.iter().enumerate() {
-            let (tokens, cache_hit) =
-                self.tokens_for(&prepared.stage_fingerprints[i], &stage.query)?;
+    fn dispatch_stages(&mut self, lowered: &LoweredPlan) -> Result<Vec<StageDispatch<E>>, DbError> {
+        let mut out = Vec::with_capacity(lowered.stages.len());
+        for (i, stage) in lowered.stages.iter().enumerate() {
+            let (tokens, cache_hit) = self.tokens_for(&stage.query)?;
             out.push(StageDispatch {
                 tokens,
-                projection: Self::stage_projection(&prepared.lowered, i),
+                projection: Self::stage_projection(lowered, i),
                 cache_hit,
             });
         }
@@ -878,14 +849,12 @@ impl<E: Engine> Session<E> {
     /// columns into a [`ResultSet`].
     fn assemble_result_set(
         &mut self,
-        prepared: &PreparedQuery,
+        lowered: &LoweredPlan,
         stage_results: Vec<EncryptedJoinResult>,
         series_index: u64,
         leakage_delta: usize,
         stage_cache_hits: Vec<bool>,
     ) -> Result<ResultSet, DbError> {
-        let lowered = &prepared.lowered;
-
         // Payload lookup: (table position, server row) → sealed column
         // payloads, taken from the stage that introduced the position.
         let mut payloads: HashMap<(usize, usize), &Vec<Vec<u8>>> = HashMap::new();
@@ -999,12 +968,12 @@ impl<E: Engine> Session<E> {
     /// → backend joins (a chain ships as **one** batched round trip) →
     /// stitch → per-column decrypt → leakage ledger.
     pub fn execute(&mut self, input: impl Into<QueryInput>) -> Result<ResultSet, DbError> {
-        let prepared = self.prepare(input)?;
-        let mut results = self.run_series(vec![prepared])?;
+        let lowered = self.lower(input.into())?;
+        let mut results = self.run_series(vec![lowered])?;
         Ok(results.pop().expect("one plan in, one result out"))
     }
 
-    /// Execute a whole prepared series in **one round trip**: every
+    /// Execute a whole series in **one round trip**: every
     /// stage of every plan is resolved up front (cache consulted per
     /// stage — a repeat later in the slice reuses the tokens its first
     /// occurrence just generated), the series ships as a single
@@ -1023,11 +992,11 @@ impl<E: Engine> Session<E> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let prepared = inputs
+        let lowered = inputs
             .iter()
-            .map(|input| self.prepare(input.clone()))
+            .map(|input| self.lower(input.clone()))
             .collect::<Result<Vec<_>, _>>()?;
-        self.run_series(prepared)
+        self.run_series(lowered)
     }
 
     /// Degraded-mode variant of [`execute_all`](Self::execute_all):
@@ -1043,17 +1012,17 @@ impl<E: Engine> Session<E> {
         &mut self,
         inputs: &[QueryInput],
     ) -> Vec<Result<ResultSet, DbError>> {
-        let prepared = inputs
+        let lowered = inputs
             .iter()
-            .map(|input| self.prepare(input.clone()))
+            .map(|input| self.lower(input.clone()))
             .collect();
-        self.run_series_partial(prepared)
+        self.run_series_partial(lowered)
     }
 
     /// The shared execution core with all-or-nothing semantics: the
     /// first per-slot failure (in series order) fails the whole series.
-    fn run_series(&mut self, prepared: Vec<PreparedQuery>) -> Result<Vec<ResultSet>, DbError> {
-        self.run_series_partial(prepared.into_iter().map(Ok).collect())
+    fn run_series(&mut self, lowered: Vec<LoweredPlan>) -> Result<Vec<ResultSet>, DbError> {
+        self.run_series_partial(lowered.into_iter().map(Ok).collect())
             .into_iter()
             .collect()
     }
@@ -1065,7 +1034,7 @@ impl<E: Engine> Session<E> {
     /// failing on its own.
     fn run_series_partial(
         &mut self,
-        prepared: Vec<Result<PreparedQuery, DbError>>,
+        lowered: Vec<Result<LoweredPlan, DbError>>,
     ) -> Vec<Result<ResultSet, DbError>> {
         // One record per dispatch: for `execute` this is exactly the
         // per-query end-to-end latency (tokens → backend → stitch →
@@ -1076,13 +1045,13 @@ impl<E: Engine> Session<E> {
         enum Slot {
             Failed(DbError),
             Pending {
-                prepared: PreparedQuery,
+                lowered: LoweredPlan,
                 cache_hits: Vec<bool>,
             },
         }
-        let mut slots: Vec<Slot> = Vec::with_capacity(prepared.len());
+        let mut slots: Vec<Slot> = Vec::with_capacity(lowered.len());
         let mut requests = Vec::new();
-        for entry in prepared {
+        for entry in lowered {
             let p = match entry {
                 Ok(p) => p,
                 Err(e) => {
@@ -1102,7 +1071,7 @@ impl<E: Engine> Session<E> {
                         });
                     }
                     slots.push(Slot::Pending {
-                        prepared: p,
+                        lowered: p,
                         cache_hits,
                     });
                 }
@@ -1213,9 +1182,9 @@ impl<E: Engine> Session<E> {
                     continue;
                 }
                 Slot::Pending {
-                    prepared,
+                    lowered,
                     cache_hits,
-                } => (prepared, cache_hits),
+                } => (lowered, cache_hits),
             };
             let n_stages = stage_cache_hits.len();
             let mut stage_results = Vec::with_capacity(n_stages);
@@ -1594,15 +1563,6 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
         let c = JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]);
         assert_ne!(fingerprint(&a), fingerprint(&c));
-    }
-
-    #[test]
-    fn plan_fingerprint_distinguishes_projections() {
-        let mut s = session3();
-        let star = s.prepare(chain()).unwrap();
-        let projected = s.prepare(chain().project(&[("L", "color")])).unwrap();
-        assert_eq!(star.stage_fingerprints(), projected.stage_fingerprints());
-        assert_ne!(star.fingerprint(), projected.fingerprint());
     }
 
     #[test]

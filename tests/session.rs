@@ -233,10 +233,9 @@ fn prepared_queries_share_the_session_cache() {
     let q = JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]);
     let p1 = session.prepare(&q).unwrap();
     let p2 = session.prepare(&q).unwrap();
-    assert_eq!(p1.fingerprint(), p2.fingerprint());
     session.execute(&p1).unwrap();
     let r2 = session.execute(&p2).unwrap();
-    assert!(r2.cache_hit, "two PreparedQuery objects, one cache entry");
+    assert!(r2.cache_hit, "two prepared plans, one cache entry");
     assert_eq!(session.stats().client.tkgen_calls, 2);
 }
 
