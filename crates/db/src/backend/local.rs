@@ -541,11 +541,7 @@ mod tests {
                             options: JoinOptions::default(),
                             projection: Default::default(),
                         }) {
-                            Response::JoinExecuted { result, .. } => result
-                                .pairs
-                                .iter()
-                                .map(|p| (p.left_row, p.right_row))
-                                .collect::<Vec<_>>(),
+                            Response::JoinExecuted { observation, .. } => observation.pairs(),
                             _ => panic!("join failed"),
                         }
                     })
@@ -723,8 +719,8 @@ mod tests {
             options: JoinOptions::default(),
             projection: Default::default(),
         }) {
-            Response::JoinExecuted { result, .. } => {
-                assert!(!result.pairs.is_empty(), "replayed table must join")
+            Response::JoinExecuted { observation, .. } => {
+                assert!(!observation.pairs().is_empty(), "replayed table must join")
             }
             other => panic!("join over replayed table failed: {other:?}"),
         }
@@ -868,10 +864,14 @@ mod tests {
             options: JoinOptions::default(),
             projection: Default::default(),
         }) {
-            Response::JoinExecuted { result, .. } => {
+            Response::JoinExecuted { observation, .. } => {
                 // 4 seed rows (2 per key) + 3 × Int(1) + 1 × Int(0):
                 // key 0 has 3 rows, key 1 has 5 → 9 + 25 self-join pairs.
-                assert_eq!(result.pairs.len(), 34, "replayed deltas must all join");
+                assert_eq!(
+                    observation.pairs().len(),
+                    34,
+                    "replayed deltas must all join"
+                );
             }
             other => panic!("join over replayed store failed: {other:?}"),
         }

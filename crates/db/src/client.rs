@@ -545,8 +545,9 @@ impl<E: Engine> DbClient<E> {
         })
     }
 
-    /// Decrypt the server's matched row pairs into joined plaintext
-    /// rows. This is the low-level whole-row path — it expects full
+    /// Decrypt the server's answer into joined plaintext rows, one per
+    /// matched pair of `observation` (each row shipped once in
+    /// `result`). This is the low-level whole-row path — it expects full
     /// (unprojected) payload vectors; sessions executing a projected
     /// [`QueryPlan`](crate::plan::QueryPlan) use [`DbClient::open_value`]
     /// per selected column instead.
@@ -554,16 +555,29 @@ impl<E: Engine> DbClient<E> {
         &mut self,
         query: &JoinQuery,
         result: &crate::server::EncryptedJoinResult,
+        observation: &crate::server::JoinObservation,
     ) -> Result<Vec<JoinedRow>, DbError> {
         let join_idx = self
             .tables
             .get(&query.left_table)
             .ok_or_else(|| DbError::UnknownTable(query.left_table.clone()))?
             .join_idx;
-        let mut out = Vec::with_capacity(result.pairs.len());
-        for pair in &result.pairs {
-            let left = self.open_row(&query.left_table, pair.left_row, &pair.left_payloads)?;
-            let right = self.open_row(&query.right_table, pair.right_row, &pair.right_payloads)?;
+        fn payloads_of(
+            rows: &[crate::server::ShippedRow],
+            row: usize,
+        ) -> Result<&[Vec<u8>], DbError> {
+            rows.binary_search_by_key(&row, |r| r.0)
+                .ok()
+                .and_then(|i| rows.get(i))
+                .map(|r| r.1.as_slice())
+                .ok_or_else(|| DbError::Protocol(format!("matched row {row} was not shipped")))
+        }
+        let pairs = observation.pairs();
+        let mut out = Vec::with_capacity(pairs.len());
+        for (l, r) in pairs {
+            let left = self.open_row(&query.left_table, l, payloads_of(&result.left_rows, l)?)?;
+            let right =
+                self.open_row(&query.right_table, r, payloads_of(&result.right_rows, r)?)?;
             // θ is the (equal) join value, recovered from the left row.
             let theta = left.get(join_idx).clone();
             out.push(JoinedRow { theta, left, right });

@@ -64,14 +64,16 @@ impl<E: Engine> EncryptedTable<E> {
 }
 
 /// A Secure Join token `Tk = g1^{v·B}` as it travels: the table side
-/// and each `G1` element's canonical encoding, byte for byte — for
-/// `Bls12` the 48-byte compressed form (`x` and a flag for the root of
-/// `y`; see the `eqjoin_pairing::g1` docs), so a `(m, t) = (2, 3)`
-/// token is `1 + 8 + 11 × (8 + 48)` = 625 bytes on the wire. A client
-/// encodes the token it generated once ([`From<SjToken>`]); the codec
-/// copies the byte strings without touching the curve; the store hashes
-/// them as received. A pairing takes an [`SjToken`], and the only way
-/// there is [`WireToken::checked`].
+/// and each `G1` element's canonical encoding, byte for byte, every one
+/// exactly [`Engine::G1_BYTES`] wide — for `Bls12` the 48-byte
+/// compressed form (`x` and a flag for the root of `y`; see the
+/// `eqjoin_pairing::g1` docs). The wire writes the elements back to
+/// back after their count, so a `(m, t) = (2, 3)` token is
+/// `1 + 8 + 11 × 48` = 537 bytes. A client encodes the token it
+/// generated once ([`From<SjToken>`]); the codec copies the byte
+/// strings without touching the curve; the store hashes them as
+/// received. A pairing takes an [`SjToken`], and the only way there is
+/// [`WireToken::checked`].
 #[derive(Clone, Debug)]
 pub struct WireToken<E: Engine> {
     side: SjTableSide,
@@ -81,13 +83,22 @@ pub struct WireToken<E: Engine> {
 
 impl<E: Engine> WireToken<E> {
     /// A token from element encodings nobody has vouched for (what the
-    /// codec reads off a frame).
-    pub fn from_encoded(side: SjTableSide, elements: Vec<Vec<u8>>) -> Self {
-        WireToken {
+    /// codec reads off a frame). An element of another width than
+    /// [`Engine::G1_BYTES`] has no place on the wire and is refused
+    /// here, before anything could encode it.
+    pub fn from_encoded(side: SjTableSide, elements: Vec<Vec<u8>>) -> Result<Self, DbError> {
+        if let Some(bad) = elements.iter().find(|e| e.len() != E::G1_BYTES) {
+            return Err(DbError::Protocol(format!(
+                "G1 element of {} bytes (this engine's are {})",
+                bad.len(),
+                E::G1_BYTES
+            )));
+        }
+        Ok(WireToken {
             side,
             elements,
             engine: PhantomData,
-        }
+        })
     }
 
     /// Which table side this token targets.
@@ -112,8 +123,7 @@ impl<E: Engine> WireToken<E> {
 
     /// Decode every element with the engine's full check (for `Bls12`:
     /// the encoding, one square root for `y`, the subgroup); the first
-    /// bad one refuses the token. An element of another width is
-    /// refused, not misread.
+    /// bad one refuses the token.
     pub fn checked(&self) -> Result<SjToken<E>, DbError> {
         let elements = self
             .elements
@@ -130,10 +140,11 @@ impl<E: Engine> WireToken<E> {
 
 impl<E: Engine> From<SjToken<E>> for WireToken<E> {
     fn from(token: SjToken<E>) -> Self {
-        Self::from_encoded(
-            token.side(),
-            token.elements().iter().map(E::g1_bytes).collect(),
-        )
+        WireToken {
+            side: token.side(),
+            elements: token.elements().iter().map(E::g1_bytes).collect(),
+            engine: PhantomData,
+        }
     }
 }
 

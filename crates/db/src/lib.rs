@@ -14,6 +14,7 @@
 //!   │    ▼                ▼                          │
 //!   │ LeakageLedger   Request::Batch of pairwise     │
 //!   │ (per stage)       ExecuteJoins (+ projection)  │
+//!   │    ▲ classes    pairs = left × right per class │
 //!   │ stitch + per-column decrypt ◀──────┐           │
 //!   └───────────────────────┬────────────┼───────────┘
 //!                           │  ServerApi (protocol)
@@ -22,8 +23,10 @@
 //!   ┌────────────────────────────────────────────────┐
 //!   │ DbServer: SJ.Dec per row (pre-filter, threads) │
 //!   │           SJ.Match via hash join on D bytes    │
-//!   │           → EncryptedJoinResult (projected     │
-//!   │             payload columns) + observation     │
+//!   │           → JoinObservation: equality classes  │
+//!   │             of (side, row) — the pairs too     │
+//!   │           → EncryptedJoinResult: each matched  │
+//!   │             row once per side, projected       │
 //!   └────────────────────────────────────────────────┘
 //! ```
 //!
@@ -72,7 +75,10 @@
 //!   (warm restarts).
 //! * [`server`] — the query executor over the store: per-row `SJ.Dec`
 //!   (parallel, optionally pre-filtered by the §4.3 tags), the `O(n)`
-//!   hash join, and payload projection ([`PayloadProjection`]).
+//!   hash join, and payload projection ([`PayloadProjection`]). A join's
+//!   answer says each fact once: the matched pairs are
+//!   [`JoinObservation::pairs`], derived from the equality classes the
+//!   server reports anyway, and each matched row's payloads ship once.
 //! * [`join`] — the matching algorithms on decrypted `D` values (the
 //!   hash join the server runs, and the `O(n²)` nested loop kept as the
 //!   comparison arm and a test oracle), plus
@@ -105,8 +111,8 @@ pub use protocol::{
 };
 pub use query::{InFilter, JoinQuery};
 pub use server::{
-    DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, MatchedPair, PayloadProjection,
-    ServerStats,
+    DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection, ServerStats,
+    ShippedRow,
 };
 pub use session::{
     Catalog, LeakageReport, QueryInput, ResultSet, Session, SessionConfig, SessionStats,

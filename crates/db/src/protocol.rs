@@ -10,6 +10,13 @@
 //!   Session ── Request::InsertTable ──────▶ ServerApi
 //!   Session ── Request::Batch[Execute…] ──▶ ServerApi
 //!   Session ◀─ Response::Batch[Join…] ──── ServerApi
+//!
+//!   Response::JoinExecuted
+//!   ├─ result       left rows  [(row id, payloads)]  each matched row once
+//!   │               right rows [(row id, payloads)]  (none if not asked for)
+//!   │               stats
+//!   └─ observation  query id, equality classes [[(side, row id)]]
+//!                   → pairs(): left × right members of each class
 //! ```
 //!
 //! [`ServerApi`] is a real transport trait: `handle` takes `&self` and
@@ -37,9 +44,11 @@
 //!   (`u64`/`usize` as little-endian `u64`, `bool` as a byte, `String`
 //!   and byte strings as length + bytes, `[u8; N]` raw, `Vec<T>` as
 //!   count + items, `Option<T>` as marker + item, `Duration` as nanos,
-//!   group elements as byte strings holding the engine's canonical
-//!   encodings — validated as set out under "Where group elements are
-//!   validated");
+//!   an equality-class member as its side byte + row id, `G2` elements
+//!   as byte strings and a token's `G1` elements as a count + the
+//!   elements back to back at the engine's fixed width, all holding the
+//!   engine's canonical encodings — validated as set out under "Where
+//!   group elements are validated");
 //! * each struct that travels is one `wire_struct!` field list;
 //! * [`Request`], [`Response`] and [`DbError`] are one `wire_enum!`
 //!   table each — `tag => Variant { fields }` — from which the encoder,
@@ -118,8 +127,7 @@ use crate::backend::TransportStats;
 use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 use crate::error::DbError;
 use crate::server::{
-    DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, MatchedPair, PayloadProjection,
-    ServerStats,
+    DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection, ServerStats,
 };
 use eqjoin_core::{SjRowCiphertext, SjTableSide};
 use eqjoin_pairing::Engine;
@@ -336,7 +344,7 @@ pub fn peek_envelope(payload: &[u8]) -> RequestEnvelope {
 
 /// A server→client message.
 ///
-/// No variant carries engine-typed data (matched pairs are returned as
+/// No variant carries engine-typed data (matched rows are returned as
 /// sealed payload bytes), so the response side of the protocol is not
 /// generic over the engine.
 #[derive(Clone, Debug)]
@@ -351,9 +359,10 @@ pub enum Response {
         rows: usize,
     },
     /// Join executed: the encrypted result and the equality pattern the
-    /// server (unavoidably) observed while matching.
+    /// server (unavoidably) observed while matching — which is also
+    /// what says which rows matched ([`JoinObservation::pairs`]).
     JoinExecuted {
-        /// Matched pairs + execution statistics.
+        /// Each side's matched rows, once each, + execution statistics.
         result: EncryptedJoinResult,
         /// The server's leakage observation for this query.
         observation: JoinObservation,
@@ -549,6 +558,20 @@ impl<'a> Reader<'a> {
             .map_err(|_| DbError::Protocol("non-UTF-8 string".into()))
     }
 
+    /// A count, then that many `width`-byte items back to back, each
+    /// copied out. `count × width` is multiplied checked and must fit in
+    /// the bytes still unread, so a count that lies is refused before
+    /// anything is allocated.
+    fn fixed_width(&mut self, width: usize, what: &str) -> Result<Vec<Vec<u8>>, DbError> {
+        let (run, rest) = usize::try_from(self.u64()?)
+            .ok()
+            .and_then(|count| count.checked_mul(width))
+            .and_then(|len| self.rest.split_at_checked(len))
+            .ok_or_else(|| DbError::Protocol(format!("implausible count of {what}")))?;
+        self.rest = rest;
+        Ok(run.chunks_exact(width.max(1)).map(<[u8]>::to_vec).collect())
+    }
+
     /// A count, then that many items. This is the one place a decoded
     /// count sizes an allocation, and it reserves no more memory than
     /// the bytes still unread: `len` only bounds the *count* by those
@@ -711,6 +734,24 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
+/// An equality-class member: its side byte (`0` left, `1` right), then
+/// its row id. Any other side byte is refused here, and again by the
+/// session, which also reads answers that never crossed a wire.
+impl Wire for (u8, usize) {
+    fn put(&self, w: &mut Writer) {
+        w.u8(self.0);
+        w.put(&self.1);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        match r.u8()? {
+            side @ (0 | 1) => Ok((side, r.get()?)),
+            other => Err(DbError::Protocol(format!(
+                "equality class member on side {other} (a join has sides 0 and 1)"
+            ))),
+        }
+    }
+}
+
 impl<T: Wire> Wire for Box<T> {
     fn put(&self, w: &mut Writer) {
         w.put(&**self);
@@ -720,17 +761,19 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
-/// The side, then the `G1` elements, each as a byte string holding the
-/// engine's canonical encoding — copied, not decoded: the curve and
-/// subgroup check is [`WireToken::checked`], run by the store on first
-/// sighting.
+/// The side, the element count, then the `G1` elements back to back,
+/// each [`Engine::G1_BYTES`] wide (the width is the engine's, so no
+/// length goes in front of each) and holding the engine's canonical
+/// encoding — copied, not decoded: the curve and subgroup check is
+/// [`WireToken::checked`], run by the store on first sighting.
 impl<E: Engine> Wire for WireToken<E> {
     fn put(&self, w: &mut Writer) {
         w.put(&self.side());
-        w.seq(self.elements(), |w, e| w.bytes(e));
+        w.seq(self.elements(), |w, e| w.out.extend_from_slice(e));
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
-        Ok(WireToken::from_encoded(r.get()?, r.get()?))
+        let side = r.get()?;
+        WireToken::from_encoded(side, r.fixed_width(E::G1_BYTES, "G1 elements")?)
     }
 }
 
@@ -779,12 +822,6 @@ wire_struct!(JoinOptions {
 wire_struct!(PayloadProjection { left, right });
 wire_struct!(EncryptedRow<E> { cipher, payloads, tags });
 wire_struct!(EncryptedTable<E> { name, join_column, filter_columns, rows });
-wire_struct!(MatchedPair {
-    left_row,
-    right_row,
-    left_payloads,
-    right_payloads
-});
 wire_struct!(ServerStats {
     rows_decrypted,
     rows_prefiltered_out,
@@ -794,7 +831,11 @@ wire_struct!(ServerStats {
     match_time,
     decrypt_cache_hits,
 });
-wire_struct!(EncryptedJoinResult { pairs, stats });
+wire_struct!(EncryptedJoinResult {
+    left_rows,
+    right_rows,
+    stats
+});
 wire_struct!(JoinObservation {
     query_id,
     equality_classes
@@ -1048,7 +1089,7 @@ mod tests {
             options: JoinOptions::default(),
             projection: Default::default(),
         }) {
-            Response::JoinExecuted { result, .. } => assert_eq!(result.pairs.len(), 1),
+            Response::JoinExecuted { observation, .. } => assert_eq!(observation.pairs().len(), 1),
             _ => panic!("expected JoinExecuted"),
         }
     }
@@ -1082,11 +1123,7 @@ mod tests {
                 options: JoinOptions::default(),
                 projection: Default::default(),
             }) {
-                Response::JoinExecuted { result, .. } => result
-                    .pairs
-                    .iter()
-                    .map(|p| (p.left_row, p.right_row))
-                    .collect::<Vec<_>>(),
+                Response::JoinExecuted { observation, .. } => observation.pairs(),
                 _ => panic!("expected JoinExecuted"),
             };
         let expected = (seq_pairs(tokens_a.clone()), seq_pairs(tokens_b.clone()));
@@ -1115,11 +1152,7 @@ mod tests {
         let got: Vec<Vec<(usize, usize)>> = responses[2..]
             .iter()
             .map(|r| match r {
-                Response::JoinExecuted { result, .. } => result
-                    .pairs
-                    .iter()
-                    .map(|p| (p.left_row, p.right_row))
-                    .collect(),
+                Response::JoinExecuted { observation, .. } => observation.pairs(),
                 _ => panic!("expected JoinExecuted"),
             })
             .collect();

@@ -35,7 +35,7 @@
 use crate::encrypted::{EncryptedTable, QueryTokens};
 use crate::error::DbError;
 use crate::join::hash_join;
-use crate::store::EncryptedStore;
+use crate::store::{EncryptedStore, TableStore};
 use eqjoin_pairing::Engine;
 use std::time::{Duration, Instant};
 
@@ -123,41 +123,117 @@ pub struct PayloadProjection {
     pub right: Option<Vec<usize>>,
 }
 
-/// One matched pair, carrying the sealed payloads back to the client.
-/// Row indices are the **stable row ids** assigned at encryption time
+/// One matched row as the server ships it: its row id and the sealed
+/// payload columns the request asked for, in the requested order.
+pub type ShippedRow = (usize, Vec<Vec<u8>>);
+
+/// The server's answer to a join query: each side's matched rows, once
+/// each, with their sealed payloads. Which row matched which is not
+/// repeated here: it is [`JoinObservation::pairs`], the cross product
+/// inside the equality classes the server reports anyway, so the
+/// answer a client decrypts and the leakage it records cannot disagree.
+///
+/// Row ids are the **stable row ids** assigned at encryption time
 /// (they survive deletions of other rows — the sealed payloads' AEAD
 /// associated data binds them).
 #[derive(Clone, Debug)]
-pub struct MatchedPair {
-    /// Row id in the left table.
-    pub left_row: usize,
-    /// Row id in the right table.
-    pub right_row: usize,
-    /// Sealed per-column payloads of the left row (all columns, or the
-    /// subset the request's [`PayloadProjection`] asked for, in the
-    /// requested order).
-    pub left_payloads: Vec<Vec<u8>>,
-    /// Sealed per-column payloads of the right row.
-    pub right_payloads: Vec<Vec<u8>>,
-}
-
-/// The server's response to a join query.
-#[derive(Clone, Debug)]
 pub struct EncryptedJoinResult {
-    /// Matched pairs with payloads.
-    pub pairs: Vec<MatchedPair>,
+    /// The left table's matched rows by ascending row id, each with the
+    /// sealed payload columns the request's [`PayloadProjection`] asked
+    /// for, in the requested order. Empty when that projection is empty
+    /// (`Some(vec![])`, as a chain stage asks for its anchor).
+    pub left_rows: Vec<ShippedRow>,
+    /// The right table's matched rows, likewise.
+    pub right_rows: Vec<ShippedRow>,
     /// Execution statistics.
     pub stats: ServerStats,
 }
 
 /// What the adversary controlling the server learns from one query: the
-/// equality classes among decrypted rows, labeled `(table name, row)`.
+/// equality classes among decrypted rows. A member is `(side, row id)`,
+/// side `0` the left table and `1` the right, as the match phase
+/// produces them ([`MatchOutcome`](crate::join::MatchOutcome)); whoever
+/// dispatched the join knows which table each side names.
 #[derive(Clone, Debug)]
 pub struct JoinObservation {
     /// Query id (from the token bundle).
     pub query_id: u64,
-    /// Observed equality classes (≥ 2 members) as `(table, row id)`.
-    pub equality_classes: Vec<Vec<(String, usize)>>,
+    /// Observed equality classes (≥ 2 members) as `(side, row id)`, in
+    /// the match phase's hash-map order.
+    pub equality_classes: Vec<Vec<(u8, usize)>>,
+}
+
+impl JoinObservation {
+    /// The matched `(left row, right row)` pairs, sorted: in each class,
+    /// every side-0 member with every side-1 member. Two rows match
+    /// exactly when they decrypt to one `D`, that is when they share a
+    /// class, so these are [`hash_join`]'s pairs.
+    pub fn pairs(&self) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for class in &self.equality_classes {
+            let side = |s: u8| class.iter().filter(move |m| m.0 == s).map(|m| m.1);
+            for l in side(0) {
+                pairs.extend(side(1).map(|r| (l, r)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+}
+
+/// Each side's matched rows, ascending and distinct: the members of
+/// every class that has both a left and a right member — the rows
+/// [`JoinObservation::pairs`] names, and the rows the server ships.
+pub(crate) fn matched_rows(classes: &[Vec<(u8, usize)>]) -> (Vec<usize>, Vec<usize>) {
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for class in classes {
+        if class.iter().any(|m| m.0 == 0) && class.iter().any(|m| m.0 == 1) {
+            for &(side, row) in class {
+                if side == 0 {
+                    left.push(row);
+                } else {
+                    right.push(row);
+                }
+            }
+        }
+    }
+    left.sort_unstable();
+    right.sort_unstable();
+    left.dedup();
+    right.dedup();
+    (left, right)
+}
+
+/// Does a side whose request asks for `wanted` payload columns ship its
+/// matched rows? Every side does but one that asks for no columns.
+pub(crate) fn ships_rows(wanted: Option<&[usize]>) -> bool {
+    !wanted.is_some_and(<[usize]>::is_empty)
+}
+
+/// `rows` of `table` with the payload columns `wanted` names, one
+/// lookup per row; nothing when `wanted` is empty.
+fn ship_rows<E: Engine>(
+    table: &TableStore<E>,
+    name: &str,
+    rows: Vec<usize>,
+    wanted: Option<&[usize]>,
+) -> Result<Vec<ShippedRow>, DbError> {
+    if !ships_rows(wanted) {
+        return Ok(Vec::new());
+    }
+    rows.into_iter()
+        .map(|row| {
+            let pos =
+                table
+                    .ids()
+                    .binary_search(&(row as u64))
+                    .map_err(|_| DbError::UnknownRow {
+                        table: name.to_owned(),
+                        row: row as u64,
+                    })?;
+            Ok((row, table.payloads_of(pos, wanted)?))
+        })
+        .collect()
 }
 
 /// The semi-honest DBMS server: an [`EncryptedStore`] plus the query
@@ -275,9 +351,9 @@ impl<E: Engine> DbServer<E> {
     /// Execute a join query: per-row `SJ.Dec` on both sides
     /// (optionally pre-filtered, parallel, served from the decrypt cache
     /// where warm), then `SJ.Match` via the hash join on `D` bytes.
-    /// Returns the encrypted result — matched pairs carrying only the
-    /// payload columns `projection` asks for — and the leakage
-    /// observation.
+    /// Returns the encrypted result — each matched row once per side,
+    /// carrying only the payload columns `projection` asks for — and the
+    /// leakage observation, whose classes determine the pairs.
     pub fn execute_join_projected(
         &self,
         tokens: &QueryTokens<E>,
@@ -316,51 +392,22 @@ impl<E: Engine> DbServer<E> {
         stats.comparisons = outcome.comparisons;
         stats.matched_pairs = outcome.pairs.len();
 
-        let pairs = outcome
-            .pairs
-            .iter()
-            .map(|&(l, r)| {
-                let left_pos = left_table.ids().binary_search(&(l as u64)).map_err(|_| {
-                    DbError::UnknownRow {
-                        table: tokens.left.table.clone(),
-                        row: l as u64,
-                    }
-                })?;
-                let right_pos = right_table.ids().binary_search(&(r as u64)).map_err(|_| {
-                    DbError::UnknownRow {
-                        table: tokens.right.table.clone(),
-                        row: r as u64,
-                    }
-                })?;
-                Ok(MatchedPair {
-                    left_row: l,
-                    right_row: r,
-                    left_payloads: left_table.payloads_of(left_pos, projection.left.as_deref())?,
-                    right_payloads: right_table
-                        .payloads_of(right_pos, projection.right.as_deref())?,
-                })
-            })
-            .collect::<Result<Vec<_>, DbError>>()?;
-
+        let (left, right) = matched_rows(&outcome.equality_classes);
+        let left_rows = ship_rows(
+            left_table,
+            &tokens.left.table,
+            left,
+            projection.left.as_deref(),
+        )?;
+        let right_rows = ship_rows(
+            right_table,
+            &tokens.right.table,
+            right,
+            projection.right.as_deref(),
+        )?;
         let observation = JoinObservation {
             query_id: tokens.query_id,
-            equality_classes: outcome
-                .equality_classes
-                .iter()
-                .map(|class| {
-                    class
-                        .iter()
-                        .map(|&(side, row)| {
-                            let name = if side == 0 {
-                                tokens.left.table.clone()
-                            } else {
-                                tokens.right.table.clone()
-                            };
-                            (name, row)
-                        })
-                        .collect()
-                })
-                .collect(),
+            equality_classes: outcome.equality_classes,
         };
 
         // The leakage account, live: each executed join is one more
@@ -376,7 +423,14 @@ impl<E: Engine> DbServer<E> {
         eqjoin_obs::counter!("eqjoin_join_rows_prefiltered_out_total")
             .add(stats.rows_prefiltered_out as u64);
 
-        Ok((EncryptedJoinResult { pairs, stats }, observation))
+        Ok((
+            EncryptedJoinResult {
+                left_rows,
+                right_rows,
+                stats,
+            },
+            observation,
+        ))
     }
 }
 
@@ -422,6 +476,17 @@ mod tests {
         (client, server, query)
     }
 
+    /// A join's whole answer, comparable across executions: its pairs
+    /// and the rows each side shipped.
+    fn key(answer: &(EncryptedJoinResult, JoinObservation)) -> impl PartialEq + std::fmt::Debug {
+        let (result, obs) = answer;
+        (
+            obs.pairs(),
+            result.left_rows.clone(),
+            result.right_rows.clone(),
+        )
+    }
+
     #[test]
     fn unfiltered_join_finds_key_matches() {
         let (mut client, server, query) = setup();
@@ -429,13 +494,11 @@ mod tests {
         let (result, obs) = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
-        // key 1 in L matches rows 0 and 1 in R.
-        let pairs: Vec<(usize, usize)> = result
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect();
-        assert_eq!(pairs, vec![(0, 0), (0, 1)]);
+        // key 1 in L matches rows 0 and 1 in R; each ships once.
+        assert_eq!(obs.pairs(), vec![(0, 0), (0, 1)]);
+        let ids = |rows: &[ShippedRow]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
+        assert_eq!(ids(&result.left_rows), vec![0]);
+        assert_eq!(ids(&result.right_rows), vec![0, 1]);
         assert_eq!(result.stats.matched_pairs, 2);
         assert_eq!(result.stats.rows_decrypted, 6);
         assert_eq!(obs.equality_classes.len(), 1);
@@ -449,26 +512,21 @@ mod tests {
             .filter("L", "color", vec!["red".into()])
             .filter("R", "shape", vec!["cube".into()]);
         let tokens = client.query_tokens(&query).unwrap();
-        let (result, _) = server
+        let (_, obs) = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
-        let pairs: Vec<(usize, usize)> = result
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect();
         // Only L row 0 (key 1, red) × R row 1 (key 1, cube).
-        assert_eq!(pairs, vec![(0, 1)]);
+        assert_eq!(obs.pairs(), vec![(0, 1)]);
     }
 
     #[test]
     fn client_decrypts_results() {
         let (mut client, server, query) = setup();
         let tokens = client.query_tokens(&query).unwrap();
-        let (result, _) = server
+        let (result, obs) = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
-        let rows = client.decrypt_result(&query, &result).unwrap();
+        let rows = client.decrypt_result(&query, &result, &obs).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].left.get(0), &Value::Int(1));
         assert_eq!(rows[0].right.get(0), &Value::Int(1));
@@ -492,7 +550,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let (mut client, server, query) = setup();
         let tokens = client.query_tokens(&query).unwrap();
-        let (seq, _) = server
+        let seq = server
             .execute_join(
                 &tokens,
                 &JoinOptions {
@@ -501,7 +559,7 @@ mod tests {
                 },
             )
             .unwrap();
-        let (par, _) = server
+        let par = server
             .execute_join(
                 &tokens,
                 &JoinOptions {
@@ -510,9 +568,6 @@ mod tests {
                 },
             )
             .unwrap();
-        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-        };
         assert_eq!(key(&seq), key(&par));
     }
 
@@ -543,23 +598,19 @@ mod tests {
             server.insert_table(enc).unwrap();
             let query = JoinQuery::on("T", "k", "T", "k").filter("T", "attr", vec!["hit".into()]);
             let tokens = client.query_tokens(&query).unwrap();
-            let (result, _) = server
+            server
                 .execute_join(&tokens, &JoinOptions::default())
-                .unwrap();
-            result
+                .unwrap()
         };
         let filtered = run(true);
         // Self-join: the filter applies to both sides, 2 rows each.
-        assert_eq!(filtered.stats.rows_decrypted, 4);
-        assert_eq!(filtered.stats.rows_prefiltered_out, 16);
+        assert_eq!(filtered.0.stats.rows_decrypted, 4);
+        assert_eq!(filtered.0.stats.rows_prefiltered_out, 16);
         // Without tags everything is decrypted.
         let unfiltered = run(false);
-        assert_eq!(unfiltered.stats.rows_decrypted, 20);
-        assert_eq!(unfiltered.stats.rows_prefiltered_out, 0);
+        assert_eq!(unfiltered.0.stats.rows_decrypted, 20);
+        assert_eq!(unfiltered.0.stats.rows_prefiltered_out, 0);
         // Same matches either way.
-        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-        };
         assert_eq!(key(&filtered), key(&unfiltered));
     }
 
@@ -568,24 +619,21 @@ mod tests {
         let (mut client, server, query) = setup();
         let tokens = client.query_tokens(&query).unwrap();
         let opts = JoinOptions::default();
-        let (first, first_obs) = server.execute_join(&tokens, &opts).unwrap();
-        assert_eq!(first.stats.decrypt_cache_hits, 0, "cold cache");
+        let first = server.execute_join(&tokens, &opts).unwrap();
+        assert_eq!(first.0.stats.decrypt_cache_hits, 0, "cold cache");
         // Byte-identical tokens: the repeat must skip every SJ.Dec.
-        let (second, second_obs) = server.execute_join(&tokens, &opts).unwrap();
+        let second = server.execute_join(&tokens, &opts).unwrap();
         assert_eq!(
-            second.stats.decrypt_cache_hits as usize, second.stats.rows_decrypted,
+            second.0.stats.decrypt_cache_hits as usize, second.0.stats.rows_decrypted,
             "100% of rows served from the cache"
         );
-        assert_eq!(second.stats.rows_decrypted, first.stats.rows_decrypted);
+        assert_eq!(second.0.stats.rows_decrypted, first.0.stats.rows_decrypted);
         assert_eq!(
-            second.stats.rows_prefiltered_out,
-            first.stats.rows_prefiltered_out
+            second.0.stats.rows_prefiltered_out,
+            first.0.stats.rows_prefiltered_out
         );
-        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-        };
         assert_eq!(key(&first), key(&second));
-        assert_eq!(first_obs.equality_classes, second_obs.equality_classes);
+        assert_eq!(first.1.equality_classes, second.1.equality_classes);
         // Fresh tokens for the same query (new k) must miss.
         let fresh = client.query_tokens(&query).unwrap();
         let (third, _) = server.execute_join(&fresh, &opts).unwrap();
@@ -600,18 +648,15 @@ mod tests {
             decrypt_cache: false,
             ..Default::default()
         };
-        let (a, _) = server.execute_join(&tokens, &opts).unwrap();
-        let (b, _) = server.execute_join(&tokens, &opts).unwrap();
-        assert_eq!(a.stats.decrypt_cache_hits, 0);
-        assert_eq!(b.stats.decrypt_cache_hits, 0);
+        let a = server.execute_join(&tokens, &opts).unwrap();
+        let b = server.execute_join(&tokens, &opts).unwrap();
+        assert_eq!(a.0.stats.decrypt_cache_hits, 0);
+        assert_eq!(b.0.stats.decrypt_cache_hits, 0);
         // And a cache-off run after a cache-on warmup returns the same
         // bytes.
-        let (warm, _) = server
+        let warm = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
-        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-        };
         assert_eq!(key(&a), key(&warm));
     }
 
@@ -661,7 +706,7 @@ mod tests {
         assert_eq!(start, 3, "ids continue after the encrypted table");
         assert_eq!(server.insert_rows("L", start, rows).unwrap(), 1);
 
-        let (after, _) = server.execute_join(&tokens, &opts).unwrap();
+        let (after, after_obs) = server.execute_join(&tokens, &opts).unwrap();
         assert_eq!(after.stats.rows_decrypted, 7);
         assert_eq!(
             after.stats.decrypt_cache_hits, 6,
@@ -669,12 +714,7 @@ mod tests {
         );
         // The new row (key 1, id 3) joins R rows 0 and 1 under the old
         // token.
-        let pairs: Vec<(usize, usize)> = after
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect();
-        assert_eq!(pairs, vec![(0, 0), (0, 1), (3, 0), (3, 1)]);
+        assert_eq!(after_obs.pairs(), vec![(0, 0), (0, 1), (3, 0), (3, 1)]);
     }
 
     #[test]
@@ -687,13 +727,14 @@ mod tests {
         // Delete L row 0 (the only L row matching R): the repeat stays
         // fully warm for every surviving row and loses the pair.
         assert_eq!(server.delete_rows("L", &[0]).unwrap(), 1);
-        let (after, _) = server.execute_join(&tokens, &opts).unwrap();
+        let (after, after_obs) = server.execute_join(&tokens, &opts).unwrap();
         assert_eq!(after.stats.rows_decrypted, 5);
         assert_eq!(
             after.stats.decrypt_cache_hits, 5,
             "no surviving row may be re-decrypted"
         );
-        assert!(after.pairs.is_empty());
+        assert!(after_obs.pairs().is_empty());
+        assert!(after.left_rows.is_empty() && after.right_rows.is_empty());
 
         // Deleting an unknown id is a clean error.
         assert_eq!(
@@ -753,21 +794,18 @@ mod tests {
         let (mut client, server, query) = setup();
         let tokens = client.query_tokens(&query).unwrap();
         let opts = JoinOptions::default();
-        let (first, _) = server.execute_join(&tokens, &opts).unwrap();
+        let first = server.execute_join(&tokens, &opts).unwrap();
 
         // "Restart": serialize, drop, reload — the repeat must be a
         // full cache hit on the reloaded server.
         let bytes = server.store().snapshot_bytes();
         drop(server);
         let reloaded = DbServer::with_store(EncryptedStore::from_snapshot_bytes(&bytes).unwrap());
-        let (again, _) = reloaded.execute_join(&tokens, &opts).unwrap();
+        let again = reloaded.execute_join(&tokens, &opts).unwrap();
         assert_eq!(
-            again.stats.decrypt_cache_hits as usize, again.stats.rows_decrypted,
+            again.0.stats.decrypt_cache_hits as usize, again.0.stats.rows_decrypted,
             "a restored snapshot must serve the repeat entirely from cache"
         );
-        let key = |r: &EncryptedJoinResult| -> Vec<(usize, usize)> {
-            r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-        };
         assert_eq!(key(&first), key(&again));
     }
 }

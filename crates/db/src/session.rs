@@ -68,6 +68,14 @@
 //! and the visible pair set is built only when asked for
 //! ([`Session::visible_pairs`]). [`ResultSet::leakage_delta`] is what
 //! one query added to it — 0 for a repeat.
+//!
+//! The ledger and the result read one answer: a stage's matched pairs
+//! are [`JoinObservation::pairs`] — the left × right members of each
+//! equality class the ledger records, mapped to tables by the stage the
+//! session dispatched — and its payloads are the rows the server
+//! shipped, each once. An answer whose classes name a third side, or
+//! whose shipped rows are not exactly the matched rows of a side that
+//! asked for columns, is a [`DbError::Protocol`].
 
 use crate::backend::{LocalBackend, RemoteBackend, TransportStats};
 use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
@@ -79,11 +87,12 @@ use crate::plan::{ColumnId, LoweredPlan, QueryPlan};
 use crate::protocol::{Request, Response, ServerApi};
 use crate::query::JoinQuery;
 use crate::server::{
-    EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection, ServerStats,
+    matched_rows, ships_rows, EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection,
+    ServerStats, ShippedRow,
 };
 use eqjoin_leakage::{pairs_from_classes, LeakageLedger, Node, PairSet};
 use eqjoin_pairing::Engine;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
 /// Session configuration: the client's crypto parameters plus execution
@@ -825,58 +834,79 @@ impl<E: Engine> Session<E> {
     /// series index and the pairs it added to the closure. This must
     /// happen for every join the server executed — the observation
     /// exists server-side whatever the client manages to do with the
-    /// result afterwards.
-    fn record_observation(&mut self, observation: &JoinObservation) -> (u64, usize) {
-        let classes: Vec<Vec<Node>> = observation
+    /// result afterwards. `tables` names the join's two sides, as the
+    /// session dispatched it; a class member naming any other side is a
+    /// protocol error, and nothing of that observation is recorded.
+    fn record_observation(
+        &mut self,
+        observation: &JoinObservation,
+        tables: &[String; 2],
+    ) -> Result<(u64, usize), DbError> {
+        let classes = observation
             .equality_classes
             .iter()
             .map(|class| {
                 class
                     .iter()
-                    .map(|(table, row)| Node::new(table, *row))
+                    .map(|&(side, row)| match tables.get(usize::from(side)) {
+                        Some(table) => Ok(Node::new(table, row)),
+                        None => Err(DbError::Protocol(format!(
+                            "equality class member on side {side} (a join has sides 0 and 1)"
+                        ))),
+                    })
                     .collect()
             })
-            .collect();
+            .collect::<Result<Vec<Vec<Node>>, DbError>>()?;
         let series_index = self.stats.queries_executed;
         let added = self
             .ledger
             .record_closed(series_index, &pairs_from_classes(&classes));
         self.stats.queries_executed += 1;
-        (series_index, added)
+        Ok((series_index, added))
     }
 
     /// Stitch one plan's executed stages and decrypt the projected
-    /// columns into a [`ResultSet`].
+    /// columns into a [`ResultSet`]. A stage's pairs are its
+    /// observation's ([`JoinObservation::pairs`]); its payloads are the
+    /// rows it shipped, each checked against those pairs.
     fn assemble_result_set(
         &mut self,
         lowered: &LoweredPlan,
-        stage_results: Vec<EncryptedJoinResult>,
+        stage_results: Vec<(EncryptedJoinResult, JoinObservation)>,
         series_index: u64,
         leakage_delta: usize,
         stage_cache_hits: Vec<bool>,
     ) -> Result<ResultSet, DbError> {
         // Payload lookup: (table position, server row) → sealed column
-        // payloads, taken from the stage that introduced the position.
+        // payloads, taken from the stage that introduced the position
+        // (an anchor side asks for no columns, so ships no rows).
         let mut payloads: HashMap<(usize, usize), &Vec<Vec<u8>>> = HashMap::new();
         let mut links = Vec::with_capacity(stage_results.len());
-        for (i, result) in stage_results.iter().enumerate() {
+        for (i, (result, observation)) in stage_results.iter().enumerate() {
             let stage = &lowered.stages[i];
-            let mut pairs = Vec::with_capacity(result.pairs.len());
-            for pair in &result.pairs {
-                if i == 0 {
-                    payloads
-                        .entry((stage.left_position, pair.left_row))
-                        .or_insert(&pair.left_payloads);
-                }
-                payloads
-                    .entry((stage.right_position, pair.right_row))
-                    .or_insert(&pair.right_payloads);
-                pairs.push((pair.left_row, pair.right_row));
+            let projection = Self::stage_projection(lowered, i);
+            let (left, right) = matched_rows(&observation.equality_classes);
+            for (position, rows, wanted, matched) in [
+                (
+                    stage.left_position,
+                    &result.left_rows,
+                    &projection.left,
+                    &left,
+                ),
+                (
+                    stage.right_position,
+                    &result.right_rows,
+                    &projection.right,
+                    &right,
+                ),
+            ] {
+                check_shipped(rows, matched, ships_rows(wanted.as_deref()))?;
+                payloads.extend(rows.iter().map(|(row, blobs)| ((position, *row), blobs)));
             }
             links.push(StageLink {
                 left_position: stage.left_position,
                 right_position: stage.right_position,
-                pairs,
+                pairs: observation.pairs(),
             });
         }
         let tuples = stitch_stages(&links);
@@ -947,7 +977,7 @@ impl<E: Engine> Session<E> {
             .map(|t| (t[0], *t.last().expect("tuples are non-empty")))
             .collect();
         let mut stats = ServerStats::default();
-        for s in &stage_results {
+        for (s, _) in &stage_results {
             stats.merge(&s.stats);
         }
         Ok(ResultSet {
@@ -956,7 +986,7 @@ impl<E: Engine> Session<E> {
             tuples,
             pairs,
             stats,
-            stage_stats: stage_results.into_iter().map(|r| r.stats).collect(),
+            stage_stats: stage_results.into_iter().map(|(r, _)| r.stats).collect(),
             series_index,
             leakage_delta,
             cache_hit: stage_cache_hits.iter().all(|&h| h),
@@ -1051,6 +1081,9 @@ impl<E: Engine> Session<E> {
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(lowered.len());
         let mut requests = Vec::new();
+        // The two tables each request joins: an observation's side
+        // bytes name them.
+        let mut stage_tables: Vec<[String; 2]> = Vec::new();
         for entry in lowered {
             let p = match entry {
                 Ok(p) => p,
@@ -1064,6 +1097,8 @@ impl<E: Engine> Session<E> {
                     let mut cache_hits = Vec::with_capacity(dispatches.len());
                     for d in dispatches {
                         cache_hits.push(d.cache_hit);
+                        stage_tables
+                            .push([d.tokens.left.table.clone(), d.tokens.right.table.clone()]);
                         requests.push(Request::ExecuteJoin {
                             tokens: d.tokens,
                             options: self.config.options,
@@ -1142,17 +1177,26 @@ impl<E: Engine> Session<E> {
         // in the series, so record them all before any error or decrypt
         // failure can cut the processing short.
         let dispatched = self.backend.transport_stats().bytes_sent > sent_before;
-        let mut executed: Vec<Result<(EncryptedJoinResult, u64, usize), DbError>> =
-            Vec::with_capacity(responses.len());
-        for response in responses {
+        type Executed = ((EncryptedJoinResult, JoinObservation), u64, usize);
+        let mut executed: Vec<Result<Executed, DbError>> = Vec::with_capacity(responses.len());
+        for (response, tables) in responses.into_iter().zip(&stage_tables) {
             match response {
                 Response::JoinExecuted {
                     result,
                     observation,
                 } => {
                     self.stats.decrypt_cache_hits += result.stats.decrypt_cache_hits;
-                    let (series_index, added) = self.record_observation(&observation);
-                    executed.push(Ok((result, series_index, added)));
+                    match self.record_observation(&observation, tables) {
+                        Ok((series_index, added)) => {
+                            executed.push(Ok(((result, observation), series_index, added)))
+                        }
+                        Err(e) => {
+                            // The server ran this join, but what it
+                            // observed cannot be ledgered.
+                            self.stats.queries_unaccounted += 1;
+                            executed.push(Err(e));
+                        }
+                    }
                 }
                 Response::Error(e) => {
                     // Per-element transport errors reach here when the
@@ -1244,6 +1288,34 @@ impl<E: Engine> Session<E> {
             within_bound: self.ledger.is_within_closure_bound(),
             super_additive_excess: self.ledger.super_additive_excess_len(),
         }
+    }
+}
+
+/// Check one side of a stage's answer against its matched rows
+/// (`matched`, ascending and distinct): a side that asked for payload
+/// columns (`ships`) ships each matched row exactly once and no other
+/// row; a side that asked for none ships nothing.
+fn check_shipped(rows: &[ShippedRow], matched: &[usize], ships: bool) -> Result<(), DbError> {
+    let refuse = |why: String| Err(DbError::Protocol(why));
+    if !ships && !rows.is_empty() {
+        return refuse("rows shipped for a side that asked for no payload columns".into());
+    }
+    // The server ships ascending, so an honest answer is this one walk.
+    if !ships || rows.iter().map(|r| r.0).eq(matched.iter().copied()) {
+        return Ok(());
+    }
+    let mut shipped = BTreeSet::new();
+    for &(row, _) in rows {
+        if !shipped.insert(row) {
+            return refuse(format!("row {row} shipped twice"));
+        }
+        if matched.binary_search(&row).is_err() {
+            return refuse(format!("row {row} shipped but in no matched pair"));
+        }
+    }
+    match matched.iter().find(|row| !shipped.contains(row)) {
+        Some(row) => refuse(format!("matched row {row} was not shipped")),
+        None => Ok(()),
     }
 }
 
@@ -1527,9 +1599,8 @@ mod tests {
             fn handle(&self, request: Request<MockEngine>) -> Response {
                 let mut response = self.0.handle(request);
                 if let Response::JoinExecuted { result, .. } = &mut response {
-                    for pair in &mut result.pairs {
-                        if let Some(b) = pair.left_payloads.first_mut().and_then(|p| p.first_mut())
-                        {
+                    for (_, payloads) in &mut result.left_rows {
+                        if let Some(b) = payloads.first_mut().and_then(|p| p.first_mut()) {
                             *b ^= 0xff;
                         }
                     }

@@ -130,12 +130,8 @@ fn run_schedule(seed: u64) {
     let opts = JoinOptions::default();
     let mut answers = vec![None; QUERIES];
     for &q in &schedule {
-        let (result, _) = server.execute_join(&queries[q], &opts).unwrap();
-        let pairs: Vec<(usize, usize)> = result
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect();
+        let (_, observation) = server.execute_join(&queries[q], &opts).unwrap();
+        let pairs = observation.pairs();
         assert_eq!(*answers[q].get_or_insert_with(|| pairs.clone()), pairs);
         assert!(server.store().decrypt_cache_len() <= CAP);
     }

@@ -50,8 +50,8 @@ fn join(tokens: &QueryTokens<MockEngine>) -> Request<MockEngine> {
 
 fn assert_joins(response: Response, who: &str) {
     match response {
-        Response::JoinExecuted { result, .. } => {
-            assert_eq!(result.pairs.len(), EXPECTED_PAIRS, "{who}")
+        Response::JoinExecuted { observation, .. } => {
+            assert_eq!(observation.pairs().len(), EXPECTED_PAIRS, "{who}")
         }
         other => panic!("{who}: expected a join result, got {other:?}"),
     }

@@ -360,10 +360,10 @@ fn sigkill_between_snapshot_and_journal_truncate_replays_idempotently() {
         let response = api.handle(exec());
         let (bytes, _, _) = join_response_bytes(&response);
         baseline_pairs = bytes;
-        let Response::JoinExecuted { result, .. } = response else {
+        let Response::JoinExecuted { observation, .. } = response else {
             unreachable!("join_response_bytes verified the variant");
         };
-        baseline_count = result.pairs.len();
+        baseline_count = observation.pairs().len();
         daemon.kill();
     }
 
@@ -416,11 +416,11 @@ fn sigkill_between_snapshot_and_journal_truncate_replays_idempotently() {
         // k=1 gains one left row: its 3 right matches appear exactly
         // once — a replay that double-applied would add 6, one that
         // dropped the intent would add 0.
-        let Response::JoinExecuted { result, .. } = response else {
+        let Response::JoinExecuted { observation, .. } = response else {
             unreachable!("join_response_bytes verified the variant");
         };
         assert_eq!(
-            result.pairs.len(),
+            observation.pairs().len(),
             baseline_count + 3,
             "the stale journal must replay idempotently (exactly-once effects)"
         );
@@ -489,9 +489,9 @@ fn compaction_threshold_daemon_defers_then_drain_compacts() {
             options: JoinOptions::default(),
             projection: Default::default(),
         }) {
-            Response::JoinExecuted { result, .. } => {
+            Response::JoinExecuted { observation, .. } => {
                 assert!(
-                    !result.pairs.is_empty(),
+                    !observation.pairs().is_empty(),
                     "compacted snapshot restores the store"
                 )
             }

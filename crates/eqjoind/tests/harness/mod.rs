@@ -173,12 +173,18 @@ impl Drop for Daemon {
 /// (rows_decrypted, decrypt_cache_hits) counters.
 pub fn join_response_bytes(response: &eqjoin_db::Response) -> (Vec<u8>, usize, u64) {
     match response {
-        eqjoin_db::Response::JoinExecuted { result, .. } => {
+        eqjoin_db::Response::JoinExecuted {
+            result,
+            observation,
+        } => {
             let mut bytes = Vec::new();
-            for pair in &result.pairs {
-                bytes.extend_from_slice(&(pair.left_row as u64).to_le_bytes());
-                bytes.extend_from_slice(&(pair.right_row as u64).to_le_bytes());
-                for payload in pair.left_payloads.iter().chain(&pair.right_payloads) {
+            for (l, r) in observation.pairs() {
+                bytes.extend_from_slice(&(l as u64).to_le_bytes());
+                bytes.extend_from_slice(&(r as u64).to_le_bytes());
+            }
+            for (row, payloads) in result.left_rows.iter().chain(&result.right_rows) {
+                bytes.extend_from_slice(&(*row as u64).to_le_bytes());
+                for payload in payloads {
                     bytes.extend_from_slice(payload);
                 }
             }

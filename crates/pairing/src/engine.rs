@@ -34,6 +34,10 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
 
     /// Human-readable engine name (used in benchmark reports).
     const NAME: &'static str;
+    /// Width of every [`Engine::g1_bytes`] encoding: the wire writes a
+    /// token's `G1` elements back to back at this width, with no length
+    /// in front of each.
+    const G1_BYTES: usize;
 
     /// `g1^s` for the fixed generator (fixed-base optimized).
     fn g1_mul_gen(s: &Fr) -> Self::G1;
@@ -146,6 +150,7 @@ impl Engine for Bls12 {
     type G2Prepared = pr::G2Prepared;
 
     const NAME: &'static str = "bls12-381";
+    const G1_BYTES: usize = g1::G1_BYTES;
 
     fn g1_mul_gen(s: &Fr) -> G1Affine {
         g1_table().mul(s).to_affine()

@@ -39,6 +39,7 @@ impl Engine for MockEngine {
     type G2Prepared = MockG2;
 
     const NAME: &'static str = "mock";
+    const G1_BYTES: usize = Fr::BYTES;
 
     fn g1_mul_gen(s: &Fr) -> MockG1 {
         MockG1(*s)

@@ -427,7 +427,7 @@ fn restart_with_snapshot_runs_zero_fresh_miller_loops() {
         .query_tokens(&JoinQuery::on("L", "k", "R", "k"))
         .unwrap();
     let opts = JoinOptions::default();
-    let (cold, _) = server.execute_join(&tokens, &opts).unwrap();
+    let (cold, cold_observation) = server.execute_join(&tokens, &opts).unwrap();
     assert!(cold.stats.rows_decrypted > 0);
 
     // "Kill" the server: serialize the store, drop the process state,
@@ -438,7 +438,7 @@ fn restart_with_snapshot_runs_zero_fresh_miller_loops() {
         DbServer::with_store(EncryptedStore::<Bls12>::from_snapshot_bytes(&snapshot).unwrap());
 
     let before = ops::snapshot();
-    let (warm, _) = restored.execute_join(&tokens, &opts).unwrap();
+    let (warm, warm_observation) = restored.execute_join(&tokens, &opts).unwrap();
     let delta = ops::snapshot().since(&before);
     assert_eq!(delta.pairings, 0, "zero fresh pairings after restart");
     assert_eq!(
@@ -450,10 +450,11 @@ fn restart_with_snapshot_runs_zero_fresh_miller_loops() {
         warm.stats.decrypt_cache_hits as usize,
         warm.stats.rows_decrypted
     );
-    let pairs = |r: &eqjoin::db::EncryptedJoinResult| -> Vec<(usize, usize)> {
-        r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-    };
-    assert_eq!(pairs(&cold), pairs(&warm), "byte-identical match set");
+    assert_eq!(
+        cold_observation.pairs(),
+        warm_observation.pairs(),
+        "byte-identical match set"
+    );
 }
 
 /// Acceptance (ISSUE 5): the prepared Miller loop agrees with the

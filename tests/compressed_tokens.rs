@@ -1,14 +1,16 @@
-//! `G1` token elements travel compressed: a `Bls12` element is `x` and
-//! one flag bit, 48 bytes, so a `(m, t) = (2, 3)` token side is
-//! `1 + 8 + 11 × (8 + 48)` = 625 bytes on the wire (a side tag, an
-//! element count, then a length and the bytes per element) and a chain
-//! query's batch carries four of them.
+//! `G1` token elements travel compressed and back to back: a `Bls12`
+//! element is `x` and one flag bit, 48 bytes, and the engine fixes that
+//! width, so no length goes in front of each element. A `(m, t) = (2, 3)`
+//! token side is `1 + 8 + 11 × 48` = 537 bytes on the wire (a side tag,
+//! an element count, then the elements) and a chain query's batch
+//! carries four of them.
 //!
 //! The store pays for the compression where it already paid for the
 //! subgroup check: `WireToken::checked()` recovers each `y` with one
 //! `Fp` square root, inside the `store_token_check` span, and only for
 //! sides its decrypt cache cannot vouch for. An old client's 96-byte
-//! uncompressed elements are refused with a typed protocol error, never
+//! uncompressed elements, and a frame that still puts a length in front
+//! of each element, are refused with a typed protocol error, never
 //! misread.
 //!
 //! The metrics registry is process-wide, so every test here runs under
@@ -18,7 +20,7 @@ use eqjoin::db::{
     DbError, JoinOptions, LocalBackend, PayloadProjection, QueryPlan, Request, Response, Schema,
     ServerApi, Session, SessionConfig, SideTokens, Table, TableConfig, Value, WireToken,
 };
-use eqjoin::pairing::{Bls12, Engine};
+use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use std::sync::{Arc, Mutex};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -27,9 +29,39 @@ static SERIAL: Mutex<()> = Mutex::new(());
 const ELEMENTS: usize = 11;
 /// Bytes of one compressed `Bls12` `G1` element.
 const ELEMENT_BYTES: usize = 48;
-/// A token side on the wire: side tag, element count, then each
-/// element's length and bytes.
-const SIDE_BYTES: usize = 1 + 8 + ELEMENTS * (8 + ELEMENT_BYTES);
+/// A token side on the wire: side tag, element count, then the
+/// elements back to back.
+const SIDE_BYTES: usize = 1 + 8 + ELEMENTS * ELEMENT_BYTES;
+
+/// The two `request.ExecuteJoin` lines of `tests/fixtures/wire_golden.hex`
+/// as the codec wrote them while each `G1` element still carried a `u64`
+/// length (`MockEngine`, 32-byte elements).
+const LENGTH_PREFIXED_EXECUTE_JOINS: [&str; 2] = [
+    concat!(
+        "021e00000000000000030000000000000054333000030000000000000020000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000005200000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000004d2000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000109202000000000000000000000000000000020000",
+        "000000000005000000000000009b000000000000000c0000000000000074010000000000000100000000",
+        "00000002000000000000004d00000000000000530900000000000054000000000000002c0a0000000000",
+        "000300000000000000543331010300000000000000200000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000052000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000004d20000000000000000000000000000000000000000000000000",
+        "000000000000000000000000001092020000000000000000000000000000000200000000000000050000",
+        "00000000009b000000000000000c00000000000000740100000000000001000000000000000200000000",
+        "0000004d00000000000000530900000000000054000000000000002c0a00000000000001020000000000",
+        "000001010200000000000000000000000000000001000000000000000101000000000000000200000000",
+        "000000",
+    ),
+    concat!(
+        "020700000000000000020000000000000054370001000000000000002000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000901000000000000000000000000000000",
+        "0200000000000000090000000000000017010000000000001000000000000000f0010000000000000200",
+        "000000000000543801010000000000000020000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000009010000000000000000000000000000000200000000000000090000",
+        "000000000017010000000000001000000000000000f001000000000000000000000000000000000000",
+    ),
+];
 
 fn config() -> SessionConfig {
     SessionConfig::new(2, 3).seed(0x48).threads(1)
@@ -112,7 +144,8 @@ fn without_elements(request: &Request<Bls12>) -> Request<Bls12> {
         match request {
             Request::ExecuteJoin { tokens, .. } => {
                 for side in [&mut tokens.left, &mut tokens.right] {
-                    side.token = WireToken::from_encoded(side.token.side(), Vec::new());
+                    side.token = WireToken::from_encoded(side.token.side(), Vec::new())
+                        .expect("no elements is a token of any width");
                 }
             }
             Request::Batch(requests) => requests.iter_mut().for_each(strip),
@@ -124,18 +157,24 @@ fn without_elements(request: &Request<Bls12>) -> Request<Bls12> {
 }
 
 /// The bytes `side`'s token occupies after its side tag: the element
-/// count, then each element's length and bytes.
+/// count, then the elements back to back.
 fn encoded_elements(side: &SideTokens<Bls12>) -> Vec<u8> {
     let mut out = (side.token.len() as u64).to_le_bytes().to_vec();
     for element in side.token.elements() {
-        out.extend_from_slice(&(element.len() as u64).to_le_bytes());
         out.extend_from_slice(element);
     }
     out
 }
 
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
 #[test]
-fn a_token_side_is_625_bytes_and_a_chain_batch_carries_four() {
+fn a_token_side_is_537_bytes_and_a_chain_batch_carries_four() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (mut session, _, seen) = recorded_session();
     let result = session.execute(chain()).expect("chain query");
@@ -156,21 +195,33 @@ fn a_token_side_is_625_bytes_and_a_chain_batch_carries_four() {
         }
         let tail = encoded_elements(side);
         assert_eq!(1 + tail.len(), SIDE_BYTES, "side tag + count + elements");
-        assert_eq!(SIDE_BYTES, 625);
+        assert_eq!(SIDE_BYTES, 537);
         assert!(
             frame.windows(tail.len()).any(|w| w == tail.as_slice()),
             "the frame carries the side's elements as they were encoded"
         );
     }
     // Nothing else in the frame depends on the elements: dropping them
-    // saves exactly their lengths and bytes, the 4 × 616 bytes that are
-    // not a side's tag or count.
+    // saves exactly their bytes, the 4 × 528 that are not a side's tag
+    // or count — no length travels with an element.
     let stripped = without_elements(batch).to_bytes();
     assert_eq!(
         frame.len() - stripped.len(),
         4 * (SIDE_BYTES - 1 - 8),
         "a chain query's batch carries 4 × {SIDE_BYTES} token bytes"
     );
+    assert_eq!(4 * (SIDE_BYTES - 1 - 8), 4 * 528);
+}
+
+#[test]
+fn a_frame_whose_elements_carry_lengths_is_a_protocol_error() {
+    for hex in LENGTH_PREFIXED_EXECUTE_JOINS {
+        match Request::<MockEngine>::from_bytes(&unhex(hex)) {
+            Err(DbError::Protocol(_)) => {}
+            Err(other) => panic!("refused with an untyped error: {other:?}"),
+            Ok(_) => panic!("a length-prefixed token decoded to a request"),
+        }
+    }
 }
 
 #[test]
@@ -220,37 +271,50 @@ fn an_old_clients_96_byte_elements_are_a_typed_protocol_error() {
         .expect("the join was served");
 
     // The same points as a build before compression wrote them: `x`
-    // then `y`, 96 bytes.
-    let uncompressed = |token: &WireToken<Bls12>| {
-        let elements = token
-            .elements()
-            .iter()
-            .map(|bytes| {
-                let p = Bls12::g1_from_bytes(bytes).expect("a valid element");
-                [p.x.to_bytes(), p.y.to_bytes()].concat()
-            })
-            .collect();
-        WireToken::<Bls12>::from_encoded(token.side(), elements)
-    };
-    let old = uncompressed(&good.left.token);
-    assert!(old.elements().iter().all(|e| e.len() == 96));
-    assert!(matches!(old.checked(), Err(DbError::Protocol(_))));
+    // then `y`, 96 bytes. No token holds them, so nothing can put them
+    // on the wire.
+    let uncompressed: Vec<Vec<u8>> = good
+        .left
+        .token
+        .elements()
+        .iter()
+        .map(|bytes| {
+            let p = Bls12::g1_from_bytes(bytes).expect("a valid element");
+            [p.x.to_bytes(), p.y.to_bytes()].concat()
+        })
+        .collect();
+    assert!(uncompressed.iter().all(|e| e.len() == 96));
+    assert!(matches!(
+        WireToken::<Bls12>::from_encoded(good.left.token.side(), uncompressed.clone()),
+        Err(DbError::Protocol(_))
+    ));
 
-    // Through the store: the join is refused with the same typed error,
-    // and the backend goes on serving.
-    let mut tokens = good.clone();
-    tokens.left.token = old;
+    // The frame such a client sent: each element behind its `u64`
+    // length. The decoder refuses it with the same typed error, and the
+    // backend goes on serving.
     let join = |tokens| Request::ExecuteJoin {
         tokens,
         options: JoinOptions::default(),
         projection: PayloadProjection::default(),
     };
-    match backend.handle(join(tokens)) {
-        Response::Error(DbError::Protocol(_)) => {}
-        other => panic!("an uncompressed token was not refused as a protocol error: {other:?}"),
+    let frame = join(good.clone()).to_bytes();
+    let compressed = encoded_elements(&good.left);
+    let mut old_tail = (uncompressed.len() as u64).to_le_bytes().to_vec();
+    for element in &uncompressed {
+        old_tail.extend_from_slice(&(element.len() as u64).to_le_bytes());
+        old_tail.extend_from_slice(element);
     }
+    let at = frame
+        .windows(compressed.len())
+        .position(|w| w == compressed.as_slice())
+        .expect("the frame carries the left side's elements");
+    let old_frame = [&frame[..at], &old_tail, &frame[at + compressed.len()..]].concat();
     assert!(matches!(
-        backend.handle(join(good)),
+        Request::<Bls12>::from_bytes(&old_frame),
+        Err(DbError::Protocol(_))
+    ));
+    assert!(matches!(
+        backend.handle(Request::from_bytes(&frame).expect("the current frame decodes")),
         Response::JoinExecuted { .. }
     ));
 }

@@ -88,18 +88,40 @@ fn hostile_frames_cost_memory_in_proportion_to_their_size() {
 
     // -- Counts that lie. Each frame is 1 MiB, claims about a million
     // items and follows with 0xff, so the first item fails to parse.
-    // Reserving `count` items up front cost 64-300 bytes per claimed
-    // item (`MatchedPair`, `EncryptedRow`, `Request`); the decoder may
-    // reserve what the unread bytes could pay for and no more.
+    // Reserving `count` items up front cost 16-300 bytes per claimed
+    // item (a shipped row, a class member, an `EncryptedRow`, a
+    // `Request`); the decoder may reserve what the unread bytes could
+    // pay for and no more. A token side's elements have the engine's
+    // fixed width, so a count of them is refused outright when
+    // `count × width` exceeds the bytes left.
     let empty_str = u64_le(0);
     let insert_table = [&[1u8][..], &empty_str, &empty_str, &empty_str].concat();
     let insert_rows = [&[4u8][..], &empty_str, &empty_str].concat();
+    // `ExecuteJoin`: query id, the left side's table name "T", its
+    // token's side tag — then the element count.
+    let token_side = [&[2u8][..], &u64_le(7), &u64_le(1), b"T", &[0]].concat();
+    // `JoinExecuted`: no left rows — then the right rows' count.
+    let right_rows = [&[2u8][..], &empty_str].concat();
+    // `JoinExecuted`: no rows, seven zero counters, a query id, one
+    // class — then that class's member count.
+    let class_members = [
+        &[2u8][..],
+        &empty_str,
+        &empty_str,
+        &[0; 7 * 8],
+        &u64_le(9),
+        &u64_le(1),
+    ]
+    .concat();
     type Cost = fn(&[u8]) -> (usize, bool);
-    let lies: [(&str, Cost, &[u8]); 5] = [
+    let lies: [(&str, Cost, &[u8]); 8] = [
         ("request batch", request_cost, &[3]),
         ("table rows", request_cost, &insert_table),
         ("inserted rows", request_cost, &insert_rows),
-        ("matched pairs", response_cost, &[2]),
+        ("token elements", request_cost, &token_side),
+        ("left shipped rows", response_cost, &[2]),
+        ("right shipped rows", response_cost, &right_rows),
+        ("class members", response_cost, &class_members),
         ("response batch", response_cost, &[4]),
     ];
     for (what, decode_cost, header) in lies {
@@ -108,6 +130,18 @@ fn hostile_frames_cost_memory_in_proportion_to_their_size() {
         assert!(
             requested <= 2 * MIB,
             "{what}: a 1 MiB frame made the decoder request {requested} bytes"
+        );
+    }
+
+    // An element count whose product with the width overflows is a
+    // lie too, refused before anything is sized by it.
+    for count in [u64::MAX, u64::MAX / 32 + 1] {
+        let frame = [&token_side[..], &count.to_le_bytes(), &[0xff; 64]].concat();
+        let (requested, ok) = request_cost(&frame);
+        assert!(!ok, "a token side of {count} elements must not decode");
+        assert!(
+            requested <= 512,
+            "{count} elements requested {requested} bytes"
         );
     }
 

@@ -188,10 +188,12 @@ fn low_level_client_server_path_still_works_bls12() {
         .filter("Teams", "Name", vec!["Web Application".into()])
         .filter("Employees", "Role", vec!["Tester".into()]);
     let tokens = client.query_tokens(&query).unwrap();
-    let (result, _) = server
+    let (result, observation) = server
         .execute_join(&tokens, &JoinOptions::default())
         .unwrap();
-    let rows = client.decrypt_result(&query, &result).unwrap();
+    let rows = client
+        .decrypt_result(&query, &result, &observation)
+        .unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].left.get(1), &Value::Str("Kaily".into()));
 }

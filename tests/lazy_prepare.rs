@@ -42,14 +42,10 @@ fn join<E: Engine>(tokens: &QueryTokens<E>, options: JoinOptions) -> Request<E> 
 /// Execute a join and return `(matched pairs, rows SJ.Dec considered)`.
 fn run<E: Engine>(backend: &LocalBackend<E>, request: Request<E>) -> (Vec<(usize, usize)>, u64) {
     match backend.handle(request) {
-        Response::JoinExecuted { result, .. } => (
-            result
-                .pairs
-                .iter()
-                .map(|p| (p.left_row, p.right_row))
-                .collect(),
-            result.stats.rows_decrypted as u64,
-        ),
+        Response::JoinExecuted {
+            result,
+            observation,
+        } => (observation.pairs(), result.stats.rows_decrypted as u64),
         other => panic!("join failed: {other:?}"),
     }
 }

@@ -9,8 +9,8 @@
 use eqjoin::baselines::ground_truth;
 use eqjoin::db::join::{hash_join, nested_loop_join};
 use eqjoin::db::{
-    DbClient, DbServer, JoinOptions, JoinQuery, QueryPlan, Schema, ServerStats, Session,
-    SessionConfig, Table, TableConfig, Value,
+    DbClient, DbServer, JoinObservation, JoinOptions, JoinQuery, QueryPlan, Schema, ServerStats,
+    Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::leakage::{pairs_from_classes, Node};
 use eqjoin::pairing::MockEngine;
@@ -115,27 +115,23 @@ proptest! {
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
 
-        let mut got: Vec<(usize, usize)> = result
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect();
-        got.sort_unstable();
+        let got = observation.pairs();
         let expected = ground_truth::reference_join(&left, &right, &query);
         prop_assert_eq!(&got, &expected, "join result mismatch");
 
         // Leakage: the observed equality classes expand to exactly σ(q).
+        let tables = [&tokens.left.table, &tokens.right.table];
         let classes: Vec<Vec<Node>> = observation
             .equality_classes
             .iter()
-            .map(|c| c.iter().map(|(t, r)| Node::new(t, *r)).collect())
+            .map(|c| c.iter().map(|&(side, r)| Node::new(tables[usize::from(side)], r)).collect())
             .collect();
         let observed = pairs_from_classes(&classes);
         let sigma = ground_truth::sigma(&left, &right, &query);
         prop_assert_eq!(observed, sigma, "server view must equal σ(q)");
 
         // Decrypted payloads really join.
-        let rows = client.decrypt_result(&query, &result).unwrap();
+        let rows = client.decrypt_result(&query, &result, &observation).unwrap();
         for row in &rows {
             prop_assert_eq!(row.left.get(0), row.right.get(0));
         }
@@ -166,6 +162,30 @@ proptest! {
         // One probe per row against every pair.
         prop_assert_eq!(hash.comparisons, (left_d.len() + right_d.len()) as u64);
         prop_assert_eq!(nested.comparisons, (left_d.len() * right_d.len()) as u64);
+    }
+
+    // The identity the join answer relies on: the server ships the
+    // equality classes and no pair list, and the client reads the pairs
+    // off the classes. For sides with repeated keys, sides with none
+    // and empty sides, that reading is exactly the hash join's pairs.
+    #[test]
+    fn pairs_derived_from_the_classes_are_the_hash_joins_pairs(
+        left in proptest::collection::vec(0u8..5, 0..20),
+        right in proptest::collection::vec(0u8..5, 0..20),
+        wide in any::<bool>(),
+    ) {
+        // Keys one byte wide, or 40 bytes that agree outside the
+        // bucket window, so both hashing cases are covered.
+        let side = |keys: &[u8]| -> Vec<(usize, Vec<u8>)> {
+            keys.iter()
+                .enumerate()
+                .map(|(row, &k)| (row, if wide { [vec![k; 8], vec![0; 32]].concat() } else { vec![k] }))
+                .collect()
+        };
+        let (left, right) = (side(&left), side(&right));
+        let outcome = hash_join(&left, &right);
+        let observation = JoinObservation { query_id: 0, equality_classes: outcome.equality_classes };
+        prop_assert_eq!(observation.pairs(), outcome.pairs);
     }
 }
 

@@ -159,10 +159,10 @@ proptest! {
 
     #[test]
     fn join_responses_round_trip_and_reject_truncation(
-        pairs in proptest::collection::vec((0u64..500, 0u64..500, 0u64..256), 0..12),
+        rows in proptest::collection::vec((0u64..500, 0u64..500, 0u64..256), 0..12),
         classes in proptest::collection::vec((0u64..4, 0u64..50), 0..6),
     ) {
-        let response = join_response(&pairs, &classes);
+        let response = join_response(&rows, &classes);
         assert_response_round_trips(&response);
         assert_prefixes_rejected(&response.to_bytes(), response_rejected);
 
@@ -170,8 +170,8 @@ proptest! {
         let batch = Response::Batch(vec![
             Response::Pong,
             response,
-            Response::TableInserted { table: "T".into(), rows: pairs.len() },
-            Response::Error(DbError::InClauseTooLarge { got: pairs.len(), max: 2 }),
+            Response::TableInserted { table: "T".into(), rows: rows.len() },
+            Response::Error(DbError::InClauseTooLarge { got: rows.len(), max: 2 }),
         ]);
         assert_response_round_trips(&batch);
         assert_prefixes_rejected(&batch.to_bytes(), response_rejected);

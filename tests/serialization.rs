@@ -127,12 +127,15 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     let tokens = client.query_tokens(&query).unwrap();
     let direct = LocalBackend::<E>::new();
     direct.handle(Request::InsertTable(enc));
-    let direct_result = match direct.handle(Request::ExecuteJoin {
+    let (direct_result, direct_observation) = match direct.handle(Request::ExecuteJoin {
         tokens: tokens.clone(),
         options,
         projection: Default::default(),
     }) {
-        Response::JoinExecuted { result, .. } => result,
+        Response::JoinExecuted {
+            result,
+            observation,
+        } => (result, observation),
         _ => panic!("direct join failed"),
     };
 
@@ -159,26 +162,31 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     }
     .to_bytes();
     let exec = Request::<E>::from_bytes(&exec_bytes).unwrap();
-    let wired_result = match Response::from_bytes(&wired.handle(exec).to_bytes()).unwrap() {
-        Response::JoinExecuted { result, .. } => result,
-        other => panic!(
-            "expected JoinExecuted, got {:?} kind",
-            std::mem::discriminant(&other)
-        ),
-    };
+    let (wired_result, wired_observation) =
+        match Response::from_bytes(&wired.handle(exec).to_bytes()).unwrap() {
+            Response::JoinExecuted {
+                result,
+                observation,
+            } => (result, observation),
+            other => panic!(
+                "expected JoinExecuted, got {:?} kind",
+                std::mem::discriminant(&other)
+            ),
+        };
 
-    let pairs = |r: &eqjoin::db::EncryptedJoinResult| -> Vec<(usize, usize)> {
-        r.pairs.iter().map(|p| (p.left_row, p.right_row)).collect()
-    };
-    assert_eq!(pairs(&direct_result), pairs(&wired_result));
+    assert_eq!(direct_observation.pairs(), wired_observation.pairs());
     assert_eq!(
         direct_result.stats.rows_decrypted,
         wired_result.stats.rows_decrypted
     );
     // The sealed payloads survive the roundtrip bit-exactly, so the
     // *original* client can still open them.
-    let direct_rows = client.decrypt_result(&query, &direct_result).unwrap();
-    let wired_rows = client.decrypt_result(&query, &wired_result).unwrap();
+    let direct_rows = client
+        .decrypt_result(&query, &direct_result, &direct_observation)
+        .unwrap();
+    let wired_rows = client
+        .decrypt_result(&query, &wired_result, &wired_observation)
+        .unwrap();
     assert_eq!(direct_rows, wired_rows);
 }
 

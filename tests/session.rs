@@ -133,16 +133,10 @@ fn session_series_beats_raw_client_on_tkgen_calls() {
     let mut raw_pairs = Vec::new();
     for query in series() {
         let tokens = client.query_tokens(&query).unwrap();
-        let (result, _) = server
+        let (_, observation) = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
-        let mut pairs: Vec<(usize, usize)> = result
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect();
-        pairs.sort_unstable();
-        raw_pairs.push(pairs);
+        raw_pairs.push(observation.pairs());
     }
     let raw_tkgen = client.stats().tkgen_calls;
 
@@ -189,10 +183,16 @@ fn ledger_matches_manual_accounting() {
         let (_, obs) = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
+        // A member names its side; the tokens name the sides' tables.
+        let tables = [&tokens.left.table, &tokens.right.table];
         let classes: Vec<Vec<Node>> = obs
             .equality_classes
             .iter()
-            .map(|c| c.iter().map(|(t, r)| Node::new(t, *r)).collect())
+            .map(|c| {
+                c.iter()
+                    .map(|&(side, r)| Node::new(tables[usize::from(side)], r))
+                    .collect()
+            })
             .collect();
         let per_query = pairs_from_classes(&classes);
         union.union_with(&per_query);
@@ -391,26 +391,38 @@ fn chain_series_with_mutations_matches_a_from_scratch_ledger() {
     use std::sync::{Arc, Mutex};
 
     /// Forwards to a local backend and keeps every observation the
-    /// server hands back, in order — the manual ledger's input.
+    /// server hands back, in order, with the two tables its request
+    /// joined (a member names its side) — the manual ledger's input.
+    type Seen = Arc<Mutex<Vec<([String; 2], JoinObservation)>>>;
     struct Recording {
         inner: LocalBackend<MockEngine>,
-        seen: Arc<Mutex<Vec<JoinObservation>>>,
+        seen: Seen,
     }
     impl Recording {
-        fn keep(&self, response: &Response) {
-            match response {
-                Response::JoinExecuted { observation, .. } => {
-                    self.seen.lock().unwrap().push(observation.clone())
+        fn keep(&self, request: &Request<MockEngine>, response: &Response) {
+            match (request, response) {
+                (
+                    Request::ExecuteJoin { tokens, .. },
+                    Response::JoinExecuted { observation, .. },
+                ) => {
+                    let tables = [tokens.left.table.clone(), tokens.right.table.clone()];
+                    self.seen
+                        .lock()
+                        .unwrap()
+                        .push((tables, observation.clone()))
                 }
-                Response::Batch(responses) => responses.iter().for_each(|r| self.keep(r)),
+                (Request::Batch(requests), Response::Batch(responses)) => requests
+                    .iter()
+                    .zip(responses)
+                    .for_each(|(q, r)| self.keep(q, r)),
                 _ => {}
             }
         }
     }
     impl ServerApi<MockEngine> for Recording {
         fn handle(&self, request: Request<MockEngine>) -> Response {
-            let response = self.inner.handle(request);
-            self.keep(&response);
+            let response = self.inner.handle(request.clone());
+            self.keep(&request, &response);
             response
         }
     }
@@ -491,11 +503,15 @@ fn chain_series_with_mutations_matches_a_from_scratch_ledger() {
 
     let mut manual = LeakageLedger::new();
     let mut union = PairSet::new();
-    for (i, obs) in seen.lock().unwrap().iter().enumerate() {
+    for (i, (tables, obs)) in seen.lock().unwrap().iter().enumerate() {
         let classes: Vec<Vec<Node>> = obs
             .equality_classes
             .iter()
-            .map(|c| c.iter().map(|(t, r)| Node::new(t, *r)).collect())
+            .map(|c| {
+                c.iter()
+                    .map(|&(side, r)| Node::new(&tables[usize::from(side)], r))
+                    .collect()
+            })
             .collect();
         let per_query = pairs_from_classes(&classes);
         union.union_with(&per_query);

@@ -54,7 +54,8 @@ fn build(
 }
 
 /// Execute and encode one query's observable output: matched pairs,
-/// payload bytes and the stat counters the acceptance cares about.
+/// each shipped row's id and payload bytes, and the stat counters the
+/// acceptance cares about.
 fn execute(
     client: &mut DbClient<MockEngine>,
     server: &DbServer<MockEngine>,
@@ -65,10 +66,13 @@ fn execute(
         .execute_join(&tokens, &JoinOptions::default())
         .unwrap();
     let mut out = Vec::new();
-    for p in &result.pairs {
-        out.extend_from_slice(&(p.left_row as u64).to_le_bytes());
-        out.extend_from_slice(&(p.right_row as u64).to_le_bytes());
-        for payload in p.left_payloads.iter().chain(&p.right_payloads) {
+    for (l, r) in obs.pairs() {
+        out.extend_from_slice(&(l as u64).to_le_bytes());
+        out.extend_from_slice(&(r as u64).to_le_bytes());
+    }
+    for (row, payloads) in result.left_rows.iter().chain(&result.right_rows) {
+        out.extend_from_slice(&(*row as u64).to_le_bytes());
+        for payload in payloads {
             out.extend_from_slice(payload);
         }
     }

@@ -73,11 +73,7 @@ fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
 
 fn pairs(response: Response) -> Vec<(usize, usize)> {
     match response {
-        Response::JoinExecuted { result, .. } => result
-            .pairs
-            .iter()
-            .map(|p| (p.left_row, p.right_row))
-            .collect(),
+        Response::JoinExecuted { observation, .. } => observation.pairs(),
         other => panic!("join failed: {other:?}"),
     }
 }

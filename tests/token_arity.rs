@@ -74,7 +74,7 @@ fn mismatched_token_is_refused<E: Engine>(backend: &dyn ServerApi<E>) {
         assert!(matches!(backend.handle(Request::Ping), Response::Pong));
         let tokens = owner.query_tokens(&query).unwrap();
         match backend.handle(join(tokens, threads)) {
-            Response::JoinExecuted { result, .. } => assert_eq!(result.pairs.len(), 2),
+            Response::JoinExecuted { observation, .. } => assert_eq!(observation.pairs().len(), 2),
             _ => panic!("threads = {threads}: a valid join failed after the refusal"),
         }
     }
@@ -151,11 +151,7 @@ fn a_request_for_usize_max_threads_is_served_at_the_servers_ceiling() {
     let mut pairs_with = |threads: usize| {
         let tokens = client.query_tokens(&query).unwrap();
         match remote.handle(join(tokens, threads)) {
-            Response::JoinExecuted { result, .. } => result
-                .pairs
-                .iter()
-                .map(|p| (p.left_row, p.right_row))
-                .collect::<Vec<_>>(),
+            Response::JoinExecuted { observation, .. } => observation.pairs(),
             other => panic!("threads = {threads}: {other:?}"),
         }
     };

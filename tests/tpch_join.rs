@@ -139,15 +139,10 @@ fn hash_and_nested_loop_agree_on_tpch_mock() {
     );
     assert!(nested.comparisons >= hash.comparisons);
     // And the server's answer is the hash join's.
-    let (served, _) = server
+    let (_, served) = server
         .execute_join(&tokens, &JoinOptions::default())
         .unwrap();
-    let served: Vec<(usize, usize)> = served
-        .pairs
-        .iter()
-        .map(|p| (p.left_row, p.right_row))
-        .collect();
-    assert_eq!(served, hash.pairs);
+    assert_eq!(served.pairs(), hash.pairs);
 }
 
 /// Equality classes in a canonical order (they come back in hash-map

@@ -85,12 +85,11 @@ fn one_worker_server<E: Engine>(registry: TenantRegistry<E>) -> (RemoteBackend, 
 /// decrypt cache)` of an executed join.
 fn executed(response: Response) -> (Vec<(usize, usize)>, (usize, u64)) {
     match response {
-        Response::JoinExecuted { result, .. } => (
-            result
-                .pairs
-                .iter()
-                .map(|p| (p.left_row, p.right_row))
-                .collect(),
+        Response::JoinExecuted {
+            result,
+            observation,
+        } => (
+            observation.pairs(),
             (result.stats.rows_decrypted, result.stats.decrypt_cache_hits),
         ),
         other => panic!("join failed: {other:?}"),
@@ -488,10 +487,12 @@ proptest! {
     }
 
     // Byte strings nobody vouches for — valid encodings, 32 random
-    // bytes (a valid mock element about half the time), any length —
-    // pass the codec untouched (the frame decodes), never panic, and
-    // `checked()` decides: it accepts the token iff `g1_from_bytes`
-    // accepts every element.
+    // bytes (a valid mock element about half the time), any length.
+    // A token holds only strings of the engine's width (32 bytes for
+    // the mock): any other width is refused as a token, before a frame
+    // could carry it. The rest pass the codec untouched (the frame
+    // decodes), never panic, and `checked()` decides: it accepts the
+    // token iff `g1_from_bytes` accepts every element.
     #[test]
     fn arbitrary_element_bytes_never_panic_and_are_judged_by_g1_from_bytes(
         raw in proptest::collection::vec(
@@ -504,25 +505,35 @@ proptest! {
             .map(|(kind, mut bytes)| match kind % 3 {
                 0 => MockEngine::g1_bytes(&mock_g1(kind as u64)),
                 1 => {
-                    bytes.resize(32, kind);
+                    bytes.resize(MockEngine::G1_BYTES, kind);
                     bytes
                 }
                 _ => bytes,
             })
             .collect();
-        let decoded: Vec<_> = elements.iter().map(|b| MockEngine::g1_from_bytes(b)).collect();
-        let received = through_the_codec(WireToken::from_encoded(SjTableSide::A, elements.clone()));
-        prop_assert_eq!(received.elements(), elements.as_slice());
-        match received.checked() {
-            Ok(token) => {
-                let expected: Option<Vec<_>> = decoded.into_iter().collect();
-                prop_assert_eq!(Some(token.elements().to_vec()), expected);
-            }
+        match WireToken::from_encoded(SjTableSide::A, elements.clone()) {
             Err(DbError::Protocol(msg)) => {
                 prop_assert!(msg.contains("G1"), "{}", msg);
-                prop_assert!(decoded.iter().any(Option::is_none));
+                prop_assert!(elements.iter().any(|e| e.len() != MockEngine::G1_BYTES));
             }
             Err(other) => prop_assert!(false, "untyped refusal {:?}", other),
+            Ok(token) => {
+                let decoded: Vec<_> =
+                    elements.iter().map(|b| MockEngine::g1_from_bytes(b)).collect();
+                let received = through_the_codec(token);
+                prop_assert_eq!(received.elements(), elements.as_slice());
+                match received.checked() {
+                    Ok(token) => {
+                        let expected: Option<Vec<_>> = decoded.into_iter().collect();
+                        prop_assert_eq!(Some(token.elements().to_vec()), expected);
+                    }
+                    Err(DbError::Protocol(msg)) => {
+                        prop_assert!(msg.contains("G1"), "{}", msg);
+                        prop_assert!(decoded.iter().any(Option::is_none));
+                    }
+                    Err(other) => prop_assert!(false, "untyped refusal {:?}", other),
+                }
+            }
         }
     }
 }

@@ -10,7 +10,7 @@ use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::db::protocol::{error_tag, request_tag, response_tag};
 use eqjoin::db::{
     DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinObservation, JoinOptions,
-    MatchedPair, PayloadProjection, QueryTokens, Request, Response, ServerStats, SideTokens,
+    PayloadProjection, QueryTokens, Request, Response, ServerStats, SideTokens,
 };
 use eqjoin::pairing::{Engine, Fr, MockEngine};
 use std::time::Duration;
@@ -111,39 +111,43 @@ pub fn copy_rows_request(
     }
 }
 
-pub fn join_response(pairs: &[(u64, u64, u64)], classes: &[(u64, u64)]) -> Response {
+/// A join answer: each `(l, r, p)` ships left row `l` and right row `r`,
+/// with payload columns derived from `p`; each `(t, n)` is a class of
+/// `2 + n % 3` members from row `n` on, sides alternating from `t`'s
+/// parity.
+pub fn join_response(rows: &[(u64, u64, u64)], classes: &[(u64, u64)]) -> Response {
+    let payloads = |row: u64, p: u64| -> Vec<Vec<u8>> {
+        (0..p % 3)
+            .map(|c| (0..(p + c) % 16).map(|i| (row ^ c ^ i) as u8).collect())
+            .collect()
+    };
     Response::JoinExecuted {
         result: EncryptedJoinResult {
-            pairs: pairs
+            left_rows: rows
                 .iter()
-                .map(|&(l, r, p)| MatchedPair {
-                    left_row: l as usize,
-                    right_row: r as usize,
-                    left_payloads: (0..p % 3)
-                        .map(|c| (0..(p + c) % 16).map(|i| (l ^ c ^ i) as u8).collect())
-                        .collect(),
-                    right_payloads: (0..(p / 16) % 3)
-                        .map(|c| (0..(p / 16 + c) % 16).map(|i| (r ^ c ^ i) as u8).collect())
-                        .collect(),
-                })
+                .map(|&(l, _, p)| (l as usize, payloads(l, p)))
+                .collect(),
+            right_rows: rows
+                .iter()
+                .map(|&(_, r, p)| (r as usize, payloads(r, p / 16)))
                 .collect(),
             stats: ServerStats {
-                rows_decrypted: pairs.len(),
+                rows_decrypted: rows.len(),
                 rows_prefiltered_out: classes.len(),
-                comparisons: pairs.len() as u64 * 3,
-                matched_pairs: pairs.len(),
-                decrypt_time: Duration::from_nanos(pairs.len() as u64 * 11),
+                comparisons: rows.len() as u64 * 3,
+                matched_pairs: rows.len(),
+                decrypt_time: Duration::from_nanos(rows.len() as u64 * 11),
                 match_time: Duration::from_nanos(classes.len() as u64 * 13),
-                decrypt_cache_hits: pairs.len() as u64 * 7,
+                decrypt_cache_hits: rows.len() as u64 * 7,
             },
         },
         observation: JoinObservation {
-            query_id: pairs.len() as u64,
+            query_id: rows.len() as u64,
             equality_classes: classes
                 .iter()
                 .map(|&(t, n)| {
                     (0..2 + n % 3)
-                        .map(|i| (format!("T{t}"), (n + i) as usize))
+                        .map(|i| (((t + i) % 2) as u8, (n + i) as usize))
                         .collect()
                 })
                 .collect(),
