@@ -11,18 +11,42 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-/// Output of the matching phase: matched `(left, right)` row-index pairs
-/// plus the equality classes the server observed (for leakage
-/// accounting). `comparisons` counts pairwise equality checks (nested
-/// loop) or bucket probes (hash join).
+/// Output of the hash join: the equality classes the server observed
+/// — which are also the answer, since two rows match exactly when they
+/// share a class ([`class_pairs`]) — and `comparisons`, one bucket probe
+/// per row.
 pub struct MatchOutcome {
-    /// Matched row-index pairs `(left_row, right_row)`.
-    pub pairs: Vec<(usize, usize)>,
     /// Equality classes over `(side, row)` with at least two members;
     /// side 0 = left, 1 = right.
     pub equality_classes: Vec<Vec<(u8, usize)>>,
     /// Number of equality comparisons performed.
     pub comparisons: u64,
+}
+
+/// The matched `(left row, right row)` pairs of equality classes,
+/// sorted: in each class, every side-0 member with every side-1 member.
+pub fn class_pairs(classes: &[Vec<(u8, usize)>]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::with_capacity(class_pair_count(classes));
+    for class in classes {
+        let side = |s: u8| class.iter().filter(move |m| m.0 == s).map(|m| m.1);
+        for l in side(0) {
+            pairs.extend(side(1).map(|r| (l, r)));
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// `class_pairs(classes).len()` without building them:
+/// `Σ |side 0| × |side 1|` over the classes.
+pub fn class_pair_count(classes: &[Vec<(u8, usize)>]) -> usize {
+    classes
+        .iter()
+        .map(|class| {
+            let side = |s: u8| class.iter().filter(|m| m.0 == s).count();
+            side(0) * side(1)
+        })
+        .sum()
 }
 
 /// A `D` value as a bucket key: equal iff the whole values are equal,
@@ -42,44 +66,38 @@ impl Hash for DKey<'_> {
     }
 }
 
-/// Hash join: bucket both sides by `D` bytes, emit the cross product of
-/// each bucket.
+/// Hash join: bucket both sides by `D` bytes; each bucket of two or
+/// more rows is an equality class.
 pub fn hash_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -> MatchOutcome {
-    let mut buckets: HashMap<DKey, (Vec<usize>, Vec<usize>)> =
+    let mut buckets: HashMap<DKey, Vec<(u8, usize)>> =
         HashMap::with_capacity(left.len() + right.len());
-    for (idx, key) in left {
-        buckets.entry(DKey(key)).or_default().0.push(*idx);
-    }
-    for (idx, key) in right {
-        buckets.entry(DKey(key)).or_default().1.push(*idx);
-    }
-    let mut pairs = Vec::new();
-    let mut equality_classes = Vec::new();
-    let comparisons = (left.len() + right.len()) as u64; // one probe per row
-    for (_, (ls, rs)) in buckets {
-        for &l in &ls {
-            for &r in &rs {
-                pairs.push((l, r));
-            }
-        }
-        if ls.len() + rs.len() >= 2 {
-            let mut class: Vec<(u8, usize)> = Vec::with_capacity(ls.len() + rs.len());
-            class.extend(ls.iter().map(|&i| (0u8, i)));
-            class.extend(rs.iter().map(|&i| (1u8, i)));
-            equality_classes.push(class);
+    for (side, rows) in [(0u8, left), (1, right)] {
+        for (idx, key) in rows {
+            buckets.entry(DKey(key)).or_default().push((side, *idx));
         }
     }
-    pairs.sort_unstable();
     MatchOutcome {
-        pairs,
-        equality_classes,
-        comparisons,
+        equality_classes: buckets.into_values().filter(|c| c.len() >= 2).collect(),
+        comparisons: (left.len() + right.len()) as u64, // one probe per row
     }
 }
 
+/// Output of the nested loop: the matched `(left row, right row)`
+/// pairs, sorted, and the `|L|·|R|` comparisons that found them.
+pub struct NestedLoopOutcome {
+    /// Matched row-index pairs `(left_row, right_row)`.
+    pub pairs: Vec<(usize, usize)>,
+    /// Number of equality comparisons performed.
+    pub comparisons: u64,
+}
+
 /// Nested-loop join: compare every left/right pair — `O(n²)`, Hahn et
-/// al.'s constraint.
-pub fn nested_loop_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -> MatchOutcome {
+/// al.'s constraint, and the reference the hash join's classes are
+/// tested against.
+pub fn nested_loop_join(
+    left: &[(usize, Vec<u8>)],
+    right: &[(usize, Vec<u8>)],
+) -> NestedLoopOutcome {
     let mut pairs = Vec::new();
     let mut comparisons = 0u64;
     for (l, lk) in left {
@@ -90,15 +108,8 @@ pub fn nested_loop_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -
             }
         }
     }
-    // Equality classes (including within-table ones) still require the
-    // grouping pass; reuse the hash join for that bookkeeping.
-    let classes = hash_join(left, right).equality_classes;
     pairs.sort_unstable();
-    MatchOutcome {
-        pairs,
-        equality_classes: classes,
-        comparisons,
-    }
+    NestedLoopOutcome { pairs, comparisons }
 }
 
 /// One executed stage of a lowered [`QueryPlan`](crate::plan::QueryPlan)
@@ -167,7 +178,8 @@ mod tests {
         let left = keyed(&[(0, 10), (1, 20), (2, 10)]);
         let right = keyed(&[(0, 10), (1, 30)]);
         let out = hash_join(&left, &right);
-        assert_eq!(out.pairs, vec![(0, 0), (2, 0)]);
+        assert_eq!(class_pairs(&out.equality_classes), vec![(0, 0), (2, 0)]);
+        assert_eq!(class_pair_count(&out.equality_classes), 2);
     }
 
     #[test]
@@ -176,7 +188,8 @@ mod tests {
         let right = keyed(&[(0, 1), (1, 1), (2, 3), (3, 7)]);
         let h = hash_join(&left, &right);
         let n = nested_loop_join(&left, &right);
-        assert_eq!(h.pairs, n.pairs);
+        assert_eq!(class_pairs(&h.equality_classes), n.pairs);
+        assert_eq!(class_pair_count(&h.equality_classes), n.pairs.len());
         assert_eq!(n.comparisons, 20, "nested loop does |L|·|R| comparisons");
         assert!(h.comparisons < n.comparisons);
     }
@@ -200,7 +213,8 @@ mod tests {
         let left = keyed(&[(0, 4), (1, 4)]);
         let right = keyed(&[(9, 5)]);
         let out = hash_join(&left, &right);
-        assert!(out.pairs.is_empty());
+        assert!(class_pairs(&out.equality_classes).is_empty());
+        assert_eq!(class_pair_count(&out.equality_classes), 0);
         assert_eq!(out.equality_classes.len(), 1);
         assert_eq!(out.equality_classes[0].len(), 2);
     }
@@ -291,14 +305,18 @@ mod tests {
         let left = vec![(0, value(1)), (1, value(2)), (2, value(1))];
         let right = vec![(0, value(2)), (1, value(3)), (2, value(1))];
         let out = hash_join(&left, &right);
-        assert_eq!(out.pairs, vec![(0, 2), (1, 0), (2, 2)]);
+        assert_eq!(
+            class_pairs(&out.equality_classes),
+            vec![(0, 2), (1, 0), (2, 2)]
+        );
         assert_eq!(
             canonical(out.equality_classes),
             vec![vec![(0, 0), (0, 2), (1, 2)], vec![(0, 1), (1, 0)]]
         );
         // Values shorter than the window bucket whole.
         let short = keyed(&[(0, 1), (1, 2)]);
-        assert_eq!(hash_join(&short, &short).pairs, vec![(0, 0), (1, 1)]);
+        let out = hash_join(&short, &short);
+        assert_eq!(class_pairs(&out.equality_classes), vec![(0, 0), (1, 1)]);
     }
 
     #[test]
@@ -327,13 +345,10 @@ mod tests {
             let (left, right) = (side(12), side(9));
             let h = hash_join(&left, &right);
             let n = nested_loop_join(&left, &right);
-            assert_eq!(h.pairs, n.pairs);
+            assert_eq!(class_pairs(&h.equality_classes), n.pairs);
+            assert_eq!(class_pair_count(&h.equality_classes), n.pairs.len());
             assert_eq!(
                 canonical(h.equality_classes),
-                reference_classes(&left, &right)
-            );
-            assert_eq!(
-                canonical(n.equality_classes),
                 reference_classes(&left, &right)
             );
         }
@@ -342,7 +357,6 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let out = hash_join(&[], &[]);
-        assert!(out.pairs.is_empty());
         assert!(out.equality_classes.is_empty());
         let out = nested_loop_join(&keyed(&[(0, 1)]), &[]);
         assert!(out.pairs.is_empty());

@@ -34,7 +34,7 @@
 
 use crate::encrypted::{EncryptedTable, QueryTokens};
 use crate::error::DbError;
-use crate::join::hash_join;
+use crate::join::{class_pair_count, class_pairs, hash_join};
 use crate::store::{EncryptedStore, TableStore};
 use eqjoin_pairing::Engine;
 use std::time::{Duration, Instant};
@@ -165,19 +165,11 @@ pub struct JoinObservation {
 
 impl JoinObservation {
     /// The matched `(left row, right row)` pairs, sorted: in each class,
-    /// every side-0 member with every side-1 member. Two rows match
-    /// exactly when they decrypt to one `D`, that is when they share a
-    /// class, so these are [`hash_join`]'s pairs.
+    /// every side-0 member with every side-1 member ([`class_pairs`]).
+    /// Two rows match exactly when they decrypt to one `D`, that is when
+    /// they share a class.
     pub fn pairs(&self) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for class in &self.equality_classes {
-            let side = |s: u8| class.iter().filter(move |m| m.0 == s).map(|m| m.1);
-            for l in side(0) {
-                pairs.extend(side(1).map(|r| (l, r)));
-            }
-        }
-        pairs.sort_unstable();
-        pairs
+        class_pairs(&self.equality_classes)
     }
 }
 
@@ -390,7 +382,7 @@ impl<E: Engine> DbServer<E> {
         let outcome = hash_join(&left_d, &right_d);
         stats.match_time = t1.elapsed();
         stats.comparisons = outcome.comparisons;
-        stats.matched_pairs = outcome.pairs.len();
+        stats.matched_pairs = class_pair_count(&outcome.equality_classes);
 
         let (left, right) = matched_rows(&outcome.equality_classes);
         let left_rows = ship_rows(

@@ -63,11 +63,16 @@
 //! connects them. [`Session::leakage_report`] therefore stays the
 //! paper's bound, now over `Σ stages` instead of `Σ queries`.
 //!
-//! The ledger keeps that closure incrementally, so a stage costs
-//! `O(|σ(q)|)` however long the series has run, the report is `O(1)`,
-//! and the visible pair set is built only when asked for
-//! ([`Session::visible_pairs`]). [`ResultSet::leakage_delta`] is what
-//! one query added to it — 0 for a repeat.
+//! The ledger keeps that closure incrementally and records each stage's
+//! equality classes as the server reported them, so a stage costs
+//! `O(Σ class members)` — not `O(|σ(q)|)` pairs — however long the
+//! series has run, the report is `O(1)`, and the visible pair set is
+//! built only when asked for ([`Session::visible_pairs`]).
+//! [`ResultSet::leakage_delta`] is what one query added to it — 0 for a
+//! repeat. A row is its table and row id; a table the backend accepts
+//! from [`Session::create_table`] or [`Session::copy_table`] numbers its
+//! rows from 0 again, and the ledger counts them as new rows
+//! ([`LeakageLedger::register`]).
 //!
 //! The ledger and the result read one answer: a stage's matched pairs
 //! are [`JoinObservation::pairs`] — the left × right members of each
@@ -90,7 +95,7 @@ use crate::server::{
     matched_rows, ships_rows, EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection,
     ServerStats, ShippedRow,
 };
-use eqjoin_leakage::{pairs_from_classes, LeakageLedger, Node, PairSet};
+use eqjoin_leakage::{LeakageLedger, PairSet};
 use eqjoin_pairing::Engine;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -574,9 +579,18 @@ impl<E: Engine> Session<E> {
         // must the client: it never encrypts or tokenizes for a layout
         // the server does not hold.
         outcome.inspect_err(|_| self.client.restore_registration(name, previous))?;
+        self.registered(table);
+        Ok(())
+    }
+
+    /// The server accepted `table` as a new registration: it holds the
+    /// table under this schema, and its rows are numbered from 0 again,
+    /// so the ledger must not take them for the rows they replace.
+    fn registered(&mut self, table: &Table) {
+        let name = &table.schema.name;
         self.catalog
             .insert(name.clone(), table.schema.columns.clone());
-        Ok(())
+        self.ledger.register(name);
     }
 
     /// Encrypt plaintext rows (schema column order) and append them to
@@ -633,9 +647,7 @@ impl<E: Engine> Session<E> {
         let mut loaded = self
             .copy_chunk(name, first)
             .inspect_err(|_| self.client.restore_registration(name, previous))?;
-        // The server now holds the table under its new schema.
-        self.catalog
-            .insert(name.clone(), table.schema.columns.clone());
+        self.registered(table);
         for rows in rest.chunks(chunk) {
             loaded += self.copy_chunk(name, rows)?;
         }
@@ -842,25 +854,14 @@ impl<E: Engine> Session<E> {
         observation: &JoinObservation,
         tables: &[String; 2],
     ) -> Result<(u64, usize), DbError> {
-        let classes = observation
-            .equality_classes
-            .iter()
-            .map(|class| {
-                class
-                    .iter()
-                    .map(|&(side, row)| match tables.get(usize::from(side)) {
-                        Some(table) => Ok(Node::new(table, row)),
-                        None => Err(DbError::Protocol(format!(
-                            "equality class member on side {side} (a join has sides 0 and 1)"
-                        ))),
-                    })
-                    .collect()
-            })
-            .collect::<Result<Vec<Vec<Node>>, DbError>>()?;
+        let classes = &observation.equality_classes;
+        if let Some(&(side, _)) = classes.iter().flatten().find(|m| m.0 > 1) {
+            return Err(DbError::Protocol(format!(
+                "equality class member on side {side} (a join has sides 0 and 1)"
+            )));
+        }
         let series_index = self.stats.queries_executed;
-        let added = self
-            .ledger
-            .record_closed(series_index, &pairs_from_classes(&classes));
+        let added = self.ledger.record_closed(series_index, tables, classes);
         self.stats.queries_executed += 1;
         Ok((series_index, added))
     }

@@ -14,14 +14,24 @@
 //! visible exceed that closure (CryptDB's onion peel and Hahn et al.'s
 //! cumulative unwrap both do; see `eqjoin-baselines`).
 //!
-//! The ledger keeps that closure as it grows instead of recomputing it:
-//! every node some `σ(qᵢ)` mentions is interned (table name → small id,
-//! `(id, row)` → union–find element), each pair of `σ(q)` is one union,
-//! and the closure's size `Σ C(|component|, 2)` rises by `|A|·|B|`
-//! whenever components `A` and `B` merge. Recording a query costs
-//! `O(|σ(q)|·α)`, the counts are read in `O(1)`, and a pair set is built
-//! only when one is asked for ([`LeakageLedger::closure_bound`],
-//! [`LeakageLedger::visible_now`]).
+//! The ledger keeps that closure as it grows instead of recomputing it.
+//! A query's `σ(q)` is recorded as the equality classes it revealed
+//! (every two members of one class are a pair of `σ(q)`). Every row a
+//! class names is interned (a table's registration → small id,
+//! `(id, row)` → union–find element), a class of `c` members is `c − 1`
+//! unions against its first member, and the closure's size
+//! `Σ C(|component|, 2)` rises by `|A|·|B|` whenever components `A` and
+//! `B` merge. Recording a query costs `O(Σ c · α)` — its class members,
+//! not its `Σ C(c, 2)` pairs — the counts are read in `O(1)`, and a pair
+//! set is built only when one is asked for
+//! ([`LeakageLedger::per_query`], [`LeakageLedger::union_of_queries`],
+//! [`LeakageLedger::closure_bound`], [`LeakageLedger::visible_now`]).
+//!
+//! A row is named by its table and row id, and a re-created table
+//! numbers its rows from 0 again. [`LeakageLedger::register`] marks
+//! that: the table's rows recorded after it are new nodes (their
+//! [`Node::registration`] is one higher), and the rows recorded before
+//! it stay in the closure as they were.
 
 use crate::pairs::{Node, PairSet};
 use crate::union_find::UnionFind;
@@ -41,9 +51,9 @@ pub struct QueryLeakage {
     pub cumulative_visible: PairSet,
 }
 
-/// One recorded query as the ledger keeps it: `σ(q)` over the ledger's
+/// One recorded query as the ledger keeps it: `σ(q)` as classes of
 /// interned nodes and the two counts [`LeakageLedger::growth_series`]
-/// plots — never a cumulative pair set.
+/// plots — never a pair set.
 #[derive(Clone, Debug)]
 pub struct LedgerEntry {
     /// Query identifier (position in the series).
@@ -52,17 +62,36 @@ pub struct LedgerEntry {
     pub visible_pairs: usize,
     /// `|closure(σ(q₁) ∪ … ∪ σ(this query))|`.
     pub closure_bound: usize,
-    /// `σ(q)` as pairs of interned nodes ([`LeakageLedger::per_query`]
-    /// turns it back into a [`PairSet`]).
-    per_query: Vec<(usize, usize)>,
+    /// `σ(q)` as classes of interned nodes, `Σ c` ids for classes of
+    /// `c` members ([`LeakageLedger::per_query`] turns it into a
+    /// [`PairSet`]).
+    per_query: Vec<Vec<usize>>,
+}
+
+/// The registrations of one table name: the one its next rows belong
+/// to, and `(registration, interned table)` for each one interned.
+#[derive(Clone, Debug, Default)]
+struct Registrations {
+    current: usize,
+    interned: Vec<(usize, usize)>,
+}
+
+impl Registrations {
+    fn table(&self, registration: usize) -> Option<usize> {
+        self.interned
+            .iter()
+            .find(|&&(r, _)| r == registration)
+            .map(|&(_, id)| id)
+    }
 }
 
 /// The closure of the union recorded so far, kept as the components of
 /// a growing union–find over interned nodes.
 #[derive(Clone, Debug, Default)]
 struct Closure {
-    tables: Vec<String>,
-    table_ids: HashMap<String, usize>,
+    /// `(name, registration)` of each interned table.
+    tables: Vec<(String, usize)>,
+    names: HashMap<String, Registrations>,
     /// `(table id, row)` of each union–find element, and back.
     nodes: Vec<(usize, usize)>,
     node_ids: HashMap<(usize, usize), usize>,
@@ -72,22 +101,25 @@ struct Closure {
 }
 
 impl Closure {
-    fn lookup(&self, node: &Node) -> Option<usize> {
-        let table = *self.table_ids.get(node.table.as_str())?;
-        self.node_ids.get(&(table, node.row)).copied()
+    /// The id of `name`'s `registration` (its current one if `None`),
+    /// interned on first use.
+    fn table(&mut self, name: &str, registration: Option<usize>) -> usize {
+        let registrations = match self.names.get_mut(name) {
+            Some(registrations) => registrations,
+            None => self.names.entry(name.to_owned()).or_default(),
+        };
+        let registration = registration.unwrap_or(registrations.current);
+        if let Some(id) = registrations.table(registration) {
+            return id;
+        }
+        let id = self.tables.len();
+        registrations.interned.push((registration, id));
+        self.tables.push((name.to_owned(), registration));
+        id
     }
 
-    fn intern(&mut self, node: &Node) -> usize {
-        let table = match self.table_ids.get(node.table.as_str()) {
-            Some(&id) => id,
-            None => {
-                let id = self.tables.len();
-                self.tables.push(node.table.clone());
-                self.table_ids.insert(node.table.clone(), id);
-                id
-            }
-        };
-        let key = (table, node.row);
+    fn node_id(&mut self, table: usize, row: usize) -> usize {
+        let key = (table, row);
         if let Some(&id) = self.node_ids.get(&key) {
             return id;
         }
@@ -97,23 +129,32 @@ impl Closure {
         id
     }
 
-    fn node(&self, id: usize) -> Node {
-        let (table, row) = self.nodes[id];
-        Node::new(&self.tables[table], row)
+    fn intern(&mut self, node: &Node) -> usize {
+        let table = self.table(&node.table, Some(node.registration));
+        self.node_id(table, node.row)
     }
 
-    /// Union every pair of `pairs` into the closure; returns them interned.
-    fn absorb(&mut self, pairs: &PairSet) -> Vec<(usize, usize)> {
-        pairs
-            .iter()
-            .map(|(a, b)| {
-                let (a, b) = (self.intern(a), self.intern(b));
-                if let Some((x, y)) = self.components.merge(a, b) {
+    fn lookup(&self, node: &Node) -> Option<usize> {
+        let table = self.names.get(&node.table)?.table(node.registration)?;
+        self.node_ids.get(&(table, node.row)).copied()
+    }
+
+    fn node(&self, id: usize) -> Node {
+        let (table, row) = self.nodes[id];
+        let (name, registration) = &self.tables[table];
+        Node::registered(name, row, *registration)
+    }
+
+    /// Union the members of one class: `c − 1` unions against its
+    /// first member.
+    fn absorb(&mut self, class: &[usize]) {
+        if let Some((&first, rest)) = class.split_first() {
+            for &member in rest {
+                if let Some((x, y)) = self.components.merge(first, member) {
                     self.pairs += x * y;
                 }
-                (a, b)
-            })
-            .collect()
+            }
+        }
     }
 
     /// Is `(a, b)` in the closure?
@@ -124,16 +165,21 @@ impl Closure {
         }
     }
 
-    fn materialise(&self) -> PairSet {
+    /// Every pair of two members of one class.
+    fn pairs_of<'a>(&self, classes: impl IntoIterator<Item = &'a Vec<usize>>) -> PairSet {
         let mut out = PairSet::new();
-        for component in self.components.clone().components() {
-            for (i, &a) in component.iter().enumerate() {
-                for &b in &component[i + 1..] {
+        for class in classes {
+            for (i, &a) in class.iter().enumerate() {
+                for &b in &class[i + 1..] {
                     out.insert(self.node(a), self.node(b));
                 }
             }
         }
         out
+    }
+
+    fn materialise(&self) -> PairSet {
+        self.pairs_of(&self.components.clone().components())
     }
 }
 
@@ -164,9 +210,18 @@ impl LeakageLedger {
 
     /// Record one query's leakage together with the pair set the
     /// scheme's state makes visible after it — for stateful schemes,
-    /// whose visible set is not the closure.
+    /// whose visible set is not the closure. Each pair of `per_query`
+    /// is kept as a class of two.
     pub fn record(&mut self, leakage: QueryLeakage) {
-        let per_query = self.closure.absorb(&leakage.per_query);
+        let per_query = leakage
+            .per_query
+            .iter()
+            .map(|(a, b)| {
+                let class = vec![self.closure.intern(a), self.closure.intern(b)];
+                self.closure.absorb(&class);
+                class
+            })
+            .collect();
         let visible = leakage.cumulative_visible;
         let excess = visible
             .iter()
@@ -182,12 +237,39 @@ impl LeakageLedger {
     }
 
     /// Record one query of a scheme whose visible set *is* the closure
-    /// of the union (Secure Join): `record` with `cumulative_visible =
-    /// closure(σ(q₁) ∪ … ∪ σ(q))`, at `O(|σ(q)|·α)`. Returns the number
-    /// of pairs this query added to the closure.
-    pub fn record_closed(&mut self, query_id: u64, per_query: &PairSet) -> usize {
+    /// of the union (Secure Join), from the equality classes it
+    /// revealed: a member `(t, row)` is row `row` of `tables[t]`, in
+    /// that table's current registration. This is `record` with
+    /// `per_query` every pair inside one class and `cumulative_visible =
+    /// closure(σ(q₁) ∪ … ∪ σ(q))`, at `O(Σ c · α)` for classes of `c`
+    /// members. Returns the number of pairs this query added to the
+    /// closure.
+    ///
+    /// # Panics
+    ///
+    /// If a member's table index is not below `tables.len()`.
+    pub fn record_closed<T: AsRef<str>>(
+        &mut self,
+        query_id: u64,
+        tables: &[T],
+        classes: &[Vec<(u8, usize)>],
+    ) -> usize {
         let before = self.closure.pairs;
-        let per_query = self.closure.absorb(per_query);
+        let tables: Vec<usize> = tables
+            .iter()
+            .map(|name| self.closure.table(name.as_ref(), None))
+            .collect();
+        let per_query = classes
+            .iter()
+            .map(|class| {
+                let class: Vec<usize> = class
+                    .iter()
+                    .map(|&(t, row)| self.closure.node_id(tables[usize::from(t)], row))
+                    .collect();
+                self.closure.absorb(&class);
+                class
+            })
+            .collect();
         self.history.push(LedgerEntry {
             query_id,
             visible_pairs: self.closure.pairs,
@@ -196,6 +278,19 @@ impl LeakageLedger {
         });
         self.declared = None;
         self.closure.pairs - before
+    }
+
+    /// `table` was registered again and numbers its rows from 0 again:
+    /// its rows recorded from now on are new nodes, one registration
+    /// higher than the rows recorded so far, which stay in the closure
+    /// as they were. A table with no rows recorded in its current
+    /// registration keeps it.
+    pub fn register(&mut self, table: &str) {
+        if let Some(registrations) = self.closure.names.get_mut(table) {
+            if registrations.table(registrations.current).is_some() {
+                registrations.current += 1;
+            }
+        }
     }
 
     /// Number of recorded queries.
@@ -220,20 +315,13 @@ impl LeakageLedger {
 
     /// `σ(q)` of the `index`-th recorded query.
     pub fn per_query(&self, index: usize) -> PairSet {
-        self.history[index]
-            .per_query
-            .iter()
-            .map(|&(a, b)| (self.closure.node(a), self.closure.node(b)))
-            .collect()
+        self.closure.pairs_of(&self.history[index].per_query)
     }
 
     /// The union of per-query leakages `σ(q₁) ∪ … ∪ σ(q_μ)`.
     pub fn union_of_queries(&self) -> PairSet {
-        self.history
-            .iter()
-            .flat_map(|entry| &entry.per_query)
-            .map(|&(a, b)| (self.closure.node(a), self.closure.node(b)))
-            .collect()
+        self.closure
+            .pairs_of(self.history.iter().flat_map(|entry| &entry.per_query))
     }
 
     /// The paper's bound: `closure(union of per-query leakages)`.
@@ -410,22 +498,72 @@ mod tests {
 
     #[test]
     fn record_closed_reports_what_each_query_added() {
-        // (a1,b1) then (b1,b2): the second query adds (b1,b2) and the
+        // {a1, b1} then {b1, b2}: the second query adds (b1,b2) and the
         // transitive (a1,b2); a repeat adds nothing.
         let mut ledger = LeakageLedger::new();
-        let p1 = pairset(&[(("a", 1), ("b", 1))]);
-        let p2 = pairset(&[(("b", 1), ("b", 2))]);
-        assert_eq!(ledger.record_closed(0, &p1), 1);
-        assert_eq!(ledger.record_closed(1, &p2), 2);
-        assert_eq!(ledger.record_closed(2, &p2), 0);
+        let (ab, b) = (["a", "b"], ["b"]);
+        assert_eq!(ledger.record_closed(0, &ab, &[vec![(0, 1), (1, 1)]]), 1);
+        assert_eq!(ledger.record_closed(1, &b, &[vec![(0, 1), (0, 2)]]), 2);
+        assert_eq!(ledger.record_closed(2, &b, &[vec![(0, 2), (0, 1)]]), 0);
         assert_eq!(
             ledger.growth_series(),
             vec![(0, 1, 1), (1, 3, 3), (2, 3, 3)]
         );
-        assert_eq!(ledger.per_query(1), p2);
+        assert_eq!(ledger.per_query(1), pairset(&[(("b", 1), ("b", 2))]));
         assert_eq!(ledger.visible_now(), ledger.closure_bound());
         assert_eq!(ledger.visible_len(), 3);
         assert!(ledger.is_within_closure_bound());
+    }
+
+    #[test]
+    fn a_class_is_kept_as_its_members() {
+        // Two classes of 2 000 rows each: the entry holds 4 000 ids, the
+        // closure 2 × C(2 000, 2) pairs, and no pair set is built.
+        let mut ledger = LeakageLedger::new();
+        let classes: Vec<Vec<(u8, usize)>> = (0..2)
+            .map(|parity| {
+                (0..2_000)
+                    .map(|i| ((i % 2) as u8, 2 * i + parity))
+                    .collect()
+            })
+            .collect();
+        let added = ledger.record_closed(0, &["L", "R"], &classes);
+        assert_eq!(added, 3_998_000);
+        assert_eq!(ledger.closure_bound_len(), 3_998_000);
+        assert_eq!(ledger.visible_len(), 3_998_000);
+        let ids: usize = ledger.history[0].per_query.iter().map(Vec::len).sum();
+        assert_eq!(ids, 4_000);
+        assert_eq!(ledger.closure.nodes.len(), 4_000);
+    }
+
+    #[test]
+    fn a_registered_tables_next_rows_are_new_nodes() {
+        let mut ledger = LeakageLedger::new();
+        let lr = ["L", "R"];
+        // Registering a table whose rows were never recorded changes
+        // nothing: its first rows are registration 0.
+        ledger.register("L");
+        ledger.record_closed(0, &lr, &[vec![(0, 0), (1, 0)]]);
+        ledger.register("L");
+        ledger.register("L");
+        ledger.record_closed(1, &lr, &[vec![(0, 0), (1, 1)]]);
+        let old = (n("L", 0), n("R", 0));
+        let new = (Node::registered("L", 0, 1), n("R", 1));
+        assert_eq!(ledger.closure_bound(), [old, new].into_iter().collect());
+        assert_eq!(ledger.visible_len(), 2);
+        // The record path names registrations itself.
+        ledger.record(QueryLeakage {
+            query_id: 2,
+            per_query: [(Node::registered("L", 0, 1), n("R", 0))]
+                .into_iter()
+                .collect(),
+            cumulative_visible: PairSet::new(),
+        });
+        assert_eq!(ledger.closure_bound_len(), 6, "one class of four");
+        ledger.record_closed(3, &lr, &[vec![(0, 0), (1, 2)]]);
+        assert!(ledger
+            .closure_bound()
+            .contains(&Node::registered("L", 0, 1), &n("R", 2)));
     }
 
     #[test]

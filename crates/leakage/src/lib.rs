@@ -5,7 +5,8 @@
 //! (§2.1). This crate provides the machinery to make that comparison
 //! executable:
 //!
-//! * [`Node`] — a row identity `(table, row)`;
+//! * [`Node`] — a row identity `(table, row, registration)`: a
+//!   re-created table's rows are new rows;
 //! * [`PairSet`] — a normalized set of revealed equality pairs;
 //! * [`closure`] — the transitive closure of a pair set (union–find),
 //!   the paper's lower bound for cumulative leakage;
@@ -14,8 +15,10 @@
 //!   leakage bounded by the transitive closure of the union of per-query
 //!   leakages (no super-additive leakage), and how much *extra* leakage
 //!   did a scheme reveal beyond it. It keeps that closure incrementally
-//!   (one growing [`UnionFind`]); [`closure`] recomputes it from scratch
-//!   and is the oracle the ledger is tested against.
+//!   (one growing [`UnionFind`]) and records each query's equality
+//!   classes as they were reported; [`closure`] over
+//!   [`pairs_from_classes`] recomputes it from scratch and is the
+//!   oracle the ledger is tested against.
 
 #![forbid(unsafe_code)]
 

@@ -3,21 +3,32 @@
 use crate::union_find::UnionFind;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A row identity: table name plus row index.
+/// A row identity: table name, row index, and the table's registration
+/// — a re-created table numbers its rows from 0 again, and its rows are
+/// new rows ([`LeakageLedger::register`](crate::LeakageLedger::register)).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Node {
     /// Table name.
     pub table: String,
     /// Row index within the table.
     pub row: usize,
+    /// The table's registration the row belongs to: 0 for the first,
+    /// one more for each re-creation that replaced recorded rows.
+    pub registration: usize,
 }
 
 impl Node {
-    /// Construct a node.
+    /// A row of a table's first registration.
     pub fn new(table: &str, row: usize) -> Self {
+        Self::registered(table, row, 0)
+    }
+
+    /// A row of a table's `registration`-th registration (0-based).
+    pub fn registered(table: &str, row: usize, registration: usize) -> Self {
         Node {
             table: table.to_owned(),
             row,
+            registration,
         }
     }
 }
@@ -102,8 +113,9 @@ impl FromIterator<(Node, Node)> for PairSet {
     }
 }
 
-/// Expand equality classes (as reported by the server) into all their
-/// member pairs.
+/// Expand equality classes into all their member pairs — the
+/// definition [`LeakageLedger`](crate::LeakageLedger) is tested against;
+/// the ledger itself records classes.
 pub fn pairs_from_classes(classes: &[Vec<Node>]) -> PairSet {
     let mut set = PairSet::new();
     for class in classes {

@@ -4,10 +4,73 @@
 //! ledger's agreement with manual bookkeeping.
 
 use eqjoin::db::{
-    DbClient, DbServer, JoinOptions, JoinQuery, Schema, Session, SessionConfig, Table, TableConfig,
-    Value,
+    DbClient, DbServer, JoinObservation, JoinOptions, JoinQuery, LocalBackend, Request, Response,
+    Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
 };
+use eqjoin::leakage::Node;
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
+use std::sync::{Arc, Mutex};
+
+/// Every observation a [`Recording`] backend handed back, in order, with
+/// the two tables its request joined (a member names its side).
+type Seen = Arc<Mutex<Vec<([String; 2], JoinObservation)>>>;
+
+/// Forwards to a local backend and keeps every observation the server
+/// hands back — the input of a ledger built by hand.
+struct Recording {
+    inner: LocalBackend<MockEngine>,
+    seen: Seen,
+}
+
+impl Recording {
+    fn session(config: SessionConfig) -> (Session<MockEngine>, Seen) {
+        let seen = Seen::default();
+        let backend = Recording {
+            inner: LocalBackend::new(),
+            seen: Arc::clone(&seen),
+        };
+        (Session::with_backend(config, Box::new(backend)), seen)
+    }
+
+    fn keep(&self, request: &Request<MockEngine>, response: &Response) {
+        match (request, response) {
+            (Request::ExecuteJoin { tokens, .. }, Response::JoinExecuted { observation, .. }) => {
+                let tables = [tokens.left.table.clone(), tokens.right.table.clone()];
+                self.seen
+                    .lock()
+                    .unwrap()
+                    .push((tables, observation.clone()))
+            }
+            (Request::Batch(requests), Response::Batch(responses)) => requests
+                .iter()
+                .zip(responses)
+                .for_each(|(q, r)| self.keep(q, r)),
+            _ => {}
+        }
+    }
+}
+
+impl ServerApi<MockEngine> for Recording {
+    fn handle(&self, request: Request<MockEngine>) -> Response {
+        let response = self.inner.handle(request.clone());
+        self.keep(&request, &response);
+        response
+    }
+}
+
+/// An observation's classes as ledger nodes: a member names its side,
+/// the request names the sides' tables.
+fn nodes(tables: &[String; 2], observation: &JoinObservation) -> Vec<Vec<Node>> {
+    observation
+        .equality_classes
+        .iter()
+        .map(|c| {
+            c.iter()
+                .map(|&(side, r)| Node::new(&tables[usize::from(side)], r))
+                .collect()
+        })
+        .collect()
+}
 
 fn tables() -> (Table, Table) {
     tables_of(30)
@@ -384,57 +447,10 @@ fn sql_copy_statement_bulk_loads_end_to_end() {
 
 #[test]
 fn chain_series_with_mutations_matches_a_from_scratch_ledger() {
-    use eqjoin::db::{JoinObservation, LocalBackend, QueryPlan, Request, Response, ServerApi};
-    use eqjoin::leakage::{
-        closure, pairs_from_classes, LeakageLedger, Node, PairSet, QueryLeakage,
-    };
-    use std::sync::{Arc, Mutex};
+    use eqjoin::db::QueryPlan;
+    use eqjoin::leakage::{closure, pairs_from_classes, LeakageLedger, PairSet, QueryLeakage};
 
-    /// Forwards to a local backend and keeps every observation the
-    /// server hands back, in order, with the two tables its request
-    /// joined (a member names its side) — the manual ledger's input.
-    type Seen = Arc<Mutex<Vec<([String; 2], JoinObservation)>>>;
-    struct Recording {
-        inner: LocalBackend<MockEngine>,
-        seen: Seen,
-    }
-    impl Recording {
-        fn keep(&self, request: &Request<MockEngine>, response: &Response) {
-            match (request, response) {
-                (
-                    Request::ExecuteJoin { tokens, .. },
-                    Response::JoinExecuted { observation, .. },
-                ) => {
-                    let tables = [tokens.left.table.clone(), tokens.right.table.clone()];
-                    self.seen
-                        .lock()
-                        .unwrap()
-                        .push((tables, observation.clone()))
-                }
-                (Request::Batch(requests), Response::Batch(responses)) => requests
-                    .iter()
-                    .zip(responses)
-                    .for_each(|(q, r)| self.keep(q, r)),
-                _ => {}
-            }
-        }
-    }
-    impl ServerApi<MockEngine> for Recording {
-        fn handle(&self, request: Request<MockEngine>) -> Response {
-            let response = self.inner.handle(request.clone());
-            self.keep(&request, &response);
-            response
-        }
-    }
-
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let mut session = Session::<MockEngine>::with_backend(
-        SessionConfig::new(2, 3).seed(0xc4a1),
-        Box::new(Recording {
-            inner: LocalBackend::new(),
-            seen: Arc::clone(&seen),
-        }),
-    );
+    let (mut session, seen) = Recording::session(SessionConfig::new(2, 3).seed(0xc4a1));
     let (left, right) = tables_of(24);
     let (lcfg, rcfg) = configs();
     let mut third = Table::new(Schema::new("S", &["k", "tag", "note"]));
@@ -504,16 +520,7 @@ fn chain_series_with_mutations_matches_a_from_scratch_ledger() {
     let mut manual = LeakageLedger::new();
     let mut union = PairSet::new();
     for (i, (tables, obs)) in seen.lock().unwrap().iter().enumerate() {
-        let classes: Vec<Vec<Node>> = obs
-            .equality_classes
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .map(|&(side, r)| Node::new(&tables[usize::from(side)], r))
-                    .collect()
-            })
-            .collect();
-        let per_query = pairs_from_classes(&classes);
+        let per_query = pairs_from_classes(&nodes(tables, obs));
         union.union_with(&per_query);
         manual.record(QueryLeakage {
             query_id: i as u64,
@@ -539,4 +546,41 @@ fn chain_series_with_mutations_matches_a_from_scratch_ledger() {
         report.visible_pairs,
         "the per-query deltas add up to the report"
     );
+}
+
+#[test]
+fn a_low_cardinality_join_is_recorded_as_its_two_classes() {
+    use eqjoin::leakage::{closure, pairs_from_classes};
+
+    // 200 × 200 rows, join column k = i % 2: two classes of 100 + 100
+    // rows each, every two of whose members the server saw equal.
+    let side = |name: &str| {
+        let mut table = Table::new(Schema::new(name, &["k"]));
+        for i in 0..200 {
+            table.push_row(vec![Value::Int(i % 2)]);
+        }
+        table
+    };
+    let on_k = || TableConfig {
+        join_column: "k".into(),
+        filter_columns: vec![],
+    };
+    let (mut session, seen) = Recording::session(SessionConfig::new(1, 1).seed(2));
+    session.create_table(&side("L"), on_k()).unwrap();
+    session.create_table(&side("R"), on_k()).unwrap();
+    let result = session.execute(JoinQuery::on("L", "k", "R", "k")).unwrap();
+    assert_eq!(result.pairs.len(), 2 * 100 * 100);
+    assert_eq!(result.stats.matched_pairs, 2 * 100 * 100);
+
+    let report = session.leakage_report();
+    assert_eq!(report.visible_pairs, 39_800, "2 × C(200, 2)");
+    assert_eq!(report.closure_bound, report.visible_pairs);
+    assert_eq!(result.leakage_delta, 39_800);
+    let seen = seen.lock().unwrap();
+    let [(tables, observation)] = seen.as_slice() else {
+        panic!("one join, one observation: {}", seen.len());
+    };
+    let sigma = pairs_from_classes(&nodes(tables, observation));
+    assert_eq!(session.ledger().per_query(0), sigma);
+    assert_eq!(session.visible_pairs(), closure(&sigma));
 }
