@@ -1,8 +1,8 @@
 //! Unit costs of the cold path, bottom up: field → tower → line →
 //! Miller loop → final exponentiation → one `SJ.Dec` row at
 //! `(m, t) = (2, 3)` (11 pairs), then what the rest of a query pays the
-//! pairing crate for (preparation, inversion, fixed-base multiplication,
-//! decoding).
+//! pairing crate for (preparation, inversion, fixed-base multiplication
+//! in the batches of 11 that `SJ.Enc` and `SJ.TokenGen` run, decoding).
 //!
 //! Every row is the **minimum** over `ROUNDS × BATCHES` batches of the
 //! mean time per operation, and the rounds visit all rows in turn: a
@@ -74,7 +74,8 @@ fn main() {
     let f = multi_miller_loop_prepared(&pairs);
     let nonzero = Fp::random_nonzero(&mut rng);
     let square = nonzero.square();
-    let s = Fr::random(&mut rng);
+    // SJ.Enc and SJ.TokenGen shape: one batch of m(t+1)+3 = 11 scalars
+    let scalars: Vec<Fr> = (0..PAIRS).map(|_| Fr::random(&mut rng)).collect();
     // decode: G1 = square root for y (compressed) + subgroup check,
     // G2 = curve equation + subgroup check
     let (pb, qb) = (Bls12::g1_bytes(&g1[0]), Bls12::g2_bytes(&g2[0]));
@@ -113,11 +114,11 @@ fn main() {
         row("fp_sqrt", 200, 1, || {
             black_box(black_box(&square).sqrt());
         }),
-        row("g1_mul_gen", 20, 1, || {
-            black_box(Bls12::g1_mul_gen(black_box(&s)));
+        row("g1_mul_gen per scalar (batch 11)", 2, PAIRS, || {
+            black_box(Bls12::g1_mul_gen_batch(black_box(&scalars)));
         }),
-        row("g2_mul_gen", 20, 1, || {
-            black_box(Bls12::g2_mul_gen(black_box(&s)));
+        row("g2_mul_gen per scalar (batch 11)", 2, PAIRS, || {
+            black_box(Bls12::g2_mul_gen_batch(black_box(&scalars)));
         }),
         row("g1_from_bytes (sqrt + subgroup)", 20, 1, || {
             black_box(Bls12::g1_from_bytes(black_box(&pb)));

@@ -44,10 +44,11 @@ pub trait Engine: 'static + Clone + Copy + Debug + Send + Sync {
     /// `g2^s` for the fixed generator (fixed-base optimized).
     fn g2_mul_gen(s: &Fr) -> Self::G2;
 
-    /// Batch form of [`Engine::g1_mul_gen`]: engines may share the
-    /// affine-normalization inversions across the whole slice
-    /// (Montgomery's trick — the BLS engine pays one inversion per call
-    /// instead of one per scalar). Output order matches `scalars`. The
+    /// Batch form of [`Engine::g1_mul_gen`]: engines may share
+    /// inversions across the whole slice (Montgomery's trick — the BLS
+    /// engine sums each scalar's comb entries as an affine tree and
+    /// pays five inversions per call, one per tree level, however many
+    /// scalars it holds). Output order matches `scalars`. The
     /// default falls back to per-scalar calls but still counts the
     /// batch, so op-counter audits see the intended path either way.
     fn g1_mul_gen_batch(scalars: &[Fr]) -> Vec<Self::G1> {
@@ -153,11 +154,11 @@ impl Engine for Bls12 {
     const G1_BYTES: usize = g1::G1_BYTES;
 
     fn g1_mul_gen(s: &Fr) -> G1Affine {
-        g1_table().mul(s).to_affine()
+        g1_table().mul(s)
     }
 
     fn g2_mul_gen(s: &Fr) -> G2Affine {
-        g2_table().mul(s).to_affine()
+        g2_table().mul(s)
     }
 
     fn g1_mul_gen_batch(scalars: &[Fr]) -> Vec<G1Affine> {

@@ -26,9 +26,10 @@
 //!   multi-pairing** so the product of pairings in `SJ.Dec` shares one
 //!   inversion per Miller step and a single final exponentiation.
 //! * **Fast scalar multiplication** ([`scalar_mul`]): affine fixed-base
-//!   comb tables for the generators (built once, then ≤ 32 mixed
-//!   additions per exponentiation) — the only way a protocol scalar
-//!   reaches `G1` or `G2` — and width-5 wNAF for the one-time
+//!   comb tables for the generators (built once; then an exponentiation
+//!   sums ≤ 32 table entries as an affine tree whose five levels each
+//!   share one inversion across the whole batch) — the only way a
+//!   protocol scalar reaches `G1` or `G2` — and width-5 wNAF for the one-time
 //!   derivation of the generators themselves; [`ops`] counts every
 //!   hot-path operation so the benchmark trajectory can audit "skipped
 //!   work" claims exactly.

@@ -27,15 +27,16 @@ static CYCLOTOMIC_SQUARES: AtomicU64 = AtomicU64::new(0);
 /// A snapshot of the cumulative operation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
-    /// Fixed-base generator exponentiations (comb-table `g1`/`g2`),
-    /// each paying its own affine normalization (one field inversion).
+    /// Fixed-base generator exponentiations (comb-table `g1`/`g2`)
+    /// run one at a time, each paying its own five field inversions.
     pub fixed_base_muls: u64,
     /// Fixed-base exponentiations that went through the *batched* path
     /// ([`crate::scalar_mul::FixedBaseTable::mul_batch`]): a batch of
-    /// `n` adds `n` here but shares a **single** Montgomery-trick
-    /// inversion across the whole batch, so `fixed_base_muls` staying
-    /// flat while this grows is the counter-level proof that ingest
-    /// amortized its normalizations.
+    /// `n` adds `n` here but shares **five** Montgomery-trick
+    /// inversions (one per level of its affine addition tree) across
+    /// the whole batch, so `fixed_base_muls` staying flat while this
+    /// grows is the counter-level proof that ingest amortized its
+    /// inversions.
     pub batched_fixed_base_muls: u64,
     /// Variable-base scalar multiplications (wNAF): the one-time
     /// derivation of each generator adds two (cofactor clearing and the
