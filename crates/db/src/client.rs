@@ -1,5 +1,26 @@
 //! The trusted client: key management, table encryption, token
 //! generation and result decryption.
+//!
+//! # Opened payloads
+//!
+//! A series of queries gets the same sealed payloads back on every
+//! repeat, so the client keeps, per `(table, row, column)` slot it has
+//! opened, the sealed bytes and the [`Value`] they opened to.
+//! [`DbClient::open_value`] hands the kept value back only when the
+//! server's bytes for that slot equal the kept bytes; any other bytes
+//! run the full AEAD open and replace the entry. That is sound because
+//! an open is a function of the key, the associated data (which is the
+//! slot) and the bytes: equal bytes in the same slot open to the same
+//! value, and a forged or moved payload, being other bytes, is
+//! authenticated exactly as before. [`ClientStats::column_decrypts`]
+//! counts the opens that ran, [`ClientStats::column_opens_reused`] the
+//! values handed back without one.
+//!
+//! The entries hold plaintext. A [`Session`](crate::session::Session)
+//! drops a table's entries when the server accepts it as a new
+//! registration and a row's entries when the server acknowledges its
+//! deletion, so at most one entry per live row and projected column
+//! remains.
 
 use crate::data::{Row, Table, Value};
 use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens};
@@ -99,6 +120,10 @@ pub struct ClientStats {
     /// Sealed column payloads opened (one AEAD open per decrypted
     /// column value).
     pub column_decrypts: u64,
+    /// Column values handed back without an AEAD open: the server
+    /// shipped the very bytes this client had already opened for that
+    /// `(table, row, column)` slot.
+    pub column_opens_reused: u64,
     /// Column decrypts a projection *avoided*: columns of matched rows
     /// the client never opened (and, with server-side payload
     /// projection, never even received).
@@ -130,6 +155,16 @@ pub struct DbClient<E: Engine> {
     tables: HashMap<String, TableState>,
     next_query_id: u64,
     stats: ClientStats,
+    /// Every payload slot opened so far, per table: `(row, column) →`
+    /// the sealed bytes and their value (see the [module docs](self)).
+    opened: HashMap<String, HashMap<(usize, usize), OpenedSlot>>,
+}
+
+/// One opened payload slot: the bytes the server shipped and the value
+/// they authenticated and opened to.
+struct OpenedSlot {
+    sealed: Vec<u8>,
+    value: Value,
 }
 
 /// A decrypted joined row: `(θ, left columns…, right columns…)`.
@@ -165,6 +200,7 @@ impl<E: Engine> DbClient<E> {
             tables: HashMap::new(),
             next_query_id: 0,
             stats: ClientStats::default(),
+            opened: HashMap::new(),
         }
     }
 
@@ -587,7 +623,9 @@ impl<E: Engine> DbClient<E> {
 
     /// Open one sealed column payload of `table`'s row `row_idx`. The
     /// associated data binds `(table, row, column)`, so a swapped or
-    /// tampered blob fails authentication.
+    /// tampered blob fails authentication. Bytes equal to the ones this
+    /// client last opened for the same slot return that open's value
+    /// without running it again (see the [module docs](self)).
     pub fn open_value(
         &mut self,
         table: &str,
@@ -595,13 +633,51 @@ impl<E: Engine> DbClient<E> {
         column_idx: usize,
         payload: &[u8],
     ) -> Result<Value, DbError> {
+        let slots = self.opened.get_mut(table);
+        if let Some(slot) = slots
+            .as_ref()
+            .and_then(|slots| slots.get(&(row_idx, column_idx)))
+            .filter(|slot| slot.sealed == payload)
+        {
+            self.stats.column_opens_reused += 1;
+            return Ok(slot.value.clone());
+        }
         let ad = payload_ad(table, row_idx, column_idx);
         let plain = self
             .aead
             .open(ad.as_bytes(), payload)
             .map_err(|_| DbError::PayloadCorrupted)?;
         self.stats.column_decrypts += 1;
-        Value::from_canonical_bytes(&plain).ok_or(DbError::PayloadCorrupted)
+        let value = Value::from_canonical_bytes(&plain).ok_or(DbError::PayloadCorrupted)?;
+        let slot = OpenedSlot {
+            sealed: payload.to_vec(),
+            value: value.clone(),
+        };
+        match slots {
+            Some(slots) => slots.insert((row_idx, column_idx), slot),
+            None => self
+                .opened
+                .entry(table.to_owned())
+                .or_default()
+                .insert((row_idx, column_idx), slot),
+        };
+        Ok(value)
+    }
+
+    /// Drop every opened slot of `table` (the server holds a new
+    /// registration under that name, whose row ids start again).
+    pub(crate) fn forget_opened_table(&mut self, table: &str) {
+        self.opened.remove(table);
+    }
+
+    /// Drop the opened slots of `table`'s rows `rows` (the server
+    /// deleted them).
+    pub(crate) fn forget_opened_rows(&mut self, table: &str, rows: &[u64]) {
+        if let Some(slots) = self.opened.get_mut(table) {
+            let mut gone = rows.to_vec();
+            gone.sort_unstable();
+            slots.retain(|&(row, _), _| gone.binary_search(&(row as u64)).is_err());
+        }
     }
 
     /// Record `n` column decrypts a projection skipped (bookkeeping for

@@ -68,12 +68,15 @@ impl Hash for DKey<'_> {
 
 /// Hash join: bucket both sides by `D` bytes; each bucket of two or
 /// more rows is an equality class.
-pub fn hash_join(left: &[(usize, Vec<u8>)], right: &[(usize, Vec<u8>)]) -> MatchOutcome {
+pub fn hash_join<K: AsRef<[u8]>>(left: &[(usize, K)], right: &[(usize, K)]) -> MatchOutcome {
     let mut buckets: HashMap<DKey, Vec<(u8, usize)>> =
         HashMap::with_capacity(left.len() + right.len());
     for (side, rows) in [(0u8, left), (1, right)] {
         for (idx, key) in rows {
-            buckets.entry(DKey(key)).or_default().push((side, *idx));
+            buckets
+                .entry(DKey(key.as_ref()))
+                .or_default()
+                .push((side, *idx));
         }
     }
     MatchOutcome {
@@ -94,16 +97,16 @@ pub struct NestedLoopOutcome {
 /// Nested-loop join: compare every left/right pair — `O(n²)`, Hahn et
 /// al.'s constraint, and the reference the hash join's classes are
 /// tested against.
-pub fn nested_loop_join(
-    left: &[(usize, Vec<u8>)],
-    right: &[(usize, Vec<u8>)],
+pub fn nested_loop_join<K: AsRef<[u8]>>(
+    left: &[(usize, K)],
+    right: &[(usize, K)],
 ) -> NestedLoopOutcome {
     let mut pairs = Vec::new();
     let mut comparisons = 0u64;
     for (l, lk) in left {
         for (r, rk) in right {
             comparisons += 1;
-            if lk == rk {
+            if lk.as_ref() == rk.as_ref() {
                 pairs.push((*l, *r));
             }
         }
@@ -356,7 +359,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let out = hash_join(&[], &[]);
+        let out = hash_join::<Vec<u8>>(&[], &[]);
         assert!(out.equality_classes.is_empty());
         let out = nested_loop_join(&keyed(&[(0, 1)]), &[]);
         assert!(out.pairs.is_empty());

@@ -65,7 +65,8 @@
 //! * [`client`] — key management, per-column table encryption, token
 //!   generation, result decryption ([`DbClient`], configured via
 //!   [`ClientConfig`]; [`ClientStats`] counts the column decrypts a
-//!   projection performs and skips).
+//!   projection performs and skips, and the opened values a repeat
+//!   reuses).
 //! * [`store`] — the storage core ([`EncryptedStore`]):
 //!   column-oriented, row-versioned tables, **prepared pairing
 //!   state** filled per row on first use, a row-granular decrypt cache

@@ -14,7 +14,7 @@
 //!        │                — a chain ships as one Request::Batch of
 //!        │                  pairwise ExecuteJoins, one round trip —
 //!        ▼                          │
-//!   ResultSet ◀─ stitch + project ──┘ (per-column decrypt)
+//!   ResultSet ◀─ stitch + project ──┘ (per-column open, kept per slot)
 //!        │            each stage's JoinObservation
 //!        ▼                          ▼
 //!   rows/tuples               LeakageLedger (leakage_report())
@@ -81,6 +81,20 @@
 //! shipped, each once. An answer whose classes name a third side, or
 //! whose shipped rows are not exactly the matched rows of a side that
 //! asked for columns, is a [`DbError::Protocol`].
+//!
+//! # Assembling the answer, and what a repeat opens
+//!
+//! Once checked, each position's shipped rows are read where they lie:
+//! one pass over the stitched tuples decodes each `(position, row)` at
+//! its first tuple into a slot of that position's matched rows, and
+//! every later tuple naming the row clones from the slot. Each table's
+//! column count is read once per position, for the skipped-column
+//! counter. The decode goes through [`DbClient::open_value`], which
+//! keeps every slot it opened: a repeat that gets the same sealed bytes
+//! back runs no AEAD open (see [`crate::client`]). The session drops a
+//! table's opened slots when the backend accepts it as a new
+//! registration, and a row's when the backend acknowledges its
+//! deletion.
 
 use crate::backend::{LocalBackend, RemoteBackend, TransportStats};
 use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
@@ -591,6 +605,7 @@ impl<E: Engine> Session<E> {
         self.catalog
             .insert(name.clone(), table.schema.columns.clone());
         self.ledger.register(name);
+        self.client.forget_opened_table(name);
     }
 
     /// Encrypt plaintext rows (schema column order) and append them to
@@ -697,13 +712,17 @@ impl<E: Engine> Session<E> {
 
     /// Delete rows by their stable ids (the row indices result sets
     /// report). Row-granular: only the deleted rows' cached decrypt
-    /// state is dropped server-side.
+    /// state is dropped server-side, and only their opened payloads
+    /// client-side.
     pub fn delete_rows(&mut self, table: &str, rows: &[u64]) -> Result<usize, DbError> {
         match self.dispatch(Request::DeleteRows {
             table: table.to_owned(),
             rows: rows.to_vec(),
         }) {
-            Response::RowsDeleted { rows, .. } => Ok(rows),
+            Response::RowsDeleted { rows: deleted, .. } => {
+                self.client.forget_opened_rows(table, rows);
+                Ok(deleted)
+            }
             Response::Error(e) => Err(e),
             _ => Err(DbError::Protocol(
                 "backend answered DeleteRows with the wrong response kind".into(),
@@ -867,43 +886,46 @@ impl<E: Engine> Session<E> {
     }
 
     /// Stitch one plan's executed stages and decrypt the projected
-    /// columns into a [`ResultSet`]. A stage's pairs are its
-    /// observation's ([`JoinObservation::pairs`]); its payloads are the
-    /// rows it shipped, each checked against those pairs.
+    /// columns into a [`ResultSet`], in one pass over the stitched
+    /// tuples. A stage's pairs are its observation's
+    /// ([`JoinObservation::pairs`]); its payloads are the rows it
+    /// shipped, each checked against those pairs and then read where
+    /// they lie. Each `(position, row)` a tuple names is decoded once,
+    /// at its first tuple, into that position's slot for the row.
     fn assemble_result_set(
         &mut self,
         lowered: &LoweredPlan,
-        stage_results: Vec<(EncryptedJoinResult, JoinObservation)>,
+        mut stage_results: Vec<(EncryptedJoinResult, JoinObservation)>,
         series_index: u64,
         leakage_delta: usize,
         stage_cache_hits: Vec<bool>,
     ) -> Result<ResultSet, DbError> {
-        // Payload lookup: (table position, server row) → sealed column
-        // payloads, taken from the stage that introduced the position
-        // (an anchor side asks for no columns, so ships no rows).
-        let mut payloads: HashMap<(usize, usize), &Vec<Vec<u8>>> = HashMap::new();
+        // Position 0 is introduced by stage 0's left side and position
+        // i + 1 by stage i's right side; a later stage anchored at a
+        // position asks for none of its columns and ships none of its
+        // rows. `matched[p]` lists the rows position `p` can take.
+        let mut matched: Vec<Vec<usize>> = Vec::with_capacity(lowered.tables.len());
         let mut links = Vec::with_capacity(stage_results.len());
-        for (i, (result, observation)) in stage_results.iter().enumerate() {
+        for (i, (result, observation)) in stage_results.iter_mut().enumerate() {
             let stage = &lowered.stages[i];
             let projection = Self::stage_projection(lowered, i);
             let (left, right) = matched_rows(&observation.equality_classes);
-            for (position, rows, wanted, matched) in [
-                (
-                    stage.left_position,
-                    &result.left_rows,
-                    &projection.left,
-                    &left,
-                ),
-                (
-                    stage.right_position,
-                    &result.right_rows,
-                    &projection.right,
-                    &right,
-                ),
+            for (rows, wanted, matched) in [
+                (&mut result.left_rows, &projection.left, &left),
+                (&mut result.right_rows, &projection.right, &right),
             ] {
                 check_shipped(rows, matched, ships_rows(wanted.as_deref()))?;
-                payloads.extend(rows.iter().map(|(row, blobs)| ((position, *row), blobs)));
+                // Vouched for, the shipped rows are the matched rows;
+                // an honest server already sends them in that order.
+                if !rows.is_sorted_by_key(|r| r.0) {
+                    rows.sort_unstable_by_key(|r| r.0);
+                }
             }
+            if i == 0 {
+                matched.push(left);
+            }
+            debug_assert_eq!(stage.right_position, matched.len());
+            matched.push(right);
             links.push(StageLink {
                 left_position: stage.left_position,
                 right_position: stage.right_position,
@@ -912,64 +934,70 @@ impl<E: Engine> Session<E> {
         }
         let tuples = stitch_stages(&links);
 
-        // Per-position decode maps: projected column → index within the
-        // shipped payload subset.
-        let positions = lowered.tables.len();
-        let wanted: Vec<Option<Vec<usize>>> =
-            (0..positions).map(|p| lowered.wanted_columns(p)).collect();
-        let payload_slot = |position: usize, column_index: usize| -> Option<usize> {
-            match &wanted[position] {
-                None => Some(column_index),
-                Some(cols) => cols.binary_search(&column_index).ok(),
-            }
-        };
+        let mut positions = Vec::with_capacity(matched.len());
+        for (p, matched) in matched.into_iter().enumerate() {
+            let table = lowered.tables[p].as_str();
+            let width = self.catalog[table].len();
+            let columns = lowered
+                .wanted_columns(p)
+                .unwrap_or_else(|| (0..width).collect());
+            let shipped = match p {
+                0 => &stage_results[0].0.left_rows,
+                _ => &stage_results[p - 1].0.right_rows,
+            };
+            positions.push(PositionRows {
+                table,
+                skipped: width.saturating_sub(columns.len()) as u64,
+                columns,
+                shipped,
+                decoded: vec![None; matched.len()],
+                matched,
+            });
+        }
+        // Each output column as (position, index among the columns that
+        // position ships).
+        let outputs = lowered
+            .projection
+            .iter()
+            .map(|c| {
+                positions[c.position]
+                    .columns
+                    .iter()
+                    .position(|&i| i == c.column_index)
+                    .map(|k| (c.position, k))
+                    .ok_or(DbError::PayloadCorrupted)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
-        // Decrypt each projected value once per (position, row, column)
-        // — cross products reuse the opened value — and account the
-        // columns the projection never touched as skipped.
-        let mut opened: HashMap<(usize, usize, usize), Value> = HashMap::new();
-        let mut seen_rows: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
+        // Tuples come sorted, so a position's row repeats across
+        // neighbouring tuples: look its slot up only when it changes.
+        // `at[p]` is the current tuple's `(row, slot)` at position `p`.
+        let mut at: Vec<Option<(usize, usize)>> = vec![None; positions.len()];
         let mut rows = Vec::with_capacity(tuples.len());
         for tuple in &tuples {
-            let mut values = Vec::with_capacity(lowered.projection.len());
-            for col in &lowered.projection {
-                let row_idx = tuple[col.position];
-                let key = (col.position, row_idx, col.column_index);
-                let value = match opened.get(&key) {
-                    Some(v) => v.clone(),
-                    None => {
-                        let blobs = payloads.get(&(col.position, row_idx)).ok_or_else(|| {
-                            DbError::Protocol(
-                                "stitched tuple references a row the server sent no \
-                                 payloads for"
-                                    .into(),
-                            )
-                        })?;
-                        let slot = payload_slot(col.position, col.column_index)
-                            .ok_or(DbError::PayloadCorrupted)?;
-                        let blob = blobs.get(slot).ok_or(DbError::PayloadCorrupted)?;
-                        let v = self.client.open_value(
-                            &lowered.tables[col.position],
-                            row_idx,
-                            col.column_index,
-                            blob,
-                        )?;
-                        opened.insert(key, v.clone());
-                        v
-                    }
+            for ((pos, current), &row) in positions.iter_mut().zip(&mut at).zip(tuple) {
+                let slot = match *current {
+                    Some((last, slot)) if last == row => slot,
+                    _ => pos.matched.binary_search(&row).map_err(|_| {
+                        DbError::Protocol(
+                            "stitched tuple references a row the server sent no payloads for"
+                                .into(),
+                        )
+                    })?,
                 };
-                values.push(value);
-            }
-            for (position, &row_idx) in tuple.iter().enumerate() {
-                if let Some(cols) = &wanted[position] {
-                    if seen_rows.insert((position, row_idx)) {
-                        let total = self.catalog[&lowered.tables[position]].len();
-                        self.client
-                            .note_skipped_column_decrypts((total - cols.len()) as u64);
-                    }
+                *current = Some((row, slot));
+                if pos.decoded[slot].is_none() {
+                    pos.decoded[slot] = Some(pos.decode(&mut self.client, slot)?);
                 }
             }
+            let values = outputs
+                .iter()
+                .map(|&(p, k)| {
+                    at[p]
+                        .and_then(|(_, slot)| positions[p].decoded[slot].as_ref()?.get(k).cloned())
+                        .ok_or(DbError::PayloadCorrupted)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             rows.push(Row(values));
         }
 
@@ -1289,6 +1317,45 @@ impl<E: Engine> Session<E> {
             within_bound: self.ledger.is_within_closure_bound(),
             super_additive_excess: self.ledger.super_additive_excess_len(),
         }
+    }
+}
+
+/// One table position of a plan being assembled: the rows it can take,
+/// the rows its introducing stage shipped for them (one per matched
+/// row, same order, or none when the plan projects none of its
+/// columns) and each row's projected values once decoded.
+struct PositionRows<'a> {
+    table: &'a str,
+    /// Ascending, distinct.
+    matched: Vec<usize>,
+    shipped: &'a [ShippedRow],
+    /// Schema indices of the payload columns shipped, in shipped order.
+    columns: Vec<usize>,
+    /// Columns of each row the projection leaves sealed.
+    skipped: u64,
+    decoded: Vec<Option<Vec<Value>>>,
+}
+
+impl PositionRows<'_> {
+    /// Open the projected columns of matched row `slot`.
+    fn decode<E: Engine>(
+        &self,
+        client: &mut DbClient<E>,
+        slot: usize,
+    ) -> Result<Vec<Value>, DbError> {
+        client.note_skipped_column_decrypts(self.skipped);
+        if self.columns.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (row, blobs) = self.shipped.get(slot).ok_or(DbError::PayloadCorrupted)?;
+        self.columns
+            .iter()
+            .enumerate()
+            .map(|(k, &column)| {
+                let blob = blobs.get(k).ok_or(DbError::PayloadCorrupted)?;
+                client.open_value(self.table, *row, column, blob)
+            })
+            .collect()
     }
 }
 

@@ -103,7 +103,7 @@ use eqjoin_pairing::Engine;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default decrypt-cache capacity (entries = query sides), used until
 /// the server configures its own (`eqjoind --decrypt-cache-cap`).
@@ -470,12 +470,17 @@ fn retain_by_mask<T>(vec: &mut Vec<T>, keep: &[bool]) {
 /// 2017), so popularity that stops is forgotten.
 const AGING_LOOKUPS_PER_ENTRY: u64 = 10;
 
+/// One row's `SJ.Dec` output as the match phase compares it. The
+/// decrypt cache and every pass it serves share one copy of the bytes.
+pub type MatchKey = Arc<[u8]>;
+
 /// One memoized `SJ.Dec` side: per-row match keys, each valid for the
 /// exact row version it was computed against.
 struct CacheEntry {
     table: String,
-    /// `row id → (row version, match key)`.
-    rows: HashMap<u64, (u64, Vec<u8>)>,
+    /// `row id → (row version, match key)`. A key is shared: a hit
+    /// hands out the entry's own bytes, never a copy of them.
+    rows: HashMap<u64, (u64, MatchKey)>,
     /// Recency stamp: of two entries that cost the same to lose, the
     /// one used less recently goes.
     last_used: u64,
@@ -834,7 +839,7 @@ impl<E: Engine> EncryptedStore<E> {
         opts: &JoinOptions,
         threads: usize,
         stats: &mut ServerStats,
-    ) -> Result<Vec<(usize, Vec<u8>)>, DbError> {
+    ) -> Result<Vec<(usize, MatchKey)>, DbError> {
         let _span = eqjoin_obs::span!("store_sj_dec", "table" => side.table);
         let table = self
             .tables
@@ -864,7 +869,7 @@ impl<E: Engine> EncryptedStore<E> {
 
         // Phase 1 — serve what the cache already knows (exact row
         // version match), collect the misses.
-        let mut out: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(candidates.len());
+        let mut out: Vec<(usize, Option<MatchKey>)> = Vec::with_capacity(candidates.len());
         let mut misses: Vec<usize> = Vec::new();
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         let key = preimage.as_deref().map(|p| cache.fingerprint(p));
@@ -881,7 +886,7 @@ impl<E: Engine> EncryptedStore<E> {
             {
                 Some((_, match_key)) => {
                     stats.decrypt_cache_hits += 1;
-                    out.push((id as usize, Some(match_key.clone())));
+                    out.push((id as usize, Some(Arc::clone(match_key))));
                 }
                 None => {
                     misses.push(pos);
@@ -923,10 +928,10 @@ impl<E: Engine> EncryptedStore<E> {
                         "decrypt pass returned fewer keys than cache misses".into(),
                     ));
                 };
-                slot.1 = Some(fresh_key);
+                slot.1 = Some(fresh_key.into());
             }
         }
-        let out: Vec<(usize, Vec<u8>)> = out
+        let out: Vec<(usize, MatchKey)> = out
             .into_iter()
             .map(|(id, key)| {
                 key.map(|k| (id, k)).ok_or_else(|| {
@@ -944,10 +949,10 @@ impl<E: Engine> EncryptedStore<E> {
         // cheap. Only a pass with fresh decrypts updates the entry and
         // the flag.
         if let (Some(key), Some(preimage), false) = (key, preimage, misses.is_empty()) {
-            let rows: HashMap<u64, (u64, Vec<u8>)> = candidates
+            let rows: HashMap<u64, (u64, MatchKey)> = candidates
                 .iter()
                 .zip(&out)
-                .map(|(&(_, id, version), (_, match_key))| (id, (version, match_key.clone())))
+                .map(|(&(_, id, version), (_, match_key))| (id, (version, Arc::clone(match_key))))
                 .collect();
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache.tick += 1;
@@ -1019,7 +1024,7 @@ impl<E: Engine> EncryptedStore<E> {
             body.out.extend_from_slice(key);
             body.str(&entry.table);
             body.u64(entry.last_used);
-            let mut rows: Vec<(&u64, &(u64, Vec<u8>))> = entry.rows.iter().collect();
+            let mut rows: Vec<(&u64, &(u64, MatchKey))> = entry.rows.iter().collect();
             rows.sort_unstable_by_key(|&(id, _)| id);
             body.u64(rows.len() as u64);
             for (id, (version, match_key)) in rows {
@@ -1164,7 +1169,7 @@ impl<E: Engine> EncryptedStore<E> {
             for _ in 0..n_rows {
                 let id = r.u64()?;
                 let version = r.u64()?;
-                rows.insert(id, (version, r.bytes()?.to_vec()));
+                rows.insert(id, (version, r.bytes()?.into()));
             }
             cache.entries.insert(
                 key,
@@ -1412,7 +1417,7 @@ mod tests {
     }
 
     /// One side's answer and how many of its rows the cache served.
-    fn decrypt(store: &Store, side: &SideTokens<MockEngine>) -> (Vec<(usize, Vec<u8>)>, usize) {
+    fn decrypt(store: &Store, side: &SideTokens<MockEngine>) -> (Vec<(usize, MatchKey)>, usize) {
         let mut stats = ServerStats::default();
         let out = store
             .decrypt_side(side, &JoinOptions::default(), 1, &mut stats)

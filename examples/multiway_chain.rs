@@ -9,7 +9,9 @@
 //!   (asserted: nonzero hits, and the full repeat hits on *every*
 //!   stage — this run is a CI gate),
 //! * the projection means the client decrypts only the selected
-//!   columns (asserted via the `ClientStats` counters).
+//!   columns (asserted via the `ClientStats` counters),
+//! * the full repeat opens no payload: the client reuses every value
+//!   the first run opened (asserted, same counters).
 //!
 //! ```sh
 //! cargo run --release --example multiway_chain
@@ -102,6 +104,7 @@ fn main() {
         "the whole chain must ship as one batched round trip"
     );
     assert_eq!(first.stage_stats.len(), 2, "two pairwise stages");
+    let first_opens = session.stats().client.column_decrypts;
     println!(
         "chain: {} result rows from {} pairwise stages (one round trip); \
          per-stage rows decrypted: {:?}",
@@ -143,10 +146,29 @@ fn main() {
         "the overlapping stage must reuse the chain's token bundle"
     );
 
-    // Repeating the chain hits the cache on *every* stage.
+    // Repeating the chain hits the cache on *every* stage, and the
+    // client opens no payload: the server ships the bytes it already
+    // opened, so every value comes back from what it kept.
+    let before_again = session.stats().client;
     let again = session.execute(chain).expect("repeat chain");
     assert!(again.cache_hit && again.stage_cache_hits.iter().all(|&h| h));
     assert_eq!(again.rows, first.rows);
+    let after_again = session.stats().client;
+    println!(
+        "repeat: {} column values opened, {} reused (the first run opened {})",
+        after_again.column_decrypts - before_again.column_decrypts,
+        after_again.column_opens_reused - before_again.column_opens_reused,
+        first_opens,
+    );
+    assert_eq!(
+        after_again.column_decrypts, before_again.column_decrypts,
+        "the full repeat must run no AEAD open"
+    );
+    assert_eq!(
+        after_again.column_opens_reused - before_again.column_opens_reused,
+        first_opens,
+        "the full repeat must reuse exactly what the first run opened"
+    );
 
     // CI gate: a nonzero token-cache hit count across the chain's
     // overlapping stages (1 from the 2-table overlap + 2 from the

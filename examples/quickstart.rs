@@ -42,13 +42,10 @@ fn main() {
     // per-column decrypt in one call; the server only ever sees
     // ciphertexts and tokens. The explicit column list means the client
     // opens *only* those columns of each matched row.
-    let result = session
-        .execute(
-            "SELECT Users.uid, tier, item FROM Users JOIN Purchases \
-             ON Users.uid = Purchases.uid \
-             WHERE country = 'DE' AND item IN ('laptop', 'desk')",
-        )
-        .expect("query");
+    let sql = "SELECT Users.uid, tier, item FROM Users JOIN Purchases \
+               ON Users.uid = Purchases.uid \
+               WHERE country = 'DE' AND item IN ('laptop', 'desk')";
+    let result = session.execute(sql).expect("query");
     let header: Vec<String> = result.columns.iter().map(|c| c.to_string()).collect();
     println!("{}", header.join(" | "));
     for row in &result.rows {
@@ -64,5 +61,23 @@ fn main() {
         stats.client.column_decrypts,
         stats.client.column_decrypts_skipped,
         session.leakage_report().within_bound,
+    );
+
+    // The same query again: the server serves it from its decrypt
+    // cache, and the client gets back the sealed bytes it already
+    // opened, so it hands back the values it kept instead of opening
+    // them a second time.
+    let again = session.execute(sql).expect("repeat");
+    assert_eq!(again.rows, result.rows);
+    let repeat = session.stats();
+    println!(
+        "repeat: {} column values opened, {} reused",
+        repeat.client.column_decrypts - stats.client.column_decrypts,
+        repeat.client.column_opens_reused - stats.client.column_opens_reused,
+    );
+    assert_eq!(repeat.client.column_decrypts, stats.client.column_decrypts);
+    assert_eq!(
+        repeat.client.column_opens_reused,
+        stats.client.column_decrypts
     );
 }

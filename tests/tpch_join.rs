@@ -158,14 +158,14 @@ fn sorted_classes(mut classes: Vec<Vec<(u8, usize)>>) -> Vec<Vec<(u8, usize)>> {
 
 /// The equality classes of the `D` values grouped by their whole bytes
 /// in an ordered map — independent of the hash join's bucketing.
-fn reference_classes(
-    left: &[(usize, Vec<u8>)],
-    right: &[(usize, Vec<u8>)],
+fn reference_classes<K: AsRef<[u8]>>(
+    left: &[(usize, K)],
+    right: &[(usize, K)],
 ) -> Vec<Vec<(u8, usize)>> {
     let mut groups: BTreeMap<&[u8], Vec<(u8, usize)>> = BTreeMap::new();
     for (side, rows) in [(0u8, left), (1, right)] {
         for (row, d) in rows {
-            groups.entry(d).or_default().push((side, *row));
+            groups.entry(d.as_ref()).or_default().push((side, *row));
         }
     }
     sorted_classes(groups.into_values().filter(|c| c.len() >= 2).collect())
