@@ -66,7 +66,11 @@ impl<E: Engine> JoinScheme for SecureJoinScheme<E> {
         let ledger = self.session.ledger();
         let per_query_leakage = ledger.per_query(ledger.len() - 1);
         QueryOutcome {
-            result_pairs: result.pairs,
+            result_pairs: result
+                .tuples
+                .iter()
+                .map(|t| (t[0], t[t.len() - 1]))
+                .collect(),
             per_query_leakage,
         }
     }

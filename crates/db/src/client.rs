@@ -22,7 +22,7 @@
 //! deletion, so at most one entry per live row and projected column
 //! remains.
 
-use crate::data::{Row, Table, Value};
+use crate::data::{Table, Value};
 use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens};
 use crate::error::DbError;
 use crate::query::JoinQuery;
@@ -165,17 +165,6 @@ pub struct DbClient<E: Engine> {
 struct OpenedSlot {
     sealed: Vec<u8>,
     value: Value,
-}
-
-/// A decrypted joined row: `(θ, left columns…, right columns…)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinedRow {
-    /// The shared join value `θ = a₀ = b₀`.
-    pub theta: Value,
-    /// The left row's values (join column included, as stored).
-    pub left: Row,
-    /// The right row's values.
-    pub right: Row,
 }
 
 impl<E: Engine> DbClient<E> {
@@ -581,46 +570,6 @@ impl<E: Engine> DbClient<E> {
         })
     }
 
-    /// Decrypt the server's answer into joined plaintext rows, one per
-    /// matched pair of `observation` (each row shipped once in
-    /// `result`). This is the low-level whole-row path — it expects full
-    /// (unprojected) payload vectors; sessions executing a projected
-    /// [`QueryPlan`](crate::plan::QueryPlan) use [`DbClient::open_value`]
-    /// per selected column instead.
-    pub fn decrypt_result(
-        &mut self,
-        query: &JoinQuery,
-        result: &crate::server::EncryptedJoinResult,
-        observation: &crate::server::JoinObservation,
-    ) -> Result<Vec<JoinedRow>, DbError> {
-        let join_idx = self
-            .tables
-            .get(&query.left_table)
-            .ok_or_else(|| DbError::UnknownTable(query.left_table.clone()))?
-            .join_idx;
-        fn payloads_of(
-            rows: &[crate::server::ShippedRow],
-            row: usize,
-        ) -> Result<&[Vec<u8>], DbError> {
-            rows.binary_search_by_key(&row, |r| r.0)
-                .ok()
-                .and_then(|i| rows.get(i))
-                .map(|r| r.1.as_slice())
-                .ok_or_else(|| DbError::Protocol(format!("matched row {row} was not shipped")))
-        }
-        let pairs = observation.pairs();
-        let mut out = Vec::with_capacity(pairs.len());
-        for (l, r) in pairs {
-            let left = self.open_row(&query.left_table, l, payloads_of(&result.left_rows, l)?)?;
-            let right =
-                self.open_row(&query.right_table, r, payloads_of(&result.right_rows, r)?)?;
-            // θ is the (equal) join value, recovered from the left row.
-            let theta = left.get(join_idx).clone();
-            out.push(JoinedRow { theta, left, right });
-        }
-        Ok(out)
-    }
-
     /// Open one sealed column payload of `table`'s row `row_idx`. The
     /// associated data binds `(table, row, column)`, so a swapped or
     /// tampered blob fails authentication. Bytes equal to the ones this
@@ -684,20 +633,6 @@ impl<E: Engine> DbClient<E> {
     /// [`ClientStats::column_decrypts_skipped`]).
     pub fn note_skipped_column_decrypts(&mut self, n: u64) {
         self.stats.column_decrypts_skipped += n;
-    }
-
-    fn open_row(
-        &mut self,
-        table: &str,
-        row_idx: usize,
-        payloads: &[Vec<u8>],
-    ) -> Result<Row, DbError> {
-        let values = payloads
-            .iter()
-            .enumerate()
-            .map(|(cidx, payload)| self.open_value(table, row_idx, cidx, payload))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Row(values))
     }
 }
 

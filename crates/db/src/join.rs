@@ -115,59 +115,6 @@ pub fn nested_loop_join<K: AsRef<[u8]>>(
     NestedLoopOutcome { pairs, comparisons }
 }
 
-/// One executed stage of a lowered [`QueryPlan`](crate::plan::QueryPlan)
-/// chain, ready for stitching: the table positions it links and the
-/// matched `(left row, right row)` index pairs the server returned.
-#[derive(Clone, Debug)]
-pub struct StageLink {
-    /// Position of the stage's anchor table (already part of the chain).
-    pub left_position: usize,
-    /// Position of the table this stage attached.
-    pub right_position: usize,
-    /// Matched row-index pairs `(anchor row, attached row)`.
-    pub pairs: Vec<(usize, usize)>,
-}
-
-/// Stitch pipelined pairwise stage results back into chain tuples.
-///
-/// Stage `i` attaches table position `i + 1` to an anchor position
-/// `≤ i`, so tuples grow left to right: start from stage 0's pairs and
-/// hash-join each later stage on its anchor's row index. The result is
-/// one `Vec<usize>` per chain row, `tuple[p]` being the row index in
-/// table position `p` — exactly the multi-way join `⋈` of the stages,
-/// computed client-side from what the server already revealed pairwise.
-pub fn stitch_stages(stages: &[StageLink]) -> Vec<Vec<usize>> {
-    let Some(first) = stages.first() else {
-        return Vec::new();
-    };
-    debug_assert_eq!((first.left_position, first.right_position), (0, 1));
-    let mut tuples: Vec<Vec<usize>> = first.pairs.iter().map(|&(l, r)| vec![l, r]).collect();
-    for (i, stage) in stages.iter().enumerate().skip(1) {
-        debug_assert_eq!(stage.right_position, i + 1);
-        debug_assert!(stage.left_position <= i);
-        let mut by_anchor: HashMap<usize, Vec<usize>> = HashMap::new();
-        for &(anchor_row, new_row) in &stage.pairs {
-            by_anchor.entry(anchor_row).or_default().push(new_row);
-        }
-        let mut next = Vec::new();
-        for tuple in &tuples {
-            if let Some(new_rows) = tuple
-                .get(stage.left_position)
-                .and_then(|a| by_anchor.get(a))
-            {
-                for &new_row in new_rows {
-                    let mut extended = tuple.clone();
-                    extended.push(new_row);
-                    next.push(extended);
-                }
-            }
-        }
-        tuples = next;
-    }
-    tuples.sort_unstable();
-    tuples
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,56 +167,6 @@ mod tests {
         assert_eq!(class_pair_count(&out.equality_classes), 0);
         assert_eq!(out.equality_classes.len(), 1);
         assert_eq!(out.equality_classes[0].len(), 2);
-    }
-
-    #[test]
-    fn stitch_composes_chain_tuples() {
-        // A⋈B pairs then B⋈C pairs: tuples must be the 3-way join.
-        let stages = vec![
-            StageLink {
-                left_position: 0,
-                right_position: 1,
-                pairs: vec![(0, 0), (0, 1), (2, 1)],
-            },
-            StageLink {
-                left_position: 1,
-                right_position: 2,
-                pairs: vec![(1, 5), (1, 6), (9, 7)],
-            },
-        ];
-        assert_eq!(
-            stitch_stages(&stages),
-            vec![vec![0, 1, 5], vec![0, 1, 6], vec![2, 1, 5], vec![2, 1, 6]]
-        );
-        // A star shape: stage 2 anchored at position 0 instead of 1.
-        let star = vec![
-            StageLink {
-                left_position: 0,
-                right_position: 1,
-                pairs: vec![(0, 4), (1, 4)],
-            },
-            StageLink {
-                left_position: 0,
-                right_position: 2,
-                pairs: vec![(1, 8)],
-            },
-        ];
-        assert_eq!(stitch_stages(&star), vec![vec![1, 4, 8]]);
-        // An empty middle stage empties the chain.
-        let dead = vec![
-            StageLink {
-                left_position: 0,
-                right_position: 1,
-                pairs: vec![(0, 0)],
-            },
-            StageLink {
-                left_position: 1,
-                right_position: 2,
-                pairs: vec![],
-            },
-        ];
-        assert!(stitch_stages(&dead).is_empty());
-        assert!(stitch_stages(&[]).is_empty());
     }
 
     /// Equality classes in a canonical order, members sorted.

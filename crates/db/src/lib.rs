@@ -14,8 +14,8 @@
 //!   │    ▼                ▼                          │
 //!   │ LeakageLedger   Request::Batch of pairwise     │
 //!   │ (per stage)       ExecuteJoins (+ projection)  │
-//!   │    ▲ classes    pairs = left × right per class │
-//!   │ stitch + per-column decrypt ◀──────┐           │
+//!   │    ▲ classes    classes → slot maps, per stage │
+//!   │ walk + per-column decrypt ◀────────┐           │
 //!   └───────────────────────┬────────────┼───────────┘
 //!                           │  ServerApi (protocol)
 //!                           ▼
@@ -63,7 +63,8 @@
 //! * [`query`] — two-table equi-join queries with `IN`-clause filters
 //!   (the pairwise special case; [`QueryPlan::pairwise`] embeds one).
 //! * [`client`] — key management, per-column table encryption, token
-//!   generation, result decryption ([`DbClient`], configured via
+//!   generation, payload opening ([`DbClient::open_value`], the one
+//!   way a sealed column becomes a `Value`; [`DbClient`], configured via
 //!   [`ClientConfig`]; [`ClientStats`] counts the column decrypts a
 //!   projection performs and skips, and the opened values a repeat
 //!   reuses).
@@ -82,9 +83,8 @@
 //!   server reports anyway, and each matched row's payloads ship once.
 //! * [`join`] — the matching algorithms on decrypted `D` values (the
 //!   hash join the server runs, and the `O(n²)` nested loop kept as the
-//!   comparison arm and a test oracle), plus
-//!   [`stitch_stages`](join::stitch_stages), which composes pairwise
-//!   stage results into chain tuples.
+//!   comparison arm and a test oracle). A chain's tuples are assembled
+//!   by the session, in one walk over its stages' classes.
 
 #![forbid(unsafe_code)]
 
@@ -102,7 +102,7 @@ pub mod session;
 pub mod store;
 
 pub use backend::{LocalBackend, RemoteBackend, RemoteConfig, RetryPolicy, TransportStats};
-pub use client::{ClientConfig, ClientStats, DbClient, JoinedRow, TableConfig};
+pub use client::{ClientConfig, ClientStats, DbClient, TableConfig};
 pub use data::{Row, Schema, Table, Value};
 pub use encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 pub use error::DbError;

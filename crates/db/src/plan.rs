@@ -23,10 +23,11 @@
 //! ordinary `ExecuteJoin` for every backend, each stage's equality
 //! pattern is recorded in the leakage ledger, and the session token
 //! cache is keyed **per stage**, so overlapping chains across a series
-//! reuse each other's stage tokens. The client stitches the pairwise
-//! results back into chain tuples (see
-//! [`stitch_stages`](crate::join::stitch_stages)) and decrypts only the
-//! projected columns.
+//! reuse each other's stage tokens. The client reads each stage's
+//! equality classes once and walks them into the chain's tuples, depth
+//! first from position 0 (see
+//! [`Session`](crate::session::Session)'s "Assembling the answer"), and
+//! decrypts only the projected columns.
 //!
 //! [`JoinQuery`] remains as the two-table special case;
 //! [`QueryPlan::pairwise`] embeds it, so existing callers migrate

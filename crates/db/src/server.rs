@@ -173,10 +173,15 @@ impl JoinObservation {
     }
 }
 
-/// Each side's matched rows, ascending and distinct: the members of
-/// every class that has both a left and a right member — the rows
-/// [`JoinObservation::pairs`] names, and the rows the server ships.
-pub(crate) fn matched_rows(classes: &[Vec<(u8, usize)>]) -> (Vec<usize>, Vec<usize>) {
+/// Each side's matched rows, ascending: the members of every class that
+/// has both a left and a right member — the rows
+/// [`JoinObservation::pairs`] names, and the rows the server ships. A
+/// hash join puts each row in one bucket, so classes that name a
+/// matched row twice (in one class or in two) are a
+/// [`DbError::Protocol`].
+pub(crate) fn matched_rows(
+    classes: &[Vec<(u8, usize)>],
+) -> Result<(Vec<usize>, Vec<usize>), DbError> {
     let (mut left, mut right) = (Vec::new(), Vec::new());
     for class in classes {
         if class.iter().any(|m| m.0 == 0) && class.iter().any(|m| m.0 == 1) {
@@ -189,11 +194,19 @@ pub(crate) fn matched_rows(classes: &[Vec<(u8, usize)>]) -> (Vec<usize>, Vec<usi
             }
         }
     }
-    left.sort_unstable();
-    right.sort_unstable();
-    left.dedup();
-    right.dedup();
-    (left, right)
+    for (side, rows) in [(0, &mut left), (1, &mut right)] {
+        rows.sort_unstable();
+        let twice = rows.windows(2).find_map(|pair| match pair {
+            [a, b] if a == b => Some(*a),
+            _ => None,
+        });
+        if let Some(row) = twice {
+            return Err(DbError::Protocol(format!(
+                "side {side} row {row} is named twice in the stage's equality classes"
+            )));
+        }
+    }
+    Ok((left, right))
 }
 
 /// Does a side whose request asks for `wanted` payload columns ship its
@@ -384,7 +397,7 @@ impl<E: Engine> DbServer<E> {
         stats.comparisons = outcome.comparisons;
         stats.matched_pairs = class_pair_count(&outcome.equality_classes);
 
-        let (left, right) = matched_rows(&outcome.equality_classes);
+        let (left, right) = matched_rows(&outcome.equality_classes)?;
         let left_rows = ship_rows(
             left_table,
             &tokens.left.table,
@@ -518,11 +531,24 @@ mod tests {
         let (result, obs) = server
             .execute_join(&tokens, &JoinOptions::default())
             .unwrap();
-        let rows = client.decrypt_result(&query, &result, &obs).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].left.get(0), &Value::Int(1));
-        assert_eq!(rows[0].right.get(0), &Value::Int(1));
-        assert_eq!(rows[0].theta, Value::Int(1));
+        // Each matched pair's shipped payloads open to rows that share
+        // the join value θ = 1.
+        let mut open = |table: &str, rows: &[ShippedRow], row: usize| -> Vec<Value> {
+            let (_, payloads) = rows.iter().find(|r| r.0 == row).expect("shipped");
+            payloads
+                .iter()
+                .enumerate()
+                .map(|(column, blob)| client.open_value(table, row, column, blob).unwrap())
+                .collect()
+        };
+        let pairs = obs.pairs();
+        assert_eq!(pairs.len(), 2);
+        for (l, r) in pairs {
+            let left = open("L", &result.left_rows, l);
+            let right = open("R", &result.right_rows, r);
+            assert_eq!(left[0], Value::Int(1));
+            assert_eq!(right[0], Value::Int(1));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!        │                — a chain ships as one Request::Batch of
 //!        │                  pairwise ExecuteJoins, one round trip —
 //!        ▼                          │
-//!   ResultSet ◀─ stitch + project ──┘ (per-column open, kept per slot)
+//!   ResultSet ◀── walk + project ───┘ (per-column open, kept per slot)
 //!        │            each stage's JoinObservation
 //!        ▼                          ▼
 //!   rows/tuples               LeakageLedger (leakage_report())
@@ -74,25 +74,33 @@
 //! rows from 0 again, and the ledger counts them as new rows
 //! ([`LeakageLedger::register`]).
 //!
-//! The ledger and the result read one answer: a stage's matched pairs
-//! are [`JoinObservation::pairs`] — the left × right members of each
-//! equality class the ledger records, mapped to tables by the stage the
-//! session dispatched — and its payloads are the rows the server
-//! shipped, each once. An answer whose classes name a third side, or
-//! whose shipped rows are not exactly the matched rows of a side that
-//! asked for columns, is a [`DbError::Protocol`].
+//! The ledger and the result read one answer. A stage's equality
+//! classes are what the ledger records (mapped to tables by the stage
+//! the session dispatched) and what the result reads its matches from:
+//! two rows match when they share a class. Its payloads are the rows
+//! the server shipped, each once. An answer whose classes name a third
+//! side or name a matched row twice, or whose shipped rows are not
+//! exactly the matched rows of a side that asked for columns, is a
+//! [`DbError::Protocol`].
 //!
 //! # Assembling the answer, and what a repeat opens
 //!
-//! Once checked, each position's shipped rows are read where they lie:
-//! one pass over the stitched tuples decodes each `(position, row)` at
-//! its first tuple into a slot of that position's matched rows, and
-//! every later tuple naming the row clones from the slot. Each table's
-//! column count is read once per position, for the skipped-column
-//! counter. The decode goes through [`DbClient::open_value`], which
-//! keeps every slot it opened: a repeat that gets the same sealed bytes
-//! back runs no AEAD open (see [`crate::client`]). The session drops a
-//! table's opened slots when the backend accepts it as a new
+//! A position's *slots* index its matched rows, ascending. Each stage's
+//! classes are read once, into a map from each slot of the stage's
+//! anchor position to the ascending slots of its attached position that
+//! share the anchor's class. The tuples are one depth-first walk over
+//! those maps: every slot of position 0, then for each the attached
+//! slots of its anchor, position by position. Candidates ascend at
+//! every depth, so the tuples come out in lexicographic order, for
+//! chains and stars alike, with nothing to sort. At each tuple the walk
+//! decodes every `(position, slot)` it has not decoded yet, reading the
+//! shipped row where it lies, and every later tuple naming the row
+//! clones from the slot. Each table's column count is read once per
+//! position, for the skipped-column counter. The decode goes through
+//! [`DbClient::open_value`], the one way a payload becomes a [`Value`],
+//! which keeps every slot it opened: a repeat that gets the same sealed
+//! bytes back runs no AEAD open (see [`crate::client`]). The session
+//! drops a table's opened slots when the backend accepts it as a new
 //! registration, and a row's when the backend acknowledges its
 //! deletion.
 
@@ -101,7 +109,6 @@ use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
 use crate::data::{Row, Table, Value};
 use crate::encrypted::QueryTokens;
 use crate::error::DbError;
-use crate::join::{stitch_stages, StageLink};
 use crate::plan::{ColumnId, LoweredPlan, QueryPlan};
 use crate::protocol::{Request, Response, ServerApi};
 use crate::query::JoinQuery;
@@ -112,6 +119,7 @@ use crate::server::{
 use eqjoin_leakage::{LeakageLedger, PairSet};
 use eqjoin_pairing::Engine;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Session configuration: the client's crypto parameters plus execution
@@ -263,15 +271,14 @@ pub trait SqlPlanner {
 }
 
 /// Anything [`Session::prepare`]/[`Session::execute`] accepts: SQL
-/// text, a logical [`QueryPlan`] or a two-table [`JoinQuery`].
+/// text or a logical [`QueryPlan`]; a two-table [`JoinQuery`] converts
+/// to its [`QueryPlan::pairwise`] plan.
 #[derive(Clone)]
 pub enum QueryInput {
     /// SQL text (requires an installed [`SqlPlanner`]).
     Sql(String),
     /// A logical plan, bypassing the SQL front-end.
     Plan(QueryPlan),
-    /// A two-table query (shorthand for [`QueryPlan::pairwise`]).
-    Query(JoinQuery),
 }
 
 impl From<&str> for QueryInput {
@@ -300,13 +307,13 @@ impl From<&QueryPlan> for QueryInput {
 
 impl From<JoinQuery> for QueryInput {
     fn from(query: JoinQuery) -> Self {
-        QueryInput::Query(query)
+        QueryInput::Plan(QueryPlan::pairwise(&query))
     }
 }
 
 impl From<&JoinQuery> for QueryInput {
     fn from(query: &JoinQuery) -> Self {
-        QueryInput::Query(query.clone())
+        QueryInput::Plan(QueryPlan::pairwise(query))
     }
 }
 
@@ -342,19 +349,23 @@ fn put(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Decrypted result of one executed plan.
+/// Decrypted result of one executed plan: the projected rows and,
+/// aligned with them, the matched row ids behind each, in lexicographic
+/// order of those ids (see the [module docs](self) for the walk that
+/// produces them).
 #[derive(Debug)]
 pub struct ResultSet {
     /// Output column headers (qualified), in projection order.
     pub columns: Vec<ColumnId>,
     /// The projected plaintext rows, aligned with `columns`.
     pub rows: Vec<Row>,
-    /// Matched server-side row indices per output row: `tuples[i][p]`
-    /// is the row of table position `p` (join order) behind `rows[i]`.
+    /// Matched server-side row indices per output row, in lexicographic
+    /// order: `tuples[i][p]` is the row of table position `p` (join
+    /// order) behind `rows[i]`. For a two-table plan these are exactly
+    /// the matched `(left row, right row)` pairs; a plan's
+    /// `(first table row, last table row)` view is
+    /// `(t[0], t[t.len() - 1])` of each tuple `t`.
     pub tuples: Vec<Vec<usize>>,
-    /// Legacy pairwise view: `(first table row, last table row)` per
-    /// output row (for a two-table plan, exactly the matched pairs).
-    pub pairs: Vec<(usize, usize)>,
     /// Server-side execution statistics, summed over the plan's stages.
     pub stats: ServerStats,
     /// Per-stage server statistics (one entry per pairwise stage).
@@ -424,9 +435,9 @@ pub struct LeakageReport {
 ///
 /// Owns the trusted [`DbClient`] (keys never leave it) and a
 /// [`ServerApi`] backend, and threads every plan through prepare →
-/// per-stage tokens (cached) → backend joins → stitch → per-column
-/// decrypt → leakage ledger. See the [module docs](self) for the full
-/// pipeline.
+/// per-stage tokens (cached) → backend joins → leakage ledger → the
+/// walk over each stage's classes → per-column decrypt. See the
+/// [module docs](self) for the full pipeline.
 pub struct Session<E: Engine> {
     client: DbClient<E>,
     backend: Box<dyn ServerApi<E>>,
@@ -768,7 +779,6 @@ impl<E: Engine> Session<E> {
     fn logical_plan(&self, input: QueryInput) -> Result<QueryPlan, DbError> {
         match input {
             QueryInput::Plan(plan) => Ok(plan),
-            QueryInput::Query(query) => Ok(QueryPlan::pairwise(&query)),
             QueryInput::Sql(sql) => {
                 let planner = self.planner.as_ref().ok_or(DbError::NoSqlPlanner)?;
                 planner.plan(&sql, &self.catalog)
@@ -885,13 +895,14 @@ impl<E: Engine> Session<E> {
         Ok((series_index, added))
     }
 
-    /// Stitch one plan's executed stages and decrypt the projected
-    /// columns into a [`ResultSet`], in one pass over the stitched
-    /// tuples. A stage's pairs are its observation's
-    /// ([`JoinObservation::pairs`]); its payloads are the rows it
-    /// shipped, each checked against those pairs and then read where
-    /// they lie. Each `(position, row)` a tuple names is decoded once,
-    /// at its first tuple, into that position's slot for the row.
+    /// Assemble one plan's executed stages into a [`ResultSet`]. Each
+    /// stage's classes are read once, into slot space: a position's
+    /// slots index its matched rows (ascending), and a stage maps each
+    /// slot of its anchor to the ascending slots of its attached
+    /// position that share the anchor's class. The tuples are then one
+    /// depth-first walk over those maps; its payloads are the rows each
+    /// stage shipped, checked against the matched rows and decoded at
+    /// the first tuple that names them.
     fn assemble_result_set(
         &mut self,
         lowered: &LoweredPlan,
@@ -909,7 +920,7 @@ impl<E: Engine> Session<E> {
         for (i, (result, observation)) in stage_results.iter_mut().enumerate() {
             let stage = &lowered.stages[i];
             let projection = Self::stage_projection(lowered, i);
-            let (left, right) = matched_rows(&observation.equality_classes);
+            let (left, right) = matched_rows(&observation.equality_classes)?;
             for (rows, wanted, matched) in [
                 (&mut result.left_rows, &projection.left, &left),
                 (&mut result.right_rows, &projection.right, &right),
@@ -925,14 +936,15 @@ impl<E: Engine> Session<E> {
                 matched.push(left);
             }
             debug_assert_eq!(stage.right_position, matched.len());
+            let link = StageSlots::new(
+                &observation.equality_classes,
+                stage.left_position,
+                &matched[stage.left_position],
+                &right,
+            );
             matched.push(right);
-            links.push(StageLink {
-                left_position: stage.left_position,
-                right_position: stage.right_position,
-                pairs: observation.pairs(),
-            });
+            links.push(link);
         }
-        let tuples = stitch_stages(&links);
 
         let mut positions = Vec::with_capacity(matched.len());
         for (p, matched) in matched.into_iter().enumerate() {
@@ -969,23 +981,30 @@ impl<E: Engine> Session<E> {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        // Tuples come sorted, so a position's row repeats across
-        // neighbouring tuples: look its slot up only when it changes.
-        // `at[p]` is the current tuple's `(row, slot)` at position `p`.
-        let mut at: Vec<Option<(usize, usize)>> = vec![None; positions.len()];
-        let mut rows = Vec::with_capacity(tuples.len());
-        for tuple in &tuples {
-            for ((pos, current), &row) in positions.iter_mut().zip(&mut at).zip(tuple) {
-                let slot = match *current {
-                    Some((last, slot)) if last == row => slot,
-                    _ => pos.matched.binary_search(&row).map_err(|_| {
-                        DbError::Protocol(
-                            "stitched tuple references a row the server sent no payloads for"
-                                .into(),
-                        )
-                    })?,
-                };
-                *current = Some((row, slot));
+        // The walk: `cursors[p]` runs over position p's candidates —
+        // every slot at position 0, else the attached slots of the
+        // anchor's current slot — and `slots[p]` is the one taken. The
+        // candidates ascend at every depth, so the tuples come out in
+        // lexicographic order.
+        let mut tuples = Vec::new();
+        let mut rows = Vec::new();
+        let mut slots = vec![0; positions.len()];
+        let mut cursors = Vec::with_capacity(positions.len());
+        cursors.push(0..positions[0].matched.len());
+        while let Some(p) = cursors.len().checked_sub(1) {
+            let Some(k) = cursors[p].next() else {
+                cursors.pop();
+                continue;
+            };
+            slots[p] = match p {
+                0 => k,
+                _ => links[p - 1].attached[k],
+            };
+            if let Some(link) = links.get(p) {
+                cursors.push(link.of_anchor[slots[link.anchor]].clone());
+                continue;
+            }
+            for (pos, &slot) in positions.iter_mut().zip(&slots) {
                 if pos.decoded[slot].is_none() {
                     pos.decoded[slot] = Some(pos.decode(&mut self.client, slot)?);
                 }
@@ -993,18 +1012,22 @@ impl<E: Engine> Session<E> {
             let values = outputs
                 .iter()
                 .map(|&(p, k)| {
-                    at[p]
-                        .and_then(|(_, slot)| positions[p].decoded[slot].as_ref()?.get(k).cloned())
+                    positions[p].decoded[slots[p]]
+                        .as_ref()
+                        .and_then(|values| values.get(k).cloned())
                         .ok_or(DbError::PayloadCorrupted)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             rows.push(Row(values));
+            tuples.push(
+                positions
+                    .iter()
+                    .zip(&slots)
+                    .map(|(pos, &slot)| pos.matched[slot])
+                    .collect(),
+            );
         }
 
-        let pairs = tuples
-            .iter()
-            .map(|t| (t[0], *t.last().expect("tuples are non-empty")))
-            .collect();
         let mut stats = ServerStats::default();
         for (s, _) in &stage_results {
             stats.merge(&s.stats);
@@ -1013,7 +1036,6 @@ impl<E: Engine> Session<E> {
             columns: lowered.projection.iter().map(|c| c.id.clone()).collect(),
             rows,
             tuples,
-            pairs,
             stats,
             stage_stats: stage_results.into_iter().map(|(r, _)| r.stats).collect(),
             series_index,
@@ -1025,7 +1047,7 @@ impl<E: Engine> Session<E> {
 
     /// Execute a query end-to-end: per-stage tokens (cached on repeats)
     /// → backend joins (a chain ships as **one** batched round trip) →
-    /// stitch → per-column decrypt → leakage ledger.
+    /// leakage ledger → tuples and per-column decrypt.
     pub fn execute(&mut self, input: impl Into<QueryInput>) -> Result<ResultSet, DbError> {
         let lowered = self.lower(input.into())?;
         let mut results = self.run_series(vec![lowered])?;
@@ -1089,14 +1111,14 @@ impl<E: Engine> Session<E> {
     /// The per-slot execution core: dispatch every stage of every
     /// still-viable plan (one plain request for a single pairwise
     /// stage, one batch otherwise), ledger every observation that came
-    /// back, then stitch + decrypt per plan — each slot succeeding or
+    /// back, then assemble + decrypt per plan — each slot succeeding or
     /// failing on its own.
     fn run_series_partial(
         &mut self,
         lowered: Vec<Result<LoweredPlan, DbError>>,
     ) -> Vec<Result<ResultSet, DbError>> {
         // One record per dispatch: for `execute` this is exactly the
-        // per-query end-to-end latency (tokens → backend → stitch →
+        // per-query end-to-end latency (tokens → backend → assembly →
         // decrypt); a batched series records its whole round trip once.
         let _span = eqjoin_obs::span!("session_query");
         // A slot that failed before dispatch keeps its own error and
@@ -1242,7 +1264,7 @@ impl<E: Engine> Session<E> {
             }
         }
 
-        // Pass 2 — stitch and decrypt per plan, in series order. A
+        // Pass 2 — assemble and decrypt per plan, in series order. A
         // failed stage fails its own plan's slot; every other plan
         // still assembles (its stage responses are all consumed either
         // way, so slots stay aligned).
@@ -1316,6 +1338,57 @@ impl<E: Engine> Session<E> {
             closure_bound: self.ledger.closure_bound_len(),
             within_bound: self.ledger.is_within_closure_bound(),
             super_additive_excess: self.ledger.super_additive_excess_len(),
+        }
+    }
+}
+
+/// One stage's classes in slot space: `attached` holds the attached
+/// position's slots class by class, each class's ascending, and
+/// `of_anchor[s]` is the range of `attached` that shares a class with
+/// slot `s` of position `anchor` (empty when no class names that row).
+struct StageSlots {
+    anchor: usize,
+    of_anchor: Vec<Range<usize>>,
+    attached: Vec<usize>,
+}
+
+impl StageSlots {
+    /// Map `classes` onto the slots of the anchor position's matched
+    /// rows (`anchor_rows`) and the stage's attached matched rows
+    /// (`attached_rows`), both ascending and, per [`matched_rows`],
+    /// each named by at most one class. An anchor row the earlier
+    /// stages did not match has no slot, and no tuple to extend.
+    fn new(
+        classes: &[Vec<(u8, usize)>],
+        anchor: usize,
+        anchor_rows: &[usize],
+        attached_rows: &[usize],
+    ) -> Self {
+        let mut of_anchor = vec![0..0; anchor_rows.len()];
+        let mut attached = Vec::with_capacity(attached_rows.len());
+        let slot = |rows: &[usize], row| rows.binary_search(&row).ok();
+        for class in classes {
+            let start = attached.len();
+            attached.extend(
+                class
+                    .iter()
+                    .filter(|m| m.0 == 1)
+                    .filter_map(|m| slot(attached_rows, m.1)),
+            );
+            if attached.len() == start {
+                continue;
+            }
+            attached[start..].sort_unstable();
+            for member in class.iter().filter(|m| m.0 == 0) {
+                if let Some(s) = slot(anchor_rows, member.1) {
+                    of_anchor[s] = start..attached.len();
+                }
+            }
+        }
+        StageSlots {
+            anchor,
+            of_anchor,
+            attached,
         }
     }
 }
@@ -1464,7 +1537,6 @@ mod tests {
             ]
         );
         assert_eq!(result.rows[0].0.len(), 4);
-        assert_eq!(result.pairs, vec![(0, 0), (2, 0)]);
         assert_eq!(result.tuples, vec![vec![0, 0], vec![2, 0]]);
         let report = s.leakage_report();
         assert_eq!(report.queries, 1);
@@ -1484,7 +1556,6 @@ mod tests {
         );
         assert_eq!(result.rows.len(), 4);
         assert_eq!(result.rows[0].0.len(), 6, "SELECT *: 2 + 2 + 2 columns");
-        assert_eq!(result.pairs, vec![(0, 0), (0, 1), (2, 0), (2, 1)]);
         // Both stages are ledgered individually.
         let report = s.leakage_report();
         assert_eq!(report.queries, 2);
@@ -1492,6 +1563,31 @@ mod tests {
         assert_eq!(s.stats().queries_executed, 2);
         // One round trip for the whole chain.
         assert_eq!(s.transport_stats().round_trips, 4, "3 uploads + 1 chain");
+    }
+
+    #[test]
+    fn a_star_extends_its_anchor_and_an_empty_middle_stage_empties_the_chain() {
+        let mut s = session3();
+        // Stage 2 anchored at L, not R: L row 1 (k=2) matches S row 2
+        // but no R row, so no tuple extends to it.
+        let star = QueryPlan::scan("L")
+            .join_on("L", "k", "R", "k")
+            .join_on("L", "k", "S", "k");
+        let result = s.execute(star).unwrap();
+        assert_eq!(
+            result.tuples,
+            vec![vec![0, 0, 0], vec![0, 0, 1], vec![2, 0, 0], vec![2, 0, 1]]
+        );
+        // R⋈S matches nothing once S keeps only its k=2 row, while L⋈R
+        // still matches two pairs: the chain has no tuple, and both
+        // stages are ledgered.
+        let dead = chain().filter("S", "tag", vec!["c".into()]);
+        let result = s.execute(dead).unwrap();
+        assert_eq!(result.stage_stats[0].matched_pairs, 2);
+        assert_eq!(result.stage_stats[1].matched_pairs, 0);
+        assert!(result.tuples.is_empty());
+        assert!(result.rows.is_empty());
+        assert_eq!(s.leakage_report().queries, 4);
     }
 
     #[test]
@@ -1605,8 +1701,8 @@ mod tests {
         let r2 = s.execute(&q_ba).unwrap();
         let r3 = s.execute(&plain).unwrap();
         assert!(r2.cache_hit && r3.cache_hit);
-        assert_eq!(r1.pairs, r2.pairs);
-        assert_eq!(r1.pairs, r3.pairs);
+        assert_eq!(r1.tuples, r2.tuples);
+        assert_eq!(r1.tuples, r3.tuples);
         // And the intersection is really what executes: only blue rows
         // of L (row 1, k=2) — no R row has k=2, so the join is empty,
         // whereas color IN (red, blue) alone would match.
@@ -1633,7 +1729,7 @@ mod tests {
             .unwrap();
         let r_warm = warm.execute(&dup4).unwrap();
         assert!(r_warm.cache_hit);
-        assert_eq!(r_cold.pairs, r_warm.pairs);
+        assert_eq!(r_cold.tuples, r_warm.tuples);
         // Four *distinct* values still exceed t = 3, cold or warm.
         let distinct4 = JoinQuery::on("L", "k", "R", "k").filter(
             "L",
@@ -1764,7 +1860,7 @@ mod tests {
         // Cache on vs off: identical rows, pairs and leakage.
         for (a, b) in results.iter().zip(&off_results) {
             assert_eq!(a.rows, b.rows);
-            assert_eq!(a.pairs, b.pairs);
+            assert_eq!(a.tuples, b.tuples);
         }
         assert_eq!(s.leakage_report(), off.leakage_report());
     }
@@ -1830,7 +1926,7 @@ mod tests {
         assert_eq!(results.len(), expected.len());
         for (got, want) in results.iter().zip(&expected) {
             assert_eq!(got.rows, want.rows);
-            assert_eq!(got.pairs, want.pairs);
+            assert_eq!(got.tuples, want.tuples);
             assert_eq!(got.series_index, want.series_index);
             assert_eq!(got.cache_hit, want.cache_hit);
         }

@@ -76,7 +76,7 @@ fn session_series_over_epoll_matches_local() {
         let l = local.execute(QUERY).unwrap();
         let r = remote.execute(QUERY).unwrap();
         assert_eq!(l.rows, r.rows, "rows must match across the reactor");
-        assert_eq!(l.pairs, r.pairs);
+        assert_eq!(l.tuples, r.tuples);
         assert_eq!(l.cache_hit, r.cache_hit);
     }
     assert_eq!(local.leakage_report(), remote.leakage_report());

@@ -38,7 +38,7 @@ fn main() {
         .create_table(&purchases, purchases_cfg)
         .expect("encrypt purchases");
 
-    // SQL goes parse → plan → tokens → encrypted join → stitch →
+    // SQL goes parse → plan → tokens → encrypted join → tuples →
     // per-column decrypt in one call; the server only ever sees
     // ciphertexts and tokens. The explicit column list means the client
     // opens *only* those columns of each matched row.

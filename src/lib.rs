@@ -16,7 +16,7 @@
 //!   │ execute("SELECT c, …     ┼──────▶ SJ.Dec + SJ.Match per     │
 //!   │   FROM a JOIN b … JOIN c │      │ pairwise stage, projected │
 //!   │   …") └ stage token cache│◀─────┼ payloads + observation    │
-//!   │ stitch + column decrypt  │      └───────────────────────────┘
+//!   │ walk + column decrypt    │      └───────────────────────────┘
 //!   │ leakage_report()         │
 //!   └──────────────────────────┘
 //! ```

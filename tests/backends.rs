@@ -91,9 +91,8 @@ fn encode(results: &[ResultSet]) -> Vec<Vec<u8>> {
             for row in &result.rows {
                 bytes.extend_from_slice(&row.encode());
             }
-            for &(l, r) in &result.pairs {
-                bytes.extend_from_slice(&(l as u64).to_le_bytes());
-                bytes.extend_from_slice(&(r as u64).to_le_bytes());
+            for &row in result.tuples.iter().flatten() {
+                bytes.extend_from_slice(&(row as u64).to_le_bytes());
             }
             bytes
         })

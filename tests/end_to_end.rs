@@ -137,7 +137,7 @@ fn many_to_many_join_mock() {
 fn prefiltered_run_matches_unfiltered_run_bls12() {
     // The pre-filter is a pure performance optimization: result sets must
     // be identical with and without it.
-    let run = |prefilter: bool| -> Vec<(usize, usize)> {
+    let run = |prefilter: bool| -> Vec<Vec<usize>> {
         let mut session = paper_session::<Bls12>(31337, prefilter);
         session
             .execute(
@@ -145,7 +145,7 @@ fn prefiltered_run_matches_unfiltered_run_bls12() {
                  WHERE Role = 'Tester'",
             )
             .unwrap()
-            .pairs
+            .tuples
     };
     assert_eq!(run(true), run(false));
 }
@@ -191,9 +191,12 @@ fn low_level_client_server_path_still_works_bls12() {
     let (result, observation) = server
         .execute_join(&tokens, &JoinOptions::default())
         .unwrap();
-    let rows = client
-        .decrypt_result(&query, &result, &observation)
+    let pairs = observation.pairs();
+    assert_eq!(pairs.len(), 1);
+    let (employee, payloads) = &result.left_rows[0];
+    assert_eq!(*employee, pairs[0].0, "the matched employee row ships");
+    let name = client
+        .open_value("Employees", *employee, 1, &payloads[1])
         .unwrap();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].left.get(1), &Value::Str("Kaily".into()));
+    assert_eq!(name, Value::Str("Kaily".into()));
 }

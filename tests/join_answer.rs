@@ -452,3 +452,59 @@ fn rows_shipped_for_an_anchor_that_asked_for_none_are_refused() {
         "{err:?}"
     );
 }
+
+#[test]
+fn a_row_named_twice_in_one_class_is_refused() {
+    let (err, accounting) = refused(|stage, _, observation| {
+        if stage == 0 {
+            let class = &mut observation.equality_classes[0];
+            let order = *class.iter().find(|m| m.0 == 1).expect("an Orders member");
+            class.push(order);
+        }
+    });
+    assert!(
+        matches!(err, DbError::Protocol(ref m) if m.contains("named twice")),
+        "{err:?}"
+    );
+    assert_eq!(accounting, (2, 0), "what the server observed is ledgered");
+}
+
+#[test]
+fn an_anchor_row_in_two_classes_is_refused() {
+    let (err, accounting) = refused(|stage, _, observation| {
+        if stage == 1 {
+            let classes = &mut observation.equality_classes;
+            let anchor = *classes[0]
+                .iter()
+                .find(|m| m.0 == 0)
+                .expect("a Customers member");
+            classes[1].push(anchor);
+        }
+    });
+    assert!(
+        matches!(err, DbError::Protocol(ref m) if m.contains("named twice")),
+        "{err:?}"
+    );
+    assert_eq!(accounting, (2, 0), "what the server observed is ledgered");
+}
+
+#[test]
+fn classes_and_members_in_any_order_give_the_same_answer() {
+    let honest = session(Box::new(LocalBackend::new()))
+        .execute(chain())
+        .expect("chain query");
+    let mut reordering = session(Box::new(Tamper {
+        inner: LocalBackend::new(),
+        edit: |_, _, observation| {
+            observation.equality_classes.reverse();
+            for class in &mut observation.equality_classes {
+                class.reverse();
+            }
+        },
+    }));
+    let reordered = reordering
+        .execute(chain())
+        .expect("the same classes in another order");
+    assert_eq!(reordered.tuples, honest.tuples);
+    assert_eq!(reordered.rows, honest.rows);
+}

@@ -47,7 +47,7 @@ fn first_join(backend: Box<dyn ServerApi<MockEngine>>) -> Session<MockEngine> {
     s.create_table(&table("L", &[10]), on_k()).unwrap();
     s.create_table(&table("R", &[10, 20]), on_k()).unwrap();
     let first = s.execute(join()).unwrap();
-    assert_eq!(first.pairs, vec![(0, 0)]);
+    assert_eq!(first.tuples, vec![vec![0, 0]]);
     assert_eq!(first.leakage_delta, 1);
     s
 }
@@ -56,7 +56,7 @@ fn first_join(backend: Box<dyn ServerApi<MockEngine>>) -> Session<MockEngine> {
 /// old `L0` and the new one are two nodes.
 fn assert_new_rows_are_new_nodes(s: &mut Session<MockEngine>) {
     let second = s.execute(join()).unwrap();
-    assert_eq!(second.pairs, vec![(0, 1)], "the new L0 matches R1");
+    assert_eq!(second.tuples, vec![vec![0, 1]], "the new L0 matches R1");
     let visible = s.visible_pairs();
     assert!(
         !visible.contains(&Node::new("R", 0), &Node::new("R", 1)),
@@ -127,7 +127,7 @@ fn a_refused_re_create_keeps_the_old_rows() {
     // The server still holds the old L, so the repeat is the first
     // join again and the server learns nothing new.
     let again = s.execute(join()).unwrap();
-    assert_eq!(again.pairs, vec![(0, 0)]);
+    assert_eq!(again.tuples, vec![vec![0, 0]]);
     assert_eq!(again.leakage_delta, 0, "the old L0 is the same row");
     assert_eq!(s.leakage_report().visible_pairs, 1);
     assert_eq!(

@@ -107,7 +107,7 @@ fn warmed() -> (Session<MockEngine>, Arc<Control>, Vec<Row>) {
         .unwrap();
     s.create_table(&orders(), on_k()).unwrap();
     let first = s.execute(join()).unwrap();
-    assert_eq!(first.pairs, vec![(0, 0), (1, 1), (1, 2)]);
+    assert_eq!(first.tuples, vec![vec![0, 0], vec![1, 1], vec![1, 2]]);
     // People rows 0, 1 × 3 columns + Orders rows 0, 1, 2 × 2 columns.
     assert_eq!(opens(&s), (12, 0));
     let again = s.execute(join()).unwrap();
@@ -194,6 +194,6 @@ fn a_deleted_rows_slots_are_gone() {
     assert_eq!((opens(&s).0 - before.0, opens(&s).1 - before.1), (2, 10));
     // The live answer no longer names row 2.
     let live = s.execute(join()).unwrap();
-    assert_eq!(live.pairs, vec![(0, 0), (1, 1)]);
+    assert_eq!(live.tuples, vec![vec![0, 0], vec![1, 1]]);
     assert_eq!(live.rows, rows[..2]);
 }

@@ -2,9 +2,10 @@
 //! filtered join queries, the encrypted join must return exactly the
 //! plaintext reference join — and the server's leakage observation must
 //! equal the ground-truth σ(q). Random 2–4-table [`QueryPlan`] chains
-//! (with random projections and filters) are additionally checked
-//! against a plaintext hash-join oracle, **byte-identically across the
-//! local backend and the remote backend over a loopback reactor**.
+//! and stars (random anchors, projections and filters) are additionally
+//! checked against a plaintext hash-join oracle, **byte-identically
+//! across the local backend and the remote backend over a loopback
+//! reactor**.
 
 use eqjoin::baselines::ground_truth;
 use eqjoin::db::join::{class_pairs, hash_join, nested_loop_join};
@@ -129,10 +130,15 @@ proptest! {
         let sigma = ground_truth::sigma(&left, &right, &query);
         prop_assert_eq!(observed, sigma, "server view must equal σ(q)");
 
-        // Decrypted payloads really join.
-        let rows = client.decrypt_result(&query, &result, &observation).unwrap();
-        for row in &rows {
-            prop_assert_eq!(row.left.get(0), row.right.get(0));
+        // Decrypted payloads really join: each pair's shipped join
+        // columns open to one value.
+        let mut open_key = |table: &str, rows: &[(usize, Vec<Vec<u8>>)], row: usize| {
+            let (_, payloads) = rows.iter().find(|r| r.0 == row).expect("matched rows ship");
+            client.open_value(table, row, 0, &payloads[0]).unwrap()
+        };
+        for (l, r) in observation.pairs() {
+            let left_key = open_key("L", &result.left_rows, l);
+            prop_assert_eq!(left_key, open_key("R", &result.right_rows, r));
         }
     }
 
@@ -192,12 +198,16 @@ proptest! {
 // Multi-table QueryPlan chains vs a plaintext hash-join oracle
 // ---------------------------------------------------------------------
 
-/// A random 2–4-table chain instance: per-table rows `(k, attr)`, an
-/// optional `attr IN (…)` filter per table, and an optional projection
-/// given as one column bitmask per table (bit 0 = `k`, bit 1 = `attr`).
+/// A random 2–4-table chain instance: per-table rows `(k, attr)`, the
+/// anchor each table `i ≥ 1` joins to (a table `a < i`, so chains and
+/// stars alike), an optional `attr IN (…)` filter per table, and an
+/// optional projection given as one column bitmask per table (bit 0 =
+/// `k`, bit 1 = `attr`).
 #[derive(Debug, Clone)]
 struct ChainInstance {
     tables: Vec<Vec<(u8, u8)>>,
+    /// `anchors[i]` for `i ≥ 1`; `anchors[0]` is unused.
+    anchors: Vec<usize>,
     filters: Vec<Option<Vec<u8>>>,
     projection: Option<Vec<u8>>,
 }
@@ -207,14 +217,16 @@ fn chain_strategy() -> impl Strategy<Value = ChainInstance> {
     (
         2usize..=4,
         proptest::collection::vec(proptest::collection::vec(row(), 0..10), 4usize),
+        proptest::collection::vec(0usize..6, 4usize),
         proptest::collection::vec(
             proptest::option::of(proptest::collection::vec(0u8..4, 1..=3usize)),
             4usize,
         ),
         proptest::option::of(proptest::collection::vec(0u8..4, 4usize)),
     )
-        .prop_map(|(n, mut tables, mut filters, projection)| {
+        .prop_map(|(n, mut tables, anchors, mut filters, projection)| {
             tables.truncate(n);
+            let anchors = (0..n).map(|i| anchors[i] % i.max(1)).collect();
             filters.truncate(n);
             let projection = projection
                 .map(|mut masks| {
@@ -225,6 +237,7 @@ fn chain_strategy() -> impl Strategy<Value = ChainInstance> {
                 .filter(|masks| masks.iter().any(|&m| m & 0b11 != 0));
             ChainInstance {
                 tables,
+                anchors,
                 filters,
                 projection,
             }
@@ -235,11 +248,12 @@ fn table_name(i: usize) -> String {
     format!("T{i}")
 }
 
-/// The instance as a logical plan: every stage joins through `k`.
+/// The instance as a logical plan: stage `i` joins table `i` to its
+/// anchor through `k`.
 fn chain_plan(inst: &ChainInstance) -> QueryPlan {
     let mut plan = QueryPlan::scan(&table_name(0));
     for i in 1..inst.tables.len() {
-        plan = plan.join_on(&table_name(i - 1), "k", &table_name(i), "k");
+        plan = plan.join_on(&table_name(inst.anchors[i]), "k", &table_name(i), "k");
     }
     for (i, filter) in inst.filters.iter().enumerate() {
         if let Some(values) = filter {
@@ -266,8 +280,8 @@ fn chain_plan(inst: &ChainInstance) -> QueryPlan {
     plan
 }
 
-/// Plaintext oracle: filter each table, hash-join the chain through
-/// `k`, project — returns `(tuples, projected rows)` exactly as the
+/// Plaintext oracle: filter each table, hash-join each table to its
+/// anchor through `k`, project — returns `(tuples, projected rows)` exactly as the
 /// encrypted engine should produce them.
 fn oracle(inst: &ChainInstance) -> (Vec<Vec<usize>>, Vec<Vec<Value>>) {
     let passes = |t: usize, row: (u8, u8)| -> bool {
@@ -291,7 +305,8 @@ fn oracle(inst: &ChainInstance) -> (Vec<Vec<usize>>, Vec<Vec<Value>>) {
         }
         let mut next = Vec::new();
         for tuple in &tuples {
-            let anchor_k = inst.tables[t - 1][tuple[t - 1]].0;
+            let anchor = inst.anchors[t];
+            let anchor_k = inst.tables[anchor][tuple[anchor]].0;
             if let Some(rows) = by_k.get(&anchor_k) {
                 for &r in rows {
                     let mut extended = tuple.clone();

@@ -67,7 +67,7 @@ fn paper_series_over_tcp_matches_local_bls12() {
         let l = local.execute(sql).unwrap();
         let r = remote.execute(sql).unwrap();
         assert_eq!(l.rows, r.rows, "decrypted rows must match across TCP");
-        assert_eq!(l.pairs, r.pairs);
+        assert_eq!(l.tuples, r.tuples);
         assert_eq!(l.cache_hit, r.cache_hit);
     }
 
@@ -115,7 +115,7 @@ fn batched_series_over_tcp_is_one_round_trip_bls12() {
     let local_results = local.execute_all(&inputs).unwrap();
     for (l, r) in local_results.iter().zip(&remote_results) {
         assert_eq!(l.rows, r.rows);
-        assert_eq!(l.pairs, r.pairs);
+        assert_eq!(l.tuples, r.tuples);
     }
     assert_eq!(local.leakage_report(), remote.leakage_report());
 }

@@ -6,8 +6,8 @@
 use eqjoin::core::{RowEncoding, SecureJoin, SjParams, SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::crypto::ChaChaRng;
 use eqjoin::db::{
-    DbClient, DbError, JoinOptions, JoinQuery, LocalBackend, Request, Response, Schema, ServerApi,
-    Table, TableConfig, Value,
+    DbClient, DbError, EncryptedJoinResult, JoinOptions, JoinQuery, LocalBackend, Request,
+    Response, Schema, ServerApi, Table, TableConfig, Value,
 };
 use eqjoin::pairing::{ops, Bls12, Engine, Fr, MockEngine};
 use std::sync::Mutex;
@@ -181,12 +181,27 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     );
     // The sealed payloads survive the roundtrip bit-exactly, so the
     // *original* client can still open them.
-    let direct_rows = client
-        .decrypt_result(&query, &direct_result, &direct_observation)
-        .unwrap();
-    let wired_rows = client
-        .decrypt_result(&query, &wired_result, &wired_observation)
-        .unwrap();
+    let mut open = |result: &EncryptedJoinResult| -> Vec<(usize, Vec<Value>)> {
+        let sides = [
+            (&query.left_table, &result.left_rows),
+            (&query.right_table, &result.right_rows),
+        ];
+        let mut opened = Vec::new();
+        for (table, rows) in sides {
+            for (row, payloads) in rows {
+                let values = payloads
+                    .iter()
+                    .enumerate()
+                    .map(|(column, blob)| client.open_value(table, *row, column, blob).unwrap())
+                    .collect();
+                opened.push((*row, values));
+            }
+        }
+        opened
+    };
+    let direct_rows = open(&direct_result);
+    let wired_rows = open(&wired_result);
+    assert!(!direct_rows.is_empty());
     assert_eq!(direct_rows, wired_rows);
 }
 

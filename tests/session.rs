@@ -209,7 +209,8 @@ fn session_series_beats_raw_client_on_tkgen_calls() {
     session.create_table(&right, rcfg).unwrap();
     let mut session_pairs = Vec::new();
     for query in series() {
-        let mut pairs = session.execute(&query).unwrap().pairs;
+        let result = session.execute(&query).unwrap();
+        let mut pairs: Vec<(usize, usize)> = result.tuples.iter().map(|t| (t[0], t[1])).collect();
         pairs.sort_unstable();
         session_pairs.push(pairs);
     }
@@ -569,7 +570,7 @@ fn a_low_cardinality_join_is_recorded_as_its_two_classes() {
     session.create_table(&side("L"), on_k()).unwrap();
     session.create_table(&side("R"), on_k()).unwrap();
     let result = session.execute(JoinQuery::on("L", "k", "R", "k")).unwrap();
-    assert_eq!(result.pairs.len(), 2 * 100 * 100);
+    assert_eq!(result.tuples.len(), 2 * 100 * 100);
     assert_eq!(result.stats.matched_pairs, 2 * 100 * 100);
 
     let report = session.leakage_report();

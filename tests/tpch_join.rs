@@ -6,12 +6,17 @@
 use eqjoin::baselines::ground_truth;
 use eqjoin::db::join::{class_pairs, hash_join, nested_loop_join};
 use eqjoin::db::{
-    DbClient, DbServer, JoinOptions, JoinQuery, ServerStats, Session, SessionConfig, Table,
-    TableConfig,
+    DbClient, DbServer, JoinOptions, JoinQuery, ResultSet, ServerStats, Session, SessionConfig,
+    Table, TableConfig,
 };
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use eqjoin::tpch::{generate_customers, generate_orders, TpchConfig};
 use std::collections::BTreeMap;
+
+/// The matched `(left row, right row)` pairs of a two-table result.
+fn pairs(result: &ResultSet) -> Vec<(usize, usize)> {
+    result.tuples.iter().map(|t| (t[0], t[1])).collect()
+}
 
 fn tpch_session<E: Engine>(config: SessionConfig, customers: &Table, orders: &Table) -> Session<E> {
     let mut session = Session::<E>::local(config);
@@ -52,7 +57,7 @@ fn selectivity_filtered_join_matches_reference_mock() {
         .filter("Orders", "selectivity", vec!["1/25".into()]);
     let result = session.execute(&query).unwrap();
 
-    let mut got = result.pairs.clone();
+    let mut got = pairs(&result);
     got.sort_unstable();
     let expected = ground_truth::reference_join(&customers, &orders, &query);
     assert_eq!(got, expected);
@@ -85,7 +90,7 @@ fn in_clause_query_matches_reference_mock() {
             vec!["1-URGENT".into(), "2-HIGH".into(), "5-LOW".into()],
         );
     let result = session.execute(&query).unwrap();
-    let mut got = result.pairs.clone();
+    let mut got = pairs(&result);
     got.sort_unstable();
     assert_eq!(
         got,
@@ -193,7 +198,7 @@ fn tiny_scale_bls12_smoke() {
         vec!["1/12.5".into()],
     );
     let result = session.execute(&query).unwrap();
-    let mut got = result.pairs.clone();
+    let mut got = pairs(&result);
     got.sort_unstable();
     assert_eq!(
         got,
