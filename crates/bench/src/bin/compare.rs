@@ -103,7 +103,7 @@ fn match_asymptotics() {
 fn parallel_scaling() {
     println!("-- server decrypt parallelism (BLS12-381, 60+600 rows, s = 1/12.5) --");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  ({cores} cores: a request for more threads is served with {cores})");
+    println!("  ({cores} cores: a call for more threads is served with {cores})");
     let mut bench = setup_tpch::<Bls12>(0.0004, 1, 0xca);
     let query = selectivity_query("1/12.5", 1);
     let mut base = None;

@@ -143,10 +143,10 @@ pub struct TpchSession<E: Engine> {
 }
 
 /// Build an encrypted `Customers`/`Orders` session: same tables and
-/// parameters as [`setup_tpch`], pre-filter on, token cache on — and
-/// the **decrypt cache off**, because the figure binaries time the
-/// same query repeatedly and must measure fresh `SJ.Dec` work every
-/// run.
+/// parameters as [`setup_tpch`], pre-filter on — and the **token cache
+/// off**, because the figure binaries time the same query repeatedly
+/// and must measure fresh `SJ.Dec` work every run: each run draws fresh
+/// tokens, which no decrypt-cache entry matches.
 pub fn setup_tpch_session<E: Engine>(scale: f64, t: usize, seed: u64) -> TpchSession<E> {
     let cfg = TpchConfig::new(scale, seed);
     let customers = generate_customers(&cfg);
@@ -156,7 +156,7 @@ pub fn setup_tpch_session<E: Engine>(scale: f64, t: usize, seed: u64) -> TpchSes
         SessionConfig::new(2, t)
             .seed(seed ^ 0xbe9c)
             .prefilter(true)
-            .decrypt_cache(false),
+            .token_cache(false),
     );
     session
         .create_table(
@@ -270,9 +270,13 @@ mod tests {
         let m_sess = run_join_session(&mut sess, &q);
         assert_eq!(m_raw.rows_decrypted, m_sess.rows_decrypted);
         assert_eq!(m_raw.matched_pairs, m_sess.matched_pairs);
-        // Repeat: the session serves tokens from its cache.
-        run_join_session(&mut sess, &q);
-        assert_eq!(sess.session.stats().token_cache_hits, 1);
+        // Repeat: a fresh bundle, decrypted afresh (the figures time
+        // `SJ.Dec`, not the caches).
+        let repeat = run_join_session(&mut sess, &q);
+        assert_eq!(sess.session.stats().token_cache_hits, 0);
+        assert_eq!(sess.session.stats().client.tkgen_calls, 4);
+        assert_eq!(sess.session.stats().decrypt_cache_hits, 0);
+        assert_eq!(repeat.rows_decrypted, m_sess.rows_decrypted);
     }
 
     #[test]

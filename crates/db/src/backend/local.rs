@@ -26,7 +26,7 @@
 use super::transport::TransportCounters;
 use crate::error::DbError;
 use crate::protocol::{Request, Response, ServerApi};
-use crate::server::DbServer;
+use crate::server::{DbServer, JoinOptions};
 use crate::store::{store_failpoint, store_failpoint_action, EncryptedStore};
 use eqjoin_pairing::Engine;
 use std::io::Write;
@@ -133,8 +133,16 @@ impl Disk {
     /// everything after it were written later and never acknowledged.
     /// The file is cut back to the records before it, so an intent
     /// appended from now on is not stranded behind unreadable bytes.
+    /// Only a missing journal reads as empty: one that exists but cannot
+    /// be read may hold acknowledged mutations, so the open fails.
     fn read(&mut self) -> Result<Vec<Vec<u8>>, DbError> {
-        let bytes = std::fs::read(&self.journal).unwrap_or_default();
+        let bytes = match std::fs::read(&self.journal) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                let path = self.journal.display();
+                return Err(DbError::Snapshot(format!("read journal {path}: {e}")));
+            }
+            read => read.unwrap_or_default(),
+        };
         let mut out = Vec::new();
         let mut at = 0usize;
         loop {
@@ -227,11 +235,11 @@ impl<E: Engine> LocalBackend<E> {
         Self::with_config(None, None)
     }
 
-    /// Empty backend with both server defaults configured: decrypt
+    /// Empty backend with both server settings configured: decrypt
     /// workers and decrypt-cache capacity (`eqjoind --threads
-    /// --decrypt-cache-cap`). `threads` is what auto thread requests
-    /// (`JoinOptions::threads == 0`) resolve to, and caps explicit ones,
-    /// instead of the machine's available parallelism.
+    /// --decrypt-cache-cap`). Every join this backend serves runs on
+    /// `threads` workers (`None` or `Some(0)`: one per available core)
+    /// — a request names no thread count.
     pub fn with_config(threads: Option<usize>, cache_cap: Option<usize>) -> Self {
         let mut server = DbServer::new();
         server.set_default_threads(threads);
@@ -421,13 +429,10 @@ impl<E: Engine> LocalBackend<E> {
     fn handle_one(&self, request: Request<E>) -> Response {
         match request {
             Request::Ping => Response::Pong,
-            Request::ExecuteJoin {
-                tokens,
-                options,
-                projection,
-            } => {
+            // A request says what to join; how is this server's choice.
+            Request::ExecuteJoin { tokens, projection } => {
                 let server = self.server.read().unwrap_or_else(|e| e.into_inner());
-                match server.execute_join_projected(&tokens, &options, &projection) {
+                match server.execute_join_projected(&tokens, &JoinOptions::default(), &projection) {
                     Ok((result, observation)) => Response::JoinExecuted {
                         result,
                         observation,
@@ -503,7 +508,6 @@ mod tests {
     use crate::data::{Schema, Table, Value};
     use crate::encrypted::EncryptedRow;
     use crate::query::JoinQuery;
-    use crate::server::JoinOptions;
     use eqjoin_pairing::MockEngine;
     use std::sync::Arc;
 
@@ -538,7 +542,6 @@ mod tests {
                     scope.spawn(move || {
                         match backend.handle(Request::ExecuteJoin {
                             tokens,
-                            options: JoinOptions::default(),
                             projection: Default::default(),
                         }) {
                             Response::JoinExecuted { observation, .. } => observation.pairs(),
@@ -605,7 +608,6 @@ mod tests {
         assert!(matches!(
             backend.handle(Request::ExecuteJoin {
                 tokens,
-                options: JoinOptions::default(),
                 projection: Default::default(),
             }),
             Response::JoinExecuted { .. }
@@ -645,7 +647,6 @@ mod tests {
                 assert!(matches!(
                     backend.handle(Request::ExecuteJoin {
                         tokens,
-                        options: JoinOptions::default(),
                         projection: Default::default(),
                     }),
                     Response::JoinExecuted { .. }
@@ -716,7 +717,6 @@ mod tests {
         );
         match backend.handle(Request::ExecuteJoin {
             tokens,
-            options: JoinOptions::default(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => {
@@ -762,6 +762,22 @@ mod tests {
             open().unwrap().server().store().table("T").is_some(),
             "an acknowledged intent appended after a torn tail was lost"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_journal_fails_the_open() {
+        let dir = std::env::temp_dir().join(format!("eqjoin-unreadable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snap = dir.join("store.snap");
+        let journal = snap.with_extension("journal");
+        // Unreadable (a directory), so it may hold acknowledged intents.
+        std::fs::create_dir_all(&journal).unwrap();
+        match LocalBackend::<MockEngine>::with_persistence(&snap, None, None, 1 << 20) {
+            Err(DbError::Snapshot(msg)) => assert!(msg.contains(&journal.display().to_string())),
+            Err(e) => panic!("expected a journal error, got {e}"),
+            Ok(_) => panic!("an unreadable journal opened as an empty one"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -861,7 +877,6 @@ mod tests {
         );
         match reopened.handle(Request::ExecuteJoin {
             tokens,
-            options: JoinOptions::default(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => {

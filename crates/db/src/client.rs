@@ -153,7 +153,6 @@ pub struct DbClient<E: Engine> {
     encrypt_threads: usize,
     rng: ChaChaRng,
     tables: HashMap<String, TableState>,
-    next_query_id: u64,
     stats: ClientStats,
     /// Every payload slot opened so far, per table: `(row, column) →`
     /// the sealed bytes and their value (see the [module docs](self)).
@@ -187,7 +186,6 @@ impl<E: Engine> DbClient<E> {
             encrypt_threads: config.encrypt_threads,
             rng,
             tables: HashMap::new(),
-            next_query_id: 0,
             stats: ClientStats::default(),
             opened: HashMap::new(),
         }
@@ -480,15 +478,9 @@ impl<E: Engine> DbClient<E> {
             }
         }
         let key = SecureJoin::<E>::fresh_query_key(&mut self.rng);
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
         let left = self.side_tokens(query, true, &key)?;
         let right = self.side_tokens(query, false, &key)?;
-        Ok(QueryTokens {
-            query_id,
-            left,
-            right,
-        })
+        Ok(QueryTokens { left, right })
     }
 
     fn side_tokens(
@@ -822,15 +814,5 @@ mod tests {
             client.query_tokens(&q),
             Err(DbError::EmptyInClause)
         ));
-    }
-
-    #[test]
-    fn query_ids_are_monotonic() {
-        let mut client = DbClient::<MockEngine>::new(2, 2, 7);
-        client.encrypt_table(&sample_table(), config()).unwrap();
-        let q = JoinQuery::on("People", "id", "People", "id");
-        let t1 = client.query_tokens(&q).unwrap();
-        let t2 = client.query_tokens(&q).unwrap();
-        assert_eq!(t1.query_id + 1, t2.query_id);
     }
 }

@@ -163,8 +163,6 @@ pub struct SideTokens<E: Engine> {
 /// Everything the server needs to execute one join query.
 #[derive(Clone, Debug)]
 pub struct QueryTokens<E: Engine> {
-    /// Monotonic query identifier (leakage bookkeeping).
-    pub query_id: u64,
     /// Tokens for the left table.
     pub left: SideTokens<E>,
     /// Tokens for the right table.

@@ -13,15 +13,17 @@
 //!   │    │ encrypt_table  │ query_tokens on miss     │
 //!   │    ▼                ▼                          │
 //!   │ LeakageLedger   Request::Batch of pairwise     │
-//!   │ (per stage)       ExecuteJoins (+ projection)  │
-//!   │    ▲ classes    classes → slot maps, per stage │
+//!   │ (per stage)       ExecuteJoins: tokens and a   │
+//!   │    ▲              projection only              │
+//!   │    │ classes    classes → slot maps, per stage │
 //!   │ walk + per-column decrypt ◀────────┐           │
 //!   └───────────────────────┬────────────┼───────────┘
 //!                           │  ServerApi (protocol)
 //!                           ▼
 //!              LocalBackend / remote backend
 //!   ┌────────────────────────────────────────────────┐
-//!   │ DbServer: SJ.Dec per row (pre-filter, threads) │
+//!   │ DbServer: SJ.Dec per row on its own threads,   │
+//!   │           decrypt cache and pre-filter         │
 //!   │           SJ.Match via hash join on D bytes    │
 //!   │           → JoinObservation: equality classes  │
 //!   │             of (side, row) — the pairs too     │

@@ -11,13 +11,22 @@
 //!   Session ── Request::Batch[Execute…] ──▶ ServerApi
 //!   Session ◀─ Response::Batch[Join…] ──── ServerApi
 //!
+//!   Request::ExecuteJoin
+//!   ├─ tokens       left, right: (table, token, pre-filter tags)
+//!   └─ projection   payload columns each side ships back
+//!
 //!   Response::JoinExecuted
 //!   ├─ result       left rows  [(row id, payloads)]  each matched row once
 //!   │               right rows [(row id, payloads)]  (none if not asked for)
 //!   │               stats
-//!   └─ observation  query id, equality classes [[(side, row id)]]
+//!   └─ observation  equality classes [[(side, row id)]]
 //!                   → pairs(): left × right members of each class
 //! ```
+//!
+//! A join request says what to join and nothing about how: the thread
+//! count, the decrypt cache and the pre-filter are the serving
+//! backend's configuration
+//! ([`JoinOptions::default`](crate::server::JoinOptions) under it).
 //!
 //! [`ServerApi`] is a real transport trait: `handle` takes `&self` and
 //! implementations synchronize internally, so one backend instance can
@@ -103,9 +112,9 @@
 //!   SHA-256 over every token byte as received, so "this entry" means
 //!   "these bytes"; (3) with no miss no pairing runs and the token is
 //!   never used. Any miss, a side the cache does not hold (even one
-//!   that selects no rows) and every `decrypt_cache: false` request
-//!   are checked. In the series setting this protocol exists for, the
-//!   repeat of a query therefore decodes nothing.
+//!   that selects no rows) and every direct call with `decrypt_cache:
+//!   false` are checked. In the series setting this protocol exists
+//!   for, the repeat of a query therefore decodes nothing.
 //!
 //! [`Request::from_bytes`] is the one request decoder — the reactor,
 //! journal replay and every tool call it. It checks `G2` elements
@@ -127,7 +136,7 @@ use crate::backend::TransportStats;
 use crate::encrypted::{EncryptedRow, EncryptedTable, QueryTokens, SideTokens, WireToken};
 use crate::error::DbError;
 use crate::server::{
-    DbServer, EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection, ServerStats,
+    DbServer, EncryptedJoinResult, JoinObservation, PayloadProjection, ServerStats,
 };
 use eqjoin_core::{SjRowCiphertext, SjTableSide};
 use eqjoin_pairing::Engine;
@@ -140,12 +149,11 @@ pub enum Request<E: Engine> {
     Ping,
     /// Upload one encrypted table.
     InsertTable(EncryptedTable<E>),
-    /// Execute a join query for the given token bundle.
+    /// Execute a join query for the given token bundle, under the
+    /// serving backend's own configuration.
     ExecuteJoin {
         /// The two-sided token bundle.
         tokens: QueryTokens<E>,
-        /// Execution options.
-        options: JoinOptions,
         /// Which sealed payload columns each side should ship back
         /// (projection pushdown; the default asks for everything).
         projection: PayloadProjection,
@@ -813,12 +821,7 @@ macro_rules! wire_struct {
 }
 
 wire_struct!(SideTokens<E> { table, token, prefilter });
-wire_struct!(QueryTokens<E> { query_id, left, right });
-wire_struct!(JoinOptions {
-    use_prefilter,
-    threads,
-    decrypt_cache,
-});
+wire_struct!(QueryTokens<E> { left, right });
 wire_struct!(PayloadProjection { left, right });
 wire_struct!(EncryptedRow<E> { cipher, payloads, tags });
 wire_struct!(EncryptedTable<E> { name, join_column, filter_columns, rows });
@@ -836,10 +839,7 @@ wire_struct!(EncryptedJoinResult {
     right_rows,
     stats
 });
-wire_struct!(JoinObservation {
-    query_id,
-    equality_classes
-});
+wire_struct!(JoinObservation { equality_classes });
 
 // ---------------------------------------------------------------------
 // Wire format: the tag tables
@@ -902,7 +902,7 @@ wire_enum! {
     pub mod request_tag: "request", framed: true, for Request<E>;
     0 => Ping,
     1 => InsertTable(table),
-    2 => ExecuteJoin { tokens, options, projection },
+    2 => ExecuteJoin { tokens, projection },
     3 => Batch(requests),
     4 => InsertRows { table, start_row, rows },
     5 => DeleteRows { table, rows },
@@ -1086,7 +1086,6 @@ mod tests {
         let tokens = client.query_tokens(&q).unwrap();
         match backend.handle(Request::ExecuteJoin {
             tokens,
-            options: JoinOptions::default(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => assert_eq!(observation.pairs().len(), 1),
@@ -1101,7 +1100,6 @@ mod tests {
         let tokens = client.query_tokens(&q).unwrap();
         match backend.handle(Request::ExecuteJoin {
             tokens,
-            options: JoinOptions::default(),
             projection: Default::default(),
         }) {
             Response::Error(DbError::UnknownTable(t)) => assert_eq!(t, "T"),
@@ -1120,7 +1118,6 @@ mod tests {
         let seq_pairs =
             |tokens: QueryTokens<MockEngine>| match sequential.handle(Request::ExecuteJoin {
                 tokens,
-                options: JoinOptions::default(),
                 projection: Default::default(),
             }) {
                 Response::JoinExecuted { observation, .. } => observation.pairs(),
@@ -1134,12 +1131,10 @@ mod tests {
             Request::InsertTable(enc),
             Request::ExecuteJoin {
                 tokens: tokens_a,
-                options: JoinOptions::default(),
                 projection: Default::default(),
             },
             Request::ExecuteJoin {
                 tokens: tokens_b,
-                options: JoinOptions::default(),
                 projection: Default::default(),
             },
         ]));

@@ -7,10 +7,9 @@
 //! cache and snapshot persistence all live in [`crate::store`]; this
 //! module is the query executor on top: thread resolution, the match
 //! phase (always the hash join on `D` bytes), payload projection and
-//! leakage observation. A request says what to join; how is mostly the
-//! server's: the match algorithm and the decrypt-cache capacity are
-//! fixed server-side, never per request, and the options a request
-//! does carry ([`JoinOptions`]) act on that request alone.
+//! leakage observation. A request says what to join; how is the
+//! server's configuration (match algorithm, decrypt-cache capacity,
+//! thread count). [`JoinOptions`] only varies a direct call.
 //!
 //! # The series-aware decrypt cache
 //!
@@ -39,10 +38,10 @@ use crate::store::{EncryptedStore, TableStore};
 use eqjoin_pairing::Engine;
 use std::time::{Duration, Instant};
 
-/// The execution options a join request carries. Each acts on this
-/// request only: the match algorithm and the decrypt-cache capacity are
-/// server configuration, so no request can change how a later one is
-/// served.
+/// How one direct call of [`DbServer::execute_join`] runs. No wire
+/// request carries these: every backend serves a join with the default.
+/// Callers holding a [`DbServer`] vary them for a thread sweep (§6.5),
+/// a cache-off timing of fresh `SJ.Dec` or an unfiltered reference.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinOptions {
     /// Honor pre-filter tags if the ciphertexts carry them (on by
@@ -50,10 +49,9 @@ pub struct JoinOptions {
     /// entry from the same side served with them.
     pub use_prefilter: bool,
     /// Worker threads for the decryption phase. `0` (the default) means
-    /// auto: one worker per available core, or the server's configured
-    /// default ([`DbServer::set_default_threads`]); that is also the
-    /// most a request is given, whatever it asks for. The paper's §6.5
-    /// measures exactly this parallelism.
+    /// the server's configured count ([`DbServer::set_default_threads`],
+    /// else one per available core); that is also the most a call is
+    /// given, whatever it asks for.
     pub threads: usize,
     /// Serve repeated byte-identical tokens from the server's decrypt
     /// cache (on by default; see the module docs).
@@ -156,8 +154,6 @@ pub struct EncryptedJoinResult {
 /// dispatched the join knows which table each side names.
 #[derive(Clone, Debug)]
 pub struct JoinObservation {
-    /// Query id (from the token bundle).
-    pub query_id: u64,
     /// Observed equality classes (≥ 2 members) as `(side, row id)`, in
     /// the match phase's hash-map order.
     pub equality_classes: Vec<Vec<(u8, usize)>>,
@@ -316,11 +312,10 @@ impl<E: Engine> DbServer<E> {
             .copy_rows(table, join_column, filter_columns, start_row, rows)
     }
 
-    /// Fix the worker count used when a request asks for auto threads
-    /// (`JoinOptions::threads == 0`) and the ceiling for one that names
-    /// a count. `None` (the default) is the machine's available
-    /// parallelism, read here and when the server is built — not on
-    /// every join.
+    /// Fix the decrypt worker count every wire join runs with (and the
+    /// most a direct call gets). `None` or `Some(0)` (the default) is
+    /// the machine's available parallelism, read here and when the
+    /// server is built — not on every join.
     pub fn set_default_threads(&mut self, threads: Option<usize>) {
         self.max_threads = threads.filter(|&t| t > 0).unwrap_or_else(available_cores);
     }
@@ -332,10 +327,10 @@ impl<E: Engine> DbServer<E> {
         self.store.set_decrypt_cache_cap(cap);
     }
 
-    /// Resolve a request's thread count. The server's ceiling is its
-    /// configured default, else the available cores; a request may ask
-    /// for fewer (`0` = the ceiling), never more — `threads` is a wire
-    /// field, and the decrypt phase spawns one OS thread per chunk.
+    /// Resolve a direct call's thread count. The server's ceiling is
+    /// its configured default, else the available cores; a call may ask
+    /// for fewer (`0` = the ceiling), never more — the decrypt phase
+    /// spawns one OS thread per chunk.
     fn resolve_threads(&self, requested: usize) -> usize {
         match requested {
             0 => self.max_threads,
@@ -411,7 +406,6 @@ impl<E: Engine> DbServer<E> {
             projection.right.as_deref(),
         )?;
         let observation = JoinObservation {
-            query_id: tokens.query_id,
             equality_classes: outcome.equality_classes,
         };
 

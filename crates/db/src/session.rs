@@ -113,8 +113,8 @@ use crate::plan::{ColumnId, LoweredPlan, QueryPlan};
 use crate::protocol::{Request, Response, ServerApi};
 use crate::query::JoinQuery;
 use crate::server::{
-    matched_rows, ships_rows, EncryptedJoinResult, JoinObservation, JoinOptions, PayloadProjection,
-    ServerStats, ShippedRow,
+    matched_rows, ships_rows, EncryptedJoinResult, JoinObservation, PayloadProjection, ServerStats,
+    ShippedRow,
 };
 use eqjoin_leakage::{LeakageLedger, PairSet};
 use eqjoin_pairing::Engine;
@@ -122,14 +122,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::time::Duration;
 
-/// Session configuration: the client's crypto parameters plus execution
-/// and caching policy, fixed at construction.
+/// Session configuration: the client's crypto parameters plus caching
+/// policy, fixed at construction. How a join runs is the backend's.
 #[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
     /// Client crypto configuration (`m`, `t`, seed, pre-filter).
     pub client: ClientConfig,
-    /// Server-side execution options sent with every join.
-    pub options: JoinOptions,
+    /// Decrypt threads of the backend [`Session::local`] builds.
+    pub threads: usize,
     /// Cache token bundles per canonical pairwise stage (on by default;
     /// see the module docs for why the cache key is the stage).
     pub token_cache: bool,
@@ -143,12 +143,11 @@ pub struct SessionConfig {
 impl SessionConfig {
     /// Scheme dimensions `m` (filter attributes per table) and `t`
     /// (`IN`-clause bound); defaults: seed 0, pre-filter off, token
-    /// cache on, server decrypt cache on, and auto decrypt threads (the
-    /// executing server's ceiling).
+    /// cache on, and auto decrypt threads for [`Session::local`].
     pub fn new(m: usize, t: usize) -> Self {
         SessionConfig {
             client: ClientConfig::new(m, t),
-            options: JoinOptions::default(),
+            threads: 0,
             token_cache: true,
             deadline: None,
         }
@@ -181,19 +180,12 @@ impl SessionConfig {
         self
     }
 
-    /// Enable/disable the server's decrypt cache for this session's
-    /// joins (on by default). With both caches on, a repeated query
-    /// skips `SJ.TkGen` client-side *and* every `SJ.Dec` pairing
-    /// server-side.
-    pub fn decrypt_cache(mut self, enabled: bool) -> Self {
-        self.options.decrypt_cache = enabled;
-        self
-    }
-
-    /// Worker threads for the server's decryption phase (`0` = auto,
-    /// the default: one per available core on the executing server).
+    /// Decrypt worker threads of the in-process backend (`0` = auto,
+    /// the default: one per available core). Only [`Session::local`]
+    /// honors it, as only [`Session::remote`] honors the deadline:
+    /// other backends run on the configuration they were built with.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
+        self.threads = threads;
         self
     }
 }
@@ -462,9 +454,11 @@ struct StageDispatch<E: Engine> {
 }
 
 impl<E: Engine> Session<E> {
-    /// Session over an in-process [`LocalBackend`].
+    /// Session over an in-process [`LocalBackend`] whose joins run on
+    /// [`SessionConfig::threads`] decrypt workers.
     pub fn local(config: SessionConfig) -> Self {
-        Self::with_backend(config, Box::new(LocalBackend::new()))
+        let backend = LocalBackend::with_config(Some(config.threads), None);
+        Self::with_backend(config, Box::new(backend))
     }
 
     /// Session over a [`RemoteBackend`] connected to an `eqjoind`
@@ -1152,7 +1146,6 @@ impl<E: Engine> Session<E> {
                             .push([d.tokens.left.table.clone(), d.tokens.right.table.clone()]);
                         requests.push(Request::ExecuteJoin {
                             tokens: d.tokens,
-                            options: self.config.options,
                             projection: d.projection,
                         });
                     }
@@ -1846,9 +1839,9 @@ mod tests {
             results[1].stats.decrypt_cache_hits,
             "session accumulates the per-query counters"
         );
-        // With the decrypt cache off the repeat recomputes everything.
+        // With fresh tokens (token cache off) the repeat recomputes all.
         let mut off =
-            Session::<MockEngine>::local(SessionConfig::new(1, 3).seed(99).decrypt_cache(false));
+            Session::<MockEngine>::local(SessionConfig::new(1, 3).seed(99).token_cache(false));
         let (left, right) = tables();
         off.create_table(&left, cfg("L")).unwrap();
         off.create_table(&right, cfg("R")).unwrap();
@@ -1857,7 +1850,7 @@ mod tests {
             .execute_all(&[QueryInput::from(&q2), QueryInput::from(&q2)])
             .unwrap();
         assert_eq!(off.stats().decrypt_cache_hits, 0);
-        // Cache on vs off: identical rows, pairs and leakage.
+        // Cached or decrypted afresh: identical rows, pairs and leakage.
         for (a, b) in results.iter().zip(&off_results) {
             assert_eq!(a.rows, b.rows);
             assert_eq!(a.tuples, b.tuples);

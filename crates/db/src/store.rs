@@ -1321,7 +1321,9 @@ fn decrypt_positions<E: Engine>(
 
 /// The bytes a side's decrypt-cache fingerprint is the SHA-256 of: the
 /// token elements as received, the target table, the pre-filter
-/// constraint sets and whether the pre-filter applies. Byte-identical
+/// constraint sets and whether the pre-filter applies (`1` for every
+/// wire join; only a direct call can clear it, and the byte stays so
+/// that no stored fingerprint moves). Byte-identical
 /// preimages decrypt to byte-identical outputs, which is what makes
 /// the memoization sound — and, the engines' decoding being canonical
 /// (one encoding per element: a string decodes only if it re-encodes to

@@ -12,8 +12,8 @@
 #![cfg(feature = "failpoints")]
 
 use eqjoin_db::{
-    DbClient, EncryptedTable, JoinOptions, JoinQuery, LocalBackend, Request, Response, Schema,
-    ServerApi, Table, TableConfig, Value,
+    DbClient, EncryptedTable, JoinQuery, LocalBackend, Request, Response, Schema, ServerApi, Table,
+    TableConfig, Value,
 };
 use eqjoin_pairing::MockEngine;
 use std::path::{Path, PathBuf};
@@ -161,7 +161,6 @@ fn snapshot_writes_never_overlap() {
         let second = scope.spawn(|| {
             acked(backend.handle(Request::ExecuteJoin {
                 tokens,
-                options: JoinOptions::default(),
                 projection: Default::default(),
             }));
             backend.flush()

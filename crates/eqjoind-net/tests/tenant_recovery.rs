@@ -9,8 +9,8 @@
 #![cfg(feature = "failpoints")]
 
 use eqjoin_db::{
-    DbClient, DbError, JoinOptions, JoinQuery, QueryTokens, Request, Response, Schema, ServerApi,
-    Table, TableConfig, Value,
+    DbClient, DbError, JoinQuery, QueryTokens, Request, Response, Schema, ServerApi, Table,
+    TableConfig, Value,
 };
 use eqjoin_pairing::MockEngine;
 use eqjoind_net::TenantRegistry;
@@ -43,7 +43,6 @@ fn ask(
 fn join(tokens: &QueryTokens<MockEngine>) -> Request<MockEngine> {
     Request::ExecuteJoin {
         tokens: tokens.clone(),
-        options: JoinOptions::default(),
         projection: Default::default(),
     }
 }

@@ -68,9 +68,9 @@ usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
 
 --listen ADDR           bind address (default 127.0.0.1:4747; port 0 picks one)
 --engine NAME           pairing engine, must match clients (default bls)
---threads T             decrypt workers per join: what a request asking for
-                        auto threads gets and the most any request gets
-                        (default: one per available core)
+--threads T             decrypt workers every join runs on; a request
+                        names no thread count (default: one per
+                        available core)
 --workers W             request-executing worker threads behind the
                         reactor (default: one per available core)
 --max-inflight N        per-tenant cap on admitted requests (0 = unlimited;

@@ -16,8 +16,8 @@ mod harness;
 
 use eqjoin_db::backend::{RemoteConfig, RetryPolicy};
 use eqjoin_db::{
-    DbClient, DbError, JoinOptions, JoinQuery, RemoteBackend, Request, Response, Schema, ServerApi,
-    Table, TableConfig, Value,
+    DbClient, DbError, JoinQuery, RemoteBackend, Request, Response, Schema, ServerApi, Table,
+    TableConfig, Value,
 };
 use eqjoin_pairing::MockEngine;
 use harness::{join_response_bytes, scratch_data_dir, Daemon};
@@ -87,7 +87,6 @@ fn workload(addr: &str) -> Vec<Response> {
     for _ in 0..2 {
         out.push(api.handle(Request::ExecuteJoin {
             tokens: tokens.clone(),
-            options: JoinOptions::default(),
             projection: Default::default(),
         }));
     }
@@ -232,7 +231,6 @@ fn sigkill_mid_save_restarts_consistent_via_journal_replay() {
         .unwrap();
     let exec = || Request::<MockEngine>::ExecuteJoin {
         tokens: tokens.clone(),
-        options: JoinOptions::default(),
         projection: Default::default(),
     };
 
@@ -338,7 +336,6 @@ fn sigkill_between_snapshot_and_journal_truncate_replays_idempotently() {
         .unwrap();
     let exec = || Request::<MockEngine>::ExecuteJoin {
         tokens: tokens.clone(),
-        options: JoinOptions::default(),
         projection: Default::default(),
     };
 
@@ -486,7 +483,6 @@ fn compaction_threshold_daemon_defers_then_drain_compacts() {
         let api: &dyn ServerApi<MockEngine> = &backend;
         match api.handle(Request::ExecuteJoin {
             tokens,
-            options: JoinOptions::default(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => {

@@ -14,8 +14,7 @@
 mod harness;
 
 use eqjoin_db::{
-    DbClient, JoinOptions, JoinQuery, Request, Response, Schema, ServerApi, Table, TableConfig,
-    Value,
+    DbClient, JoinQuery, Request, Response, Schema, ServerApi, Table, TableConfig, Value,
 };
 use eqjoin_pairing::MockEngine;
 use harness::{join_response_bytes, scratch_data_dir, Daemon};
@@ -55,7 +54,6 @@ fn series() -> Series {
 fn exec(series: &Series) -> Request<MockEngine> {
     Request::ExecuteJoin {
         tokens: series.tokens.clone(),
-        options: JoinOptions::default(),
         projection: Default::default(),
     }
 }

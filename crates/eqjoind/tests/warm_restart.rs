@@ -7,9 +7,7 @@
 
 mod harness;
 
-use eqjoin_db::{
-    DbClient, JoinOptions, JoinQuery, Request, Schema, ServerApi, Table, TableConfig, Value,
-};
+use eqjoin_db::{DbClient, JoinQuery, Request, Schema, ServerApi, Table, TableConfig, Value};
 use eqjoin_pairing::MockEngine;
 use harness::{join_response_bytes, scratch_data_dir, Daemon};
 
@@ -35,7 +33,6 @@ fn killed_and_restarted_eqjoind_resumes_the_series_warm() {
         .unwrap();
     let exec = || Request::<MockEngine>::ExecuteJoin {
         tokens: tokens.clone(),
-        options: JoinOptions::default(),
         projection: Default::default(),
     };
 

@@ -9,8 +9,8 @@
 mod harness;
 
 use eqjoin_db::{
-    DbClient, JoinOptions, JoinQuery, RemoteBackend, Request, Response, Schema, ServerApi, Table,
-    TableConfig, Value,
+    DbClient, JoinQuery, RemoteBackend, Request, Response, Schema, ServerApi, Table, TableConfig,
+    Value,
 };
 use eqjoin_pairing::MockEngine;
 use harness::{scratch_data_dir, Daemon};
@@ -53,7 +53,6 @@ fn daemon_frame_counters_equal_the_clients_wire_traffic() {
     }
     let joined = api.handle(Request::ExecuteJoin {
         tokens,
-        options: JoinOptions::default(),
         projection: Default::default(),
     });
     assert!(

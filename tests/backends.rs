@@ -78,10 +78,6 @@ fn config(token_cache: bool) -> SessionConfig {
         .token_cache(token_cache)
 }
 
-fn config_decrypt(decrypt_cache: bool) -> SessionConfig {
-    config(true).decrypt_cache(decrypt_cache)
-}
-
 /// Byte-exact encoding of a result series (rows and matched pairs).
 fn encode(results: &[ResultSet]) -> Vec<Vec<u8>> {
     results
@@ -165,16 +161,20 @@ fn backends_agree_and_remote_batches_into_one_round_trip() {
 /// server actually lives, counted through the wire-format stats.
 #[test]
 fn decrypt_cache_is_invisible_in_results_and_counted_across_backends() {
+    // The baseline decrypts every query afresh: with the token cache
+    // off, the repeat (query 3) carries fresh tokens, which no
+    // decrypt-cache entry matches.
     let (baseline, baseline_report) = {
-        let mut session = Session::local(config_decrypt(false));
+        let mut session = Session::local(config(false));
         let encoded = run_series(&mut session);
+        assert_eq!(session.stats().decrypt_cache_hits, 0);
         (encoded, session.leakage_report())
     };
-    for decrypt_cache in [true, false] {
+    for token_cache in [true, false] {
         let (addr, _server) = spawn_server();
         let sessions = [
-            Session::local(config_decrypt(decrypt_cache)),
-            Session::remote(config_decrypt(decrypt_cache), addr).unwrap(),
+            Session::local(config(token_cache)),
+            Session::remote(config(token_cache), addr).unwrap(),
         ];
         for mut session in sessions {
             populate(&mut session);
@@ -182,9 +182,10 @@ fn decrypt_cache_is_invisible_in_results_and_counted_across_backends() {
             let results = session.execute_all(&inputs).unwrap();
 
             // The repeat (query 3) must be a full decrypt-cache hit iff
-            // the cache is on; everything else always misses (fresh k).
+            // it repeats the tokens too; everything else always misses
+            // (fresh k).
             let repeat = &results[3];
-            if decrypt_cache {
+            if token_cache {
                 assert_eq!(
                     repeat.stats.decrypt_cache_hits as usize, repeat.stats.rows_decrypted,
                     "repeat must skip 100% of SJ.Dec"
@@ -206,12 +207,12 @@ fn decrypt_cache_is_invisible_in_results_and_counted_across_backends() {
             assert_eq!(
                 encode(&results),
                 baseline,
-                "decrypt_cache = {decrypt_cache}: results must be byte-identical"
+                "token_cache = {token_cache}: results must be byte-identical"
             );
             assert_eq!(
                 session.leakage_report(),
                 baseline_report,
-                "decrypt_cache = {decrypt_cache}: leakage must be identical"
+                "token_cache = {token_cache}: leakage must be identical"
             );
             assert!(session.leakage_report().within_bound);
         }

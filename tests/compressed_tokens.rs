@@ -16,11 +16,12 @@
 //! The metrics registry is process-wide, so every test here runs under
 //! one lock.
 
+use eqjoin::core::{SjTableSide, SjToken};
 use eqjoin::db::{
-    DbError, JoinOptions, LocalBackend, PayloadProjection, QueryPlan, Request, Response, Schema,
+    DbError, LocalBackend, PayloadProjection, QueryPlan, QueryTokens, Request, Response, Schema,
     ServerApi, Session, SessionConfig, SideTokens, Table, TableConfig, Value, WireToken,
 };
-use eqjoin::pairing::{Bls12, Engine, MockEngine};
+use eqjoin::pairing::{Bls12, Engine, Fr, MockEngine};
 use std::sync::{Arc, Mutex};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -33,38 +34,8 @@ const ELEMENT_BYTES: usize = 48;
 /// elements back to back.
 const SIDE_BYTES: usize = 1 + 8 + ELEMENTS * ELEMENT_BYTES;
 
-/// The two `request.ExecuteJoin` lines of `tests/fixtures/wire_golden.hex`
-/// as the codec wrote them while each `G1` element still carried a `u64`
-/// length (`MockEngine`, 32-byte elements).
-const LENGTH_PREFIXED_EXECUTE_JOINS: [&str; 2] = [
-    concat!(
-        "021e00000000000000030000000000000054333000030000000000000020000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000005200000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000004d2000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000109202000000000000000000000000000000020000",
-        "000000000005000000000000009b000000000000000c0000000000000074010000000000000100000000",
-        "00000002000000000000004d00000000000000530900000000000054000000000000002c0a0000000000",
-        "000300000000000000543331010300000000000000200000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000052000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000004d20000000000000000000000000000000000000000000000000",
-        "000000000000000000000000001092020000000000000000000000000000000200000000000000050000",
-        "00000000009b000000000000000c00000000000000740100000000000001000000000000000200000000",
-        "0000004d00000000000000530900000000000054000000000000002c0a00000000000001020000000000",
-        "000001010200000000000000000000000000000001000000000000000101000000000000000200000000",
-        "000000",
-    ),
-    concat!(
-        "020700000000000000020000000000000054370001000000000000002000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000901000000000000000000000000000000",
-        "0200000000000000090000000000000017010000000000001000000000000000f0010000000000000200",
-        "000000000000543801010000000000000020000000000000000000000000000000000000000000000000",
-        "000000000000000000000000000009010000000000000000000000000000000200000000000000090000",
-        "000000000017010000000000001000000000000000f001000000000000000000000000000000000000",
-    ),
-];
-
 fn config() -> SessionConfig {
-    SessionConfig::new(2, 3).seed(0x48).threads(1)
+    SessionConfig::new(2, 3).seed(0x48)
 }
 
 /// `Customers ⋈ Orders ⋈ Profiles` on `custkey`: two pairwise stages,
@@ -113,10 +84,10 @@ impl ServerApi<Bls12> for Recorder {
     }
 }
 
-/// A session over a fresh `LocalBackend`, the three tables uploaded;
-/// the backend, and every request the session sent it.
+/// A session over a fresh one-thread `LocalBackend`, the three tables
+/// uploaded; the backend, and every request the session sent it.
 fn recorded_session() -> (Session<Bls12>, Arc<LocalBackend<Bls12>>, Seen) {
-    let inner = Arc::new(LocalBackend::new());
+    let inner = Arc::new(LocalBackend::with_config(Some(1), None));
     let seen = Arc::new(Mutex::new(Vec::new()));
     let recorder = Recorder {
         inner: Arc::clone(&inner),
@@ -158,7 +129,7 @@ fn without_elements(request: &Request<Bls12>) -> Request<Bls12> {
 
 /// The bytes `side`'s token occupies after its side tag: the element
 /// count, then the elements back to back.
-fn encoded_elements(side: &SideTokens<Bls12>) -> Vec<u8> {
+fn encoded_elements<E: Engine>(side: &SideTokens<E>) -> Vec<u8> {
     let mut out = (side.token.len() as u64).to_le_bytes().to_vec();
     for element in side.token.elements() {
         out.extend_from_slice(element);
@@ -166,11 +137,51 @@ fn encoded_elements(side: &SideTokens<Bls12>) -> Vec<u8> {
     out
 }
 
-fn unhex(hex: &str) -> Vec<u8> {
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
-        .collect()
+/// `frame` with `side`'s token elements replaced by `elements`, written
+/// the way a build before compression wrote them: the count, then each
+/// element behind its own `u64` length.
+fn with_element_lengths<E: Engine>(
+    frame: &[u8],
+    side: &SideTokens<E>,
+    elements: &[Vec<u8>],
+) -> Vec<u8> {
+    let current = encoded_elements(side);
+    let mut old = (elements.len() as u64).to_le_bytes().to_vec();
+    for element in elements {
+        old.extend_from_slice(&(element.len() as u64).to_le_bytes());
+        old.extend_from_slice(element);
+    }
+    let at = frame
+        .windows(current.len())
+        .position(|w| w == current.as_slice())
+        .expect("the frame carries the side's elements");
+    [&frame[..at], &old, &frame[at + current.len()..]].concat()
+}
+
+/// A `MockEngine` join of two `elements`-element token sides (32-byte
+/// elements), with pre-filter tags and a projection.
+fn mock_join(elements: u64) -> Request<MockEngine> {
+    let side = |table: &str, side, seed: u64| SideTokens {
+        table: table.into(),
+        token: SjToken::<MockEngine>::from_elements(
+            side,
+            (0..elements)
+                .map(|i| MockEngine::g1_mul_gen(&Fr::from_u64(seed + i)))
+                .collect(),
+        )
+        .into(),
+        prefilter: vec![(0, vec![[seed as u8; 16]])],
+    };
+    Request::ExecuteJoin {
+        tokens: QueryTokens {
+            left: side("T30", SjTableSide::A, 5),
+            right: side("T31", SjTableSide::B, 77),
+        },
+        projection: PayloadProjection {
+            left: Some(vec![0, 2]),
+            right: None,
+        },
+    }
 }
 
 #[test]
@@ -215,11 +226,24 @@ fn a_token_side_is_537_bytes_and_a_chain_batch_carries_four() {
 
 #[test]
 fn a_frame_whose_elements_carry_lengths_is_a_protocol_error() {
-    for hex in LENGTH_PREFIXED_EXECUTE_JOINS {
-        match Request::<MockEngine>::from_bytes(&unhex(hex)) {
-            Err(DbError::Protocol(_)) => {}
-            Err(other) => panic!("refused with an untyped error: {other:?}"),
-            Ok(_) => panic!("a length-prefixed token decoded to a request"),
+    for elements in [1, 3] {
+        let request = mock_join(elements);
+        let frame = request.to_bytes();
+        assert!(
+            Request::<MockEngine>::from_bytes(&frame).is_ok(),
+            "without the lengths the frame decodes"
+        );
+        let Request::ExecuteJoin { tokens, .. } = &request else {
+            unreachable!("a join")
+        };
+        let left_only = with_element_lengths(&frame, &tokens.left, tokens.left.token.elements());
+        let both = with_element_lengths(&left_only, &tokens.right, tokens.right.token.elements());
+        for old in [left_only, both] {
+            match Request::<MockEngine>::from_bytes(&old) {
+                Err(DbError::Protocol(_)) => {}
+                Err(other) => panic!("refused with an untyped error: {other:?}"),
+                Ok(_) => panic!("a length-prefixed token decoded to a request"),
+            }
         }
     }
 }
@@ -235,7 +259,7 @@ fn the_token_check_span_counts_cold_sides_and_not_warm_ones() {
     };
     let elements = || registry.counter_value("eqjoin_store_token_elements_checked_total", None);
 
-    let mut session = Session::<Bls12>::local(config());
+    let mut session = Session::<Bls12>::local(config().threads(1));
     create_tables(&mut session);
 
     let (before, elements_before) = (checks(), elements());
@@ -294,21 +318,10 @@ fn an_old_clients_96_byte_elements_are_a_typed_protocol_error() {
     // backend goes on serving.
     let join = |tokens| Request::ExecuteJoin {
         tokens,
-        options: JoinOptions::default(),
         projection: PayloadProjection::default(),
     };
     let frame = join(good.clone()).to_bytes();
-    let compressed = encoded_elements(&good.left);
-    let mut old_tail = (uncompressed.len() as u64).to_le_bytes().to_vec();
-    for element in &uncompressed {
-        old_tail.extend_from_slice(&(element.len() as u64).to_le_bytes());
-        old_tail.extend_from_slice(element);
-    }
-    let at = frame
-        .windows(compressed.len())
-        .position(|w| w == compressed.as_slice())
-        .expect("the frame carries the left side's elements");
-    let old_frame = [&frame[..at], &old_tail, &frame[at + compressed.len()..]].concat();
+    let old_frame = with_element_lengths(&frame, &good.left, &uncompressed);
     assert!(matches!(
         Request::<Bls12>::from_bytes(&old_frame),
         Err(DbError::Protocol(_))

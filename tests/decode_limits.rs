@@ -97,22 +97,14 @@ fn hostile_frames_cost_memory_in_proportion_to_their_size() {
     let empty_str = u64_le(0);
     let insert_table = [&[1u8][..], &empty_str, &empty_str, &empty_str].concat();
     let insert_rows = [&[4u8][..], &empty_str, &empty_str].concat();
-    // `ExecuteJoin`: query id, the left side's table name "T", its
-    // token's side tag — then the element count.
-    let token_side = [&[2u8][..], &u64_le(7), &u64_le(1), b"T", &[0]].concat();
+    // `ExecuteJoin`: the left side's table name "T", its token's side
+    // tag — then the element count.
+    let token_side = [&[2u8][..], &u64_le(1), b"T", &[0]].concat();
     // `JoinExecuted`: no left rows — then the right rows' count.
     let right_rows = [&[2u8][..], &empty_str].concat();
-    // `JoinExecuted`: no rows, seven zero counters, a query id, one
-    // class — then that class's member count.
-    let class_members = [
-        &[2u8][..],
-        &empty_str,
-        &empty_str,
-        &[0; 7 * 8],
-        &u64_le(9),
-        &u64_le(1),
-    ]
-    .concat();
+    // `JoinExecuted`: no rows, seven zero counters, one class — then
+    // that class's member count.
+    let class_members = [&[2u8][..], &empty_str, &empty_str, &[0; 7 * 8], &u64_le(1)].concat();
     type Cost = fn(&[u8]) -> (usize, bool);
     let lies: [(&str, Cost, &[u8]); 8] = [
         ("request batch", request_cost, &[3]),

@@ -244,8 +244,8 @@ fn each_side_ships_each_matched_row_once_and_an_anchor_ships_none() {
 /// The bytes of a `JoinExecuted` answer, by the layout README's "Wire
 /// format" gives: the tag; each side's rows as a count, then per row
 /// its id, a payload count and each payload's length and bytes; seven
-/// 8-byte counters; the query id; the classes as a count, then per
-/// class a member count and 9 bytes per member (side byte, row id).
+/// 8-byte counters; the classes as a count, then per class a member
+/// count and 9 bytes per member (side byte, row id).
 fn layout_bytes(result: &EncryptedJoinResult, observation: &JoinObservation) -> usize {
     let rows = |rows: &[(usize, Vec<Vec<u8>>)]| -> usize {
         8 + rows
@@ -258,7 +258,7 @@ fn layout_bytes(result: &EncryptedJoinResult, observation: &JoinObservation) -> 
         .iter()
         .map(|class| 8 + 9 * class.len())
         .sum();
-    1 + rows(&result.left_rows) + rows(&result.right_rows) + 7 * 8 + 8 + 8 + classes
+    1 + rows(&result.left_rows) + rows(&result.right_rows) + 7 * 8 + 8 + classes
 }
 
 #[test]

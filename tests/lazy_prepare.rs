@@ -31,12 +31,23 @@ fn cfg(filter: &str) -> TableConfig {
     }
 }
 
-fn join<E: Engine>(tokens: &QueryTokens<E>, options: JoinOptions) -> Request<E> {
+fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
         tokens: tokens.clone(),
-        options,
         projection: Default::default(),
     }
+}
+
+/// The matched pairs of one join the backend's server runs under
+/// `options` — a direct call, for passes no wire request can ask for
+/// (decrypt cache off).
+fn pairs_under<E: Engine>(
+    backend: &LocalBackend<E>,
+    tokens: &QueryTokens<E>,
+    options: JoinOptions,
+) -> Vec<(usize, usize)> {
+    let (_, observation) = backend.server().execute_join(tokens, &options).unwrap();
+    observation.pairs()
 }
 
 /// Execute a join and return `(matched pairs, rows SJ.Dec considered)`.
@@ -141,7 +152,7 @@ fn rows_are_prepared_by_the_first_query_that_selects_them_and_by_nothing_else() 
     let query = JoinQuery::on("L", "k", "R", "k").filter("L", "a", vec!["x".into()]);
     let tokens = client.query_tokens(&query).unwrap();
     let before = ops::snapshot();
-    let (first, decrypted) = run(&backend, join(&tokens, JoinOptions::default()));
+    let (first, decrypted) = run(&backend, join(&tokens));
     assert_eq!(decrypted, 6);
     let delta = ops::snapshot().since(&before);
     assert_eq!(delta.g2_prepares, decrypted * elements);
@@ -151,12 +162,12 @@ fn rows_are_prepared_by_the_first_query_that_selects_them_and_by_nothing_else() 
     // A byte-identical repeat is served from the decrypt cache; the
     // same query under fresh tokens runs SJ.Dec again — on prepared rows.
     let before = ops::snapshot();
-    let (repeat, _) = run(&backend, join(&tokens, JoinOptions::default()));
+    let (repeat, _) = run(&backend, join(&tokens));
     assert_eq!(repeat, first);
     let delta = ops::snapshot().since(&before);
     assert_eq!((delta.g2_prepares, delta.miller_pairs), (0, 0));
     let fresh = client.query_tokens(&query).unwrap();
-    let (again, _) = run(&backend, join(&fresh, JoinOptions::default()));
+    let (again, _) = run(&backend, join(&fresh));
     assert_eq!(again, first);
     let delta = ops::snapshot().since(&before);
     assert_eq!(delta.g2_prepares, 0, "prepared rows are not prepared again");
@@ -182,7 +193,7 @@ fn rows_are_prepared_by_the_first_query_that_selects_them_and_by_nothing_else() 
     );
     let before = ops::snapshot();
     let fresh = client.query_tokens(&query).unwrap();
-    let (_, decrypted) = run(&backend, join(&fresh, JoinOptions::default()));
+    let (_, decrypted) = run(&backend, join(&fresh));
     assert_eq!(decrypted, 7);
     assert_eq!(ops::snapshot().since(&before).g2_prepares, elements);
     assert_eq!(prepared_rows() - baseline, 7);
@@ -231,17 +242,13 @@ fn a_full_scan_costs_what_eager_preparation_cost() {
     let enc_right = client.encrypt_table(&right, cfg("b")).unwrap();
     let query = JoinQuery::on("L", "k", "R", "k").filter("L", "a", vec!["a0".into()]);
     let tokens = client.query_tokens(&query).unwrap();
-    let full_scan = JoinOptions {
-        threads: 1,
-        ..JoinOptions::default()
-    };
 
     let baseline = prepared_rows();
     let before = ops::snapshot();
-    let backend = LocalBackend::<Bls12>::new();
+    let backend = LocalBackend::<Bls12>::with_config(Some(1), None);
     applied(&backend, Request::InsertTable(enc_left));
     applied(&backend, Request::InsertTable(enc_right));
-    let (_, decrypted) = run(&backend, join(&tokens, full_scan));
+    let (_, decrypted) = run(&backend, join(&tokens));
     let delta = ops::snapshot().since(&before);
     assert_eq!(decrypted, 9, "no tags: every stored row");
     assert_eq!(prepared_rows() - baseline, 9, "every row prepared");
@@ -252,7 +259,7 @@ fn a_full_scan_costs_what_eager_preparation_cost() {
 
     let before = ops::snapshot();
     let fresh = client.query_tokens(&query).unwrap();
-    run(&backend, join(&fresh, full_scan));
+    run(&backend, join(&fresh));
     assert_eq!(
         ops::snapshot().since(&before).g2_prepares,
         0,
@@ -293,7 +300,7 @@ fn racing_first_touches_agree_and_fill_each_row_once() {
             .map(|_| {
                 scope.spawn(|| {
                     start.wait();
-                    run(&backend, join(&tokens, options)).0
+                    pairs_under(&backend, &tokens, options)
                 })
             })
             .collect();
@@ -363,7 +370,7 @@ fn touch_all(backend: &LocalBackend<MockEngine>, foreign: &mut DbClient<MockEngi
         let tokens = foreign
             .query_tokens(&JoinQuery::on(table, "k", table, "k"))
             .unwrap();
-        run(backend, join(&tokens, options));
+        pairs_under(backend, &tokens, options);
     }
 }
 

@@ -189,7 +189,7 @@ proptest! {
         };
         let (left, right) = (side(&left), side(&right));
         let outcome = hash_join(&left, &right);
-        let observation = JoinObservation { query_id: 0, equality_classes: outcome.equality_classes };
+        let observation = JoinObservation { equality_classes: outcome.equality_classes };
         prop_assert_eq!(observation.pairs(), nested_loop_join(&left, &right).pairs);
     }
 }

@@ -134,23 +134,22 @@ proptest! {
 
     #[test]
     fn execute_join_requests_round_trip_and_reject_truncation(
-        query_id in 0u64..1_000,
+        id in 0u64..1_000,
         seeds in proptest::collection::vec(0u64..1_000_000, 1..8),
-        threads in 0u64..9,
     ) {
-        let request = exec_request(query_id, &seeds, threads);
+        let request = exec_request(id, &seeds);
         assert_request_round_trips(&request);
         assert_prefixes_rejected(&request.to_bytes(), request_rejected);
     }
 
     #[test]
     fn batched_series_round_trip_and_reject_truncation(
-        query_ids in proptest::collection::vec(0u64..100, 0..5),
+        ids in proptest::collection::vec(0u64..100, 0..5),
         seeds in proptest::collection::vec(0u64..1_000_000, 1..4),
     ) {
         let mut requests: Vec<Req> = vec![Request::Ping];
-        for &q in &query_ids {
-            requests.push(exec_request(q, &seeds, q % 4));
+        for &id in &ids {
+            requests.push(exec_request(id, &seeds));
         }
         let batch = Request::Batch(requests);
         assert_request_round_trips(&batch);
@@ -215,7 +214,7 @@ proptest! {
         flip_pos in 0u64..10_000,
         flip_mask in 1u64..256,
     ) {
-        let request = exec_request(7, &seeds, 2);
+        let request = exec_request(7, &seeds);
         let mut bytes = request.to_bytes();
         let pos = (flip_pos as usize) % bytes.len();
         bytes[pos] ^= flip_mask as u8;

@@ -6,8 +6,8 @@
 use eqjoin::core::{RowEncoding, SecureJoin, SjParams, SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::crypto::ChaChaRng;
 use eqjoin::db::{
-    DbClient, DbError, EncryptedJoinResult, JoinOptions, JoinQuery, LocalBackend, Request,
-    Response, Schema, ServerApi, Table, TableConfig, Value,
+    DbClient, DbError, EncryptedJoinResult, JoinQuery, LocalBackend, Request, Response, Schema,
+    ServerApi, Table, TableConfig, Value,
 };
 use eqjoin::pairing::{ops, Bls12, Engine, Fr, MockEngine};
 use std::sync::Mutex;
@@ -115,11 +115,6 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
         filter_columns: vec!["attr".into()],
     };
     let query = JoinQuery::on("T", "k", "T", "k").filter("T", "attr", vec!["v0".into()]);
-    let options = JoinOptions {
-        use_prefilter: true,
-        threads: 2,
-        decrypt_cache: true,
-    };
 
     // In-process reference execution.
     let mut client = DbClient::<E>::new(1, 2, seed);
@@ -129,7 +124,6 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     direct.handle(Request::InsertTable(enc));
     let (direct_result, direct_observation) = match direct.handle(Request::ExecuteJoin {
         tokens: tokens.clone(),
-        options,
         projection: Default::default(),
     }) {
         Response::JoinExecuted {
@@ -157,7 +151,6 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     }
     let exec_bytes = Request::ExecuteJoin {
         tokens: tokens2,
-        options,
         projection: Default::default(),
     }
     .to_bytes();
@@ -240,7 +233,6 @@ fn query_tokens_reject_tampered_group_elements() {
     let element = tokens.left.token.elements()[0].clone();
     let good = Request::ExecuteJoin {
         tokens,
-        options: JoinOptions::default(),
         projection: Default::default(),
     }
     .to_bytes();

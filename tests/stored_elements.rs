@@ -19,9 +19,9 @@ mod outside_subgroup;
 
 use eqjoin::core::SjRowCiphertext;
 use eqjoin::db::{
-    ClientConfig, DbClient, DbError, EncryptedRow, EncryptedStore, EncryptedTable, JoinOptions,
-    JoinQuery, LocalBackend, QueryTokens, RemoteBackend, RemoteConfig, Request, Response,
-    RetryPolicy, Schema, ServerApi, Table, TableConfig, Value,
+    ClientConfig, DbClient, DbError, EncryptedRow, EncryptedStore, EncryptedTable, JoinQuery,
+    LocalBackend, QueryTokens, RemoteBackend, RemoteConfig, Request, Response, RetryPolicy, Schema,
+    ServerApi, Table, TableConfig, Value,
 };
 use eqjoin::pairing::{ops, Bls12, Engine, MockEngine};
 use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
@@ -63,10 +63,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
         tokens: tokens.clone(),
-        options: JoinOptions {
-            threads: 1,
-            ..JoinOptions::default()
-        },
         projection: Default::default(),
     }
 }

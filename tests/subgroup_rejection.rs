@@ -102,7 +102,6 @@ fn token_points_outside_the_subgroup_decode_and_are_refused_by_checked() {
     let g1_element = tokens.right.token.elements()[0].clone();
     let good = Request::ExecuteJoin {
         tokens,
-        options: JoinOptions::default(),
         projection: Default::default(),
     }
     .to_bytes();

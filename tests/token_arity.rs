@@ -7,9 +7,9 @@
 //! the thread serving the request costs an `eqjoind` reactor worker.
 
 use eqjoin::db::{
-    ClientConfig, DbClient, DbError, JoinOptions, JoinQuery, LocalBackend, PayloadProjection,
-    QueryTokens, RemoteBackend, RemoteConfig, Request, Response, RetryPolicy, Schema, ServerApi,
-    Table, TableConfig, Value,
+    ClientConfig, DbClient, DbError, JoinQuery, LocalBackend, PayloadProjection, QueryTokens,
+    RemoteBackend, RemoteConfig, Request, Response, RetryPolicy, Schema, ServerApi, Table,
+    TableConfig, Value,
 };
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
@@ -34,21 +34,20 @@ fn tables<E: Engine>(client: &mut DbClient<E>) -> Vec<Request<E>> {
         .collect()
 }
 
-fn join<E: Engine>(tokens: QueryTokens<E>, threads: usize) -> Request<E> {
+fn join<E: Engine>(tokens: QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
         tokens,
-        options: JoinOptions {
-            threads,
-            ..JoinOptions::default()
-        },
         projection: PayloadProjection::default(),
     }
 }
 
-/// Upload at `(1, 2)`, then query with tokens generated at `(2, 3)`
-/// under both thread settings; the backend must answer each with
-/// `DimensionMismatch` and go on serving.
-fn mismatched_token_is_refused<E: Engine>(backend: &dyn ServerApi<E>) {
+/// The decrypt thread counts each backend below is configured with:
+/// one worker, and one per available core.
+const THREADS: [Option<usize>; 2] = [Some(1), None];
+
+/// Upload at `(1, 2)`, then query with tokens generated at `(2, 3)`;
+/// the backend must answer with `DimensionMismatch` and go on serving.
+fn mismatched_token_is_refused<E: Engine>(backend: &dyn ServerApi<E>, threads: Option<usize>) {
     let mut owner = DbClient::<E>::with_config(ClientConfig::new(1, 2).seed(5));
     for upload in tables(&mut owner) {
         assert!(matches!(
@@ -60,34 +59,35 @@ fn mismatched_token_is_refused<E: Engine>(backend: &dyn ServerApi<E>) {
     let _ = tables(&mut stranger);
     let query = JoinQuery::on("L", "k", "R", "k");
 
-    for threads in [1, 0] {
-        let tokens = stranger.query_tokens(&query).unwrap();
-        assert_eq!(tokens.left.token.len(), 11);
-        match backend.handle(join(tokens, threads)) {
-            Response::Error(DbError::DimensionMismatch { expected, got, .. }) => {
-                assert_eq!((expected, got), (6, 11), "threads = {threads}");
-            }
-            Response::Error(other) => panic!("threads = {threads}: untyped refusal {other:?}"),
-            _ => panic!("threads = {threads}: the mismatched token was not refused"),
+    let tokens = stranger.query_tokens(&query).unwrap();
+    assert_eq!(tokens.left.token.len(), 11);
+    match backend.handle(join(tokens)) {
+        Response::Error(DbError::DimensionMismatch { expected, got, .. }) => {
+            assert_eq!((expected, got), (6, 11), "threads = {threads:?}");
         }
-        // The thread that served the refusal serves the next requests.
-        assert!(matches!(backend.handle(Request::Ping), Response::Pong));
-        let tokens = owner.query_tokens(&query).unwrap();
-        match backend.handle(join(tokens, threads)) {
-            Response::JoinExecuted { observation, .. } => assert_eq!(observation.pairs().len(), 2),
-            _ => panic!("threads = {threads}: a valid join failed after the refusal"),
-        }
+        Response::Error(other) => panic!("threads = {threads:?}: untyped refusal {other:?}"),
+        _ => panic!("threads = {threads:?}: the mismatched token was not refused"),
+    }
+    // The thread that served the refusal serves the next requests.
+    assert!(matches!(backend.handle(Request::Ping), Response::Pong));
+    let tokens = owner.query_tokens(&query).unwrap();
+    match backend.handle(join(tokens)) {
+        Response::JoinExecuted { observation, .. } => assert_eq!(observation.pairs().len(), 2),
+        _ => panic!("threads = {threads:?}: a valid join failed after the refusal"),
     }
 }
 
 fn through_local_backend<E: Engine>() {
-    mismatched_token_is_refused::<E>(&LocalBackend::<E>::new());
+    for threads in THREADS {
+        mismatched_token_is_refused::<E>(&LocalBackend::<E>::with_config(threads, None), threads);
+    }
 }
 
-/// One reactor worker: if a request took it down, nothing answers the
-/// next one (the deadline turns that hang into a failure).
-fn one_worker_server<E: Engine>() -> (RemoteBackend, NetHandle) {
-    let registry = Arc::new(TenantRegistry::<E>::new(None, None, None));
+/// One reactor worker in front of a server running joins on `threads`
+/// decrypt workers: if a request took the reactor worker down, nothing
+/// answers the next one (the deadline turns that hang into a failure).
+fn one_worker_server<E: Engine>(threads: Option<usize>) -> (RemoteBackend, NetHandle) {
+    let registry = Arc::new(TenantRegistry::<E>::new(threads, None, None));
     let config = NetConfig {
         workers: 1,
         ..NetConfig::default()
@@ -105,8 +105,10 @@ fn one_worker_server<E: Engine>() -> (RemoteBackend, NetHandle) {
 }
 
 fn through_one_worker_server<E: Engine>() {
-    let (remote, _server) = one_worker_server::<E>();
-    mismatched_token_is_refused::<E>(&remote);
+    for threads in THREADS {
+        let (remote, _server) = one_worker_server::<E>(threads);
+        mismatched_token_is_refused::<E>(&remote, threads);
+    }
 }
 
 #[test]
@@ -119,45 +121,4 @@ fn mismatched_token_arity_is_a_typed_error_mock() {
 fn mismatched_token_arity_is_a_typed_error_bls12() {
     through_local_backend::<Bls12>();
     through_one_worker_server::<Bls12>();
-}
-
-/// `JoinOptions::threads` is a wire field too: the decrypt phase spawns
-/// one OS thread per chunk, so a request naming every thread there is
-/// must get the server's ceiling — the same answer as one thread, from
-/// a worker that goes on serving — not a thread per candidate row.
-#[test]
-fn a_request_for_usize_max_threads_is_served_at_the_servers_ceiling() {
-    let (remote, _server) = one_worker_server::<MockEngine>();
-    let mut client = DbClient::<MockEngine>::with_config(ClientConfig::new(1, 2).seed(8));
-    let mut uploads = Vec::new();
-    for name in ["L", "R"] {
-        let mut t = Table::new(Schema::new(name, &["k", "a"]));
-        for i in 0..200i64 {
-            t.push_row(vec![Value::Int(i % 50), "x".into()]);
-        }
-        let cfg = TableConfig {
-            join_column: "k".into(),
-            filter_columns: vec!["a".into()],
-        };
-        uploads.push(Request::InsertTable(client.encrypt_table(&t, cfg).unwrap()));
-    }
-    for upload in uploads {
-        assert!(matches!(
-            remote.handle(upload),
-            Response::TableInserted { rows: 200, .. }
-        ));
-    }
-    let query = JoinQuery::on("L", "k", "R", "k");
-    let mut pairs_with = |threads: usize| {
-        let tokens = client.query_tokens(&query).unwrap();
-        match remote.handle(join(tokens, threads)) {
-            Response::JoinExecuted { observation, .. } => observation.pairs(),
-            other => panic!("threads = {threads}: {other:?}"),
-        }
-    };
-    let one = pairs_with(1);
-    assert_eq!(one.len(), 50 * 4 * 4);
-    assert_eq!(pairs_with(usize::MAX), one);
-    let ping = Request::<MockEngine>::Ping;
-    assert!(matches!(remote.handle(ping), Response::Pong));
 }

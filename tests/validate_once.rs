@@ -53,10 +53,9 @@ fn table(name: &str, filter: &str, rows: &[(i64, &str)]) -> Table {
     t
 }
 
-fn join<E: Engine>(tokens: &QueryTokens<E>, options: JoinOptions) -> Request<E> {
+fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
         tokens: tokens.clone(),
-        options,
         projection: PayloadProjection::default(),
     }
 }
@@ -119,8 +118,8 @@ fn g1_outside_subgroup() -> Vec<u8> {
 /// The `ExecuteJoin` frame for `tokens` with the point above spliced
 /// over the first element of one side's token (same length, so every
 /// length prefix stays valid), decoded the way the reactor decodes it.
-fn spliced(tokens: &QueryTokens<Bls12>, bad: Side, options: JoinOptions) -> Request<Bls12> {
-    let good = join(tokens, options).to_bytes();
+fn spliced(tokens: &QueryTokens<Bls12>, bad: Side) -> Request<Bls12> {
+    let good = join(tokens).to_bytes();
     let element = match bad {
         Side::Left => &tokens.left.token.elements()[0],
         Side::Right => &tokens.right.token.elements()[0],
@@ -152,8 +151,13 @@ fn assert_g1_refusal(response: &Response, case: &str) {
 /// Upload two tiny tables, then send spliced joins in every situation
 /// the store could be tempted to skip the check in. Each must be
 /// answered with the `G1` protocol error before any pairing, and the
-/// backend must go on serving.
-fn first_sightings_are_refused(backend: &dyn ServerApi<Bls12>) {
+/// backend must go on serving. `local`, the same backend when it is
+/// in-process, also takes a direct call with the decrypt cache off —
+/// a pass no wire request can ask for.
+fn first_sightings_are_refused(
+    backend: &dyn ServerApi<Bls12>,
+    local: Option<&LocalBackend<Bls12>>,
+) {
     let mut client =
         DbClient::<Bls12>::with_config(ClientConfig::new(1, 1).seed(11).prefilter(true));
     let left = table("L", "a", &[(1, "x"), (2, "x")]);
@@ -187,36 +191,53 @@ fn first_sightings_are_refused(backend: &dyn ServerApi<Bls12>) {
         assert_eq!((delta.miller_pairs, delta.pairings), (0, 0), "{case}");
         assert!(matches!(backend.handle(Request::Ping), Response::Pong));
     };
-    let default = JoinOptions::default();
-    refused(spliced(&tokens, Side::Left, default), "first sighting");
+    refused(spliced(&tokens, Side::Left), "first sighting");
     refused(
-        spliced(&selects_nothing, Side::Left, default),
+        spliced(&selects_nothing, Side::Left),
         "a side that selects no rows",
     );
-    refused(spliced(&tokens, Side::Left, cache_off), "decrypt cache off");
+    if let Some(local) = local {
+        let Request::ExecuteJoin { tokens: bad, .. } = spliced(&tokens, Side::Left) else {
+            unreachable!("a spliced join is a join");
+        };
+        let before = ops::snapshot();
+        let answer = local.server().execute_join(&bad, &cache_off).map(|_| ());
+        match answer {
+            Err(DbError::Protocol(msg)) => assert!(msg.contains("G1"), "decrypt cache off: {msg}"),
+            other => panic!("decrypt cache off: expected the G1 protocol error, got {other:?}"),
+        }
+        let delta = ops::snapshot().since(&before);
+        assert_eq!(
+            (delta.miller_pairs, delta.pairings),
+            (0, 0),
+            "decrypt cache off"
+        );
+    }
 
     // A bad right token is refused when its side's turn comes: the left
     // side's two rows were paired with the left token, checked, and the
     // bad element reached no pairing.
     let before = ops::snapshot();
-    let request = spliced(&tokens, Side::Right, cache_off);
+    let request = spliced(&tokens, Side::Right);
     assert_g1_refusal(&backend.handle(request), "right side");
     assert_eq!(ops::snapshot().since(&before).miller_pairs, 2 * n);
 
-    // The unspliced query is served, and warms the cache for *its*
-    // bytes: a spliced frame is other bytes under another fingerprint.
-    let (pairs, _) = executed(backend.handle(join(&tokens, default)));
+    // The unspliced query is served, and the cache holds *its* bytes
+    // (the left side's entry since the right-side refusal, whose left
+    // pass completed): a spliced frame is other bytes under another
+    // fingerprint.
+    let (pairs, _) = executed(backend.handle(join(&tokens)));
     assert_eq!(pairs, vec![(0, 0)]);
     refused(
-        spliced(&tokens, Side::Left, default),
+        spliced(&tokens, Side::Left),
         "right after the valid query warmed the cache",
     );
 
     // Inside a batch only the bad join's slot fails.
     let batch = Request::Batch(vec![
         Request::Ping,
-        spliced(&tokens, Side::Right, default),
-        join(&tokens, default),
+        spliced(&tokens, Side::Right),
+        join(&tokens),
     ]);
     assert!(Request::<Bls12>::from_bytes(&batch.to_bytes()).is_ok());
     let checked = checked_elements();
@@ -239,14 +260,15 @@ fn first_sightings_are_refused(backend: &dyn ServerApi<Bls12>) {
 #[test]
 fn a_first_sighting_outside_the_subgroup_is_refused_by_a_local_backend() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    first_sightings_are_refused(&LocalBackend::<Bls12>::new());
+    let backend = LocalBackend::<Bls12>::new();
+    first_sightings_are_refused(&backend, Some(&backend));
 }
 
 #[test]
 fn a_first_sighting_outside_the_subgroup_is_refused_over_tcp_and_the_worker_lives() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (remote, _server) = one_worker_server(TenantRegistry::<Bls12>::new(None, None, None));
-    first_sightings_are_refused(&remote);
+    first_sightings_are_refused(&remote, None);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,14 +324,7 @@ fn the_store_checks_exactly_the_sides_its_cache_cannot_vouch_for() {
             .unwrap(),
     ];
     let n = stages[0].left.token.len() as u64;
-    let chain = || {
-        Request::Batch(
-            stages
-                .iter()
-                .map(|t| join(t, JoinOptions::default()))
-                .collect(),
-        )
-    };
+    let chain = || Request::Batch(stages.iter().map(join).collect());
 
     // First sighting of four sides; a byte-identical repeat checks none.
     assert_eq!(checks_and_misses(&remote, chain()), (4 * n, 3 + 2 + 2 + 2));
@@ -360,24 +375,11 @@ fn the_store_checks_exactly_the_sides_its_cache_cannot_vouch_for() {
         .query_tokens(&a_c().filter("A", "a", vec!["z".into()]))
         .unwrap();
     let every_a = client.query_tokens(&a_c()).unwrap();
-    let default = JoinOptions::default;
-    assert_eq!(
-        checks_and_misses(&capped, join(&no_a, default())),
-        (2 * n, 2)
-    );
-    assert_eq!(checks_and_misses(&capped, join(&no_a, default())), (n, 0));
-    assert_eq!(
-        checks_and_misses(&capped, join(&every_a, default())),
-        (2 * n, 3 + 2)
-    );
-    assert_eq!(
-        checks_and_misses(&capped, join(&every_a, default())),
-        (2 * n, 3 + 2)
-    );
-    assert_eq!(
-        checks_and_misses(&capped, join(&no_a, default())),
-        (2 * n, 2)
-    );
+    assert_eq!(checks_and_misses(&capped, join(&no_a)), (2 * n, 2));
+    assert_eq!(checks_and_misses(&capped, join(&no_a)), (n, 0));
+    assert_eq!(checks_and_misses(&capped, join(&every_a)), (2 * n, 3 + 2));
+    assert_eq!(checks_and_misses(&capped, join(&every_a)), (2 * n, 3 + 2));
+    assert_eq!(checks_and_misses(&capped, join(&no_a)), (2 * n, 2));
 }
 
 /// A snapshot's decrypt-cache entries were written by passes that
@@ -412,7 +414,7 @@ fn a_store_reopened_from_a_snapshot_vouches_for_its_warm_sides() {
         .unwrap();
     let n = tokens.left.token.len() as u64;
     let checked = checked_elements();
-    let (cold, _) = executed(remote.handle(join(&tokens, JoinOptions::default())));
+    let (cold, _) = executed(remote.handle(join(&tokens)));
     assert_eq!(cold, vec![(1, 0)]);
     assert_eq!(checked_elements() - checked, 2 * n);
     drop(remote);
@@ -421,7 +423,7 @@ fn a_store_reopened_from_a_snapshot_vouches_for_its_warm_sides() {
     let (remote, _server) = open();
     let checked = checked_elements();
     let before = ops::snapshot();
-    let (warm, (rows, hits)) = executed(remote.handle(join(&tokens, JoinOptions::default())));
+    let (warm, (rows, hits)) = executed(remote.handle(join(&tokens)));
     let delta = ops::snapshot().since(&before);
     assert_eq!((warm, rows as u64), (cold, hits));
     assert_eq!(checked_elements() - checked, 0);
@@ -449,11 +451,10 @@ fn through_the_codec(token: WireToken<MockEngine>) -> WireToken<MockEngine> {
         prefilter: Vec::new(),
     };
     let tokens = QueryTokens {
-        query_id: 7,
         left: side(token),
         right: side(SjToken::from_elements(SjTableSide::B, vec![mock_g1(1)]).into()),
     };
-    let frame = join(&tokens, JoinOptions::default()).to_bytes();
+    let frame = join(&tokens).to_bytes();
     match Request::<MockEngine>::from_bytes(&frame) {
         Ok(Request::ExecuteJoin { tokens, .. }) => tokens.left.token,
         _ => panic!("an ExecuteJoin frame decodes to an ExecuteJoin"),

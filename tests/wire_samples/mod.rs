@@ -9,8 +9,8 @@
 use eqjoin::core::{SjRowCiphertext, SjTableSide, SjToken};
 use eqjoin::db::protocol::{error_tag, request_tag, response_tag};
 use eqjoin::db::{
-    DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinObservation, JoinOptions,
-    PayloadProjection, QueryTokens, Request, Response, ServerStats, SideTokens,
+    DbError, EncryptedJoinResult, EncryptedRow, EncryptedTable, JoinObservation, PayloadProjection,
+    QueryTokens, Request, Response, ServerStats, SideTokens,
 };
 use eqjoin::pairing::{Engine, Fr, MockEngine};
 use std::time::Duration;
@@ -72,25 +72,19 @@ fn side(table_id: u64, side: SjTableSide, seeds: &[u64]) -> SideTokens<MockEngin
     }
 }
 
-pub fn exec_request(query_id: u64, seeds: &[u64], threads: u64) -> Req {
+/// A join request whose table names and projection shape are driven
+/// by `id`, its token elements and pre-filter tags by `seeds`.
+pub fn exec_request(id: u64, seeds: &[u64]) -> Req {
     Request::ExecuteJoin {
         tokens: QueryTokens {
-            query_id,
-            left: side(query_id, SjTableSide::A, seeds),
-            right: side(query_id + 1, SjTableSide::B, seeds),
-        },
-        options: JoinOptions {
-            use_prefilter: query_id.is_multiple_of(3),
-            threads: threads as usize,
-            decrypt_cache: query_id.is_multiple_of(5),
+            left: side(id, SjTableSide::A, seeds),
+            right: side(id + 1, SjTableSide::B, seeds),
         },
         projection: PayloadProjection {
-            left: query_id
+            left: id
                 .is_multiple_of(3)
-                .then(|| (0..query_id % 4).map(|i| i as usize).collect()),
-            right: query_id
-                .is_multiple_of(2)
-                .then(|| vec![query_id as usize % 7]),
+                .then(|| (0..id % 4).map(|i| i as usize).collect()),
+            right: id.is_multiple_of(2).then(|| vec![id as usize % 7]),
         },
     }
 }
@@ -142,7 +136,6 @@ pub fn join_response(rows: &[(u64, u64, u64)], classes: &[(u64, u64)]) -> Respon
             },
         },
         observation: JoinObservation {
-            query_id: rows.len() as u64,
             equality_classes: classes
                 .iter()
                 .map(|&(t, n)| {
@@ -175,11 +168,11 @@ pub fn request_samples() -> Vec<Req> {
         Request::Ping,
         Request::InsertTable(table(1, &ROWS, true)),
         Request::InsertTable(table(2, &ROWS[..1], false)),
-        exec_request(30, &[5, 77, 4_242], 2),
-        exec_request(7, &[9], 0),
+        exec_request(30, &[5, 77, 4_242]),
+        exec_request(7, &[9]),
         Request::Batch(vec![
             Request::Ping,
-            exec_request(12, &[3, 8], 1),
+            exec_request(12, &[3, 8]),
             copy_rows_request(3, 40, &ROWS[1..], false),
             Request::Stats,
         ]),
@@ -196,7 +189,7 @@ pub fn request_samples() -> Vec<Req> {
             tenant: "acme-01_eu".into(),
             inner: Box::new(Request::Batch(vec![
                 Request::Stats,
-                exec_request(15, &[21], 4),
+                exec_request(15, &[21]),
             ])),
         },
         Request::Drain,
