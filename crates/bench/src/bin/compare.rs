@@ -8,13 +8,11 @@
 
 use eqjoin_baselines::kpabe::{KpAbe, Policy};
 use eqjoin_bench::{
-    mean_duration, millis, run_join, run_join_session, secs, selectivity_query, setup_tpch,
-    setup_tpch_session,
+    mean_duration, millis, run_join_session, secs, selectivity_query, setup_tpch_session, warm_mean,
 };
 use eqjoin_core::{embed_attribute, RowEncoding, SecureJoin, SjParams, SjTableSide};
 use eqjoin_crypto::ChaChaRng;
 use eqjoin_db::join::{hash_join, nested_loop_join};
-use eqjoin_db::JoinOptions;
 use eqjoin_pairing::{Bls12, Fr};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -103,16 +101,13 @@ fn match_asymptotics() {
 fn parallel_scaling() {
     println!("-- server decrypt parallelism (BLS12-381, 60+600 rows, s = 1/12.5) --");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  ({cores} cores: a call for more threads is served with {cores})");
-    let mut bench = setup_tpch::<Bls12>(0.0004, 1, 0xca);
+    println!("  ({cores} cores: one server per thread count up to {cores}; each query");
+    println!("   runs once untimed first, so every timed run is over prepared rows)");
     let query = selectivity_query("1/12.5", 1);
     let mut base = None;
-    for threads in [1usize, 2, 4, 8] {
-        let opts = JoinOptions {
-            threads,
-            ..Default::default()
-        };
-        let d = mean_duration(3, || run_join(&mut bench, &query, &opts).total);
+    for threads in [1usize, 2, 4, 8].into_iter().filter(|&n| n <= cores) {
+        let mut bench = setup_tpch_session::<Bls12>(0.0004, 1, 0xca, threads);
+        let d = warm_mean(&mut bench, &query, 3);
         let speedup = base.get_or_insert(d).as_secs_f64() / d.as_secs_f64();
         println!(
             "  threads = {threads}: {} s (speedup {speedup:.2}x)",
@@ -125,10 +120,12 @@ fn parallel_scaling() {
 
 fn whole_query_shape() {
     println!("-- whole-query scaling, BLS12-381, scale 0.001 (shape check) --");
-    let mut bench = setup_tpch_session::<Bls12>(0.001, 1, 0xcb);
+    let mut bench = setup_tpch_session::<Bls12>(0.001, 1, 0xcb, 0);
     let mut times = Vec::new();
     for s in ["1/100", "1/12.5"] {
         let query = selectivity_query(s, 1);
+        // The first run prepares the selected rows; the second is timed warm.
+        run_join_session(&mut bench, &query);
         let m = run_join_session(&mut bench, &query);
         println!(
             "  s = {s:>7}: {} rows decrypted, {} pairs, {} s total",

@@ -11,56 +11,29 @@
 //!
 //! Positional arguments: `engine [scale_min scale_max scale_step reps]`.
 
-use eqjoin_bench::{
-    mean_duration, run_join_session, secs, selectivity_query, setup_tpch_session, CsvWriter,
-    SELECTIVITY_LABELS,
-};
+use eqjoin_bench::selectivity_sweep;
 use eqjoin_pairing::{Bls12, Engine, MockEngine};
 
 fn sweep<E: Engine>(scale_min: f64, scale_max: f64, step: f64, reps: usize) {
     println!(
-        "Figure 3 — join runtime vs scale factor, t = 1, engine = {} ({} reps)\n",
+        "Figure 3 — join runtime vs scale factor, t = 1, engine = {} ({} reps)",
         E::NAME,
         reps
     );
-    let header: String = SELECTIVITY_LABELS
-        .iter()
-        .map(|s| format!("{:>12}", format!("s={s}")))
-        .collect();
-    println!("{:>6} {:>10} {header}", "scale", "rows");
-    println!("{}", "-".repeat(66));
-
-    let mut csv = CsvWriter::create(Some(&format!("results/fig3_{}.csv", E::NAME)));
-    csv.row(&[
-        "scale".into(),
-        "rows_total".into(),
-        "s_1_100_s".into(),
-        "s_1_50_s".into(),
-        "s_1_25_s".into(),
-        "s_1_12_5_s".into(),
-    ]);
-
+    let mut points = Vec::new();
     let mut scale = scale_min;
     while scale <= scale_max + 1e-12 {
-        let mut bench = setup_tpch_session::<E>(scale, 1, 33);
-        let total_rows = bench.rows.0 + bench.rows.1;
-        let mut cells = Vec::new();
-        for s in SELECTIVITY_LABELS {
-            let query = selectivity_query(s, 1);
-            let d = mean_duration(reps, || run_join_session(&mut bench, &query).total);
-            cells.push(secs(d));
-        }
-        let row_cells: String = cells.iter().map(|c| format!("{c:>12}")).collect();
-        println!(
-            "{:>6} {:>10} {row_cells}",
-            format!("{scale:.3}"),
-            total_rows
-        );
-        let mut csv_row = vec![format!("{scale:.4}"), total_rows.to_string()];
-        csv_row.extend(cells);
-        csv.row(&csv_row);
+        points.push((scale, 1));
         scale += step;
     }
+    selectivity_sweep::<E>(
+        &format!("results/fig3_{}.csv", E::NAME),
+        &["scale", "rows_total"],
+        &points,
+        33,
+        reps,
+        |scale, _, rows| vec![format!("{scale:.4}"), (rows.0 + rows.1).to_string()],
+    );
 
     println!("\npaper (Fig. 3): linear growth in the scale factor; ordering");
     println!("s=1/12.5 > 1/25 > 1/50 > 1/100 (more selected rows = more SJ.Dec).");

@@ -9,48 +9,24 @@
 //!
 //! Positional arguments: `engine [scale reps]`.
 
-use eqjoin_bench::{
-    mean_duration, run_join_session, secs, selectivity_query, setup_tpch_session, CsvWriter,
-    SELECTIVITY_LABELS,
-};
+use eqjoin_bench::selectivity_sweep;
 use eqjoin_pairing::{Bls12, Engine, MockEngine};
 
 fn sweep<E: Engine>(scale: f64, reps: usize) {
     println!(
-        "Figure 4 — join runtime vs IN-clause size, scale = {scale}, engine = {} ({} reps)\n",
+        "Figure 4 — join runtime vs IN-clause size, scale = {scale}, engine = {} ({} reps)",
         E::NAME,
         reps
     );
-    let header: String = SELECTIVITY_LABELS
-        .iter()
-        .map(|s| format!("{:>12}", format!("s={s}")))
-        .collect();
-    println!("{:>3} {header}", "t");
-    println!("{}", "-".repeat(54));
-
-    let mut csv = CsvWriter::create(Some(&format!("results/fig4_{}.csv", E::NAME)));
-    csv.row(&[
-        "t".into(),
-        "s_1_100_s".into(),
-        "s_1_50_s".into(),
-        "s_1_25_s".into(),
-        "s_1_12_5_s".into(),
-    ]);
-
-    for t in 1..=10usize {
-        let mut bench = setup_tpch_session::<E>(scale, t, 44);
-        let mut cells = Vec::new();
-        for s in SELECTIVITY_LABELS {
-            let query = selectivity_query(s, t);
-            let d = mean_duration(reps, || run_join_session(&mut bench, &query).total);
-            cells.push(secs(d));
-        }
-        let row_cells: String = cells.iter().map(|c| format!("{c:>12}")).collect();
-        println!("{t:>3} {row_cells}");
-        let mut csv_row = vec![t.to_string()];
-        csv_row.extend(cells);
-        csv.row(&csv_row);
-    }
+    let points: Vec<(f64, usize)> = (1..=10).map(|t| (scale, t)).collect();
+    selectivity_sweep::<E>(
+        &format!("results/fig4_{}.csv", E::NAME),
+        &["t"],
+        &points,
+        44,
+        reps,
+        |_, t, _| vec![t.to_string()],
+    );
 
     println!("\npaper (Fig. 4, scale 0.01): monotone growth in t, steeper for higher");
     println!("selectivity; reference points: s=1/100: 3.50 s (t=1) -> 8.75 s (t=10);");

@@ -62,12 +62,6 @@ impl Value {
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&body);
     }
-
-    fn decode_from(bytes: &[u8]) -> Option<(Value, usize)> {
-        let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let body = bytes.get(4..4 + len)?;
-        Some((Value::from_canonical_bytes(body)?, 4 + len))
-    }
 }
 
 impl fmt::Display for Value {
@@ -137,7 +131,10 @@ impl Row {
         &self.0[idx]
     }
 
-    /// Serialize for the encrypted payload.
+    /// The row as bytes: a `u32` value count, then each value's
+    /// length-prefixed [`Value::canonical_bytes`]. Two rows encode equal
+    /// iff they are equal, so tests digest answers with it. Nothing is
+    /// sealed in this form: payloads are sealed per column.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
@@ -145,19 +142,6 @@ impl Row {
             v.encode_into(&mut out);
         }
         out
-    }
-
-    /// Parse a payload produced by [`Row::encode`].
-    pub fn decode(bytes: &[u8]) -> Option<Row> {
-        let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let mut values = Vec::with_capacity(count);
-        let mut pos = 4;
-        for _ in 0..count {
-            let (v, used) = Value::decode_from(&bytes[pos..])?;
-            values.push(v);
-            pos += used;
-        }
-        (pos == bytes.len()).then_some(Row(values))
     }
 }
 
@@ -240,18 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn row_codec_roundtrip() {
-        let row = Row(vec![
-            Value::Int(-42),
-            Value::Str("hello world".into()),
-            Value::Decimal(123456),
-            Value::Date(19000),
-            Value::Str(String::new()),
-        ]);
-        assert_eq!(Row::decode(&row.encode()).unwrap(), row);
-    }
-
-    #[test]
     fn canonical_bytes_round_trip_single_values() {
         for v in [
             Value::Int(-42),
@@ -266,21 +238,6 @@ mod tests {
         assert_eq!(Value::from_canonical_bytes(&[0x09, 1, 2]), None);
         // Truncated Int body.
         assert_eq!(Value::from_canonical_bytes(&[0x01, 1, 2]), None);
-    }
-
-    #[test]
-    fn row_codec_rejects_garbage() {
-        assert!(Row::decode(&[]).is_none());
-        assert!(Row::decode(&[1, 0, 0, 0]).is_none());
-        let mut good = Row(vec![Value::Int(5)]).encode();
-        good.push(0); // trailing junk
-        assert!(Row::decode(&good).is_none());
-        // Unknown tag byte.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        bad.extend_from_slice(&2u32.to_le_bytes());
-        bad.extend_from_slice(&[0x7f, 0x00]);
-        assert!(Row::decode(&bad).is_none());
     }
 
     #[test]

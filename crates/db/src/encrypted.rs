@@ -44,23 +44,6 @@ impl<E: Engine> EncryptedTable<E> {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Approximate ciphertext size in bytes (for storage-overhead
-    /// reporting).
-    pub fn ciphertext_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| {
-                r.cipher
-                    .elements()
-                    .iter()
-                    .map(|e| E::g2_bytes(e).len())
-                    .sum::<usize>()
-                    + r.payloads.iter().map(Vec::len).sum::<usize>()
-                    + r.tags.as_ref().map_or(0, |t| t.len() * 16)
-            })
-            .sum()
-    }
 }
 
 /// A Secure Join token `Tk = g1^{v·B}` as it travels: the table side

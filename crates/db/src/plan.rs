@@ -139,11 +139,6 @@ impl QueryPlan {
         }
     }
 
-    /// Wrap an explicit plan tree.
-    pub fn from_node(root: PlanNode) -> Self {
-        QueryPlan { root }
-    }
-
     /// The root node.
     pub fn root(&self) -> &PlanNode {
         &self.root
@@ -649,15 +644,9 @@ mod tests {
             Err(DbError::UnknownTable(_))
         ));
         // Project below a join.
-        let buried = QueryPlan::from_node(PlanNode::Join {
-            left: Box::new(PlanNode::Project {
-                input: Box::new(PlanNode::Scan { table: "A".into() }),
-                columns: vec![ColumnId::new("A", "k")],
-            }),
-            right: Box::new(PlanNode::Scan { table: "B".into() }),
-            left_on: ColumnId::new("A", "k"),
-            right_on: ColumnId::new("B", "k"),
-        });
+        let buried = QueryPlan::scan("A")
+            .project(&[("A", "k")])
+            .join_on("A", "k", "B", "k");
         assert!(matches!(
             buried.lower(&catalog()),
             Err(DbError::InvalidPlan(_))

@@ -40,8 +40,9 @@ use std::time::{Duration, Instant};
 
 /// How one direct call of [`DbServer::execute_join`] runs. No wire
 /// request carries these: every backend serves a join with the default.
-/// Callers holding a [`DbServer`] vary them for a thread sweep (§6.5),
-/// a cache-off timing of fresh `SJ.Dec` or an unfiltered reference.
+/// Tests and the benchmark's layer probe, which hold a [`DbServer`],
+/// vary them for a cache-off timing of fresh `SJ.Dec`, a capped thread
+/// count or an unfiltered reference.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinOptions {
     /// Honor pre-filter tags if the ciphertexts carry them (on by
