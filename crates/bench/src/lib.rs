@@ -203,9 +203,10 @@ pub fn mean_duration(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
     total / reps as u32
 }
 
-/// Format a duration in seconds with 2 decimals (the paper's axes).
+/// Format a duration in seconds with 6 decimals: a mock-engine
+/// `SJ.Dec` costs microseconds, so coarser rounding would print zeros.
 pub fn secs(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
+    format!("{:.6}", d.as_secs_f64())
 }
 
 /// Format a duration in milliseconds with 1 decimal (Figure 2's axis).
@@ -304,7 +305,8 @@ mod tests {
 
     #[test]
     fn formatting() {
-        assert_eq!(secs(Duration::from_millis(3520)), "3.52");
+        assert_eq!(secs(Duration::from_millis(3520)), "3.520000");
+        assert_eq!(secs(Duration::from_micros(37)), "0.000037");
         assert_eq!(millis(Duration::from_micros(21200)), "21.2");
     }
 }

@@ -541,7 +541,7 @@ mod tests {
                     let tokens = tokens.clone();
                     scope.spawn(move || {
                         match backend.handle(Request::ExecuteJoin {
-                            tokens,
+                            tokens: tokens.into(),
                             projection: Default::default(),
                         }) {
                             Response::JoinExecuted { observation, .. } => observation.pairs(),
@@ -607,7 +607,7 @@ mod tests {
         // stake (the table itself applied in memory above).
         assert!(matches!(
             backend.handle(Request::ExecuteJoin {
-                tokens,
+                tokens: tokens.into(),
                 projection: Default::default(),
             }),
             Response::JoinExecuted { .. }
@@ -646,7 +646,7 @@ mod tests {
                     .unwrap();
                 assert!(matches!(
                     backend.handle(Request::ExecuteJoin {
-                        tokens,
+                        tokens: tokens.into(),
                         projection: Default::default(),
                     }),
                     Response::JoinExecuted { .. }
@@ -716,7 +716,7 @@ mod tests {
             "journal must be truncated once the snapshot covers it"
         );
         match backend.handle(Request::ExecuteJoin {
-            tokens,
+            tokens: tokens.into(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => {
@@ -876,7 +876,7 @@ mod tests {
             "replay fold-in must compact the journal away"
         );
         match reopened.handle(Request::ExecuteJoin {
-            tokens,
+            tokens: tokens.into(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => {

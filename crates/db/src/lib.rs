@@ -44,9 +44,9 @@
 //!   registered layouts) and the embedded
 //!   [`LeakageLedger`](eqjoin_leakage::LeakageLedger) (one entry per
 //!   executed stage; see the session docs for why a chain adds nothing
-//!   beyond the closure bound). A plan is lowered against the catalog
-//!   each time it executes; nothing prepared outlives a table's
-//!   registration.
+//!   beyond the closure bound). A plan's lowering is memoized, with
+//!   each stage's token-cache key, until a table's registration
+//!   changes; nothing prepared outlives a registration.
 //! * [`protocol`] — the [`ServerApi`] transport trait and the
 //!   [`Request`]/[`Response`] message enums (including batched series
 //!   and payload projections) with their wire codec.

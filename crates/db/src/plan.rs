@@ -37,9 +37,11 @@ use crate::data::Value;
 use crate::error::DbError;
 use crate::query::{InFilter, JoinQuery};
 use crate::session::Catalog;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 /// A qualified column reference `table.column`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnId {
     /// Table name.
     pub table: String,
@@ -70,7 +72,7 @@ impl From<(&str, &str)> for ColumnId {
 }
 
 /// One node of the logical plan tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PlanNode {
     /// Read one encrypted table.
     Scan {
@@ -124,19 +126,51 @@ pub enum PlanNode {
 ///     .project(&[("customer", "name"), ("supplier", "name")]);
 /// assert_eq!(plan.table_names(), vec!["customer", "nation", "supplier"]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The tree is shared: cloning a plan, or passing `&plan` to
+/// `execute`, copies a pointer, not the tree.
+#[derive(Clone, Debug, Eq)]
 pub struct QueryPlan {
-    root: PlanNode,
+    root: Arc<PlanNode>,
+    /// The tree's hash, taken when the plan is built: a session looks
+    /// up the plan's memoized lowering at every execution.
+    hash: u64,
+}
+
+impl PartialEq for QueryPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.root == other.root
+    }
+}
+
+impl Hash for QueryPlan {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl QueryPlan {
     /// Plan rooted at a single table scan.
     pub fn scan(table: &str) -> Self {
+        QueryPlan::new(PlanNode::Scan {
+            table: table.to_owned(),
+        })
+    }
+
+    fn new(root: PlanNode) -> Self {
+        // Keyed once per process, so equal trees hash equal and the keys
+        // stay unknown to whoever writes the plan.
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
         QueryPlan {
-            root: PlanNode::Scan {
-                table: table.to_owned(),
-            },
+            hash: KEYS.get_or_init(RandomState::new).hash_one(&root),
+            root: Arc::new(root),
         }
+    }
+
+    /// The root node, taken out of the shared tree (copied only when
+    /// another plan still shares it).
+    fn into_root(self) -> PlanNode {
+        Arc::unwrap_or_clone(self.root)
     }
 
     /// The root node.
@@ -153,7 +187,7 @@ impl QueryPlan {
             column: column.to_owned(),
             values,
         };
-        let root = match self.root {
+        QueryPlan::new(match self.into_root() {
             PlanNode::Project { input, columns } => PlanNode::Project {
                 input: Box::new(PlanNode::Filter { input, filter }),
                 columns,
@@ -162,20 +196,17 @@ impl QueryPlan {
                 input: Box::new(other),
                 filter,
             },
-        };
-        QueryPlan { root }
+        })
     }
 
     /// Join with another subtree on `left_on = right_on`.
     pub fn join(self, right: QueryPlan, left_on: ColumnId, right_on: ColumnId) -> Self {
-        QueryPlan {
-            root: PlanNode::Join {
-                left: Box::new(self.root),
-                right: Box::new(right.root),
-                left_on,
-                right_on,
-            },
-        }
+        QueryPlan::new(PlanNode::Join {
+            left: Box::new(self.into_root()),
+            right: Box::new(right.into_root()),
+            left_on,
+            right_on,
+        })
     }
 
     /// Attach a fresh scan of `right_table`, joined on
@@ -199,12 +230,10 @@ impl QueryPlan {
     /// without a projection is `SELECT *` (every column of every table,
     /// in join order).
     pub fn project(self, columns: &[(&str, &str)]) -> Self {
-        QueryPlan {
-            root: PlanNode::Project {
-                input: Box::new(self.root),
-                columns: columns.iter().map(|&(t, c)| ColumnId::new(t, c)).collect(),
-            },
-        }
+        QueryPlan::new(PlanNode::Project {
+            input: Box::new(self.into_root()),
+            columns: columns.iter().map(|&(t, c)| ColumnId::new(t, c)).collect(),
+        })
     }
 
     /// Embed a two-table [`JoinQuery`] as a plan — the thin shim that
@@ -329,7 +358,7 @@ struct Walked {
 fn lower(plan: &QueryPlan, catalog: &Catalog) -> Result<LoweredPlan, DbError> {
     // Peel the optional root projection first; a Project anywhere else
     // is a shape error.
-    let (projection_cols, body) = match &plan.root {
+    let (projection_cols, body) = match plan.root() {
         PlanNode::Project { input, columns } => (Some(columns.clone()), input.as_ref()),
         other => (None, other),
     };

@@ -140,6 +140,7 @@ use crate::server::{
 };
 use eqjoin_core::{SjRowCiphertext, SjTableSide};
 use eqjoin_pairing::Engine;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A client→server message.
@@ -152,8 +153,9 @@ pub enum Request<E: Engine> {
     /// Execute a join query for the given token bundle, under the
     /// serving backend's own configuration.
     ExecuteJoin {
-        /// The two-sided token bundle.
-        tokens: QueryTokens<E>,
+        /// The two-sided token bundle, shared with the session's token
+        /// cache (the wire carries the bundle itself).
+        tokens: Arc<QueryTokens<E>>,
         /// Which sealed payload columns each side should ship back
         /// (projection pushdown; the default asks for everything).
         projection: PayloadProjection,
@@ -769,6 +771,15 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put(&**self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
+        r.get().map(Arc::new)
+    }
+}
+
 /// The side, the element count, then the `G1` elements back to back,
 /// each [`Engine::G1_BYTES`] wide (the width is the engine's, so no
 /// length goes in front of each) and holding the engine's canonical
@@ -1085,7 +1096,7 @@ mod tests {
         }
         let tokens = client.query_tokens(&q).unwrap();
         match backend.handle(Request::ExecuteJoin {
-            tokens,
+            tokens: tokens.into(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => assert_eq!(observation.pairs().len(), 1),
@@ -1099,7 +1110,7 @@ mod tests {
         let backend = LocalBackend::<MockEngine>::new();
         let tokens = client.query_tokens(&q).unwrap();
         match backend.handle(Request::ExecuteJoin {
-            tokens,
+            tokens: tokens.into(),
             projection: Default::default(),
         }) {
             Response::Error(DbError::UnknownTable(t)) => assert_eq!(t, "T"),
@@ -1117,7 +1128,7 @@ mod tests {
         sequential.handle(Request::InsertTable(enc.clone()));
         let seq_pairs =
             |tokens: QueryTokens<MockEngine>| match sequential.handle(Request::ExecuteJoin {
-                tokens,
+                tokens: tokens.into(),
                 projection: Default::default(),
             }) {
                 Response::JoinExecuted { observation, .. } => observation.pairs(),
@@ -1130,11 +1141,11 @@ mod tests {
             Request::Ping,
             Request::InsertTable(enc),
             Request::ExecuteJoin {
-                tokens: tokens_a,
+                tokens: tokens_a.into(),
                 projection: Default::default(),
             },
             Request::ExecuteJoin {
-                tokens: tokens_b,
+                tokens: tokens_b.into(),
                 projection: Default::default(),
             },
         ]));

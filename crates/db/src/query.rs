@@ -14,7 +14,7 @@
 use crate::data::Value;
 
 /// One `column IN (values…)` predicate on a specific table.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct InFilter {
     /// Table the predicate applies to.
     pub table: String,

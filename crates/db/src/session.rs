@@ -27,10 +27,16 @@
 //! stages** (see [`crate::plan`]). A two-table [`JoinQuery`] is simply
 //! a one-stage plan ([`QueryPlan::pairwise`]).
 //!
-//! A plan is lowered against the catalog as it stands when it is
-//! executed, every time: [`Session::prepare`] validates a plan and
-//! returns it, and keeps nothing derived from a table's registration
-//! that a later `create_table` could make stale.
+//! A plan is lowered once, and the session memoizes the lowering: with
+//! it go each stage's token-cache key and payload projection, and each
+//! position's shipped columns, so a repeat looks them up instead of
+//! deriving them again. [`Session::prepare`] or the first execution
+//! fills the memo. All of it is derived from the catalog and the
+//! tables' registered layouts, so the memo is cleared whenever a
+//! registration changes: when the backend accepts a table from
+//! [`Session::create_table`] or [`Session::copy_table`], and when it
+//! refuses one and the client's previous registration is put back. A
+//! lowering made against an older registration is never looked up.
 //!
 //! The token cache is keyed by the **canonical pairwise stage** (both
 //! sides, canonical filter sets) and by each side's registered layout
@@ -105,7 +111,7 @@
 //! deletion.
 
 use crate::backend::{LocalBackend, RemoteBackend, TransportStats};
-use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig};
+use crate::client::{ClientConfig, ClientStats, DbClient, TableConfig, TableState};
 use crate::data::{Row, Table, Value};
 use crate::encrypted::QueryTokens;
 use crate::error::DbError;
@@ -120,6 +126,7 @@ use eqjoin_leakage::{LeakageLedger, PairSet};
 use eqjoin_pairing::Engine;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Session configuration: the client's crypto parameters plus caching
@@ -441,16 +448,40 @@ pub struct Session<E: Engine> {
     tenant: Option<String>,
     catalog: Catalog,
     planner: Option<Box<dyn SqlPlanner>>,
-    token_cache: HashMap<Vec<u8>, QueryTokens<E>>,
+    /// Each plan's lowering, until a table's registration changes (see
+    /// the module docs).
+    lowerings: HashMap<QueryPlan, Arc<Lowering>>,
+    token_cache: HashMap<Vec<u8>, Arc<QueryTokens<E>>>,
     ledger: LeakageLedger,
     stats: SessionStats,
 }
 
-/// One resolved stage, ready to dispatch.
-struct StageDispatch<E: Engine> {
-    tokens: QueryTokens<E>,
+/// A plan lowered against the catalog, with what every execution of it
+/// derives from the tables' registrations, computed once.
+struct Lowering {
+    plan: LoweredPlan,
+    /// One per stage, in stage order.
+    stages: Vec<StageRequest>,
+    /// One per table position.
+    positions: Vec<PositionColumns>,
+    /// Each output column as (position, index among the columns that
+    /// position ships).
+    outputs: Vec<(usize, usize)>,
+}
+
+/// What a stage's request carries besides its tokens.
+struct StageRequest {
+    /// The token-cache key ([`Session::stage_key`]).
+    key: Vec<u8>,
     projection: PayloadProjection,
-    cache_hit: bool,
+}
+
+/// The payload columns a position's rows ship.
+struct PositionColumns {
+    /// Schema indices of the payload columns shipped, in shipped order.
+    columns: Vec<usize>,
+    /// Columns of each row the projection leaves sealed.
+    skipped: u64,
 }
 
 impl<E: Engine> Session<E> {
@@ -490,6 +521,7 @@ impl<E: Engine> Session<E> {
             tenant: None,
             catalog: Catalog::new(),
             planner: None,
+            lowerings: HashMap::new(),
             token_cache: HashMap::new(),
             ledger: LeakageLedger::new(),
             stats: SessionStats::default(),
@@ -597,7 +629,7 @@ impl<E: Engine> Session<E> {
         // Refused, the server keeps the table it had (if any), and so
         // must the client: it never encrypts or tokenizes for a layout
         // the server does not hold.
-        outcome.inspect_err(|_| self.client.restore_registration(name, previous))?;
+        outcome.inspect_err(|_| self.refused(name, previous))?;
         self.registered(table);
         Ok(())
     }
@@ -609,8 +641,16 @@ impl<E: Engine> Session<E> {
         let name = &table.schema.name;
         self.catalog
             .insert(name.clone(), table.schema.columns.clone());
+        self.lowerings.clear();
         self.ledger.register(name);
         self.client.forget_opened_table(name);
+    }
+
+    /// The server refused an upload of `table`: put back the client's
+    /// registration from before it (`None`: the table was new).
+    fn refused(&mut self, table: &str, previous: Option<TableState>) {
+        self.client.restore_registration(table, previous);
+        self.lowerings.clear();
     }
 
     /// Encrypt plaintext rows (schema column order) and append them to
@@ -666,7 +706,7 @@ impl<E: Engine> Session<E> {
         let _ = self.client.encrypt_table(&shell, config)?;
         let mut loaded = self
             .copy_chunk(name, first)
-            .inspect_err(|_| self.client.restore_registration(name, previous))?;
+            .inspect_err(|_| self.refused(name, previous))?;
         self.registered(table);
         for rows in rest.chunks(chunk) {
             loaded += self.copy_chunk(name, rows)?;
@@ -760,12 +800,12 @@ impl<E: Engine> Session<E> {
     /// Plan a query and validate it: SQL text goes through the
     /// installed [`SqlPlanner`], and the resulting [`QueryPlan`] (or a
     /// directly supplied one) must lower against the session catalog.
-    /// The plan comes back as it is: [`Session::execute`] lowers it
-    /// against the catalog as it stands then, so a plan prepared before
-    /// a table was re-created runs against the new registration.
-    pub fn prepare(&self, input: impl Into<QueryInput>) -> Result<QueryPlan, DbError> {
+    /// The lowering is memoized, and the plan comes back as it is: a
+    /// plan prepared before a table was re-created is lowered again
+    /// against the new registration when it is executed.
+    pub fn prepare(&mut self, input: impl Into<QueryInput>) -> Result<QueryPlan, DbError> {
         let plan = self.logical_plan(input.into())?;
-        plan.lower(&self.catalog)?;
+        self.lowering(&plan)?;
         Ok(plan)
     }
 
@@ -780,10 +820,78 @@ impl<E: Engine> Session<E> {
         }
     }
 
-    /// Plan `input` and lower it to pairwise stages against the catalog
-    /// as it stands now.
-    fn lower(&self, input: QueryInput) -> Result<LoweredPlan, DbError> {
-        self.logical_plan(input)?.lower(&self.catalog)
+    /// Plan `input` and look up its lowering.
+    fn lower(&mut self, input: QueryInput) -> Result<Arc<Lowering>, DbError> {
+        let plan = self.logical_plan(input)?;
+        self.lowering(&plan)
+    }
+
+    /// `plan`'s memoized lowering; lowered against the catalog and
+    /// memoized first if it is not there.
+    fn lowering(&mut self, plan: &QueryPlan) -> Result<Arc<Lowering>, DbError> {
+        if let Some(lowering) = self.lowerings.get(plan) {
+            return Ok(Arc::clone(lowering));
+        }
+        let lowering = Arc::new(self.lower_plan(plan)?);
+        self.lowerings.insert(plan.clone(), Arc::clone(&lowering));
+        Ok(lowering)
+    }
+
+    /// Lower `plan` against the catalog, and derive what each execution
+    /// of it needs from the tables' registrations.
+    fn lower_plan(&self, plan: &QueryPlan) -> Result<Lowering, DbError> {
+        let plan = plan.lower(&self.catalog)?;
+        let wanted: Vec<_> = (0..plan.tables.len())
+            .map(|p| plan.wanted_columns(p))
+            .collect();
+        let stages = plan
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| StageRequest {
+                key: self.stage_key(&stage.query),
+                // The stage that introduces a table ships its payloads;
+                // an anchor's were shipped by an earlier stage, so the
+                // request asks for none of them.
+                projection: PayloadProjection {
+                    left: match i {
+                        0 => wanted[stage.left_position].clone(),
+                        _ => Some(Vec::new()),
+                    },
+                    right: wanted[stage.right_position].clone(),
+                },
+            })
+            .collect();
+        let positions: Vec<_> = wanted
+            .into_iter()
+            .zip(&plan.tables)
+            .map(|(wanted, table)| {
+                let width = self.catalog[table].len();
+                let columns = wanted.unwrap_or_else(|| (0..width).collect());
+                PositionColumns {
+                    skipped: width.saturating_sub(columns.len()) as u64,
+                    columns,
+                }
+            })
+            .collect();
+        let outputs = plan
+            .projection
+            .iter()
+            .map(|c| {
+                positions[c.position]
+                    .columns
+                    .iter()
+                    .position(|&i| i == c.column_index)
+                    .map(|k| (c.position, k))
+                    .ok_or(DbError::PayloadCorrupted)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Lowering {
+            plan,
+            stages,
+            positions,
+            outputs,
+        })
     }
 
     /// The token-cache key of one pairwise stage: its [`fingerprint`],
@@ -805,23 +913,26 @@ impl<E: Engine> Session<E> {
         key
     }
 
-    /// Fetch the token bundle for one pairwise stage — from the session
-    /// cache when enabled and warm, freshly generated (and cached)
-    /// otherwise. Returns `(tokens, cache_hit)` and updates the cache
-    /// counters.
-    fn tokens_for(&mut self, query: &JoinQuery) -> Result<(QueryTokens<E>, bool), DbError> {
+    /// Fetch the token bundle for one pairwise stage, whose cache key
+    /// is `key` — from the session cache when enabled and warm, freshly
+    /// generated (and cached) otherwise. Returns `(tokens, cache_hit)`
+    /// and updates the cache counters.
+    fn tokens_for(
+        &mut self,
+        key: &[u8],
+        query: &JoinQuery,
+    ) -> Result<(Arc<QueryTokens<E>>, bool), DbError> {
         let (tokens, cache_hit) = if self.config.token_cache {
-            let key = self.stage_key(query);
-            match self.token_cache.get(&key) {
-                Some(cached) => (cached.clone(), true),
+            match self.token_cache.get(key) {
+                Some(cached) => (Arc::clone(cached), true),
                 None => {
-                    let fresh = self.client.query_tokens(query)?;
-                    self.token_cache.insert(key, fresh.clone());
+                    let fresh = Arc::new(self.client.query_tokens(query)?);
+                    self.token_cache.insert(key.to_vec(), Arc::clone(&fresh));
                     (fresh, false)
                 }
             }
         } else {
-            (self.client.query_tokens(query)?, false)
+            (Arc::new(self.client.query_tokens(query)?), false)
         };
         if cache_hit {
             self.stats.token_cache_hits += 1;
@@ -833,36 +944,27 @@ impl<E: Engine> Session<E> {
         Ok((tokens, cache_hit))
     }
 
-    /// The payload columns stage `stage_idx` must ship, given the
-    /// plan's projection: the stage that *introduces* a table provides
-    /// its payloads; an anchor table's payloads were already provided
-    /// by an earlier stage, so the request asks for none of them.
-    fn stage_projection(lowered: &LoweredPlan, stage_idx: usize) -> PayloadProjection {
-        let stage = &lowered.stages[stage_idx];
-        let provides_left = stage_idx == 0;
-        PayloadProjection {
-            left: if provides_left {
-                lowered.wanted_columns(stage.left_position)
-            } else {
-                Some(Vec::new())
-            },
-            right: lowered.wanted_columns(stage.right_position),
-        }
-    }
-
-    /// Resolve all stages of `lowered` into dispatchable requests
-    /// (token cache consulted per stage).
-    fn dispatch_stages(&mut self, lowered: &LoweredPlan) -> Result<Vec<StageDispatch<E>>, DbError> {
-        let mut out = Vec::with_capacity(lowered.stages.len());
-        for (i, stage) in lowered.stages.iter().enumerate() {
-            let (tokens, cache_hit) = self.tokens_for(&stage.query)?;
-            out.push(StageDispatch {
+    /// Append one request per stage of `lowering` to `requests` (token
+    /// cache consulted per stage) and return each stage's cache
+    /// outcome. On an error, none of the plan's requests stay.
+    fn stage_requests(
+        &mut self,
+        lowering: &Lowering,
+        requests: &mut Vec<Request<E>>,
+    ) -> Result<Vec<bool>, DbError> {
+        let first = requests.len();
+        let mut cache_hits = Vec::with_capacity(lowering.stages.len());
+        for (stage, request) in lowering.plan.stages.iter().zip(&lowering.stages) {
+            let (tokens, cache_hit) = self
+                .tokens_for(&request.key, &stage.query)
+                .inspect_err(|_| requests.truncate(first))?;
+            cache_hits.push(cache_hit);
+            requests.push(Request::ExecuteJoin {
                 tokens,
-                projection: Self::stage_projection(lowered, i),
-                cache_hit,
+                projection: request.projection.clone(),
             });
         }
-        Ok(out)
+        Ok(cache_hits)
     }
 
     /// Record one executed join in the leakage ledger and return its
@@ -875,7 +977,7 @@ impl<E: Engine> Session<E> {
     fn record_observation(
         &mut self,
         observation: &JoinObservation,
-        tables: &[String; 2],
+        tables: [&str; 2],
     ) -> Result<(u64, usize), DbError> {
         let classes = &observation.equality_classes;
         if let Some(&(side, _)) = classes.iter().flatten().find(|m| m.0 > 1) {
@@ -884,7 +986,7 @@ impl<E: Engine> Session<E> {
             )));
         }
         let series_index = self.stats.queries_executed;
-        let added = self.ledger.record_closed(series_index, tables, classes);
+        let added = self.ledger.record_closed(series_index, &tables, classes);
         self.stats.queries_executed += 1;
         Ok((series_index, added))
     }
@@ -899,7 +1001,7 @@ impl<E: Engine> Session<E> {
     /// the first tuple that names them.
     fn assemble_result_set(
         &mut self,
-        lowered: &LoweredPlan,
+        lowering: &Lowering,
         mut stage_results: Vec<(EncryptedJoinResult, JoinObservation)>,
         series_index: u64,
         leakage_delta: usize,
@@ -909,11 +1011,12 @@ impl<E: Engine> Session<E> {
         // i + 1 by stage i's right side; a later stage anchored at a
         // position asks for none of its columns and ships none of its
         // rows. `matched[p]` lists the rows position `p` can take.
+        let lowered = &lowering.plan;
         let mut matched: Vec<Vec<usize>> = Vec::with_capacity(lowered.tables.len());
         let mut links = Vec::with_capacity(stage_results.len());
         for (i, (result, observation)) in stage_results.iter_mut().enumerate() {
             let stage = &lowered.stages[i];
-            let projection = Self::stage_projection(lowered, i);
+            let projection = &lowering.stages[i].projection;
             let (left, right) = matched_rows(&observation.equality_classes)?;
             for (rows, wanted, matched) in [
                 (&mut result.left_rows, &projection.left, &left),
@@ -942,38 +1045,18 @@ impl<E: Engine> Session<E> {
 
         let mut positions = Vec::with_capacity(matched.len());
         for (p, matched) in matched.into_iter().enumerate() {
-            let table = lowered.tables[p].as_str();
-            let width = self.catalog[table].len();
-            let columns = lowered
-                .wanted_columns(p)
-                .unwrap_or_else(|| (0..width).collect());
             let shipped = match p {
                 0 => &stage_results[0].0.left_rows,
                 _ => &stage_results[p - 1].0.right_rows,
             };
             positions.push(PositionRows {
-                table,
-                skipped: width.saturating_sub(columns.len()) as u64,
-                columns,
+                table: &lowered.tables[p],
+                columns: &lowering.positions[p],
                 shipped,
                 decoded: vec![None; matched.len()],
                 matched,
             });
         }
-        // Each output column as (position, index among the columns that
-        // position ships).
-        let outputs = lowered
-            .projection
-            .iter()
-            .map(|c| {
-                positions[c.position]
-                    .columns
-                    .iter()
-                    .position(|&i| i == c.column_index)
-                    .map(|k| (c.position, k))
-                    .ok_or(DbError::PayloadCorrupted)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
 
         // The walk: `cursors[p]` runs over position p's candidates —
         // every slot at position 0, else the attached slots of the
@@ -1003,7 +1086,8 @@ impl<E: Engine> Session<E> {
                     pos.decoded[slot] = Some(pos.decode(&mut self.client, slot)?);
                 }
             }
-            let values = outputs
+            let values = lowering
+                .outputs
                 .iter()
                 .map(|&(p, k)| {
                     positions[p].decoded[slots[p]]
@@ -1043,9 +1127,10 @@ impl<E: Engine> Session<E> {
     /// → backend joins (a chain ships as **one** batched round trip) →
     /// leakage ledger → tuples and per-column decrypt.
     pub fn execute(&mut self, input: impl Into<QueryInput>) -> Result<ResultSet, DbError> {
-        let lowered = self.lower(input.into())?;
-        let mut results = self.run_series(vec![lowered])?;
-        Ok(results.pop().expect("one plan in, one result out"))
+        let lowering = self.lower(input.into())?;
+        self.run_series(vec![Ok(lowering)])
+            .pop()
+            .expect("one plan in, one result out")
     }
 
     /// Execute a whole series in **one round trip**: every
@@ -1069,9 +1154,9 @@ impl<E: Engine> Session<E> {
         }
         let lowered = inputs
             .iter()
-            .map(|input| self.lower(input.clone()))
+            .map(|input| self.lower(input.clone()).map(Ok))
             .collect::<Result<Vec<_>, _>>()?;
-        self.run_series(lowered)
+        self.run_series(lowered).into_iter().collect()
     }
 
     /// Degraded-mode variant of [`execute_all`](Self::execute_all):
@@ -1091,25 +1176,17 @@ impl<E: Engine> Session<E> {
             .iter()
             .map(|input| self.lower(input.clone()))
             .collect();
-        self.run_series_partial(lowered)
+        self.run_series(lowered)
     }
 
-    /// The shared execution core with all-or-nothing semantics: the
-    /// first per-slot failure (in series order) fails the whole series.
-    fn run_series(&mut self, lowered: Vec<LoweredPlan>) -> Result<Vec<ResultSet>, DbError> {
-        self.run_series_partial(lowered.into_iter().map(Ok).collect())
-            .into_iter()
-            .collect()
-    }
-
-    /// The per-slot execution core: dispatch every stage of every
-    /// still-viable plan (one plain request for a single pairwise
-    /// stage, one batch otherwise), ledger every observation that came
-    /// back, then assemble + decrypt per plan — each slot succeeding or
-    /// failing on its own.
-    fn run_series_partial(
+    /// The execution core: dispatch every stage of every still-viable
+    /// plan (one plain request for a single pairwise stage, one batch
+    /// otherwise), ledger every observation that came back, then
+    /// assemble + decrypt per plan — each slot succeeding or failing on
+    /// its own.
+    fn run_series(
         &mut self,
-        lowered: Vec<Result<LoweredPlan, DbError>>,
+        lowered: Vec<Result<Arc<Lowering>, DbError>>,
     ) -> Vec<Result<ResultSet, DbError>> {
         // One record per dispatch: for `execute` this is exactly the
         // per-query end-to-end latency (tokens → backend → assembly →
@@ -1120,42 +1197,21 @@ impl<E: Engine> Session<E> {
         enum Slot {
             Failed(DbError),
             Pending {
-                lowered: LoweredPlan,
+                lowering: Arc<Lowering>,
                 cache_hits: Vec<bool>,
             },
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(lowered.len());
         let mut requests = Vec::new();
-        // The two tables each request joins: an observation's side
-        // bytes name them.
-        let mut stage_tables: Vec<[String; 2]> = Vec::new();
         for entry in lowered {
-            let p = match entry {
-                Ok(p) => p,
-                Err(e) => {
-                    slots.push(Slot::Failed(e));
-                    continue;
-                }
-            };
-            match self.dispatch_stages(&p) {
-                Ok(dispatches) => {
-                    let mut cache_hits = Vec::with_capacity(dispatches.len());
-                    for d in dispatches {
-                        cache_hits.push(d.cache_hit);
-                        stage_tables
-                            .push([d.tokens.left.table.clone(), d.tokens.right.table.clone()]);
-                        requests.push(Request::ExecuteJoin {
-                            tokens: d.tokens,
-                            projection: d.projection,
-                        });
-                    }
-                    slots.push(Slot::Pending {
-                        lowered: p,
-                        cache_hits,
-                    });
-                }
-                Err(e) => slots.push(Slot::Failed(e)),
-            }
+            let slot = entry.and_then(|lowering| {
+                let cache_hits = self.stage_requests(&lowering, &mut requests)?;
+                Ok(Slot::Pending {
+                    lowering,
+                    cache_hits,
+                })
+            });
+            slots.push(slot.unwrap_or_else(Slot::Failed));
         }
         let total_stages = requests.len();
         // Failures that hit the batch as a whole (nothing dispatched,
@@ -1223,13 +1279,19 @@ impl<E: Engine> Session<E> {
         let dispatched = self.backend.transport_stats().bytes_sent > sent_before;
         type Executed = ((EncryptedJoinResult, JoinObservation), u64, usize);
         let mut executed: Vec<Result<Executed, DbError>> = Vec::with_capacity(responses.len());
-        for (response, tables) in responses.into_iter().zip(&stage_tables) {
+        // Each response's stage, in dispatch order.
+        let stages = slots.iter().flat_map(|slot| match slot {
+            Slot::Pending { lowering, .. } => lowering.plan.stages.as_slice(),
+            Slot::Failed(_) => &[],
+        });
+        for (response, stage) in responses.into_iter().zip(stages) {
             match response {
                 Response::JoinExecuted {
                     result,
                     observation,
                 } => {
                     self.stats.decrypt_cache_hits += result.stats.decrypt_cache_hits;
+                    let tables = [stage.query.left_table.as_str(), &stage.query.right_table];
                     match self.record_observation(&observation, tables) {
                         Ok((series_index, added)) => {
                             executed.push(Ok(((result, observation), series_index, added)))
@@ -1264,15 +1326,15 @@ impl<E: Engine> Session<E> {
         let mut executed = executed.into_iter();
         let mut results = Vec::with_capacity(slots.len());
         for slot in slots {
-            let (p, stage_cache_hits) = match slot {
+            let (lowering, stage_cache_hits) = match slot {
                 Slot::Failed(e) => {
                     results.push(Err(e));
                     continue;
                 }
                 Slot::Pending {
-                    lowered,
+                    lowering,
                     cache_hits,
-                } => (lowered, cache_hits),
+                } => (lowering, cache_hits),
             };
             let n_stages = stage_cache_hits.len();
             let mut stage_results = Vec::with_capacity(n_stages);
@@ -1294,7 +1356,7 @@ impl<E: Engine> Session<E> {
             results.push(match first_error {
                 Some(e) => Err(e),
                 None => self.assemble_result_set(
-                    &p,
+                    &lowering,
                     stage_results,
                     first_series_index.expect("plans have at least one stage"),
                     leakage_delta,
@@ -1395,10 +1457,7 @@ struct PositionRows<'a> {
     /// Ascending, distinct.
     matched: Vec<usize>,
     shipped: &'a [ShippedRow],
-    /// Schema indices of the payload columns shipped, in shipped order.
-    columns: Vec<usize>,
-    /// Columns of each row the projection leaves sealed.
-    skipped: u64,
+    columns: &'a PositionColumns,
     decoded: Vec<Option<Vec<Value>>>,
 }
 
@@ -1409,12 +1468,13 @@ impl PositionRows<'_> {
         client: &mut DbClient<E>,
         slot: usize,
     ) -> Result<Vec<Value>, DbError> {
-        client.note_skipped_column_decrypts(self.skipped);
-        if self.columns.is_empty() {
+        client.note_skipped_column_decrypts(self.columns.skipped);
+        if self.columns.columns.is_empty() {
             return Ok(Vec::new());
         }
         let (row, blobs) = self.shipped.get(slot).ok_or(DbError::PayloadCorrupted)?;
         self.columns
+            .columns
             .iter()
             .enumerate()
             .map(|(k, &column)| {

@@ -160,7 +160,7 @@ fn snapshot_writes_never_overlap() {
         wait_for("store::save::after_tmp_write");
         let second = scope.spawn(|| {
             acked(backend.handle(Request::ExecuteJoin {
-                tokens,
+                tokens: tokens.into(),
                 projection: Default::default(),
             }));
             backend.flush()

@@ -58,7 +58,7 @@ fn table(name: &str, rows: i64) -> Table {
 
 fn join(tokens: &QueryTokens<MockEngine>) -> Request<MockEngine> {
     Request::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     }
 }

@@ -49,6 +49,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -380,7 +381,7 @@ fn execute<E: Engine>(backend: &dyn ServerApi<E>, payload: &[u8]) -> (Vec<u8>, b
     let (response, drain) = match Request::<E>::from_bytes(payload) {
         Ok(request) => {
             let drain = matches!(request, Request::Drain);
-            (backend.handle(request), drain)
+            (handle_caught(backend, request), drain)
         }
         Err(e) => (Response::Error(e), false),
     };
@@ -397,6 +398,25 @@ fn execute<E: Engine>(backend: &dyn ServerApi<E>, payload: &[u8]) -> (Vec<u8>, b
         .to_bytes();
     }
     (bytes, drain)
+}
+
+/// `backend.handle(request)`, with a panic in the handler caught and
+/// answered as [`DbError::Transport`] — the request's server-side
+/// outcome is unknown, so a session counts its joins as unaccounted.
+/// The worker lives on, and the connection, which would otherwise wait
+/// for this answer forever, gets it and serves its next request.
+fn handle_caught<E: Engine>(backend: &dyn ServerApi<E>, request: Request<E>) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| backend.handle(request))).unwrap_or_else(|payload| {
+        eqjoin_obs::counter!("eqjoin_net_handler_panics_total").inc();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        Response::Error(DbError::Transport(format!(
+            "request handler panicked: {message}"
+        )))
+    })
 }
 
 /// The reactor proper. Returns after a drain completes or on a fatal

@@ -42,7 +42,7 @@ fn ask(
 
 fn join(tokens: &QueryTokens<MockEngine>) -> Request<MockEngine> {
     Request::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     }
 }

@@ -86,7 +86,7 @@ fn workload(addr: &str) -> Vec<Response> {
     out.push(api.handle(Request::InsertTable(enc_r)));
     for _ in 0..2 {
         out.push(api.handle(Request::ExecuteJoin {
-            tokens: tokens.clone(),
+            tokens: tokens.clone().into(),
             projection: Default::default(),
         }));
     }
@@ -230,7 +230,7 @@ fn sigkill_mid_save_restarts_consistent_via_journal_replay() {
         .query_tokens(&JoinQuery::on("L", "k", "R", "k"))
         .unwrap();
     let exec = || Request::<MockEngine>::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     };
 
@@ -335,7 +335,7 @@ fn sigkill_between_snapshot_and_journal_truncate_replays_idempotently() {
         .query_tokens(&JoinQuery::on("L", "k", "R", "k"))
         .unwrap();
     let exec = || Request::<MockEngine>::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     };
 
@@ -482,7 +482,7 @@ fn compaction_threshold_daemon_defers_then_drain_compacts() {
         let backend = chaos_backend(&daemon.addr);
         let api: &dyn ServerApi<MockEngine> = &backend;
         match api.handle(Request::ExecuteJoin {
-            tokens,
+            tokens: tokens.into(),
             projection: Default::default(),
         }) {
             Response::JoinExecuted { observation, .. } => {

@@ -53,7 +53,7 @@ fn series() -> Series {
 
 fn exec(series: &Series) -> Request<MockEngine> {
     Request::ExecuteJoin {
-        tokens: series.tokens.clone(),
+        tokens: series.tokens.clone().into(),
         projection: Default::default(),
     }
 }

@@ -32,7 +32,7 @@ fn killed_and_restarted_eqjoind_resumes_the_series_warm() {
         .query_tokens(&JoinQuery::on("L", "k", "R", "k"))
         .unwrap();
     let exec = || Request::<MockEngine>::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     };
 

@@ -52,7 +52,7 @@ fn daemon_frame_counters_equal_the_clients_wire_traffic() {
         ));
     }
     let joined = api.handle(Request::ExecuteJoin {
-        tokens,
+        tokens: tokens.into(),
         projection: Default::default(),
     });
     assert!(

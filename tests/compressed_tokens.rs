@@ -114,6 +114,7 @@ fn without_elements(request: &Request<Bls12>) -> Request<Bls12> {
     fn strip(request: &mut Request<Bls12>) {
         match request {
             Request::ExecuteJoin { tokens, .. } => {
+                let tokens = Arc::make_mut(tokens);
                 for side in [&mut tokens.left, &mut tokens.right] {
                     side.token = WireToken::from_encoded(side.token.side(), Vec::new())
                         .expect("no elements is a token of any width");
@@ -173,10 +174,10 @@ fn mock_join(elements: u64) -> Request<MockEngine> {
         prefilter: vec![(0, vec![[seed as u8; 16]])],
     };
     Request::ExecuteJoin {
-        tokens: QueryTokens {
+        tokens: Arc::new(QueryTokens {
             left: side("T30", SjTableSide::A, 5),
             right: side("T31", SjTableSide::B, 77),
-        },
+        }),
         projection: PayloadProjection {
             left: Some(vec![0, 2]),
             right: None,

@@ -33,7 +33,7 @@ fn cfg(filter: &str) -> TableConfig {
 
 fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     }
 }

@@ -123,7 +123,7 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
     let direct = LocalBackend::<E>::new();
     direct.handle(Request::InsertTable(enc));
     let (direct_result, direct_observation) = match direct.handle(Request::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     }) {
         Response::JoinExecuted {
@@ -150,7 +150,7 @@ fn protocol_messages_roundtrip<E: Engine>(seed: u64) {
         _ => panic!("expected TableInserted"),
     }
     let exec_bytes = Request::ExecuteJoin {
-        tokens: tokens2,
+        tokens: tokens2.into(),
         projection: Default::default(),
     }
     .to_bytes();
@@ -232,7 +232,7 @@ fn query_tokens_reject_tampered_group_elements() {
         .unwrap();
     let element = tokens.left.token.elements()[0].clone();
     let good = Request::ExecuteJoin {
-        tokens,
+        tokens: tokens.into(),
         projection: Default::default(),
     }
     .to_bytes();

@@ -62,7 +62,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: Default::default(),
     }
 }

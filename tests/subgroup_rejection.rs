@@ -101,12 +101,12 @@ fn token_points_outside_the_subgroup_decode_and_are_refused_by_checked() {
         .unwrap();
     let g1_element = tokens.right.token.elements()[0].clone();
     let good = Request::ExecuteJoin {
-        tokens,
+        tokens: tokens.into(),
         projection: Default::default(),
     }
     .to_bytes();
     let right_token = |frame: &[u8]| match Request::<Bls12>::from_bytes(frame) {
-        Ok(Request::ExecuteJoin { tokens, .. }) => tokens.right.token,
+        Ok(Request::ExecuteJoin { tokens, .. }) => tokens.right.token.clone(),
         _ => panic!("an ExecuteJoin frame decodes to an ExecuteJoin"),
     };
     assert!(right_token(&good).checked().is_ok());

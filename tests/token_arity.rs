@@ -36,7 +36,7 @@ fn tables<E: Engine>(client: &mut DbClient<E>) -> Vec<Request<E>> {
 
 fn join<E: Engine>(tokens: QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
-        tokens,
+        tokens: tokens.into(),
         projection: PayloadProjection::default(),
     }
 }

@@ -55,7 +55,7 @@ fn table(name: &str, filter: &str, rows: &[(i64, &str)]) -> Table {
 
 fn join<E: Engine>(tokens: &QueryTokens<E>) -> Request<E> {
     Request::ExecuteJoin {
-        tokens: tokens.clone(),
+        tokens: tokens.clone().into(),
         projection: PayloadProjection::default(),
     }
 }
@@ -456,7 +456,7 @@ fn through_the_codec(token: WireToken<MockEngine>) -> WireToken<MockEngine> {
     };
     let frame = join(&tokens).to_bytes();
     match Request::<MockEngine>::from_bytes(&frame) {
-        Ok(Request::ExecuteJoin { tokens, .. }) => tokens.left.token,
+        Ok(Request::ExecuteJoin { tokens, .. }) => tokens.left.token.clone(),
         _ => panic!("an ExecuteJoin frame decodes to an ExecuteJoin"),
     }
 }

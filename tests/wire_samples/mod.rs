@@ -13,6 +13,7 @@ use eqjoin::db::{
     QueryTokens, Request, Response, ServerStats, SideTokens,
 };
 use eqjoin::pairing::{Engine, Fr, MockEngine};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub type Req = Request<MockEngine>;
@@ -76,10 +77,10 @@ fn side(table_id: u64, side: SjTableSide, seeds: &[u64]) -> SideTokens<MockEngin
 /// by `id`, its token elements and pre-filter tags by `seeds`.
 pub fn exec_request(id: u64, seeds: &[u64]) -> Req {
     Request::ExecuteJoin {
-        tokens: QueryTokens {
+        tokens: Arc::new(QueryTokens {
             left: side(id, SjTableSide::A, seeds),
             right: side(id + 1, SjTableSide::B, seeds),
-        },
+        }),
         projection: PayloadProjection {
             left: id
                 .is_multiple_of(3)
