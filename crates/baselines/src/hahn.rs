@@ -41,22 +41,28 @@ pub struct JoinLabel<E: Engine> {
 }
 
 impl<E: Engine> JoinLabel<E> {
+    /// A fresh label: `ρ`, then `σ`, drawn from `rng`; each group's two
+    /// generator multiplications run as one batch.
     fn new(join_value: &Value, rng: &mut dyn RandomSource) -> Self {
         let h = embed_join_value(&join_value.canonical_bytes());
         let rho = Fr::random_nonzero(rng);
         let sigma = Fr::random_nonzero(rng);
-        JoinLabel {
-            a1: E::g1_mul_gen(&rho),
-            a2: E::g1_mul_gen(&(rho * h)),
-            b3: E::g2_mul_gen(&sigma),
-            b4: E::g2_mul_gen(&(sigma * h)),
-        }
+        let [a1, a2] = two(E::g1_mul_gen_batch(&[rho, rho * h]));
+        let [b3, b4] = two(E::g2_mul_gen_batch(&[sigma, sigma * h]));
+        JoinLabel { a1, a2, b3, b4 }
     }
 
     /// The two-pairing equality test between two unwrapped labels.
     pub fn test(a: &Self, b: &Self) -> bool {
         E::pair(&a.a2, &b.b3) == E::pair(&a.a1, &b.b4)
     }
+}
+
+/// The two outputs of a batch of two generator multiplications.
+fn two<T>(batch: Vec<T>) -> [T; 2] {
+    batch
+        .try_into()
+        .unwrap_or_else(|_| panic!("a batch of two scalars gives two points"))
 }
 
 struct StoredRow<E: Engine> {
@@ -326,7 +332,7 @@ impl<E: Engine> JoinScheme for HahnScheme<E> {
 mod tests {
     use super::*;
     use crate::ground_truth::example_2_1;
-    use eqjoin_pairing::MockEngine;
+    use eqjoin_pairing::{Bls12, MockEngine};
 
     fn setup_spec() -> SchemeSetup {
         SchemeSetup {
@@ -357,6 +363,23 @@ mod tests {
         assert!(JoinLabel::<MockEngine>::test(&la, &lb));
         assert!(JoinLabel::<MockEngine>::test(&lb, &la));
         assert!(!JoinLabel::<MockEngine>::test(&la, &lc));
+    }
+
+    #[test]
+    fn a_batched_label_equals_one_multiplication_at_a_time() {
+        let value = Value::Int(42);
+        let label = JoinLabel::<Bls12>::new(&value, &mut ChaChaRng::seed_from_u64(3));
+        let mut rng = ChaChaRng::seed_from_u64(3);
+        let h = embed_join_value(&value.canonical_bytes());
+        let rho = Fr::random_nonzero(&mut rng);
+        let sigma = Fr::random_nonzero(&mut rng);
+        let single = JoinLabel::<Bls12> {
+            a1: Bls12::g1_mul_gen(&rho),
+            a2: Bls12::g1_mul_gen(&(rho * h)),
+            b3: Bls12::g2_mul_gen(&sigma),
+            b4: Bls12::g2_mul_gen(&(sigma * h)),
+        };
+        assert_eq!(encode_label(&label), encode_label(&single));
     }
 
     #[test]

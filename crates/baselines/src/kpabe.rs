@@ -104,42 +104,47 @@ impl<E: Engine> KpAbe<E> {
     ) -> KpAbeCiphertext<E> {
         let s = Fr::random_nonzero(rng);
         let e_prime = E::gt_mul(message, &E::gt_pow(&msk.y_pub, &s));
+        let exponents: Vec<Fr> = attrs
+            .iter()
+            .map(|a| *msk.t.get(a).expect("attribute in universe") * s)
+            .collect();
         let e = attrs
             .iter()
-            .map(|a| {
-                let t_a = msk.t.get(a).expect("attribute in universe");
-                (a.clone(), E::g2_mul_gen(&(*t_a * s)))
-            })
+            .cloned()
+            .zip(E::g2_mul_gen_batch(&exponents))
             .collect();
         KpAbeCiphertext { e_prime, e }
     }
 
-    /// Generate a key for a policy.
+    /// Generate a key for a policy: the shares are drawn in a
+    /// depth-first walk, then every leaf's generator multiplication runs
+    /// in one batch.
     pub fn keygen(
         msk: &KpAbeMasterKey<E>,
         policy: &Policy,
         rng: &mut dyn RandomSource,
     ) -> KpAbeKey<E> {
-        let mut leaves = Vec::new();
-        Self::share(msk, policy, msk.y, rng, &mut leaves);
+        let mut exponents = Vec::new();
+        Self::share(msk, policy, msk.y, rng, &mut exponents);
         KpAbeKey {
             policy: policy.clone(),
-            leaves,
+            leaves: E::g1_mul_gen_batch(&exponents),
         }
     }
 
+    /// Push the exponent of each leaf under `node`, in depth-first order,
+    /// for a subtree sharing `value`.
     fn share(
         msk: &KpAbeMasterKey<E>,
         node: &Policy,
         value: Fr,
         rng: &mut dyn RandomSource,
-        leaves: &mut Vec<E::G1>,
+        exponents: &mut Vec<Fr>,
     ) {
         match node {
             Policy::Leaf(attr) => {
                 let t_a = msk.t.get(attr).expect("attribute in universe");
-                let exponent = value * t_a.invert().expect("t_a nonzero");
-                leaves.push(E::g1_mul_gen(&exponent));
+                exponents.push(value * t_a.invert().expect("t_a nonzero"));
             }
             Policy::And(children) => {
                 assert!(!children.is_empty(), "AND gate needs children");
@@ -148,14 +153,14 @@ impl<E: Engine> KpAbe<E> {
                 for child in &children[..children.len() - 1] {
                     let share = Fr::random(rng);
                     rest -= share;
-                    Self::share(msk, child, share, rng, leaves);
+                    Self::share(msk, child, share, rng, exponents);
                 }
-                Self::share(msk, &children[children.len() - 1], rest, rng, leaves);
+                Self::share(msk, &children[children.len() - 1], rest, rng, exponents);
             }
             Policy::Or(children) => {
                 assert!(!children.is_empty(), "OR gate needs children");
                 for child in children {
-                    Self::share(msk, child, value, rng, leaves);
+                    Self::share(msk, child, value, rng, exponents);
                 }
             }
         }
@@ -318,5 +323,69 @@ mod tests {
         let c1 = KpAbe::<MockEngine>::encrypt(&msk, &m, &attrs(&["red"]), &mut rng);
         let c2 = KpAbe::<MockEngine>::encrypt(&msk, &m, &attrs(&["red"]), &mut rng);
         assert_ne!(c1.e_prime, c2.e_prime);
+    }
+
+    /// `keygen`'s leaves with one generator multiplication per leaf,
+    /// drawing the shares in the same depth-first order.
+    fn leaves_one_by_one(
+        msk: &KpAbeMasterKey<Bls12>,
+        node: &Policy,
+        value: Fr,
+        rng: &mut dyn RandomSource,
+        leaves: &mut Vec<Vec<u8>>,
+    ) {
+        match node {
+            Policy::Leaf(attr) => {
+                let exponent = value * msk.t[attr].invert().unwrap();
+                leaves.push(Bls12::g1_bytes(&Bls12::g1_mul_gen(&exponent)));
+            }
+            Policy::And(children) => {
+                let mut rest = value;
+                for child in &children[..children.len() - 1] {
+                    let share = Fr::random(rng);
+                    rest -= share;
+                    leaves_one_by_one(msk, child, share, rng, leaves);
+                }
+                leaves_one_by_one(msk, children.last().unwrap(), rest, rng, leaves);
+            }
+            Policy::Or(children) => {
+                for child in children {
+                    leaves_one_by_one(msk, child, value, rng, leaves);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_encrypt_and_keygen_equal_one_multiplication_at_a_time() {
+        let mut rng = ChaChaRng::seed_from_u64(6);
+        let msk = KpAbe::<Bls12>::setup(&universe(), &mut rng);
+        let (m, _) = KpAbe::<Bls12>::random_message(&msk, &mut rng);
+        let set = attrs(&["red", "green", "top"]);
+
+        let ct = KpAbe::<Bls12>::encrypt(&msk, &m, &set, &mut ChaChaRng::seed_from_u64(7));
+        let mut rng = ChaChaRng::seed_from_u64(7);
+        let s = Fr::random_nonzero(&mut rng);
+        let e_prime = Bls12::gt_mul(&m, &Bls12::gt_pow(&msk.y_pub, &s));
+        assert_eq!(Bls12::gt_bytes(&ct.e_prime), Bls12::gt_bytes(&e_prime));
+        assert_eq!(ct.e.len(), set.len());
+        for a in &set {
+            let single = Bls12::g2_mul_gen(&(msk.t[a] * s));
+            assert_eq!(Bls12::g2_bytes(&ct.e[a]), Bls12::g2_bytes(&single), "{a}");
+        }
+
+        let policy = Policy::And(vec![
+            Policy::Or(vec![Policy::leaf("red"), Policy::leaf("blue")]),
+            Policy::leaf("green"),
+            Policy::And(vec![Policy::leaf("top"), Policy::leaf("red")]),
+        ]);
+        let key = KpAbe::<Bls12>::keygen(&msk, &policy, &mut ChaChaRng::seed_from_u64(8));
+        let mut expected = Vec::new();
+        let mut rng = ChaChaRng::seed_from_u64(8);
+        leaves_one_by_one(&msk, &policy, msk.y, &mut rng, &mut expected);
+        let leaves: Vec<Vec<u8>> = key.leaves.iter().map(Bls12::g1_bytes).collect();
+        assert_eq!(leaves, expected);
+        assert_eq!(leaves.len(), 5);
+        assert_eq!(KpAbe::<Bls12>::decrypt(&key, &ct), Some(m));
     }
 }

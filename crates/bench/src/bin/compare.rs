@@ -8,14 +8,14 @@
 
 use eqjoin_baselines::kpabe::{KpAbe, Policy};
 use eqjoin_bench::{
-    mean_duration, millis, run_join_session, secs, selectivity_query, setup_tpch_session, warm_mean,
+    mean_duration, millis, run_join_session, secs, selectivity_query, setup_tpch_session,
 };
 use eqjoin_core::{embed_attribute, RowEncoding, SecureJoin, SjParams, SjTableSide};
 use eqjoin_crypto::ChaChaRng;
 use eqjoin_db::join::{hash_join, nested_loop_join};
 use eqjoin_pairing::{Bls12, Fr};
 use std::collections::HashSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn per_row_unlock() {
     println!("-- per-row unlock latency (BLS12-381, m = 8, t = 1) --");
@@ -98,20 +98,37 @@ fn match_asymptotics() {
     println!();
 }
 
+/// Timed runs per thread count in the parallelism sweep: enough for a
+/// median and a spread on a shared host.
+const SCALING_REPS: usize = 7;
+
 fn parallel_scaling() {
     println!("-- server decrypt parallelism (BLS12-381, 60+600 rows, s = 1/12.5) --");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("  ({cores} cores: one server per thread count up to {cores}; each query");
-    println!("   runs once untimed first, so every timed run is over prepared rows)");
+    println!("   runs once untimed first, so every timed run is over prepared rows;");
+    println!("   median of {SCALING_REPS} runs, min-max beside it)");
     let query = selectivity_query("1/12.5", 1);
     let mut base = None;
     for threads in [1usize, 2, 4, 8].into_iter().filter(|&n| n <= cores) {
         let mut bench = setup_tpch_session::<Bls12>(0.0004, 1, 0xca, threads);
-        let d = warm_mean(&mut bench, &query, 3);
-        let speedup = base.get_or_insert(d).as_secs_f64() / d.as_secs_f64();
+        run_join_session(&mut bench, &query);
+        let mut runs: Vec<Duration> = (0..SCALING_REPS)
+            .map(|_| run_join_session(&mut bench, &query).total)
+            .collect();
+        let median = *runs.select_nth_unstable(SCALING_REPS / 2).1;
+        let min = runs.iter().copied().min().unwrap_or_default();
+        let max = runs.iter().copied().max().unwrap_or_default();
+        let base = *base.get_or_insert(median);
+        let speedup = |d: Duration| base.as_secs_f64() / d.as_secs_f64();
         println!(
-            "  threads = {threads}: {} s (speedup {speedup:.2}x)",
-            secs(d)
+            "  threads = {threads}: {} s ({}-{} s), speedup {:.2}x ({:.2}x-{:.2}x)",
+            secs(median),
+            secs(min),
+            secs(max),
+            speedup(median),
+            speedup(max),
+            speedup(min),
         );
     }
     println!("  (the paper's numbers are single-threaded; §6.5 notes its scheme");

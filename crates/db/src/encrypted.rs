@@ -47,41 +47,57 @@ impl<E: Engine> EncryptedTable<E> {
 }
 
 /// A Secure Join token `Tk = g1^{v·B}` as it travels: the table side
-/// and each `G1` element's canonical encoding, byte for byte, every one
-/// exactly [`Engine::G1_BYTES`] wide — for `Bls12` the 48-byte
-/// compressed form (`x` and a flag for the root of `y`; see the
-/// `eqjoin_pairing::g1` docs). The wire writes the elements back to
-/// back after their count, so a `(m, t) = (2, 3)` token is
-/// `1 + 8 + 11 × 48` = 537 bytes. A client encodes the token it
-/// generated once ([`From<SjToken>`]); the codec copies the byte
-/// strings without touching the curve; the store hashes them as
-/// received. A pairing takes an [`SjToken`], and the only way there is
-/// [`WireToken::checked`].
+/// and its `G1` elements' canonical encodings as **one contiguous run**,
+/// byte for byte, every element exactly [`Engine::G1_BYTES`] wide —
+/// for `Bls12` the 48-byte compressed form (`x` and a flag for the root
+/// of `y`; see the `eqjoin_pairing::g1` docs). The wire writes the
+/// element count and then this run, so a `(m, t) = (2, 3)` token is
+/// `1 + 8 + 11 × 48` = 537 bytes, and the codec reads a side with one
+/// copy of the run, whatever the token's arity. A client encodes the
+/// token it generated once ([`From<SjToken>`]); the codec copies the
+/// bytes without touching the curve; the store hashes them as received,
+/// reading the run in place. A pairing takes an [`SjToken`], and the
+/// only way there is [`WireToken::checked`].
 #[derive(Clone, Debug)]
 pub struct WireToken<E: Engine> {
     side: SjTableSide,
-    elements: Vec<Vec<u8>>,
+    /// The element encodings back to back; its length is a multiple of
+    /// [`Engine::G1_BYTES`].
+    run: Box<[u8]>,
     engine: PhantomData<E>,
 }
 
 impl<E: Engine> WireToken<E> {
-    /// A token from element encodings nobody has vouched for (what the
-    /// codec reads off a frame). An element of another width than
-    /// [`Engine::G1_BYTES`] has no place on the wire and is refused
-    /// here, before anything could encode it.
-    pub fn from_encoded(side: SjTableSide, elements: Vec<Vec<u8>>) -> Result<Self, DbError> {
-        if let Some(bad) = elements.iter().find(|e| e.len() != E::G1_BYTES) {
-            return Err(DbError::Protocol(format!(
-                "G1 element of {} bytes (this engine's are {})",
-                bad.len(),
-                E::G1_BYTES
-            )));
+    /// A token from element encodings nobody has vouched for. An
+    /// element of another width than [`Engine::G1_BYTES`] has no place
+    /// on the wire and is refused here, before anything could encode it.
+    pub fn from_encoded<B: AsRef<[u8]>>(
+        side: SjTableSide,
+        elements: impl IntoIterator<Item = B>,
+    ) -> Result<Self, DbError> {
+        let mut run = Vec::new();
+        for element in elements {
+            let element = element.as_ref();
+            if element.len() != E::G1_BYTES {
+                return Err(DbError::Protocol(format!(
+                    "G1 element of {} bytes (this engine's are {})",
+                    element.len(),
+                    E::G1_BYTES
+                )));
+            }
+            run.extend_from_slice(element);
         }
-        Ok(WireToken {
+        Ok(WireToken::from_run(side, run.into()))
+    }
+
+    /// A token from a run of encodings read off a frame, whose length
+    /// the codec has checked to be `count × G1_BYTES`.
+    pub(crate) fn from_run(side: SjTableSide, run: Box<[u8]>) -> Self {
+        WireToken {
             side,
-            elements,
+            run,
             engine: PhantomData,
-        })
+        }
     }
 
     /// Which table side this token targets.
@@ -89,19 +105,24 @@ impl<E: Engine> WireToken<E> {
         self.side
     }
 
-    /// The element encodings, as received.
-    pub fn elements(&self) -> &[Vec<u8>] {
-        &self.elements
+    /// The element encodings, as received, one slice each.
+    pub fn elements(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.run.chunks_exact(E::G1_BYTES.max(1))
+    }
+
+    /// The element encodings back to back, as received.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.run
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.elements.len()
+        self.run.len() / E::G1_BYTES.max(1)
     }
 
     /// True iff no elements.
     pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
+        self.run.is_empty()
     }
 
     /// Decode every element with the engine's full check (for `Bls12`:
@@ -109,8 +130,7 @@ impl<E: Engine> WireToken<E> {
     /// bad one refuses the token.
     pub fn checked(&self) -> Result<SjToken<E>, DbError> {
         let elements = self
-            .elements
-            .iter()
+            .elements()
             .map(|bytes| {
                 E::g1_from_bytes(bytes).ok_or_else(|| {
                     DbError::Protocol("invalid G1 element (curve/subgroup check)".into())
@@ -123,11 +143,8 @@ impl<E: Engine> WireToken<E> {
 
 impl<E: Engine> From<SjToken<E>> for WireToken<E> {
     fn from(token: SjToken<E>) -> Self {
-        WireToken {
-            side: token.side(),
-            elements: token.elements().iter().map(E::g1_bytes).collect(),
-            engine: PhantomData,
-        }
+        let run: Vec<u8> = token.elements().iter().flat_map(E::g1_bytes).collect();
+        WireToken::from_run(token.side(), run.into())
     }
 }
 

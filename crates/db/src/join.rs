@@ -17,7 +17,9 @@ use std::hash::{Hash, Hasher};
 /// per row.
 pub struct MatchOutcome {
     /// Equality classes over `(side, row)` with at least two members;
-    /// side 0 = left, 1 = right.
+    /// side 0 = left, 1 = right. Classes come in the order of their
+    /// first member and members in input order (the left rows, then the
+    /// right rows), so equal inputs give equal outcomes.
     pub equality_classes: Vec<Vec<(u8, usize)>>,
     /// Number of equality comparisons performed.
     pub comparisons: u64,
@@ -66,22 +68,66 @@ impl Hash for DKey<'_> {
     }
 }
 
+/// End of a bucket's chain in [`hash_join`]'s `next` (out of range).
+const CHAIN_END: usize = usize::MAX;
+/// A member [`hash_join`] has put in a class already (out of range).
+const PLACED: usize = usize::MAX - 1;
+
 /// Hash join: bucket both sides by `D` bytes; each bucket of two or
 /// more rows is an equality class.
+///
+/// Members are numbered in input order, the left rows, then the right
+/// rows. The bucket map holds each key's latest member, and one index
+/// vector chains every member to the next one in its bucket, so
+/// bucketing allocates nothing per row. A walk in input order then
+/// turns each bucket that got a second member into a class, at its
+/// first member: classes come in first-member order, members in input
+/// order, whatever the hasher's keys.
 pub fn hash_join<K: AsRef<[u8]>>(left: &[(usize, K)], right: &[(usize, K)]) -> MatchOutcome {
-    let mut buckets: HashMap<DKey, Vec<(u8, usize)>> =
-        HashMap::with_capacity(left.len() + right.len());
-    for (side, rows) in [(0u8, left), (1, right)] {
-        for (idx, key) in rows {
-            buckets
-                .entry(DKey(key.as_ref()))
-                .or_default()
-                .push((side, *idx));
+    let member = |at: usize| match at.checked_sub(left.len()) {
+        None => left.get(at).map(|(row, key)| (0u8, *row, key)),
+        Some(at) => right.get(at).map(|(row, key)| (1u8, *row, key)),
+    };
+    let members = || {
+        let left = left.iter().map(|(row, key)| (0u8, *row, key));
+        left.chain(right.iter().map(|(row, key)| (1u8, *row, key)))
+    };
+    let n = left.len() + right.len();
+    let mut latest: HashMap<DKey, usize> = HashMap::with_capacity(n);
+    let mut next = vec![CHAIN_END; n];
+    for (at, (_, _, key)) in members().enumerate() {
+        if let Some(previous) = latest.insert(DKey(key.as_ref()), at) {
+            if let Some(link) = next.get_mut(previous) {
+                *link = at;
+            }
         }
     }
+
+    // Each class takes a key and at least one row beyond its first.
+    let distinct = latest.len();
+    let mut equality_classes = Vec::with_capacity(distinct.min(n - distinct));
+    for (at, (side, row, _)) in members().enumerate() {
+        // A bucket's later members are placed by the time the walk
+        // reaches them, so a member with a live link starts a class.
+        let Some(&second) = next.get(at).filter(|&&to| to < n) else {
+            continue;
+        };
+        let later = std::iter::successors(Some(second), |&at| {
+            next.get(at).copied().filter(|&to| to < n)
+        })
+        .count();
+        let mut class = Vec::with_capacity(1 + later);
+        class.push((side, row));
+        let mut at = second;
+        while let Some(link) = next.get_mut(at) {
+            class.extend(member(at).map(|(side, row, _)| (side, row)));
+            at = std::mem::replace(link, PLACED);
+        }
+        equality_classes.push(class);
+    }
     MatchOutcome {
-        equality_classes: buckets.into_values().filter(|c| c.len() >= 2).collect(),
-        comparisons: (left.len() + right.len()) as u64, // one probe per row
+        equality_classes,
+        comparisons: n as u64, // one probe per row
     }
 }
 
@@ -142,6 +188,23 @@ mod tests {
         assert_eq!(class_pair_count(&h.equality_classes), n.pairs.len());
         assert_eq!(n.comparisons, 20, "nested loop does |L|·|R| comparisons");
         assert!(h.comparisons < n.comparisons);
+    }
+
+    #[test]
+    fn classes_come_in_first_member_order_with_members_in_input_order() {
+        let left = keyed(&[(5, 3), (6, 1), (7, 3), (8, 2)]);
+        let right = keyed(&[(0, 2), (1, 1), (2, 3), (3, 9), (4, 9)]);
+        let out = hash_join(&left, &right);
+        assert_eq!(
+            out.equality_classes,
+            vec![
+                vec![(0, 5), (0, 7), (1, 2)],
+                vec![(0, 6), (1, 1)],
+                vec![(0, 8), (1, 0)],
+                vec![(1, 3), (1, 4)],
+            ]
+        );
+        assert_eq!(out.comparisons, 9);
     }
 
     #[test]

@@ -568,18 +568,18 @@ impl<'a> Reader<'a> {
             .map_err(|_| DbError::Protocol("non-UTF-8 string".into()))
     }
 
-    /// A count, then that many `width`-byte items back to back, each
-    /// copied out. `count × width` is multiplied checked and must fit in
-    /// the bytes still unread, so a count that lies is refused before
-    /// anything is allocated.
-    fn fixed_width(&mut self, width: usize, what: &str) -> Result<Vec<Vec<u8>>, DbError> {
+    /// A count, then that many `width`-byte items back to back: the run
+    /// of them, borrowed. `count × width` is multiplied checked and must
+    /// fit in the bytes still unread, so a count that lies is refused
+    /// before anything is allocated.
+    fn fixed_width(&mut self, width: usize, what: &str) -> Result<&'a [u8], DbError> {
         let (run, rest) = usize::try_from(self.u64()?)
             .ok()
             .and_then(|count| count.checked_mul(width))
             .and_then(|len| self.rest.split_at_checked(len))
             .ok_or_else(|| DbError::Protocol(format!("implausible count of {what}")))?;
         self.rest = rest;
-        Ok(run.chunks_exact(width.max(1)).map(<[u8]>::to_vec).collect())
+        Ok(run)
     }
 
     /// A count, then that many items. This is the one place a decoded
@@ -783,16 +783,18 @@ impl<T: Wire> Wire for Arc<T> {
 /// The side, the element count, then the `G1` elements back to back,
 /// each [`Engine::G1_BYTES`] wide (the width is the engine's, so no
 /// length goes in front of each) and holding the engine's canonical
-/// encoding — copied, not decoded: the curve and subgroup check is
-/// [`WireToken::checked`], run by the store on first sighting.
+/// encoding — copied as one run, not decoded: the curve and subgroup
+/// check is [`WireToken::checked`], run by the store on first sighting.
 impl<E: Engine> Wire for WireToken<E> {
     fn put(&self, w: &mut Writer) {
         w.put(&self.side());
-        w.seq(self.elements(), |w, e| w.out.extend_from_slice(e));
+        w.u64(self.len() as u64);
+        w.out.extend_from_slice(self.as_bytes());
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DbError> {
         let side = r.get()?;
-        WireToken::from_encoded(side, r.fixed_width(E::G1_BYTES, "G1 elements")?)
+        let run = r.fixed_width(E::G1_BYTES, "G1 elements")?;
+        Ok(WireToken::from_run(side, run.into()))
     }
 }
 

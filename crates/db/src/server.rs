@@ -156,7 +156,8 @@ pub struct EncryptedJoinResult {
 #[derive(Clone, Debug)]
 pub struct JoinObservation {
     /// Observed equality classes (≥ 2 members) as `(side, row id)`, in
-    /// the match phase's hash-map order.
+    /// the match phase's order: by first member, members in input order
+    /// (left rows ascending, then right rows ascending).
     pub equality_classes: Vec<Vec<(u8, usize)>>,
 }
 

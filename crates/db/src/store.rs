@@ -39,10 +39,21 @@
 //!    the SHA-256 of the side's preimage (token bytes as received,
 //!    table, pre-filter); the cache also remembers each preimage it
 //!    has hashed and holds an entry for, so a repeated side finds its
-//!    fingerprint by exact byte equality and a warm repeat hashes
-//!    nothing. That memo is bounded
-//!    by the cap (one preimage per entry, ≈ 0.7 KB at m = 2, t = 3),
-//!    pruned with the entries and never persisted.
+//!    fingerprint by exact byte equality and a warm repeat runs no
+//!    SHA-256. That lookup hashes a fixed window, the preimage's length
+//!    and last 32 bytes, and compares whole preimages (see
+//!    `PreimageWindow`). The memo is bounded by the cap (one preimage
+//!    per entry, ≈ 0.7 KB at m = 2, t = 3), pruned with the entries and
+//!    never persisted. An entry keeps its rows as one run of `(row id,
+//!    row version, match key)` sorted by id, the order a table yields
+//!    its candidates in, so a side's lookup walks the two runs side by
+//!    side, with no per-row map probe or allocation. Once a pass finds
+//!    that run to be exactly the side's candidates, it stamps the entry
+//!    with the table's *generation* (an in-memory number every change
+//!    to the table's rows draws anew); while the stamp holds, a repeat
+//!    is served the run without scanning the table at all, so a fully
+//!    warm side costs its matched-candidate count, not its table's
+//!    size.
 //! 3. **The tables themselves**, stored column-oriented: per-row
 //!    ciphertexts next to per-*column* sealed payload and pre-filter
 //!    tag vectors, so the pre-filter scans only the constrained
@@ -100,9 +111,11 @@ use crate::protocol::{Reader, Writer};
 use crate::server::{JoinOptions, ServerStats};
 use eqjoin_core::{SecureJoin, SjPreparedCiphertext, SjRowCiphertext, SjTableSide};
 use eqjoin_pairing::Engine;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default decrypt-cache capacity (entries = query sides), used until
@@ -149,6 +162,17 @@ pub struct TableStore<E: Engine> {
     /// Pre-filter tags, column-major per *filter* column (present iff
     /// the client enabled the pre-filter for this table).
     tag_columns: Option<Vec<Vec<[u8; 16]>>>,
+    /// This row set's stamp, drawn anew ([`next_generation`]) whenever
+    /// rows enter or leave. In memory only.
+    generation: u64,
+}
+
+/// Table generations: each row set a table holds in this process gets
+/// a number no other gets, from 1 (0 stamps no decrypt-cache entry).
+static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 impl<E: Engine> TableStore<E> {
@@ -164,6 +188,7 @@ impl<E: Engine> TableStore<E> {
             prepared: Vec::new(),
             payload_columns: Vec::new(),
             tag_columns: None,
+            generation: next_generation(),
         }
     }
 
@@ -220,22 +245,20 @@ impl<E: Engine> TableStore<E> {
             (Some(cols), true, false) => cols,
             _ => return rows.collect(),
         };
-        let mut alive = vec![true; self.len()];
-        for (col, allowed) in prefilter {
-            // A constraint on a column this table carries no tags for
-            // cannot pre-filter; it stays a full scan (the cryptographic
-            // filter still applies during SJ.Dec).
-            if let Some(tags) = tag_columns.get(*col) {
-                for (keep, tag) in alive.iter_mut().zip(tags) {
-                    if *keep && !allowed.contains(tag) {
-                        *keep = false;
-                    }
-                }
-            }
-        }
-        rows.zip(alive)
-            .filter_map(|(row, keep)| keep.then_some(row))
-            .collect()
+        // A constraint on a column this table carries no tags for cannot
+        // pre-filter; it stays a full scan (the cryptographic filter
+        // still applies during SJ.Dec).
+        let allowed_at = |pos: usize| {
+            prefilter.iter().all(|(col, allowed)| {
+                tag_columns
+                    .get(*col)
+                    .and_then(|tags| tags.get(pos))
+                    .is_none_or(|tag| allowed.contains(tag))
+            })
+        };
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(rows.filter(|&(pos, _, _)| allowed_at(pos)));
+        out
     }
 
     /// The requested payload columns of one row (`None` = all), read
@@ -359,13 +382,14 @@ impl<E: Engine> TableStore<E> {
                 }
             }
         }
+        self.generation = next_generation();
         eqjoin_obs::counter!("eqjoin_rows_ingested_total").add(inserted as u64);
         Ok(inserted)
     }
 
-    /// Remove rows by id; every id must exist. Returns how many
-    /// distinct rows went.
-    fn remove_rows(&mut self, ids: &[u64]) -> Result<usize, DbError> {
+    /// Remove rows by id; every id must exist. Returns the distinct ids
+    /// that went, ascending.
+    fn remove_rows(&mut self, ids: &[u64]) -> Result<Vec<u64>, DbError> {
         if let Some(&id) = ids.iter().find(|&&id| self.position_of(id).is_none()) {
             return Err(DbError::UnknownRow {
                 table: self.name.clone(),
@@ -392,7 +416,8 @@ impl<E: Engine> TableStore<E> {
                 retain_by_mask(col, &keep);
             }
         }
-        Ok(doomed.len())
+        self.generation = next_generation();
+        Ok(doomed)
     }
 
     /// The prepared rows at `positions`, first preparing those no query
@@ -478,9 +503,16 @@ pub type MatchKey = Arc<[u8]>;
 /// exact row version it was computed against.
 struct CacheEntry {
     table: String,
-    /// `row id → (row version, match key)`. A key is shared: a hit
-    /// hands out the entry's own bytes, never a copy of them.
-    rows: HashMap<u64, (u64, MatchKey)>,
+    /// `(row id, row version, match key)`, strictly ascending by id — the
+    /// order a table's candidates come in, so a lookup walks the two
+    /// runs side by side. A key is shared: a hit hands out the entry's
+    /// own bytes, never a copy of them.
+    rows: Vec<(u64, u64, MatchKey)>,
+    /// The table generation at which `rows` were exactly the side's
+    /// candidates, every one current; 0 when not known (an entry read
+    /// from a snapshot). While the table keeps that generation, a
+    /// lookup serves `rows` without scanning the table.
+    generation: u64,
     /// Recency stamp: of two entries that cost the same to lose, the
     /// one used less recently goes.
     last_used: u64,
@@ -499,6 +531,50 @@ impl CacheEntry {
     }
 }
 
+/// How many trailing bytes of a side preimage `DecryptCache::known`
+/// hashes (after the preimage's length).
+const PREIMAGE_WINDOW: usize = 32;
+
+/// `DecryptCache::known`'s hasher: std's keyed SipHash over a side
+/// preimage's length and its last [`PREIMAGE_WINDOW`] bytes, where the
+/// whole ≈ 0.7 KB preimage would cost a warm side more than the rest
+/// of its lookup. A preimage without a pre-filter ends in token bytes,
+/// which the engines' canonical encodings spread uniformly; sides whose
+/// preimages end in the same pre-filter tags share a bucket. Either
+/// way the map compares whole preimages, so a shared window costs a
+/// compare, never a wrong fingerprint, and since `known` holds one
+/// preimage per cached side, a crafted pile-up in one bucket costs at
+/// most the cache cap's number of whole compares.
+///
+/// `[u8]`'s `Hash` writes its length and then the whole slice in one
+/// `write` call, so the window is cut in `write`; a `Box<[u8]>` key and
+/// the `&[u8]` a lookup borrows hash alike.
+#[derive(Default)]
+struct PreimageWindow(RandomState);
+
+impl BuildHasher for PreimageWindow {
+    type Hasher = WindowHasher;
+
+    fn build_hasher(&self) -> WindowHasher {
+        WindowHasher(self.0.build_hasher())
+    }
+}
+
+/// The [`PreimageWindow`] hasher: passes on each written byte string's
+/// last [`PREIMAGE_WINDOW`] bytes (all of a length prefix).
+struct WindowHasher(DefaultHasher);
+
+impl Hasher for WindowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0
+            .write(bytes.rchunks(PREIMAGE_WINDOW).next().unwrap_or_default());
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
 /// Memo of decrypt sides keyed by token fingerprint, and a memo of the
 /// fingerprints themselves. On overflow it evicts the entry that is
 /// cheapest to lose: the smallest `uses × rows`, ties to the least
@@ -508,10 +584,11 @@ struct DecryptCache {
     entries: HashMap<[u8; 32], CacheEntry>,
     /// `side_preimage → fingerprint` for the sides this process has
     /// seen: a repeat finds its fingerprint by exact byte equality and
-    /// runs no SHA-256. Every value is a key of `entries` (eviction and
-    /// purges prune the rest), so it holds at most one preimage per
-    /// entry. In memory only: query tokens never reach disk.
-    known: HashMap<Box<[u8]>, [u8; 32]>,
+    /// runs no SHA-256 (hashed on a window, see [`PreimageWindow`]).
+    /// Every value is a key of `entries` (eviction and purges prune the
+    /// rest), so it holds at most one preimage per entry. In memory
+    /// only: query tokens never reach disk.
+    known: HashMap<Box<[u8]>, [u8; 32], PreimageWindow>,
     /// SHA-256 runs over side preimages — what `known` saves.
     digests: u64,
     tick: u64,
@@ -553,6 +630,29 @@ impl DecryptCache {
         entry.last_used = tick;
         entry.uses += 1;
         Some(entry)
+    }
+
+    /// A lookup of a side whose entry is stamped with its table's
+    /// current `generation`: the entry's rows, all hits, counted as one
+    /// use — or `None`, counting nothing, for the caller's full lookup.
+    fn unchanged(
+        &mut self,
+        key: &[u8; 32],
+        table: &str,
+        generation: u64,
+        cap: usize,
+    ) -> Option<Vec<(usize, MatchKey)>> {
+        self.entries
+            .get(key)
+            .filter(|e| e.table == table && e.generation == generation)?;
+        let entry = self.touch(key, cap)?;
+        Some(
+            entry
+                .rows
+                .iter()
+                .map(|(id, _, match_key)| (*id as usize, Arc::clone(match_key)))
+                .collect(),
+        )
     }
 
     /// Store `entry` under `key`, then evict down to `cap`. A refresh
@@ -803,14 +903,14 @@ impl<E: Engine> EncryptedStore<E> {
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         for entry in cache.entries.values_mut() {
             if entry.table == table {
-                for id in ids {
-                    entry.rows.remove(id);
-                }
+                entry
+                    .rows
+                    .retain(|(id, _, _)| deleted.binary_search(id).is_err());
             }
         }
         drop(cache);
         self.mark_dirty();
-        Ok(deleted)
+        Ok(deleted.len())
     }
 
     /// Decrypt one side of a join: `(row id, match key)` for every
@@ -818,6 +918,11 @@ impl<E: Engine> EncryptedStore<E> {
     /// was already decrypted under this token are served from the
     /// cache; the rest run `SJ.Dec` on prepared ciphertexts (prepared here
     /// on first touch), in parallel chunks, final exponentiation batched.
+    /// A side whose entry is stamped with the table's current generation
+    /// is served from the entry without scanning the table: a pass
+    /// stamps the entry it writes, or one whose rows every candidate
+    /// hit and which holds no other row, and every change to the
+    /// table's rows draws a new generation.
     ///
     /// The token arrives as received and is validated here
     /// ([`WireToken::checked`](crate::encrypted::WireToken::checked),
@@ -859,32 +964,55 @@ impl<E: Engine> EncryptedStore<E> {
                 });
             }
         }
-        let candidates = table.candidates(&side.prefilter, opts.use_prefilter);
-        stats.rows_prefiltered_out += table.len() - candidates.len();
-        stats.rows_decrypted += candidates.len();
-
         let preimage = opts
             .decrypt_cache
             .then(|| side_preimage::<E>(side, opts.use_prefilter));
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let key = preimage.as_deref().map(|p| cache.fingerprint(p));
+
+        // Phase 0 — a side whose entry is stamped with the table's
+        // current generation is fully warm: serve the entry's rows
+        // without scanning the table.
+        let unchanged = key
+            .as_ref()
+            .and_then(|key| cache.unchanged(key, &side.table, table.generation, self.cache_cap));
+        if let Some(out) = unchanged {
+            drop(cache);
+            stats.rows_prefiltered_out += table.len().saturating_sub(out.len());
+            stats.rows_decrypted += out.len();
+            stats.decrypt_cache_hits += out.len() as u64;
+            eqjoin_obs::counter!("eqjoin_store_decrypt_cache_hits_total").add(out.len() as u64);
+            return Ok(out);
+        }
+        drop(cache);
+
+        let candidates = table.candidates(&side.prefilter, opts.use_prefilter);
+        stats.rows_prefiltered_out += table.len() - candidates.len();
+        stats.rows_decrypted += candidates.len();
 
         // Phase 1 — serve what the cache already knows (exact row
         // version match), collect the misses.
         let mut out: Vec<(usize, Option<MatchKey>)> = Vec::with_capacity(candidates.len());
         let mut misses: Vec<usize> = Vec::new();
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let key = preimage.as_deref().map(|p| cache.fingerprint(p));
         let entry = key
             .as_ref()
             .and_then(|key| cache.touch(key, self.cache_cap))
             .filter(|e| e.table == side.table);
         let vouched = entry.is_some();
+        let entry_rows = entry.as_ref().map_or(0, |e| e.rows.len());
+        let mut cached = entry
+            .map_or(&[] as &[_], |e| e.rows.as_slice())
+            .iter()
+            .peekable();
         for &(pos, id, version) in &candidates {
-            match entry
-                .as_ref()
-                .and_then(|e| e.rows.get(&id))
-                .filter(|(v, _)| *v == version)
+            // Both runs ascend by id: step the entry's up to this row.
+            while cached.next_if(|row| row.0 < id).is_some() {}
+            match cached
+                .next_if(|row| row.0 == id)
+                .filter(|row| row.1 == version)
             {
-                Some((_, match_key)) => {
+                Some((_, _, match_key)) => {
                     stats.decrypt_cache_hits += 1;
                     out.push((id as usize, Some(Arc::clone(match_key))));
                 }
@@ -892,6 +1020,13 @@ impl<E: Engine> EncryptedStore<E> {
                     misses.push(pos);
                     out.push((id as usize, None));
                 }
+            }
+        }
+        // Every candidate hit, and the entry holds no other row: its
+        // rows are exactly this side's candidates at this generation.
+        if vouched && misses.is_empty() && entry_rows == candidates.len() {
+            if let Some(entry) = key.as_ref().and_then(|key| cache.entries.get_mut(key)) {
+                entry.generation = table.generation;
             }
         }
         drop(cache);
@@ -949,16 +1084,17 @@ impl<E: Engine> EncryptedStore<E> {
         // cheap. Only a pass with fresh decrypts updates the entry and
         // the flag.
         if let (Some(key), Some(preimage), false) = (key, preimage, misses.is_empty()) {
-            let rows: HashMap<u64, (u64, MatchKey)> = candidates
+            let rows: Vec<(u64, u64, MatchKey)> = candidates
                 .iter()
                 .zip(&out)
-                .map(|(&(_, id, version), (_, match_key))| (id, (version, Arc::clone(match_key))))
+                .map(|(&(_, id, version), (_, match_key))| (id, version, Arc::clone(match_key)))
                 .collect();
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache.tick += 1;
             let entry = CacheEntry {
                 table: side.table.clone(),
                 rows,
+                generation: table.generation,
                 last_used: cache.tick,
                 uses: 1,
             };
@@ -1024,10 +1160,8 @@ impl<E: Engine> EncryptedStore<E> {
             body.out.extend_from_slice(key);
             body.str(&entry.table);
             body.u64(entry.last_used);
-            let mut rows: Vec<(&u64, &(u64, MatchKey))> = entry.rows.iter().collect();
-            rows.sort_unstable_by_key(|&(id, _)| id);
-            body.u64(rows.len() as u64);
-            for (id, (version, match_key)) in rows {
+            body.u64(entry.rows.len() as u64);
+            for (id, version, match_key) in &entry.rows {
                 body.u64(*id);
                 body.u64(*version);
                 body.bytes(match_key);
@@ -1151,6 +1285,7 @@ impl<E: Engine> EncryptedStore<E> {
                     prepared,
                     payload_columns,
                     tag_columns,
+                    generation: next_generation(),
                 },
             );
         }
@@ -1165,17 +1300,20 @@ impl<E: Engine> EncryptedStore<E> {
             let table = r.str()?;
             let last_used = r.u64()?;
             let n_rows = r.len("cache rows")?;
-            let mut rows = HashMap::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let id = r.u64()?;
-                let version = r.u64()?;
-                rows.insert(id, (version, r.bytes()?.into()));
+            let rows: Vec<(u64, u64, MatchKey)> = (0..n_rows)
+                .map(|_| Ok((r.u64()?, r.u64()?, r.bytes()?.into())))
+                .collect::<Result<_, DbError>>()?;
+            if !rows.is_sorted_by(|a, b| a.0 < b.0) {
+                return Err(DbError::Protocol(
+                    "cache row ids not strictly ascending".into(),
+                ));
             }
             cache.entries.insert(
                 key,
                 CacheEntry {
                     table,
                     rows,
+                    generation: 0,
                     last_used,
                     uses: 1,
                 },
@@ -1336,7 +1474,7 @@ fn decrypt_positions<E: Engine>(
 /// every cached side when a format-2 data directory upgrades.
 fn side_preimage<E: Engine>(side: &SideTokens<E>, use_prefilter: bool) -> Vec<u8> {
     const DOMAIN: &[u8] = b"eqjoin-decrypt-cache-v1\0";
-    let elements: usize = side.token.elements().iter().map(|e| 8 + e.len()).sum();
+    let elements = 8 * side.token.len() + side.token.as_bytes().len();
     let prefilter: usize = side
         .prefilter
         .iter()
@@ -1370,7 +1508,7 @@ fn side_preimage<E: Engine>(side: &SideTokens<E>, use_prefilter: bool) -> Vec<u8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{DbClient, TableConfig};
+    use crate::client::{ClientConfig, DbClient, TableConfig};
     use crate::data::{Schema, Table, Value};
     use crate::encrypted::QueryTokens;
     use crate::query::JoinQuery;
@@ -1455,6 +1593,92 @@ mod tests {
             "a repeat found its fingerprint by its bytes"
         );
         assert_eq!(store.cache.lock().unwrap().known.len(), 1);
+    }
+
+    #[test]
+    fn preimages_that_share_the_window_keep_their_own_fingerprints() {
+        // Equal length and last 32 bytes, different elsewhere: one
+        // bucket, told apart by the whole compare.
+        let preimage = |head: u8| {
+            let mut p = vec![head; 700];
+            p[668..].fill(9);
+            p
+        };
+        let mut cache = DecryptCache::default();
+        for head in 0..4 {
+            let p = preimage(head);
+            let key = eqjoin_crypto::sha256(&p);
+            let entry = CacheEntry {
+                table: "T".into(),
+                rows: Vec::new(),
+                generation: 0,
+                last_used: 0,
+                uses: 1,
+            };
+            cache.insert(p.into(), key, entry, 8);
+        }
+        for head in 0..4 {
+            let p = preimage(head);
+            assert_eq!(cache.fingerprint(&p), eqjoin_crypto::sha256(&p));
+        }
+        assert_eq!(cache.digests, 0, "each found by its bytes");
+        // The same window at another length is another preimage.
+        let mut longer = preimage(0);
+        longer.insert(0, 0);
+        assert_eq!(cache.fingerprint(&longer), eqjoin_crypto::sha256(&longer));
+        assert_eq!(cache.digests, 1);
+    }
+
+    #[test]
+    fn a_stamped_side_serves_what_a_scan_serves() {
+        let mut config = ClientConfig::new(2, 3);
+        config.seed = 9;
+        config.prefilter = true;
+        let mut client = DbClient::<MockEngine>::with_config(config);
+        let mut store = Store::new();
+        for t in [table("L", &[1, 2, 3, 1, 5]), table("R", &[1, 4, 3])] {
+            store.insert_table(encrypted(&mut client, &t)).unwrap();
+        }
+        let tags = ["t0", "t3", "t5"].map(Value::from).to_vec();
+        let query = JoinQuery::on("L", "key", "R", "key").filter("L", "tag", tags);
+        let q = client.query_tokens(&query).unwrap();
+        let stamped = |store: &Store| {
+            let generation = store.table("L").unwrap().generation;
+            let cache = store.cache.lock().unwrap();
+            cache.entries.values().any(|e| e.generation == generation)
+        };
+        // Each repeat against an uncached pass: the same keys, rows and
+        // pre-filter count; the first repeat after a change scans and
+        // stamps the entry, the next ones are served from the stamp.
+        let check = |store: &Store| {
+            let run = |decrypt_cache| {
+                let opts = JoinOptions {
+                    decrypt_cache,
+                    ..JoinOptions::default()
+                };
+                let mut stats = ServerStats::default();
+                let out = store.decrypt_side(&q.left, &opts, 1, &mut stats).unwrap();
+                (out, stats.rows_decrypted, stats.rows_prefiltered_out)
+            };
+            let want = run(false);
+            for _ in 0..3 {
+                assert_eq!(run(true), want);
+            }
+            assert!(stamped(store));
+            want.1
+        };
+        assert_eq!(check(&store), 2, "rows 0 and 3 pass the pre-filter");
+        let new_row = [vec![Value::Int(7), Value::Str("t5".into())]];
+        let (start, rows) = client.encrypt_rows("L", &new_row).unwrap();
+        store.insert_rows("L", start, rows).unwrap();
+        assert!(!stamped(&store), "new rows draw a new generation");
+        assert_eq!(check(&store), 3);
+        store.delete_rows("L", &[0]).unwrap();
+        assert!(!stamped(&store), "so do deleted ones");
+        assert_eq!(check(&store), 2);
+        let loaded = Store::from_snapshot_bytes(&store.snapshot_bytes()).unwrap();
+        assert!(!stamped(&loaded), "a loaded entry is not stamped");
+        assert_eq!(check(&loaded), 2);
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn without_elements(request: &Request<Bls12>) -> Request<Bls12> {
             Request::ExecuteJoin { tokens, .. } => {
                 let tokens = Arc::make_mut(tokens);
                 for side in [&mut tokens.left, &mut tokens.right] {
-                    side.token = WireToken::from_encoded(side.token.side(), Vec::new())
+                    side.token = WireToken::from_encoded(side.token.side(), Vec::<Vec<u8>>::new())
                         .expect("no elements is a token of any width");
                 }
             }
@@ -141,14 +141,15 @@ fn encoded_elements<E: Engine>(side: &SideTokens<E>) -> Vec<u8> {
 /// `frame` with `side`'s token elements replaced by `elements`, written
 /// the way a build before compression wrote them: the count, then each
 /// element behind its own `u64` length.
-fn with_element_lengths<E: Engine>(
+fn with_element_lengths<E: Engine, B: AsRef<[u8]>>(
     frame: &[u8],
     side: &SideTokens<E>,
-    elements: &[Vec<u8>],
+    elements: impl ExactSizeIterator<Item = B>,
 ) -> Vec<u8> {
     let current = encoded_elements(side);
     let mut old = (elements.len() as u64).to_le_bytes().to_vec();
     for element in elements {
+        let element = element.as_ref();
         old.extend_from_slice(&(element.len() as u64).to_le_bytes());
         old.extend_from_slice(element);
     }
@@ -302,7 +303,6 @@ fn an_old_clients_96_byte_elements_are_a_typed_protocol_error() {
         .left
         .token
         .elements()
-        .iter()
         .map(|bytes| {
             let p = Bls12::g1_from_bytes(bytes).expect("a valid element");
             [p.x.to_bytes(), p.y.to_bytes()].concat()
@@ -322,7 +322,7 @@ fn an_old_clients_96_byte_elements_are_a_typed_protocol_error() {
         projection: PayloadProjection::default(),
     };
     let frame = join(good.clone()).to_bytes();
-    let old_frame = with_element_lengths(&frame, &good.left, &uncompressed);
+    let old_frame = with_element_lengths(&frame, &good.left, uncompressed.iter());
     assert!(matches!(
         Request::<Bls12>::from_bytes(&old_frame),
         Err(DbError::Protocol(_))

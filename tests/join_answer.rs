@@ -10,16 +10,20 @@
 //! the wire once. Stage 2 is anchored at `Customers`, whose payloads
 //! stage 1 already shipped, so it asks for none and ships no rows for
 //! that side. The same answers, altered on the way back, must be
-//! refused by the session with a typed protocol error.
+//! refused by the session with a typed protocol error. And an answer
+//! is a function of its inputs: two servers given the same tables and
+//! tokens send the same bytes, classes in first-member order.
 
 use eqjoin::baselines::ground_truth::reference_join;
 use eqjoin::db::{
-    DbError, EncryptedJoinResult, JoinObservation, JoinQuery, LocalBackend, QueryPlan, Request,
-    Response, Row, Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
+    DbClient, DbError, EncryptedJoinResult, EncryptedTable, JoinObservation, JoinQuery,
+    LocalBackend, QueryPlan, QueryTokens, Request, Response, Row, Schema, ServerApi, Session,
+    SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::pairing::MockEngine;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 type Req = Request<MockEngine>;
 
@@ -507,4 +511,71 @@ fn classes_and_members_in_any_order_give_the_same_answer() {
         .expect("the same classes in another order");
     assert_eq!(reordered.tuples, honest.tuples);
     assert_eq!(reordered.rows, honest.rows);
+}
+
+/// `Response::to_bytes` of one join served by a fresh `LocalBackend`,
+/// with the two phase timings (the one thing two servers may disagree
+/// on) zeroed.
+fn served_answer(
+    tables: &[EncryptedTable<MockEngine>],
+    tokens: &Arc<QueryTokens<MockEngine>>,
+) -> Vec<u8> {
+    let backend = LocalBackend::<MockEngine>::new();
+    for table in tables {
+        let stored = backend.handle(Request::InsertTable(table.clone()));
+        assert!(
+            matches!(stored, Response::TableInserted { .. }),
+            "{stored:?}"
+        );
+    }
+    let mut response = backend.handle(Request::ExecuteJoin {
+        tokens: Arc::clone(tokens),
+        projection: Default::default(),
+    });
+    let Response::JoinExecuted {
+        result,
+        observation,
+    } = &mut response
+    else {
+        panic!("the join was served: {response:?}");
+    };
+    assert_eq!(observation.equality_classes.len(), 12);
+    result.stats.decrypt_time = Duration::ZERO;
+    result.stats.match_time = Duration::ZERO;
+    response.to_bytes()
+}
+
+#[test]
+fn two_servers_given_the_same_inputs_send_the_same_answer_bytes() {
+    // Twelve classes: ten keys on both sides (one with two left rows),
+    // one key on the left twice, one on the right twice.
+    let table = |name: &str, keys: &[i64]| {
+        let mut t = Table::new(Schema::new(name, &["k", "v"]));
+        for (i, &k) in keys.iter().enumerate() {
+            t.push_row(vec![Value::Int(k), format!("{name}{i}").into()]);
+        }
+        t
+    };
+    let mut client = DbClient::<MockEngine>::new(2, 2, 5);
+    let config = || TableConfig {
+        join_column: "k".into(),
+        filter_columns: vec!["v".into()],
+    };
+    let tables = [
+        table("L", &[9, 3, 0, 7, 1, 8, 5, 20, 2, 6, 4, 9, 20, 40]),
+        table("R", &[4, 2, 0, 8, 6, 1, 9, 3, 5, 7, 30, 30, 50]),
+    ]
+    .map(|t| client.encrypt_table(&t, config()).unwrap());
+    let tokens = Arc::new(
+        client
+            .query_tokens(&JoinQuery::on("L", "k", "R", "k"))
+            .unwrap(),
+    );
+    let first = served_answer(&tables, &tokens);
+    for _ in 0..3 {
+        assert!(
+            served_answer(&tables, &tokens) == first,
+            "two servers sent different bytes for the same join"
+        );
+    }
 }

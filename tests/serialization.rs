@@ -230,7 +230,7 @@ fn query_tokens_reject_tampered_group_elements() {
     let tokens = client
         .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
         .unwrap();
-    let element = tokens.left.token.elements()[0].clone();
+    let element = tokens.left.token.elements().next().unwrap().to_vec();
     let good = Request::ExecuteJoin {
         tokens: tokens.into(),
         projection: Default::default(),

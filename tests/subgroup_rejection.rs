@@ -99,7 +99,7 @@ fn token_points_outside_the_subgroup_decode_and_are_refused_by_checked() {
     let tokens = client
         .query_tokens(&JoinQuery::on("T", "k", "T", "k"))
         .unwrap();
-    let g1_element = tokens.right.token.elements()[0].clone();
+    let g1_element = tokens.right.token.elements().next().unwrap().to_vec();
     let good = Request::ExecuteJoin {
         tokens: tokens.into(),
         projection: Default::default(),
