@@ -1,5 +1,5 @@
 //! Regenerate the **§6.5 comparison**: Secure Join vs the Hahn et al.
-//! reconstruction — per-row unlock latency, join algorithm asymptotics,
+//! reconstruction — per-row and per-query costs, join algorithm asymptotics,
 //! and the parallelization headroom the paper discusses.
 //!
 //! ```sh
@@ -17,17 +17,30 @@ use eqjoin_pairing::{Bls12, Fr};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
+/// Each scheme's whole per-row and per-query cost: the upload encrypts
+/// every row once, a query draws one key per side, and the server
+/// unlocks each candidate row with it.
 fn per_row_unlock() {
-    println!("-- per-row unlock latency (BLS12-381, m = 8, t = 1) --");
+    println!("-- per-row and per-query costs (BLS12-381, m = 8, t = 1) --");
     let mut rng = ChaChaRng::seed_from_u64(0xc0);
     type Sj = SecureJoin<Bls12>;
     let msk = Sj::setup(SjParams { m: 8, t: 1 }, &mut rng);
     let attrs: Vec<Vec<u8>> = (0..8).map(|i| format!("a{i}").into_bytes()).collect();
     let row = RowEncoding::from_bytes(b"jv", &attrs);
+    let sj_enc = mean_duration(10, || {
+        let t0 = Instant::now();
+        let _ = Sj::encrypt_row(&msk, &row, &mut rng);
+        t0.elapsed()
+    });
     let ct = Sj::encrypt_row(&msk, &row, &mut rng).unwrap();
     let key = Sj::fresh_query_key(&mut rng);
     let mut filters: Vec<Option<Vec<Fr>>> = vec![None; 8];
     filters[0] = Some(vec![embed_attribute(b"a0")]);
+    let sj_tkgen = mean_duration(10, || {
+        let t0 = Instant::now();
+        let _ = Sj::token_gen(&msk, SjTableSide::A, &key, &filters, &mut rng);
+        t0.elapsed()
+    });
     let tk = Sj::token_gen(&msk, SjTableSide::A, &key, &filters, &mut rng).unwrap();
     let sj_dec = mean_duration(10, || {
         let t0 = Instant::now();
@@ -39,18 +52,41 @@ fn per_row_unlock() {
     let kp_msk = KpAbe::<Bls12>::setup(&universe, &mut rng);
     let (m, _) = KpAbe::<Bls12>::random_message(&kp_msk, &mut rng);
     let attrs: HashSet<String> = ["a".to_string(), "b".to_string()].into();
+    let hahn_encrypt = mean_duration(10, || {
+        let t0 = Instant::now();
+        let _ = KpAbe::<Bls12>::encrypt(&kp_msk, &m, &attrs, &mut rng);
+        t0.elapsed()
+    });
     let kp_ct = KpAbe::<Bls12>::encrypt(&kp_msk, &m, &attrs, &mut rng);
-    let kp_key = KpAbe::<Bls12>::keygen(
-        &kp_msk,
-        &Policy::And(vec![Policy::leaf("a"), Policy::leaf("b")]),
-        &mut rng,
-    );
+    let policy = Policy::And(vec![Policy::leaf("a"), Policy::leaf("b")]);
+    let hahn_keygen = mean_duration(10, || {
+        let t0 = Instant::now();
+        let _ = KpAbe::<Bls12>::keygen(&kp_msk, &policy, &mut rng);
+        t0.elapsed()
+    });
+    let kp_key = KpAbe::<Bls12>::keygen(&kp_msk, &policy, &mut rng);
     let hahn_unwrap = mean_duration(10, || {
         let t0 = Instant::now();
         let _ = KpAbe::<Bls12>::decrypt(&kp_key, &kp_ct);
         t0.elapsed()
     });
 
+    println!(
+        "  SecureJoin SJ.Enc (upload, per row):          {} ms",
+        millis(sj_enc)
+    );
+    println!(
+        "  Hahn KP-ABE encrypt (upload, per row):        {} ms",
+        millis(hahn_encrypt)
+    );
+    println!(
+        "  SecureJoin SJ.TkGen (per query side):         {} ms",
+        millis(sj_tkgen)
+    );
+    println!(
+        "  Hahn KP-ABE keygen (per query side):          {} ms",
+        millis(hahn_keygen)
+    );
     println!(
         "  SecureJoin SJ.Dec (one 19-way multi-pairing): {} ms",
         millis(sj_dec)

@@ -119,7 +119,7 @@ pub enum DbError {
     Transport(String),
     /// A deadline elapsed before the operation completed: a stream
     /// read/write timed out
-    /// ([`SessionConfig::deadline`](crate::session::SessionConfig::deadline)
+    /// ([`RemoteConfig::io_timeout`](crate::backend::RemoteConfig::io_timeout)
     /// or a server idle
     /// timeout), or a retry budget was exhausted retrying timeouts.
     /// Unlike [`DbError::Transport`], the peer may still be working on

@@ -89,6 +89,19 @@
 //! exactly the matched rows of a side that asked for columns, is a
 //! [`DbError::Protocol`].
 //!
+//! # A series runs whole or not at all
+//!
+//! [`Session::execute`] and [`Session::execute_all`] share one failure
+//! model. A plan that cannot be lowered or tokenized fails the call
+//! before anything is sent: the server sees none of the series, and the
+//! ledger records nothing. Once the series is sent, every join the
+//! server executed is ledgered, and only then does the call return the
+//! first failed stage's error, in series order. The server observed
+//! those joins whatever the client does next, so the ledger holds them
+//! even when the call fails. A transport failure after dispatch leaves
+//! the server's side unknown, and is counted in
+//! [`SessionStats::queries_unaccounted`].
+//!
 //! # Assembling the answer, and what a repeat opens
 //!
 //! A position's *slots* index its matched rows, ascending. Each stage's
@@ -127,7 +140,6 @@ use eqjoin_pairing::Engine;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Session configuration: the client's crypto parameters plus caching
 /// policy, fixed at construction. How a join runs is the backend's.
@@ -140,11 +152,6 @@ pub struct SessionConfig {
     /// Cache token bundles per canonical pairwise stage (on by default;
     /// see the module docs for why the cache key is the stage).
     pub token_cache: bool,
-    /// Per-operation I/O deadline for remote sessions: every socket
-    /// read and write of a round trip must complete within this window
-    /// or the call fails with [`DbError::Timeout`]. `None` (the
-    /// default) blocks indefinitely; in-process backends ignore it.
-    pub deadline: Option<Duration>,
 }
 
 impl SessionConfig {
@@ -156,17 +163,7 @@ impl SessionConfig {
             client: ClientConfig::new(m, t),
             threads: 0,
             token_cache: true,
-            deadline: None,
         }
-    }
-
-    /// Bound every socket read/write of a remote round trip; an elapsed
-    /// deadline surfaces as [`DbError::Timeout`]. Only
-    /// [`Session::remote`] honors it — in-process backends never block
-    /// on a peer.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Set the deterministic RNG seed.
@@ -189,8 +186,8 @@ impl SessionConfig {
 
     /// Decrypt worker threads of the in-process backend (`0` = auto,
     /// the default: one per available core). Only [`Session::local`]
-    /// honors it, as only [`Session::remote`] honors the deadline:
-    /// other backends run on the configuration they were built with.
+    /// honors it: other backends run on the configuration they were
+    /// built with.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -476,6 +473,15 @@ struct StageRequest {
     projection: PayloadProjection,
 }
 
+/// One stage the server executed, as the ledger recorded it.
+struct Executed {
+    result: EncryptedJoinResult,
+    observation: JoinObservation,
+    series_index: u64,
+    /// Pairs it added to the closure.
+    added: usize,
+}
+
 /// The payload columns a position's rows ship.
 struct PositionColumns {
     /// Schema indices of the payload columns shipped, in shipped order.
@@ -494,20 +500,18 @@ impl<E: Engine> Session<E> {
 
     /// Session over a [`RemoteBackend`] connected to an `eqjoind`
     /// server at `addr`. Connection failure is [`DbError::Transport`].
-    /// [`SessionConfig::deadline`] becomes the connection's I/O
-    /// timeout; idempotent requests retry per the default
-    /// [`RetryPolicy`](crate::backend::RetryPolicy).
+    /// The connection has the default
+    /// [`RemoteConfig`](crate::backend::RemoteConfig): no I/O timeout,
+    /// and idempotent requests retry per the default
+    /// [`RetryPolicy`](crate::backend::RetryPolicy). To bound every
+    /// socket read and write, connect with
+    /// [`RemoteBackend::connect_with`] and pass the backend to
+    /// [`Session::with_backend`].
     pub fn remote<A: std::net::ToSocketAddrs + ToString>(
         config: SessionConfig,
         addr: A,
     ) -> Result<Self, DbError> {
-        let remote = RemoteBackend::connect_with(
-            addr,
-            crate::backend::RemoteConfig {
-                io_timeout: config.deadline,
-                ..crate::backend::RemoteConfig::default()
-            },
-        )?;
+        let remote = RemoteBackend::connect(addr)?;
         Ok(Self::with_backend(config, Box::new(remote)))
     }
 
@@ -944,29 +948,6 @@ impl<E: Engine> Session<E> {
         Ok((tokens, cache_hit))
     }
 
-    /// Append one request per stage of `lowering` to `requests` (token
-    /// cache consulted per stage) and return each stage's cache
-    /// outcome. On an error, none of the plan's requests stay.
-    fn stage_requests(
-        &mut self,
-        lowering: &Lowering,
-        requests: &mut Vec<Request<E>>,
-    ) -> Result<Vec<bool>, DbError> {
-        let first = requests.len();
-        let mut cache_hits = Vec::with_capacity(lowering.stages.len());
-        for (stage, request) in lowering.plan.stages.iter().zip(&lowering.stages) {
-            let (tokens, cache_hit) = self
-                .tokens_for(&request.key, &stage.query)
-                .inspect_err(|_| requests.truncate(first))?;
-            cache_hits.push(cache_hit);
-            requests.push(Request::ExecuteJoin {
-                tokens,
-                projection: request.projection.clone(),
-            });
-        }
-        Ok(cache_hits)
-    }
-
     /// Record one executed join in the leakage ledger and return its
     /// series index and the pairs it added to the closure. This must
     /// happen for every join the server executed — the observation
@@ -1002,9 +983,7 @@ impl<E: Engine> Session<E> {
     fn assemble_result_set(
         &mut self,
         lowering: &Lowering,
-        mut stage_results: Vec<(EncryptedJoinResult, JoinObservation)>,
-        series_index: u64,
-        leakage_delta: usize,
+        mut stages: Vec<Executed>,
         stage_cache_hits: Vec<bool>,
     ) -> Result<ResultSet, DbError> {
         // Position 0 is introduced by stage 0's left side and position
@@ -1013,14 +992,15 @@ impl<E: Engine> Session<E> {
         // rows. `matched[p]` lists the rows position `p` can take.
         let lowered = &lowering.plan;
         let mut matched: Vec<Vec<usize>> = Vec::with_capacity(lowered.tables.len());
-        let mut links = Vec::with_capacity(stage_results.len());
-        for (i, (result, observation)) in stage_results.iter_mut().enumerate() {
+        let mut links = Vec::with_capacity(stages.len());
+        for (i, executed) in stages.iter_mut().enumerate() {
             let stage = &lowered.stages[i];
             let projection = &lowering.stages[i].projection;
-            let (left, right) = matched_rows(&observation.equality_classes)?;
+            let classes = &executed.observation.equality_classes;
+            let (left, right) = matched_rows(classes)?;
             for (rows, wanted, matched) in [
-                (&mut result.left_rows, &projection.left, &left),
-                (&mut result.right_rows, &projection.right, &right),
+                (&mut executed.result.left_rows, &projection.left, &left),
+                (&mut executed.result.right_rows, &projection.right, &right),
             ] {
                 check_shipped(rows, matched, ships_rows(wanted.as_deref()))?;
                 // Vouched for, the shipped rows are the matched rows;
@@ -1034,7 +1014,7 @@ impl<E: Engine> Session<E> {
             }
             debug_assert_eq!(stage.right_position, matched.len());
             let link = StageSlots::new(
-                &observation.equality_classes,
+                classes,
                 stage.left_position,
                 &matched[stage.left_position],
                 &right,
@@ -1046,8 +1026,8 @@ impl<E: Engine> Session<E> {
         let mut positions = Vec::with_capacity(matched.len());
         for (p, matched) in matched.into_iter().enumerate() {
             let shipped = match p {
-                0 => &stage_results[0].0.left_rows,
-                _ => &stage_results[p - 1].0.right_rows,
+                0 => &stages[0].result.left_rows,
+                _ => &stages[p - 1].result.right_rows,
             };
             positions.push(PositionRows {
                 table: &lowered.tables[p],
@@ -1107,17 +1087,19 @@ impl<E: Engine> Session<E> {
         }
 
         let mut stats = ServerStats::default();
-        for (s, _) in &stage_results {
-            stats.merge(&s.stats);
+        for stage in &stages {
+            stats.merge(&stage.result.stats);
         }
         Ok(ResultSet {
             columns: lowered.projection.iter().map(|c| c.id.clone()).collect(),
             rows,
             tuples,
             stats,
-            stage_stats: stage_results.into_iter().map(|(r, _)| r.stats).collect(),
-            series_index,
-            leakage_delta,
+            series_index: stages
+                .first()
+                .map_or(self.stats.queries_executed, |s| s.series_index),
+            leakage_delta: stages.iter().map(|s| s.added).sum(),
+            stage_stats: stages.into_iter().map(|s| s.result.stats).collect(),
             cache_hit: stage_cache_hits.iter().all(|&h| h),
             stage_cache_hits,
         })
@@ -1128,9 +1110,9 @@ impl<E: Engine> Session<E> {
     /// leakage ledger → tuples and per-column decrypt.
     pub fn execute(&mut self, input: impl Into<QueryInput>) -> Result<ResultSet, DbError> {
         let lowering = self.lower(input.into())?;
-        self.run_series(vec![Ok(lowering)])
+        self.run(&[lowering])?
             .pop()
-            .expect("one plan in, one result out")
+            .ok_or_else(|| DbError::Protocol("a plan produced no result".into()))
     }
 
     /// Execute a whole series in **one round trip**: every
@@ -1142,114 +1124,60 @@ impl<E: Engine> Session<E> {
     /// [`RemoteBackend`] that is exactly
     /// one TCP round trip for the entire series.
     ///
-    /// Results come back in input order. If any query fails, the first
-    /// failure (in series order) is returned — but every join the
-    /// server *did* execute is recorded in the leakage ledger first.
-    /// The one unknowable case is a transport failure after dispatch:
-    /// no observation comes back to record, so the affected joins are
-    /// counted in [`SessionStats::queries_unaccounted`] instead.
+    /// A series runs whole or not at all. A plan that cannot be lowered
+    /// or tokenized fails the call before anything is sent. Once the
+    /// series is sent, every join the server executed is recorded in
+    /// the leakage ledger, and then the first failed stage's error (in
+    /// series order) is returned, or else every plan's result, in input
+    /// order. The one unknowable case is a transport failure after
+    /// dispatch: no observation comes back to record, so the affected
+    /// joins are counted in [`SessionStats::queries_unaccounted`]
+    /// instead.
     pub fn execute_all(&mut self, inputs: &[QueryInput]) -> Result<Vec<ResultSet>, DbError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lowered = inputs
-            .iter()
-            .map(|input| self.lower(input.clone()).map(Ok))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_series(lowered).into_iter().collect()
-    }
-
-    /// Degraded-mode variant of [`execute_all`](Self::execute_all):
-    /// every query gets its **own** outcome instead of the first
-    /// failure poisoning the batch. A query whose stages all came back
-    /// yields `Ok(ResultSet)` even when its neighbors hit a timeout or
-    /// a per-element server error; only failures that
-    /// predate the fan-out (planning, token generation, or a
-    /// whole-batch transport loss) reach every slot. Leakage
-    /// accounting is identical to `execute_all` — every join the
-    /// server executed is recorded before results are assembled.
-    pub fn execute_all_partial(
-        &mut self,
-        inputs: &[QueryInput],
-    ) -> Vec<Result<ResultSet, DbError>> {
-        let lowered = inputs
+        let lowerings = inputs
             .iter()
             .map(|input| self.lower(input.clone()))
-            .collect();
-        self.run_series(lowered)
+            .collect::<Result<Vec<_>, _>>()?;
+        self.run(&lowerings)
     }
 
-    /// The execution core: dispatch every stage of every still-viable
-    /// plan (one plain request for a single pairwise stage, one batch
-    /// otherwise), ledger every observation that came back, then
-    /// assemble + decrypt per plan — each slot succeeding or failing on
-    /// its own.
-    fn run_series(
-        &mut self,
-        lowered: Vec<Result<Arc<Lowering>, DbError>>,
-    ) -> Vec<Result<ResultSet, DbError>> {
+    /// The execution core, in four steps: draw every stage's tokens
+    /// (nothing is sent if one fails); dispatch one request for a
+    /// single pairwise stage, one batch otherwise; ledger every join the
+    /// server executed; return the first failed stage's error in series
+    /// order, or else assemble every plan.
+    fn run(&mut self, lowerings: &[Arc<Lowering>]) -> Result<Vec<ResultSet>, DbError> {
+        if lowerings.is_empty() {
+            return Ok(Vec::new());
+        }
         // One record per dispatch: for `execute` this is exactly the
         // per-query end-to-end latency (tokens → backend → assembly →
         // decrypt); a batched series records its whole round trip once.
         let _span = eqjoin_obs::span!("session_query");
-        // A slot that failed before dispatch keeps its own error and
-        // ships no stages; the rest share one batch.
-        enum Slot {
-            Failed(DbError),
-            Pending {
-                lowering: Arc<Lowering>,
-                cache_hits: Vec<bool>,
-            },
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(lowered.len());
         let mut requests = Vec::new();
-        for entry in lowered {
-            let slot = entry.and_then(|lowering| {
-                let cache_hits = self.stage_requests(&lowering, &mut requests)?;
-                Ok(Slot::Pending {
-                    lowering,
-                    cache_hits,
-                })
-            });
-            slots.push(slot.unwrap_or_else(Slot::Failed));
-        }
-        let total_stages = requests.len();
-        // Failures that hit the batch as a whole (nothing dispatched,
-        // or the one response lost) land in every pending slot;
-        // pre-dispatch failures keep their own error.
-        let fail_pending = |slots: Vec<Slot>, e: DbError| -> Vec<Result<ResultSet, DbError>> {
-            slots
-                .into_iter()
-                .map(|slot| match slot {
-                    Slot::Failed(own) => Err(own),
-                    Slot::Pending { .. } => Err(e.clone()),
-                })
-                .collect()
-        };
-        if total_stages == 0 {
-            return fail_pending(
-                slots,
-                DbError::Protocol("plan lowered to zero stages".into()),
-            );
+        let mut cache_hits = Vec::new();
+        for lowering in lowerings {
+            for (stage, request) in lowering.plan.stages.iter().zip(&lowering.stages) {
+                let (tokens, cache_hit) = self.tokens_for(&request.key, &stage.query)?;
+                cache_hits.push(cache_hit);
+                requests.push(Request::ExecuteJoin {
+                    tokens,
+                    projection: request.projection.clone(),
+                });
+            }
         }
 
+        let total_stages = requests.len();
         let sent_before = self.backend.transport_stats().bytes_sent;
-        let responses: Vec<Response> = if total_stages == 1 {
-            let response = self.dispatch(requests.pop().expect("exactly one request"));
-            vec![response]
-        } else {
-            match self.dispatch(Request::Batch(requests)) {
+        let responses = match <[_; 1]>::try_from(requests) {
+            Ok([request]) => vec![self.dispatch(request)],
+            Err(requests) => match self.dispatch(Request::Batch(requests)) {
+                Response::Batch(responses) if responses.len() == total_stages => responses,
                 Response::Batch(responses) => {
-                    if responses.len() != total_stages {
-                        return fail_pending(
-                            slots,
-                            DbError::Protocol(format!(
-                                "batch arity mismatch: {total_stages} requests, {} responses",
-                                responses.len()
-                            )),
-                        );
-                    }
-                    responses
+                    return Err(DbError::Protocol(format!(
+                        "batch arity mismatch: {total_stages} requests, {} responses",
+                        responses.len()
+                    )))
                 }
                 Response::Error(e) => {
                     // If the batch reached the wire, a transport failure
@@ -1260,32 +1188,25 @@ impl<E: Engine> Session<E> {
                     {
                         self.stats.queries_unaccounted += total_stages as u64;
                     }
-                    return fail_pending(slots, e);
+                    return Err(e);
                 }
                 _ => {
-                    return fail_pending(
-                        slots,
-                        DbError::Protocol(
-                            "backend answered Batch with the wrong response kind".into(),
-                        ),
-                    )
+                    return Err(DbError::Protocol(
+                        "backend answered Batch with the wrong response kind".into(),
+                    ))
                 }
-            }
+            },
         };
 
-        // Pass 1 — leakage: the server observed *every* executed join
-        // in the series, so record them all before any error or decrypt
-        // failure can cut the processing short.
+        // The server observed *every* join it executed, so record them
+        // all before any error or decrypt failure can cut the
+        // processing short.
         let dispatched = self.backend.transport_stats().bytes_sent > sent_before;
-        type Executed = ((EncryptedJoinResult, JoinObservation), u64, usize);
-        let mut executed: Vec<Result<Executed, DbError>> = Vec::with_capacity(responses.len());
-        // Each response's stage, in dispatch order.
-        let stages = slots.iter().flat_map(|slot| match slot {
-            Slot::Pending { lowering, .. } => lowering.plan.stages.as_slice(),
-            Slot::Failed(_) => &[],
-        });
+        let stages = lowerings.iter().flat_map(|lowering| &lowering.plan.stages);
+        let mut executed = Vec::with_capacity(total_stages);
+        let mut first_error = None;
         for (response, stage) in responses.into_iter().zip(stages) {
-            match response {
+            let outcome = match response {
                 Response::JoinExecuted {
                     result,
                     observation,
@@ -1293,14 +1214,17 @@ impl<E: Engine> Session<E> {
                     self.stats.decrypt_cache_hits += result.stats.decrypt_cache_hits;
                     let tables = [stage.query.left_table.as_str(), &stage.query.right_table];
                     match self.record_observation(&observation, tables) {
-                        Ok((series_index, added)) => {
-                            executed.push(Ok(((result, observation), series_index, added)))
-                        }
+                        Ok((series_index, added)) => Ok(Executed {
+                            result,
+                            observation,
+                            series_index,
+                            added,
+                        }),
                         Err(e) => {
                             // The server ran this join, but what it
                             // observed cannot be ledgered.
                             self.stats.queries_unaccounted += 1;
-                            executed.push(Err(e));
+                            Err(e)
                         }
                     }
                 }
@@ -1311,60 +1235,34 @@ impl<E: Engine> Session<E> {
                     if matches!(e, DbError::Transport(_)) && dispatched {
                         self.stats.queries_unaccounted += 1;
                     }
-                    executed.push(Err(e));
+                    Err(e)
                 }
-                _ => executed.push(Err(DbError::Protocol(
+                _ => Err(DbError::Protocol(
                     "backend answered ExecuteJoin with the wrong response kind".into(),
-                ))),
+                )),
+            };
+            match outcome {
+                Ok(stage) => executed.push(stage),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
             }
+        }
+        if let Some(e) = first_error {
+            return Err(e);
         }
 
-        // Pass 2 — assemble and decrypt per plan, in series order. A
-        // failed stage fails its own plan's slot; every other plan
-        // still assembles (its stage responses are all consumed either
-        // way, so slots stay aligned).
         let mut executed = executed.into_iter();
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (lowering, stage_cache_hits) = match slot {
-                Slot::Failed(e) => {
-                    results.push(Err(e));
-                    continue;
-                }
-                Slot::Pending {
-                    lowering,
-                    cache_hits,
-                } => (lowering, cache_hits),
-            };
-            let n_stages = stage_cache_hits.len();
-            let mut stage_results = Vec::with_capacity(n_stages);
-            let mut first_error = None;
-            let mut first_series_index = None;
-            let mut leakage_delta = 0;
-            for _ in 0..n_stages {
-                match executed.next().expect("stage arity checked") {
-                    Ok((result, series_index, added)) => {
-                        first_series_index.get_or_insert(series_index);
-                        leakage_delta += added;
-                        stage_results.push(result);
-                    }
-                    Err(e) => {
-                        first_error.get_or_insert(e);
-                    }
-                }
-            }
-            results.push(match first_error {
-                Some(e) => Err(e),
-                None => self.assemble_result_set(
-                    &lowering,
-                    stage_results,
-                    first_series_index.expect("plans have at least one stage"),
-                    leakage_delta,
-                    stage_cache_hits,
-                ),
-            });
-        }
-        results
+        let mut cache_hits = cache_hits.into_iter();
+        lowerings
+            .iter()
+            .map(|lowering| {
+                let n = lowering.stages.len();
+                let stages = executed.by_ref().take(n).collect();
+                let cache_hits = cache_hits.by_ref().take(n).collect();
+                self.assemble_result_set(lowering, stages, cache_hits)
+            })
+            .collect()
     }
 
     /// The embedded per-query ledger (full history and growth series).
@@ -2142,43 +2040,21 @@ mod tests {
         // Queries 0 and 2 executed server-side; both must be in the
         // ledger even though the series as a whole failed.
         assert_eq!(s.leakage_report().queries, 2);
+        // The session is not poisoned: the same series succeeds once
+        // the fault clears (the flaky backend only rejects join #1).
+        let ok = s
+            .execute_all(&inputs)
+            .expect("series succeeds after the fault clears");
+        assert_eq!(ok.len(), 3);
+        assert_eq!(s.leakage_report().queries, 5);
     }
 
     #[test]
-    fn execute_all_partial_isolates_per_query_failures() {
-        // Same shape as above, but through the degraded-mode API: the
-        // rejected query fails alone, its neighbors still answer, and
-        // a query that cannot even plan gets its own slot error.
-        struct FailSecondJoin(LocalBackend<MockEngine>, std::sync::atomic::AtomicUsize);
-        impl ServerApi<MockEngine> for FailSecondJoin {
-            fn handle(&self, request: Request<MockEngine>) -> Response {
-                match request {
-                    Request::Batch(requests) => {
-                        Response::Batch(requests.into_iter().map(|r| self.handle(r)).collect())
-                    }
-                    Request::ExecuteJoin { .. } => {
-                        let n = self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        if n == 1 {
-                            Response::Error(DbError::PayloadCorrupted)
-                        } else {
-                            self.0.handle(request)
-                        }
-                    }
-                    other => self.0.handle(other),
-                }
-            }
-        }
-
-        let mut s = Session::<MockEngine>::with_backend(
-            SessionConfig::new(1, 3).seed(99),
-            Box::new(FailSecondJoin(
-                LocalBackend::new(),
-                std::sync::atomic::AtomicUsize::new(0),
-            )),
-        );
-        let (left, right) = tables();
-        s.create_table(&left, cfg("L")).unwrap();
-        s.create_table(&right, cfg("R")).unwrap();
+    fn a_series_that_cannot_draw_its_tokens_sends_nothing() {
+        // All three plans lower; the third cannot draw its tokens (four
+        // distinct IN values at t = 3). The first two must not reach the
+        // server either, so nothing is observed and nothing ledgered.
+        let mut s = session();
         let inputs = vec![
             QueryInput::from(JoinQuery::on("L", "k", "R", "k")),
             QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
@@ -2189,37 +2065,17 @@ mod tests {
             QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
                 "L",
                 "color",
-                vec!["blue".into()],
+                vec!["a".into(), "b".into(), "c".into(), "d".into()],
             )),
-            QueryInput::from(JoinQuery::on("L", "k", "NoSuchTable", "k")),
         ];
-        let outcomes = s.execute_all_partial(&inputs);
-        assert_eq!(outcomes.len(), 4);
-        assert!(outcomes[0].is_ok(), "unaffected query must still answer");
-        assert!(matches!(outcomes[1], Err(DbError::PayloadCorrupted)));
-        assert!(
-            outcomes[2].is_ok(),
-            "later slots survive an earlier failure"
-        );
-        assert!(
-            matches!(outcomes[3], Err(DbError::UnknownTable(_))),
-            "a plan-time failure stays in its own slot"
-        );
-        // Both executed joins are in the ledger, exactly as with
-        // `execute_all`.
-        assert_eq!(s.leakage_report().queries, 2);
-        // The session is not poisoned: the same series succeeds once
-        // the fault clears (the flaky backend only rejects call #1).
-        let ok = s
-            .execute_all(&inputs[..3])
-            .expect("series succeeds after the fault clears");
-        assert_eq!(ok.len(), 3);
-    }
-
-    #[test]
-    fn execute_all_partial_on_nothing_is_empty() {
-        let mut s = session();
-        assert!(s.execute_all_partial(&[]).is_empty());
+        let before = s.transport_stats();
+        assert!(matches!(
+            s.execute_all(&inputs),
+            Err(DbError::InClauseTooLarge { got: 4, max: 3 })
+        ));
+        assert_eq!(s.transport_stats(), before, "nothing was sent");
+        assert_eq!(s.leakage_report().queries, 0, "nothing was ledgered");
+        assert_eq!(s.stats().queries_unaccounted, 0);
     }
 
     #[test]

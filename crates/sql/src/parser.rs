@@ -211,7 +211,7 @@ pub fn parse_statement(input: &str) -> Result<ParsedStatement, SqlError> {
         Some((Token::Ident(w), _)) if w.eq_ignore_ascii_case("COPY") => {
             parse_copy(Parser { tokens, pos: 0 })
         }
-        _ => parse(input).map(ParsedStatement::Select),
+        _ => parse_select(Parser { tokens, pos: 0 }).map(ParsedStatement::Select),
     }
 }
 
@@ -322,10 +322,14 @@ fn parse_delete(mut p: Parser) -> Result<ParsedStatement, SqlError> {
 /// `SELECT (* | col, …) FROM a [INNER] JOIN b ON x = y ([INNER] JOIN c
 /// ON x = y)* [WHERE col IN (v, …) [AND …]] [;]`
 pub fn parse(input: &str) -> Result<ParsedQuery, SqlError> {
-    let mut p = Parser {
+    parse_select(Parser {
         tokens: tokenize(input)?,
         pos: 0,
-    };
+    })
+}
+
+/// [`parse`] over tokens already lexed.
+fn parse_select(mut p: Parser) -> Result<ParsedQuery, SqlError> {
     p.expect_keyword("SELECT")?;
     let select = if p.peek() == Some(&Token::Star) {
         p.next();

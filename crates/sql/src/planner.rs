@@ -1,7 +1,7 @@
 //! The [`SqlPlanner`] implementation that plugs this crate's parser into
 //! the engine's [`Session`](eqjoin_db::Session).
 
-use crate::parser::{parse, parse_statement, ParsedStatement, ResolutionContext};
+use crate::parser::{parse, parse_statement, ParsedQuery, ParsedStatement, ResolutionContext};
 use eqjoin_db::session::{Catalog, SqlPlanner, SqlStatement};
 use eqjoin_db::{DbError, QueryPlan};
 
@@ -36,24 +36,12 @@ pub struct SqlFrontend;
 impl SqlPlanner for SqlFrontend {
     fn plan(&self, sql: &str, catalog: &Catalog) -> Result<QueryPlan, DbError> {
         let parsed = parse(sql).map_err(|e| DbError::Sql(e.to_string()))?;
-        let mut tables = Vec::with_capacity(parsed.tables.len());
-        for table in &parsed.tables {
-            let cols = catalog
-                .get(table)
-                .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-            tables.push((table.as_str(), cols.as_slice()));
-        }
-        let ctx = ResolutionContext { tables };
-        parsed
-            .resolve(&ctx)
-            .map_err(|e| DbError::Sql(e.to_string()))
+        resolve(&parsed, catalog)
     }
 
     fn statement(&self, sql: &str, catalog: &Catalog) -> Result<SqlStatement, DbError> {
         match parse_statement(sql).map_err(|e| DbError::Sql(e.to_string()))? {
-            // Re-plan SELECTs through `plan` so catalog resolution and
-            // error reporting stay on the one code path.
-            ParsedStatement::Select(_) => self.plan(sql, catalog).map(SqlStatement::Select),
+            ParsedStatement::Select(parsed) => resolve(&parsed, catalog).map(SqlStatement::Select),
             ParsedStatement::Insert { table, rows } => {
                 let cols = catalog
                     .get(&table)
@@ -92,6 +80,23 @@ impl SqlPlanner for SqlFrontend {
             }
         }
     }
+}
+
+/// Resolve a parsed `SELECT` against the catalog: the one path from
+/// parsed SQL to a [`QueryPlan`], for [`SqlPlanner::plan`] and
+/// [`SqlPlanner::statement`] alike.
+fn resolve(parsed: &ParsedQuery, catalog: &Catalog) -> Result<QueryPlan, DbError> {
+    let mut tables = Vec::with_capacity(parsed.tables.len());
+    for table in &parsed.tables {
+        let cols = catalog
+            .get(table)
+            .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
+        tables.push((table.as_str(), cols.as_slice()));
+    }
+    let ctx = ResolutionContext { tables };
+    parsed
+        .resolve(&ctx)
+        .map_err(|e| DbError::Sql(e.to_string()))
 }
 
 #[cfg(test)]
