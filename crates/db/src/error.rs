@@ -128,8 +128,9 @@ pub enum DbError {
     /// SQL text could not be parsed or resolved against the session
     /// catalog.
     Sql(String),
-    /// SQL text was submitted to a session without an installed
-    /// [`SqlPlanner`](crate::session::SqlPlanner).
+    /// No longer produced: a session runs plans, and SQL reaches it
+    /// through the `eqjoin-sql` front-end. Kept so that wire error tag
+    /// 10 keeps its meaning.
     NoSqlPlanner,
     /// A vector handed to an FHIPE/Secure Join algorithm had the wrong
     /// length for the master key (converted from
@@ -207,12 +208,7 @@ impl fmt::Display for DbError {
             DbError::Transport(msg) => write!(f, "transport error: {msg}"),
             DbError::Timeout(msg) => write!(f, "deadline exceeded: {msg}"),
             DbError::Sql(msg) => write!(f, "SQL error: {msg}"),
-            DbError::NoSqlPlanner => {
-                write!(
-                    f,
-                    "session has no SQL planner installed (use prepare with a JoinQuery)"
-                )
-            }
+            DbError::NoSqlPlanner => write!(f, "session has no SQL planner installed"),
             DbError::DimensionMismatch {
                 what,
                 expected,

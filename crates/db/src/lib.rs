@@ -6,8 +6,8 @@
 //! ```text
 //!                 Session<E>  (trusted side)
 //!   ┌────────────────────────────────────────────────┐
-//!   │ catalog ─ SqlPlanner ▶ QueryPlan               │
-//!   │            lower at each execute ▶ stages      │
+//!   │ QueryPlan (built, or eqjoin_sql::plan)         │
+//!   │   ─ lower(catalog), memoized ▶ stages          │
 //!   │                              │                 │
 //!   │ DbClient (keys) ◀── token cache (per stage)    │
 //!   │    │ encrypt_table  │ query_tokens on miss     │
@@ -118,7 +118,7 @@ pub use server::{
     ShippedRow,
 };
 pub use session::{
-    Catalog, LeakageReport, QueryInput, ResultSet, Session, SessionConfig, SessionStats,
-    SqlOutcome, SqlPlanner, SqlStatement, DEFAULT_COPY_CHUNK_ROWS,
+    Catalog, LeakageReport, ResultSet, Session, SessionConfig, SessionStats,
+    DEFAULT_COPY_CHUNK_ROWS,
 };
 pub use store::{EncryptedStore, TableStore, DEFAULT_DECRYPT_CACHE_CAP};

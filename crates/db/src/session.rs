@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!   "SELECT c.name, o.total FROM c JOIN o ON … JOIN s ON … WHERE …"
-//!        │ prepare (SqlPlanner → QueryPlan, validated)
+//!        │ eqjoin_sql::plan (→ QueryPlan), prepare (validated)
 //!        ▼
 //!   QueryPlan ─ execute ─▶ per-stage token cache ─▶ query_tokens
 //!        │ lower(catalog)           │ hit: reuse stage bundle
@@ -195,8 +195,8 @@ impl SessionConfig {
 }
 
 /// Table name → ordered column names, as registered via
-/// [`Session::create_table`]. SQL planners and plan lowering resolve
-/// column references against this.
+/// [`Session::create_table`]. The SQL front-end and plan lowering
+/// resolve column references against this.
 pub type Catalog = BTreeMap<String, Vec<String>>;
 
 /// Rows per [`Request::CopyRows`] chunk when the caller does not pick a
@@ -204,114 +204,6 @@ pub type Catalog = BTreeMap<String, Vec<String>>;
 /// batched fixed-base/pairing preparation, small enough that a chunk's
 /// encrypted frame stays far below the transport frame cap.
 pub const DEFAULT_COPY_CHUNK_ROWS: usize = 512;
-
-/// A resolved SQL statement: a query plan, or one of the incremental
-/// update statements ([`Session::run_sql`] dispatches on this).
-#[derive(Clone, Debug)]
-pub enum SqlStatement {
-    /// `SELECT … FROM … JOIN …` — executes as a [`QueryPlan`].
-    Select(QueryPlan),
-    /// `INSERT INTO t VALUES (…), (…)` — plaintext rows the session
-    /// encrypts and appends incrementally.
-    Insert {
-        /// Target table.
-        table: String,
-        /// Rows in schema column order.
-        rows: Vec<Vec<Value>>,
-    },
-    /// `DELETE FROM t WHERE rowid IN (…)` — stable row ids to delete.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Row ids.
-        rows: Vec<u64>,
-    },
-    /// `COPY t FROM VALUES (…), (…)` — bulk-load rows the session
-    /// streams to the backend in self-describing
-    /// [`Request::CopyRows`] chunks.
-    Copy {
-        /// Target table.
-        table: String,
-        /// Rows in schema column order.
-        rows: Vec<Vec<Value>>,
-    },
-}
-
-/// What one SQL statement produced.
-#[derive(Debug)]
-pub enum SqlOutcome {
-    /// A `SELECT`'s decrypted result set (boxed: result sets dwarf the
-    /// update counters).
-    Rows(Box<ResultSet>),
-    /// Number of rows an `INSERT INTO` appended.
-    Inserted(usize),
-    /// Number of rows a `DELETE FROM` removed.
-    Deleted(usize),
-    /// Number of rows a `COPY … FROM VALUES` bulk-loaded.
-    Copied(usize),
-}
-
-/// A pluggable SQL front-end. Implemented by `eqjoin-sql`'s
-/// `SqlFrontend`; the `eqjoin` facade crate installs it automatically.
-pub trait SqlPlanner {
-    /// Parse `sql` and resolve it against `catalog` into a logical
-    /// [`QueryPlan`].
-    fn plan(&self, sql: &str, catalog: &Catalog) -> Result<QueryPlan, DbError>;
-
-    /// Parse a full statement (`SELECT`/`INSERT INTO`/`DELETE FROM`).
-    /// The default treats everything as a `SELECT`, so planners written
-    /// before incremental updates keep working unchanged.
-    fn statement(&self, sql: &str, catalog: &Catalog) -> Result<SqlStatement, DbError> {
-        self.plan(sql, catalog).map(SqlStatement::Select)
-    }
-}
-
-/// Anything [`Session::prepare`]/[`Session::execute`] accepts: SQL
-/// text or a logical [`QueryPlan`]; a two-table [`JoinQuery`] converts
-/// to its [`QueryPlan::pairwise`] plan.
-#[derive(Clone)]
-pub enum QueryInput {
-    /// SQL text (requires an installed [`SqlPlanner`]).
-    Sql(String),
-    /// A logical plan, bypassing the SQL front-end.
-    Plan(QueryPlan),
-}
-
-impl From<&str> for QueryInput {
-    fn from(sql: &str) -> Self {
-        QueryInput::Sql(sql.to_owned())
-    }
-}
-
-impl From<String> for QueryInput {
-    fn from(sql: String) -> Self {
-        QueryInput::Sql(sql)
-    }
-}
-
-impl From<QueryPlan> for QueryInput {
-    fn from(plan: QueryPlan) -> Self {
-        QueryInput::Plan(plan)
-    }
-}
-
-impl From<&QueryPlan> for QueryInput {
-    fn from(plan: &QueryPlan) -> Self {
-        QueryInput::Plan(plan.clone())
-    }
-}
-
-impl From<JoinQuery> for QueryInput {
-    fn from(query: JoinQuery) -> Self {
-        QueryInput::Plan(QueryPlan::pairwise(&query))
-    }
-}
-
-impl From<&JoinQuery> for QueryInput {
-    fn from(query: &JoinQuery) -> Self {
-        QueryInput::Plan(QueryPlan::pairwise(query))
-    }
-}
 
 /// Canonical byte encoding of a pairwise stage: table/column names
 /// length-prefixed, followed by the stage's *effective* IN sets
@@ -444,7 +336,6 @@ pub struct Session<E: Engine> {
     /// on a multi-tenant server.
     tenant: Option<String>,
     catalog: Catalog,
-    planner: Option<Box<dyn SqlPlanner>>,
     /// Each plan's lowering, until a table's registration changes (see
     /// the module docs).
     lowerings: HashMap<QueryPlan, Arc<Lowering>>,
@@ -524,19 +415,11 @@ impl<E: Engine> Session<E> {
             config,
             tenant: None,
             catalog: Catalog::new(),
-            planner: None,
             lowerings: HashMap::new(),
             token_cache: HashMap::new(),
             ledger: LeakageLedger::new(),
             stats: SessionStats::default(),
         }
-    }
-
-    /// Install a SQL front-end (builder style). Without one, only
-    /// [`QueryPlan`]/[`JoinQuery`] inputs are accepted.
-    pub fn with_planner(mut self, planner: Box<dyn SqlPlanner>) -> Self {
-        self.planner = Some(planner);
-        self
     }
 
     /// Scope this session to a tenant namespace (builder style): every
@@ -779,55 +662,14 @@ impl<E: Engine> Session<E> {
         }
     }
 
-    /// Run one SQL statement: `SELECT` executes like
-    /// [`Session::execute`]; `INSERT INTO`/`DELETE FROM` apply
-    /// incremental updates. Requires an installed [`SqlPlanner`] that
-    /// understands statements (the bundled `eqjoin-sql` front-end does).
-    pub fn run_sql(&mut self, sql: &str) -> Result<SqlOutcome, DbError> {
-        let planner = self.planner.as_ref().ok_or(DbError::NoSqlPlanner)?;
-        match planner.statement(sql, &self.catalog)? {
-            SqlStatement::Select(plan) => self
-                .execute(plan)
-                .map(|result| SqlOutcome::Rows(Box::new(result))),
-            SqlStatement::Insert { table, rows } => {
-                self.insert_rows(&table, &rows).map(SqlOutcome::Inserted)
-            }
-            SqlStatement::Delete { table, rows } => {
-                self.delete_rows(&table, &rows).map(SqlOutcome::Deleted)
-            }
-            SqlStatement::Copy { table, rows } => {
-                self.copy_rows(&table, &rows).map(SqlOutcome::Copied)
-            }
-        }
-    }
-
-    /// Plan a query and validate it: SQL text goes through the
-    /// installed [`SqlPlanner`], and the resulting [`QueryPlan`] (or a
-    /// directly supplied one) must lower against the session catalog.
-    /// The lowering is memoized, and the plan comes back as it is: a
-    /// plan prepared before a table was re-created is lowered again
-    /// against the new registration when it is executed.
-    pub fn prepare(&mut self, input: impl Into<QueryInput>) -> Result<QueryPlan, DbError> {
-        let plan = self.logical_plan(input.into())?;
+    /// Validate a plan: it must lower against the session catalog. The
+    /// lowering is memoized, and the plan comes back as it is: a plan
+    /// prepared before a table was re-created is lowered again against
+    /// the new registration when it is executed.
+    pub fn prepare(&mut self, plan: impl Into<QueryPlan>) -> Result<QueryPlan, DbError> {
+        let plan = plan.into();
         self.lowering(&plan)?;
         Ok(plan)
-    }
-
-    /// The logical plan behind `input` (SQL goes through the planner).
-    fn logical_plan(&self, input: QueryInput) -> Result<QueryPlan, DbError> {
-        match input {
-            QueryInput::Plan(plan) => Ok(plan),
-            QueryInput::Sql(sql) => {
-                let planner = self.planner.as_ref().ok_or(DbError::NoSqlPlanner)?;
-                planner.plan(&sql, &self.catalog)
-            }
-        }
-    }
-
-    /// Plan `input` and look up its lowering.
-    fn lower(&mut self, input: QueryInput) -> Result<Arc<Lowering>, DbError> {
-        let plan = self.logical_plan(input)?;
-        self.lowering(&plan)
     }
 
     /// `plan`'s memoized lowering; lowered against the catalog and
@@ -1108,8 +950,8 @@ impl<E: Engine> Session<E> {
     /// Execute a query end-to-end: per-stage tokens (cached on repeats)
     /// → backend joins (a chain ships as **one** batched round trip) →
     /// leakage ledger → tuples and per-column decrypt.
-    pub fn execute(&mut self, input: impl Into<QueryInput>) -> Result<ResultSet, DbError> {
-        let lowering = self.lower(input.into())?;
+    pub fn execute(&mut self, plan: impl Into<QueryPlan>) -> Result<ResultSet, DbError> {
+        let lowering = self.lowering(&plan.into())?;
         self.run(&[lowering])?
             .pop()
             .ok_or_else(|| DbError::Protocol("a plan produced no result".into()))
@@ -1133,10 +975,10 @@ impl<E: Engine> Session<E> {
     /// dispatch: no observation comes back to record, so the affected
     /// joins are counted in [`SessionStats::queries_unaccounted`]
     /// instead.
-    pub fn execute_all(&mut self, inputs: &[QueryInput]) -> Result<Vec<ResultSet>, DbError> {
-        let lowerings = inputs
+    pub fn execute_all(&mut self, plans: &[QueryPlan]) -> Result<Vec<ResultSet>, DbError> {
+        let lowerings = plans
             .iter()
-            .map(|input| self.lower(input.clone()))
+            .map(|plan| self.lowering(plan))
             .collect::<Result<Vec<_>, _>>()?;
         self.run(&lowerings)
     }
@@ -1784,7 +1626,7 @@ mod tests {
     fn repeated_prepared_query_skips_all_server_decrypts() {
         let mut s = session();
         let q = s.prepare(JoinQuery::on("L", "k", "R", "k")).unwrap();
-        let inputs = vec![QueryInput::from(&q), QueryInput::from(&q)];
+        let inputs = vec![q; 2];
         let results = s.execute_all(&inputs).unwrap();
         assert_eq!(results[0].stats.decrypt_cache_hits, 0, "cold first run");
         assert_eq!(
@@ -1804,9 +1646,7 @@ mod tests {
         off.create_table(&left, cfg("L")).unwrap();
         off.create_table(&right, cfg("R")).unwrap();
         let q2 = off.prepare(JoinQuery::on("L", "k", "R", "k")).unwrap();
-        let off_results = off
-            .execute_all(&[QueryInput::from(&q2), QueryInput::from(&q2)])
-            .unwrap();
+        let off_results = off.execute_all(&[q2.clone(), q2]).unwrap();
         assert_eq!(off.stats().decrypt_cache_hits, 0);
         // Cached or decrypted afresh: identical rows, pairs and leakage.
         for (a, b) in results.iter().zip(&off_results) {
@@ -1836,32 +1676,23 @@ mod tests {
     }
 
     #[test]
-    fn sql_without_planner_is_an_error() {
-        let mut s = session();
-        assert!(matches!(
-            s.execute("SELECT * FROM L JOIN R ON k = k"),
-            Err(DbError::NoSqlPlanner)
-        ));
-    }
-
-    #[test]
     fn executing_against_missing_table_is_rejected_at_prepare_time() {
         let mut s = session();
         let q = JoinQuery::on("Ghost", "k", "R", "k");
         assert!(matches!(s.execute(&q), Err(DbError::UnknownTable(_))));
     }
 
-    fn series_inputs() -> Vec<QueryInput> {
+    fn series_inputs() -> Vec<QueryPlan> {
         vec![
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k")),
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k")),
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
                 "L",
                 "color",
                 vec!["red".into()],
             )),
             // A repeat of the first query: must hit the cache entry the
             // first element of this very batch created.
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k")),
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k")),
         ]
     }
 
@@ -1955,7 +1786,7 @@ mod tests {
         let q = JoinQuery::on("L", "k", "R", "k");
         assert!(matches!(s.execute(&q), Err(DbError::Transport(_))));
         assert_eq!(s.stats().queries_unaccounted, 1);
-        let inputs = vec![QueryInput::from(&q), QueryInput::from(&q)];
+        let inputs = vec![QueryPlan::pairwise(&q); 2];
         assert!(matches!(s.execute_all(&inputs), Err(DbError::Transport(_))));
         assert_eq!(s.stats().queries_unaccounted, 3, "1 single + 2 batched");
         assert_eq!(
@@ -2021,13 +1852,13 @@ mod tests {
         s.create_table(&left, cfg("L")).unwrap();
         s.create_table(&right, cfg("R")).unwrap();
         let inputs = vec![
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k")),
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k")),
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
                 "L",
                 "color",
                 vec!["red".into()],
             )),
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
                 "L",
                 "color",
                 vec!["blue".into()],
@@ -2056,13 +1887,13 @@ mod tests {
         // server either, so nothing is observed and nothing ledgered.
         let mut s = session();
         let inputs = vec![
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k")),
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k")),
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
                 "L",
                 "color",
                 vec!["red".into()],
             )),
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k").filter(
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
                 "L",
                 "color",
                 vec!["a".into(), "b".into(), "c".into(), "d".into()],
@@ -2082,9 +1913,9 @@ mod tests {
     fn chain_in_execute_all_mixes_with_pairwise_queries() {
         let mut s = session3();
         let inputs = vec![
-            QueryInput::from(chain()),
-            QueryInput::from(JoinQuery::on("L", "k", "R", "k")),
-            QueryInput::from(chain().project(&[("S", "tag")])),
+            chain(),
+            QueryPlan::from(JoinQuery::on("L", "k", "R", "k")),
+            chain().project(&[("S", "tag")]),
         ];
         let before = s.transport_stats();
         let results = s.execute_all(&inputs).unwrap();

@@ -11,8 +11,7 @@
 //!   the reactor serves it.
 //! - **Directly**, a join with fresh tokens and its repeat run through
 //!   `DbServer::execute_join` under every value its `JoinOptions` take:
-//!   `use_prefilter` on and off, `threads` 0, 1 and `usize::MAX`,
-//!   `decrypt_cache` on and off.
+//!   `threads` 0, 1 and `usize::MAX`, `decrypt_cache` on and off.
 //!
 //! After each one the cache holds at least what it held before (no
 //! request evicts an entry it did not insert; the eviction counter does
@@ -34,15 +33,12 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// count's equivalence classes (auto, one, more than the server allows).
 fn every_option() -> Vec<JoinOptions> {
     let mut all = Vec::new();
-    for use_prefilter in [true, false] {
-        for threads in [0, 1, usize::MAX] {
-            for decrypt_cache in [true, false] {
-                all.push(JoinOptions {
-                    use_prefilter,
-                    threads,
-                    decrypt_cache,
-                });
-            }
+    for threads in [0, 1, usize::MAX] {
+        for decrypt_cache in [true, false] {
+            all.push(JoinOptions {
+                threads,
+                decrypt_cache,
+            });
         }
     }
     all

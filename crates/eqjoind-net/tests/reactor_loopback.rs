@@ -5,7 +5,7 @@
 
 use eqjoin_db::data::Schema;
 use eqjoin_db::{
-    DbError, RemoteBackend, Request, Response, ServerApi, Session, SessionConfig, Table,
+    DbError, QueryPlan, RemoteBackend, Request, Response, ServerApi, Session, SessionConfig, Table,
     TableConfig, Value,
 };
 use eqjoin_pairing::MockEngine;
@@ -14,10 +14,9 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-/// A session with the SQL front-end installed (what `eqjoin::session*`
-/// does in the facade crate).
-fn with_sql(session: Session<MockEngine>) -> Session<MockEngine> {
-    session.with_planner(Box::new(eqjoin_sql::SqlFrontend))
+/// [`QUERY`] planned against `session`'s catalog.
+fn query(session: &Session<MockEngine>) -> QueryPlan {
+    eqjoin_sql::plan(QUERY, session.catalog()).unwrap()
 }
 
 /// A reactor over a fresh in-memory tenant registry; the handle drains
@@ -68,13 +67,13 @@ const QUERY: &str = "SELECT * FROM R JOIN L ON fk = k WHERE name = 'n1'";
 fn session_series_over_epoll_matches_local() {
     let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
     let config = SessionConfig::new(1, 2).seed(99);
-    let mut local = with_sql(Session::<MockEngine>::local(config));
-    let mut remote = with_sql(Session::<MockEngine>::remote(config, addr).unwrap());
+    let mut local = Session::<MockEngine>::local(config);
+    let mut remote = Session::<MockEngine>::remote(config, addr).unwrap();
     populate(&mut local);
     populate(&mut remote);
     for _ in 0..2 {
-        let l = local.execute(QUERY).unwrap();
-        let r = remote.execute(QUERY).unwrap();
+        let l = local.execute(query(&local)).unwrap();
+        let r = remote.execute(query(&remote)).unwrap();
         assert_eq!(l.rows, r.rows, "rows must match across the reactor");
         assert_eq!(l.tuples, r.tuples);
         assert_eq!(l.cache_hit, r.cache_hit);
@@ -90,15 +89,17 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
     let config = SessionConfig::new(1, 2).seed(4242);
 
     // Reference: a single-tenant local run of the same series.
-    let mut reference = with_sql(Session::<MockEngine>::local(config));
+    let mut reference = Session::<MockEngine>::local(config);
     populate(&mut reference);
-    let expected_first = reference.execute(QUERY).unwrap();
-    let expected_repeat = reference.execute(QUERY).unwrap();
+    let expected_first = reference.execute(query(&reference)).unwrap();
+    let expected_repeat = reference.execute(query(&reference)).unwrap();
 
-    let mut alpha = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
+    let mut alpha = Session::<MockEngine>::remote(config, addr)
+        .unwrap()
         .with_tenant("alpha")
         .unwrap();
-    let mut beta = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
+    let mut beta = Session::<MockEngine>::remote(config, addr)
+        .unwrap()
         .with_tenant("beta")
         .unwrap();
     populate(&mut alpha);
@@ -106,8 +107,8 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
 
     // Alpha runs the query twice: the repeat is warm (its own decrypt
     // cache).
-    let a1 = alpha.execute(QUERY).unwrap();
-    let a2 = alpha.execute(QUERY).unwrap();
+    let a1 = alpha.execute(query(&alpha)).unwrap();
+    let a2 = alpha.execute(query(&alpha)).unwrap();
     assert_eq!(
         a1.rows, expected_first.rows,
         "byte-identical to single-tenant"
@@ -118,7 +119,7 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
     // ciphertexts) must be COLD: a decrypt-cache hit here would mean
     // tenants share a store — cross-tenant leakage.
     let before = beta.stats().decrypt_cache_hits;
-    let b1 = beta.execute(QUERY).unwrap();
+    let b1 = beta.execute(query(&beta)).unwrap();
     assert_eq!(b1.rows, expected_first.rows);
     assert_eq!(
         beta.stats().decrypt_cache_hits,
@@ -149,13 +150,15 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
 fn cross_tenant_tables_are_invisible() {
     let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
     let config = SessionConfig::new(1, 2).seed(7);
-    let mut alpha = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
+    let mut alpha = Session::<MockEngine>::remote(config, addr)
+        .unwrap()
         .with_tenant("alpha")
         .unwrap();
     populate(&mut alpha);
     // A different tenant asking for alpha's tables: the store simply
     // does not contain them.
-    let mut intruder = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
+    let mut intruder = Session::<MockEngine>::remote(config, addr)
+        .unwrap()
         .with_tenant("intruder")
         .unwrap();
     // Registering the catalog client-side works (it is local state);
@@ -163,7 +166,8 @@ fn cross_tenant_tables_are_invisible() {
     populate(&mut intruder);
     // Fresh session, same tenant name as nobody: querying without
     // uploading hits an empty per-tenant store.
-    let mut ghost = with_sql(Session::<MockEngine>::remote(config, addr).unwrap())
+    let mut ghost = Session::<MockEngine>::remote(config, addr)
+        .unwrap()
         .with_tenant("ghost")
         .unwrap();
     let (l, _) = tables();
@@ -317,9 +321,9 @@ fn drain_finishes_inflight_work_before_exiting() {
     let (addr, _registry, handle) = spawn_reactor(NetConfig::default());
     // One connection uploads state and queries; a second one drains.
     let config = SessionConfig::new(1, 2).seed(1);
-    let mut session = with_sql(Session::<MockEngine>::remote(config, addr).unwrap());
+    let mut session = Session::<MockEngine>::remote(config, addr).unwrap();
     populate(&mut session);
-    let result = session.execute(QUERY).unwrap();
+    let result = session.execute(query(&session)).unwrap();
     assert!(!result.rows.is_empty());
     drop(session);
     let drainer = RemoteBackend::connect(addr).unwrap();

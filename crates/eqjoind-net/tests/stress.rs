@@ -6,7 +6,9 @@
 //! on both.
 
 use eqjoin_db::data::Schema;
-use eqjoin_db::{Request, Response, ServerApi, Session, SessionConfig, Table, TableConfig, Value};
+use eqjoin_db::{
+    QueryPlan, Request, Response, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
+};
 use eqjoin_pairing::MockEngine;
 use eqjoind_net::{NetConfig, NetServer, TenantRegistry};
 use std::sync::Arc;
@@ -15,8 +17,9 @@ const THREADS: usize = 4;
 const SESSIONS: usize = 2;
 const QUERY: &str = "SELECT * FROM R JOIN L ON fk = k WHERE name = 'n1'";
 
-fn with_sql(session: Session<MockEngine>) -> Session<MockEngine> {
-    session.with_planner(Box::new(eqjoin_sql::SqlFrontend))
+/// [`QUERY`] planned against `session`'s catalog.
+fn query(session: &Session<MockEngine>) -> QueryPlan {
+    eqjoin_sql::plan(QUERY, session.catalog()).unwrap()
 }
 
 fn populate(session: &mut Session<MockEngine>) {
@@ -81,9 +84,9 @@ fn workload(
             for s in 0..SESSIONS {
                 let tenant = format!("t{t}s{s}");
                 let config = SessionConfig::new(1, 2).seed(0x5eed);
-                let mut session = with_sql(connect(config)).with_tenant(&tenant).unwrap();
+                let mut session = connect(config).with_tenant(&tenant).unwrap();
                 populate(&mut session);
-                let first = session.execute(QUERY).unwrap();
+                let first = session.execute(query(&session)).unwrap();
                 assert_eq!(
                     session.stats().decrypt_cache_hits,
                     0,
@@ -91,7 +94,7 @@ fn workload(
                      here means another tenant's identical ciphertexts primed this \
                      namespace"
                 );
-                let repeat = session.execute(QUERY).unwrap();
+                let repeat = session.execute(query(&session)).unwrap();
                 assert!(
                     session.stats().decrypt_cache_hits > 0,
                     "{tenant}: repeat run warms in-namespace"

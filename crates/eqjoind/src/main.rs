@@ -1,8 +1,8 @@
 //! `eqjoind` — the standalone encrypted equi-join server.
 //!
 //! Serves the `eqjoin` wire protocol (length-framed request/response
-//! messages) over TCP. Clients connect with `eqjoin::session_remote`
-//! (or `RemoteBackend` directly) and upload encrypted tables, then run
+//! messages) over TCP. Clients connect with `Session::remote` (or
+//! `RemoteBackend` directly) and upload encrypted tables, then run
 //! join series — the server only ever sees ciphertexts, tokens, and
 //! the equality pattern the paper proves is the unavoidable leakage.
 //!
@@ -92,8 +92,9 @@ usage: eqjoind [--listen ADDR] [--engine bls|mock] [--threads T] [--workers W]
                         O(delta) persistence: keep appending to the
                         fsynced mutation journal and rewrite the full
                         snapshot only once the journal exceeds BYTES
-                        (0 = rewrite after every mutation, the default;
-                        drain always compacts)
+                        (0 = rewrite after every request that changed
+                        the store, a join that only cached decrypts
+                        included, the default; drain always compacts)
 --metrics-addr ADDR     also serve a read-only Prometheus text exposition
                         on ADDR (port 0 picks one) — latency histograms,
                         throughput counters, the leakage ledger summary,

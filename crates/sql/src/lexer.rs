@@ -28,6 +28,12 @@ impl fmt::Display for SqlError {
 
 impl std::error::Error for SqlError {}
 
+impl From<SqlError> for eqjoin_db::DbError {
+    fn from(e: SqlError) -> Self {
+        eqjoin_db::DbError::Sql(e.to_string())
+    }
+}
+
 /// SQL tokens.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {

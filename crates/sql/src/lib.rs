@@ -16,8 +16,10 @@
 //! bare; bare references are resolved against the joined tables'
 //! schemas at planning time (the paper's example queries use bare
 //! names), with ambiguous names rejected. `col = v` is sugar for
-//! `col IN (v)`. The output is the engine's [`QueryPlan`], which the
-//! session lowers to pipelined pairwise join stages.
+//! `col IN (v)`. [`plan`] resolves a query against the session catalog
+//! into the engine's [`QueryPlan`], which the session lowers to
+//! pipelined pairwise join stages; [`run`] executes any statement,
+//! `INSERT INTO`, `DELETE FROM` and `COPY … FROM VALUES` included.
 //!
 //! [`QueryPlan`]: eqjoin_db::QueryPlan
 
@@ -28,8 +30,5 @@ pub mod parser;
 pub mod planner;
 
 pub use lexer::{tokenize, SqlError, Token};
-pub use parser::{
-    parse, parse_query_plan, parse_statement, ColumnRef, ParsedQuery, ParsedStatement,
-    ResolutionContext, SelectList,
-};
-pub use planner::SqlFrontend;
+pub use parser::{parse, parse_statement, ColumnRef, ParsedQuery, ParsedStatement, SelectList};
+pub use planner::{plan, run, Outcome};

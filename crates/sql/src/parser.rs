@@ -14,7 +14,7 @@
 //! (No table aliases — tables are always referenced by name.)
 
 use crate::lexer::{tokenize, SqlError, Token};
-use eqjoin_db::{QueryPlan, Value};
+use eqjoin_db::{Catalog, DbError, QueryPlan, Value};
 
 /// A possibly-qualified column reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -416,26 +416,25 @@ fn parse_select(mut p: Parser) -> Result<ParsedQuery, SqlError> {
     })
 }
 
-/// Resolution context: which columns belong to which joined table
-/// (needed for bare column references, as in the paper's example
-/// queries).
-pub struct ResolutionContext<'a> {
-    /// `(table name, its column names)` for every joined table, in
-    /// `FROM` order.
-    pub tables: Vec<(&'a str, &'a [String])>,
-}
-
 impl ParsedQuery {
-    /// Resolve into the engine's [`QueryPlan`], attributing bare
-    /// columns to whichever joined table has them (erroring on
-    /// ambiguity) and rejecting duplicate projection columns.
-    pub fn resolve(&self, ctx: &ResolutionContext<'_>) -> Result<QueryPlan, SqlError> {
+    /// Resolve against the session catalog into the engine's
+    /// [`QueryPlan`]: every joined table must be registered
+    /// ([`DbError::UnknownTable`]), bare columns are attributed to
+    /// whichever joined table has them (erroring on ambiguity), and
+    /// duplicate projection columns are rejected ([`DbError::Sql`]).
+    pub fn resolve(&self, catalog: &Catalog) -> Result<QueryPlan, DbError> {
+        let mut tables = Vec::with_capacity(self.tables.len());
+        for table in &self.tables {
+            let columns = catalog
+                .get(table)
+                .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
+            tables.push((table.as_str(), columns));
+        }
         let resolve_col = |col: &ColumnRef| -> Result<(String, String), SqlError> {
             if let Some(table) = &col.table {
                 return Ok((table.clone(), col.column.clone()));
             }
-            let owners: Vec<&str> = ctx
-                .tables
+            let owners: Vec<&str> = tables
                 .iter()
                 .filter(|(_, cols)| cols.iter().any(|c| c == &col.column))
                 .map(|(t, _)| *t)
@@ -471,13 +470,15 @@ impl ParsedQuery {
                          table {new_table:?}"
                     ),
                     0,
-                ));
+                )
+                .into());
             };
             if !self.tables[..=i].contains(&lt) {
                 return Err(SqlError::new(
                     format!("ON condition references {lt:?}, which is not joined yet"),
                     0,
-                ));
+                )
+                .into());
             }
             plan = plan.join_on(&lt, &lc, &rt, &rc);
         }
@@ -495,7 +496,8 @@ impl ParsedQuery {
                     return Err(SqlError::new(
                         format!("duplicate column {table}.{column} in select list"),
                         0,
-                    ));
+                    )
+                    .into());
                 }
                 resolved.push((table, column));
             }
@@ -509,29 +511,32 @@ impl ParsedQuery {
     }
 }
 
-/// Parse and resolve in one step.
-pub fn parse_query_plan(input: &str, ctx: &ResolutionContext<'_>) -> Result<QueryPlan, SqlError> {
-    parse(input)?.resolve(ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eqjoin_db::Catalog;
 
-    fn cols(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| (*s).to_owned()).collect()
+    fn catalog(tables: &[(&str, &[&str])]) -> Catalog {
+        tables
+            .iter()
+            .map(|(name, columns)| {
+                let columns = columns.iter().map(|c| (*c).to_owned()).collect();
+                ((*name).to_owned(), columns)
+            })
+            .collect()
     }
 
-    fn lower(plan: &QueryPlan, tables: &[(&str, &[&str])]) -> eqjoin_db::LoweredPlan {
-        let mut catalog = Catalog::new();
-        for (name, columns) in tables {
-            catalog.insert(
-                (*name).to_owned(),
-                columns.iter().map(|c| (*c).to_owned()).collect(),
-            );
+    /// Plan `sql` against `tables` and lower it.
+    fn lower(sql: &str, tables: &[(&str, &[&str])]) -> eqjoin_db::LoweredPlan {
+        let catalog = catalog(tables);
+        crate::plan(sql, &catalog).unwrap().lower(&catalog).unwrap()
+    }
+
+    /// The message `sql` is refused with when planned against `tables`.
+    fn refusal(sql: &str, tables: &[(&str, &[&str])]) -> String {
+        match crate::plan(sql, &catalog(tables)) {
+            Err(DbError::Sql(message)) => message,
+            other => panic!("{sql}: expected an SQL error, got {other:?}"),
         }
-        plan.lower(&catalog).unwrap()
     }
 
     #[test]
@@ -553,19 +558,9 @@ mod tests {
 
     #[test]
     fn resolves_bare_columns() {
-        let emp_cols = cols(&["Record", "Employee", "Role", "Team"]);
-        let team_cols = cols(&["Key", "Name"]);
-        let ctx = ResolutionContext {
-            tables: vec![("Employees", &emp_cols), ("Teams", &team_cols)],
-        };
-        let plan = parse_query_plan(
+        let lowered = lower(
             "SELECT * FROM Employees JOIN Teams ON Team = Key \
              WHERE Name = 'Web Application' AND Role = 'Tester'",
-            &ctx,
-        )
-        .unwrap();
-        let lowered = lower(
-            &plan,
             &[
                 ("Employees", &["Record", "Employee", "Role", "Team"]),
                 ("Teams", &["Key", "Name"]),
@@ -581,17 +576,10 @@ mod tests {
 
     #[test]
     fn in_clause_and_qualified_refs() {
-        let a_cols = cols(&["k", "x"]);
-        let b_cols = cols(&["k", "y"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols)],
-        };
-        let plan = parse_query_plan(
+        let lowered = lower(
             "SELECT * FROM A JOIN B ON A.k = B.k WHERE A.x IN (1, 2, 3) AND B.y IN ('u');",
-            &ctx,
-        )
-        .unwrap();
-        let lowered = lower(&plan, &[("A", &["k", "x"]), ("B", &["k", "y"])]);
+            &[("A", &["k", "x"]), ("B", &["k", "y"])],
+        );
         let stage = &lowered.stages[0].query;
         assert_eq!(stage.filters[0].values.len(), 3);
         assert_eq!(stage.filters[0].values[2], Value::Int(3));
@@ -600,20 +588,9 @@ mod tests {
 
     #[test]
     fn multi_table_chain_with_inner_join_and_projection() {
-        let a_cols = cols(&["k", "x"]);
-        let b_cols = cols(&["k", "j", "y"]);
-        let c_cols = cols(&["j", "z"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols), ("C", &c_cols)],
-        };
-        let plan = parse_query_plan(
+        let lowered = lower(
             "SELECT A.x, z FROM A JOIN B ON A.k = B.k \
              INNER JOIN C ON B.j = C.j WHERE y = 1",
-            &ctx,
-        )
-        .unwrap();
-        let lowered = lower(
-            &plan,
             &[
                 ("A", &["k", "x"]),
                 ("B", &["k", "j", "y"]),
@@ -635,82 +612,58 @@ mod tests {
 
     #[test]
     fn duplicate_projection_column_rejected_with_precise_error() {
-        let a_cols = cols(&["k", "x"]);
-        let b_cols = cols(&["k", "y"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols)],
-        };
-        let err = parse_query_plan("SELECT x, A.x FROM A JOIN B ON A.k = B.k", &ctx).unwrap_err();
-        assert!(
-            err.message.contains("duplicate column A.x in select list"),
-            "{}",
-            err.message
+        let err = refusal(
+            "SELECT x, A.x FROM A JOIN B ON A.k = B.k",
+            &[("A", &["k", "x"]), ("B", &["k", "y"])],
         );
+        assert!(err.contains("duplicate column A.x in select list"), "{err}");
     }
 
     #[test]
     fn ambiguous_projection_column_rejected() {
-        let a_cols = cols(&["k", "shared"]);
-        let b_cols = cols(&["k", "shared"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols)],
-        };
-        let err = parse_query_plan("SELECT shared FROM A JOIN B ON A.k = B.k", &ctx).unwrap_err();
-        assert!(err.message.contains("ambiguous"), "{}", err.message);
+        let err = refusal(
+            "SELECT shared FROM A JOIN B ON A.k = B.k",
+            &[("A", &["k", "shared"]), ("B", &["k", "shared"])],
+        );
+        assert!(err.contains("ambiguous"), "{err}");
     }
 
     #[test]
     fn on_condition_reorientation() {
         // ON written right-table-first must still resolve correctly.
-        let a_cols = cols(&["ka", "x"]);
-        let b_cols = cols(&["kb", "y"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols)],
-        };
-        let plan = parse_query_plan("SELECT * FROM A JOIN B ON kb = ka", &ctx).unwrap();
-        let lowered = lower(&plan, &[("A", &["ka", "x"]), ("B", &["kb", "y"])]);
+        let lowered = lower(
+            "SELECT * FROM A JOIN B ON kb = ka",
+            &[("A", &["ka", "x"]), ("B", &["kb", "y"])],
+        );
         assert_eq!(lowered.stages[0].query.left_join_column, "ka");
         assert_eq!(lowered.stages[0].query.right_join_column, "kb");
     }
 
     #[test]
     fn ambiguous_bare_column_rejected() {
-        let a_cols = cols(&["k", "shared"]);
-        let b_cols = cols(&["k", "shared"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols)],
-        };
-        let err = parse_query_plan("SELECT * FROM A JOIN B ON A.k = B.k WHERE shared = 1", &ctx)
-            .unwrap_err();
-        assert!(err.message.contains("ambiguous"));
+        let err = refusal(
+            "SELECT * FROM A JOIN B ON A.k = B.k WHERE shared = 1",
+            &[("A", &["k", "shared"]), ("B", &["k", "shared"])],
+        );
+        assert!(err.contains("ambiguous"));
     }
 
     #[test]
     fn unknown_column_rejected() {
-        let a_cols = cols(&["k"]);
-        let b_cols = cols(&["k"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols)],
-        };
-        let err = parse_query_plan("SELECT * FROM A JOIN B ON A.k = B.k WHERE ghost = 1", &ctx)
-            .unwrap_err();
-        assert!(err.message.contains("not found"));
+        let err = refusal(
+            "SELECT * FROM A JOIN B ON A.k = B.k WHERE ghost = 1",
+            &[("A", &["k"]), ("B", &["k"])],
+        );
+        assert!(err.contains("not found"));
     }
 
     #[test]
     fn on_condition_must_reference_the_new_table() {
-        let a_cols = cols(&["k"]);
-        let b_cols = cols(&["k"]);
-        let c_cols = cols(&["k"]);
-        let ctx = ResolutionContext {
-            tables: vec![("A", &a_cols), ("B", &b_cols), ("C", &c_cols)],
-        };
-        let err = parse_query_plan(
+        let err = refusal(
             "SELECT * FROM A JOIN B ON A.k = B.k JOIN C ON A.k = B.k",
-            &ctx,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("must reference the joined table"));
+            &[("A", &["k"]), ("B", &["k"]), ("C", &["k"])],
+        );
+        assert!(err.contains("must reference the joined table"));
     }
 
     #[test]

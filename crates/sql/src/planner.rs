@@ -1,134 +1,142 @@
-//! The [`SqlPlanner`] implementation that plugs this crate's parser into
-//! the engine's [`Session`](eqjoin_db::Session).
+//! SQL into the engine's [`Session`]: [`plan`] resolves a `SELECT`
+//! against the catalog into a [`QueryPlan`], and [`run`] executes any
+//! statement. Both resolve through
+//! [`ParsedQuery::resolve`](crate::ParsedQuery::resolve), so a
+//! statement that does not fit the catalog fails before anything is
+//! sent.
 
-use crate::parser::{parse, parse_statement, ParsedQuery, ParsedStatement, ResolutionContext};
-use eqjoin_db::session::{Catalog, SqlPlanner, SqlStatement};
-use eqjoin_db::{DbError, QueryPlan};
+use crate::parser::{parse, parse_statement, ParsedStatement};
+use eqjoin_db::{Catalog, DbError, QueryPlan, ResultSet, Session, Value};
+use eqjoin_pairing::Engine;
 
-/// The SQL front-end as a session planner: parses the supported
-/// select-project-join shape (any number of `[INNER] JOIN … ON …`
-/// clauses, explicit column lists or `*`) and resolves bare column
-/// references against the session catalog into a [`QueryPlan`].
+/// What one SQL statement produced.
+#[derive(Debug)]
+pub enum Outcome {
+    /// A `SELECT`'s decrypted result set (boxed: result sets dwarf the
+    /// update counters).
+    Rows(Box<ResultSet>),
+    /// Number of rows an `INSERT INTO` appended.
+    Inserted(usize),
+    /// Number of rows a `DELETE FROM` removed.
+    Deleted(usize),
+    /// Number of rows a `COPY … FROM VALUES` bulk-loaded.
+    Copied(usize),
+}
+
+/// Parse a `SELECT` of the supported select-project-join shape (any
+/// number of `[INNER] JOIN … ON …` clauses, explicit column lists or
+/// `*`) and resolve it against `catalog` into a [`QueryPlan`].
 ///
 /// ```
-/// use eqjoin_db::session::{Catalog, SqlPlanner};
-/// use eqjoin_sql::SqlFrontend;
+/// use eqjoin_db::{Row, Schema, Session, SessionConfig, Table, TableConfig, Value};
+/// use eqjoin_pairing::MockEngine;
 ///
-/// let mut catalog = Catalog::new();
-/// catalog.insert("A".into(), vec!["k".into(), "x".into()]);
-/// catalog.insert("B".into(), vec!["k".into(), "j".into()]);
-/// catalog.insert("C".into(), vec!["j".into(), "z".into()]);
-/// let plan = SqlFrontend
-///     .plan(
-///         "SELECT A.x, z FROM A JOIN B ON A.k = B.k INNER JOIN C ON B.j = C.j \
-///          WHERE x = 1",
-///         &catalog,
-///     )
-///     .unwrap();
-/// let lowered = plan.lower(&catalog).unwrap();
-/// assert_eq!(lowered.tables, vec!["A", "B", "C"]);
-/// assert_eq!(lowered.stages.len(), 2);
-/// assert_eq!(lowered.projection.len(), 2);
+/// let mut session = Session::<MockEngine>::local(SessionConfig::new(1, 2));
+/// for (name, columns) in [("A", ["k", "x"]), ("B", ["k", "y"]), ("C", ["k", "z"])] {
+///     let mut t = Table::new(Schema::new(name, &columns));
+///     t.push_row(vec![Value::Int(1), Value::Int(1)]);
+///     let cfg = TableConfig { join_column: columns[0].into(), filter_columns: vec![] };
+///     session.create_table(&t, cfg).unwrap();
+/// }
+/// let plan = eqjoin_sql::plan(
+///     "SELECT A.x, z FROM A JOIN B ON A.k = B.k INNER JOIN C ON B.k = C.k",
+///     session.catalog(),
+/// )
+/// .unwrap();
+/// let result = session.execute(&plan).unwrap();
+/// assert_eq!(result.stage_stats.len(), 2);
+/// assert_eq!(result.rows, vec![Row(vec![Value::Int(1), Value::Int(1)])]);
 /// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SqlFrontend;
+pub fn plan(sql: &str, catalog: &Catalog) -> Result<QueryPlan, DbError> {
+    parse(sql)?.resolve(catalog)
+}
 
-impl SqlPlanner for SqlFrontend {
-    fn plan(&self, sql: &str, catalog: &Catalog) -> Result<QueryPlan, DbError> {
-        let parsed = parse(sql).map_err(|e| DbError::Sql(e.to_string()))?;
-        resolve(&parsed, catalog)
-    }
-
-    fn statement(&self, sql: &str, catalog: &Catalog) -> Result<SqlStatement, DbError> {
-        match parse_statement(sql).map_err(|e| DbError::Sql(e.to_string()))? {
-            ParsedStatement::Select(parsed) => resolve(&parsed, catalog).map(SqlStatement::Select),
-            ParsedStatement::Insert { table, rows } => {
-                let cols = catalog
-                    .get(&table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                for row in &rows {
-                    if row.len() != cols.len() {
-                        return Err(DbError::Sql(format!(
-                            "INSERT INTO {table}: row has {} values, table has {} columns",
-                            row.len(),
-                            cols.len()
-                        )));
-                    }
-                }
-                Ok(SqlStatement::Insert { table, rows })
+/// Run one SQL statement on `session`: a `SELECT` executes like
+/// [`Session::execute`]; `INSERT INTO`, `DELETE FROM` and `COPY`
+/// apply incremental updates. A statement naming an unknown table, or
+/// a row of the wrong width, fails before anything is sent.
+pub fn run<E: Engine>(session: &mut Session<E>, sql: &str) -> Result<Outcome, DbError> {
+    match parse_statement(sql)? {
+        ParsedStatement::Select(query) => {
+            let plan = query.resolve(session.catalog())?;
+            session
+                .execute(plan)
+                .map(|rows| Outcome::Rows(Box::new(rows)))
+        }
+        ParsedStatement::Insert { table, rows } => {
+            check_width("INSERT INTO", &table, &rows, session.catalog())?;
+            session.insert_rows(&table, &rows).map(Outcome::Inserted)
+        }
+        ParsedStatement::Delete { table, rows } => {
+            if !session.catalog().contains_key(&table) {
+                return Err(DbError::UnknownTable(table));
             }
-            ParsedStatement::Delete { table, rows } => {
-                if !catalog.contains_key(&table) {
-                    return Err(DbError::UnknownTable(table));
-                }
-                Ok(SqlStatement::Delete { table, rows })
-            }
-            ParsedStatement::Copy { table, rows } => {
-                let cols = catalog
-                    .get(&table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                for row in &rows {
-                    if row.len() != cols.len() {
-                        return Err(DbError::Sql(format!(
-                            "COPY {table}: row has {} values, table has {} columns",
-                            row.len(),
-                            cols.len()
-                        )));
-                    }
-                }
-                Ok(SqlStatement::Copy { table, rows })
-            }
+            session.delete_rows(&table, &rows).map(Outcome::Deleted)
+        }
+        ParsedStatement::Copy { table, rows } => {
+            check_width("COPY", &table, &rows, session.catalog())?;
+            session.copy_rows(&table, &rows).map(Outcome::Copied)
         }
     }
 }
 
-/// Resolve a parsed `SELECT` against the catalog: the one path from
-/// parsed SQL to a [`QueryPlan`], for [`SqlPlanner::plan`] and
-/// [`SqlPlanner::statement`] alike.
-fn resolve(parsed: &ParsedQuery, catalog: &Catalog) -> Result<QueryPlan, DbError> {
-    let mut tables = Vec::with_capacity(parsed.tables.len());
-    for table in &parsed.tables {
-        let cols = catalog
-            .get(table)
-            .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-        tables.push((table.as_str(), cols.as_slice()));
+/// `table` is registered and each of `rows` has one value per column.
+fn check_width(
+    statement: &str,
+    table: &str,
+    rows: &[Vec<Value>],
+    catalog: &Catalog,
+) -> Result<(), DbError> {
+    let columns = catalog
+        .get(table)
+        .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?
+        .len();
+    match rows.iter().find(|row| row.len() != columns) {
+        Some(row) => Err(DbError::Sql(format!(
+            "{statement} {table}: row has {} values, table has {columns} columns",
+            row.len()
+        ))),
+        None => Ok(()),
     }
-    let ctx = ResolutionContext { tables };
-    parsed
-        .resolve(&ctx)
-        .map_err(|e| DbError::Sql(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eqjoin_db::{Schema, SessionConfig, Table, TableConfig};
+    use eqjoin_pairing::MockEngine;
 
-    fn catalog() -> Catalog {
-        let mut c = Catalog::new();
-        c.insert(
-            "Employees".into(),
-            vec![
-                "Record".into(),
-                "Employee".into(),
-                "Role".into(),
-                "Team".into(),
-            ],
-        );
-        c.insert("Teams".into(), vec!["Key".into(), "Name".into()]);
-        c.insert("Offices".into(), vec!["Key".into(), "City".into()]);
-        c
+    /// A session holding the paper's Employees and Teams tables (and an
+    /// Offices table), one row each.
+    fn session() -> Session<MockEngine> {
+        let mut s = Session::local(SessionConfig::new(2, 2).seed(7));
+        let tables: [(&str, &[&str]); 3] = [
+            ("Employees", &["Team", "Record", "Employee", "Role"]),
+            ("Teams", &["Key", "Name"]),
+            ("Offices", &["Key", "City"]),
+        ];
+        for (name, columns) in tables {
+            let mut t = Table::new(Schema::new(name, columns));
+            t.push_row(columns.iter().map(|_| Value::Int(1)).collect());
+            let cfg = TableConfig {
+                join_column: columns[0].into(),
+                filter_columns: vec![columns[1].into()],
+            };
+            s.create_table(&t, cfg).unwrap();
+        }
+        s
     }
 
     #[test]
     fn plans_the_papers_query_from_the_catalog() {
-        let plan = SqlFrontend
-            .plan(
-                "SELECT * FROM Employees JOIN Teams ON Team = Key \
-                 WHERE Name = 'Web Application' AND Role = 'Tester'",
-                &catalog(),
-            )
-            .unwrap();
-        let lowered = plan.lower(&catalog()).unwrap();
+        let s = session();
+        let plan = plan(
+            "SELECT * FROM Employees JOIN Teams ON Team = Key \
+             WHERE Name = 'Web Application' AND Role = 'Tester'",
+            s.catalog(),
+        )
+        .unwrap();
+        let lowered = plan.lower(s.catalog()).unwrap();
         assert_eq!(lowered.tables, vec!["Employees", "Teams"]);
         let stage = &lowered.stages[0].query;
         assert_eq!(stage.left_table, "Employees");
@@ -139,14 +147,14 @@ mod tests {
 
     #[test]
     fn plans_a_three_table_chain_with_projection() {
-        let plan = SqlFrontend
-            .plan(
-                "SELECT Employee, City FROM Employees JOIN Teams ON Team = Teams.Key \
-                 INNER JOIN Offices ON Teams.Key = Offices.Key",
-                &catalog(),
-            )
-            .unwrap();
-        let lowered = plan.lower(&catalog()).unwrap();
+        let s = session();
+        let plan = plan(
+            "SELECT Employee, City FROM Employees JOIN Teams ON Team = Teams.Key \
+             INNER JOIN Offices ON Teams.Key = Offices.Key",
+            s.catalog(),
+        )
+        .unwrap();
+        let lowered = plan.lower(s.catalog()).unwrap();
         assert_eq!(lowered.tables, vec!["Employees", "Teams", "Offices"]);
         assert_eq!(lowered.stages.len(), 2);
         assert_eq!(lowered.projection.len(), 2);
@@ -155,70 +163,58 @@ mod tests {
 
     #[test]
     fn unknown_table_reported_as_db_error() {
-        let err = SqlFrontend
-            .plan("SELECT * FROM Ghost JOIN Teams ON a = Key", &catalog())
-            .unwrap_err();
-        assert_eq!(err, DbError::UnknownTable("Ghost".into()));
+        let err = plan(
+            "SELECT * FROM Ghost JOIN Teams ON a = Key",
+            session().catalog(),
+        );
+        assert_eq!(err.unwrap_err(), DbError::UnknownTable("Ghost".into()));
     }
 
     #[test]
     fn statements_resolve_against_the_catalog() {
-        let insert = SqlFrontend
-            .statement(
-                "INSERT INTO Teams VALUES (9, 'Platform'), (10, 'QA')",
-                &catalog(),
-            )
-            .unwrap();
-        match insert {
-            SqlStatement::Insert { table, rows } => {
-                assert_eq!(table, "Teams");
-                assert_eq!(rows.len(), 2);
-            }
-            other => panic!("expected Insert, got {other:?}"),
+        let mut s = session();
+        // Catalog violations are rejected before anything is sent.
+        let before = s.transport_stats().round_trips;
+        for sql in [
+            "INSERT INTO Ghost VALUES (1)",
+            "DELETE FROM Ghost WHERE rowid = 0",
+            "COPY Ghost FROM VALUES (1)",
+        ] {
+            assert_eq!(
+                run(&mut s, sql).unwrap_err(),
+                DbError::UnknownTable("Ghost".into())
+            );
         }
-        match SqlFrontend
-            .statement("DELETE FROM Teams WHERE rowid IN (0, 1)", &catalog())
-            .unwrap()
-        {
-            SqlStatement::Delete { table, rows } => {
-                assert_eq!(table, "Teams");
-                assert_eq!(rows, vec![0, 1]);
-            }
-            other => panic!("expected Delete, got {other:?}"),
-        }
-        // SELECT statements flow through the plan path.
         assert!(matches!(
-            SqlFrontend
-                .statement(
-                    "SELECT * FROM Employees JOIN Teams ON Team = Key",
-                    &catalog()
-                )
-                .unwrap(),
-            SqlStatement::Select(_)
-        ));
-        // Catalog violations are rejected before anything executes.
-        assert_eq!(
-            SqlFrontend
-                .statement("INSERT INTO Ghost VALUES (1)", &catalog())
-                .unwrap_err(),
-            DbError::UnknownTable("Ghost".into())
-        );
-        assert!(matches!(
-            SqlFrontend.statement("INSERT INTO Teams VALUES (1)", &catalog()),
+            run(&mut s, "INSERT INTO Teams VALUES (1)"),
             Err(DbError::Sql(_))
         ));
-        assert_eq!(
-            SqlFrontend
-                .statement("DELETE FROM Ghost WHERE rowid = 0", &catalog())
-                .unwrap_err(),
-            DbError::UnknownTable("Ghost".into())
+        assert_eq!(s.transport_stats().round_trips, before);
+        // Every statement kind runs.
+        let inserted = run(
+            &mut s,
+            "INSERT INTO Teams VALUES (1, 'Platform'), (2, 'QA')",
         );
+        assert!(matches!(inserted, Ok(Outcome::Inserted(2))));
+        let copied = run(&mut s, "COPY Teams FROM VALUES (1, 'Web')");
+        assert!(matches!(copied, Ok(Outcome::Copied(1))));
+        let deleted = run(&mut s, "DELETE FROM Teams WHERE rowid IN (0, 2)");
+        assert!(matches!(deleted, Ok(Outcome::Deleted(2))));
+        // The one employee (team 1) now matches team rows 1 and 3.
+        match run(&mut s, "SELECT * FROM Employees JOIN Teams ON Team = Key") {
+            Ok(Outcome::Rows(result)) => assert_eq!(result.tuples, vec![vec![0, 1], vec![0, 3]]),
+            other => panic!("expected rows, got {other:?}"),
+        }
     }
 
     #[test]
     fn parse_errors_become_sql_errors() {
         assert!(matches!(
-            SqlFrontend.plan("SELECT nope", &catalog()),
+            plan("SELECT nope", session().catalog()),
+            Err(DbError::Sql(_))
+        ));
+        assert!(matches!(
+            run(&mut session(), "SELECT nope"),
             Err(DbError::Sql(_))
         ));
     }

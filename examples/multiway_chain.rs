@@ -17,7 +17,7 @@
 //! cargo run --release --example multiway_chain
 //! ```
 
-use eqjoin::db::{Schema, SessionConfig, Table, TableConfig, Value};
+use eqjoin::db::{Schema, Session, SessionConfig, Table, TableConfig, Value};
 use eqjoin::pairing::Bls12;
 use eqjoin::tpch::{generate_customers, generate_orders, TpchConfig};
 
@@ -60,7 +60,7 @@ fn main() {
     );
 
     let mut session =
-        eqjoin::session::<Bls12>(SessionConfig::new(2, 3).seed(0xc4a1).prefilter(true));
+        Session::<Bls12>::local(SessionConfig::new(2, 3).seed(0xc4a1).prefilter(true));
     session
         .create_table(
             &orders,
@@ -95,9 +95,10 @@ fn main() {
                  JOIN Customers ON Orders.custkey = Customers.custkey \
                  INNER JOIN Returns ON Customers.custkey = Returns.custkey \
                  WHERE mktsegment = 'BUILDING'";
+    let chain = eqjoin::sql::plan(chain, session.catalog()).expect("plan chain");
 
     let trips_before = session.transport_stats().round_trips;
-    let first = session.execute(chain).expect("chain");
+    let first = session.execute(&chain).expect("chain");
     assert_eq!(
         session.transport_stats().round_trips - trips_before,
         1,
@@ -140,6 +141,7 @@ fn main() {
     let overlap = "SELECT name, totalprice FROM Orders \
                    JOIN Customers ON Orders.custkey = Customers.custkey \
                    WHERE mktsegment = 'BUILDING'";
+    let overlap = eqjoin::sql::plan(overlap, session.catalog()).expect("plan overlap");
     let two_table = session.execute(overlap).expect("overlapping query");
     assert!(
         two_table.cache_hit,
@@ -150,7 +152,7 @@ fn main() {
     // client opens no payload: the server ships the bytes it already
     // opened, so every value comes back from what it kept.
     let before_again = session.stats().client;
-    let again = session.execute(chain).expect("repeat chain");
+    let again = session.execute(&chain).expect("repeat chain");
     assert!(again.cache_hit && again.stage_cache_hits.iter().all(|&h| h));
     assert_eq!(again.rows, first.rows);
     let after_again = session.stats().client;

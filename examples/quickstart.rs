@@ -5,13 +5,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use eqjoin::db::{Schema, SessionConfig, Table, TableConfig, Value};
+use eqjoin::db::{Schema, Session, SessionConfig, Table, TableConfig, Value};
 use eqjoin::pairing::Bls12;
 
 fn main() {
-    // One session = keys + SQL planning + transport + leakage ledger,
+    // One session = keys + plan lowering + transport + leakage ledger,
     // on the real BLS12-381 engine (m = 2 filter columns, IN ≤ 3).
-    let mut session = eqjoin::session::<Bls12>(SessionConfig::new(2, 3).seed(0xec10));
+    let mut session = Session::<Bls12>::local(SessionConfig::new(2, 3).seed(0xec10));
 
     let mut users = Table::new(Schema::new("Users", &["uid", "country", "tier"]));
     users.push_row(vec![Value::Int(1), "DE".into(), "gold".into()]);
@@ -38,14 +38,16 @@ fn main() {
         .create_table(&purchases, purchases_cfg)
         .expect("encrypt purchases");
 
-    // SQL goes parse → plan → tokens → encrypted join → tuples →
-    // per-column decrypt in one call; the server only ever sees
-    // ciphertexts and tokens. The explicit column list means the client
-    // opens *only* those columns of each matched row.
+    // SQL is parsed and resolved against the session catalog into a
+    // plan; one `execute` goes tokens → encrypted join → tuples →
+    // per-column decrypt, and the server only ever sees ciphertexts
+    // and tokens. The explicit column list means the client opens
+    // *only* those columns of each matched row.
     let sql = "SELECT Users.uid, tier, item FROM Users JOIN Purchases \
                ON Users.uid = Purchases.uid \
                WHERE country = 'DE' AND item IN ('laptop', 'desk')";
-    let result = session.execute(sql).expect("query");
+    let plan = eqjoin::sql::plan(sql, session.catalog()).expect("plan");
+    let result = session.execute(&plan).expect("query");
     let header: Vec<String> = result.columns.iter().map(|c| c.to_string()).collect();
     println!("{}", header.join(" | "));
     for row in &result.rows {
@@ -67,7 +69,7 @@ fn main() {
     // cache, and the client gets back the sealed bytes it already
     // opened, so it hands back the values it kept instead of opening
     // them a second time.
-    let again = session.execute(sql).expect("repeat");
+    let again = session.execute(&plan).expect("repeat");
     assert_eq!(again.rows, result.rows);
     let repeat = session.stats();
     println!(

@@ -11,7 +11,7 @@
 //! cargo run --release --example tpch_analytics -- 0.01 mock
 //! ```
 
-use eqjoin::db::{SessionConfig, TableConfig};
+use eqjoin::db::{Session, SessionConfig, TableConfig};
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use eqjoin::tpch::{generate_customers, generate_orders, TpchConfig};
 use std::time::Instant;
@@ -47,7 +47,7 @@ fn run<E: Engine>(scale: f64) {
     );
 
     // The configuration the paper measures: pre-filter on.
-    let mut session = eqjoin::session::<E>(SessionConfig::new(2, 4).seed(1).prefilter(true));
+    let mut session = Session::<E>::local(SessionConfig::new(2, 4).seed(1).prefilter(true));
 
     let t0 = Instant::now();
     session
@@ -76,7 +76,8 @@ fn run<E: Engine>(scale: f64) {
     println!();
 
     for sql in workload() {
-        let result = session.execute(sql).expect("query");
+        let plan = eqjoin::sql::plan(sql, session.catalog()).expect("plan");
+        let result = session.execute(plan).expect("query");
         println!(
             "query: {}",
             sql.split_whitespace().collect::<Vec<_>>().join(" ")

@@ -10,29 +10,31 @@
 //! accounting:
 //!
 //! ```text
-//!   session(config)                        backend (ServerApi)
+//!   Session::local(config)                 backend (ServerApi)
 //!   ┌──────────────────────────┐      ┌───────────────────────────┐
 //!   │ create_table(plain, cfg) ┼──────▶ encrypted tables          │
-//!   │ execute("SELECT c, …     ┼──────▶ SJ.Dec + SJ.Match per     │
-//!   │   FROM a JOIN b … JOIN c │      │ pairwise stage, projected │
-//!   │   …") └ stage token cache│◀─────┼ payloads + observation    │
+//!   │ execute(sql::plan("…"))  ┼──────▶ SJ.Dec + SJ.Match per     │
+//!   │   or execute(QueryPlan)  │      │ pairwise stage, projected │
+//!   │   └ stage token cache    │◀─────┼ payloads + observation    │
 //!   │ walk + column decrypt    │      └───────────────────────────┘
 //!   │ leakage_report()         │
 //!   └──────────────────────────┘
 //! ```
 //!
 //! ```
-//! use eqjoin::db::{Schema, SessionConfig, Table, TableConfig, Value};
+//! use eqjoin::db::{Schema, Table, TableConfig, Value};
 //! use eqjoin::pairing::MockEngine;
+//! use eqjoin::{Session, SessionConfig};
 //!
-//! let mut session = eqjoin::session::<MockEngine>(SessionConfig::new(1, 2));
+//! let mut session = Session::<MockEngine>::local(SessionConfig::new(1, 2));
 //! for name in ["L", "R"] {
 //!     let mut t = Table::new(Schema::new(name, &["k", "a"]));
 //!     t.push_row(vec![Value::Int(1), name.into()]);
 //!     let cfg = TableConfig { join_column: "k".into(), filter_columns: vec!["a".into()] };
 //!     session.create_table(&t, cfg).unwrap();
 //! }
-//! let result = session.execute("SELECT * FROM L JOIN R ON L.k = R.k").unwrap();
+//! let plan = eqjoin::sql::plan("SELECT * FROM L JOIN R ON L.k = R.k", session.catalog());
+//! let result = session.execute(plan.unwrap()).unwrap();
 //! assert_eq!(result.rows.len(), 1);
 //! assert!(session.leakage_report().within_bound);
 //! ```
@@ -56,24 +58,3 @@ pub use eqjoin_sql as sql;
 pub use eqjoin_tpch as tpch;
 
 pub use eqjoin_db::{Session, SessionConfig};
-
-/// A local-backend [`Session`] with the SQL front-end installed — the
-/// one-call way to run SQL over encrypted tables.
-pub fn session<E: eqjoin_pairing::Engine>(config: SessionConfig) -> Session<E> {
-    Session::local(config).with_planner(Box::new(eqjoin_sql::SqlFrontend))
-}
-
-/// A [`Session`] over a TCP connection to an `eqjoind` server (run one
-/// with `cargo run --release -p eqjoind`), SQL front-end installed.
-/// The engine type must match the server's `--engine` flag — the wire
-/// codec validates group elements under the engine it is given.
-///
-/// Connection failure is [`db::DbError::Transport`], which
-/// also marks any later loss of the connection — errors the *server*
-/// reports keep their original variants.
-pub fn session_remote<E: eqjoin_pairing::Engine>(
-    config: SessionConfig,
-    addr: &str,
-) -> Result<Session<E>, eqjoin_db::DbError> {
-    Ok(Session::remote(config, addr)?.with_planner(Box::new(eqjoin_sql::SqlFrontend)))
-}

@@ -7,7 +7,7 @@
 //! cost exactly **one** TCP round trip.
 
 use eqjoin::db::{
-    JoinQuery, QueryInput, ResultSet, Session, SessionConfig, Table, TableConfig, Value,
+    JoinQuery, QueryPlan, ResultSet, Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::pairing::MockEngine;
 use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
@@ -105,7 +105,7 @@ fn spawn_server() -> (SocketAddr, NetHandle) {
 
 fn run_series(session: &mut Session<MockEngine>) -> Vec<Vec<u8>> {
     populate(session);
-    let inputs: Vec<QueryInput> = series().iter().map(QueryInput::from).collect();
+    let inputs: Vec<QueryPlan> = series().iter().map(QueryPlan::from).collect();
     let results = session.execute_all(&inputs).unwrap();
     assert_eq!(
         results[3].cache_hit,
@@ -127,7 +127,7 @@ fn backends_agree_and_remote_batches_into_one_round_trip() {
     // TCP round trip (table uploads not included in the delta).
     populate(&mut remote);
     let before = remote.transport_stats();
-    let inputs: Vec<QueryInput> = series().iter().map(QueryInput::from).collect();
+    let inputs: Vec<QueryPlan> = series().iter().map(QueryPlan::from).collect();
     let remote_results = remote.execute_all(&inputs).unwrap();
     let after = remote.transport_stats();
     assert_eq!(
@@ -178,7 +178,7 @@ fn decrypt_cache_is_invisible_in_results_and_counted_across_backends() {
         ];
         for mut session in sessions {
             populate(&mut session);
-            let inputs: Vec<QueryInput> = series().iter().map(QueryInput::from).collect();
+            let inputs: Vec<QueryPlan> = series().iter().map(QueryPlan::from).collect();
             let results = session.execute_all(&inputs).unwrap();
 
             // The repeat (query 3) must be a full decrypt-cache hit iff
@@ -265,7 +265,7 @@ fn both_backends(addr: SocketAddr) -> Vec<(&'static str, Session<MockEngine>)> {
 }
 
 fn run_inputs(session: &mut Session<MockEngine>) -> Vec<ResultSet> {
-    let inputs: Vec<QueryInput> = series().iter().map(QueryInput::from).collect();
+    let inputs: Vec<QueryPlan> = series().iter().map(QueryPlan::from).collect();
     session.execute_all(&inputs).unwrap()
 }
 

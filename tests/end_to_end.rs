@@ -4,14 +4,13 @@
 //! mock engine (larger).
 
 use eqjoin::baselines::ground_truth::example_2_1;
-use eqjoin::db::{Session, SessionConfig, TableConfig, Value};
+use eqjoin::db::{ResultSet, Session, SessionConfig, TableConfig, Value};
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 
 /// A session holding the paper's Teams/Employees tables (Example 2.1).
 fn paper_session<E: Engine>(seed: u64, prefilter: bool) -> Session<E> {
     let (teams, employees) = example_2_1();
-    let mut session =
-        eqjoin::session::<E>(SessionConfig::new(3, 2).seed(seed).prefilter(prefilter));
+    let mut session = Session::<E>::local(SessionConfig::new(3, 2).seed(seed).prefilter(prefilter));
     session
         .create_table(
             &teams,
@@ -33,18 +32,23 @@ fn paper_session<E: Engine>(seed: u64, prefilter: bool) -> Session<E> {
     session
 }
 
+/// Plan `sql` against the session catalog and execute it.
+fn execute_sql<E: Engine>(session: &mut Session<E>, sql: &str) -> ResultSet {
+    let plan = eqjoin::sql::plan(sql, session.catalog()).unwrap();
+    session.execute(plan).unwrap()
+}
+
 #[test]
 fn paper_query_end_to_end_bls12() {
     let mut session = paper_session::<Bls12>(424242, false);
 
     // The exact SQL from the paper, at time t1 — one call from text to
     // plaintext rows.
-    let result = session
-        .execute(
-            "SELECT * FROM Employees JOIN Teams ON Team = Key \
+    let result = execute_sql(
+        &mut session,
+        "SELECT * FROM Employees JOIN Teams ON Team = Key \
              WHERE Name = 'Web Application' AND Role = 'Tester'",
-        )
-        .unwrap();
+    );
 
     // Table 3: | 2 | Kaily | Tester | 1 | Web Application |
     // SELECT * lays out Employees' columns then Teams' columns.
@@ -61,12 +65,11 @@ fn paper_query_end_to_end_bls12() {
 #[test]
 fn second_paper_query_end_to_end_bls12() {
     let mut session = paper_session::<Bls12>(77, false);
-    let result = session
-        .execute(
-            "SELECT * FROM Employees JOIN Teams ON Team = Key \
+    let result = execute_sql(
+        &mut session,
+        "SELECT * FROM Employees JOIN Teams ON Team = Key \
              WHERE Name = 'Database' AND Role = 'Programmer'",
-        )
-        .unwrap();
+    );
 
     // Table 4: | 3 | John | Programmer | 2 | Database |
     assert_eq!(result.rows.len(), 1);
@@ -85,7 +88,7 @@ fn paper_series_stays_within_leakage_bound_bls12() {
         "SELECT * FROM Employees JOIN Teams ON Team = Key \
          WHERE Name = 'Database' AND Role = 'Programmer'",
     ] {
-        session.execute(sql).unwrap();
+        execute_sql(&mut session, sql);
     }
     let report = session.leakage_report();
     assert_eq!(report.queries, 2);
@@ -139,13 +142,12 @@ fn prefiltered_run_matches_unfiltered_run_bls12() {
     // be identical with and without it.
     let run = |prefilter: bool| -> Vec<Vec<usize>> {
         let mut session = paper_session::<Bls12>(31337, prefilter);
-        session
-            .execute(
-                "SELECT * FROM Teams JOIN Employees ON Key = Team \
+        execute_sql(
+            &mut session,
+            "SELECT * FROM Teams JOIN Employees ON Key = Team \
                  WHERE Role = 'Tester'",
-            )
-            .unwrap()
-            .tuples
+        )
+        .tuples
     };
     assert_eq!(run(true), run(false));
 }

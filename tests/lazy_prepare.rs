@@ -287,7 +287,6 @@ fn racing_first_touches_agree_and_fill_each_row_once() {
     let options = JoinOptions {
         decrypt_cache: false,
         threads: 1,
-        ..JoinOptions::default()
     };
 
     let baseline = prepared_rows();

@@ -91,15 +91,16 @@ fn live_scrape_matches_client_and_server_counters() {
     let prepared_elements = |body: &str| series_value(body, "eqjoin_store_prepared_pairings_total");
     let prepared_rows = |body: &str| series_value(body, "eqjoin_store_prepared_rows");
 
-    let mut session = eqjoin::session_remote::<MockEngine>(
-        SessionConfig::new(3, 2).seed(20220501),
-        &addr.to_string(),
-    )
-    .unwrap()
-    .with_tenant("acme")
-    .unwrap();
+    let mut session = Session::<MockEngine>::remote(SessionConfig::new(3, 2).seed(20220501), addr)
+        .unwrap()
+        .with_tenant("acme")
+        .unwrap();
     populate(&mut session);
     let stats_at_start: SessionStats = session.stats();
+    let series: Vec<_> = PAPER_SERIES
+        .iter()
+        .map(|sql| eqjoin::sql::plan(sql, session.catalog()).unwrap())
+        .collect();
     let loaded = scrape();
     assert_eq!(
         (
@@ -113,7 +114,7 @@ fn live_scrape_matches_client_and_server_counters() {
 
     // --- Mid-run scrape: after the first query the surface must have
     // moved in lockstep with the client's own view.
-    let first = session.execute(PAPER_SERIES[0]).unwrap();
+    let first = session.execute(&series[0]).unwrap();
     assert!(!first.rows.is_empty());
     let mid = scrape();
     assert_eq!(
@@ -137,8 +138,8 @@ fn live_scrape_matches_client_and_server_counters() {
     );
     assert!(first_touches(&mid) > first_touches(&before));
 
-    for &sql in &PAPER_SERIES[1..] {
-        session.execute(sql).unwrap();
+    for plan in &series[1..] {
+        session.execute(plan).unwrap();
     }
 
     // --- Post-run scrape: every layer's counters line up with the

@@ -22,7 +22,7 @@
 //! prints the fixture the current code produces.
 
 use eqjoin::db::{
-    QueryInput, QueryPlan, Schema, Session, SessionConfig, SessionStats, Table, TableConfig, Value,
+    QueryPlan, Schema, Session, SessionConfig, SessionStats, Table, TableConfig, Value,
 };
 use eqjoin::pairing::{ops, Bls12};
 use std::fmt::Write;
@@ -76,7 +76,7 @@ fn tables() -> Vec<(Table, TableConfig)> {
 
 /// One round: a three-table chain with a projection, then a pairwise
 /// join, under different filters.
-fn round() -> Vec<QueryInput> {
+fn round() -> Vec<QueryPlan> {
     vec![
         QueryPlan::scan("Customers")
             .join_on("Customers", "custkey", "Orders", "custkey")
@@ -87,13 +87,11 @@ fn round() -> Vec<QueryInput> {
                 ("Profiles", "region"),
             ])
             .filter("Customers", "segment", vec!["auto".into()])
-            .filter("Orders", "priority", vec!["urgent".into()])
-            .into(),
+            .filter("Orders", "priority", vec!["urgent".into()]),
         QueryPlan::scan("Customers")
             .join_on("Customers", "custkey", "Orders", "custkey")
             .filter("Customers", "segment", vec!["build".into()])
-            .filter("Orders", "priority", vec!["high".into(), "low".into()])
-            .into(),
+            .filter("Orders", "priority", vec!["high".into(), "low".into()]),
     ]
 }
 

@@ -4,7 +4,7 @@
 //! front-end, the token cache, the wire codec, a real TCP socket and
 //! back — and assert the results match the in-process path exactly.
 
-use eqjoin::db::{DbError, QueryInput, Session, SessionConfig, TableConfig, Value};
+use eqjoin::db::{DbError, QueryPlan, Session, SessionConfig, TableConfig, Value};
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use eqjoind_net::{NetConfig, NetHandle, NetServer, TenantRegistry};
 use std::net::SocketAddr;
@@ -43,6 +43,11 @@ fn populate_paper_tables<E: Engine>(session: &mut Session<E>) {
         .unwrap();
 }
 
+/// `sql` planned against `session`'s catalog.
+fn plan<E: Engine>(session: &Session<E>, sql: &str) -> QueryPlan {
+    eqjoin::sql::plan(sql, session.catalog()).unwrap()
+}
+
 const PAPER_SERIES: [&str; 3] = [
     "SELECT * FROM Employees JOIN Teams ON Team = Key \
      WHERE Name = 'Web Application' AND Role = 'Tester'",
@@ -56,16 +61,17 @@ const PAPER_SERIES: [&str; 3] = [
 #[test]
 fn paper_series_over_tcp_matches_local_bls12() {
     let config = SessionConfig::new(3, 2).seed(424242);
-    let mut local = eqjoin::session::<Bls12>(config);
+    let mut local = Session::<Bls12>::local(config);
     let (addr, _server) = spawn_server::<Bls12>();
-    let mut remote = eqjoin::session_remote::<Bls12>(config, &addr.to_string()).unwrap();
+    let mut remote = Session::<Bls12>::remote(config, addr).unwrap();
 
     populate_paper_tables(&mut local);
     populate_paper_tables(&mut remote);
 
     for sql in PAPER_SERIES {
-        let l = local.execute(sql).unwrap();
-        let r = remote.execute(sql).unwrap();
+        let plan = plan(&local, sql);
+        let l = local.execute(&plan).unwrap();
+        let r = remote.execute(&plan).unwrap();
         assert_eq!(l.rows, r.rows, "decrypted rows must match across TCP");
         assert_eq!(l.tuples, r.tuples);
         assert_eq!(l.cache_hit, r.cache_hit);
@@ -76,7 +82,7 @@ fn paper_series_over_tcp_matches_local_bls12() {
 
     // Table 3 sanity on a remote re-run of query 0: the exact row the
     // paper prints.
-    let result = remote.execute(PAPER_SERIES[0]).unwrap();
+    let result = remote.execute(plan(&remote, PAPER_SERIES[0])).unwrap();
     assert!(result.cache_hit);
     assert_eq!(result.rows.len(), 1);
     assert_eq!(result.rows[0].get(1), &Value::Str("Kaily".into()));
@@ -100,12 +106,12 @@ fn paper_series_over_tcp_matches_local_bls12() {
 fn batched_series_over_tcp_is_one_round_trip_bls12() {
     let config = SessionConfig::new(3, 2).seed(77);
     let (addr, _server) = spawn_server::<Bls12>();
-    let mut remote = eqjoin::session_remote::<Bls12>(config, &addr.to_string()).unwrap();
-    let mut local = eqjoin::session::<Bls12>(config);
+    let mut remote = Session::<Bls12>::remote(config, addr).unwrap();
+    let mut local = Session::<Bls12>::local(config);
     populate_paper_tables(&mut remote);
     populate_paper_tables(&mut local);
 
-    let inputs: Vec<QueryInput> = PAPER_SERIES.iter().map(|&sql| sql.into()).collect();
+    let inputs: Vec<QueryPlan> = PAPER_SERIES.iter().map(|sql| plan(&local, sql)).collect();
     let before = remote.transport_stats();
     let remote_results = remote.execute_all(&inputs).unwrap();
     let after = remote.transport_stats();
@@ -126,8 +132,7 @@ fn engine_mismatch_is_rejected_not_misdecoded() {
     // fail BLS validation, so the server answers with a protocol error
     // instead of executing garbage.
     let (addr, _server) = spawn_server::<Bls12>();
-    let mut session =
-        eqjoin::session_remote::<MockEngine>(SessionConfig::new(1, 2), &addr.to_string()).unwrap();
+    let mut session = Session::<MockEngine>::remote(SessionConfig::new(1, 2), addr).unwrap();
     use eqjoin::db::{Schema, Table};
     let mut t = Table::new(Schema::new("T", &["k", "a"]));
     t.push_row(vec![Value::Int(1), "x".into()]);
@@ -153,12 +158,11 @@ fn a_drained_server_fails_its_sessions_typed() {
     // come back as a typed transport error (after the retry policy's
     // reconnect attempts are refused) — not a hang, not a panic.
     let (addr, server) = spawn_server::<MockEngine>();
-    let mut session =
-        eqjoin::session_remote::<MockEngine>(SessionConfig::new(3, 2), &addr.to_string()).unwrap();
+    let mut session = Session::<MockEngine>::remote(SessionConfig::new(3, 2), addr).unwrap();
     populate_paper_tables(&mut session);
-    assert!(session.execute(PAPER_SERIES[0]).is_ok());
+    assert!(session.execute(plan(&session, PAPER_SERIES[0])).is_ok());
     drop(server);
-    match session.execute(PAPER_SERIES[1]) {
+    match session.execute(plan(&session, PAPER_SERIES[1])) {
         Err(DbError::Transport(_)) => {}
         other => panic!("expected a transport error, got {other:?}"),
     }

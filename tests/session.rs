@@ -305,20 +305,22 @@ fn prepared_queries_share_the_session_cache() {
 
 #[test]
 fn sql_insert_and_delete_statements_run_end_to_end() {
-    use eqjoin::db::SqlOutcome;
+    use eqjoin::sql::{run, Outcome};
 
-    let mut session = eqjoin::session::<MockEngine>(SessionConfig::new(2, 3).seed(4));
+    let mut session = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(4));
     let (left, right) = tables();
     let (lcfg, rcfg) = configs();
     session.create_table(&left, lcfg).unwrap();
     session.create_table(&right, rcfg).unwrap();
 
     let count = |session: &mut Session<MockEngine>| -> usize {
-        match session
-            .run_sql("SELECT * FROM L JOIN R ON L.k = R.k WHERE L.color = 'violet'")
-            .unwrap()
+        match run(
+            session,
+            "SELECT * FROM L JOIN R ON L.k = R.k WHERE L.color = 'violet'",
+        )
+        .unwrap()
         {
-            SqlOutcome::Rows(result) => result.rows.len(),
+            Outcome::Rows(result) => result.rows.len(),
             other => panic!("expected rows, got {other:?}"),
         }
     };
@@ -326,11 +328,13 @@ fn sql_insert_and_delete_statements_run_end_to_end() {
 
     // INSERT three L rows with a fresh color; k = 0 matches R's k = 0
     // rows (6 of 30).
-    match session
-        .run_sql("INSERT INTO L VALUES (0, 'violet', 9), (0, 'violet', 10), (1, 'violet', 11);")
-        .unwrap()
+    match run(
+        &mut session,
+        "INSERT INTO L VALUES (0, 'violet', 9), (0, 'violet', 10), (1, 'violet', 11);",
+    )
+    .unwrap()
     {
-        SqlOutcome::Inserted(n) => assert_eq!(n, 3),
+        Outcome::Inserted(n) => assert_eq!(n, 3),
         other => panic!("expected Inserted, got {other:?}"),
     }
     let with_inserts = count(&mut session);
@@ -338,21 +342,16 @@ fn sql_insert_and_delete_statements_run_end_to_end() {
 
     // DELETE the two k = 0 inserts by rowid (ids continue after the 30
     // original rows: 30, 31, 32).
-    match session
-        .run_sql("DELETE FROM L WHERE rowid IN (30, 31)")
-        .unwrap()
-    {
-        SqlOutcome::Deleted(n) => assert_eq!(n, 2),
+    match run(&mut session, "DELETE FROM L WHERE rowid IN (30, 31)").unwrap() {
+        Outcome::Deleted(n) => assert_eq!(n, 2),
         other => panic!("expected Deleted, got {other:?}"),
     }
     let after_delete = count(&mut session);
     assert!(after_delete < with_inserts);
 
     // Statement errors surface cleanly.
-    assert!(session
-        .run_sql("DELETE FROM Ghost WHERE rowid = 0")
-        .is_err());
-    assert!(session.run_sql("INSERT INTO L VALUES (1)").is_err());
+    assert!(run(&mut session, "DELETE FROM Ghost WHERE rowid = 0").is_err());
+    assert!(run(&mut session, "INSERT INTO L VALUES (1)").is_err());
 }
 
 #[test]
@@ -413,26 +412,30 @@ fn copy_table_of_one_row_more_than_a_chunk_ships_two_chunks() {
 
 #[test]
 fn sql_copy_statement_bulk_loads_end_to_end() {
-    use eqjoin::db::SqlOutcome;
+    use eqjoin::sql::{run, Outcome};
 
-    let mut session = eqjoin::session::<MockEngine>(SessionConfig::new(2, 3).seed(4));
+    let mut session = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(4));
     let (left, right) = tables();
     let (lcfg, rcfg) = configs();
     session.create_table(&left, lcfg).unwrap();
     session.create_table(&right, rcfg).unwrap();
 
-    match session
-        .run_sql("COPY L FROM VALUES (0, 'violet', 9), (0, 'violet', 10);")
-        .unwrap()
+    match run(
+        &mut session,
+        "COPY L FROM VALUES (0, 'violet', 9), (0, 'violet', 10);",
+    )
+    .unwrap()
     {
-        SqlOutcome::Copied(n) => assert_eq!(n, 2),
+        Outcome::Copied(n) => assert_eq!(n, 2),
         other => panic!("expected Copied, got {other:?}"),
     }
-    match session
-        .run_sql("SELECT * FROM L JOIN R ON L.k = R.k WHERE L.color = 'violet'")
-        .unwrap()
+    match run(
+        &mut session,
+        "SELECT * FROM L JOIN R ON L.k = R.k WHERE L.color = 'violet'",
+    )
+    .unwrap()
     {
-        SqlOutcome::Rows(result) => assert!(
+        Outcome::Rows(result) => assert!(
             !result.rows.is_empty(),
             "COPY-loaded rows participate in joins"
         ),
@@ -440,10 +443,42 @@ fn sql_copy_statement_bulk_loads_end_to_end() {
     }
 
     // COPY resolves against the catalog like every other statement.
-    assert!(session
-        .run_sql("COPY Ghost FROM VALUES (1, 'x', 2)")
-        .is_err());
-    assert!(session.run_sql("COPY L FROM VALUES (1)").is_err());
+    assert!(run(&mut session, "COPY Ghost FROM VALUES (1, 'x', 2)").is_err());
+    assert!(run(&mut session, "COPY L FROM VALUES (1)").is_err());
+}
+
+#[test]
+fn sql_errors_send_nothing() {
+    use eqjoin::db::DbError;
+    use eqjoin::sql::run;
+
+    let mut session = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(4));
+    let (left, right) = tables();
+    let (lcfg, rcfg) = configs();
+    session.create_table(&left, lcfg).unwrap();
+    session.create_table(&right, rcfg).unwrap();
+    let before = session.transport_stats().round_trips;
+
+    match run(&mut session, "SELECT * FROM L JOIN Ghost ON L.k = Ghost.k") {
+        Err(DbError::UnknownTable(table)) => assert_eq!(table, "Ghost"),
+        other => panic!("expected UnknownTable, got {other:?}"),
+    }
+    for sql in [
+        "INSERT INTO L VALUES (1, 'red')",
+        "INSERT INTO L VALUES (1, 'red', 2, 3)",
+        "COPY L FROM VALUES (1)",
+        "COPY R FROM VALUES (1, 'a', 'b', 'c')",
+    ] {
+        match run(&mut session, sql) {
+            Err(DbError::Sql(message)) => assert!(message.contains("values"), "{message}"),
+            other => panic!("{sql}: expected DbError::Sql, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        session.transport_stats().round_trips,
+        before,
+        "a statement that fails to plan sends nothing"
+    );
 }
 
 #[test]

@@ -10,8 +10,8 @@
 
 use eqjoin::baselines::ground_truth::reference_join;
 use eqjoin::db::{
-    DbError, JoinQuery, LocalBackend, QueryInput, QueryPlan, Request, Response, ResultSet, Schema,
-    ServerApi, Session, SessionConfig, Table, TableConfig, Value,
+    DbError, JoinQuery, LocalBackend, QueryPlan, Request, Response, ResultSet, Schema, ServerApi,
+    Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::pairing::MockEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,9 +200,9 @@ fn k_and_a(table: &Table) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn rows_of(s: &mut Session<MockEngine>, input: impl Into<QueryInput>) -> Vec<Vec<Value>> {
+fn rows_of(s: &mut Session<MockEngine>, plan: &QueryPlan) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = s
-        .execute(input)
+        .execute(plan)
         .unwrap()
         .rows
         .into_iter()
