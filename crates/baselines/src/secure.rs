@@ -12,7 +12,7 @@
 //! confirms is the paper's bound.
 
 use crate::traits::{JoinScheme, QueryOutcome, SchemeSetup};
-use eqjoin_db::{JoinQuery, Session, SessionConfig, Table, TableConfig};
+use eqjoin_db::{JoinQuery, QueryPlan, Session, SessionConfig, Table, TableConfig};
 use eqjoin_leakage::PairSet;
 use eqjoin_pairing::Engine;
 
@@ -60,7 +60,10 @@ impl<E: Engine> JoinScheme for SecureJoinScheme<E> {
     }
 
     fn run_query(&mut self, query: &JoinQuery) -> QueryOutcome {
-        let result = self.session.execute(query).expect("join executes");
+        let result = self
+            .session
+            .execute(&QueryPlan::from(query))
+            .expect("join executes");
         // The session already recorded what the server observed this
         // query into its ledger; report that σ(q) to the harness.
         let ledger = self.session.ledger();

@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-use eqjoin_db::{JoinQuery, Session, SessionConfig, TableConfig, Value};
+use eqjoin_db::{JoinQuery, QueryPlan, Session, SessionConfig, TableConfig, Value};
 use eqjoin_pairing::Engine;
 use eqjoin_tpch::{generate_customers, generate_orders, TpchConfig};
 use std::time::Duration;
@@ -124,7 +124,10 @@ pub fn run_join_session<E: Engine>(
     bench: &mut TpchSession<E>,
     query: &JoinQuery,
 ) -> JoinMeasurement {
-    let result = bench.session.execute(query).expect("join executes");
+    let result = bench
+        .session
+        .execute(&QueryPlan::from(query))
+        .expect("join executes");
     JoinMeasurement {
         total: result.stats.decrypt_time + result.stats.match_time,
         decrypt: result.stats.decrypt_time,
@@ -285,7 +288,7 @@ mod tests {
         let q = selectivity_query("1/12.5", 4);
         let answers = [1, 2].map(|threads| {
             let mut bench = setup_tpch_session::<MockEngine>(0.001, 4, 6, threads);
-            let r = bench.session.execute(&q).unwrap();
+            let r = bench.session.execute(&QueryPlan::from(&q)).unwrap();
             (r.stats.rows_decrypted, r.stats.matched_pairs, r.tuples)
         });
         assert!(answers[0].1 > 0);

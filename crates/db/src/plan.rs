@@ -288,14 +288,6 @@ impl From<&JoinQuery> for QueryPlan {
     }
 }
 
-/// Lets [`Session::execute`](crate::Session::execute) and
-/// [`Session::prepare`](crate::Session::prepare) take `&plan`.
-impl From<&QueryPlan> for QueryPlan {
-    fn from(plan: &QueryPlan) -> Self {
-        plan.clone()
-    }
-}
-
 /// One pairwise join stage of a lowered plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Stage {

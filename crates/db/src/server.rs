@@ -41,10 +41,14 @@ use std::time::{Duration, Instant};
 /// How one direct call of [`DbServer::execute_join`] runs. No wire
 /// request carries these: every backend serves a join with the default.
 /// Tests and the benchmark's layer probe, which hold a [`DbServer`],
-/// vary them for a cache-off timing of fresh `SJ.Dec` or a capped thread
-/// count.
+/// vary them for a cache-off timing of fresh `SJ.Dec`, a capped thread
+/// count or an unfiltered reference.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinOptions {
+    /// Honor pre-filter tags if the ciphertexts carry them (on by
+    /// default). A side served without them is a different decrypt-cache
+    /// entry from the same side served with them.
+    pub use_prefilter: bool,
     /// Worker threads for the decryption phase. `0` (the default) means
     /// the server's configured count ([`DbServer::set_default_threads`],
     /// else one per available core); that is also the most a call is
@@ -58,6 +62,7 @@ pub struct JoinOptions {
 impl Default for JoinOptions {
     fn default() -> Self {
         JoinOptions {
+            use_prefilter: true,
             threads: 0,
             decrypt_cache: true,
         }

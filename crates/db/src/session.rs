@@ -663,13 +663,11 @@ impl<E: Engine> Session<E> {
     }
 
     /// Validate a plan: it must lower against the session catalog. The
-    /// lowering is memoized, and the plan comes back as it is: a plan
-    /// prepared before a table was re-created is lowered again against
-    /// the new registration when it is executed.
-    pub fn prepare(&mut self, plan: impl Into<QueryPlan>) -> Result<QueryPlan, DbError> {
-        let plan = plan.into();
-        self.lowering(&plan)?;
-        Ok(plan)
+    /// lowering is memoized: a plan prepared before a table was
+    /// re-created is lowered again against the new registration when it
+    /// is executed.
+    pub fn prepare(&mut self, plan: &QueryPlan) -> Result<(), DbError> {
+        self.lowering(plan).map(drop)
     }
 
     /// `plan`'s memoized lowering; lowered against the catalog and
@@ -950,8 +948,8 @@ impl<E: Engine> Session<E> {
     /// Execute a query end-to-end: per-stage tokens (cached on repeats)
     /// → backend joins (a chain ships as **one** batched round trip) →
     /// leakage ledger → tuples and per-column decrypt.
-    pub fn execute(&mut self, plan: impl Into<QueryPlan>) -> Result<ResultSet, DbError> {
-        let lowering = self.lowering(&plan.into())?;
+    pub fn execute(&mut self, plan: &QueryPlan) -> Result<ResultSet, DbError> {
+        let lowering = self.lowering(plan)?;
         self.run(&[lowering])?
             .pop()
             .ok_or_else(|| DbError::Protocol("a plan produced no result".into()))
@@ -1314,7 +1312,7 @@ mod tests {
     fn create_execute_and_ledger() {
         let mut s = session();
         assert_eq!(s.catalog().len(), 2);
-        let q = JoinQuery::on("L", "k", "R", "k");
+        let q: QueryPlan = JoinQuery::on("L", "k", "R", "k").into();
         let result = s.execute(&q).unwrap();
         assert_eq!(result.rows.len(), 2, "both k=1 rows of L match R row 0");
         assert!(!result.cache_hit);
@@ -1340,7 +1338,7 @@ mod tests {
     #[test]
     fn chain_executes_as_pipelined_pairwise_stages() {
         let mut s = session3();
-        let result = s.execute(chain()).unwrap();
+        let result = s.execute(&chain()).unwrap();
         // k=1: L rows {0,2} × R row 0 × S rows {0,1} = 4 tuples.
         assert_eq!(result.stage_stats.len(), 2);
         assert_eq!(
@@ -1366,7 +1364,7 @@ mod tests {
         let star = QueryPlan::scan("L")
             .join_on("L", "k", "R", "k")
             .join_on("L", "k", "S", "k");
-        let result = s.execute(star).unwrap();
+        let result = s.execute(&star).unwrap();
         assert_eq!(
             result.tuples,
             vec![vec![0, 0, 0], vec![0, 0, 1], vec![2, 0, 0], vec![2, 0, 1]]
@@ -1375,7 +1373,7 @@ mod tests {
         // still matches two pairs: the chain has no tuple, and both
         // stages are ledgered.
         let dead = chain().filter("S", "tag", vec!["c".into()]);
-        let result = s.execute(dead).unwrap();
+        let result = s.execute(&dead).unwrap();
         assert_eq!(result.stage_stats[0].matched_pairs, 2);
         assert_eq!(result.stage_stats[1].matched_pairs, 0);
         assert!(result.tuples.is_empty());
@@ -1386,7 +1384,7 @@ mod tests {
     #[test]
     fn projection_decrypts_only_selected_columns() {
         let mut star = session3();
-        let all = star.execute(chain()).unwrap();
+        let all = star.execute(&chain()).unwrap();
         let star_opens = star.stats().client.column_decrypts;
         assert_eq!(star.stats().client.column_decrypts_skipped, 0);
 
@@ -1415,7 +1413,7 @@ mod tests {
     #[test]
     fn overlapping_chains_share_stage_tokens() {
         let mut s = session3();
-        s.execute(chain()).unwrap();
+        s.execute(&chain()).unwrap();
         assert_eq!(s.stats().token_cache_misses, 2);
         // A different plan sharing the L⋈R stage: only the new stage
         // generates tokens.
@@ -1425,7 +1423,7 @@ mod tests {
         assert_eq!(s.stats().token_cache_hits, 1);
         assert_eq!(s.stats().token_cache_misses, 2);
         // Re-running the whole chain hits on every stage.
-        let again = s.execute(chain()).unwrap();
+        let again = s.execute(&chain()).unwrap();
         assert!(again.cache_hit);
         assert_eq!(again.stage_cache_hits, vec![true, true]);
         assert_eq!(s.stats().token_cache_hits, 3);
@@ -1437,7 +1435,7 @@ mod tests {
         // Typo'd table: must error, not silently drop the filter.
         let q = JoinQuery::on("L", "k", "R", "k").filter("Lx", "color", vec!["red".into()]);
         assert_eq!(
-            s.execute(&q).unwrap_err(),
+            s.execute(&QueryPlan::from(&q)).unwrap_err(),
             DbError::FilterTableNotInQuery {
                 table: "Lx".into(),
                 column: "color".into(),
@@ -1456,7 +1454,9 @@ mod tests {
     #[test]
     fn repeated_query_hits_cache_and_skips_tkgen() {
         let mut s = session();
-        let q = JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]);
+        let q: QueryPlan = JoinQuery::on("L", "k", "R", "k")
+            .filter("L", "color", vec!["red".into()])
+            .into();
         let r1 = s.execute(&q).unwrap();
         let tkgen_after_first = s.stats().client.tkgen_calls;
         assert_eq!(tkgen_after_first, 2);
@@ -1490,9 +1490,9 @@ mod tests {
         assert_eq!(fingerprint(&q_ab), fingerprint(&plain));
 
         let mut s = session();
-        let r1 = s.execute(&q_ab).unwrap();
-        let r2 = s.execute(&q_ba).unwrap();
-        let r3 = s.execute(&plain).unwrap();
+        let r1 = s.execute(&QueryPlan::from(&q_ab)).unwrap();
+        let r2 = s.execute(&QueryPlan::from(&q_ba)).unwrap();
+        let r3 = s.execute(&QueryPlan::from(&plain)).unwrap();
         assert!(r2.cache_hit && r3.cache_hit);
         assert_eq!(r1.tuples, r2.tuples);
         assert_eq!(r1.tuples, r3.tuples);
@@ -1501,7 +1501,11 @@ mod tests {
         // whereas color IN (red, blue) alone would match.
         assert!(r1.rows.is_empty());
         let red = s
-            .execute(JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]))
+            .execute(&QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
+                "L",
+                "color",
+                vec!["red".into()],
+            )))
             .unwrap();
         assert!(!red.rows.is_empty());
     }
@@ -1510,34 +1514,43 @@ mod tests {
     fn in_clause_bound_applies_to_effective_values_deterministically() {
         // t = 3; four literal values but only one distinct: valid, and
         // identically valid whether or not the cache is warm.
-        let dup4 = JoinQuery::on("L", "k", "R", "k").filter(
-            "L",
-            "color",
-            vec!["red".into(), "red".into(), "red".into(), "red".into()],
-        );
+        let dup4: QueryPlan = JoinQuery::on("L", "k", "R", "k")
+            .filter(
+                "L",
+                "color",
+                vec!["red".into(), "red".into(), "red".into(), "red".into()],
+            )
+            .into();
         let mut cold = session();
         let r_cold = cold.execute(&dup4).unwrap();
         let mut warm = session();
-        warm.execute(JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]))
-            .unwrap();
+        warm.execute(&QueryPlan::from(JoinQuery::on("L", "k", "R", "k").filter(
+            "L",
+            "color",
+            vec!["red".into()],
+        )))
+        .unwrap();
         let r_warm = warm.execute(&dup4).unwrap();
         assert!(r_warm.cache_hit);
         assert_eq!(r_cold.tuples, r_warm.tuples);
         // Four *distinct* values still exceed t = 3, cold or warm.
-        let distinct4 = JoinQuery::on("L", "k", "R", "k").filter(
-            "L",
-            "color",
-            vec!["a".into(), "b".into(), "c".into(), "d".into()],
-        );
+        let distinct4: QueryPlan = JoinQuery::on("L", "k", "R", "k")
+            .filter(
+                "L",
+                "color",
+                vec!["a".into(), "b".into(), "c".into(), "d".into()],
+            )
+            .into();
         assert!(matches!(
             cold.execute(&distinct4),
             Err(DbError::InClauseTooLarge { got: 4, max: 3 })
         ));
         // A contradictory conjunction selects nothing and is rejected
         // like an empty IN list.
-        let contradiction = JoinQuery::on("L", "k", "R", "k")
+        let contradiction: QueryPlan = JoinQuery::on("L", "k", "R", "k")
             .filter("L", "color", vec!["red".into()])
-            .filter("L", "color", vec!["blue".into()]);
+            .filter("L", "color", vec!["blue".into()])
+            .into();
         assert!(matches!(
             cold.execute(&contradiction),
             Err(DbError::EmptyInClause)
@@ -1573,7 +1586,9 @@ mod tests {
         let (left, right) = tables();
         s.create_table(&left, cfg("L")).unwrap();
         s.create_table(&right, cfg("R")).unwrap();
-        let err = s.execute(JoinQuery::on("L", "k", "R", "k")).unwrap_err();
+        let err = s
+            .execute(&QueryPlan::from(JoinQuery::on("L", "k", "R", "k")))
+            .unwrap_err();
         assert_eq!(err, DbError::PayloadCorrupted);
         let report = s.leakage_report();
         assert_eq!(report.queries, 1, "observation recorded despite the error");
@@ -1596,8 +1611,12 @@ mod tests {
     #[test]
     fn distinct_queries_draw_fresh_tokens() {
         let mut s = session();
-        let q1 = JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]);
-        let q2 = JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["blue".into()]);
+        let q1: QueryPlan = JoinQuery::on("L", "k", "R", "k")
+            .filter("L", "color", vec!["red".into()])
+            .into();
+        let q2: QueryPlan = JoinQuery::on("L", "k", "R", "k")
+            .filter("L", "color", vec!["blue".into()])
+            .into();
         s.execute(&q1).unwrap();
         s.execute(&q2).unwrap();
         assert_eq!(
@@ -1615,7 +1634,7 @@ mod tests {
         let (left, right) = tables();
         s.create_table(&left, cfg("L")).unwrap();
         s.create_table(&right, cfg("R")).unwrap();
-        let q = JoinQuery::on("L", "k", "R", "k");
+        let q: QueryPlan = JoinQuery::on("L", "k", "R", "k").into();
         s.execute(&q).unwrap();
         s.execute(&q).unwrap();
         assert_eq!(s.stats().client.tkgen_calls, 4);
@@ -1625,7 +1644,8 @@ mod tests {
     #[test]
     fn repeated_prepared_query_skips_all_server_decrypts() {
         let mut s = session();
-        let q = s.prepare(JoinQuery::on("L", "k", "R", "k")).unwrap();
+        let q = QueryPlan::from(JoinQuery::on("L", "k", "R", "k"));
+        s.prepare(&q).unwrap();
         let inputs = vec![q; 2];
         let results = s.execute_all(&inputs).unwrap();
         assert_eq!(results[0].stats.decrypt_cache_hits, 0, "cold first run");
@@ -1645,7 +1665,8 @@ mod tests {
         let (left, right) = tables();
         off.create_table(&left, cfg("L")).unwrap();
         off.create_table(&right, cfg("R")).unwrap();
-        let q2 = off.prepare(JoinQuery::on("L", "k", "R", "k")).unwrap();
+        let q2 = QueryPlan::from(JoinQuery::on("L", "k", "R", "k"));
+        off.prepare(&q2).unwrap();
         let off_results = off.execute_all(&[q2.clone(), q2]).unwrap();
         assert_eq!(off.stats().decrypt_cache_hits, 0);
         // Cached or decrypted afresh: identical rows, pairs and leakage.
@@ -1659,7 +1680,7 @@ mod tests {
     #[test]
     fn recreating_a_table_invalidates_the_server_decrypt_cache() {
         let mut s = session();
-        let q = JoinQuery::on("L", "k", "R", "k");
+        let q: QueryPlan = JoinQuery::on("L", "k", "R", "k").into();
         s.execute(&q).unwrap();
         let warm = s.execute(&q).unwrap();
         assert!(warm.stats.decrypt_cache_hits > 0);
@@ -1678,7 +1699,7 @@ mod tests {
     #[test]
     fn executing_against_missing_table_is_rejected_at_prepare_time() {
         let mut s = session();
-        let q = JoinQuery::on("Ghost", "k", "R", "k");
+        let q: QueryPlan = JoinQuery::on("Ghost", "k", "R", "k").into();
         assert!(matches!(s.execute(&q), Err(DbError::UnknownTable(_))));
     }
 
@@ -1703,7 +1724,7 @@ mod tests {
         let results = batched.execute_all(&series_inputs()).unwrap();
         let mut expected = Vec::new();
         for input in series_inputs() {
-            expected.push(sequential.execute(input).unwrap());
+            expected.push(sequential.execute(&input).unwrap());
         }
         assert_eq!(results.len(), expected.len());
         for (got, want) in results.iter().zip(&expected) {
@@ -1784,7 +1805,10 @@ mod tests {
         s.create_table(&left, cfg("L")).unwrap();
         s.create_table(&right, cfg("R")).unwrap();
         let q = JoinQuery::on("L", "k", "R", "k");
-        assert!(matches!(s.execute(&q), Err(DbError::Transport(_))));
+        assert!(matches!(
+            s.execute(&QueryPlan::from(&q)),
+            Err(DbError::Transport(_))
+        ));
         assert_eq!(s.stats().queries_unaccounted, 1);
         let inputs = vec![QueryPlan::pairwise(&q); 2];
         assert!(matches!(s.execute_all(&inputs), Err(DbError::Transport(_))));
@@ -1808,7 +1832,10 @@ mod tests {
         let (left, right) = tables();
         dead.create_table(&left, cfg("L")).unwrap();
         dead.create_table(&right, cfg("R")).unwrap();
-        assert!(matches!(dead.execute(&q), Err(DbError::Transport(_))));
+        assert!(matches!(
+            dead.execute(&QueryPlan::from(&q)),
+            Err(DbError::Transport(_))
+        ));
         assert!(matches!(
             dead.execute_all(&inputs),
             Err(DbError::Transport(_))

@@ -230,15 +230,19 @@ impl<E: Engine> TableStore<E> {
     /// `(storage position, row id, row version)` of every row surviving
     /// the pre-filter — a column-oriented scan: only the constrained
     /// tag columns are touched.
-    fn candidates(&self, prefilter: &[(usize, Vec<[u8; 16]>)]) -> Vec<(usize, u64, u64)> {
+    fn candidates(
+        &self,
+        prefilter: &[(usize, Vec<[u8; 16]>)],
+        use_prefilter: bool,
+    ) -> Vec<(usize, u64, u64)> {
         let rows = self
             .ids
             .iter()
             .zip(&self.versions)
             .enumerate()
             .map(|(pos, (&id, &version))| (pos, id, version));
-        let tag_columns = match (&self.tag_columns, prefilter.is_empty()) {
-            (Some(cols), false) => cols,
+        let tag_columns = match (&self.tag_columns, use_prefilter, prefilter.is_empty()) {
+            (Some(cols), true, false) => cols,
             _ => return rows.collect(),
         };
         // A constraint on a column this table carries no tags for cannot
@@ -960,7 +964,9 @@ impl<E: Engine> EncryptedStore<E> {
                 });
             }
         }
-        let preimage = opts.decrypt_cache.then(|| side_preimage::<E>(side));
+        let preimage = opts
+            .decrypt_cache
+            .then(|| side_preimage::<E>(side, opts.use_prefilter));
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         let key = preimage.as_deref().map(|p| cache.fingerprint(p));
 
@@ -980,7 +986,7 @@ impl<E: Engine> EncryptedStore<E> {
         }
         drop(cache);
 
-        let candidates = table.candidates(&side.prefilter);
+        let candidates = table.candidates(&side.prefilter, opts.use_prefilter);
         stats.rows_prefiltered_out += table.len() - candidates.len();
         stats.rows_decrypted += candidates.len();
 
@@ -1453,9 +1459,9 @@ fn decrypt_positions<E: Engine>(
 
 /// The bytes a side's decrypt-cache fingerprint is the SHA-256 of: the
 /// token elements as received, the target table, the pre-filter
-/// constraint sets and a constant `1` byte (it once said whether the
-/// pre-filter applied, and stays so that no stored fingerprint moves).
-/// Byte-identical
+/// constraint sets and whether the pre-filter applies (`1` for every
+/// wire join; only a direct call can clear it, and the byte stays so
+/// that no stored fingerprint moves). Byte-identical
 /// preimages decrypt to byte-identical outputs, which is what makes
 /// the memoization sound — and, the engines' decoding being canonical
 /// (one encoding per element: a string decodes only if it re-encodes to
@@ -1466,7 +1472,7 @@ fn decrypt_positions<E: Engine>(
 /// but entries stay keyed by their digest: keying them by the bytes
 /// would write query tokens to disk, need a snapshot format 3, and drop
 /// every cached side when a format-2 data directory upgrades.
-fn side_preimage<E: Engine>(side: &SideTokens<E>) -> Vec<u8> {
+fn side_preimage<E: Engine>(side: &SideTokens<E>, use_prefilter: bool) -> Vec<u8> {
     const DOMAIN: &[u8] = b"eqjoin-decrypt-cache-v1\0";
     let elements = 8 * side.token.len() + side.token.as_bytes().len();
     let prefilter: usize = side
@@ -1479,7 +1485,10 @@ fn side_preimage<E: Engine>(side: &SideTokens<E>) -> Vec<u8> {
     p.extend_from_slice(DOMAIN);
     p.extend_from_slice(&(side.table.len() as u64).to_le_bytes());
     p.extend_from_slice(side.table.as_bytes());
-    p.extend_from_slice(&[1, matches!(side.token.side(), SjTableSide::A) as u8]);
+    p.extend_from_slice(&[
+        use_prefilter as u8,
+        matches!(side.token.side(), SjTableSide::A) as u8,
+    ]);
     p.extend_from_slice(&(side.token.len() as u64).to_le_bytes());
     for bytes in side.token.elements() {
         p.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
@@ -1694,7 +1703,7 @@ mod tests {
     /// Whether the cache holds an entry for `side`, asked without a
     /// lookup (no use counted, no SHA-256 counted).
     fn holds(store: &Store, side: &SideTokens<MockEngine>) -> bool {
-        let preimage = side_preimage::<MockEngine>(side);
+        let preimage = side_preimage::<MockEngine>(side, JoinOptions::default().use_prefilter);
         let key = eqjoin_crypto::sha256(&preimage);
         store.cache.lock().unwrap().entries.contains_key(&key)
     }

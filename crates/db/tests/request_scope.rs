@@ -11,7 +11,8 @@
 //!   the reactor serves it.
 //! - **Directly**, a join with fresh tokens and its repeat run through
 //!   `DbServer::execute_join` under every value its `JoinOptions` take:
-//!   `threads` 0, 1 and `usize::MAX`, `decrypt_cache` on and off.
+//!   `use_prefilter` on and off, `threads` 0, 1 and `usize::MAX`,
+//!   `decrypt_cache` on and off.
 //!
 //! After each one the cache holds at least what it held before (no
 //! request evicts an entry it did not insert; the eviction counter does
@@ -33,12 +34,15 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// count's equivalence classes (auto, one, more than the server allows).
 fn every_option() -> Vec<JoinOptions> {
     let mut all = Vec::new();
-    for threads in [0, 1, usize::MAX] {
-        for decrypt_cache in [true, false] {
-            all.push(JoinOptions {
-                threads,
-                decrypt_cache,
-            });
+    for use_prefilter in [true, false] {
+        for threads in [0, 1, usize::MAX] {
+            for decrypt_cache in [true, false] {
+                all.push(JoinOptions {
+                    use_prefilter,
+                    threads,
+                    decrypt_cache,
+                });
+            }
         }
     }
     all

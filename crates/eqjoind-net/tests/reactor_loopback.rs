@@ -72,8 +72,8 @@ fn session_series_over_epoll_matches_local() {
     populate(&mut local);
     populate(&mut remote);
     for _ in 0..2 {
-        let l = local.execute(query(&local)).unwrap();
-        let r = remote.execute(query(&remote)).unwrap();
+        let l = local.execute(&query(&local)).unwrap();
+        let r = remote.execute(&query(&remote)).unwrap();
         assert_eq!(l.rows, r.rows, "rows must match across the reactor");
         assert_eq!(l.tuples, r.tuples);
         assert_eq!(l.cache_hit, r.cache_hit);
@@ -91,8 +91,8 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
     // Reference: a single-tenant local run of the same series.
     let mut reference = Session::<MockEngine>::local(config);
     populate(&mut reference);
-    let expected_first = reference.execute(query(&reference)).unwrap();
-    let expected_repeat = reference.execute(query(&reference)).unwrap();
+    let expected_first = reference.execute(&query(&reference)).unwrap();
+    let expected_repeat = reference.execute(&query(&reference)).unwrap();
 
     let mut alpha = Session::<MockEngine>::remote(config, addr)
         .unwrap()
@@ -107,8 +107,8 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
 
     // Alpha runs the query twice: the repeat is warm (its own decrypt
     // cache).
-    let a1 = alpha.execute(query(&alpha)).unwrap();
-    let a2 = alpha.execute(query(&alpha)).unwrap();
+    let a1 = alpha.execute(&query(&alpha)).unwrap();
+    let a2 = alpha.execute(&query(&alpha)).unwrap();
     assert_eq!(
         a1.rows, expected_first.rows,
         "byte-identical to single-tenant"
@@ -119,7 +119,7 @@ fn tenants_are_isolated_and_match_single_tenant_runs() {
     // ciphertexts) must be COLD: a decrypt-cache hit here would mean
     // tenants share a store — cross-tenant leakage.
     let before = beta.stats().decrypt_cache_hits;
-    let b1 = beta.execute(query(&beta)).unwrap();
+    let b1 = beta.execute(&query(&beta)).unwrap();
     assert_eq!(b1.rows, expected_first.rows);
     assert_eq!(
         beta.stats().decrypt_cache_hits,
@@ -323,7 +323,7 @@ fn drain_finishes_inflight_work_before_exiting() {
     let config = SessionConfig::new(1, 2).seed(1);
     let mut session = Session::<MockEngine>::remote(config, addr).unwrap();
     populate(&mut session);
-    let result = session.execute(query(&session)).unwrap();
+    let result = session.execute(&query(&session)).unwrap();
     assert!(!result.rows.is_empty());
     drop(session);
     let drainer = RemoteBackend::connect(addr).unwrap();

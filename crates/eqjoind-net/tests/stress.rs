@@ -86,7 +86,7 @@ fn workload(
                 let config = SessionConfig::new(1, 2).seed(0x5eed);
                 let mut session = connect(config).with_tenant(&tenant).unwrap();
                 populate(&mut session);
-                let first = session.execute(query(&session)).unwrap();
+                let first = session.execute(&query(&session)).unwrap();
                 assert_eq!(
                     session.stats().decrypt_cache_hits,
                     0,
@@ -94,7 +94,7 @@ fn workload(
                      here means another tenant's identical ciphertexts primed this \
                      namespace"
                 );
-                let repeat = session.execute(query(&session)).unwrap();
+                let repeat = session.execute(&query(&session)).unwrap();
                 assert!(
                     session.stats().decrypt_cache_hits > 0,
                     "{tenant}: repeat run warms in-namespace"

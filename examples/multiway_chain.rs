@@ -142,7 +142,7 @@ fn main() {
                    JOIN Customers ON Orders.custkey = Customers.custkey \
                    WHERE mktsegment = 'BUILDING'";
     let overlap = eqjoin::sql::plan(overlap, session.catalog()).expect("plan overlap");
-    let two_table = session.execute(overlap).expect("overlapping query");
+    let two_table = session.execute(&overlap).expect("overlapping query");
     assert!(
         two_table.cache_hit,
         "the overlapping stage must reuse the chain's token bundle"

@@ -77,7 +77,7 @@ fn run<E: Engine>(scale: f64) {
 
     for sql in workload() {
         let plan = eqjoin::sql::plan(sql, session.catalog()).expect("plan");
-        let result = session.execute(plan).expect("query");
+        let result = session.execute(&plan).expect("query");
         println!(
             "query: {}",
             sql.split_whitespace().collect::<Vec<_>>().join(" ")

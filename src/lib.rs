@@ -13,8 +13,8 @@
 //!   Session::local(config)                 backend (ServerApi)
 //!   ┌──────────────────────────┐      ┌───────────────────────────┐
 //!   │ create_table(plain, cfg) ┼──────▶ encrypted tables          │
-//!   │ execute(sql::plan("…"))  ┼──────▶ SJ.Dec + SJ.Match per     │
-//!   │   or execute(QueryPlan)  │      │ pairwise stage, projected │
+//!   │ execute(&QueryPlan)      ┼──────▶ SJ.Dec + SJ.Match per     │
+//!   │   from sql::plan("…")    │      │ pairwise stage, projected │
 //!   │   └ stage token cache    │◀─────┼ payloads + observation    │
 //!   │ walk + column decrypt    │      └───────────────────────────┘
 //!   │ leakage_report()         │
@@ -34,7 +34,7 @@
 //!     session.create_table(&t, cfg).unwrap();
 //! }
 //! let plan = eqjoin::sql::plan("SELECT * FROM L JOIN R ON L.k = R.k", session.catalog());
-//! let result = session.execute(plan.unwrap()).unwrap();
+//! let result = session.execute(&plan.unwrap()).unwrap();
 //! assert_eq!(result.rows.len(), 1);
 //! assert!(session.leakage_report().within_bound);
 //! ```

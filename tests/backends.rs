@@ -249,7 +249,7 @@ fn sequential_execute_agrees_with_execute_all_over_remote() {
     populate(&mut sequential);
     let mut sequential_results = Vec::new();
     for query in series() {
-        sequential_results.push(sequential.execute(&query).unwrap());
+        sequential_results.push(sequential.execute(&QueryPlan::from(&query)).unwrap());
     }
     assert_eq!(batched_encoded, encode(&sequential_results));
     assert_eq!(batched.leakage_report(), sequential.leakage_report());

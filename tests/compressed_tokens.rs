@@ -190,7 +190,7 @@ fn mock_join(elements: u64) -> Request<MockEngine> {
 fn a_token_side_is_537_bytes_and_a_chain_batch_carries_four() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (mut session, _, seen) = recorded_session();
-    let result = session.execute(chain()).expect("chain query");
+    let result = session.execute(&chain()).expect("chain query");
     assert_eq!(result.stage_stats.len(), 2, "two pairwise stages");
 
     let seen = seen.lock().unwrap_or_else(|e| e.into_inner());
@@ -265,7 +265,7 @@ fn the_token_check_span_counts_cold_sides_and_not_warm_ones() {
     create_tables(&mut session);
 
     let (before, elements_before) = (checks(), elements());
-    let cold = session.execute(chain()).expect("cold chain");
+    let cold = session.execute(&chain()).expect("cold chain");
     let after_cold = checks();
     assert_eq!(after_cold.count - before.count, 4, "one check per side");
     assert!(after_cold.sum_ns > before.sum_ns, "the checks took time");
@@ -273,7 +273,7 @@ fn the_token_check_span_counts_cold_sides_and_not_warm_ones() {
 
     // The token cache resends the same bytes; the decrypt cache answers
     // every row, so no side is decoded.
-    let warm = session.execute(chain()).expect("warm chain");
+    let warm = session.execute(&chain()).expect("warm chain");
     assert_eq!(warm.stage_cache_hits, vec![true, true]);
     assert_eq!(warm.rows, cold.rows);
     assert_eq!(checks().count - after_cold.count, 0);

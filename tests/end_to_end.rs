@@ -4,7 +4,7 @@
 //! mock engine (larger).
 
 use eqjoin::baselines::ground_truth::example_2_1;
-use eqjoin::db::{ResultSet, Session, SessionConfig, TableConfig, Value};
+use eqjoin::db::{QueryPlan, ResultSet, Session, SessionConfig, TableConfig, Value};
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 
 /// A session holding the paper's Teams/Employees tables (Example 2.1).
@@ -35,7 +35,7 @@ fn paper_session<E: Engine>(seed: u64, prefilter: bool) -> Session<E> {
 /// Plan `sql` against the session catalog and execute it.
 fn execute_sql<E: Engine>(session: &mut Session<E>, sql: &str) -> ResultSet {
     let plan = eqjoin::sql::plan(sql, session.catalog()).unwrap();
-    session.execute(plan).unwrap()
+    session.execute(&plan).unwrap()
 }
 
 #[test]
@@ -127,7 +127,9 @@ fn many_to_many_join_mock() {
     ] {
         session.create_table(t, cfg).unwrap();
     }
-    let result = session.execute(JoinQuery::on("L", "k", "R", "k")).unwrap();
+    let result = session
+        .execute(&QueryPlan::from(JoinQuery::on("L", "k", "R", "k")))
+        .unwrap();
     // L has 3 rows with k=0 and 3 with k=1; R has 2 rows each of k=0,1,2.
     // Matches: 3·2 + 3·2 = 12.
     assert_eq!(result.rows.len(), 12);

@@ -128,7 +128,7 @@ fn run_chain() -> (Vec<Row>, Vec<u8>, Vec<(Req, Response)>) {
         inner: LocalBackend::new(),
         seen: Arc::clone(&seen),
     }));
-    let result = session.execute(chain()).expect("chain query");
+    let result = session.execute(&chain()).expect("chain query");
     let seen = seen.lock().unwrap_or_else(|e| e.into_inner());
     let customer_name = seen
         .iter()
@@ -365,7 +365,7 @@ fn refused(
         edit,
     }));
     let err = session
-        .execute(chain())
+        .execute(&chain())
         .expect_err("an altered answer was accepted");
     let accounting = (
         session.leakage_report().queries,
@@ -495,7 +495,7 @@ fn an_anchor_row_in_two_classes_is_refused() {
 #[test]
 fn classes_and_members_in_any_order_give_the_same_answer() {
     let honest = session(Box::new(LocalBackend::new()))
-        .execute(chain())
+        .execute(&chain())
         .expect("chain query");
     let mut reordering = session(Box::new(Tamper {
         inner: LocalBackend::new(),
@@ -507,7 +507,7 @@ fn classes_and_members_in_any_order_give_the_same_answer() {
         },
     }));
     let reordered = reordering
-        .execute(chain())
+        .execute(&chain())
         .expect("the same classes in another order");
     assert_eq!(reordered.tuples, honest.tuples);
     assert_eq!(reordered.rows, honest.rows);

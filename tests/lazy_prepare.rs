@@ -10,8 +10,8 @@
 //! one lock.
 
 use eqjoin::db::{
-    ClientConfig, DbClient, JoinOptions, JoinQuery, LocalBackend, QueryTokens, Request, Response,
-    Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
+    ClientConfig, DbClient, JoinOptions, JoinQuery, LocalBackend, QueryPlan, QueryTokens, Request,
+    Response, Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::pairing::{ops, Bls12, Engine, MockEngine};
 use proptest::prelude::*;
@@ -287,6 +287,7 @@ fn racing_first_touches_agree_and_fill_each_row_once() {
     let options = JoinOptions {
         decrypt_cache: false,
         threads: 1,
+        ..JoinOptions::default()
     };
 
     let baseline = prepared_rows();
@@ -445,7 +446,7 @@ fn transcript(ops: &[Op], touch_up_front: bool) -> (Transcript, i64, i64) {
             }
             Op::Delete(_) => "nothing to delete".to_owned(),
             Op::Query(which) => {
-                let r = session.execute(query(*which)).unwrap();
+                let r = session.execute(&QueryPlan::from(&query(*which))).unwrap();
                 format!(
                     "{:?} {:?} dec={} pre={} hits={} cmp={} tokens_cached={}",
                     r.tuples,

@@ -14,8 +14,8 @@
 //! `R0 = R1` (the values 10 and 20) and report three.
 
 use eqjoin::db::{
-    DbError, JoinQuery, LocalBackend, Request, Response, Schema, ServerApi, Session, SessionConfig,
-    Table, TableConfig, Value,
+    DbError, JoinQuery, LocalBackend, QueryPlan, Request, Response, Schema, ServerApi, Session,
+    SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::leakage::Node;
 use eqjoin::pairing::MockEngine;
@@ -46,7 +46,7 @@ fn first_join(backend: Box<dyn ServerApi<MockEngine>>) -> Session<MockEngine> {
     let mut s = Session::with_backend(SessionConfig::new(1, 1).seed(3), backend);
     s.create_table(&table("L", &[10]), on_k()).unwrap();
     s.create_table(&table("R", &[10, 20]), on_k()).unwrap();
-    let first = s.execute(join()).unwrap();
+    let first = s.execute(&QueryPlan::from(&join())).unwrap();
     assert_eq!(first.tuples, vec![vec![0, 0]]);
     assert_eq!(first.leakage_delta, 1);
     s
@@ -55,7 +55,7 @@ fn first_join(backend: Box<dyn ServerApi<MockEngine>>) -> Session<MockEngine> {
 /// After the replaced `L` joined `R1`: two pairs, no `R0 = R1`, and the
 /// old `L0` and the new one are two nodes.
 fn assert_new_rows_are_new_nodes(s: &mut Session<MockEngine>) {
-    let second = s.execute(join()).unwrap();
+    let second = s.execute(&QueryPlan::from(&join())).unwrap();
     assert_eq!(second.tuples, vec![vec![0, 1]], "the new L0 matches R1");
     let visible = s.visible_pairs();
     assert!(
@@ -126,7 +126,7 @@ fn a_refused_re_create_keeps_the_old_rows() {
     assert!(matches!(refused, Err(DbError::Snapshot(_))), "{refused:?}");
     // The server still holds the old L, so the repeat is the first
     // join again and the server learns nothing new.
-    let again = s.execute(join()).unwrap();
+    let again = s.execute(&QueryPlan::from(&join())).unwrap();
     assert_eq!(again.tuples, vec![vec![0, 0]]);
     assert_eq!(again.leakage_delta, 0, "the old L0 is the same row");
     assert_eq!(s.leakage_report().visible_pairs, 1);

@@ -147,7 +147,7 @@ fn series(session: &mut Session<Bls12>) -> u64 {
     let mut rows_decrypted = 0;
     for _ in 0..ROUNDS {
         for input in round() {
-            let result = session.execute(input).expect("query");
+            let result = session.execute(&input).expect("query");
             rows_decrypted += result.stats.rows_decrypted as u64;
         }
     }

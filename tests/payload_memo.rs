@@ -14,8 +14,8 @@
 //! rows 0 and 1 and every Orders row: `(0, 0)`, `(1, 1)`, `(1, 2)`.
 
 use eqjoin::db::{
-    DbError, EncryptedJoinResult, JoinQuery, LocalBackend, Request, Response, Row, Schema,
-    ServerApi, Session, SessionConfig, Table, TableConfig, Value,
+    DbError, EncryptedJoinResult, JoinQuery, LocalBackend, QueryPlan, Request, Response, Row,
+    Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::pairing::MockEngine;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,8 +83,8 @@ fn on_k() -> TableConfig {
     }
 }
 
-fn join() -> JoinQuery {
-    JoinQuery::on("People", "k", "Orders", "k")
+fn join() -> QueryPlan {
+    JoinQuery::on("People", "k", "Orders", "k").into()
 }
 
 /// `(column_decrypts, column_opens_reused)` so far.
@@ -106,11 +106,11 @@ fn warmed() -> (Session<MockEngine>, Arc<Control>, Vec<Row>) {
     s.create_table(&people(["ann", "bob", "cy"]), on_k())
         .unwrap();
     s.create_table(&orders(), on_k()).unwrap();
-    let first = s.execute(join()).unwrap();
+    let first = s.execute(&join()).unwrap();
     assert_eq!(first.tuples, vec![vec![0, 0], vec![1, 1], vec![1, 2]]);
     // People rows 0, 1 × 3 columns + Orders rows 0, 1, 2 × 2 columns.
     assert_eq!(opens(&s), (12, 0));
-    let again = s.execute(join()).unwrap();
+    let again = s.execute(&join()).unwrap();
     assert_eq!(again.rows, first.rows);
     assert_eq!(opens(&s), (12, 12), "the repeat opens nothing");
     (s, control, first.rows)
@@ -135,10 +135,10 @@ fn altered(edit: Edit) -> DbError {
     let (mut s, control, rows) = warmed();
     *control.edit.lock().unwrap() = Some(edit);
     let err = s
-        .execute(join())
+        .execute(&join())
         .expect_err("an altered memoized payload was accepted");
     *control.edit.lock().unwrap() = None;
-    assert_eq!(s.execute(join()).unwrap().rows, rows, "the memo survives");
+    assert_eq!(s.execute(&join()).unwrap().rows, rows, "the memo survives");
     err
 }
 
@@ -160,7 +160,7 @@ fn a_re_created_table_answers_with_its_new_values() {
     let renamed = ["ada", "bea", "cal"];
     s.create_table(&people(renamed), on_k()).unwrap();
     let before = opens(&s);
-    let after = s.execute(join()).unwrap();
+    let after = s.execute(&join()).unwrap();
     assert_eq!(after.rows, with_names(&rows, renamed));
     assert_eq!(
         (opens(&s).0 - before.0, opens(&s).1 - before.1),
@@ -176,7 +176,7 @@ fn an_emptied_table_loaded_again_answers_with_its_new_values() {
     // The store takes row ids from 0 again once the table is empty.
     let renamed = ["ada", "bea", "cal"];
     assert_eq!(s.copy_table(&people(renamed), on_k(), 0).unwrap(), 3);
-    let after = s.execute(join()).unwrap();
+    let after = s.execute(&join()).unwrap();
     assert_eq!(after.tuples, vec![vec![0, 0], vec![1, 1], vec![1, 2]]);
     assert_eq!(after.rows, with_names(&rows, renamed));
 }
@@ -189,11 +189,11 @@ fn a_deleted_rows_slots_are_gone() {
     // The answer from before the delete, replayed: Orders row 2's two
     // slots open again; the other ten values come from the memo.
     control.replay.store(true, Ordering::SeqCst);
-    let replayed = s.execute(join()).unwrap();
+    let replayed = s.execute(&join()).unwrap();
     assert_eq!(replayed.rows, rows);
     assert_eq!((opens(&s).0 - before.0, opens(&s).1 - before.1), (2, 10));
     // The live answer no longer names row 2.
-    let live = s.execute(join()).unwrap();
+    let live = s.execute(&join()).unwrap();
     assert_eq!(live.tuples, vec![vec![0, 0], vec![1, 1]]);
     assert_eq!(live.rows, rows[..2]);
 }

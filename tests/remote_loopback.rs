@@ -82,7 +82,7 @@ fn paper_series_over_tcp_matches_local_bls12() {
 
     // Table 3 sanity on a remote re-run of query 0: the exact row the
     // paper prints.
-    let result = remote.execute(plan(&remote, PAPER_SERIES[0])).unwrap();
+    let result = remote.execute(&plan(&remote, PAPER_SERIES[0])).unwrap();
     assert!(result.cache_hit);
     assert_eq!(result.rows.len(), 1);
     assert_eq!(result.rows[0].get(1), &Value::Str("Kaily".into()));
@@ -160,9 +160,9 @@ fn a_drained_server_fails_its_sessions_typed() {
     let (addr, server) = spawn_server::<MockEngine>();
     let mut session = Session::<MockEngine>::remote(SessionConfig::new(3, 2), addr).unwrap();
     populate_paper_tables(&mut session);
-    assert!(session.execute(plan(&session, PAPER_SERIES[0])).is_ok());
+    assert!(session.execute(&plan(&session, PAPER_SERIES[0])).is_ok());
     drop(server);
-    match session.execute(plan(&session, PAPER_SERIES[1])) {
+    match session.execute(&plan(&session, PAPER_SERIES[1])) {
         Err(DbError::Transport(_)) => {}
         other => panic!("expected a transport error, got {other:?}"),
     }

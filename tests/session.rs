@@ -4,8 +4,8 @@
 //! ledger's agreement with manual bookkeeping.
 
 use eqjoin::db::{
-    DbClient, DbServer, JoinObservation, JoinOptions, JoinQuery, LocalBackend, Request, Response,
-    Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
+    DbClient, DbServer, JoinObservation, JoinOptions, JoinQuery, LocalBackend, QueryPlan, Request,
+    Response, Schema, ServerApi, Session, SessionConfig, Table, TableConfig, Value,
 };
 use eqjoin::leakage::Node;
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
@@ -140,7 +140,7 @@ fn run_series<E: Engine>(rows: i64, token_cache: bool) -> (Vec<Vec<u8>>, u64, u6
     session.create_table(&right, rcfg).unwrap();
     let mut encoded = Vec::new();
     for query in series() {
-        let result = session.execute(&query).unwrap();
+        let result = session.execute(&QueryPlan::from(&query)).unwrap();
         // Byte-exact encoding of the decrypted result set.
         let mut bytes = Vec::new();
         for row in &result.rows {
@@ -209,7 +209,7 @@ fn session_series_beats_raw_client_on_tkgen_calls() {
     session.create_table(&right, rcfg).unwrap();
     let mut session_pairs = Vec::new();
     for query in series() {
-        let result = session.execute(&query).unwrap();
+        let result = session.execute(&QueryPlan::from(&query)).unwrap();
         let mut pairs: Vec<(usize, usize)> = result.tuples.iter().map(|t| (t[0], t[1])).collect();
         pairs.sort_unstable();
         session_pairs.push(pairs);
@@ -271,7 +271,7 @@ fn ledger_matches_manual_accounting() {
     session.create_table(&left, lcfg).unwrap();
     session.create_table(&right, rcfg).unwrap();
     for query in series() {
-        session.execute(&query).unwrap();
+        session.execute(&QueryPlan::from(&query)).unwrap();
     }
 
     let report = session.leakage_report();
@@ -295,8 +295,9 @@ fn prepared_queries_share_the_session_cache() {
     session.create_table(&left, lcfg).unwrap();
     session.create_table(&right, rcfg).unwrap();
     let q = JoinQuery::on("L", "k", "R", "k").filter("L", "color", vec!["red".into()]);
-    let p1 = session.prepare(&q).unwrap();
-    let p2 = session.prepare(&q).unwrap();
+    let (p1, p2) = (QueryPlan::from(&q), QueryPlan::from(&q));
+    session.prepare(&p1).unwrap();
+    session.prepare(&p2).unwrap();
     session.execute(&p1).unwrap();
     let r2 = session.execute(&p2).unwrap();
     assert!(r2.cache_hit, "two prepared plans, one cache entry");
@@ -358,7 +359,7 @@ fn sql_insert_and_delete_statements_run_end_to_end() {
 fn copy_table_streams_chunks_and_joins_like_create_table() {
     let (left, right) = tables();
     let (lcfg, rcfg) = configs();
-    let query = series().remove(0);
+    let query = QueryPlan::from(&series().remove(0));
 
     // Baseline: the one-request upload path.
     let mut whole = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(0xfeed));
@@ -388,7 +389,7 @@ fn copy_table_streams_chunks_and_joins_like_create_table() {
 fn copy_table_of_one_row_more_than_a_chunk_ships_two_chunks() {
     let (left, right) = tables_of(8);
     let (lcfg, rcfg) = configs();
-    let query = series().remove(0);
+    let query = QueryPlan::from(&series().remove(0));
 
     let mut whole = Session::<MockEngine>::local(SessionConfig::new(2, 3).seed(0xfeed));
     whole.create_table(&left, lcfg.clone()).unwrap();
@@ -459,9 +460,16 @@ fn sql_errors_send_nothing() {
     session.create_table(&right, rcfg).unwrap();
     let before = session.transport_stats().round_trips;
 
-    match run(&mut session, "SELECT * FROM L JOIN Ghost ON L.k = Ghost.k") {
-        Err(DbError::UnknownTable(table)) => assert_eq!(table, "Ghost"),
-        other => panic!("expected UnknownTable, got {other:?}"),
+    for sql in [
+        "SELECT * FROM L JOIN Ghost ON L.k = Ghost.k",
+        "INSERT INTO Ghost VALUES (1)",
+        "DELETE FROM Ghost WHERE rowid = 0",
+        "COPY Ghost FROM VALUES (1)",
+    ] {
+        match run(&mut session, sql) {
+            Err(DbError::UnknownTable(table)) => assert_eq!(table, "Ghost"),
+            other => panic!("{sql}: expected UnknownTable, got {other:?}"),
+        }
     }
     for sql in [
         "INSERT INTO L VALUES (1, 'red')",
@@ -604,7 +612,9 @@ fn a_low_cardinality_join_is_recorded_as_its_two_classes() {
     let (mut session, seen) = Recording::session(SessionConfig::new(1, 1).seed(2));
     session.create_table(&side("L"), on_k()).unwrap();
     session.create_table(&side("R"), on_k()).unwrap();
-    let result = session.execute(JoinQuery::on("L", "k", "R", "k")).unwrap();
+    let result = session
+        .execute(&QueryPlan::from(JoinQuery::on("L", "k", "R", "k")))
+        .unwrap();
     assert_eq!(result.tuples.len(), 2 * 100 * 100);
     assert_eq!(result.stats.matched_pairs, 2 * 100 * 100);
 

@@ -63,6 +63,11 @@ fn a_is_one() -> JoinQuery {
     JoinQuery::on("L", "k", "R", "k").filter("L", "a", vec![Value::Int(1)])
 }
 
+/// Executes [`a_is_one`] on `s`.
+fn run_a_is_one(s: &mut Session<MockEngine>) -> Result<ResultSet, DbError> {
+    s.execute(&QueryPlan::from(&a_is_one()))
+}
+
 fn session(config: SessionConfig, backend: Box<dyn ServerApi<MockEngine>>) -> Session<MockEngine> {
     let mut s = Session::with_backend(config, backend);
     s.create_table(&left(&["k", "a", "b"]), layout(&["a", "b"]))
@@ -112,19 +117,19 @@ fn a_re_registered_table_draws_fresh_stage_tokens() {
     );
     let expected = reference_join(&left(&["k", "a", "b"]), &right(), &a_is_one());
     assert_eq!(expected, vec![(1, 1), (3, 3), (5, 5), (7, 7)]);
-    assert_eq!(pairs(&s.execute(a_is_one()).unwrap()), expected);
+    assert_eq!(pairs(&run_a_is_one(&mut s).unwrap()), expected);
 
     // Same rows, filter columns swapped: `a` is now at position 1.
     s.create_table(&left(&["k", "a", "b"]), layout(&["b", "a"]))
         .unwrap();
-    let swapped = s.execute(a_is_one()).unwrap();
+    let swapped = run_a_is_one(&mut s).unwrap();
     assert_eq!(pairs(&swapped), expected);
     assert!(!swapped.cache_hit, "another layout must draw fresh tokens");
 
     // Back to the first layout: its cached tokens are valid again.
     s.create_table(&left(&["k", "a", "b"]), layout(&["a", "b"]))
         .unwrap();
-    let again = s.execute(a_is_one()).unwrap();
+    let again = run_a_is_one(&mut s).unwrap();
     assert!(again.cache_hit, "the same layout may keep its tokens");
     assert_eq!(pairs(&again), expected);
 }
@@ -135,11 +140,11 @@ fn a_table_re_registered_on_another_join_column_refuses_the_old_join() {
         SessionConfig::new(2, 3).seed(7),
         Box::new(LocalBackend::new()),
     );
-    s.execute(a_is_one()).unwrap();
+    run_a_is_one(&mut s).unwrap();
     let mut on_b = layout(&["a", "b"]);
     on_b.join_column = "b".into();
     s.create_table(&left(&["k", "a", "b"]), on_b).unwrap();
-    let stale = s.execute(a_is_one());
+    let stale = run_a_is_one(&mut s);
     assert!(
         matches!(&stale, Err(DbError::JoinColumnMismatch { .. })),
         "{stale:?}"
@@ -151,14 +156,14 @@ fn a_refused_copy_keeps_the_registration_the_server_holds() {
     let config = SessionConfig::new(2, 3).seed(7).token_cache(false);
     let mut s = session(config, Box::new(LocalBackend::new()));
     let expected = reference_join(&left(&["k", "a", "b"]), &right(), &a_is_one());
-    assert_eq!(pairs(&s.execute(a_is_one()).unwrap()), expected);
+    assert_eq!(pairs(&run_a_is_one(&mut s).unwrap()), expected);
 
     let refused = s.copy_table(&left(&["k", "a", "b"]), layout(&["b", "a"]), 0);
     assert!(
         matches!(&refused, Err(DbError::Protocol(msg)) if msg.contains("names filter columns")),
         "{refused:?}"
     );
-    assert_eq!(pairs(&s.execute(a_is_one()).unwrap()), expected);
+    assert_eq!(pairs(&run_a_is_one(&mut s).unwrap()), expected);
 }
 
 #[test]
@@ -167,11 +172,11 @@ fn a_refused_create_keeps_the_registration_the_server_holds() {
     // Upload 0 is the set-up's; upload 1 is refused.
     let mut s = session(config, RefuseUpload::nth(1));
     let expected = reference_join(&left(&["k", "a", "b"]), &right(), &a_is_one());
-    assert_eq!(pairs(&s.execute(a_is_one()).unwrap()), expected);
+    assert_eq!(pairs(&run_a_is_one(&mut s).unwrap()), expected);
 
     let refused = s.create_table(&left(&["k", "a", "b"]), layout(&["b", "a"]));
     assert!(matches!(refused, Err(DbError::Snapshot(_))), "{refused:?}");
-    assert_eq!(pairs(&s.execute(a_is_one()).unwrap()), expected);
+    assert_eq!(pairs(&run_a_is_one(&mut s).unwrap()), expected);
     // The client still encrypts for the stored layout: an insert lands
     // and is selected by the same filter.
     s.insert_rows("L", &[vec![Value::Int(8), Value::Int(1), Value::Int(0)]])
@@ -182,7 +187,7 @@ fn a_refused_create_keeps_the_registration_the_server_holds() {
     let mut l = left(&["k", "a", "b"]);
     l.push_row(vec![Value::Int(8), Value::Int(1), Value::Int(0)]);
     assert_eq!(
-        pairs(&s.execute(a_is_one()).unwrap()),
+        pairs(&run_a_is_one(&mut s).unwrap()),
         reference_join(&l, &r, &a_is_one())
     );
 }
@@ -221,16 +226,17 @@ fn a_prepared_plan_runs_against_the_table_as_it_is_now() {
     let plan = QueryPlan::scan("L")
         .join_on("L", "k", "R", "k")
         .project(&[("L", "k"), ("L", "a")]);
-    let prepared = s.prepare(&plan).unwrap();
+    s.prepare(&plan).unwrap();
     let before = left(&["k", "a", "b"]);
-    assert_eq!(rows_of(&mut s, &prepared), k_and_a(&before));
+    assert_eq!(rows_of(&mut s, &plan), k_and_a(&before));
 
     // The same logical rows, stored as (k, b, a): `L.a` moves from
     // column 1 to column 2.
     let reordered = left(&["k", "b", "a"]);
     s.create_table(&reordered, layout(&["a", "b"])).unwrap();
     assert_eq!(k_and_a(&reordered), k_and_a(&before));
-    assert_eq!(rows_of(&mut s, &prepared), k_and_a(&reordered));
+    assert_eq!(rows_of(&mut s, &plan), k_and_a(&reordered));
+    // Again, now from the lowering memo.
     assert_eq!(rows_of(&mut s, &plan), k_and_a(&reordered));
 }
 

@@ -6,8 +6,8 @@
 use eqjoin::baselines::ground_truth;
 use eqjoin::db::join::{class_pairs, hash_join, nested_loop_join};
 use eqjoin::db::{
-    DbClient, DbServer, JoinOptions, JoinQuery, ResultSet, ServerStats, Session, SessionConfig,
-    Table, TableConfig,
+    DbClient, DbServer, JoinOptions, JoinQuery, QueryPlan, ResultSet, ServerStats, Session,
+    SessionConfig, Table, TableConfig,
 };
 use eqjoin::pairing::{Bls12, Engine, MockEngine};
 use eqjoin::tpch::{generate_customers, generate_orders, TpchConfig};
@@ -55,7 +55,7 @@ fn selectivity_filtered_join_matches_reference_mock() {
     let query = JoinQuery::on("Customers", "custkey", "Orders", "custkey")
         .filter("Customers", "selectivity", vec!["1/25".into()])
         .filter("Orders", "selectivity", vec!["1/25".into()]);
-    let result = session.execute(&query).unwrap();
+    let result = session.execute(&QueryPlan::from(&query)).unwrap();
 
     let mut got = pairs(&result);
     got.sort_unstable();
@@ -89,7 +89,7 @@ fn in_clause_query_matches_reference_mock() {
             "orderpriority",
             vec!["1-URGENT".into(), "2-HIGH".into(), "5-LOW".into()],
         );
-    let result = session.execute(&query).unwrap();
+    let result = session.execute(&QueryPlan::from(&query)).unwrap();
     let mut got = pairs(&result);
     got.sort_unstable();
     assert_eq!(
@@ -197,7 +197,7 @@ fn tiny_scale_bls12_smoke() {
         "selectivity",
         vec!["1/12.5".into()],
     );
-    let result = session.execute(&query).unwrap();
+    let result = session.execute(&QueryPlan::from(&query)).unwrap();
     let mut got = pairs(&result);
     got.sort_unstable();
     assert_eq!(
